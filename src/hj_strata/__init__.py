@@ -4,8 +4,7 @@ The package solves three related families of control problems on the fast
 scale (periodic strips, compact cores, periodic backgrounds), assembles the
 resulting effective Hamiltonian tables, and integrates the limit equation on
 a stratified grid whose interface line and origin carry their own update
-rules.  A direct oscillating-coefficient solver provides the convergence
-laboratory that ties the two levels together.
+rules.
 """
 
 from .scenario import (

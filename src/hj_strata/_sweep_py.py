@@ -1,16 +1,14 @@
 """Pure-numpy Bellman sweep kernels (fallback backend).
 
-Same contract as the compiled ``_sweep_core``: ``jacobi_min`` evaluates one
-synchronous Bellman application; Gauss-Seidel sweeps are unavailable here
-(``HAS_GAUSS_SEIDEL`` is False) and the solvers fall back to plain value
-iteration.
+``jacobi_min`` has the same contract as the compiled ``_sweep_core`` kernel:
+one synchronous Bellman application.  ``jacobi_argmin`` also records a
+minimizing control per node; it serves Howard's policy iteration on both
+backends.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-HAS_GAUSS_SEIDEL = False
 
 
 def jacobi_min(
@@ -28,5 +26,13 @@ def jacobi_min(
         np.minimum(out, cand, out=out)
 
 
-def gauss_seidel(idx, w, base, gamma, u, order) -> None:  # pragma: no cover
-    raise NotImplementedError("Gauss-Seidel sweeps need the compiled backend")
+def jacobi_argmin(idx, w, base, gamma, u, out, policy) -> None:
+    """``jacobi_min`` that also writes the first minimizing control to ``policy`` (N,)."""
+    na = idx.shape[0]
+    out[:] = np.inf
+    policy[:] = 0
+    for a in range(na):
+        cand = base[a] + gamma * np.einsum("nk,nk->n", w[a], u[idx[a]])
+        better = cand < out
+        out[better] = cand[better]
+        policy[better] = a

@@ -7,12 +7,15 @@ One application of the operator at a node is
 with bilinear interpolation of ``u`` at the foot point.  On state-constrained
 axes a control is admissible only when its foot stays inside the grid, and a
 node with no admissible control is a construction error.  The interpolation
-stencils, weights, and step costs are precomputed once per operator, so a
-sweep is a pure gather/fma kernel (see :mod:`hj_strata.kernels`).
+stencils, weights, and step costs are precomputed once per operator, so an
+application is a pure gather/fma kernel (see :mod:`hj_strata.kernels`).
 
 Three solvers share the operator:
 
-* :func:`solve_discounted` — contraction iteration for ``discount > 0``.
+* :func:`solve_discounted` — Howard policy iteration for ``discount > 0``:
+  the greedy control of a synchronous application fixes a policy, whose
+  value is one sparse linear solve; the iteration count does not grow as the
+  discount vanishes.
 * :func:`solve_ergodic_relative` — relative value iteration at zero discount;
   the returned ``rate`` is the optimal long-run average cost, certified by the
   span of ``T0[u] - u`` (the true rate always lies between the extreme nodal
@@ -28,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import bicgstab, splu
 
 from . import kernels
 from .grids import GridSpec, ValueField
@@ -43,6 +48,14 @@ __all__ = [
     "solve_ergodic_relative",
     "ergodic_continuation",
 ]
+
+
+# BiCGSTAB steps before a policy evaluation falls back to sparse LU.  Warm
+# started from the previous iterate, the bundled presets need at most ~450.
+# Krylov comes first because SuperLU's work arrays (~14 MB each on a
+# 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
+# thresholds for the rest of the process, so the heap stops shrinking.
+_KRYLOV_MAX_ITER = 1000
 
 
 class SLOperator:
@@ -93,7 +106,6 @@ class SLOperator:
                 f"node at ({y[0]:.6g}, {y[1]:.6g}) has no admissible control for "
                 f"delta={self.delta:.6g}; shrink the step or enlarge the domain"
             )
-        self._orders: list[np.ndarray] | None = None
 
     @property
     def n_rows(self) -> int:
@@ -112,28 +124,36 @@ class SLOperator:
         kernels.jacobi_min(self.idx, self.w, self.base, self.gamma(discount), u, out)
         return out
 
-    def sweep_orders(self) -> list[np.ndarray]:
-        """Four alternating node orderings for Gauss-Seidel sweeps."""
-        if self._orders is None:
-            n1, n2 = self.grid.n1, self.grid.n2
-            i = np.arange(n1)
-            j = np.arange(n2)
-            self._orders = [
-                np.ascontiguousarray(o.ravel(), dtype=np.int32)
-                for o in (
-                    np.add.outer(i * n2, j),
-                    np.add.outer(i[::-1] * n2, j[::-1]),
-                    np.add.outer(i * n2, j[::-1]),
-                    np.add.outer(i[::-1] * n2, j),
-                )
-            ]
-        return self._orders
+    def greedy(self, u: np.ndarray, discount: float) -> tuple[np.ndarray, np.ndarray]:
+        """One synchronous application and, per row, the index of a minimizing control."""
+        out = np.empty(self.n_rows)
+        policy = np.empty(self.n_rows, dtype=np.intp)
+        kernels.jacobi_argmin(self.idx, self.w, self.base, self.gamma(discount), u, out, policy)
+        return out, policy
 
-    def gs_cycle(self, u: np.ndarray, discount: float) -> None:
-        """Four in-place Gauss-Seidel sweeps (compiled backend only)."""
-        g = self.gamma(discount)
-        for order in self.sweep_orders():
-            kernels.gauss_seidel(self.idx, self.w, self.base, g, u, order)
+    def policy_value(
+        self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol: float
+    ) -> np.ndarray:
+        """Value of a stationary policy on a full-grid operator: the solution of
+        ``(I - gamma P) u = base``, where ``P`` holds the four interpolation
+        weights of each row's control.
+
+        BiCGSTAB from ``guess`` runs until the residual's 2-norm, which bounds
+        its sup norm, is at most ``atol``.  If it breaks down or stalls, one
+        sparse LU solve gives the value and its factor is dropped on return.
+        """
+        n = self.n_rows
+        rows = np.arange(n)
+        transition = sparse.csr_matrix(
+            (self.w[policy, rows].ravel(), self.idx[policy, rows].ravel(), np.arange(0, 4 * n + 1, 4)),
+            shape=(n, n),
+        )
+        system = sparse.identity(n, format="csr") - self.gamma(discount) * transition
+        rhs = self.base[policy, rows]
+        value, info = bicgstab(system, rhs, x0=guess, rtol=0.0, atol=atol, maxiter=_KRYLOV_MAX_ITER)
+        if info != 0:
+            value = splu(system.tocsc()).solve(rhs)
+        return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,11 +171,13 @@ class DiscountedProblem:
 
 @dataclass(frozen=True, slots=True)
 class SolveInfo:
-    iterations: int
-    residual: float
+    iterations: int           # synchronous Bellman applications
+    residual: float           # max |T u - u| of the returned field's application
     converged: bool
-    backend: str = kernels.BACKEND
-    gauss_seidel: bool = False
+    policy_evaluations: int   # linear solves for a policy's value
+    stop: str                 # "residual" or "max_iter"
+    method: str = "howard"
+    backend: str = "python"   # the greedy kernel is numpy on both backends
 
 
 def apply_bellman(operator: SLOperator, u: np.ndarray, discount: float) -> np.ndarray:
@@ -169,37 +191,48 @@ def solve_discounted(
     tol: float = 1e-9,
     max_iter: int = 200_000,
     u0: np.ndarray | None = None,
-    use_gauss_seidel: bool = True,
 ) -> tuple[ValueField, SolveInfo]:
     """Fixed point of the discounted operator to residual ``tol`` (sup norm).
 
-    Returns the best iterate with ``converged=False`` when ``max_iter`` is
-    exhausted.  The reported residual always comes from a synchronous
-    application, so it is backend-independent.
+    Howard's algorithm: each step applies the operator once, stops if
+    ``max |T u - u| <= tol`` (returning ``T u``), and otherwise replaces
+    ``u`` by the value of the greedy policy, solved to residual ``tol / 2``
+    so that the application after the last policy change certifies.  When
+    the greedy policy repeats, a new solve would return ``u`` again, so the
+    step keeps ``T u`` instead.  Returns the iterate with the smallest
+    residual and ``converged=False`` when ``max_iter`` applications are
+    exhausted.
     """
     op = problem.operator
     if not op.full:
         raise ValueError("solve_discounted needs a full-grid operator")
-    u = np.zeros(op.grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1).copy()
-    gs = use_gauss_seidel and kernels.HAS_GAUSS_SEIDEL
-    residual = math.inf
+    grid = op.grid
+    u = np.zeros(grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1).copy()
+    policy: np.ndarray | None = None
+    best: tuple[float, np.ndarray] | None = None
+    evaluations = 0
     it = 0
     while it < max_iter:
-        if gs:
-            op.gs_cycle(u, problem.discount)
-            it += 4
-        tu = op.apply(u, problem.discount)
+        tu, greedy = op.greedy(u, problem.discount)
         it += 1
         residual = float(np.max(np.abs(tu - u)))
-        u = tu
         if residual <= tol:
             return (
-                ValueField(op.grid, u.reshape(op.grid.n1, op.grid.n2)),
-                SolveInfo(it, residual, True, gauss_seidel=gs),
+                ValueField(grid, tu.reshape(grid.n1, grid.n2)),
+                SolveInfo(it, residual, True, evaluations, "residual"),
             )
+        if best is None or residual < best[0]:
+            best = (residual, tu)
+        if policy is not None and np.array_equal(greedy, policy):
+            u = tu
+        else:
+            policy = greedy
+            u = op.policy_value(policy, problem.discount, guess=u, atol=0.5 * tol)
+            evaluations += 1
+    residual, tu = best if best is not None else (math.inf, u)
     return (
-        ValueField(op.grid, u.reshape(op.grid.n1, op.grid.n2)),
-        SolveInfo(it, residual, False, gauss_seidel=gs),
+        ValueField(grid, tu.reshape(grid.n1, grid.n2)),
+        SolveInfo(it, residual, False, evaluations, "max_iter"),
     )
 
 
@@ -233,7 +266,7 @@ def solve_ergodic_relative(
     Synchronous applications only: at zero discount the operator has no
     fixed point (values grow by rate*delta per application), and in-place
     sweeps smear that growth across the sweep order, poisoning the span.
-    Gauss-Seidel acceleration is reserved for the discounted solves.
+    Policy iteration does not apply either, since ``I - P`` is singular.
     """
     op = operator
     if not op.full:
@@ -293,6 +326,7 @@ class ContinuationResult:
     field: ValueField                         # last discounted solution
     converged: bool
     stages: int
+    solves: tuple[SolveInfo, ...] = field(repr=False, default=())  # one per stage
 
 
 def ergodic_continuation(
@@ -313,7 +347,7 @@ def ergodic_continuation(
     ``lambda * anchor`` to ``lambda = 0``; stops when two successive
     extrapolations agree within ``0.5 * tol``.  Inner solves run to residual
     ``0.1 * tol * delta`` so their contribution to the rate error stays below
-    ``0.1 * tol``.
+    ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
     """
     op = operator
     anchor = op.grid.anchor_index()
@@ -323,6 +357,7 @@ def ergodic_continuation(
     history: list[tuple[float, float]] = []
     extrapolations: list[float] = []
     rates: list[float] = []
+    solves: list[SolveInfo] = []
     converged = False
     stage = 0
     fieldv: ValueField | None = None
@@ -330,6 +365,7 @@ def ergodic_continuation(
         fieldv, info = solve_discounted(
             DiscountedProblem(op, lam), tol=inner_tol, max_iter=max_iter, u0=u
         )
+        solves.append(info)
         u = fieldv.flat().copy()
         a_val = float(u[anchor])
         history.append((lam, a_val))
@@ -350,4 +386,4 @@ def ergodic_continuation(
         stage += 1
     rate = extrapolations[-1] if extrapolations else (rates[-1] if rates else math.nan)
     assert fieldv is not None
-    return ContinuationResult(rate, tuple(history), fieldv, converged, stage)
+    return ContinuationResult(rate, tuple(history), fieldv, converged, stage, tuple(solves))

@@ -17,6 +17,7 @@ full Hamiltonian exactly, not merely up to rounding.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,10 +237,32 @@ def hull_inradius(points: np.ndarray) -> float:
     return float(np.min(-hull.equations[:, -1]))
 
 
+_BOUNDS_CACHE: dict[tuple[str, int, int], dict[str, float]] = {}
+_BOUNDS_CACHE_SIZE = 32
+_BOUNDS_LOCK = threading.Lock()
+
+
 def estimate_bounds(scenario: Scenario, *, samples: int = 400, seed: int = 0) -> dict[str, float]:
     """Sampled structural bounds: drift bound M_f, cost bound M_l, hull
     inradius r_f (worst case over sampled points), Lipschitz surrogate L_f,
-    and the induced gradient window half-width p_window."""
+    and the induced gradient window half-width p_window.
+
+    The sampling is deterministic in ``(scenario, samples, seed)``, so results
+    are cached on ``scenario.content_hash()``; every call gets its own dict.
+    """
+    key = (scenario.content_hash(), samples, seed)
+    with _BOUNDS_LOCK:
+        cached = _BOUNDS_CACHE.get(key)
+    if cached is None:
+        cached = _sample_bounds(scenario, samples, seed)
+        with _BOUNDS_LOCK:
+            if len(_BOUNDS_CACHE) >= _BOUNDS_CACHE_SIZE:
+                del _BOUNDS_CACHE[next(iter(_BOUNDS_CACHE))]
+            _BOUNDS_CACHE[key] = cached
+    return dict(cached)
+
+
+def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, float]:
     rng = np.random.default_rng(seed)
     sched = scenario.schedules
     y_reach = max(

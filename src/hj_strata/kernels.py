@@ -2,18 +2,20 @@
 
 Prefers the compiled ``_sweep_core`` extension and falls back to the
 numpy implementation when it is missing (source checkout without a build)
-or when ``HJ_STRATA_PURE=1`` forces the fallback.  Both backends share the
-same fixed points: Gauss-Seidel is an accelerator, and every reported
-residual comes from a synchronous ``jacobi_min`` application.
+or when ``HJ_STRATA_PURE=1`` forces the fallback.  The backend only decides
+which ``jacobi_min`` runs; both give the same synchronous application.
+``jacobi_argmin``, which the discounted policy iteration uses, is numpy on
+both backends.
 """
 
 from __future__ import annotations
 
 import os
 
-if os.environ.get("HJ_STRATA_PURE", "").strip() not in ("", "0"):
-    from . import _sweep_py as _impl
+from . import _sweep_py
 
+if os.environ.get("HJ_STRATA_PURE", "").strip() not in ("", "0"):
+    _impl = _sweep_py
     BACKEND = "python"
 else:
     try:
@@ -21,12 +23,10 @@ else:
 
         BACKEND = "compiled"
     except ImportError:  # pragma: no cover - depends on build environment
-        from . import _sweep_py as _impl
-
+        _impl = _sweep_py
         BACKEND = "python"
 
 jacobi_min = _impl.jacobi_min
-gauss_seidel = getattr(_impl, "gauss_seidel", None)
-HAS_GAUSS_SEIDEL = bool(_impl.HAS_GAUSS_SEIDEL)
+jacobi_argmin = _sweep_py.jacobi_argmin
 
-__all__ = ["jacobi_min", "gauss_seidel", "HAS_GAUSS_SEIDEL", "BACKEND"]
+__all__ = ["jacobi_min", "jacobi_argmin", "BACKEND"]

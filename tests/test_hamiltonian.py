@@ -162,6 +162,23 @@ def test_estimate_bounds_eikonal():
     assert b["p_window"] == pytest.approx(1.0 * (1 + 1 / b["r_f"]))
 
 
+def test_estimate_bounds_is_cached_by_content(monkeypatch):
+    from hj_strata import hamiltonian
+
+    calls = []
+    sample = hamiltonian._sample_bounds
+    monkeypatch.setattr(hamiltonian, "_sample_bounds", lambda *a: calls.append(a) or sample(*a))
+    first = estimate_bounds(load_preset("eikonal"), samples=17, seed=3)
+    first["M_f"] = -1.0  # callers own their copy
+    again = estimate_bounds(load_preset("eikonal"), samples=17, seed=3)
+    assert len(calls) == 1
+    assert again["M_f"] == pytest.approx(1.0, abs=1e-12)
+    other = estimate_bounds(load_preset("cost_bump"), samples=17, seed=3)
+    estimate_bounds(load_preset("eikonal"), samples=17, seed=4)
+    assert len(calls) == 3
+    assert other != again
+
+
 def test_assumption_checks_pass_on_presets():
     for name in ("eikonal", "cost_bump", "strip_attract", "checkerboard", "case3_mirror"):
         scn = load_preset(name)
