@@ -43,7 +43,6 @@ __all__ = [
     "SolveInfo",
     "ErgodicRelativeResult",
     "ContinuationResult",
-    "apply_bellman",
     "solve_discounted",
     "solve_ergodic_relative",
     "ergodic_continuation",
@@ -178,11 +177,6 @@ class SolveInfo:
     stop: str                 # "residual" or "max_iter"
     method: str = "howard"
     backend: str = "python"   # the greedy kernel is numpy on both backends
-
-
-def apply_bellman(operator: SLOperator, u: np.ndarray, discount: float) -> np.ndarray:
-    """One monotone Bellman application (synchronous, on the operator rows)."""
-    return operator.apply(np.asarray(u, dtype=float).reshape(-1), discount)
 
 
 def solve_discounted(

@@ -61,6 +61,16 @@ class TableRangeError(ValueError):
     """A table lookup outside the tabulated momentum window."""
 
 
+def _check_window(p, lo: float, hi: float) -> None:
+    """Raise :class:`TableRangeError` naming the momentum farthest outside
+    ``[lo, hi]``, if any lies outside."""
+    p = np.asarray(p, dtype=float).ravel()
+    excess = np.maximum(lo - p, p - hi)
+    if np.any(excess > 1e-12):
+        worst = float(p[np.argmax(excess)])
+        raise TableRangeError(f"momentum {worst:.6g} outside the tabulated window [{lo:.6g}, {hi:.6g}]")
+
+
 @dataclass(frozen=True, slots=True)
 class ErgodicEstimate:
     """One cell-problem solve: constant, corrector, and method diagnostics."""
@@ -119,13 +129,9 @@ def _relative_and_continuation(
 
 
 def _strip_block(scn: Scenario, branch: str):
-    if scn.case == "case3":
-        if branch not in ("plus", "minus"):
-            raise ValueError(f"case3 strip branch must be 'plus' or 'minus', got {branch!r}")
-        return scn.strips.get(branch, scn.background), scn.strips.get(branch)
-    if branch != "main":
-        raise ValueError(f"{scn.case} has a single strip branch 'main', got {branch!r}")
-    return scn.strips.get("main", scn.background), scn.strips.get("main")
+    if branch not in scn.branches:
+        raise ValueError(f"{scn.case} strip branches are {list(scn.branches)}, got {branch!r}")
+    return scn.strips.get(branch, scn.background), scn.strips.get(branch)
 
 
 def strip_operator(
@@ -475,27 +481,16 @@ class EffectiveTables:
     def branches(self) -> list[str]:
         return sorted(self.h1t)
 
-    def _check_window(self, p1: float) -> None:
-        if p1 < self.p1_grid[0] - 1e-12 or p1 > self.p1_grid[-1] + 1e-12:
-            raise TableRangeError(
-                f"momentum {p1:.6g} outside the tabulated window "
-                f"[{self.p1_grid[0]:.6g}, {self.p1_grid[-1]:.6g}]"
-            )
-
     def h1t_at(self, p1, branch: str = "main", *, clip: bool = False):
         """Tangential table lookup; ``clip`` clamps into the window instead of
         raising (transient scheme iterates may overshoot; solutions may not)."""
         p1a = np.asarray(p1, dtype=float)
-        lo, hi = self.p1_grid[0], self.p1_grid[-1]
-        if not clip and (np.any(p1a < lo - 1e-12) or np.any(p1a > hi + 1e-12)):
-            worst = float(p1a.flat[np.argmax(np.abs(p1a))])
-            raise TableRangeError(
-                f"momentum {worst:.6g} outside the tabulated window [{lo:.6g}, {hi:.6g}]"
-            )
+        if not clip:
+            _check_window(p1a, self.p1_grid[0], self.p1_grid[-1])
         return np.interp(p1a, self.p1_grid, self.h1t[branch])
 
     def slopes_at(self, p1: float, branch: str = "main") -> tuple[float, float]:
-        self._check_window(p1)
+        _check_window(p1, self.p1_grid[0], self.p1_grid[-1])
         return (
             float(np.interp(p1, self.p1_grid, self.pi_lower[branch])),
             float(np.interp(p1, self.p1_grid, self.pi_upper[branch])),
@@ -512,13 +507,7 @@ class EffectiveTables:
             p1 = np.clip(p1, g[0], g[-1])
             p2 = np.clip(p2, g[0], g[-1])
         else:
-            for comp in (p1, p2):
-                if np.any(comp < g[0] - 1e-12) or np.any(comp > g[-1] + 1e-12):
-                    worst = float(comp[np.argmax(np.abs(comp))])
-                    raise TableRangeError(
-                        f"momentum {worst:.6g} outside the tabulated window "
-                        f"[{g[0]:.6g}, {g[-1]:.6g}]"
-                    )
+            _check_window(np.concatenate([p1, p2]), g[0], g[-1])
         i = np.clip(np.searchsorted(g, p1) - 1, 0, len(g) - 2)
         j = np.clip(np.searchsorted(g, p2) - 1, 0, len(g) - 2)
         t = (p1 - g[i]) / (g[i + 1] - g[i])
@@ -535,12 +524,6 @@ class EffectiveTables:
     def tangential_slope_bound(self, branch: str = "main") -> float:
         d = np.diff(self.h1t[branch]) / np.diff(self.p1_grid)
         return float(np.max(np.abs(d)))
-
-    def hbar_slope_bound(self) -> float:
-        assert self.hbar is not None and self.p_grid is not None
-        d1 = np.diff(self.hbar, axis=0) / np.diff(self.p_grid)[:, None]
-        d2 = np.diff(self.hbar, axis=1) / np.diff(self.p_grid)[None, :]
-        return float(max(np.max(np.abs(d1)), np.max(np.abs(d2))))
 
     def midpoint_convexity_violation(self) -> float:
         """Worst excess of a tabulated midpoint over its chord (0 = convex)."""
@@ -640,7 +623,7 @@ def tabulate_effective(
         if p1_grid is not None
         else np.linspace(-window, window, sched.p1_points)
     )
-    branches = ["main"] if scn.case in ("case1", "case2") else ["plus", "minus"]
+    branches = list(scn.branches)
     flags: dict[str, str] = {}
 
     def solve_h1t(branch: str, p1: float) -> TangentialResult:

@@ -585,8 +585,7 @@ def _shared_offset(scn: Scenario, pieces, grid: GridSpec, pts: np.ndarray) -> fl
     for piece in pieces:
         if not piece.shares_c:
             continue
-        band_key = "main" if scn.case in ("case1", "case2") else piece.branch
-        mask = bands[band_key] & piece.admissible(pts) & np.isfinite(ref_vals)
+        mask = bands[piece.branch] & piece.admissible(pts) & np.isfinite(ref_vals)
         diff = piece.values(pts) - ref_vals
         fit = max(fit, _fit_max(diff, grid, mask, f"offset fit for {piece.label}"))
     return fit
@@ -759,25 +758,57 @@ class _Draft:
     notes: list
 
 
-def _draft_plane_single(scn, tables, correctors, p, notes) -> _Draft:
+def _tagged(base: str, branch: str, sep: str) -> str:
+    """Name of a per-branch entry: ``base`` alone for the single branch of
+    case1/case2, ``base<sep><branch>`` in case3."""
+    return base if branch == "main" else f"{base}{sep}{branch}"
+
+
+def _facing_flank(side: int) -> str:
+    """Table flank whose roots face the origin from a half-line on ``side``:
+    ``"right"`` for a left half-line, ``"left"`` for a right one."""
+    return "right" if side < 0 else "left"
+
+
+def _line_levels(scn: Scenario, tables: EffectiveTables, p1: float) -> dict[str, float]:
+    return {b: float(tables.h1t_at(p1, b)) for b in scn.branches}
+
+
+def _facing_roots(scn: Scenario, tables: EffectiveTables, level: float) -> dict[str, float]:
+    """Each branch's tangential root of ``level`` on the flank facing the
+    origin, minus before plus."""
+    return {
+        b: _tangential_root(tables, b, level, _facing_flank(side), f"{b} tangential table")
+        for b, side in sorted(scn.branches.items(), key=lambda item: item[1])
+    }
+
+
+def _band_pieces(roots: Mapping[str, float], correctors: CorrectorSet) -> list[Piece]:
+    return [
+        _strip_piece(_tagged("band", b, "-"), q, correctors, branch=b) for b, q in roots.items()
+    ]
+
+
+def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = plane_level(scn, tables, p)
-    line = float(tables.h1t_at(p[0]))
-    if not (level > max(line, tables.E) + _TIE_SLACK):
+    lines = _line_levels(scn, tables, p[0])
+    if not (level > max(*lines.values(), tables.E) + _TIE_SLACK):
         raise RegimeError(
             f"plane regime needs the ambient level to dominate strictly: "
-            f"ambient {level:.6g}, tangential {line:.6g}, origin {tables.E:.6g}"
+            f"ambient {level:.6g}, tangential {lines}, origin {tables.E:.6g}"
         )
-    q1 = _tangential_root(tables, "main", level, "right", "tangential table")
-    if q1 <= p[0] + _TIE_SLACK:
-        raise RegimeError(f"degenerate tangential root q1={q1:.6g} at p1={p[0]:.6g}")
-    pieces = [
-        _affine_piece("target", p, correctors),
-        _strip_piece("band", q1, correctors),
-    ]
-    return _Draft(level, 0.0, {"q1": q1}, pieces, notes)
+    roots = _facing_roots(scn, tables, level)
+    for b, q in roots.items():
+        # the band must undercut the target along its own half-line
+        if scn.branches[b] * (p[0] - q) <= _TIE_SLACK:
+            raise RegimeError(
+                f"degenerate tangential root {_tagged('q1', b, '_')}={q:.6g} at p1={p[0]:.6g}"
+            )
+    pieces = [_affine_piece("target", p, correctors), *_band_pieces(roots, correctors)]
+    return _Draft(level, 0.0, {_tagged("q1", b, "_"): q for b, q in roots.items()}, pieces, notes)
 
 
-def _draft_line_single(scn, tables, correctors, p, notes) -> _Draft:
+def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = float(tables.h1t_at(p[0]))
     plane = plane_level(scn, tables, p)
     if level < plane - _TIE_SLACK or level <= tables.E + _TIE_SLACK:
@@ -814,59 +845,30 @@ def _draft_line_single(scn, tables, correctors, p, notes) -> _Draft:
     return _Draft(level, 0.0, q_values, pieces, notes)
 
 
-def _draft_origin_single(scn, tables, correctors, p, eta, notes) -> _Draft:
-    plane = plane_level(scn, tables, p)
-    line = float(tables.h1t_at(p[0]))
-    # The construction certifies the lifted level, so that is what must be on
-    # top -- comparing raw E would reject solver-tolerance ties it covers.
-    if tables.E + eta <= max(plane, line) + _TIE_SLACK:
-        raise RegimeError(
-            f"origin construction needs the lifted level on top: E + eta "
-            f"{tables.E + eta:.6g}, ambient {plane:.6g}, tangential {line:.6g}"
-        )
-    level = tables.E + eta
-    q1 = _tangential_root(tables, "main", level, "right", "tangential table")
-    q_lo, q_hi = _vertical_roots(scn, tables, p[0], level)
-    q_lo = _polish_vertical_root(scn, tables, correctors, p[0], q_lo, level, notes, "lower bracket slope")
-    q_hi = _polish_vertical_root(scn, tables, correctors, p[0], q_hi, level, notes, "upper bracket slope")
-    if not (q_lo - _TIE_SLACK <= p[1] <= q_hi + _TIE_SLACK):
-        raise RegimeError(
-            f"vertical roots ({q_lo:.6g}, {q_hi:.6g}) fail to bracket p2={p[1]:.6g}; "
-            f"the ambient level at the covector exceeds E + eta"
-        )
-    pieces = [
-        _affine_piece("bracket-lower", (p[0], q_lo), correctors),
-        _affine_piece("bracket-upper", (p[0], q_hi), correctors),
-        _strip_piece("band", q1, correctors),
-    ]
-    if scn.case == "case2":
-        # Periodic corrections break the exact affine squeeze against the
-        # target plane wave, so the corrected target joins the minimum.
-        pieces.insert(0, _affine_piece("target", p, correctors))
-        notes.append("corrected target included to keep the plane-wave majorant")
-    return _Draft(level, eta, {"q1": q1, "q2_lower": q_lo, "q2_upper": q_hi}, pieces, notes)
-
-
-def _draft_plane_split(scn, tables, correctors, p, notes) -> _Draft:
-    level = plane_level(scn, tables, p)
-    lines = {b: float(tables.h1t_at(p[0], b)) for b in ("plus", "minus")}
-    if not (level > max(max(lines.values()), tables.E) + _TIE_SLACK):
-        raise RegimeError(
-            f"plane regime needs the ambient level to dominate strictly: "
-            f"ambient {level:.6g}, tangential {lines}, origin {tables.E:.6g}"
-        )
-    q1_minus = _tangential_root(tables, "minus", level, "right", "minus tangential table")
-    q1_plus = _tangential_root(tables, "plus", level, "left", "plus tangential table")
-    pieces = [
-        _affine_piece("target", p, correctors),
-        _strip_piece("band-minus", q1_minus, correctors, branch="minus"),
-        _strip_piece("band-plus", q1_plus, correctors, branch="plus"),
-    ]
-    return _Draft(level, 0.0, {"q1_minus": q1_minus, "q1_plus": q1_plus}, pieces, notes)
+def _drop_band(scn, tables, correctors, p, level):
+    """Carry the first branch (plus, then minus) whose table reaches ``level``
+    on the flank facing the origin at that root, and the other band at the
+    target momentum.  Returns ``(branch, root, pieces)``, or None when
+    neither table reaches the level."""
+    for branch, side in scn.branches.items():
+        try:
+            p_tilde = _tangential_root(
+                tables, branch, level, _facing_flank(side), f"{branch} tangential table"
+            )
+        except BracketError:
+            continue
+        other = next(b for b in scn.branches if b != branch)
+        pieces = [
+            _affine_piece("target", p, correctors),
+            _strip_piece(f"band-{branch}", p_tilde, correctors, branch=branch),
+            _strip_piece(f"band-{other}", p[0], correctors, branch=other),
+        ]
+        return branch, p_tilde, pieces
+    return None
 
 
 def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
-    lines = {b: float(tables.h1t_at(p[0], b)) for b in ("plus", "minus")}
+    lines = _line_levels(scn, tables, p[0])
     level = max(lines.values())
     plane = plane_level(scn, tables, p)
     if level < plane - _TIE_SLACK or level <= tables.E + _TIE_SLACK:
@@ -879,7 +881,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         # One band dominates; its own momentum runs at the level while the
         # other band is carried at the far root of the dominant level.
         high, low = ("minus", "plus") if gap > 0 else ("plus", "minus")
-        side = "left" if high == "minus" else "right"
+        side = _facing_flank(scn.branches[low])
         p_tilde = _tangential_root(tables, low, level, side, f"{low} tangential table")
         pieces = [
             _affine_piece("target", p, correctors),
@@ -907,56 +909,42 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     # All three levels coincide above E: drop one band strictly below the
     # level through whichever table flank reaches down toward the origin
     # datum; if neither flank descends, lift the level by eta instead.
-    grads = {b: _table_gradient(tables, b, p[0]) for b in ("plus", "minus")}
-    target_val = level - min(eta, 0.5 * (level - tables.E))
-    for branch, side, tag in (("plus", "left", "ascending"), ("minus", "right", "descending")):
-        try:
-            p_tilde = _tangential_root(tables, branch, target_val, side, f"{branch} tangential table")
-        except BracketError:
-            continue
-        other = "minus" if branch == "plus" else "plus"
-        pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece(f"band-{branch}", p_tilde, correctors, branch=branch),
-            _strip_piece(f"band-{other}", p[0], correctors, branch=other),
-        ]
+    grads = {b: _table_gradient(tables, b, p[0]) for b in scn.branches}
+    dropped = _drop_band(scn, tables, correctors, p, level - min(eta, 0.5 * (level - tables.E)))
+    if dropped is not None:
+        branch, p_tilde, pieces = dropped
+        tag = "ascending" if scn.branches[branch] > 0 else "descending"
         notes.append(f"{branch} table {tag} through the level; band dropped below it")
         return _Draft(level, 0.0, {"p_tilde": p_tilde}, pieces, notes)
     notes.append(
         f"neither table flank descends below the level near p1={p[0]:.6g} "
         f"(difference quotients {grads}); certifying the lifted level"
     )
-    lifted = level + eta
-    for branch, side in (("plus", "left"), ("minus", "right")):
-        try:
-            p_tilde = _tangential_root(tables, branch, lifted, side, f"{branch} tangential table")
-        except BracketError:
-            continue
-        other = "minus" if branch == "plus" else "plus"
-        pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece(f"band-{branch}", p_tilde, correctors, branch=branch),
-            _strip_piece(f"band-{other}", p[0], correctors, branch=other),
-        ]
-        return _Draft(lifted, eta, {"p_tilde": p_tilde}, pieces, notes)
+    dropped = _drop_band(scn, tables, correctors, p, level + eta)
+    if dropped is not None:
+        _, p_tilde, pieces = dropped
+        return _Draft(level + eta, eta, {"p_tilde": p_tilde}, pieces, notes)
     raise RegimeError(
         f"tangential tables are flat around p1={p[0]:.6g} within the window "
         f"(difference quotients {grads}); no level root on either flank"
     )
 
 
-def _draft_origin_split(scn, tables, correctors, p, eta, notes) -> _Draft:
+def _draft_origin(scn, tables, correctors, p, eta, notes) -> _Draft:
     plane = plane_level(scn, tables, p)
-    lines = {b: float(tables.h1t_at(p[0], b)) for b in ("plus", "minus")}
-    if tables.E + eta <= max(plane, max(lines.values())) + _TIE_SLACK:
+    lines = _line_levels(scn, tables, p[0])
+    # The construction certifies the lifted level, so that is what must be on
+    # top -- comparing raw E would reject solver-tolerance ties it covers.
+    if tables.E + eta <= max(plane, *lines.values()) + _TIE_SLACK:
         raise RegimeError(
             f"origin construction needs the lifted level on top: E + eta "
             f"{tables.E + eta:.6g}, ambient {plane:.6g}, tangential {lines}"
         )
     level = tables.E + eta
-    q1_minus = _tangential_root(tables, "minus", level, "right", "minus tangential table")
-    q1_plus = _tangential_root(tables, "plus", level, "left", "plus tangential table")
+    roots = _facing_roots(scn, tables, level)
     q_lo, q_hi = _vertical_roots(scn, tables, p[0], level)
+    q_lo = _polish_vertical_root(scn, tables, correctors, p[0], q_lo, level, notes, "lower bracket slope")
+    q_hi = _polish_vertical_root(scn, tables, correctors, p[0], q_hi, level, notes, "upper bracket slope")
     if not (q_lo - _TIE_SLACK <= p[1] <= q_hi + _TIE_SLACK):
         raise RegimeError(
             f"vertical roots ({q_lo:.6g}, {q_hi:.6g}) fail to bracket p2={p[1]:.6g}; "
@@ -965,14 +953,23 @@ def _draft_origin_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     pieces = [
         _affine_piece("bracket-lower", (p[0], q_lo), correctors),
         _affine_piece("bracket-upper", (p[0], q_hi), correctors),
-        _strip_piece("band-minus", q1_minus, correctors, branch="minus"),
-        _strip_piece("band-plus", q1_plus, correctors, branch="plus"),
+        *_band_pieces(roots, correctors),
     ]
-    q_values = {
-        "q1_minus": q1_minus, "q1_plus": q1_plus,
-        "q2_lower": q_lo, "q2_upper": q_hi,
-    }
-    return _Draft(level, eta, q_values, pieces, notes)
+    if scn.case == "case2":
+        # Periodic corrections break the exact affine squeeze against the
+        # target plane wave, so the corrected target joins the minimum.
+        pieces.insert(0, _affine_piece("target", p, correctors))
+        notes.append("corrected target included to keep the plane-wave majorant")
+    q_values = {_tagged("q1", b, "_"): q for b, q in roots.items()}
+    return _Draft(level, eta, {**q_values, "q2_lower": q_lo, "q2_upper": q_hi}, pieces, notes)
+
+
+# regime -> (single-branch builder, two-branch builder)
+_DRAFTS = {
+    "plane": (_draft_plane, _draft_plane),
+    "line": (_draft_line_single, _draft_line_split),
+    "origin": (_draft_origin, _draft_origin),
+}
 
 
 def build_subcorrector(
@@ -1007,19 +1004,9 @@ def build_subcorrector(
         drift = scn.background.eval_drift(0.0, 0.0, 0.0, 0.0)
         cost = scn.background.eval_cost(0.0, 0.0, 0.0, 0.0)
         eta = 0.05 * max(float(np.max(np.abs(cost))), 1e-6)
-    notes: list[str] = []
-    split = scn.case == "case3"
-    if regime == "plane":
-        draft = _draft_plane_split(scn, tables, correctors, p, notes) if split \
-            else _draft_plane_single(scn, tables, correctors, p, notes)
-    elif regime == "line":
-        draft = _draft_line_split(scn, tables, correctors, p, eta, notes) if split \
-            else _draft_line_single(scn, tables, correctors, p, notes)
-    elif regime == "origin":
-        draft = _draft_origin_split(scn, tables, correctors, p, eta, notes) if split \
-            else _draft_origin_single(scn, tables, correctors, p, eta, notes)
-    else:
+    if regime not in _DRAFTS:
         raise ValueError(f"unknown regime {regime!r}; expected 'plane', 'line', or 'origin'")
+    draft = _DRAFTS[regime][len(scn.branches) > 1](scn, tables, correctors, p, eta, [])
 
     grid = GridSpec.box(correctors.half_width, correctors.h)
     pts = grid.nodes()

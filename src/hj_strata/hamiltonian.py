@@ -32,7 +32,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "DefectGeometry",
     "HamiltonianSample",
     "classify_point",
     "eval_dynamics",
@@ -44,21 +43,6 @@ __all__ = [
     "estimate_bounds",
     "run_assumption_checks",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class DefectGeometry:
-    """Region layout of a scenario (radii, strip periods, case tag)."""
-
-    case: str
-    R0: float
-    R1: float
-    strip_periods: dict[str, float]
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario) -> "DefectGeometry":
-        periods = {name: fp.period for name, fp in scenario.strips.items() if fp.period}
-        return cls(case=scenario.case, R0=scenario.R0, R1=scenario.R1, strip_periods=periods)
 
 
 def region_masks(scenario: Scenario, y1: np.ndarray, y2: np.ndarray) -> dict[str, np.ndarray]:
@@ -307,14 +291,18 @@ def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, flo
     return {"M_f": m_f, "M_l": m_l, "r_f": r_f, "L_f": l_f, "p_window": p_window}
 
 
-def _seam_gap(scenario: Scenario, block_a: FieldPair, block_b: FieldPair, pts: np.ndarray) -> float:
-    """Largest drift/cost disagreement of two blocks over points (n, 2)."""
+def _seam_gap(
+    block_a: FieldPair, block_b: FieldPair, pts: np.ndarray, pts_b: np.ndarray | None = None
+) -> float:
+    """Largest drift/cost disagreement of ``block_a`` at points (n, 2) and
+    ``block_b`` at ``pts_b`` (default: the same points)."""
+    pts_b = pts if pts_b is None else pts_b
     x1 = np.zeros(len(pts))
     gaps = []
     da = block_a.eval_drift(x1, x1, pts[:, 0], pts[:, 1])
-    db = block_b.eval_drift(x1, x1, pts[:, 0], pts[:, 1])
+    db = block_b.eval_drift(x1, x1, pts_b[:, 0], pts_b[:, 1])
     ca = block_a.eval_cost(x1, x1, pts[:, 0], pts[:, 1])
-    cb = block_b.eval_cost(x1, x1, pts[:, 0], pts[:, 1])
+    cb = block_b.eval_cost(x1, x1, pts_b[:, 0], pts_b[:, 1])
     gaps.append(float(np.max(np.abs(da - db))))
     gaps.append(float(np.max(np.abs(ca - cb))))
     return max(gaps)
@@ -348,11 +336,14 @@ def run_assumption_checks(
     R0, R1 = scenario.R0, scenario.R1
     n = max(32, samples // 4)
 
+    def gap_entry(name: str, what: str, block_a: FieldPair, block_b: FieldPair, pts, pts_b=None) -> None:
+        gap = _seam_gap(block_a, block_b, pts, pts_b)
+        entries.append(ValidationEntry(name, gap <= seam_tol, f"{what} {gap:.3g} (tol {seam_tol:.1g})", gap))
+
     def seam_entry(name: str, block_a: FieldPair, block_b: FieldPair, pts: np.ndarray) -> None:
-        gap = _seam_gap(scenario, block_a, block_b, pts)
-        entries.append(
-            ValidationEntry(name, gap <= seam_tol, f"max field gap {gap:.3g} (tol {seam_tol:.1g})", gap)
-        )
+        gap_entry(name, "max field gap", block_a, block_b, pts)
+
+    shift_gap = "max |field(y) - field(y + T e1)| ="
 
     if scenario.case in ("case1", "case2"):
         strip = _block_for(scenario, "strip")
@@ -365,18 +356,7 @@ def run_assumption_checks(
                 rng.uniform(-R0 - 1.0, R0 + 1.0, size=n),
             ])
             shifted = base + np.array([period, 0.0])
-            gap = max(
-                float(np.max(np.abs(strip.eval_drift(0, 0, base[:, 0], base[:, 1]) - strip.eval_drift(0, 0, shifted[:, 0], shifted[:, 1])))),
-                float(np.max(np.abs(strip.eval_cost(0, 0, base[:, 0], base[:, 1]) - strip.eval_cost(0, 0, shifted[:, 0], shifted[:, 1])))),
-            )
-            entries.append(
-                ValidationEntry(
-                    "strip_periodicity",
-                    gap <= seam_tol,
-                    f"max |field(y) - field(y + T e1)| = {gap:.3g} (tol {seam_tol:.1g})",
-                    gap,
-                )
-            )
+            gap_entry("strip_periodicity", shift_gap, strip, strip, base, shifted)
             outside = np.column_stack([
                 rng.uniform(-2.0 * period, 0.0, size=n),
                 np.concatenate([rng.uniform(R0, R0 + 2.0, size=n // 2), rng.uniform(-R0 - 2.0, -R0, size=n - n // 2)]),
@@ -391,21 +371,10 @@ def run_assumption_checks(
         if scenario.case == "case2":
             T1, T2 = scenario.background_periods or (1.0, 1.0)
             base = rng.uniform(-2.0, 2.0, size=(n, 2))
-            gap = 0.0
-            for shift in (np.array([T1, 0.0]), np.array([0.0, T2])):
-                moved = base + shift
-                gap = max(
-                    gap,
-                    float(np.max(np.abs(bg.eval_drift(0, 0, base[:, 0], base[:, 1]) - bg.eval_drift(0, 0, moved[:, 0], moved[:, 1])))),
-                    float(np.max(np.abs(bg.eval_cost(0, 0, base[:, 0], base[:, 1]) - bg.eval_cost(0, 0, moved[:, 0], moved[:, 1])))),
-                )
-            entries.append(
-                ValidationEntry(
-                    "background_periodicity",
-                    gap <= seam_tol,
-                    f"max periodic background mismatch {gap:.3g} (tol {seam_tol:.1g})",
-                    gap,
-                )
+            moved = np.vstack([base + [T1, 0.0], base + [0.0, T2]])
+            gap_entry(
+                "background_periodicity", "max periodic background mismatch",
+                bg, bg, np.vstack([base, base]), moved,
             )
     else:
         bg = scenario.background
@@ -420,18 +389,7 @@ def run_assumption_checks(
                     rng.uniform(-R0, R0, size=n),
                 ])
                 shifted = base + np.array([sign * period, 0.0])
-                gap = max(
-                    float(np.max(np.abs(strip.eval_drift(0, 0, base[:, 0], base[:, 1]) - strip.eval_drift(0, 0, shifted[:, 0], shifted[:, 1])))),
-                    float(np.max(np.abs(strip.eval_cost(0, 0, base[:, 0], base[:, 1]) - strip.eval_cost(0, 0, shifted[:, 0], shifted[:, 1])))),
-                )
-                entries.append(
-                    ValidationEntry(
-                        f"{branch}_periodicity",
-                        gap <= seam_tol,
-                        f"max |field(y) - field(y + T e1)| = {gap:.3g} (tol {seam_tol:.1g})",
-                        gap,
-                    )
-                )
+                gap_entry(f"{branch}_periodicity", shift_gap, strip, strip, base, shifted)
             # Strip edge |y2| = R0: neighbor is core inside the disc of
             # radius R1, background beyond it.
             y1_core = sign * rng.uniform(R0, math.sqrt(max(R1 * R1 - R0 * R0, R0 * R0)), size=n)

@@ -232,6 +232,13 @@ class Scenario:
     def strip_for(self, branch: str) -> FieldPair | None:
         return self.strips.get(branch)
 
+    @property
+    def branches(self) -> dict[str, int]:
+        """Defect half-lines by name, each with the side of the origin it lies
+        on: -1 for ``y1 < 0``, +1 for ``y1 > 0``.  Case3 lists ``plus`` first.
+        """
+        return {"plus": +1, "minus": -1} if self.case == "case3" else {"main": -1}
+
 
 def _generate_controls(spec: Any) -> tuple[tuple[float, float], ...]:
     if isinstance(spec, (list, tuple)):

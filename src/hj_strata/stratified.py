@@ -20,6 +20,7 @@ one-sided (sub/supersolution) residual checks of :func:`scheme_residuals`.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -116,13 +117,7 @@ def build_scheme(
     j0 = int(round(-grid.origin[1] / grid.h2))
     n2 = grid.n2
     flat_axis = np.arange(grid.n1) * n2 + j0
-    if scn.case in ("case1", "case2"):
-        m1 = {"main": flat_axis[coords1 < -1e-12]}
-    else:
-        m1 = {
-            "plus": flat_axis[coords1 > 1e-12],
-            "minus": flat_axis[coords1 < -1e-12],
-        }
+    m1 = {branch: flat_axis[side * coords1 > 1e-12] for branch, side in scn.branches.items()}
     missing = set(m1) - set(tables.h1t)
     if missing:
         raise ValueError(f"tables lack tangential branch(es) {sorted(missing)}")
@@ -144,7 +139,7 @@ def build_scheme(
         operator=operator,
         theta_lf=theta_lf,
         theta_t=theta_t,
-        m1_rows={k: np.sort(v) for k, v in m1.items()},
+        m1_rows=m1,
         origin=origin,
         alpha=scn.alpha,
     )
@@ -171,22 +166,26 @@ def _line_neighbors(
     return uL, uR
 
 
-def _lf_plane_update(scheme: StratifiedScheme, u2: np.ndarray) -> np.ndarray:
-    """Monotone Lax-Friedrichs update of the tabulated plane equation.
+def _plane_update(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
+    """Plane candidate at every node of the flat field ``u``.
 
-    Missing neighbors at the box edge are reflected (zero one-sided slope),
-    the standard monotone closure; callers keep comparison windows away from
-    the frame.  Table lookups are clipped into the tabulated window because
-    transient iterates can overshoot the solution's gradient bound; the
-    converged field is re-checked strictly by :func:`solve_scheme`.
+    The control-form Bellman step when the scheme has a background operator;
+    otherwise the monotone Lax-Friedrichs update of the tabulated plane
+    equation.  There, missing neighbors at the box edge are reflected (zero
+    one-sided slope), the standard monotone closure; callers keep comparison
+    windows away from the frame.  Table lookups are clipped into the
+    tabulated window because transient iterates can overshoot the solution's
+    gradient bound; the converged field is re-checked strictly by
+    :func:`solve_scheme`.
     """
+    if scheme.operator is not None:
+        return scheme.operator.apply(u, scheme.alpha)
     h = scheme.grid.h1
     th = scheme.theta_lf
-    assert th is not None
-    uW, uE, uS, uN = _plane_neighbors(u2)
+    uW, uE, uS, uN = _plane_neighbors(u.reshape(scheme.grid.n1, scheme.grid.n2))
     p = np.stack([(uE - uW) / (2 * h), (uN - uS) / (2 * h)], axis=-1)
     g = scheme.tables.hbar_at(p, clip=True)
-    return (-g + (th / h) * (uE + uW + uN + uS)) / (scheme.alpha + 4 * th / h)
+    return ((-g + (th / h) * (uE + uW + uN + uS)) / (scheme.alpha + 4 * th / h)).reshape(-1)
 
 
 def _tangential_update(
@@ -208,10 +207,7 @@ def _tangential_update(
 
 def _sweep(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
     """One Jacobi sweep: plane update everywhere, then the junction minima."""
-    if scheme.operator is not None:
-        new = scheme.operator.apply(u, scheme.alpha)
-    else:
-        new = _lf_plane_update(scheme, u.reshape(scheme.grid.n1, scheme.grid.n2)).reshape(-1)
+    new = _plane_update(scheme, u)
     for branch, rows in scheme.m1_rows.items():
         upd = _tangential_update(scheme, u, rows, branch)
         new[rows] = np.minimum(new[rows], upd)
@@ -235,13 +231,7 @@ def junction_update(scheme: StratifiedScheme, node: int, u: np.ndarray) -> float
             break
     if branch is None and node != scheme.origin:
         raise ValueError(f"node {node} is not on the defect line")
-    if scheme.operator is not None:
-        plane = float(scheme.operator.apply(u, scheme.alpha)[node])
-    else:
-        plane = float(
-            _lf_plane_update(scheme, u.reshape(scheme.grid.n1, scheme.grid.n2)).reshape(-1)[node]
-        )
-    value = plane
+    value = float(_plane_update(scheme, u)[node])
     if branch is not None:
         tang = _tangential_update(scheme, u, np.array([node]), branch)
         value = min(value, float(tang[0]))
@@ -250,23 +240,24 @@ def junction_update(scheme: StratifiedScheme, node: int, u: np.ndarray) -> float
     return value
 
 
-def _plane_fixed_point(
-    scheme: StratifiedScheme, *, tol: float, max_iter: int
-) -> np.ndarray:
-    """Fixed point of the plane update alone (junction candidates off)."""
-    u = np.zeros(scheme.grid.size)
-    for _ in range(max_iter):
-        if scheme.operator is not None:
-            new = scheme.operator.apply(u, scheme.alpha)
-        else:
-            new = _lf_plane_update(
-                scheme, u.reshape(scheme.grid.n1, scheme.grid.n2)
-            ).reshape(-1)
+def _fixed_point(
+    step, u: np.ndarray, *, tol: float, max_iter: int, what: str
+) -> tuple[np.ndarray, int, float]:
+    """Iterate ``u <- step(u)`` until a step moves no node by more than ``tol``.
+
+    Returns ``(u, iterations, residual)``; raises ``RuntimeError`` naming
+    ``what`` when ``max_iter`` steps fall short.
+    """
+    residual = math.inf
+    for it in range(1, max_iter + 1):
+        new = step(u)
         residual = float(np.max(np.abs(new - u)))
         u = new
         if residual <= tol:
-            return u
-    raise RuntimeError(f"plane solve stalled: residual {residual:.3e} > tol {tol:.3e}")
+            return u, it, residual
+    raise RuntimeError(
+        f"{what} stalled: residual {residual:.3e} > tol {tol:.3e} after {max_iter} sweeps"
+    )
 
 
 def _verify_table_range(scheme: StratifiedScheme, u: np.ndarray) -> None:
@@ -301,22 +292,17 @@ def solve_scheme(
     so this indicates a budget problem, not a scheme problem).
     """
     if u0 is None:
-        u = _plane_fixed_point(scheme, tol=tol, max_iter=max_iter)
+        u, _, _ = _fixed_point(
+            functools.partial(_plane_update, scheme), np.zeros(scheme.grid.size),
+            tol=tol, max_iter=max_iter, what="plane solve",
+        )
     else:
         u = np.array(u0, dtype=float).reshape(-1)
-    it = 0
-    while it < max_iter:
-        new = _sweep(scheme, u)
-        it += 1
-        residual = float(np.max(np.abs(new - u)))
-        u = new
-        if residual <= tol:
-            _verify_table_range(scheme, u)
-            return ValueField(scheme.grid, u.reshape(scheme.grid.n1, scheme.grid.n2)), it, residual
-    raise RuntimeError(
-        f"stratified solve stalled: residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} sweeps"
+    u, it, residual = _fixed_point(
+        functools.partial(_sweep, scheme), u, tol=tol, max_iter=max_iter, what="stratified solve"
     )
+    _verify_table_range(scheme, u)
+    return ValueField(scheme.grid, u.reshape(scheme.grid.n1, scheme.grid.n2)), it, residual
 
 
 def solve_effective(
@@ -349,21 +335,15 @@ def solve_unstratified(
     sched = scn.schedules
     if grid is None:
         grid = GridSpec.box(sched.box_half_width, sched.grid_h)
-    delta = sched.delta(grid.h1)
     if scn.case in ("case1", "case3"):
-        op = _background_operator(scn, grid, delta)
-        u = np.zeros(grid.size)
-        for it in range(max_iter):
-            new = op.apply(u, scn.alpha)
-            residual = float(np.max(np.abs(new - u)))
-            u = new
-            if residual <= tol:
-                return ValueField(grid, u.reshape(grid.n1, grid.n2))
-        raise RuntimeError(f"plane solve stalled: residual {residual:.3e} > tol {tol:.3e}")
-    if tables is None or tables.hbar is None:
-        raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")
-    scheme = build_scheme(scn, tables, grid)
-    u = _plane_fixed_point(scheme, tol=tol, max_iter=max_iter)
+        op = _background_operator(scn, grid, sched.delta(grid.h1))
+        step = functools.partial(op.apply, discount=scn.alpha)
+    else:
+        if tables is None or tables.hbar is None:
+            raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")
+        scheme = build_scheme(scn, tables, grid)
+        step = functools.partial(_plane_update, scheme)
+    u, _, _ = _fixed_point(step, np.zeros(grid.size), tol=tol, max_iter=max_iter, what="plane solve")
     return ValueField(grid, u.reshape(grid.n1, grid.n2))
 
 
@@ -425,11 +405,10 @@ def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedR
         m1_sub[branch] = float(np.max(alpha * u[rows] + g)) if len(rows) else -math.inf
 
     # scaled candidate residuals: (u - update) * stiffness ~ alpha u + H_num
+    plane = _plane_update(scheme, u)
     if scheme.operator is not None:
-        plane = scheme.operator.apply(u, alpha)
         margin = (u - plane) / scheme.delta
     else:
-        plane = _lf_plane_update(scheme, u.reshape(grid.n1, grid.n2)).reshape(-1)
         margin = (u - plane) * (alpha + 4 * scheme.theta_lf / h)
     for branch, rows in scheme.m1_rows.items():
         upd = _tangential_update(scheme, u, rows, branch)

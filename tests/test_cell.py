@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -131,6 +132,17 @@ def test_effective_tables_small_batch():
         tab.h1t_at(99.0)
     with pytest.raises(TableRangeError):
         tab.slopes_at(-99.0)
+    # an asymmetric window: the error names the momentum that lies outside,
+    # not the one of largest magnitude
+    skew = dataclasses.replace(
+        tab, p1_grid=np.array([-0.5, 0.0, 1.0]), p_grid=np.array([-0.5, 0.0, 1.0]), hbar=np.zeros((3, 3))
+    )
+    with pytest.raises(TableRangeError, match="momentum -0.6 outside"):
+        skew.h1t_at([-0.6, 0.9])
+    with pytest.raises(TableRangeError, match="momentum -0.6 outside"):
+        skew.hbar_at([[-0.6, 0.0], [0.9, 0.0]])
+    with pytest.raises(TableRangeError, match="momentum -0.6 outside"):
+        skew.hbar_at([0.9, -0.6])
 
 
 def test_effective_tables_json_round_trip():

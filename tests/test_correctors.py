@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from hj_strata.correctors import (
     build_subcorrector,
     check_min_subsolution,
     majorant_gap,
+    plane_level,
     residual_field,
     select_regime,
     subsolution_residual,
@@ -388,6 +390,95 @@ def test_case3_origin_build(mirror):
     assert residual <= TOL_CORR
     assert gap <= 1e-9
     assert cert <= TOL_CORR
+
+
+# The mirror tables are the cone |p1| cos(pi/16) - 1/2 on both branches.  The
+# tests below edit them with ``dataclasses.replace`` to reach the case3 line
+# constructions the genuine data never selects; they check the construction,
+# not a certificate, because the edited tables no longer match the cells.
+
+
+def _raised(tables, **shift):
+    """Tables with each named branch's tangential values raised by a constant."""
+    h1t = {b: np.asarray(v) + shift.get(b, 0.0) for b, v in tables.h1t.items()}
+    return dataclasses.replace(tables, h1t=h1t)
+
+
+def _tied(scn, tables, p, **h1t):
+    """Tables (branch values overridden by ``h1t``) whose tangential levels at
+    ``p[0]`` equal the ambient level at ``p``."""
+    tables = dataclasses.replace(tables, h1t={**tables.h1t, **h1t})
+    plane = plane_level(scn, tables, p)
+    return _raised(tables, **{b: plane - float(tables.h1t_at(p[0], b)) for b in tables.h1t})
+
+
+@pytest.mark.parametrize("high, low, sign", [("plus", "minus", +1), ("minus", "plus", -1)])
+def test_case3_dominant_band_carries_the_other_at_its_root(mirror, high, low, sign):
+    scn, tables, correctors = mirror
+    raised = _raised(tables, **{high: 0.1})
+    spec = build_subcorrector(scn, raised, correctors, (0.5, 0.1), "line")
+    assert spec.level == pytest.approx(float(raised.h1t_at(0.5, high)), abs=1e-12)
+    assert any(f"dominant branch {high}" in note for note in spec.notes)
+    pieces = {pc.label: pc for pc in spec.pieces}
+    assert pieces[f"band-{high}"].slope == (0.5, 0.0)
+    assert pieces[f"band-{high}"].shares_c
+    assert not pieces[f"band-{low}"].shares_c
+    # the other band runs at the dominant level, on the far side of p1
+    p_tilde = spec.q_values["p_tilde"]
+    assert pieces[f"band-{low}"].slope == (p_tilde, 0.0)
+    assert float(raised.h1t_at(p_tilde, low)) == pytest.approx(spec.level, abs=1e-9)
+    assert sign * p_tilde > 0.5
+
+
+@pytest.mark.parametrize("p1, dropped, tag", [(0.5, "plus", "ascending"), (-0.5, "minus", "descending")])
+def test_case3_three_way_tie_drops_a_band_below_the_level(mirror, p1, dropped, tag):
+    scn, tables, correctors = mirror
+    p = (p1, 0.8)
+    # an increasing plus table has no left flank, so the minus band is dropped
+    override = {"plus": tables.p1_grid.copy()} if dropped == "minus" else {}
+    tied = _tied(scn, tables, p, **override)
+    spec = build_subcorrector(scn, tied, correctors, p, "line")
+    assert spec.level == pytest.approx(plane_level(scn, tied, p), abs=1e-9)
+    assert spec.eta == 0.0
+    assert any(f"{dropped} table {tag} through the level" in note for note in spec.notes)
+    p_tilde = spec.q_values["p_tilde"]
+    band = next(pc for pc in spec.pieces if pc.label == f"band-{dropped}")
+    assert band.slope == (p_tilde, 0.0)
+    # dropped by the default lift (five percent of the cost bound)
+    assert float(tied.h1t_at(p_tilde, dropped)) == pytest.approx(spec.level - 0.05, abs=1e-9)
+
+
+def test_case3_tie_at_the_table_minimum_lifts_the_level(mirror):
+    scn, tables, correctors = mirror
+    p = (0.0, 0.8)
+    tied = _tied(scn, tables, p)
+    spec = build_subcorrector(scn, tied, correctors, p, "line")
+    assert spec.eta == pytest.approx(0.05)
+    assert spec.level == pytest.approx(plane_level(scn, tied, p) + 0.05, abs=1e-9)
+    assert any("certifying the lifted level" in note for note in spec.notes)
+    p_tilde = spec.q_values["p_tilde"]
+    assert p_tilde < 0.0
+    assert float(tied.h1t_at(p_tilde, "plus")) == pytest.approx(spec.level, abs=1e-9)
+
+
+def test_case3_flat_tied_tables_raise_regime_error(mirror):
+    scn, tables, correctors = mirror
+    p = (0.0, 0.8)
+    flat = _tied(scn, tables, p, **{b: np.zeros_like(v) for b, v in tables.h1t.items()})
+    with pytest.raises(RegimeError, match="flat"):
+        build_subcorrector(scn, flat, correctors, p, "line")
+
+
+def test_case3_degenerate_plane_root_raises(mirror):
+    # a deeper well at p1 ~ 1.06 moves the plus table's argmin there, so its
+    # root on the flank facing the origin lies at p1 > 0: that band would not
+    # undercut the target along the plus half-line
+    scn, tables, correctors = mirror
+    plus = np.asarray(tables.h1t["plus"]).copy()
+    plus[15] = -1.0
+    welled = dataclasses.replace(tables, h1t={**tables.h1t, "plus": plus})
+    with pytest.raises(RegimeError, match="degenerate tangential root q1_plus"):
+        build_subcorrector(scn, welled, correctors, (0.0, 0.9), "plane")
 
 
 def test_periodic_background_build_is_structurally_sound():

@@ -227,7 +227,13 @@ def test_mirrored_scenario_solution_is_even():
     )
     grid = box_grid()
     scheme = build_scheme(scn, tables, grid)
-    assert set(scheme.m1_rows) == {"plus", "minus"}
+    assert list(scheme.m1_rows) == list(scn.branches) == ["plus", "minus"]
+    # each branch's nodes sit on the defect line, on its own side of the origin
+    pts = grid.nodes()
+    for branch, side in scn.branches.items():
+        line = pts[scheme.m1_rows[branch]]
+        assert len(line) == (grid.n1 - 1) // 2
+        assert np.all(line[:, 1] == 0.0) and np.all(side * line[:, 0] > 0.0)
     field, _, _ = solve_scheme(scheme, tol=1e-9)
     v = field.values
     assert np.max(np.abs(v - v[::-1, :])) <= 1e-8
