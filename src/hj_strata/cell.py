@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .bellman import (
     SLOperator,
@@ -36,7 +35,7 @@ from .bellman import (
     solve_ergodic_relative,
 )
 from .grids import GridSpec, ValueField
-from .hamiltonian import estimate_bounds, eval_fields, eval_H_envelopes
+from .hamiltonian import _frozen_background, estimate_bounds, eval_fields
 from .scenario import Scenario
 
 __all__ = [
@@ -184,6 +183,17 @@ def strip_ergodic(
     )
 
 
+def _walk_truncations(solve: Callable[[float], ErgodicEstimate], truncations, tol: float):
+    """Solve along ``truncations`` until two consecutive constants agree within
+    ``tol``; converged only then, and only if every solve converged."""
+    estimates: list[ErgodicEstimate] = []
+    for t in truncations:
+        estimates.append(solve(t))
+        if len(estimates) >= 2 and abs(estimates[-1].constant - estimates[-2].constant) <= tol:
+            return tuple(estimates), all(e.converged for e in estimates)
+    return tuple(estimates), False
+
+
 @dataclass(frozen=True, slots=True)
 class TangentialResult:
     """Strip constants along the truncation schedule; ``value`` is the last."""
@@ -209,12 +219,10 @@ def tangential_hamiltonian(
     sched = scn.schedules
     rhos = tuple(rho_list) if rho_list is not None else sched.rho_list
     tol = sched.tol_ergodic if tol is None else tol
-    estimates: list[ErgodicEstimate] = []
-    for rho in rhos:
-        estimates.append(strip_ergodic(scn, p1, branch=branch, x0=x0, rho=rho, h=h, tol=tol))
-        if len(estimates) >= 2 and abs(estimates[-1].constant - estimates[-2].constant) <= tol:
-            return TangentialResult(estimates[-1].constant, tuple(estimates), all(e.converged for e in estimates))
-    return TangentialResult(estimates[-1].constant, tuple(estimates), False)
+    estimates, converged = _walk_truncations(
+        lambda rho: strip_ergodic(scn, p1, branch=branch, x0=x0, rho=rho, h=h, tol=tol), rhos, tol
+    )
+    return TangentialResult(estimates[-1].constant, estimates, converged)
 
 
 def ball_operator(
@@ -277,15 +285,8 @@ def dirichlet_datum(
     sched = scn.schedules
     Rs = tuple(R_list) if R_list is not None else sched.R_list
     tol = sched.tol_ergodic if tol is None else tol
-    estimates: list[ErgodicEstimate] = []
-    converged = False
-    for R in Rs:
-        estimates.append(ball_ergodic(scn, R, x0=x0, h=h, tol=tol))
-        if len(estimates) >= 2 and abs(estimates[-1].constant - estimates[-2].constant) <= tol:
-            converged = all(e.converged for e in estimates)
-            break
-    last = estimates[-1]
-    return DirichletResult(last.constant, last.corrector, tuple(estimates), converged)
+    estimates, converged = _walk_truncations(lambda R: ball_ergodic(scn, R, x0=x0, h=h, tol=tol), Rs, tol)
+    return DirichletResult(estimates[-1].constant, estimates[-1].corrector, estimates, converged)
 
 
 def torus_operator(
@@ -330,27 +331,28 @@ def torus_effective(
     )
 
 
-def _envelope_functions(scn: Scenario, x0: tuple[float, float], p1: float):
-    x = np.asarray(x0, dtype=float)
-
-    def h_down(q: float) -> float:
-        return eval_H_envelopes(scn, x, np.array([p1, q]))[0]
-
-    def h_up(q: float) -> float:
-        return eval_H_envelopes(scn, x, np.array([p1, q]))[1]
-
-    return h_down, h_up
+def _background_lines(scn: Scenario, x0, p1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts ``a`` and slopes ``f2`` of the lines ``a - q * f2`` whose
+    maximum is the background Hamiltonian at ``(p1, q)``; raises when no
+    control has ``f2 > 0`` or none ``f2 < 0``, so that an envelope is flat."""
+    drift, cost = _frozen_background(scn, x0)
+    # a component within rounding of zero, such as sin(pi) when the direction count is odd, is flat
+    f2 = np.where(np.abs(drift[:, 1]) <= 8 * np.finfo(float).eps * np.abs(drift).max(), 0.0, drift[:, 1])
+    if not ((f2 > 0.0).any() and (f2 < 0.0).any()):
+        raise ValueError("envelope is flat in q: the background needs controls with f2 > 0 and with f2 < 0")
+    return -p1 * drift[:, 0] - cost, f2
 
 
 def background_min_over_q(scn: Scenario, p1: float, *, x0=(0.0, 0.0)) -> float:
     """min over q of the background Hamiltonian at (p1, q): the floor every
-    tangential constant must dominate."""
-    h_down, h_up = _envelope_functions(scn, x0, p1)
-    res = optimize.minimize_scalar(
-        lambda q: max(h_down(q), h_up(q)), bounds=(-64.0, 64.0), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(res.fun)
+    tangential constant must dominate.  The minimum of a maximum of lines is
+    the highest flat line or the highest crossing of a falling line
+    (``f2 > 0``) with a rising one (``f2 < 0``)."""
+    a, f2 = _background_lines(scn, x0, p1)
+    fall, rise = f2 > 0.0, f2 < 0.0
+    fi, ai = f2[fall, None], a[fall, None]
+    crossings = (a[rise] * fi - ai * f2[rise]) / (fi - f2[rise])
+    return float(max(crossings.max(), a[f2 == 0.0].max(initial=-math.inf)))
 
 
 def slopes(
@@ -363,33 +365,21 @@ def slopes(
     """Vertical slope window ``(pi_lower, pi_upper)`` at the given level.
 
     ``pi_upper`` is the largest ``q`` with ``h_up(p1, q) <= level`` and
-    ``pi_lower`` the smallest ``q`` with ``h_down(p1, q) <= level``; both by
-    bisection on the monotone directional envelopes.  Raises with the gap when
-    the level sits below the envelope minimum.
+    ``pi_lower`` the smallest ``q`` with ``h_down(p1, q) <= level``.  The
+    envelopes are maxima of lines ``a_k - q * f2_k``, so ``pi_lower`` is the
+    largest root ``(a_k - level) / f2_k`` over the controls with ``f2_k > 0``
+    and ``pi_upper`` the smallest over ``f2_k < 0``.  Raises with the gap when
+    the level sits below the envelope minimum, the highest flat line.
     """
-    h_down, h_up = _envelope_functions(scn, x0, p1)
-    out = []
-    for envelope, direction in ((h_down, -1.0), (h_up, +1.0)):
-        res = optimize.minimize_scalar(
-            envelope, bounds=(-64.0, 64.0), method="bounded", options={"xatol": 1e-12}
+    a, f2 = _background_lines(scn, x0, p1)
+    env_min = float(a[f2 == 0.0].max(initial=-math.inf))
+    if level < env_min - 1e-12:
+        raise ValueError(
+            f"slope level {level:.6g} lies below the envelope minimum "
+            f"{env_min:.6g} (gap {env_min - level:.3g})"
         )
-        q_star, env_min = float(res.x), float(res.fun)
-        if level < env_min - 1e-12:
-            raise ValueError(
-                f"slope level {level:.6g} lies below the envelope minimum "
-                f"{env_min:.6g} (gap {env_min - level:.3g})"
-            )
-        q_far = q_star if envelope(q_star) > level else q_star + direction
-        grow = 1.0
-        while envelope(q_far) <= level:
-            q_far += direction * grow
-            grow *= 2.0
-            if abs(q_far) > 1e6:
-                raise ValueError("slope bisection found no finite bracket; envelope is flat at this level")
-        lo, hi = (q_far, q_star) if direction < 0 else (q_star, q_far)
-        root = optimize.brentq(lambda q: envelope(q) - level, lo, hi, xtol=1e-12)
-        out.append(float(root))
-    return out[0], out[1]
+    fall, rise = f2 > 0.0, f2 < 0.0
+    return float(np.max((a[fall] - level) / f2[fall])), float(np.min((a[rise] - level) / f2[rise]))
 
 
 @dataclass(frozen=True, slots=True)

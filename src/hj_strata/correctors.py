@@ -849,7 +849,7 @@ def _drop_band(scn, tables, correctors, p, level):
     """Carry the first branch (plus, then minus) whose table reaches ``level``
     on the flank facing the origin at that root, and the other band at the
     target momentum.  Returns ``(branch, root, pieces)``, or None when
-    neither table reaches the level."""
+    no table reaches the level at a root whose band undercuts the target."""
     for branch, side in scn.branches.items():
         try:
             p_tilde = _tangential_root(
@@ -857,6 +857,8 @@ def _drop_band(scn, tables, correctors, p, level):
             )
         except BracketError:
             continue
+        if side * (p[0] - p_tilde) <= _TIE_SLACK:
+            continue  # the band would not undercut the target along its half-line
         other = next(b for b in scn.branches if b != branch)
         pieces = [
             _affine_piece("target", p, correctors),
@@ -907,8 +909,8 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         notes.append("equal bands split along the vertical axis")
         return _Draft(level, 0.0, {"pi_lower": lo, "pi_upper": hi}, pieces, notes)
     # All three levels coincide above E: drop one band strictly below the
-    # level through whichever table flank reaches down toward the origin
-    # datum; if neither flank descends, lift the level by eta instead.
+    # level at a table root whose band undercuts the target along its own
+    # half-line (a descending flank can still miss); else lift the level by eta.
     grads = {b: _table_gradient(tables, b, p[0]) for b in scn.branches}
     dropped = _drop_band(scn, tables, correctors, p, level - min(eta, 0.5 * (level - tables.E)))
     if dropped is not None:
@@ -917,8 +919,8 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         notes.append(f"{branch} table {tag} through the level; band dropped below it")
         return _Draft(level, 0.0, {"p_tilde": p_tilde}, pieces, notes)
     notes.append(
-        f"neither table flank descends below the level near p1={p[0]:.6g} "
-        f"(difference quotients {grads}); certifying the lifted level"
+        f"no table flank descends below the level near p1={p[0]:.6g} to a root whose band "
+        f"undercuts the target (difference quotients {grads}); certifying the lifted level"
     )
     dropped = _drop_band(scn, tables, correctors, p, level + eta)
     if dropped is not None:
@@ -926,7 +928,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         return _Draft(level + eta, eta, {"p_tilde": p_tilde}, pieces, notes)
     raise RegimeError(
         f"tangential tables are flat around p1={p[0]:.6g} within the window "
-        f"(difference quotients {grads}); no level root on either flank"
+        f"(difference quotients {grads}); no usable level root on either flank"
     )
 
 

@@ -172,6 +172,23 @@ def eval_H(scenario: Scenario, x, y, p) -> HamiltonianSample:
     return HamiltonianSample(value=float(values[k]), argmax=k, h_down=h_down, h_up=h_up)
 
 
+def _frozen_background(scenario: Scenario, x) -> tuple[np.ndarray, np.ndarray]:
+    """Background ``(drift, cost)`` of every control at the slow point ``x``
+    with the fast point frozen at the origin."""
+    if scenario.case == "case2":
+        # Periodic backgrounds have no single control split; the envelope
+        # notion needs a y-independent background drift.
+        for d1, d2 in scenario.background.drift:
+            if (d1.free_vars() | d2.free_vars()) & {"y1", "y2"}:
+                raise ValueError(
+                    "directional envelopes need a y-independent background drift; "
+                    "this case2 background is periodic in y"
+                )
+    x = np.asarray(x, dtype=float)
+    block = scenario.background
+    return block.eval_drift(x[0], x[1], 0.0, 0.0), block.eval_cost(x[0], x[1], 0.0, 0.0)
+
+
 def eval_H_envelopes(scenario: Scenario, x, p) -> tuple[float, float]:
     """Directional envelopes ``(h_down, h_up)`` of the background Hamiltonian.
 
@@ -179,20 +196,8 @@ def eval_H_envelopes(scenario: Scenario, x, p) -> tuple[float, float]:
     (trajectories that can stay in the upper half-plane), ``h_up`` over
     ``f2 <= 0``.  Raises if either restricted control set is empty.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    drift = scenario.background.eval_drift(x[0], x[1], 0.0, 0.0)
-    cost = scenario.background.eval_cost(x[0], x[1], 0.0, 0.0)
-    if scenario.case == "case2":
-        # Periodic backgrounds have no single control split; the envelope
-        # notion below needs a y-independent background drift.
-        for k, (d1, d2) in enumerate(scenario.background.drift):
-            if (d1.free_vars() | d2.free_vars()) & {"y1", "y2"}:
-                raise ValueError(
-                    "directional envelopes need a y-independent background drift; "
-                    "this case2 background is periodic in y"
-                )
-    values = -(drift @ p) - cost
+    drift, cost = _frozen_background(scenario, x)
+    values = -(drift @ np.asarray(p, dtype=float)) - cost
     f2 = drift[:, 1]
     down_mask = f2 >= 0.0
     up_mask = f2 <= 0.0

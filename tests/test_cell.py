@@ -18,7 +18,8 @@ from hj_strata.cell import (
     torus_effective,
     verify_corrector_slopes,
 )
-from hj_strata.scenario import load_preset
+from hj_strata.hamiltonian import classify_point, estimate_bounds, eval_H, eval_H_envelopes
+from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
 COS16 = math.cos(math.pi / 16)
 
@@ -107,6 +108,82 @@ def test_slopes_symmetric_window():
     # a level below the background floor has no slope window
     with pytest.raises(ValueError):
         slopes(scn, 0.0, -1.5)
+
+
+def _table_momenta(scn, n=5):
+    window = 1.05 * estimate_bounds(scn, samples=200, seed=0)["p_window"]
+    return np.linspace(-window, window, n)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_slope_window_ends_sit_on_the_level(name):
+    """The closed-form window ends solve h_down(pi_lower) = h_up(pi_upper) = level."""
+    scn = load_preset(name)
+    for p1 in _table_momenta(scn):
+        floor = background_min_over_q(scn, p1)
+        for level in (floor, floor + 0.1, floor + 1.0):
+            lo, hi = slopes(scn, p1, level)
+            assert lo <= hi + 1e-12
+            assert eval_H_envelopes(scn, np.zeros(2), (p1, lo))[0] == pytest.approx(level, abs=1e-12)
+            assert eval_H_envelopes(scn, np.zeros(2), (p1, hi))[1] == pytest.approx(level, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_background_floor_is_attained(name):
+    """H(p1, .) attains the closed-form floor at pi_lower(floor) and stays above it."""
+    scn = load_preset(name)
+    y = (4.0, 4.0)  # a background point; periodic backgrounds repeat the origin here
+    assert classify_point(scn, y) == "outside"
+    for p1 in _table_momenta(scn, 3):
+        floor = background_min_over_q(scn, p1)
+        q_star = slopes(scn, p1, floor)[0]
+        assert eval_H(scn, np.zeros(2), y, (p1, q_star)).value == pytest.approx(floor, abs=1e-12)
+        qs = np.concatenate([np.linspace(q_star - 3.0, q_star + 3.0, 101), q_star + np.linspace(-1e-3, 1e-3, 21)])
+        assert min(eval_H(scn, np.zeros(2), y, (p1, q)).value for q in qs) >= floor - 1e-12
+
+
+def test_rounding_level_vertical_drift_counts_as_flat():
+    # with 5 directions one control points along -e1 with f2 = sin(pi) ~ 1e-16;
+    # read as a falling line it would pin pi_lower far from the window
+    scn = parse_scenario(
+        {
+            "case": "case1",
+            "alpha": 1.0,
+            "R0": 0.5,
+            "controls": {"directions": 5, "speed": 1.0, "include_zero": True},
+            "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+        },
+        label="t",
+    )
+    for p1 in (0.3, 0.5):
+        floor = background_min_over_q(scn, p1)
+        assert floor == pytest.approx(p1 - 1.0, abs=1e-12)
+        lo, hi = slopes(scn, p1, floor)
+        assert lo == pytest.approx(-hi, abs=1e-12)
+        assert eval_H_envelopes(scn, np.zeros(2), (p1, lo))[0] == pytest.approx(floor, abs=1e-12)
+        with pytest.raises(ValueError, match="below the envelope minimum"):
+            slopes(scn, p1, floor - 0.1)
+
+
+def test_envelope_algebra_rejects_a_y_dependent_case2_drift():
+    scn = parse_scenario(
+        {
+            "case": "case2",
+            "alpha": 1.0,
+            "R0": 0.5,
+            "controls": {"directions": 8, "speed": 1.0, "include_zero": True},
+            "background": {
+                "drift": ["{a1}", "{a2}*(1 + 0.5*sin(6.283185307179586*y1))"],
+                "cost": "1",
+                "periods": [1.0, 1.0],
+            },
+        },
+        label="t",
+    )
+    with pytest.raises(ValueError, match="periodic in y"):
+        slopes(scn, 0.0, 0.0)
+    with pytest.raises(ValueError, match="periodic in y"):
+        background_min_over_q(scn, 0.0)
 
 
 def test_verify_corrector_slopes_attractive():

@@ -461,6 +461,23 @@ def test_case3_tie_at_the_table_minimum_lifts_the_level(mirror):
     assert float(tied.h1t_at(p_tilde, "plus")) == pytest.approx(spec.level, abs=1e-9)
 
 
+def test_case3_tie_skips_a_band_root_on_the_wrong_side_of_the_target(mirror):
+    # with a flat plus table only the minus table descends, but below the
+    # level its root lies at p1 < 0.5: that band would grow against the
+    # target on the minus half-line, so the level is lifted instead
+    scn, tables, correctors = mirror
+    p = (0.5, 0.8)
+    tied = _tied(scn, tables, p, plus=np.zeros_like(tables.h1t["plus"]))
+    spec = build_subcorrector(scn, tied, correctors, p, "line")
+    assert spec.eta == pytest.approx(0.05)
+    assert any("certifying the lifted level" in note for note in spec.notes)
+    p_tilde = spec.q_values["p_tilde"]
+    assert p_tilde > 0.5
+    band = next(pc for pc in spec.pieces if pc.label == "band-minus")
+    assert band.slope == (p_tilde, 0.0)
+    assert float(tied.h1t_at(p_tilde, "minus")) == pytest.approx(spec.level, abs=1e-9)
+
+
 def test_case3_flat_tied_tables_raise_regime_error(mirror):
     scn, tables, correctors = mirror
     p = (0.0, 0.8)

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -14,3 +17,18 @@ def test_console_script_targets_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{name} -> {target} is not callable"
+
+
+def test_pipeline_modules_do_not_import_scipy_optimize():
+    """The cell, corrector and scheme layers solve their envelope algebra in
+    closed form; importing ``scipy.optimize`` would cost memory and start-up
+    time for no caller."""
+    code = (
+        "import sys\n"
+        "import hj_strata.cell, hj_strata.correctors, hj_strata.stratified\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(importlib.import_module("hj_strata").__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
