@@ -22,7 +22,7 @@ Three solvers share the operator:
   growth rates).
 * :func:`ergodic_continuation` — small-discount limit ``discount -> 0`` with
   warm starts and Richardson extrapolation of the anchor value; an independent
-  route to the same average cost, used as a cross-check.
+  estimate of the same average cost, used as a cross-check.
 """
 
 from __future__ import annotations
@@ -246,13 +246,17 @@ def solve_ergodic_relative(
     *,
     tol: float = 1e-6,
     max_iter: int = 500_000,
+    u0: np.ndarray | None = None,
 ) -> ErgodicRelativeResult:
     """Relative value iteration for the zero-discount (ergodic) problem.
 
     ``tol`` bounds the error of the returned average-cost ``rate``: iteration
     stops once ``span(T0[u] - u) / (2 delta) <= tol``, and the true rate lies
-    inside ``rate_bounds`` by the monotone growth estimate.  The relative
-    field is normalized to 0 at the grid anchor.  On stall (periodic optimal
+    inside ``rate_bounds`` by the monotone growth estimate.  That bracket
+    ``(min(T0[u] - u), max(T0[u] - u)) / delta`` holds for every ``u``, so the
+    start ``u0`` (zero by default) moves the iteration count, not the
+    certificate.  The relative field is normalized to 0 at the grid anchor.
+    On stall (periodic optimal
     policies) the update switches to damped averaging, which restores
     convergence at half speed; non-convergence within ``max_iter`` returns the
     flagged best iterate with its span history.
@@ -266,7 +270,8 @@ def solve_ergodic_relative(
     if not op.full:
         raise ValueError("solve_ergodic_relative needs a full-grid operator")
     anchor = op.grid.anchor_index()
-    u = np.zeros(op.grid.size)
+    u = np.zeros(op.grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1)
+    u -= u[anchor]
     spans: list[float] = []
     damped = False
     it = 0

@@ -8,9 +8,14 @@ reformulation, not a discretization), so the resulting table is a pointwise
 minimum of affine functions of ``p1`` up to solver tolerance — in particular
 convex.
 
-Each constant is computed twice: by relative value iteration (span-certified,
-the value recorded in the tables) and by a vanishing-discount continuation
-(Richardson-extrapolated anchor values).  The two routes are independent and
+Each constant is computed twice: by a vanishing-discount continuation
+(Richardson-extrapolated anchor values) and by relative value iteration (the
+value recorded in the tables).  Relative VI starts from the continuation's last
+discounted field, which is close to a corrector and saves most of its
+applications.  The start does not carry the continuation's rate into the VI
+constant: the bracket ``(min(T0[u] - u), max(T0[u] - u)) / delta`` holds the
+true rate for every ``u``, so the VI constant is span-certified to ``tol``
+whatever it starts from.  The two rates are still computed independently, and
 ``method_gap`` records their disagreement; entries whose gap exceeds twice the
 requested tolerance are flagged as failed rather than papered over.
 
@@ -35,7 +40,7 @@ from .bellman import (
     solve_ergodic_relative,
 )
 from .grids import GridSpec, ValueField
-from .hamiltonian import _frozen_background, estimate_bounds, eval_fields
+from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, eval_fields
 from .scenario import Scenario
 
 __all__ = [
@@ -102,10 +107,10 @@ def _relative_and_continuation(
     max_iter: int,
 ) -> ErgodicEstimate:
     sched = scn.schedules
-    vi = solve_ergodic_relative(op, tol=tol, max_iter=max_iter)
     cont = ergodic_continuation(
         op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=max_iter
     )
+    vi = solve_ergodic_relative(op, tol=tol, max_iter=max_iter, u0=cont.field.flat())
     vi_constant = -vi.rate
     cont_constant = -cont.rate
     gap = abs(vi_constant - cont_constant)
@@ -336,8 +341,7 @@ def _background_lines(scn: Scenario, x0, p1: float) -> tuple[np.ndarray, np.ndar
     maximum is the background Hamiltonian at ``(p1, q)``; raises when no
     control has ``f2 > 0`` or none ``f2 < 0``, so that an envelope is flat."""
     drift, cost = _frozen_background(scn, x0)
-    # a component within rounding of zero, such as sin(pi) when the direction count is odd, is flat
-    f2 = np.where(np.abs(drift[:, 1]) <= 8 * np.finfo(float).eps * np.abs(drift).max(), 0.0, drift[:, 1])
+    f2 = _vertical_drift(drift)
     if not ((f2 > 0.0).any() and (f2 < 0.0).any()):
         raise ValueError("envelope is flat in q: the background needs controls with f2 > 0 and with f2 < 0")
     return -p1 * drift[:, 0] - cost, f2

@@ -11,7 +11,8 @@ The directional envelopes split the background control set by the sign of the
 vertical drift component: ``h_down`` keeps controls with ``f2 >= 0`` (those
 admissible when confined to the upper half-plane), ``h_up`` keeps ``f2 <= 0``.
 Controls with ``f2 == 0`` belong to both, so ``max(h_down, h_up)`` equals the
-full Hamiltonian exactly, not merely up to rounding.
+full Hamiltonian exactly, not merely up to rounding.  A component within
+rounding of zero counts as ``f2 == 0`` (see :func:`_vertical_drift`).
 """
 
 from __future__ import annotations
@@ -164,12 +165,21 @@ def eval_H(scenario: Scenario, x, y, p) -> HamiltonianSample:
     drift, cost = eval_fields(scenario, x, y)
     values = -(drift @ p) - cost
     k = int(np.argmax(values))
-    f2_bg = scenario.background.eval_drift(x[0], x[1], y[0], y[1])[:, 1]
+    f2_bg = _vertical_drift(scenario.background.eval_drift(x[0], x[1], y[0], y[1]))
     down = values[f2_bg >= 0.0]
     up = values[f2_bg <= 0.0]
     h_down = float(np.max(down)) if down.size else -math.inf
     h_up = float(np.max(up)) if up.size else -math.inf
     return HamiltonianSample(value=float(values[k]), argmax=k, h_down=h_down, h_up=h_up)
+
+
+def _vertical_drift(drift: np.ndarray) -> np.ndarray:
+    """Vertical components ``f2`` of the drifts ``(n_controls, 2)``, with any
+    component within 8 ulps of the drift scale set to 0: rounding residue, such
+    as sin(pi) when the direction count is odd, is flat, neither rising nor
+    falling."""
+    f2 = drift[:, 1]
+    return np.where(np.abs(f2) <= 8 * np.finfo(float).eps * np.abs(drift).max(), 0.0, f2)
 
 
 def _frozen_background(scenario: Scenario, x) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +208,7 @@ def eval_H_envelopes(scenario: Scenario, x, p) -> tuple[float, float]:
     """
     drift, cost = _frozen_background(scenario, x)
     values = -(drift @ np.asarray(p, dtype=float)) - cost
-    f2 = drift[:, 1]
+    f2 = _vertical_drift(drift)
     down_mask = f2 >= 0.0
     up_mask = f2 <= 0.0
     if not down_mask.any():

@@ -209,6 +209,36 @@ def test_backend_parity_jacobi():
     assert np.allclose(out_sel, out_py, rtol=0, atol=1e-13)
 
 
+def test_ergodic_relative_from_any_start_keeps_its_certificate():
+    op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
+    tol = 1e-8
+    cold = solve_ergodic_relative(op, tol=tol)
+    u0 = np.random.default_rng(11).normal(scale=3.0, size=op.grid.size)
+    start = u0.copy()
+    warm = solve_ergodic_relative(op, tol=tol, u0=start)
+    assert cold.converged and warm.converged
+    lo, hi = warm.rate_bounds
+    assert hi - lo <= 2 * tol + 1e-12
+    assert lo - 1e-15 <= warm.rate <= hi + 1e-15
+    assert warm.rate == pytest.approx(cold.rate, abs=tol)
+    assert warm.field.values.flat[op.grid.anchor_index()] == 0.0
+    assert np.array_equal(start, u0)  # the caller's start is not modified
+
+
+def test_ergodic_relative_warm_start_from_continuation_saves_applications():
+    scn = load_preset("checkerboard")
+    sched = scn.schedules
+    op = strip_operator(scn, -0.5, rho=1.0)
+    tol = 5e-4
+    cold = solve_ergodic_relative(op, tol=tol)
+    cont = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
+    warm = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
+    assert cold.converged and warm.converged
+    assert (cold.iterations, warm.iterations) == (93, 17)
+    assert warm.iterations < cold.iterations / 2
+    assert warm.rate == pytest.approx(cold.rate, abs=tol)
+
+
 def test_best_iterate_fallback_reports_not_converged():
     op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
     res = solve_ergodic_relative(op, tol=1e-13, max_iter=4)

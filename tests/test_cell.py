@@ -186,6 +186,25 @@ def test_envelope_algebra_rejects_a_y_dependent_case2_drift():
         background_min_over_q(scn, 0.0)
 
 
+def test_checkerboard_strip_gap_is_the_continuation_stopping_early():
+    # at this momentum the continuation stops after 3 stages on two Richardson
+    # extrapolations that agree within 0.5*tol about 4e-3 from the constant;
+    # relative VI, warm-started from its field, still reads the constant -0.1
+    # within tol, and the entry stays flagged
+    scn = load_preset("checkerboard")
+    p1, tol = -0.29445461807420503, 5e-4
+    est = strip_ergodic(scn, p1, rho=1.0, tol=tol)
+    assert est.constant == pytest.approx(-0.1, abs=tol)
+    assert est.method_gap > 2 * tol
+    assert len(est.lambda_history) == 3
+    assert not est.converged
+    # with a tighter tolerance the continuation runs on and meets VI at -0.1
+    tight = strip_ergodic(scn, p1, rho=1.0, tol=1e-6)
+    assert tight.continuation_constant == pytest.approx(-0.1, abs=1e-5)
+    assert tight.constant == pytest.approx(-0.1, abs=1e-5)
+    assert tight.converged
+
+
 def test_verify_corrector_slopes_attractive():
     scn = load_preset("strip_attract")
     est = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hj_strata.cell import background_min_over_q
 from hj_strata.hamiltonian import (
     classify_point,
     estimate_bounds,
@@ -114,6 +115,31 @@ def test_envelope_max_identity_is_exact():
             h_down, h_up = eval_H_envelopes(scn, X0, p)
             s = eval_H(scn, X0, rng.uniform(2.0, 3.0, 2), p)  # background point
             assert max(h_down, h_up) == s.value
+
+
+def test_envelopes_count_a_rounding_level_vertical_drift_as_flat():
+    # 5 directions: the control along -e1 has f2 = sin(pi) ~ 1e-16, a flat line
+    # that both envelopes keep, so each bottoms out at the background floor
+    scn = parse_scenario(
+        {
+            "case": "case1",
+            "alpha": 1.0,
+            "R0": 0.5,
+            "controls": {"directions": 5, "speed": 1.0, "include_zero": True},
+            "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+        },
+        label="t",
+    )
+    p1 = 0.5
+    floor = background_min_over_q(scn, p1)
+    assert floor == pytest.approx(-0.5, abs=1e-12)
+    qs = np.linspace(-50.0, 50.0, 201)
+    h_down, h_up = np.array([eval_H_envelopes(scn, X0, (p1, q)) for q in qs]).T
+    assert h_down.min() == pytest.approx(floor, abs=1e-12)
+    assert h_up.min() == pytest.approx(floor, abs=1e-12)
+    samples = [eval_H(scn, X0, np.array([2.0, 2.0]), (p1, q)) for q in qs]
+    assert min(s.h_down for s in samples) == pytest.approx(floor, abs=1e-12)
+    assert min(s.h_up for s in samples) == pytest.approx(floor, abs=1e-12)
 
 
 def test_eval_H_64_direction_oracle():
