@@ -7,8 +7,10 @@ One application of the operator at a node is
 with bilinear interpolation of ``u`` at the foot point.  On state-constrained
 axes a control is admissible only when its foot stays inside the grid, and a
 node with no admissible control is a construction error.  The interpolation
-stencils, weights, and step costs are precomputed once per operator, so an
-application is a pure gather/fma kernel (see :mod:`hj_strata.kernels`).
+stencils, weights, and step costs are precomputed once per operator.  The
+stencils are the rows of a sparse transition matrix, so an application is
+one sparse product and a min over controls, and a fixed policy's transition
+matrix is a row selection of the same stencils (see :mod:`hj_strata.kernels`).
 
 Three solvers share the operator:
 
@@ -58,39 +60,30 @@ _KRYLOV_MAX_ITER = 1000
 
 
 class SLOperator:
-    """Precomputed Bellman operator (optionally restricted to ``rows``).
+    """Precomputed Bellman operator on every node of ``grid``.
 
-    ``drift`` has shape (n_controls, n_rows, 2) and ``cost`` (n_controls,
-    n_rows) where ``rows`` defaults to every node of the grid in flat order.
+    ``drift`` has shape (n_controls, grid.size, 2) and ``cost`` (n_controls,
+    grid.size), with nodes in flat order.
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        drift: np.ndarray,
-        cost: np.ndarray,
-        delta: float,
-        *,
-        rows: np.ndarray | None = None,
-    ):
+    def __init__(self, grid: GridSpec, drift: np.ndarray, cost: np.ndarray, delta: float):
         if delta <= 0:
             raise ValueError("time step delta must be positive")
         self.grid = grid
         self.delta = float(delta)
-        self.rows = np.arange(grid.size, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
-        self.full = rows is None
-        nodes = grid.nodes()[self.rows]
+        n = grid.size
+        nodes = grid.nodes()
         drift = np.asarray(drift, dtype=float)
         cost = np.asarray(cost, dtype=float)
         na = drift.shape[0]
-        if drift.shape != (na, len(self.rows), 2) or cost.shape != (na, len(self.rows)):
-            raise ValueError("drift/cost shapes do not match the operator rows")
+        if drift.shape != (na, n, 2) or cost.shape != (na, n):
+            raise ValueError("drift/cost shapes do not match the grid")
         feet = nodes[None, :, :] + self.delta * drift
         flat_feet = feet.reshape(-1, 2)
-        admissible = grid.contains(flat_feet, tol=1e-9 * self.delta).reshape(na, len(self.rows))
+        admissible = grid.contains(flat_feet, tol=1e-9 * self.delta).reshape(na, n)
         idx, w = grid.interp_weights(flat_feet, clip=True)
-        self.idx = np.ascontiguousarray(idx.reshape(na, len(self.rows), 4), dtype=np.int32)
-        self.w = np.ascontiguousarray(w.reshape(na, len(self.rows), 4))
+        self.idx = np.ascontiguousarray(idx.reshape(na, n, 4), dtype=np.int32)
+        self.w = np.ascontiguousarray(w.reshape(na, n, 4))
         self.base = np.ascontiguousarray(self.delta * cost)
         bad = ~admissible
         if bad.any():
@@ -106,10 +99,6 @@ class SLOperator:
                 f"delta={self.delta:.6g}; shrink the step or enlarge the domain"
             )
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
     def gamma(self, discount: float) -> float:
         g = 1.0 - discount * self.delta
         if not (0.0 < g <= 1.0):
@@ -117,36 +106,32 @@ class SLOperator:
         return g
 
     def apply(self, u: np.ndarray, discount: float, out: np.ndarray | None = None) -> np.ndarray:
-        """One synchronous Bellman application; returns values on ``rows``."""
+        """One synchronous Bellman application."""
         if out is None:
-            out = np.empty(self.n_rows)
+            out = np.empty(self.grid.size)
         kernels.jacobi_min(self.idx, self.w, self.base, self.gamma(discount), u, out)
         return out
 
     def greedy(self, u: np.ndarray, discount: float) -> tuple[np.ndarray, np.ndarray]:
-        """One synchronous application and, per row, the index of a minimizing control."""
-        out = np.empty(self.n_rows)
-        policy = np.empty(self.n_rows, dtype=np.intp)
+        """One synchronous application and, per node, the index of a minimizing control."""
+        out = np.empty(self.grid.size)
+        policy = np.empty(self.grid.size, dtype=np.intp)
         kernels.jacobi_argmin(self.idx, self.w, self.base, self.gamma(discount), u, out, policy)
         return out, policy
 
     def policy_value(
         self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol: float
     ) -> np.ndarray:
-        """Value of a stationary policy on a full-grid operator: the solution of
-        ``(I - gamma P) u = base``, where ``P`` holds the four interpolation
-        weights of each row's control.
+        """Value of a stationary policy: the solution of ``(I - gamma P) u =
+        base``, where row ``n`` of ``P`` is the stencil of node ``n``'s control.
 
         BiCGSTAB from ``guess`` runs until the residual's 2-norm, which bounds
         its sup norm, is at most ``atol``.  If it breaks down or stalls, one
         sparse LU solve gives the value and its factor is dropped on return.
         """
-        n = self.n_rows
+        n = self.grid.size
         rows = np.arange(n)
-        transition = sparse.csr_matrix(
-            (self.w[policy, rows].ravel(), self.idx[policy, rows].ravel(), np.arange(0, 4 * n + 1, 4)),
-            shape=(n, n),
-        )
+        transition = kernels.stencil_matrix(self.idx[policy, rows], self.w[policy, rows], n)
         system = sparse.identity(n, format="csr") - self.gamma(discount) * transition
         rhs = self.base[policy, rows]
         value, info = bicgstab(system, rhs, x0=guess, rtol=0.0, atol=atol, maxiter=_KRYLOV_MAX_ITER)
@@ -176,7 +161,6 @@ class SolveInfo:
     policy_evaluations: int   # linear solves for a policy's value
     stop: str                 # "residual" or "max_iter"
     method: str = "howard"
-    backend: str = "python"   # the greedy kernel is numpy on both backends
 
 
 def solve_discounted(
@@ -198,8 +182,6 @@ def solve_discounted(
     exhausted.
     """
     op = problem.operator
-    if not op.full:
-        raise ValueError("solve_discounted needs a full-grid operator")
     grid = op.grid
     u = np.zeros(grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1).copy()
     policy: np.ndarray | None = None
@@ -267,8 +249,6 @@ def solve_ergodic_relative(
     Policy iteration does not apply either, since ``I - P`` is singular.
     """
     op = operator
-    if not op.full:
-        raise ValueError("solve_ergodic_relative needs a full-grid operator")
     anchor = op.grid.anchor_index()
     u = np.zeros(op.grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1)
     u -= u[anchor]

@@ -519,6 +519,14 @@ def _local_lipschitz(values: np.ndarray, grid: GridSpec, mask: np.ndarray) -> fl
     slope = np.hypot(g1, g2).reshape(-1)
     return float(np.max(slope[mask])) if mask.any() else 0.0
 
+
+def _margined_max(diff: np.ndarray, grid: GridSpec, mask: np.ndarray) -> float:
+    """Max of ``diff`` over ``mask`` plus a Lipschitz margin of two cells,
+    so the bound also holds between the sample nodes."""
+    margin = 2.0 * max(grid.h1, grid.h2) * _local_lipschitz(diff, grid, mask)
+    return float(np.max(np.where(mask, diff, -np.inf))) + margin + 1e-12
+
+
 def _fit_max(diff: np.ndarray, grid: GridSpec, mask: np.ndarray, what: str) -> float:
     """Max of a sampled difference over a region, plus a Lipschitz margin.
 
@@ -541,8 +549,7 @@ def _fit_max(diff: np.ndarray, grid: GridSpec, mask: np.ndarray, what: str) -> f
             f"{what}: the fitted maximum sits on the sampling-box edge at "
             f"y=({pts[k, 0]:.3g}, {pts[k, 1]:.3g}); enlarge half_width"
         )
-    margin = 2.0 * max(grid.h1, grid.h2) * _local_lipschitz(diff, grid, mask)
-    return float(max(edge_max, interior_max)) + margin + 1e-12
+    return _margined_max(diff, grid, mask)
 
 
 def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
@@ -690,10 +697,7 @@ def _ball_offset(excess: np.ndarray, region: np.ndarray, grid: GridSpec) -> floa
     ``region`` (its territory, or the disc holding it when the piece stays
     unconfined): the max of ``excess = w - rivals`` there, plus a Lipschitz
     margin."""
-    mask = region & np.isfinite(excess)
-    vals = np.where(mask, excess, -np.inf)
-    margin = 2.0 * max(grid.h1, grid.h2) * _local_lipschitz(excess, grid, mask)
-    return float(np.max(vals)) + margin + 1e-12
+    return _margined_max(excess, grid, region & np.isfinite(excess))
 
 
 def _split_radius(
@@ -1081,27 +1085,12 @@ def _active_piece_quotients(spec: SubcorrectorSpec, pts: np.ndarray, h1: float, 
     :func:`_favorable_hamiltonian`.
     """
     active = spec.active(pts)
-    offsets = [
-        np.zeros(2), np.array([-h1, 0.0]), np.array([h1, 0.0]),
-        np.array([0.0, -h2]), np.array([0.0, h2]),
-    ]
-    n = len(pts)
-    stencil = np.empty((len(spec.pieces), 5, n))
+    quot = np.empty((4, len(pts)))
     for k, piece in enumerate(spec.pieces):
         sel = active == k
-        if not sel.any():
-            stencil[k] = 0.0
-            continue
-        sub = pts[sel]
-        for j, off in enumerate(offsets):
-            stencil[k, j, sel] = piece.values(sub + off)
-    rows = active, np.arange(n)
-    v0 = stencil[rows[0], 0, rows[1]]
-    g1m = (v0 - stencil[rows[0], 1, rows[1]]) / h1
-    g1p = (stencil[rows[0], 2, rows[1]] - v0) / h1
-    g2m = (v0 - stencil[rows[0], 3, rows[1]]) / h2
-    g2p = (stencil[rows[0], 4, rows[1]] - v0) / h2
-    return g1m, g1p, g2m, g2p
+        if sel.any():
+            quot[:, sel] = _piece_quotients(piece, pts[sel], h1, h2)
+    return tuple(quot)
 
 
 def _check_probe_coverage(spec: SubcorrectorSpec, grid: GridSpec) -> None:
@@ -1125,6 +1114,16 @@ def _check_probe_coverage(spec: SubcorrectorSpec, grid: GridSpec) -> None:
             )
 
 
+def _level_residual(
+    scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample nodes and, at each, ``H(0, y, Dχ) - level`` by the a.e. test."""
+    _check_probe_coverage(spec, sample_grid)
+    pts = sample_grid.nodes()
+    quot = _active_piece_quotients(spec, pts, sample_grid.h1, sample_grid.h2)
+    return pts, _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - float(level)
+
+
 def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> float:
     """Worst violation of the level inequality and of the plane-wave bound.
 
@@ -1135,20 +1134,14 @@ def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sa
     margin; a large positive value is a finding about the construction, not
     an error.
     """
-    _check_probe_coverage(spec, sample_grid)
-    pts = sample_grid.nodes()
-    quot = _active_piece_quotients(spec, pts, sample_grid.h1, sample_grid.h2)
-    residual = _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - float(level)
+    pts, residual = _level_residual(scn, spec, level, sample_grid)
     gap = spec.values(pts) - spec.target_values(pts)
     return float(max(residual.max(), gap.max()))
 
 
 def residual_field(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> ValueField:
     """Per-node level residual of the composed minimum, for maps and reports."""
-    _check_probe_coverage(spec, sample_grid)
-    pts = sample_grid.nodes()
-    quot = _active_piece_quotients(spec, pts, sample_grid.h1, sample_grid.h2)
-    residual = _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - float(level)
+    _, residual = _level_residual(scn, spec, level, sample_grid)
     return ValueField(sample_grid, residual.reshape(sample_grid.n1, sample_grid.n2))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hj_strata import kernels
-from hj_strata import _sweep_py
 from hj_strata.bellman import (
     DiscountedProblem,
     SLOperator,
@@ -197,16 +196,57 @@ def test_continuation_matches_relative_vi():
     assert all(b < a for a, b in zip(lams, lams[1:]))
 
 
-def test_backend_parity_jacobi():
-    """Compiled and numpy backends produce identical Bellman applications."""
+def _box_operator(controls, h=0.125):
+    """State-constrained operator on [-1, 1]^2: controls leaving the box at
+    edge nodes are inadmissible (``inf`` step cost)."""
+    grid = GridSpec.box(1.0, h)
+    pts = grid.nodes()
+    a = np.asarray(controls)
+    drift = np.broadcast_to(a[:, None, :], (len(a), grid.size, 2)).copy()
+    cost = 1.0 + 0.5 * np.sin(3.0 * pts[:, 0] + a[:, :1]) * np.cos(2.0 * pts[:, 1] - a[:, 1:])
+    return SLOperator(grid, drift, cost, 0.3)
+
+
+def _reference_min(op, gamma, u):
+    """Per-control loop over the stored stencils: the reference application."""
+    best = np.full(op.grid.size, np.inf)
+    for a in range(op.idx.shape[0]):
+        cand = op.base[a] + gamma * np.sum(op.w[a] * u[op.idx[a]], axis=1)
+        best = np.minimum(best, cand)
+    return best
+
+
+@pytest.mark.parametrize("gamma", [0.97, 1.0])
+def test_jacobi_min_matches_reference_loop(gamma):
     rng = np.random.default_rng(7)
-    op = _torus_operator(cost_fn=lambda p: 1.0 + 0.3 * np.cos(2 * np.pi * p[:, 1]))
-    u = rng.normal(size=op.grid.size)
-    out_sel = np.empty(op.grid.size)
-    out_py = np.empty(op.grid.size)
-    kernels.jacobi_min(op.idx, op.w, op.base, 0.97, u, out_sel)
-    _sweep_py.jacobi_min(op.idx, op.w, op.base, 0.97, u, out_py)
-    assert np.allclose(out_sel, out_py, rtol=0, atol=1e-13)
+    box = _box_operator(load_preset("eikonal").controls)
+    assert np.isinf(box.base).any()
+    torus = _torus_operator(cost_fn=lambda p: 1.0 + 0.3 * np.cos(2 * np.pi * p[:, 1]))
+    for op in (box, torus):
+        u = rng.normal(size=op.grid.size)
+        out = np.empty(op.grid.size)
+        kernels.jacobi_min(op.idx, op.w, op.base, gamma, u, out)
+        assert np.allclose(out, _reference_min(op, gamma, u), rtol=0, atol=1e-13)
+
+
+def test_jacobi_argmin_returns_first_minimizer():
+    controls = np.asarray(load_preset("eikonal").controls)
+    na = len(controls)
+    op = _box_operator(np.concatenate([controls, controls]))  # control a + na duplicates a
+    assert np.array_equal(op.base[:na], op.base[na:]) and np.isinf(op.base).any()
+    u = np.random.default_rng(3).normal(size=op.grid.size)
+    nodes = np.arange(op.grid.size)
+    for gamma in (0.97, 1.0):
+        out = np.empty(op.grid.size)
+        policy = np.empty(op.grid.size, dtype=np.intp)
+        kernels.jacobi_argmin(op.idx, op.w, op.base, gamma, u, out, policy)
+        tu = np.empty(op.grid.size)
+        kernels.jacobi_min(op.idx, op.w, op.base, gamma, u, tu)
+        assert np.array_equal(out, tu)
+        assert np.all(policy < na)  # ties go to the lower index
+        assert np.all(np.isfinite(op.base[policy, nodes]))  # never an inadmissible control
+        chosen = op.base[policy, nodes] + gamma * np.sum(op.w[policy, nodes] * u[op.idx[policy, nodes]], axis=1)
+        assert np.allclose(out, chosen, rtol=0, atol=1e-13)  # the policy attains the minimum
 
 
 def test_ergodic_relative_from_any_start_keeps_its_certificate():
