@@ -17,7 +17,10 @@ Three solvers share the operator:
 * :func:`solve_discounted` — Howard policy iteration for ``discount > 0``:
   the greedy control of a synchronous application fixes a policy, whose
   value is one sparse linear solve; the iteration count does not grow as the
-  discount vanishes.
+  discount vanishes.  Howard's algorithm is a semismooth Newton method, so
+  each policy evaluation is a Newton linear solve, and it is solved inexactly
+  (Dembo, Eisenstat & Steihaug): only as far as the current Bellman residual
+  warrants, matrix-free, to ``tol / 2`` once the policy settles.
 * :func:`solve_ergodic_relative` — relative value iteration at zero discount;
   the returned ``rate`` is the optimal long-run average cost, certified by the
   span of ``T0[u] - u`` (the true rate always lies between the extreme nodal
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from . import kernels
 from .grids import GridSpec, ValueField
@@ -52,7 +55,10 @@ __all__ = [
 
 
 # BiCGSTAB steps before a policy evaluation falls back to sparse LU.  Warm
-# started from the previous iterate, the bundled presets need at most ~450.
+# started from the previous iterate and stopped at the forcing tolerance, one
+# evaluation in the benchmark's four pipelines (seeds 0 and 11) takes at most
+# 132 steps (on case3_mirror; 102 on strip_attract's 25,921-node corrector
+# ball).
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
 # thresholds for the rest of the process, so the heap stops shrinking.
@@ -121,23 +127,45 @@ class SLOperator:
 
     def policy_value(
         self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol: float
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, int, bool]:
         """Value of a stationary policy: the solution of ``(I - gamma P) u =
         base``, where row ``n`` of ``P`` is the stencil of node ``n``'s control.
 
         BiCGSTAB from ``guess`` runs until the residual's 2-norm, which bounds
-        its sup norm, is at most ``atol``.  If it breaks down or stalls, one
-        sparse LU solve gives the value and its factor is dropped on return.
+        its sup norm, is at most ``atol``; since ``||(I - gamma P)^-1||_inf =
+        1 / (1 - gamma)``, the value is then within ``atol / (1 - gamma)`` of
+        the policy's exact value in the sup norm.  BiCGSTAB sees the system
+        matrix-free, as ``x - gamma * (P @ x)``.  If it breaks down or stalls,
+        ``I - gamma P`` is assembled for one sparse LU solve, whose factor is
+        dropped on return.  Returns the value, the BiCGSTAB iterations taken
+        and whether the LU fallback ran.
         """
         n = self.grid.size
         rows = np.arange(n)
         transition = kernels.stencil_matrix(self.idx[policy, rows], self.w[policy, rows], n)
-        system = sparse.identity(n, format="csr") - self.gamma(discount) * transition
+        gamma = self.gamma(discount)
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            y = transition @ x
+            y *= -gamma
+            y += x
+            return y
+
+        steps = 0
+
+        def count(_x: np.ndarray) -> None:
+            nonlocal steps
+            steps += 1
+
         rhs = self.base[policy, rows]
-        value, info = bicgstab(system, rhs, x0=guess, rtol=0.0, atol=atol, maxiter=_KRYLOV_MAX_ITER)
+        system = LinearOperator((n, n), matvec=matvec, dtype=float)
+        value, info = bicgstab(
+            system, rhs, x0=guess, rtol=0.0, atol=atol, maxiter=_KRYLOV_MAX_ITER, callback=count
+        )
         if info != 0:
-            value = splu(system.tocsc()).solve(rhs)
-        return value
+            assembled = sparse.identity(n, format="csr") - gamma * transition
+            value = splu(assembled.tocsc()).solve(rhs)
+        return value, steps, info != 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,6 +188,8 @@ class SolveInfo:
     converged: bool
     policy_evaluations: int   # linear solves for a policy's value
     stop: str                 # "residual" or "max_iter"
+    krylov_iterations: int    # BiCGSTAB iterations over all policy evaluations
+    lu_fallbacks: int         # evaluations handed to sparse LU
     method: str = "howard"
 
 
@@ -174,41 +204,57 @@ def solve_discounted(
 
     Howard's algorithm: each step applies the operator once, stops if
     ``max |T u - u| <= tol`` (returning ``T u``), and otherwise replaces
-    ``u`` by the value of the greedy policy, solved to residual ``tol / 2``
-    so that the application after the last policy change certifies.  When
-    the greedy policy repeats, a new solve would return ``u`` again, so the
-    step keeps ``T u`` instead.  Returns the iterate with the smallest
-    residual and ``converged=False`` when ``max_iter`` applications are
-    exhausted.
+    ``u`` by the value of the greedy policy.  That value is solved only to
+    the forcing tolerance ``atol = max(tol / 2, (1 - gamma) ||T u - u||_2)``,
+    with ``1 - gamma = discount * delta``: by the bound in
+    :meth:`SLOperator.policy_value` its sup-norm error then stays below
+    ``||T u - u||_2``, the current Bellman residual, which is all a Newton
+    step needs far from the fixed point, and the tolerance tightens to
+    ``tol / 2`` as the residual falls.  When the greedy policy repeats after
+    a loose solve, the same policy is solved again at ``tol / 2``; when it
+    repeats after a solve at ``tol / 2``, a new solve would return ``u``
+    again, so the step keeps ``T u`` instead.  The stopping rule reads ``T u`` alone, so the solve
+    tolerance moves the step count, never the certificate ``max |T u - u| <=
+    tol``.  Returns the iterate with the smallest residual and
+    ``converged=False`` when ``max_iter`` applications are exhausted.
     """
     op = problem.operator
     grid = op.grid
     u = np.zeros(grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1).copy()
+    forcing = problem.discount * op.delta  # 1 - gamma
+    tight = 0.5 * tol
     policy: np.ndarray | None = None
+    loose = False
     best: tuple[float, np.ndarray] | None = None
-    evaluations = 0
+    evaluations = krylov = fallbacks = 0
     it = 0
     while it < max_iter:
         tu, greedy = op.greedy(u, problem.discount)
         it += 1
-        residual = float(np.max(np.abs(tu - u)))
+        step = tu - u
+        residual = float(np.max(np.abs(step)))
         if residual <= tol:
             return (
                 ValueField(grid, tu.reshape(grid.n1, grid.n2)),
-                SolveInfo(it, residual, True, evaluations, "residual"),
+                SolveInfo(it, residual, True, evaluations, "residual", krylov, fallbacks),
             )
         if best is None or residual < best[0]:
             best = (residual, tu)
-        if policy is not None and np.array_equal(greedy, policy):
+        repeated = policy is not None and np.array_equal(greedy, policy)
+        if repeated and not loose:
             u = tu
-        else:
-            policy = greedy
-            u = op.policy_value(policy, problem.discount, guess=u, atol=0.5 * tol)
-            evaluations += 1
+            continue
+        policy = greedy
+        atol = tight if repeated else max(tight, forcing * float(np.linalg.norm(step)))
+        loose = atol > tight
+        u, steps, fell_back = op.policy_value(policy, problem.discount, guess=u, atol=atol)
+        evaluations += 1
+        krylov += steps
+        fallbacks += fell_back
     residual, tu = best if best is not None else (math.inf, u)
     return (
         ValueField(grid, tu.reshape(grid.n1, grid.n2)),
-        SolveInfo(it, residual, False, evaluations, "max_iter"),
+        SolveInfo(it, residual, False, evaluations, "max_iter", krylov, fallbacks),
     )
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from hj_strata import kernels
 from hj_strata.bellman import (
@@ -140,6 +142,110 @@ def test_policy_value_falls_back_to_lu(monkeypatch):
     lu, info = solve_discounted(problem, tol=1e-9)
     assert info.converged and info.policy_evaluations <= 20
     assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
+
+
+def test_solve_info_reports_krylov_work_and_lu_fallbacks(monkeypatch):
+    from hj_strata import bellman
+
+    op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
+    problem = DiscountedProblem(op, 0.05)
+    field, info = solve_discounted(problem, tol=1e-9)
+    assert info.converged
+    assert info.krylov_iterations >= info.policy_evaluations >= 1
+    assert info.lu_fallbacks == 0
+    monkeypatch.setattr(bellman, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
+    _, stalled = solve_discounted(problem, tol=1e-9)
+    assert stalled.converged and stalled.krylov_iterations == 0
+    assert stalled.lu_fallbacks == stalled.policy_evaluations >= 1
+    # a constant shift keeps the optimal policy greedy, so one LU solve lands
+    # on the fixed point
+    _, warm = solve_discounted(problem, tol=1e-9, u0=field.flat() + 1e-3)
+    assert warm.converged
+    assert (warm.policy_evaluations, warm.lu_fallbacks, warm.krylov_iterations) == (1, 1, 0)
+
+
+def _random_policy(op, seed):
+    """A random admissible control per node."""
+    rng = np.random.default_rng(seed)
+    keys = np.where(np.isfinite(op.base), rng.random(op.base.shape), -1.0)
+    return np.argmax(keys, axis=0)
+
+
+def _assembled_value(op, policy, gamma):
+    """The policy's value by sparse LU on ``I - gamma P``, with ``P`` built
+    entry by entry from the stored stencils."""
+    n = op.grid.size
+    nodes = np.arange(n)
+    p = sparse.coo_matrix(
+        (op.w[policy, nodes].ravel(), (np.repeat(nodes, 4), op.idx[policy, nodes].ravel())),
+        shape=(n, n),
+    )
+    system = (sparse.identity(n) - gamma * p).tocsc()
+    return splu(system).solve(op.base[policy, nodes])
+
+
+@pytest.mark.parametrize("kind", ["strip", "ball", "torus"])
+def test_matrix_free_policy_value_solves_the_assembled_system(kind):
+    if kind == "strip":
+        op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
+    elif kind == "ball":
+        op = ball_operator(load_preset("strip_attract"), 2.5, h=1 / 16)  # the corrector ball at 2h
+    else:
+        op = _torus_operator(h=1 / 16, cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
+    atol = 1e-10
+    for seed, discount in enumerate((0.5, 0.05)):
+        policy = _random_policy(op, seed)
+        gamma = op.gamma(discount)
+        value, steps, fell_back = op.policy_value(
+            policy, discount, guess=np.zeros(op.grid.size), atol=atol
+        )
+        assert steps >= 1 and not fell_back
+        reference = _assembled_value(op, policy, gamma)
+        assert np.max(np.abs(value - reference)) <= atol / (1.0 - gamma)
+
+
+def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
+    from hj_strata import bellman
+
+    op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
+    tol = 1e-9
+    events = []
+    greedy, krylov = SLOperator.greedy, bellman.bicgstab
+
+    def logged_greedy(self, u, discount):
+        tu, policy = greedy(self, u, discount)
+        events.append(("greedy", policy.copy(), float(np.max(np.abs(tu - u)))))
+        return tu, policy
+
+    def logged_bicgstab(a, b, **kw):
+        events.append(("solve", kw["atol"]))
+        return krylov(a, b, **kw)
+
+    monkeypatch.setattr(SLOperator, "greedy", logged_greedy)
+    monkeypatch.setattr(bellman, "bicgstab", logged_bicgstab)
+    _, info = solve_discounted(DiscountedProblem(op, 0.5), tol=tol)
+    assert info.converged
+    assert [e[0] for e in events[::2]] == ["greedy"] * len(events[::2])
+    atols = [e[1] for e in events if e[0] == "solve"]
+    assert atols[0] > 0.5 * tol and min(atols) == 0.5 * tol
+    checked = 0
+    for k in range(1, len(events) - 2, 2):
+        # events[k] solved the policy of events[k - 1]; events[k + 1] is the next greedy step
+        loose = events[k][1] > 0.5 * tol
+        _, policy, residual = events[k + 1]
+        if loose and residual > tol and np.array_equal(policy, events[k - 1][1]):
+            assert events[k + 2] == ("solve", 0.5 * tol)
+            checked += 1
+    assert checked >= 1
+
+
+@pytest.mark.parametrize("preset", ["drift_defect", "strip_attract"])
+def test_inexact_evaluations_stay_few_at_every_discount(preset):
+    op = strip_operator(load_preset(preset), 0.3, rho=2.0)
+    for discount in (0.5, 0.05, 0.005):
+        _, info = solve_discounted(DiscountedProblem(op, discount), tol=1e-9)
+        assert info.converged
+        assert 1 <= info.policy_evaluations <= 20
 
 
 def test_discounted_max_iter_returns_flagged_best_iterate():
