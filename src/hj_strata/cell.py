@@ -132,12 +132,6 @@ def _relative_and_continuation(
     )
 
 
-def _strip_block(scn: Scenario, branch: str):
-    if branch not in scn.branches:
-        raise ValueError(f"{scn.case} strip branches are {list(scn.branches)}, got {branch!r}")
-    return scn.strips.get(branch, scn.background), scn.strips.get(branch)
-
-
 def strip_operator(
     scn: Scenario,
     p1: float,
@@ -156,8 +150,10 @@ def strip_operator(
     """
     sched = scn.schedules
     h = sched.cell_h if h is None else h
-    block, declared = _strip_block(scn, branch)
-    period = declared.period if declared is not None and declared.period else 1.0
+    if branch not in scn.branches:
+        raise ValueError(f"{scn.case} strip branches are {list(scn.branches)}, got {branch!r}")
+    block = scn.block(branch)
+    period = block.period or 1.0
     grid = GridSpec.strip(period, rho, h)
     pts = grid.nodes()
     x = np.asarray(x0, dtype=float)

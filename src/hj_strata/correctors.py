@@ -54,7 +54,7 @@ from .cell import (
     torus_effective,
 )
 from .grids import GridSpec, ValueField
-from .hamiltonian import eval_fields, region_masks
+from .hamiltonian import eval_fields
 from .scenario import Scenario
 
 __all__ = [
@@ -499,20 +499,6 @@ def select_regime(scn: Scenario, tables: EffectiveTables, p, *, slack: float | N
 # ---------------------------------------------------------------------------
 
 
-def _band_masks(scn: Scenario, pts: np.ndarray) -> dict[str, np.ndarray]:
-    """Closed defect neighbourhoods used when fitting the strip offsets."""
-    y1, y2 = pts[:, 0], pts[:, 1]
-    tol = 1e-9
-    band = np.abs(y2) <= scn.R0 + tol
-    if scn.case in ("case1", "case2"):
-        omega = (band & (y1 <= tol)) | (y1 * y1 + y2 * y2 <= scn.R0 * scn.R0 + tol)
-        return {"main": omega}
-    return {
-        "plus": band & (y1 >= scn.R0 - tol),
-        "minus": band & (y1 <= -scn.R0 + tol),
-    }
-
-
 def _local_lipschitz(values: np.ndarray, grid: GridSpec, mask: np.ndarray) -> float:
     v = values.reshape(grid.n1, grid.n2)
     g1, g2 = np.gradient(v, grid.h1, grid.h2)
@@ -553,30 +539,28 @@ def _fit_max(diff: np.ndarray, grid: GridSpec, mask: np.ndarray, what: str) -> f
 
 
 def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
-    """Where each piece's own Hamiltonian agrees with the true one.
+    """Where each piece's own Hamiltonian agrees with the true one, by the
+    regions of :meth:`Scenario.regions`.
 
     The sampled origin corrector solves the true equation everywhere inside
-    its truncation; strip pieces are trustworthy on their own periodic band
-    and wherever the true fields coincide with the shared background; plane
-    waves only in the genuine background.
+    its truncation.  A strip piece is trusted on its own branch region and on
+    the background nodes at ``|y2| >= R0``, where its fields meet the
+    background's.  A plane wave is trusted on the background and on the
+    branches' band edge ``|y2| = R0`` outside the open core disc, where the
+    strip fields meet the background's.
     """
     y1, y2 = pts[:, 0], pts[:, 1]
-    masks = region_masks(scn, y1, y2)
+    masks = scn.regions(y1, y2)
     bg = masks["background"]
-    wide = np.abs(y2) >= scn.R0 - 1e-9
+    edge = np.abs(y2) >= scn.R0 - 1e-9
     safe = np.zeros((len(pieces), len(pts)), dtype=bool)
     for k, piece in enumerate(pieces):
         if piece.kind == "ball":
             safe[k] = True
         elif piece.kind in ("affine", "plane"):
-            safe[k] = bg
-            if scn.case in ("case1", "case2"):
-                safe[k] |= masks["strip"] & wide
+            safe[k] = bg | (edge & ~masks["core"] & (y1 * y1 + y2 * y2 >= scn.R1 * scn.R1))
         elif piece.kind == "strip":
-            own = masks["strip"] if scn.case in ("case1", "case2") else masks[f"strip_{piece.branch}"]
-            safe[k] = own | (bg & wide)
-            if scn.case in ("case1", "case2"):
-                safe[k] |= masks["strip"] & wide
+            safe[k] = masks[piece.branch] | (bg & edge)
         else:
             raise ValueError(f"unknown piece kind {piece.kind!r}")
     return safe
@@ -584,8 +568,11 @@ def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
 
 def _shared_offset(scn: Scenario, pieces, grid: GridSpec, pts: np.ndarray) -> float:
     """Common offset pushing each tagged strip below the unshifted pieces on
-    its own band."""
-    bands = _band_masks(scn, pts)
+    its own branch region, widened by 1e-9 to keep the band-edge nodes."""
+    bands = scn.regions(pts[:, 0], pts[:, 1], slack=1e-9)
+    if len(scn.branches) == 1:
+        # The case1/case2 core sits at the end of the band, so its strip fits there too.
+        bands["main"] |= bands["core"]
     reference = [p for p in pieces if p.kind != "ball" and not p.shares_c]
     ref_vals = np.min(_piece_matrix(reference, pts), axis=0)
     fit = 0.0
@@ -667,12 +654,14 @@ def _territory(
     the origin piece has to cover.
 
     A selected outer piece counts as trustworthy where the true fields
-    coincide with the ones it was solved against (the analytic region split
-    of :func:`_piece_safety`), or where its own measured level residual stays
-    within ``safety_margin`` (a piece that is locally a subsolution is a
-    legitimate selection even off its home region).  The test runs at every
-    node, the core included.  Residuals are measured once per build, and only
-    for the selected piece at the nodes the analytic split leaves unsettled.
+    coincide with the ones it was solved against (:func:`_piece_safety`: a
+    strip piece on its branch region and the background beyond the band, a
+    plane wave on the background and the band edge off the core disc), or
+    where its own measured level residual stays within ``safety_margin`` (a
+    piece that is locally a subsolution is a legitimate selection even off
+    its home region).  The test runs at every node, the core included.
+    Residuals are measured once per build, and only for the selected piece at
+    the nodes the analytic split leaves unsettled.
     """
     active = np.argmin(outer_vals, axis=0)
     rows = np.arange(len(pts))

@@ -3,9 +3,11 @@
 The Hamiltonian is the controlled form ``H(x, y, p) = max_a (-p.f(x,y,a) -
 l(x,y,a))``: convex piecewise-linear in ``p``, Lipschitz with the drift bound,
 and coercive as soon as the drift values at each point hull a disc around the
-origin.  Fields are evaluated by region: the fast point ``y`` selects the
-strip, core, or background block of the scenario, and the block's expressions
-are evaluated at ``(x, y)``.
+origin.  Fields are evaluated by region: the fast point ``y`` falls in one of
+the regions of :meth:`Scenario.regions` -- a branch's closed half-strip
+``|y2| <= R0`` around its half-line, the rest of the core disc ``|y| <= R1``,
+or the background -- and that region's block (:meth:`Scenario.block`) is
+evaluated at ``(x, y)``.
 
 The directional envelopes split the background control set by the sign of the
 vertical drift component: ``h_down`` keeps controls with ``f2 >= 0`` (those
@@ -34,9 +36,6 @@ from .scenario import (
 
 __all__ = [
     "HamiltonianSample",
-    "classify_point",
-    "eval_dynamics",
-    "eval_cost",
     "eval_fields",
     "eval_H",
     "eval_H_envelopes",
@@ -44,64 +43,6 @@ __all__ = [
     "estimate_bounds",
     "run_assumption_checks",
 ]
-
-
-def region_masks(scenario: Scenario, y1: np.ndarray, y2: np.ndarray) -> dict[str, np.ndarray]:
-    """Boolean masks assigning each fast point to exactly one field block."""
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    if scenario.case in ("case1", "case2"):
-        strip = y1 <= 0.0
-        core = (~strip) & (y1 * y1 + y2 * y2 <= scenario.R0 * scenario.R0)
-        return {"strip": strip, "core": core, "background": ~(strip | core)}
-    band = np.abs(y2) <= scenario.R0
-    plus = band & (y1 >= scenario.R0)
-    minus = band & (y1 <= -scenario.R0)
-    taken = plus | minus
-    core = (~taken) & (y1 * y1 + y2 * y2 <= scenario.R1 * scenario.R1)
-    return {
-        "strip_plus": plus,
-        "strip_minus": minus,
-        "core": core,
-        "background": ~(taken | core),
-    }
-
-
-def classify_point(scenario: Scenario, y: tuple[float, float] | np.ndarray) -> str:
-    """Tag of the defect region containing the fast point ``y``.
-
-    ``"strip"`` (``"strip_plus"``/``"strip_minus"`` for case3) is the periodic
-    band, ``"core"`` the compact free patch, ``"outside"`` the background.
-    """
-    y1, y2 = float(y[0]), float(y[1])
-    if scenario.case in ("case1", "case2"):
-        if y1 <= 0.0 and abs(y2) < scenario.R0:
-            return "strip"
-        if y1 > 0.0 and y1 * y1 + y2 * y2 <= scenario.R0 * scenario.R0:
-            return "core"
-        return "outside"
-    if abs(y2) <= scenario.R0:
-        if y1 >= scenario.R0:
-            return "strip_plus"
-        if y1 <= -scenario.R0:
-            return "strip_minus"
-    if y1 * y1 + y2 * y2 <= scenario.R1 * scenario.R1:
-        return "core"
-    return "outside"
-
-
-def _block_for(scenario: Scenario, region: str) -> FieldPair:
-    if region == "background":
-        return scenario.background
-    if region == "core":
-        return scenario.core if scenario.core is not None else scenario.background
-    if region == "strip":
-        return scenario.strips.get("main", scenario.background)
-    if region == "strip_plus":
-        return scenario.strips.get("plus", scenario.background)
-    if region == "strip_minus":
-        return scenario.strips.get("minus", scenario.background)
-    raise ValueError(f"unknown region {region!r}")
 
 
 def eval_fields(scenario: Scenario, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -123,24 +64,14 @@ def eval_fields(scenario: Scenario, x, y) -> tuple[np.ndarray, np.ndarray]:
     na = len(scenario.controls)
     drift = np.empty((na, n, 2))
     cost = np.empty((na, n))
-    for region, mask in region_masks(scenario, y1, y2).items():
+    for region, mask in scenario.regions(y1, y2).items():
         idx = np.nonzero(mask)[0]
         if idx.size == 0:
             continue
-        block = _block_for(scenario, region)
+        block = scenario.block(region)
         drift[:, idx, :] = block.eval_drift(x1[idx], x2[idx], y1[idx], y2[idx])
         cost[:, idx] = block.eval_cost(x1[idx], x2[idx], y1[idx], y2[idx])
     return drift.reshape(na, *pts_shape, 2), cost.reshape(na, *pts_shape)
-
-
-def eval_dynamics(scenario: Scenario, x, y) -> np.ndarray:
-    """Drift vectors ``f(x, y, a)`` for every control; shape (n_controls, ..., 2)."""
-    return eval_fields(scenario, x, y)[0]
-
-
-def eval_cost(scenario: Scenario, x, y) -> np.ndarray:
-    """Running costs ``l(x, y, a)`` for every control; shape (n_controls, ...)."""
-    return eval_fields(scenario, x, y)[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,7 +225,7 @@ def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, flo
         m_l = max(m_l, float(np.max(np.abs(cost))))
         sub = ys[:: max(1, len(ys) // 48)]
         for y in sub:
-            pts = eval_dynamics(scenario, x, y)
+            pts = eval_fields(scenario, x, y)[0]
             r_f = min(r_f, hull_inradius(pts))
         steps = rng.normal(size=ys.shape)
         steps *= eps / np.linalg.norm(steps, axis=1, keepdims=True)
@@ -359,13 +290,13 @@ def run_assumption_checks(
         gap_entry(name, "max field gap", block_a, block_b, pts)
 
     shift_gap = "max |field(y) - field(y + T e1)| ="
+    core = scenario.block("core")
+    bg = scenario.background
 
     if scenario.case in ("case1", "case2"):
-        strip = _block_for(scenario, "strip")
-        core = _block_for(scenario, "core")
-        bg = scenario.background
+        strip = scenario.block("main")
         if "main" in scenario.strips:
-            period = scenario.strips["main"].period or 1.0
+            period = strip.period or 1.0
             base = np.column_stack([
                 rng.uniform(-2.0 * period, 0.0, size=n),
                 rng.uniform(-R0 - 1.0, R0 + 1.0, size=n),
@@ -392,13 +323,11 @@ def run_assumption_checks(
                 bg, bg, np.vstack([base, base]), moved,
             )
     else:
-        bg = scenario.background
-        core = _block_for(scenario, "core")
-        for sign, branch in ((1.0, "strip_plus"), (-1.0, "strip_minus")):
-            strip = _block_for(scenario, branch)
-            key = branch.removeprefix("strip_")
+        for key, sign in scenario.branches.items():
+            strip = scenario.block(key)
+            branch = f"strip_{key}"
             if key in scenario.strips:
-                period = scenario.strips[key].period or 1.0
+                period = strip.period or 1.0
                 base = np.column_stack([
                     sign * rng.uniform(R0, R0 + 2.0 * period, size=n),
                     rng.uniform(-R0, R0, size=n),

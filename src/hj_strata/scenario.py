@@ -3,12 +3,15 @@
 A scenario describes one control problem family:
 
 * ``case1`` — uniform background on the plane, a periodic strip pattern on
-  the left half-plane ``y1 <= 0``, and a free core patch on the right
+  the half-strip ``y1 <= 0, |y2| <= R0``, and a free core patch on the right
   half-disc of radius ``R0``.
 * ``case2`` — like case1 but the background itself is periodic in both fast
   variables (periods given on the background block).
 * ``case3`` — two periodic strip patterns on the half-strips ``|y1| >= R0``,
   ``|y2| <= R0`` and a free core inside the disc of radius ``R1``.
+
+:meth:`Scenario.regions` is the one definition of this geometry and
+:meth:`Scenario.block` the one lookup of a region's fields.
 
 Fields are given per block as a drift expression pair and a cost expression
 over ``x1, x2, y1, y2``; the control components enter textually through the
@@ -229,15 +232,41 @@ class Scenario:
         text = json.dumps(self.canonical(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def strip_for(self, branch: str) -> FieldPair | None:
-        return self.strips.get(branch)
-
     @property
     def branches(self) -> dict[str, int]:
         """Defect half-lines by name, each with the side of the origin it lies
         on: -1 for ``y1 < 0``, +1 for ``y1 > 0``.  Case3 lists ``plus`` first.
         """
         return {"plus": +1, "minus": -1} if self.case == "case3" else {"main": -1}
+
+    def regions(self, y1, y2, slack: float = 0.0) -> dict[str, np.ndarray]:
+        """One mask per region, partitioning the fast points ``(y1, y2)``.
+
+        Each branch owns the closed half-strip ``side*y1 >= start``,
+        ``|y2| <= R0 + slack`` around its half-line, where ``start`` is 0 in
+        case1/case2 and R0 in case3.  ``"core"`` is the rest of the disc
+        ``|y| <= R1`` and ``"background"`` everything else.
+        """
+        y1 = np.asarray(y1, dtype=float)
+        y2 = np.asarray(y2, dtype=float)
+        start = self.R0 if self.case == "case3" else 0.0
+        band = np.abs(y2) <= self.R0 + slack
+        masks = {b: band & (side * y1 >= start) for b, side in self.branches.items()}
+        taken = np.logical_or.reduce(list(masks.values()))
+        masks["core"] = ~taken & (y1 * y1 + y2 * y2 <= self.R1 * self.R1)
+        masks["background"] = ~(taken | masks["core"])
+        return masks
+
+    def block(self, region: str) -> FieldPair:
+        """Field block of a region of :meth:`regions`; an undeclared defect
+        falls back to the background."""
+        if region == "background":
+            return self.background
+        if region == "core":
+            return self.background if self.core is None else self.core
+        if region in self.branches:
+            return self.strips.get(region, self.background)
+        raise ValueError(f"{self.case} regions are {[*self.branches, 'core', 'background']}, got {region!r}")
 
 
 def _generate_controls(spec: Any) -> tuple[tuple[float, float], ...]:

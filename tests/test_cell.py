@@ -18,7 +18,7 @@ from hj_strata.cell import (
     torus_effective,
     verify_corrector_slopes,
 )
-from hj_strata.hamiltonian import classify_point, estimate_bounds, eval_H, eval_H_envelopes
+from hj_strata.hamiltonian import estimate_bounds, eval_H, eval_H_envelopes
 from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
 COS16 = math.cos(math.pi / 16)
@@ -133,7 +133,7 @@ def test_background_floor_is_attained(name):
     """H(p1, .) attains the closed-form floor at pi_lower(floor) and stays above it."""
     scn = load_preset(name)
     y = (4.0, 4.0)  # a background point; periodic backgrounds repeat the origin here
-    assert classify_point(scn, y) == "outside"
+    assert scn.regions(*y)["background"]
     for p1 in _table_momenta(scn, 3):
         floor = background_min_over_q(scn, p1)
         q_star = slopes(scn, p1, floor)[0]

@@ -5,18 +5,14 @@ import pytest
 
 from hj_strata.cell import background_min_over_q
 from hj_strata.hamiltonian import (
-    classify_point,
     estimate_bounds,
     eval_H,
     eval_H_envelopes,
-    eval_cost,
-    eval_dynamics,
     eval_fields,
     hull_inradius,
-    region_masks,
     run_assumption_checks,
 )
-from hj_strata.scenario import load_preset, parse_scenario
+from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
 X0 = np.zeros(2)
 
@@ -25,59 +21,73 @@ def _random_cloud(rng, n=400, scale=2.0):
     return rng.uniform(-scale, scale, size=(n, 2))
 
 
-def test_region_masks_partition_case1():
-    scn = load_preset("strip_attract")
+@pytest.mark.parametrize("name", preset_names())
+def test_regions_partition_the_plane(name):
+    """Every fast point lies in exactly one region: a branch's closed
+    half-strip, the rest of the core disc, or the background."""
+    scn = load_preset(name)
     rng = np.random.default_rng(0)
-    pts = _random_cloud(rng)
-    masks = region_masks(scn, pts[:, 0], pts[:, 1])
-    total = np.zeros(len(pts), dtype=int)
-    for m in masks.values():
-        total += m.astype(int)
-    assert np.all(total == 1)
-    # strip only on the left, core only in the right half-disc
-    assert not np.any(masks["strip"] & (pts[:, 0] > 0))
+    R0, R1 = scn.R0, scn.R1
+    grid = np.arange(-3.0, 3.0 + 1e-9, R0 / 4)
+    pts = np.vstack([_random_cloud(rng), np.array(np.meshgrid(grid, grid)).reshape(2, -1).T])
+    y1, y2 = pts[:, 0], pts[:, 1]
+    masks = scn.regions(y1, y2)
+    assert list(masks) == [*scn.branches, "core", "background"]
+    assert np.all(sum(m.astype(int) for m in masks.values()) == 1)
+    start = R0 if scn.case == "case3" else 0.0
+    for branch, side in scn.branches.items():
+        assert np.array_equal(masks[branch], (side * y1 >= start) & (np.abs(y2) <= R0))
     core = masks["core"]
-    assert np.all(pts[core, 0] > 0)
-    assert np.all(np.hypot(pts[core, 0], pts[core, 1]) <= scn.R0 + 1e-12)
+    assert np.all(np.hypot(y1[core], y2[core]) <= R1 + 1e-12)
+    assert np.all(np.hypot(y1[masks["background"]], y2[masks["background"]]) > R0)
+    if scn.case != "case3":
+        assert np.all(y1[core] > 0)
 
 
-def test_region_masks_partition_case3():
-    scn = load_preset("case3_mirror")
-    rng = np.random.default_rng(1)
-    pts = _random_cloud(rng)
-    masks = region_masks(scn, pts[:, 0], pts[:, 1])
-    total = np.zeros(len(pts), dtype=int)
-    for m in masks.values():
-        total += m.astype(int)
-    assert np.all(total == 1)
-    plus = masks["strip_plus"]
-    assert np.all(pts[plus, 0] >= scn.R0 - 1e-12)
-    assert np.all(np.abs(pts[plus, 1]) <= scn.R0 + 1e-12)
-    core = masks["core"]
-    assert np.all(np.hypot(pts[core, 0], pts[core, 1]) <= scn.R1 + 1e-12)
+@pytest.mark.parametrize(
+    "name, point, region",
+    [
+        ("strip_attract", (-1.0, 0.9), "background"),
+        ("strip_attract", (0.3, 0.2), "core"),
+        ("strip_attract", (-0.3, 0.2), "main"),
+        ("case3_mirror", (0.6, 0.1), "plus"),
+        ("case3_mirror", (-0.6, -0.1), "minus"),
+        ("case3_mirror", (0.2, 0.6), "core"),
+        ("case3_mirror", (0.6, 0.6), "background"),
+    ],
+)
+def test_region_of_fixed_points_and_its_fields(name, point, region):
+    scn = load_preset(name)
+    masks = scn.regions(np.array([point[0]]), np.array([point[1]]))
+    assert [r for r, m in masks.items() if m[0]] == [region]
+    drift, cost = eval_fields(scn, X0, np.array(point))
+    block = scn.block(region)
+    assert np.array_equal(drift, block.eval_drift(0.0, 0.0, *point))
+    assert np.array_equal(cost, block.eval_cost(0.0, 0.0, *point))
 
 
-def test_classify_point_consistent_with_field_dispatch():
-    """The fields at a point equal the fields of the block its tag names.
+@pytest.mark.parametrize("name", preset_names())
+def test_strips_equal_the_background_beside_the_band(name):
+    """On its side of the origin and beside its band (``|y2| > R0``) every
+    strip block equals the background bitwise, so dispatching those points
+    to the background changes no number."""
+    scn = load_preset(name)
+    ys = np.arange(0.0, 4.0 + 1e-12, 1.0 / 32.0)
+    y1, y2 = (a.ravel() for a in np.meshgrid(ys, np.concatenate([-ys, ys])))
+    y1, y2 = y1[np.abs(y2) > scn.R0], y2[np.abs(y2) > scn.R0]
+    x = np.zeros_like(y1)
+    bg = scn.background
+    for branch in scn.strips:
+        y1_side = scn.branches[branch] * y1
+        strip = scn.block(branch)
+        assert np.array_equal(strip.eval_drift(x, x, y1_side, y2), bg.eval_drift(x, x, y1_side, y2)), branch
+        assert np.array_equal(strip.eval_cost(x, x, y1_side, y2), bg.eval_cost(x, x, y1_side, y2)), branch
 
-    Dispatch masks and geometric tags may disagree on label in the overlap
-    where a strip block coincides with the background (that is what the seam
-    checks guarantee); the evaluated fields must still be identical.
-    """
-    from hj_strata.hamiltonian import _block_for
 
-    rng = np.random.default_rng(2)
-    for name in ("strip_attract", "checkerboard", "case3_mirror"):
-        scn = load_preset(name)
-        pts = _random_cloud(rng, n=120)
-        for pt in pts:
-            tag = classify_point(scn, pt)
-            block = _block_for(scn, "background" if tag == "outside" else tag)
-            drift, cost = eval_fields(scn, X0, pt)
-            want_d = block.eval_drift(0.0, 0.0, pt[0], pt[1])
-            want_c = block.eval_cost(0.0, 0.0, pt[0], pt[1])
-            assert np.allclose(drift, want_d, atol=1e-12), (name, pt, tag)
-            assert np.allclose(cost, want_c, atol=1e-12), (name, pt, tag)
+def test_undeclared_defects_fall_back_to_the_background():
+    scn = load_preset("eikonal")
+    assert scn.block("main") is scn.background
+    assert scn.block("core") is scn.background
 
 
 def test_eval_fields_dispatches_blocks():
@@ -87,9 +97,9 @@ def test_eval_fields_dispatches_blocks():
     _, cost_bg = eval_fields(scn, X0, np.array([-1.0, 1.5]))
     assert cost_strip.min() == pytest.approx(0.5)
     assert cost_bg.min() == pytest.approx(1.0)
-    drift = eval_dynamics(scn, X0, np.array([3.0, 3.0]))
+    drift, cost = eval_fields(scn, X0, np.array([3.0, 3.0]))
     assert drift.shape == (len(scn.controls), 2)
-    assert eval_cost(scn, X0, np.array([3.0, 3.0])).shape == (len(scn.controls),)
+    assert cost.shape == (len(scn.controls),)
 
 
 def test_eval_H_is_control_max():

@@ -19,6 +19,18 @@ def test_console_script_targets_import():
         assert callable(obj), f"{name} -> {target} is not callable"
 
 
+def test_every_exported_name_resolves():
+    """Each ``hj_strata`` module's ``__all__`` names only attributes it has."""
+    package = importlib.import_module("hj_strata")
+    names = ["hj_strata"] + [
+        f"hj_strata.{p.stem}" for p in Path(package.__file__).parent.glob("*.py") if p.stem != "__init__"
+    ]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
 def test_pipeline_modules_do_not_import_scipy_optimize():
     """The cell, corrector and scheme layers solve their envelope algebra in
     closed form; importing ``scipy.optimize`` would cost memory and start-up

@@ -130,9 +130,10 @@ def test_case3_strip_branches():
         },
     )
     scn = parse_scenario(d, label="t")
-    assert scn.strip_for("plus").cost_source == "0.5"
-    assert scn.strip_for("minus").cost_source == "0.75"
-    assert scn.strip_for("main") is None
+    assert scn.block("plus").cost_source == "0.5"
+    assert scn.block("minus").cost_source == "0.75"
+    with pytest.raises(ValueError, match="main"):
+        scn.block("main")
 
 
 def test_case2_background_periods():

@@ -141,6 +141,20 @@ def test_attractive_line_pins_value():
     assert field.values.min() >= 0.5 - 1e-7  # nothing undercut the defect floor
 
 
+@pytest.mark.xfail(strict=True, reason="at the scheduled step sqrt(h) the limit solve misses the closed form (ROADMAP, Known defects)")
+def test_attractive_line_matches_closed_form_off_the_line():
+    """strip_attract has the exact solution u = 1 - e^(-d)/2, d the distance
+    to the half-line x1 <= 0: the background is the unit eikonal cone and the
+    line and the origin both hold 0.5."""
+    scn = load_preset("strip_attract")
+    tables = cached_tables("strip_attract")
+    grid = box_grid()
+    field, _, _ = solve_scheme(build_scheme(scn, tables, grid), tol=1e-10)
+    probes = np.array([[0.25, 0.0], [-0.5, 1.0]])
+    exact = 1.0 - 0.5 * np.exp(-np.array([0.25, 1.0]))
+    assert np.max(np.abs(field(probes) - exact)) <= 0.02
+
+
 def test_attractive_line_report_signs():
     scn = load_preset("strip_attract")
     tables = cached_tables("strip_attract")
