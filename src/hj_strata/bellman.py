@@ -64,6 +64,10 @@ __all__ = [
 # thresholds for the rest of the process, so the heap stops shrinking.
 _KRYLOV_MAX_ITER = 1000
 
+# Continuation stages, and the smallest discount a stage may take.
+_MAX_STAGES = 60
+_LAMBDA_FLOOR = 1e-7
+
 
 class SLOperator:
     """Precomputed Bellman operator on every node of ``grid``.
@@ -111,10 +115,9 @@ class SLOperator:
             raise ValueError(f"discount*delta = {discount * self.delta:.6g} must lie in [0, 1)")
         return g
 
-    def apply(self, u: np.ndarray, discount: float, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, u: np.ndarray, discount: float) -> np.ndarray:
         """One synchronous Bellman application."""
-        if out is None:
-            out = np.empty(self.grid.size)
+        out = np.empty(self.grid.size)
         kernels.jacobi_min(self.idx, self.w, self.base, self.gamma(discount), u, out)
         return out
 
@@ -360,8 +363,6 @@ def ergodic_continuation(
     lambda0: float,
     factor: float,
     tol: float,
-    max_stages: int = 60,
-    lambda_floor: float = 1e-7,
     max_iter: int = 400_000,
 ) -> ContinuationResult:
     """Vanishing-discount estimate of the average cost.
@@ -370,7 +371,8 @@ def ergodic_continuation(
     (shifting by the estimated rate times the change of ``1/lambda``), records
     ``(lambda, anchor value)`` pairs, and Richardson-extrapolates
     ``lambda * anchor`` to ``lambda = 0``; stops when two successive
-    extrapolations agree within ``0.5 * tol``.  Inner solves run to residual
+    extrapolations agree within ``0.5 * tol`` (unconverged after 60 stages
+    or once the discount falls below 1e-7).  Inner solves run to residual
     ``0.1 * tol * delta`` so their contribution to the rate error stays below
     ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
     """
@@ -386,7 +388,7 @@ def ergodic_continuation(
     converged = False
     stage = 0
     fieldv: ValueField | None = None
-    while stage < max_stages and lam >= lambda_floor:
+    while stage < _MAX_STAGES and lam >= _LAMBDA_FLOOR:
         fieldv, info = solve_discounted(
             DiscountedProblem(op, lam), tol=inner_tol, max_iter=max_iter, u0=u
         )

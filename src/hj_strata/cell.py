@@ -43,6 +43,10 @@ from .grids import GridSpec, ValueField
 from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, eval_fields
 from .scenario import Scenario
 
+_X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
+_MAX_ITER = 500_000     # application budget of each ergodic solver
+_SLOPE_TOL = 5e-2       # corrector-slope fit vs window, in verify_corrector_slopes
+
 __all__ = [
     "ErgodicEstimate",
     "TangentialResult",
@@ -84,7 +88,6 @@ class ErgodicEstimate:
     p: tuple[float, float]   # momentum shift entering the running cost
     truncation: float        # rho (strip) or R (ball); 0 for torus cells
     constant: float          # ergodic constant = -(average cost), from relative VI
-    vi_constant: float
     continuation_constant: float
     method_gap: float
     corrector: ValueField    # relative value field, 0 at the anchor node
@@ -104,13 +107,12 @@ def _relative_and_continuation(
     branch: str | None,
     p: tuple[float, float],
     truncation: float,
-    max_iter: int,
 ) -> ErgodicEstimate:
     sched = scn.schedules
     cont = ergodic_continuation(
-        op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=max_iter
+        op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER
     )
-    vi = solve_ergodic_relative(op, tol=tol, max_iter=max_iter, u0=cont.field.flat())
+    vi = solve_ergodic_relative(op, tol=tol, max_iter=_MAX_ITER, u0=cont.field.flat())
     vi_constant = -vi.rate
     cont_constant = -cont.rate
     gap = abs(vi_constant - cont_constant)
@@ -120,7 +122,6 @@ def _relative_and_continuation(
         p=p,
         truncation=truncation,
         constant=vi_constant,
-        vi_constant=vi_constant,
         continuation_constant=cont_constant,
         method_gap=gap,
         corrector=vi.field,
@@ -137,7 +138,6 @@ def strip_operator(
     p1: float,
     *,
     branch: str = "main",
-    x0: tuple[float, float] = (0.0, 0.0),
     rho: float,
     h: float | None = None,
     delta: float | None = None,
@@ -156,9 +156,8 @@ def strip_operator(
     period = block.period or 1.0
     grid = GridSpec.strip(period, rho, h)
     pts = grid.nodes()
-    x = np.asarray(x0, dtype=float)
-    drift = block.eval_drift(x[0], x[1], pts[:, 0], pts[:, 1])
-    cost = block.eval_cost(x[0], x[1], pts[:, 0], pts[:, 1])
+    drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
+    cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
     cost = cost + p1 * drift[..., 0]
     return SLOperator(grid, drift, cost, sched.delta(h) if delta is None else delta)
 
@@ -168,19 +167,16 @@ def strip_ergodic(
     p1: float,
     *,
     branch: str = "main",
-    x0: tuple[float, float] = (0.0, 0.0),
     rho: float,
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-    max_iter: int = 500_000,
 ) -> ErgodicEstimate:
     """Ergodic constant/corrector of one truncated strip at momentum ``p1``."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    op = strip_operator(scn, p1, branch=branch, x0=x0, rho=rho, h=h, delta=delta)
+    op = strip_operator(scn, p1, branch=branch, rho=rho, h=h, delta=delta)
     return _relative_and_continuation(
-        op, scn, tol=tol, kind="strip", branch=branch, p=(p1, 0.0),
-        truncation=rho, max_iter=max_iter,
+        op, scn, tol=tol, kind="strip", branch=branch, p=(p1, 0.0), truncation=rho
     )
 
 
@@ -209,19 +205,16 @@ def tangential_hamiltonian(
     p1: float,
     *,
     branch: str = "main",
-    x0: tuple[float, float] = (0.0, 0.0),
-    rho_list: Sequence[float] | None = None,
-    h: float | None = None,
     tol: float | None = None,
 ) -> TangentialResult:
     """Tangential effective Hamiltonian at ``p1``: strip constants run along
-    ``rho_list`` until two consecutive values agree within ``tol``; if the
-    schedule is exhausted first the result is flagged unconverged."""
+    the scheduled ``rho_list`` until two consecutive values agree within
+    ``tol``; if the schedule is exhausted first the result is flagged
+    unconverged."""
     sched = scn.schedules
-    rhos = tuple(rho_list) if rho_list is not None else sched.rho_list
     tol = sched.tol_ergodic if tol is None else tol
     estimates, converged = _walk_truncations(
-        lambda rho: strip_ergodic(scn, p1, branch=branch, x0=x0, rho=rho, h=h, tol=tol), rhos, tol
+        lambda rho: strip_ergodic(scn, p1, branch=branch, rho=rho, tol=tol), sched.rho_list, tol
     )
     return TangentialResult(estimates[-1].constant, estimates, converged)
 
@@ -230,17 +223,16 @@ def ball_operator(
     scn: Scenario,
     R: float,
     *,
-    x0: tuple[float, float] = (0.0, 0.0),
     h: float | None = None,
     delta: float | None = None,
 ) -> SLOperator:
     """State-constrained operator on the box [-R, R]^2 with the full region
-    dispatch (strips, core, background) frozen at the slow point ``x0``."""
+    dispatch (strips, core, background) frozen at the slow point x = 0."""
     sched = scn.schedules
     h = sched.cell_h if h is None else h
     grid = GridSpec.box(R, h)
     pts = grid.nodes()
-    drift, cost = eval_fields(scn, np.asarray(x0, dtype=float), pts)
+    drift, cost = eval_fields(scn, _X0, pts)
     return SLOperator(grid, drift, cost, sched.delta(h) if delta is None else delta)
 
 
@@ -248,18 +240,15 @@ def ball_ergodic(
     scn: Scenario,
     R: float,
     *,
-    x0: tuple[float, float] = (0.0, 0.0),
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-    max_iter: int = 500_000,
 ) -> ErgodicEstimate:
     """Compact-core ergodic constant on the box truncation of radius ``R``."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    op = ball_operator(scn, R, x0=x0, h=h, delta=delta)
+    op = ball_operator(scn, R, h=h, delta=delta)
     return _relative_and_continuation(
-        op, scn, tol=tol, kind="ball", branch=None, p=(0.0, 0.0),
-        truncation=R, max_iter=max_iter,
+        op, scn, tol=tol, kind="ball", branch=None, p=(0.0, 0.0), truncation=R
     )
 
 
@@ -277,8 +266,6 @@ def dirichlet_datum(
     scn: Scenario,
     *,
     R_list: Sequence[float] | None = None,
-    x0: tuple[float, float] = (0.0, 0.0),
-    h: float | None = None,
     tol: float | None = None,
 ) -> DirichletResult:
     """Origin datum ``E``: ball constants along ``R_list``, last value kept,
@@ -286,7 +273,7 @@ def dirichlet_datum(
     sched = scn.schedules
     Rs = tuple(R_list) if R_list is not None else sched.R_list
     tol = sched.tol_ergodic if tol is None else tol
-    estimates, converged = _walk_truncations(lambda R: ball_ergodic(scn, R, x0=x0, h=h, tol=tol), Rs, tol)
+    estimates, converged = _walk_truncations(lambda R: ball_ergodic(scn, R, tol=tol), Rs, tol)
     return DirichletResult(estimates[-1].constant, estimates[-1].corrector, estimates, converged)
 
 
@@ -294,7 +281,6 @@ def torus_operator(
     scn: Scenario,
     p: tuple[float, float],
     *,
-    x0: tuple[float, float] = (0.0, 0.0),
     h: float | None = None,
     delta: float | None = None,
 ) -> SLOperator:
@@ -305,10 +291,9 @@ def torus_operator(
     periods = scn.background_periods or (1.0, 1.0)
     grid = GridSpec.torus(periods, h)
     pts = grid.nodes()
-    x = np.asarray(x0, dtype=float)
     block = scn.background
-    drift = block.eval_drift(x[0], x[1], pts[:, 0], pts[:, 1])
-    cost = block.eval_cost(x[0], x[1], pts[:, 0], pts[:, 1])
+    drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
+    cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
     cost = cost + p[0] * drift[..., 0] + p[1] * drift[..., 1]
     return SLOperator(grid, drift, cost, sched.delta(h) if delta is None else delta)
 
@@ -317,51 +302,42 @@ def torus_effective(
     scn: Scenario,
     p: tuple[float, float],
     *,
-    x0: tuple[float, float] = (0.0, 0.0),
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-    max_iter: int = 500_000,
 ) -> ErgodicEstimate:
     """Periodic-background effective Hamiltonian value at momentum ``p``."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    op = torus_operator(scn, p, x0=x0, h=h, delta=delta)
+    op = torus_operator(scn, p, h=h, delta=delta)
     return _relative_and_continuation(
-        op, scn, tol=tol, kind="torus", branch=None, p=(float(p[0]), float(p[1])),
-        truncation=0.0, max_iter=max_iter,
+        op, scn, tol=tol, kind="torus", branch=None, p=(float(p[0]), float(p[1])), truncation=0.0
     )
 
 
-def _background_lines(scn: Scenario, x0, p1: float) -> tuple[np.ndarray, np.ndarray]:
+def _background_lines(scn: Scenario, p1: float) -> tuple[np.ndarray, np.ndarray]:
     """Intercepts ``a`` and slopes ``f2`` of the lines ``a - q * f2`` whose
     maximum is the background Hamiltonian at ``(p1, q)``; raises when no
     control has ``f2 > 0`` or none ``f2 < 0``, so that an envelope is flat."""
-    drift, cost = _frozen_background(scn, x0)
+    drift, cost = _frozen_background(scn, _X0)
     f2 = _vertical_drift(drift)
     if not ((f2 > 0.0).any() and (f2 < 0.0).any()):
         raise ValueError("envelope is flat in q: the background needs controls with f2 > 0 and with f2 < 0")
     return -p1 * drift[:, 0] - cost, f2
 
 
-def background_min_over_q(scn: Scenario, p1: float, *, x0=(0.0, 0.0)) -> float:
+def background_min_over_q(scn: Scenario, p1: float) -> float:
     """min over q of the background Hamiltonian at (p1, q): the floor every
     tangential constant must dominate.  The minimum of a maximum of lines is
     the highest flat line or the highest crossing of a falling line
     (``f2 > 0``) with a rising one (``f2 < 0``)."""
-    a, f2 = _background_lines(scn, x0, p1)
+    a, f2 = _background_lines(scn, p1)
     fall, rise = f2 > 0.0, f2 < 0.0
     fi, ai = f2[fall, None], a[fall, None]
     crossings = (a[rise] * fi - ai * f2[rise]) / (fi - f2[rise])
     return float(max(crossings.max(), a[f2 == 0.0].max(initial=-math.inf)))
 
 
-def slopes(
-    scn: Scenario,
-    p1: float,
-    level: float,
-    *,
-    x0: tuple[float, float] = (0.0, 0.0),
-) -> tuple[float, float]:
+def slopes(scn: Scenario, p1: float, level: float) -> tuple[float, float]:
     """Vertical slope window ``(pi_lower, pi_upper)`` at the given level.
 
     ``pi_upper`` is the largest ``q`` with ``h_up(p1, q) <= level`` and
@@ -371,7 +347,7 @@ def slopes(
     and ``pi_upper`` the smallest over ``f2_k < 0``.  Raises with the gap when
     the level sits below the envelope minimum, the highest flat line.
     """
-    a, f2 = _background_lines(scn, x0, p1)
+    a, f2 = _background_lines(scn, p1)
     env_min = float(a[f2 == 0.0].max(initial=-math.inf))
     if level < env_min - 1e-12:
         raise ValueError(
@@ -398,14 +374,13 @@ def verify_corrector_slopes(
     estimate: ErgodicEstimate,
     *,
     level: float | None = None,
-    tol: float = 5e-2,
-    x0: tuple[float, float] = (0.0, 0.0),
 ) -> SlopeCheck:
     """Check the linear growth of a strip corrector against the slope window.
 
     Fits the mean vertical slope over the outer quarter of the strip (minus a
     one-step boundary layer where the state constraint bends the corrector)
-    and compares with (pi_lower, pi_upper) at the tangential level.  The
+    and compares with (pi_lower, pi_upper) at the tangential level, each
+    within ``_SLOPE_TOL``.  The
     comparison is only binding in the regime where the tangential constant
     exceeds the background floor; otherwise the corrector stays bounded and
     the check passes vacuously.
@@ -414,9 +389,9 @@ def verify_corrector_slopes(
         raise ValueError("slope verification applies to strip correctors")
     p1 = estimate.p[0]
     level = estimate.constant if level is None else level
-    floor = background_min_over_q(scn, p1, x0=x0)
+    floor = background_min_over_q(scn, p1)
     active = level > floor + 1e-3
-    pi_lo, pi_hi = slopes(scn, p1, max(level, floor), x0=x0)
+    pi_lo, pi_hi = slopes(scn, p1, max(level, floor))
     grid = estimate.corrector.grid
     vals = estimate.corrector.values
     rho = -grid.origin[1]
@@ -433,9 +408,10 @@ def verify_corrector_slopes(
     fit_upper = float(np.polyfit(c2[top], row_mean[top], 1)[0])
     fit_lower = float(np.polyfit(c2[bot], row_mean[bot], 1)[0])
     if active:
-        passed = abs(fit_upper - pi_hi) <= tol and abs(fit_lower - pi_lo) <= tol
+        passed = abs(fit_upper - pi_hi) <= _SLOPE_TOL and abs(fit_lower - pi_lo) <= _SLOPE_TOL
         detail = (
-            f"fit ({fit_lower:.4f}, {fit_upper:.4f}) vs window ({pi_lo:.4f}, {pi_hi:.4f}), tol {tol:g}"
+            f"fit ({fit_lower:.4f}, {fit_upper:.4f}) vs window ({pi_lo:.4f}, {pi_hi:.4f}), "
+            f"tol {_SLOPE_TOL:g}"
         )
     else:
         passed = True
@@ -592,8 +568,6 @@ def tabulate_effective(
     threads: int = 1,
     p1_grid: Sequence[float] | None = None,
     p_grid: Sequence[float] | None = None,
-    h: float | None = None,
-    progress: Callable[[str], None] | None = None,
 ) -> EffectiveTables:
     """Batch-solve every table the junction scheme needs.
 
@@ -617,9 +591,8 @@ def tabulate_effective(
     flags: dict[str, str] = {}
 
     def solve_h1t(branch: str, p1: float) -> TangentialResult:
-        return tangential_hamiltonian(scn, p1, branch=branch, tol=tol, h=h)
+        return tangential_hamiltonian(scn, p1, branch=branch, tol=tol)
 
-    note = progress or (lambda s: None)
     h1t: dict[str, np.ndarray] = {}
     gaps: dict[str, np.ndarray] = {}
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
@@ -628,7 +601,7 @@ def tabulate_effective(
             for branch in branches
             for i, p1 in enumerate(p1s)
         }
-        e_future = pool.submit(dirichlet_datum, scn, h=h, tol=tol)
+        e_future = pool.submit(dirichlet_datum, scn, tol=tol)
         torus_futures = None
         ps = None
         if scn.case == "case2":
@@ -638,7 +611,7 @@ def tabulate_effective(
                 else np.linspace(-window, window, 17)
             )
             torus_futures = {
-                (i, j): pool.submit(torus_effective, scn, (float(a), float(b)), tol=tol, h=h)
+                (i, j): pool.submit(torus_effective, scn, (float(a), float(b)), tol=tol)
                 for i, a in enumerate(ps)
                 for j, b in enumerate(ps)
             }
@@ -651,7 +624,6 @@ def tabulate_effective(
                 gap_row[i] = max(e.method_gap for e in result.estimates)
                 if not result.converged:
                     flags[f"h1t/{branch}/{i}"] = "truncation schedule exhausted or solver not converged"
-                note(f"h1t[{branch}] p1={p1s[i]:+.3f} -> {vals[i]:+.6f}")
             h1t[branch] = vals
             gaps[branch] = gap_row
         dirichlet = e_future.result()
@@ -665,7 +637,6 @@ def tabulate_effective(
                 hbar[i, j] = est.constant
                 if not est.converged:
                     flags[f"hbar/{i}/{j}"] = "torus solve not converged"
-            note("hbar table complete")
 
     pi_lower: dict[str, np.ndarray] = {}
     pi_upper: dict[str, np.ndarray] = {}
@@ -685,7 +656,7 @@ def tabulate_effective(
         "scenario": scn.label,
         "scenario_hash": scn.content_hash(),
         "tol_ergodic": tol,
-        "cell_h": sched.cell_h if h is None else h,
+        "cell_h": sched.cell_h,
         "rho_list": list(sched.rho_list),
         "R_list": list(sched.R_list),
         "p_window": window,

@@ -46,6 +46,7 @@ import numpy as np
 
 from .bellman import SLOperator
 from .cell import (
+    _X0,
     ErgodicEstimate,
     EffectiveTables,
     ball_ergodic,
@@ -54,7 +55,7 @@ from .cell import (
     torus_effective,
 )
 from .grids import GridSpec, ValueField
-from .hamiltonian import eval_fields
+from .hamiltonian import _frozen_background, eval_fields
 from .scenario import Scenario
 
 __all__ = [
@@ -73,7 +74,6 @@ __all__ = [
     "subsolution_residual",
 ]
 
-_X0 = np.zeros(2)
 _EDGE_FRACTION = 0.75   # the split radius must fit inside this fraction of the box
 _RIM_CELLS = 3          # width of the gluing ring, in grid spacings
 # Origin regime: the origin piece owns |y| <= this * R0.  The docs do not fix
@@ -83,6 +83,9 @@ _RIM_CELLS = 3          # width of the gluing ring, in grid spacings
 # 0.0022 .. 0.0232 over that scan -- see ROADMAP, Known defects.
 _CORE_FRACTION = 0.5
 _TIE_SLACK = 1e-9
+# Largest measured level residual that lets a piece be selected off its
+# analytic home region (see _territory).
+_SAFETY_MARGIN = 5e-3
 
 
 class RegimeError(ValueError):
@@ -105,8 +108,7 @@ def plane_level(scn: Scenario, tables: EffectiveTables, p) -> float:
         if tables.hbar is None:
             raise ValueError("case2 tables carry no ambient grid; retabulate with a p_grid")
         return float(tables.hbar_at(p))
-    drift = scn.background.eval_drift(0.0, 0.0, 0.0, 0.0)
-    cost = scn.background.eval_cost(0.0, 0.0, 0.0, 0.0)
+    drift, cost = _frozen_background(scn, _X0)
     return float(np.max(-(drift @ p) - cost))
 
 
@@ -425,33 +427,28 @@ class CorrectorSet:
 def build_corrector_set(
     scn: Scenario,
     *,
-    half_width: float | None = None,
     h: float | None = None,
     tol: float | None = None,
-    delta: float | None = None,
 ) -> CorrectorSet:
     """Solve the shared correctors for subsolution assembly.
 
-    ``half_width`` is the certification window the fitted constants must
-    cover (default ``4 * R1``); sampled fields are solved on a padded domain
-    so their state-constrained boundaries sit outside it.
+    The certification window the fitted constants must cover has half-width
+    ``4 * R1``, rounded up to the grid; sampled fields are solved on a padded
+    domain so their state-constrained boundaries sit outside it.
 
     Unlike the table solves, these fields are differenced pointwise by the
-    residual checks, so the default time step is the linear one, ``delta =
-    h``: the scheduled ``sqrt(h)`` step converges to the right constants but
-    leaves O(sqrt(h)) slope errors wherever the running cost varies, which a
+    residual checks, so the time step is the linear one, ``delta = h``: the
+    scheduled ``sqrt(h)`` step converges to the right constants but leaves
+    O(sqrt(h)) slope errors wherever the running cost varies, which a
     gradient test then reports as a (spurious) level violation.
     """
     sched = scn.schedules
     h = sched.cell_h if h is None else float(h)
     tol = sched.tol_ergodic if tol is None else float(tol)
-    delta = h if delta is None else float(delta)
-    if half_width is None:
-        half_width = 4.0 * scn.R1
-    half_width = math.ceil(half_width / h) * h
+    half_width = math.ceil(4.0 * scn.R1 / h) * h
     pad = max(0.5, 8.0 * h)
     coverage = math.ceil((half_width + pad) / h) * h
-    est = ball_ergodic(scn, coverage, h=h, tol=tol, delta=delta)
+    est = ball_ergodic(scn, coverage, h=h, tol=tol, delta=h)
     notes = [f"origin corrector truncation {coverage:g}, constant {est.constant:.6g}"]
     if not est.converged:
         raise RuntimeError(f"origin corrector at truncation {coverage:g} did not converge")
@@ -461,7 +458,7 @@ def build_corrector_set(
         coverage=float(coverage),
         h=h,
         tol=tol,
-        delta=delta,
+        delta=h,
         w_field=est.corrector,
         w_constant=float(est.constant),
         notes=tuple(notes),
@@ -473,17 +470,17 @@ def build_corrector_set(
 # ---------------------------------------------------------------------------
 
 
-def select_regime(scn: Scenario, tables: EffectiveTables, p, *, slack: float | None = None) -> str:
+def select_regime(scn: Scenario, tables: EffectiveTables, p) -> str:
     """Dominant level at the covector: ``"plane"``, ``"line"``, or ``"origin"``.
 
     Ties follow the constructions' reach: the origin datum wins its ties (the
     lifted level E + η covers equalities) and the tangential level wins a tie
-    with the ambient one.  ``slack`` defaults to the solver tolerance the
-    tables were built at -- orderings tighter than that are not resolved by
-    the data, and the origin construction is the one that tolerates them.
+    with the ambient one.  Levels within the solver tolerance the tables were
+    built at (at least 1e-9) count as tied -- orderings tighter than that are
+    not resolved by the data, and the origin construction is the one that
+    tolerates them.
     """
-    if slack is None:
-        slack = max(1e-9, float(tables.provenance.get("tol_ergodic", 0.0)))
+    slack = max(1e-9, float(tables.provenance.get("tol_ergodic", 0.0)))
     p = np.asarray(p, dtype=float)
     plane = plane_level(scn, tables, p)
     line = max(float(tables.h1t_at(p[0], branch)) for branch in tables.branches())
@@ -533,7 +530,7 @@ def _fit_max(diff: np.ndarray, grid: GridSpec, mask: np.ndarray, what: str) -> f
         k = int(np.argmax(np.where(on_edge, vals, -np.inf)))
         raise ValueError(
             f"{what}: the fitted maximum sits on the sampling-box edge at "
-            f"y=({pts[k, 0]:.3g}, {pts[k, 1]:.3g}); enlarge half_width"
+            f"y=({pts[k, 0]:.3g}, {pts[k, 1]:.3g}), so the window cannot certify beyond it"
         )
     return _margined_max(diff, grid, mask)
 
@@ -626,18 +623,15 @@ def _piece_quotients(piece: Piece, pts: np.ndarray, h1: float, h2: float):
     return g1m, g1p, g2m, g2p
 
 
-def _piece_level_residuals(
-    scn: Scenario, pieces, pts: np.ndarray, h1: float, h2: float, level: float
+def _piece_level_residual(
+    scn: Scenario, piece: Piece, pts: np.ndarray, h1: float, h2: float, level: float
 ) -> np.ndarray:
-    """Per-piece, per-node level residual under the true Hamiltonian --
+    """Per-node level residual of one piece under the true Hamiltonian --
     the same a.e. measurement the final residual check applies to the
-    composed minimum, here on each piece's smooth extension separately.
+    composed minimum, here on the piece's smooth extension.
     """
-    out = np.empty((len(pieces), len(pts)))
-    for k, piece in enumerate(pieces):
-        quot = _piece_quotients(piece, pts, h1, h2)
-        out[k] = _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - level
-    return out
+    quot = _piece_quotients(piece, pts, h1, h2)
+    return _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - level
 
 
 def _territory(
@@ -647,7 +641,6 @@ def _territory(
     grid: GridSpec,
     pts: np.ndarray,
     level: float,
-    safety_margin: float,
     notes: list,
 ) -> np.ndarray:
     """Nodes where the outer minimum's selection is untrusted: the territory
@@ -657,7 +650,7 @@ def _territory(
     coincide with the ones it was solved against (:func:`_piece_safety`: a
     strip piece on its branch region and the background beyond the band, a
     plane wave on the background and the band edge off the core disc), or
-    where its own measured level residual stays within ``safety_margin`` (a
+    where its own measured level residual stays within ``_SAFETY_MARGIN`` (a
     piece that is locally a subsolution is a legitimate selection even off
     its home region).  The test runs at every node, the core included.
     Residuals are measured once per build, and only for the selected piece at
@@ -670,8 +663,8 @@ def _territory(
     for k, piece in enumerate(outer):
         sel = (active == k) & ~trusted
         if sel.any():
-            measured = _piece_level_residuals(scn, [piece], pts[sel], grid.h1, grid.h2, level)[0]
-            loose[sel] = measured <= safety_margin
+            measured = _piece_level_residual(scn, piece, pts[sel], grid.h1, grid.h2, level)
+            loose[sel] = measured <= _SAFETY_MARGIN
     if loose.any():
         worst = [outer[k].label for k in sorted(set(active[loose]))]
         notes.append(
@@ -720,11 +713,11 @@ def _split_radius(
 # ---------------------------------------------------------------------------
 
 
-def _affine_piece(label, q, correctors: CorrectorSet, *, halfplane: int = 0) -> Piece:
+def _affine_piece(label, q, correctors: CorrectorSet) -> Piece:
     q = (float(q[0]), float(q[1]))
     fld = correctors.plane_corrector(q)
     kind = "plane" if fld is not None else "affine"
-    return Piece(label=label, kind=kind, slope=q, field=fld, halfplane=halfplane)
+    return Piece(label=label, kind=kind, slope=q, field=fld)
 
 
 def _strip_piece(
@@ -975,15 +968,15 @@ def build_subcorrector(
     regime: str,
     *,
     eta: float | None = None,
-    safety_margin: float = 5e-3,
 ) -> SubcorrectorSpec:
     """Assemble and fit the piecewise subsolution for one regime.
 
     The momenta come from exact roots of the tabulated levels; the offsets
     ``c`` and ``C`` are fitted by scanning the certification window, each with
-    a finite-difference Lipschitz margin.  ``safety_margin`` bounds the
-    measured per-piece residual accepted when a piece is selected off its
-    analytic home region.
+    a finite-difference Lipschitz margin.  A piece selected off its analytic
+    home region is accepted where its measured residual is at most 5e-3.
+    ``eta``, the lift of the origin regime's level, defaults to 5% of the
+    largest background cost at y = 0 (at least 5e-8).
 
     The origin piece covers its territory -- the nodes where the outer
     selection is untrusted, plus ``|y| <= R0/2`` in the origin regime -- and
@@ -996,7 +989,6 @@ def build_subcorrector(
     if correctors.scenario is not scn and correctors.scenario.canonical() != scn.canonical():
         raise ValueError("corrector set was built for a different scenario")
     if eta is None:
-        drift = scn.background.eval_drift(0.0, 0.0, 0.0, 0.0)
         cost = scn.background.eval_cost(0.0, 0.0, 0.0, 0.0)
         eta = 0.05 * max(float(np.max(np.abs(cost))), 1e-6)
     if regime not in _DRAFTS:
@@ -1012,7 +1004,7 @@ def build_subcorrector(
         for piece in draft.pieces
     ]
     outer_vals = _piece_matrix(pieces, pts)
-    territory = _territory(scn, pieces, outer_vals, grid, pts, draft.level, safety_margin, draft.notes)
+    territory = _territory(scn, pieces, outer_vals, grid, pts, draft.level, draft.notes)
     radii = np.hypot(pts[:, 0], pts[:, 1])
     if regime == "origin":
         territory |= radii <= _CORE_FRACTION * scn.R0 + _TIE_SLACK
@@ -1098,8 +1090,7 @@ def _check_probe_coverage(spec: SubcorrectorSpec, grid: GridSpec) -> None:
         if not fg.contains(corners).all():
             raise ValueError(
                 f"sample grid (with difference probes) leaves the coverage of "
-                f"piece {piece.label!r}; shrink the grid or rebuild the "
-                f"correctors with a larger half_width"
+                f"piece {piece.label!r}; shrink the grid"
             )
 
 

@@ -44,6 +44,9 @@ __all__ = [
     "run_assumption_checks",
 ]
 
+_CHECK_SAMPLES = 400    # fast points per slow point in the assumption checks
+_SEAM_TOL = 1e-8        # largest field gap a seam may show
+
 
 def eval_fields(scenario: Scenario, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Region-dispatched ``(drift, cost)`` at slow point(s) x, fast point(s) y.
@@ -254,16 +257,10 @@ def _seam_gap(
     return max(gaps)
 
 
-def run_assumption_checks(
-    scenario: Scenario,
-    *,
-    samples: int = 400,
-    seed: int = 0,
-    seam_tol: float = 1e-8,
-) -> ValidationReport:
+def run_assumption_checks(scenario: Scenario, *, seed: int = 0) -> ValidationReport:
     """Backing implementation of :func:`hj_strata.scenario.validate_assumptions`."""
     rng = np.random.default_rng(seed)
-    est = estimate_bounds(scenario, samples=samples, seed=seed)
+    est = estimate_bounds(scenario, samples=_CHECK_SAMPLES, seed=seed)
     entries: list[ValidationEntry] = []
     entries.append(
         ValidationEntry(
@@ -280,11 +277,11 @@ def run_assumption_checks(
     )
 
     R0, R1 = scenario.R0, scenario.R1
-    n = max(32, samples // 4)
+    n = max(32, _CHECK_SAMPLES // 4)
 
     def gap_entry(name: str, what: str, block_a: FieldPair, block_b: FieldPair, pts, pts_b=None) -> None:
         gap = _seam_gap(block_a, block_b, pts, pts_b)
-        entries.append(ValidationEntry(name, gap <= seam_tol, f"{what} {gap:.3g} (tol {seam_tol:.1g})", gap))
+        entries.append(ValidationEntry(name, gap <= _SEAM_TOL, f"{what} {gap:.3g} (tol {_SEAM_TOL:.1g})", gap))
 
     def seam_entry(name: str, block_a: FieldPair, block_b: FieldPair, pts: np.ndarray) -> None:
         gap_entry(name, "max field gap", block_a, block_b, pts)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -213,18 +213,8 @@ class Scenario:
             data["strip_defect"] = self.strips["main"].clause()
         if self.core is not None:
             data["core_defect"] = self.core.clause()
-        sched = self.schedules
         data["schedules"] = {
-            "lambda0": sched.lambda0,
-            "lambda_factor": sched.lambda_factor,
-            "tol_ergodic": sched.tol_ergodic,
-            "rho_list": list(sched.rho_list),
-            "R_list": list(sched.R_list),
-            "cell_h": sched.cell_h,
-            "grid_h": sched.grid_h,
-            "box_half_width": sched.box_half_width,
-            "sl_step": sched.sl_step,
-            "p1_points": sched.p1_points,
+            k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self.schedules).items()
         }
         return data
 
@@ -300,6 +290,11 @@ def _generate_controls(spec: Any) -> tuple[tuple[float, float], ...]:
             controls.append((0.0, 0.0))
         return tuple(controls)
     raise ScenarioError("controls: expected a generator object or an explicit [[a1,a2],...] list")
+
+
+def _is_number(value: Any) -> bool:
+    """A finite int or float; JSON booleans do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None = None) -> Scenario:
@@ -407,15 +402,16 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
     sched_raw = raw.get("schedules", {})
     if not isinstance(sched_raw, Mapping):
         raise ScenarioError("schedules: expected an object")
-    defaults = _default_schedules(R0, R1)
-    unknown = set(sched_raw) - {
-        "lambda0", "lambda_factor", "tol_ergodic", "rho_list", "R_list",
-        "cell_h", "grid_h", "box_half_width", "sl_step", "p1_points",
-    }
+    unknown = set(sched_raw) - {f.name for f in fields(SolverSchedules)}
     if unknown:
         raise ScenarioError(f"schedules: unknown key(s) {sorted(unknown)}")
+    for name in ("rho_list", "R_list"):
+        if name in sched_raw and not (
+            isinstance(sched_raw[name], (list, tuple)) and all(map(_is_number, sched_raw[name]))
+        ):
+            raise ScenarioError(f"schedules.{name}: expected a list of numbers")
     sched = replace(
-        defaults,
+        _default_schedules(R0, R1),
         **{
             k: (tuple(float(v) for v in sched_raw[k]) if k in ("rho_list", "R_list") else sched_raw[k])
             for k in sched_raw
@@ -428,14 +424,16 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
             raise ScenarioError(f"schedules.{name}: must be strictly increasing")
         if seq[0] <= 0:
             raise ScenarioError(f"schedules.{name}: entries must be positive")
-    if not (0 < sched.lambda_factor < 1):
+    for name in ("lambda0", "tol_ergodic", "cell_h", "grid_h", "box_half_width"):
+        if not (_is_number(getattr(sched, name)) and getattr(sched, name) > 0):
+            raise ScenarioError(f"schedules.{name}: must be a positive number")
+    if not (_is_number(sched.lambda_factor) and 0 < sched.lambda_factor < 1):
         raise ScenarioError("schedules.lambda_factor: must lie in (0, 1)")
-    if not sched.lambda0 > 0:
-        raise ScenarioError("schedules.lambda0: must be positive")
-    if not sched.tol_ergodic > 0:
-        raise ScenarioError("schedules.tol_ergodic: must be positive")
-    if sched.sl_step != "sqrt" and not (isinstance(sched.sl_step, (int, float)) and sched.sl_step > 0):
+    if sched.sl_step != "sqrt" and not (_is_number(sched.sl_step) and sched.sl_step > 0):
         raise ScenarioError("schedules.sl_step: 'sqrt' or a positive time step")
+    points = sched.p1_points
+    if not (isinstance(points, int) and not isinstance(points, bool) and points >= 2):
+        raise ScenarioError("schedules.p1_points: must be an integer of at least 2")
 
     return Scenario(
         case=case,
@@ -496,20 +494,15 @@ class ValidationReport:
         return out
 
 
-def validate_assumptions(
-    scenario: Scenario,
-    *,
-    samples: int = 400,
-    seed: int = 0,
-    seam_tol: float = 1e-8,
-) -> ValidationReport:
+def validate_assumptions(scenario: Scenario) -> ValidationReport:
     """Sample the structural assumptions behind the scenario's case.
 
     Estimates the drift/cost bounds and the control-hull inradius, and checks
-    the seams between region blocks (strip <-> core <-> background) plus strip
-    periodicity.  Findings are report entries, not exceptions; the report is
-    deterministic for a given seed.
+    the seams between region blocks (strip <-> core <-> background, each to
+    a field gap of 1e-8) plus strip periodicity.  Findings are report
+    entries, not exceptions; the sampling is seeded, so the report is
+    deterministic.
     """
     from . import hamiltonian  # local import: hamiltonian depends on this module
 
-    return hamiltonian.run_assumption_checks(scenario, samples=samples, seed=seed, seam_tol=seam_tol)
+    return hamiltonian.run_assumption_checks(scenario)

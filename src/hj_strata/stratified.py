@@ -44,6 +44,8 @@ __all__ = [
     "StratifiedReport",
 ]
 
+_MAX_SWEEPS = 200_000   # sweep budget of every plane and stratified solve
+
 
 def _background_operator(scn: Scenario, grid: GridSpec, delta: float) -> SLOperator:
     """Control-form operator for the limit equation: background fields at the
@@ -75,21 +77,16 @@ def build_scheme(
     scn: Scenario,
     tables: EffectiveTables,
     grid: GridSpec | None = None,
-    *,
-    half_width: float | None = None,
-    h: float | None = None,
 ) -> StratifiedScheme:
     """Assemble the node classes and per-class update parameters.
 
-    The grid must be a centered box with the origin and the line x2 = 0 on
-    nodes; the tables must cover the gradient range the coercivity bound
-    allows for the solution.
+    The grid (by default the scheduled box) must be a centered box with the
+    origin and the line x2 = 0 on nodes; the tables must cover the gradient
+    range the coercivity bound allows for the solution.
     """
     sched = scn.schedules
     if grid is None:
-        h = sched.grid_h if h is None else h
-        half = sched.box_half_width if half_width is None else half_width
-        grid = GridSpec.box(half, h)
+        grid = GridSpec.box(sched.box_half_width, sched.grid_h)
     if grid.kind != "box" or grid.periodic1 or grid.periodic2:
         raise ValueError("stratified solves need a plain box grid")
     if abs(grid.h1 - grid.h2) > 1e-12:
@@ -280,7 +277,7 @@ def solve_scheme(
     scheme: StratifiedScheme,
     *,
     tol: float = 1e-8,
-    max_iter: int = 200_000,
+    max_iter: int = _MAX_SWEEPS,
     u0: np.ndarray | None = None,
 ) -> tuple[ValueField, int, float]:
     """Iterate the junction scheme to its fixed point.
@@ -311,11 +308,10 @@ def solve_effective(
     grid: GridSpec | None = None,
     *,
     tol: float = 1e-8,
-    max_iter: int = 200_000,
 ) -> ValueField:
     """Solve the full stratified limit problem on a centered box."""
     scheme = build_scheme(scn, tables, grid)
-    field, _, _ = solve_scheme(scheme, tol=tol, max_iter=max_iter)
+    field, _, _ = solve_scheme(scheme, tol=tol)
     return field
 
 
@@ -325,7 +321,6 @@ def solve_unstratified(
     grid: GridSpec | None = None,
     *,
     tol: float = 1e-8,
-    max_iter: int = 200_000,
 ) -> ValueField:
     """Baseline without the defect line: ``alpha u + Hbar(x, Du) = 0``.
 
@@ -343,7 +338,7 @@ def solve_unstratified(
             raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")
         scheme = build_scheme(scn, tables, grid)
         step = functools.partial(_plane_update, scheme)
-    u, _, _ = _fixed_point(step, np.zeros(grid.size), tol=tol, max_iter=max_iter, what="plane solve")
+    u, _, _ = _fixed_point(step, np.zeros(grid.size), tol=tol, max_iter=_MAX_SWEEPS, what="plane solve")
     return ValueField(grid, u.reshape(grid.n1, grid.n2))
 
 

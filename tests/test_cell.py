@@ -212,6 +212,18 @@ def test_verify_corrector_slopes_attractive():
     assert check.passed, check.detail
 
 
+def test_verify_corrector_slopes_fails_off_the_level():
+    # the corrector grows at the level-(-0.5) slopes, about +-0.51, while the
+    # window at level -0.3 is about +-0.71: the check is binding and fails
+    scn = load_preset("strip_attract")
+    est = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
+    check = verify_corrector_slopes(scn, est, level=-0.3)
+    assert check.active
+    assert not check.passed, check.detail
+    assert check.target_upper - check.fit_upper > 0.05
+    assert check.fit_lower - check.target_lower > 0.05
+
+
 def test_effective_tables_small_batch():
     scn = load_preset("strip_attract")
     tab = tabulate_effective(scn, tol=1e-5, threads=2, p1_grid=[-0.5, 0.0, 0.5])

@@ -105,6 +105,14 @@ def test_schedules_fixed_step():
         ({"schedules": {"nope": 1}}, "unknown key"),
         ({"controls": {"directions": 2}}, "directions"),
         ({"controls": {"directions": 8, "speed": -1.0}}, "speed"),
+        ({"schedules": {"p1_points": 0}}, "p1_points"),
+        ({"schedules": {"p1_points": 2.5}}, "p1_points"),
+        ({"schedules": {"cell_h": -0.0625}}, "cell_h"),
+        ({"schedules": {"grid_h": 0}}, "grid_h"),
+        ({"schedules": {"box_half_width": -2}}, "box_half_width"),
+        ({"schedules": {"sl_step": True}}, "sl_step"),
+        ({"schedules": {"tol_ergodic": "x"}}, "tol_ergodic"),
+        ({"schedules": {"R_list": ["x"]}}, "R_list"),
     ],
 )
 def test_rejects_invalid_input_naming_the_clause(patch, needle):
@@ -158,6 +166,24 @@ def test_content_hash_ignores_label_and_is_stable():
     assert s1.content_hash() == s2.content_hash()
     s3 = parse_scenario(variant(alpha=2.0), label="alpha")
     assert s3.content_hash() != s1.content_hash()
+
+
+# content_hash() of each bundled preset; a change to the canonical form or to
+# a schedule default moves these.
+PRESET_HASHES = {
+    "case3_mirror": "fa7ae0e8cb61d7e0cde9ec5430cbd9a0176d36605eac893aa613555c39648f4f",
+    "checkerboard": "2b3055e5a69088deaec0f58dd9434f298dbb4e492e9f5d1ac9a759257a3f4fb7",
+    "core_repulse": "07b6d171d61df83ca750a83d72f6466ac966a3534a2ae0aa15a470395104750a",
+    "cost_bump": "aaef14fb42fba1d87161de771cb7ec8932c5d1a8c26a9e3e5f93ebf62c85d138",
+    "drift_defect": "6d567939220811552500dedefaef363114e479ff09209634f3cbb038a54677e4",
+    "eikonal": "cedaa7614cb0500df4ec9944d2c602b678238f6ecea99010a9f23f58f95ceff5",
+    "strip_attract": "682f71c0d891b6a9f497ef5690ae69db613d58f98db82c3b21c5d8a8c0f4ef03",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_HASHES))
+def test_preset_content_hash_is_pinned(name):
+    assert load_preset(name).content_hash() == PRESET_HASHES[name]
 
 
 def test_presets_all_parse():
