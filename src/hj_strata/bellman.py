@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, bicgstab, splu
+from scipy.sparse.linalg import splu
 
 from . import kernels
 from .grids import GridSpec, ValueField
@@ -57,8 +57,8 @@ __all__ = [
 # BiCGSTAB steps before a policy evaluation falls back to sparse LU.  Warm
 # started from the previous iterate and stopped at the forcing tolerance, one
 # evaluation in the benchmark's four pipelines (seeds 0 and 11) takes at most
-# 132 steps (on case3_mirror; 102 on strip_attract's 25,921-node corrector
-# ball).
+# 140 steps (on case3_mirror's 50,625-node ball; 101 on strip_attract's
+# 25,921-node corrector ball).
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
 # thresholds for the rest of the process, so the heap stops shrinking.
@@ -67,6 +67,58 @@ _KRYLOV_MAX_ITER = 1000
 # Continuation stages, and the smallest discount a stage may take.
 _MAX_STAGES = 60
 _LAMBDA_FLOOR = 1e-7
+
+# Smallest |rho| and |omega| BiCGSTAB accepts before it reports a breakdown.
+_BREAKDOWN = np.finfo(float).eps ** 2
+
+
+def _dot(x: np.ndarray, y: np.ndarray, work: np.ndarray | None = None) -> float:
+    """Inner product by numpy's pairwise summation rather than BLAS, so its
+    summation order, and with it every bit of a solve, does not depend on
+    the BLAS thread count.  ``work`` holds the products when given."""
+    return float(np.add.reduce(np.multiply(x, y, out=work)))
+
+
+def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
+    """Unpreconditioned BiCGSTAB (van der Vorst) for ``system(x) = rhs``.
+
+    ``system`` is the matrix-vector product.  Iterates from ``x0`` until the
+    residual's 2-norm is at most ``atol``.  Returns ``(x, info)``: ``info``
+    is 0 on convergence, ``maxiter`` when the budget runs out and negative
+    on a breakdown.  ``callback(x)`` runs after every full iteration.
+    """
+    x = np.array(x0, dtype=float)
+    r = rhs - system(x) if x.any() else np.array(rhs, dtype=float)
+    r_hat = r.copy()
+    p = np.zeros_like(r)
+    v = np.zeros_like(r)
+    work = np.empty_like(r)
+    rho_prev = alpha = omega = 1.0
+    for _ in range(maxiter):
+        if math.sqrt(_dot(r, r, work)) <= atol:
+            return x, 0
+        rho = _dot(r_hat, r, work)
+        if abs(rho) < _BREAKDOWN or abs(omega) < _BREAKDOWN:
+            return x, -10
+        p -= omega * v
+        p *= (rho / rho_prev) * (alpha / omega)
+        p += r
+        v = system(p)
+        rv = _dot(r_hat, v, work)
+        if rv == 0.0:
+            return x, -11
+        alpha = rho / rv
+        x += alpha * p
+        r -= alpha * v
+        if math.sqrt(_dot(r, r, work)) <= atol:
+            return x, 0
+        t = system(r)
+        omega = _dot(t, r, work) / _dot(t, t, work)
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+        callback(x)
+    return x, maxiter
 
 
 class SLOperator:
@@ -161,9 +213,8 @@ class SLOperator:
             steps += 1
 
         rhs = self.base[policy, rows]
-        system = LinearOperator((n, n), matvec=matvec, dtype=float)
         value, info = bicgstab(
-            system, rhs, x0=guess, rtol=0.0, atol=atol, maxiter=_KRYLOV_MAX_ITER, callback=count
+            matvec, rhs, x0=guess, atol=atol, maxiter=_KRYLOV_MAX_ITER, callback=count
         )
         if info != 0:
             assembled = sparse.identity(n, format="csr") - gamma * transition
@@ -248,7 +299,7 @@ def solve_discounted(
             u = tu
             continue
         policy = greedy
-        atol = tight if repeated else max(tight, forcing * float(np.linalg.norm(step)))
+        atol = tight if repeated else max(tight, forcing * math.sqrt(_dot(step, step)))
         loose = atol > tight
         u, steps, fell_back = op.policy_value(policy, problem.discount, guess=u, atol=atol)
         evaluations += 1

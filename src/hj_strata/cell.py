@@ -493,15 +493,16 @@ class EffectiveTables:
 
     def midpoint_convexity_violation(self) -> float:
         """Worst excess of a tabulated midpoint over its chord (0 = convex)."""
-        worst = 0.0
-        for branch, vals in self.h1t.items():
-            v = np.asarray(vals)
-            worst = max(worst, float(np.max(v[1:-1] - 0.5 * (v[:-2] + v[2:]))))
+        tables = [(np.asarray(v), 0) for v in self.h1t.values()]
         if self.hbar is not None:
-            v = self.hbar
-            worst = max(worst, float(np.max(v[1:-1, :] - 0.5 * (v[:-2, :] + v[2:, :]))))
-            worst = max(worst, float(np.max(v[:, 1:-1] - 0.5 * (v[:, :-2] + v[:, 2:]))))
-        return max(worst, 0.0)
+            tables += [(self.hbar, 0), (self.hbar, 1)]
+        worst = 0.0
+        for v, axis in tables:
+            if v.shape[axis] < 3:  # no interior midpoint along this axis
+                continue
+            v = np.moveaxis(v, axis, 0)
+            worst = max(worst, float(np.max(v[1:-1] - 0.5 * (v[:-2] + v[2:]))))
+        return worst
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

@@ -148,7 +148,14 @@ def _build_field_pair(
 
 @dataclass(frozen=True, slots=True)
 class SolverSchedules:
-    """Numerical schedules shared by the cell-problem and grid solvers."""
+    """Numerical schedules shared by the cell-problem and grid solvers.
+
+    ``sl_step`` is the semi-Lagrangian time step: a positive number applies
+    as given everywhere; ``"sqrt"`` means ``sqrt(h)`` in the cell problems,
+    where it balances the step and interpolation errors of the constants,
+    and ``h`` in the limit scheme, where the step ``sqrt(h)`` leaves an
+    error off the defect line that does not shrink with ``h``.
+    """
 
     lambda0: float = 0.5
     lambda_factor: float = 0.5
@@ -162,9 +169,15 @@ class SolverSchedules:
     p1_points: int = 21
 
     def delta(self, h: float) -> float:
-        """Semi-Lagrangian time step for grid spacing ``h``."""
+        """Semi-Lagrangian time step of a cell problem with grid spacing ``h``."""
         if self.sl_step == "sqrt":
             return math.sqrt(h)
+        return float(self.sl_step)
+
+    def limit_delta(self, h: float) -> float:
+        """Semi-Lagrangian time step of the limit scheme with grid spacing ``h``."""
+        if self.sl_step == "sqrt":
+            return h
         return float(self.sl_step)
 
 

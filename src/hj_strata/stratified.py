@@ -4,9 +4,10 @@ The discounted limit equation holds in three flavors depending on where a
 node sits:
 
 * generic plane nodes solve ``alpha u + Hbar(x, Du) = 0`` -- in control form
-  (semi-Lagrangian on the background dynamics) when the background is
-  y-independent, or as a monotone Lax-Friedrichs iteration on the tabulated
-  effective Hamiltonian when it had to be homogenized over a torus;
+  (semi-Lagrangian on the background dynamics, time step = grid spacing)
+  when the background is y-independent, or as a monotone Lax-Friedrichs
+  iteration on the tabulated effective Hamiltonian when it had to be
+  homogenized over a torus;
 * nodes on the defect line additionally see a tangential one-dimensional
   equation driven by the tabulated line Hamiltonian, and the node value is
   the minimum of the candidate updates (the line can only lower the value);
@@ -16,6 +17,13 @@ node sits:
 Every candidate update is monotone in the stencil values and a sup-norm
 contraction, so plain Jacobi sweeps converge; the fixed point satisfies the
 one-sided (sub/supersolution) residual checks of :func:`scheme_residuals`.
+
+The sweeps start from the plane solution, which is found exactly rather than
+by sweeping: in control form by one Howard solve
+(:func:`hj_strata.bellman.solve_discounted`); on the tabulated plane it is the
+constant ``-Hbar(0)/alpha``, because the table is frozen at one slow point,
+so the Lax-Friedrichs update does not depend on x and maps that constant to
+itself.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bellman
 from .bellman import SLOperator
 from .cell import EffectiveTables
 from .grids import GridSpec, ValueField
@@ -44,7 +53,7 @@ __all__ = [
     "StratifiedReport",
 ]
 
-_MAX_SWEEPS = 200_000   # sweep budget of every plane and stratified solve
+_MAX_SWEEPS = 200_000   # junction sweeps, or Bellman applications of a plane solve
 
 
 def _background_operator(scn: Scenario, grid: GridSpec, delta: float) -> SLOperator:
@@ -82,7 +91,8 @@ def build_scheme(
 
     The grid (by default the scheduled box) must be a centered box with the
     origin and the line x2 = 0 on nodes; the tables must cover the gradient
-    range the coercivity bound allows for the solution.
+    range the coercivity bound allows for the solution.  The control-form
+    time step is ``SolverSchedules.limit_delta`` of the grid spacing.
     """
     sched = scn.schedules
     if grid is None:
@@ -106,7 +116,7 @@ def build_scheme(
             f"but the scheme's gradient bound is {grad_bound:.4g}"
         )
 
-    delta = sched.delta(grid.h1)
+    delta = sched.limit_delta(grid.h1)
     if scn.alpha * delta >= 1.0:
         raise ValueError("alpha*delta >= 1: shrink the time step or the grid spacing")
 
@@ -273,6 +283,40 @@ def _verify_table_range(scheme: StratifiedScheme, u: np.ndarray) -> None:
         scheme.tables.hbar_at(p)
 
 
+def _control_plane(
+    operator: SLOperator, alpha: float, *, tol: float, max_iter: int
+) -> np.ndarray:
+    """Plane solution in control form: one Howard solve at discount ``alpha``."""
+    field, info = bellman.solve_discounted(
+        bellman.DiscountedProblem(operator, alpha), tol=tol, max_iter=max_iter
+    )
+    if not info.converged:
+        raise RuntimeError(
+            f"plane start stalled: residual {info.residual:.3e} > tol {tol:.3e} "
+            f"after {info.iterations} Bellman applications"
+        )
+    return field.flat()
+
+
+def _tabulated_plane(scheme: StratifiedScheme, *, tol: float) -> np.ndarray:
+    """Plane solution of the tabulated equation: the constant ``-Hbar(0)/alpha``.
+
+    The table is frozen at one slow point, so the Lax-Friedrichs update does
+    not depend on x, and a constant field has zero central differences under
+    reflected edges; the update is a contraction, so that constant is its
+    only fixed point.  One update certifies it: raises ``RuntimeError`` if it moves a node by more
+    than ``tol``.
+    """
+    u = np.full(scheme.grid.size, -float(scheme.tables.hbar_at((0.0, 0.0))) / scheme.alpha)
+    residual = float(np.max(np.abs(_plane_update(scheme, u) - u)))
+    if residual > tol:
+        raise RuntimeError(
+            f"plane start -Hbar(0)/alpha is not a fixed point of the plane update: "
+            f"residual {residual:.3e} > tol {tol:.3e}"
+        )
+    return u
+
+
 def solve_scheme(
     scheme: StratifiedScheme,
     *,
@@ -284,15 +328,17 @@ def solve_scheme(
 
     Without ``u0`` the iteration starts from the plane solution, which
     dominates the stratified one (the extra candidates only lower values), so
-    the sweeps descend monotonically.  Returns ``(field, iterations,
-    residual)``; raises on non-convergence (every candidate is a contraction,
-    so this indicates a budget problem, not a scheme problem).
+    the sweeps descend monotonically.  That start is exact: one Howard solve
+    to residual ``tol`` (within ``max_iter`` Bellman applications) in control
+    form, the constant ``-Hbar(0)/alpha`` certified by one plane update on
+    the tabulated plane.  Returns ``(field, iterations, residual)``, counting
+    junction sweeps only; raises on non-convergence (every candidate is a
+    contraction, so this indicates a budget problem, not a scheme problem).
     """
-    if u0 is None:
-        u, _, _ = _fixed_point(
-            functools.partial(_plane_update, scheme), np.zeros(scheme.grid.size),
-            tol=tol, max_iter=max_iter, what="plane solve",
-        )
+    if u0 is None and scheme.operator is not None:
+        u = _control_plane(scheme.operator, scheme.alpha, tol=tol, max_iter=max_iter)
+    elif u0 is None:
+        u = _tabulated_plane(scheme, tol=tol)
     else:
         u = np.array(u0, dtype=float).reshape(-1)
     u, it, residual = _fixed_point(
@@ -324,21 +370,22 @@ def solve_unstratified(
 ) -> ValueField:
     """Baseline without the defect line: ``alpha u + Hbar(x, Du) = 0``.
 
-    Control form for y-independent backgrounds; tabulated Lax-Friedrichs for
-    periodic ones (``tables`` required then).
+    For y-independent backgrounds, one Howard solve in control form, with
+    the limit time step of ``SolverSchedules.limit_delta``, to residual
+    ``tol``; for periodic ones (``tables`` required then) the constant
+    ``-Hbar(0)/alpha`` of the tabulated plane, certified by one
+    Lax-Friedrichs update.
     """
     sched = scn.schedules
     if grid is None:
         grid = GridSpec.box(sched.box_half_width, sched.grid_h)
     if scn.case in ("case1", "case3"):
-        op = _background_operator(scn, grid, sched.delta(grid.h1))
-        step = functools.partial(op.apply, discount=scn.alpha)
+        op = _background_operator(scn, grid, sched.limit_delta(grid.h1))
+        u = _control_plane(op, scn.alpha, tol=tol, max_iter=_MAX_SWEEPS)
     else:
         if tables is None or tables.hbar is None:
             raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")
-        scheme = build_scheme(scn, tables, grid)
-        step = functools.partial(_plane_update, scheme)
-    u, _, _ = _fixed_point(step, np.zeros(grid.size), tol=tol, max_iter=_MAX_SWEEPS, what="plane solve")
+        u = _tabulated_plane(build_scheme(scn, tables, grid), tol=tol)
     return ValueField(grid, u.reshape(grid.n1, grid.n2))
 
 

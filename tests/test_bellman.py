@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -391,3 +395,33 @@ def test_best_iterate_fallback_reports_not_converged():
     assert not res.converged
     assert math.isfinite(res.rate)
     assert res.rate_bounds[0] <= res.rate_bounds[1]
+
+
+_BALL_SOLVE = """
+import sys
+from hj_strata.bellman import DiscountedProblem, solve_discounted
+from hj_strata.cell import ball_operator
+from hj_strata.scenario import load_preset
+
+op = ball_operator(load_preset("strip_attract"), 2.5, h=1 / 32, delta=1 / 32)
+field, info = solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9)
+assert info.converged and info.krylov_iterations > 0
+sys.stdout.buffer.write(field.values.tobytes())
+"""
+
+
+def test_discounted_solve_does_not_depend_on_the_blas_thread_count():
+    # one Howard solve on the 25,921-node corrector ball, in fresh processes
+    # with one and two BLAS threads, must return the same bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _BALL_SOLVE], env=env, capture_output=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert len(outputs[0]) == 8 * 161 * 161
+    assert outputs[0] == outputs[1]

@@ -253,6 +253,30 @@ def test_effective_tables_small_batch():
         skew.hbar_at([0.9, -0.6])
 
 
+def _tables(h1t, hbar=None):
+    """Hand-made tables: ``h1t`` on an even p1 grid, ``hbar`` on an even p grid."""
+    h1t = np.asarray(h1t, dtype=float)
+    p1_grid = np.linspace(-1.0, 1.0, len(h1t))
+    zeros = np.zeros_like(h1t)
+    return EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=p1_grid, h1t={"main": h1t}, pi_lower={"main": zeros},
+        pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
+        p_grid=None if hbar is None else np.linspace(-1.0, 1.0, len(hbar)),
+        hbar=None if hbar is None else np.asarray(hbar, dtype=float), flags={},
+    )
+
+
+def test_midpoint_convexity_of_a_two_point_p1_table_is_zero():
+    assert _tables([1.0, -3.0]).midpoint_convexity_violation() == 0.0
+    # the axes that have a midpoint are still read
+    assert _tables([1.0, -3.0], hbar=[[0.0, 0.0, 0.0], [1.0, 2.0, 1.0]]).midpoint_convexity_violation() == 1.0
+
+
+def test_midpoint_convexity_of_a_two_point_p_table_is_zero():
+    assert _tables([1.0, 0.0, 1.0], hbar=[[0.0, 5.0], [-2.0, 1.0]]).midpoint_convexity_violation() == 0.0
+    assert _tables([0.0, 0.5, 0.0], hbar=[[0.0, 5.0], [-2.0, 1.0]]).midpoint_convexity_violation() == 0.5
+
+
 def test_effective_tables_json_round_trip():
     scn = load_preset("strip_attract")
     tab = tabulate_effective(scn, tol=3e-5, threads=2, p1_grid=[-0.4, 0.0, 0.4])

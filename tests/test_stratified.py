@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from hj_strata import stratified
 from hj_strata.cell import TableRangeError, tabulate_effective
 from hj_strata.grids import GridSpec
 from hj_strata.scenario import load_preset, parse_scenario
 from hj_strata.stratified import (
+    _MAX_SWEEPS,
     StratifiedReport,
+    _fixed_point,
+    _plane_update,
     _sweep,
     build_scheme,
     junction_update,
@@ -76,6 +80,7 @@ def disc_scenario():
                 "drift": ["{a1}", "{a2}"],
                 "cost": "smoothstep(0.5, 0.625, sqrt(x1*x1 + x2*x2))",
             },
+            "schedules": {"sl_step": 0.25},
         },
         label="disc",
     )
@@ -87,7 +92,7 @@ def rim_cost(r: float) -> float:
 
 
 def test_disc_value_matches_straight_run_exactly():
-    # with h = 1/16 the time step sqrt(h) = 0.25 lands on grid nodes, so the
+    # with h = 1/16 the scenario's time step 0.25 = sqrt(h) lands on grid nodes, so the
     # discrete optimum -- run straight at the disc, then sit inside at zero
     # cost -- is interpolation-free and the solver must reproduce its value
     # to round-off on the axes
@@ -141,7 +146,6 @@ def test_attractive_line_pins_value():
     assert field.values.min() >= 0.5 - 1e-7  # nothing undercut the defect floor
 
 
-@pytest.mark.xfail(strict=True, reason="at the scheduled step sqrt(h) the limit solve misses the closed form (ROADMAP, Known defects)")
 def test_attractive_line_matches_closed_form_off_the_line():
     """strip_attract has the exact solution u = 1 - e^(-d)/2, d the distance
     to the half-line x1 <= 0: the background is the unit eikonal cone and the
@@ -283,3 +287,59 @@ def test_periodic_background_constant_plane_value():
     rep = scheme_residuals(scheme, field)
     assert rep.supersolution_margin >= -1e-5
     assert rep.origin_clamp <= 1e-6
+
+
+@pytest.mark.parametrize("preset", ["strip_attract", "eikonal"])
+def test_control_plane_start_is_the_swept_plane_solution(preset):
+    # one Howard solve and Jacobi sweeps from zero both stop at a step of
+    # at most tol, so each lies within tol / (alpha delta) of the fixed point
+    scn = load_preset(preset)
+    grid = box_grid(1 / 8)
+    scheme = build_scheme(scn, cached_tables(preset), grid)
+    tol = 1e-10
+    swept, _, _ = _fixed_point(
+        functools.partial(_plane_update, scheme), np.zeros(grid.size),
+        tol=tol, max_iter=_MAX_SWEEPS, what="plane sweeps",
+    )
+    plane = solve_unstratified(scn, grid=grid, tol=tol).flat()
+    assert np.max(np.abs(plane - swept)) <= 2 * tol / (scn.alpha * scheme.delta)
+    # solve_scheme starts its junction sweeps from that plane solution
+    field, sweeps, _ = solve_scheme(scheme, tol=tol)
+    restarted, sweeps_u0, _ = solve_scheme(scheme, tol=tol, u0=plane)
+    assert sweeps == sweeps_u0 and np.array_equal(field.values, restarted.values)
+
+
+@functools.lru_cache(maxsize=None)
+def checkerboard_tables():
+    window = np.linspace(-1.6, 1.6, 3)
+    return tabulate_effective(load_preset("checkerboard"), tol=1e-4, threads=2,
+                              p1_grid=window, p_grid=window)
+
+
+def test_periodic_plane_start_is_the_exact_constant():
+    scn = load_preset("checkerboard")
+    tables = checkerboard_tables()
+    u_plain = solve_unstratified(scn, tables, box_grid(1 / 8), tol=1e-9)
+    level = -float(tables.hbar_at((0.0, 0.0))) / scn.alpha
+    assert np.max(np.abs(u_plain.values - level)) <= 1e-12
+
+
+def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
+    scn = load_preset("checkerboard")
+    tables = checkerboard_tables()
+    grid = box_grid(1 / 8)
+    scheme = build_scheme(scn, tables, grid)
+    monkeypatch.setattr(stratified, "_plane_update", lambda scheme, u: _plane_update(scheme, u) + 1e-6)
+    with pytest.raises(RuntimeError, match="plane start"):
+        solve_unstratified(scn, tables, grid, tol=1e-7)
+    with pytest.raises(RuntimeError, match="plane start"):
+        solve_scheme(scheme, tol=1e-7)
+    # the same offset inside the tolerance certifies
+    solve_scheme(scheme, tol=1e-5)
+
+
+def test_control_plane_start_that_stalls_raises():
+    scn = load_preset("strip_attract")
+    scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+    with pytest.raises(RuntimeError, match="plane start stalled"):
+        solve_scheme(scheme, tol=1e-10, max_iter=1)
