@@ -12,6 +12,15 @@ stencils are the rows of a sparse transition matrix, so an application is
 one sparse product and a min over controls, and a fixed policy's transition
 matrix is a row selection of the same stencils (see :mod:`hj_strata.kernels`).
 
+An operator may hold a *family* of cells: cells on one grid with one drift
+whose running costs differ (the momentum shift ``p . f`` of a table).  The
+stencils are built once and each cell keeps its own step cost.  The solvers
+run every cell of a family in lockstep over a (cells, N) array, and each cell
+stops, damps, falls back to LU or takes its next stage on its own, with the
+arithmetic it would do alone: a family's results equal its cells' lone
+results bit for bit.  A lone cell is a family of one, and a lone operator's
+solvers return one result where a family's return a :class:`Family`.
+
 Three solvers share the operator:
 
 * :func:`solve_discounted` — Howard policy iteration for ``discount > 0``:
@@ -32,7 +41,9 @@ Three solvers share the operator:
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +59,7 @@ __all__ = [
     "SolveInfo",
     "ErgodicRelativeResult",
     "ContinuationResult",
+    "Family",
     "solve_discounted",
     "solve_ergodic_relative",
     "ergodic_continuation",
@@ -71,61 +83,129 @@ _LAMBDA_FLOOR = 1e-7
 # Smallest |rho| and |omega| BiCGSTAB accepts before it reports a breakdown.
 _BREAKDOWN = np.finfo(float).eps ** 2
 
+# Relative VI switches a cell to damped updates after this many applications
+# if its span fell by less than 2% over the last _STALL_WINDOW of them.
+_STALL_START = 300
+_STALL_WINDOW = 200
 
-def _dot(x: np.ndarray, y: np.ndarray, work: np.ndarray | None = None) -> float:
-    """Inner product by numpy's pairwise summation rather than BLAS, so its
-    summation order, and with it every bit of a solve, does not depend on
-    the BLAS thread count.  ``work`` holds the products when given."""
-    return float(np.add.reduce(np.multiply(x, y, out=work)))
+
+class Family(tuple):
+    """Per-cell results of one family solve, in cell order.
+
+    The counts a run report reads once per solve are totals over the cells:
+    ``iterations`` and ``stages`` sum, ``estimates`` concatenates.
+    """
+
+    @property
+    def iterations(self) -> int:
+        return sum(r.iterations for r in self)
+
+    @property
+    def stages(self) -> int:
+        return sum(r.stages for r in self)
+
+    @property
+    def estimates(self) -> tuple:
+        return tuple(e for r in self for e in r.estimates)
+
+
+def _dot(x: np.ndarray, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Inner products of matching rows by numpy's pairwise summation rather
+    than BLAS, so their summation order, and with it every bit of a solve,
+    depends neither on the BLAS thread count nor on the other rows.
+    ``work`` holds the products when given."""
+    return np.add.reduce(np.multiply(x, y, out=work), axis=-1)
+
+
+def _rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    return [a[keep] for a in arrays]
 
 
 def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
-    """Unpreconditioned BiCGSTAB (van der Vorst) for ``system(x) = rhs``.
+    """Unpreconditioned BiCGSTAB (van der Vorst), one system per row.
 
-    ``system`` is the matrix-vector product.  Iterates from ``x0`` until the
-    residual's 2-norm is at most ``atol``.  Returns ``(x, info)``: ``info``
-    is 0 on convergence, ``maxiter`` when the budget runs out and negative
-    on a breakdown.  ``callback(x)`` runs after every full iteration.
+    ``system(x, rows)`` is the matrix-vector product of the systems ``rows``
+    (indices into ``rhs``) on the matching rows of ``x``.  Each row iterates
+    from its row of ``x0``, in lockstep with the others and with the
+    arithmetic of a lone solve, until its residual's 2-norm is at most its
+    entry of ``atol``; then it drops out.  Returns ``(x, info)`` with one
+    ``info`` per row: 0 on convergence, ``maxiter`` when the budget runs out
+    and negative on a breakdown.  ``callback(rows)`` runs after every full
+    iteration with the rows that took it.
     """
     x = np.array(x0, dtype=float)
-    r = rhs - system(x) if x.any() else np.array(rhs, dtype=float)
+    out = x.copy()
+    info = np.full(len(x), maxiter)
+    rows = np.arange(len(x))
+    r = rhs - system(x, rows)
+    cold = ~x.any(axis=1)
+    r[cold] = rhs[cold]
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
     work = np.empty_like(r)
-    rho_prev = alpha = omega = 1.0
+    rho_prev, alpha, omega = np.ones((3, len(x)))
+    atol = np.broadcast_to(np.asarray(atol, dtype=float), len(x))
+
+    def settle(done, code):
+        out[rows[done]] = x[done]
+        info[rows[done]] = code[done]
+
     for _ in range(maxiter):
-        if math.sqrt(_dot(r, r, work)) <= atol:
-            return x, 0
-        rho = _dot(r_hat, r, work)
-        if abs(rho) < _BREAKDOWN or abs(omega) < _BREAKDOWN:
-            return x, -10
-        p -= omega * v
-        p *= (rho / rho_prev) * (alpha / omega)
+        converged = np.sqrt(_dot(r, r, work[: len(r)])) <= atol
+        rho = _dot(r_hat, r, work[: len(r)])
+        done = converged | (np.abs(rho) < _BREAKDOWN) | (np.abs(omega) < _BREAKDOWN)
+        if done.any():
+            settle(done, np.where(converged, 0, -10))
+            rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, atol = _rows(
+                ~done, rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, atol
+            )
+            if not rows.size:
+                return out, info
+        p -= omega[:, None] * v
+        p *= ((rho / rho_prev) * (alpha / omega))[:, None]
         p += r
-        v = system(p)
-        rv = _dot(r_hat, v, work)
-        if rv == 0.0:
-            return x, -11
+        v = system(p, rows)
+        rv = _dot(r_hat, v, work[: len(r)])
+        done = rv == 0.0
+        if done.any():
+            settle(done, np.full(len(done), -11))
+            rows, x, r, r_hat, p, v, rho, rv, atol = _rows(
+                ~done, rows, x, r, r_hat, p, v, rho, rv, atol
+            )
+            if not rows.size:
+                return out, info
         alpha = rho / rv
-        x += alpha * p
-        r -= alpha * v
-        if math.sqrt(_dot(r, r, work)) <= atol:
-            return x, 0
-        t = system(r)
-        omega = _dot(t, r, work) / _dot(t, t, work)
-        x += omega * r
-        r -= omega * t
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * v
+        done = np.sqrt(_dot(r, r, work[: len(r)])) <= atol
+        if done.any():
+            settle(done, np.zeros(len(done), dtype=int))
+            rows, x, r, r_hat, p, v, rho, alpha, atol = _rows(
+                ~done, rows, x, r, r_hat, p, v, rho, alpha, atol
+            )
+            if not rows.size:
+                return out, info
+        t = system(r, rows)
+        omega = _dot(t, r, work[: len(r)]) / _dot(t, t, work[: len(r)])
+        x += omega[:, None] * r
+        r -= omega[:, None] * t
         rho_prev = rho
-        callback(x)
-    return x, maxiter
+        callback(rows)
+    out[rows] = x
+    return out, info
 
 
 class SLOperator:
     """Precomputed Bellman operator on every node of ``grid``.
 
-    ``drift`` has shape (n_controls, grid.size, 2) and ``cost`` (n_controls,
-    grid.size), with nodes in flat order.
+    ``drift`` has shape (n_controls, grid.size, 2), with nodes in flat order.
+    ``cost`` has shape (n_controls, grid.size) for a lone cell, or
+    (n_controls, grid.size, cells) for a family of cells that share the grid
+    and the drift; ``base`` keeps that shape.  Feet, stencils and
+    admissibility are computed once for the whole family.  Methods take and
+    return one row of values per cell: (N,) arrays for a lone cell, (cells,
+    N) for a family.
     """
 
     def __init__(self, grid: GridSpec, drift: np.ndarray, cost: np.ndarray, delta: float):
@@ -138,7 +218,7 @@ class SLOperator:
         drift = np.asarray(drift, dtype=float)
         cost = np.asarray(cost, dtype=float)
         na = drift.shape[0]
-        if drift.shape != (na, n, 2) or cost.shape != (na, n):
+        if drift.shape != (na, n, 2) or cost.shape[:2] != (na, n) or cost.ndim not in (2, 3):
             raise ValueError("drift/cost shapes do not match the grid")
         feet = nodes[None, :, :] + self.delta * drift
         flat_feet = feet.reshape(-1, 2)
@@ -161,6 +241,23 @@ class SLOperator:
                 f"delta={self.delta:.6g}; shrink the step or enlarge the domain"
             )
 
+    @property
+    def lone(self) -> bool:
+        return self.base.ndim == 2
+
+    @property
+    def cells(self) -> int:
+        return 1 if self.lone else self.base.shape[2]
+
+    def family(self, cells=slice(None)) -> "SLOperator":
+        """This operator as a family on ``cells`` (a slice, indices or a
+        mask; every cell by default).  The stencils are shared; the step
+        costs of a proper subset are copied once, so that each application
+        reads them contiguously."""
+        sub = copy.copy(self)
+        sub.base = np.ascontiguousarray(self.base.reshape(*self.idx.shape[:2], -1)[:, :, cells])
+        return sub
+
     def gamma(self, discount: float) -> float:
         g = 1.0 - discount * self.delta
         if not (0.0 < g <= 1.0):
@@ -169,57 +266,71 @@ class SLOperator:
 
     def apply(self, u: np.ndarray, discount: float) -> np.ndarray:
         """One synchronous Bellman application."""
-        out = np.empty(self.grid.size)
+        out = np.empty(u.shape)
         kernels.jacobi_min(self.idx, self.w, self.base, self.gamma(discount), u, out)
         return out
 
     def greedy(self, u: np.ndarray, discount: float) -> tuple[np.ndarray, np.ndarray]:
         """One synchronous application and, per node, the index of a minimizing control."""
-        out = np.empty(self.grid.size)
-        policy = np.empty(self.grid.size, dtype=np.intp)
+        out = np.empty(u.shape)
+        policy = np.empty(u.shape, dtype=np.intp)
         kernels.jacobi_argmin(self.idx, self.w, self.base, self.gamma(discount), u, out, policy)
         return out, policy
 
     def policy_value(
-        self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol: float
-    ) -> tuple[np.ndarray, int, bool]:
-        """Value of a stationary policy: the solution of ``(I - gamma P) u =
-        base``, where row ``n`` of ``P`` is the stencil of node ``n``'s control.
+        self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol
+    ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
+        """Value of a stationary policy per cell: the solution of ``(I - gamma
+        P) u = base``, where row ``n`` of ``P`` is the stencil of node ``n``'s
+        control.
 
         BiCGSTAB from ``guess`` runs until the residual's 2-norm, which bounds
-        its sup norm, is at most ``atol``; since ``||(I - gamma P)^-1||_inf =
-        1 / (1 - gamma)``, the value is then within ``atol / (1 - gamma)`` of
-        the policy's exact value in the sup norm.  BiCGSTAB sees the system
-        matrix-free, as ``x - gamma * (P @ x)``.  If it breaks down or stalls,
+        its sup norm, is at most ``atol`` (one per cell); since ``||(I - gamma
+        P)^-1||_inf = 1 / (1 - gamma)``, the value is then within ``atol / (1
+        - gamma)`` of the policy's exact value in the sup norm.  BiCGSTAB sees
+        the cells' systems matrix-free, as one block-diagonal product ``x -
+        gamma * (P @ x)``.  For a cell whose solve breaks down or stalls, its
         ``I - gamma P`` is assembled for one sparse LU solve, whose factor is
-        dropped on return.  Returns the value, the BiCGSTAB iterations taken
-        and whether the LU fallback ran.
+        dropped on return.  Returns the values, the BiCGSTAB iterations taken
+        and whether the LU fallback ran, per cell (scalars for a lone cell).
         """
         n = self.grid.size
-        rows = np.arange(n)
-        transition = kernels.stencil_matrix(self.idx[policy, rows], self.w[policy, rows], n)
+        cells = self.cells
         gamma = self.gamma(discount)
+        at = policy.reshape(cells, n) * n + np.arange(n)   # flat (control, node) index
+        idx = np.take(self.idx.reshape(-1, 4), at, axis=0)
+        w = np.take(self.w.reshape(-1, 4), at, axis=0)
+        rhs = np.take(self.base, at * cells + np.arange(cells)[:, None])
+        blocks: dict[int, sparse.csr_matrix] = {}
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            y = transition @ x
+        def system(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            # rows only shrink during one solve, so their count names them
+            if rows.size not in blocks:
+                blocks.clear()
+                shift = (np.arange(rows.size, dtype=idx.dtype) * n)[:, None, None]
+                blocks[rows.size] = kernels.stencil_matrix(idx[rows] + shift, w[rows], rows.size * n)
+            y = (blocks[rows.size] @ x.reshape(-1)).reshape(x.shape)
             y *= -gamma
             y += x
             return y
 
-        steps = 0
+        steps = np.zeros(cells, dtype=int)
 
-        def count(_x: np.ndarray) -> None:
-            nonlocal steps
-            steps += 1
+        def count(rows: np.ndarray) -> None:
+            steps[rows] += 1
 
-        rhs = self.base[policy, rows]
         value, info = bicgstab(
-            matvec, rhs, x0=guess, atol=atol, maxiter=_KRYLOV_MAX_ITER, callback=count
+            system, rhs, x0=np.reshape(guess, (cells, n)), atol=atol,
+            maxiter=_KRYLOV_MAX_ITER, callback=count,
         )
-        if info != 0:
+        fell_back = info != 0
+        for c in np.flatnonzero(fell_back):
+            transition = kernels.stencil_matrix(idx[c], w[c], n)
             assembled = sparse.identity(n, format="csr") - gamma * transition
-            value = splu(assembled.tocsc()).solve(rhs)
-        return value, steps, info != 0
+            value[c] = splu(assembled.tocsc()).solve(rhs[c])
+        if self.lone:
+            return value[0], int(steps[0]), bool(fell_back[0])
+        return value, steps, fell_back
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,13 +358,19 @@ class SolveInfo:
     method: str = "howard"
 
 
+def _fields(grid: GridSpec, values: np.ndarray) -> tuple[ValueField, ...]:
+    """One field per row, each owning its values, so a field that outlives
+    its family keeps no other cell's values alive."""
+    return tuple(ValueField(grid, v.reshape(grid.n1, grid.n2).copy()) for v in values)
+
+
 def solve_discounted(
     problem: DiscountedProblem,
     *,
     tol: float = 1e-9,
     max_iter: int = 200_000,
     u0: np.ndarray | None = None,
-) -> tuple[ValueField, SolveInfo]:
+):
     """Fixed point of the discounted operator to residual ``tol`` (sup norm).
 
     Howard's algorithm: each step applies the operator once, stops if
@@ -271,45 +388,80 @@ def solve_discounted(
     tolerance moves the step count, never the certificate ``max |T u - u| <=
     tol``.  Returns the iterate with the smallest residual and
     ``converged=False`` when ``max_iter`` applications are exhausted.
+
+    Every cell of a family takes these steps on its own, in lockstep with the
+    others.  Returns ``(field, info)`` for a lone operator and ``(fields,
+    infos)``, a tuple and a :class:`Family`, for a family.
     """
     op = problem.operator
     grid = op.grid
-    u = np.zeros(grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1).copy()
+    k, n = op.cells, grid.size
+    u = np.zeros((k, n)) if u0 is None else np.array(u0, dtype=float).reshape(k, n)
     forcing = problem.discount * op.delta  # 1 - gamma
     tight = 0.5 * tol
-    policy: np.ndarray | None = None
-    loose = False
-    best: tuple[float, np.ndarray] | None = None
-    evaluations = krylov = fallbacks = 0
-    it = 0
-    while it < max_iter:
-        tu, greedy = op.greedy(u, problem.discount)
-        it += 1
+    policy = np.zeros((k, n), dtype=np.intp)
+    solved = np.zeros(k, dtype=bool)   # a policy has been evaluated
+    loose = np.zeros(k, dtype=bool)    # ... and only to the forcing tolerance
+    best, best_u = np.full(k, math.inf), u.copy()
+    its, evaluations, krylov, fallbacks = np.zeros((4, k), dtype=int)
+    values = np.empty((k, n))
+    infos: list[SolveInfo | None] = [None] * k
+
+    def settle(c: int, tu: np.ndarray, residual: float, converged: bool) -> None:
+        values[c] = tu
+        infos[c] = SolveInfo(
+            int(its[c]), float(residual), converged, int(evaluations[c]),
+            "residual" if converged else "max_iter", int(krylov[c]), int(fallbacks[c]),
+        )
+
+    family = op.family()
+
+    def cells(subset: np.ndarray) -> SLOperator:
+        # A proper subset takes its step costs from a copy made for one call:
+        # Howard applies the operator a few times per solve, so the copies cost
+        # less than keeping one alive beside the caller's step costs.
+        return family if subset.size == k else family.family(subset)
+
+    rows = np.arange(k)
+    while rows.size:
+        done = its[rows] >= max_iter
+        for j in np.flatnonzero(done):
+            settle(rows[j], best_u[rows[j]], best[rows[j]], False)
+        rows, u = _rows(~done, rows, u)
+        if not rows.size:
+            break
+        tu, greedy = cells(rows).greedy(u, problem.discount)
+        its[rows] += 1
         step = tu - u
-        residual = float(np.max(np.abs(step)))
-        if residual <= tol:
-            return (
-                ValueField(grid, tu.reshape(grid.n1, grid.n2)),
-                SolveInfo(it, residual, True, evaluations, "residual", krylov, fallbacks),
+        residual = np.max(np.abs(step), axis=1)
+        done = residual <= tol
+        for j in np.flatnonzero(done):
+            settle(rows[j], tu[j], residual[j], True)
+        better = ~done & (residual < best[rows])
+        best[rows[better]] = residual[better]
+        best_u[rows[better]] = tu[better]
+        repeated = solved[rows] & (greedy == policy[rows]).all(axis=1)
+        evaluate = ~done & ~(repeated & ~loose[rows])
+        if evaluate.any():
+            sub = rows[evaluate]
+            atol = np.where(
+                repeated[evaluate], tight,
+                np.maximum(tight, forcing * np.sqrt(_dot(step[evaluate], step[evaluate]))),
             )
-        if best is None or residual < best[0]:
-            best = (residual, tu)
-        repeated = policy is not None and np.array_equal(greedy, policy)
-        if repeated and not loose:
-            u = tu
-            continue
-        policy = greedy
-        atol = tight if repeated else max(tight, forcing * math.sqrt(_dot(step, step)))
-        loose = atol > tight
-        u, steps, fell_back = op.policy_value(policy, problem.discount, guess=u, atol=atol)
-        evaluations += 1
-        krylov += steps
-        fallbacks += fell_back
-    residual, tu = best if best is not None else (math.inf, u)
-    return (
-        ValueField(grid, tu.reshape(grid.n1, grid.n2)),
-        SolveInfo(it, residual, False, evaluations, "max_iter", krylov, fallbacks),
-    )
+            policy[sub] = greedy[evaluate]
+            solved[sub] = True
+            loose[sub] = atol > tight
+            tu[evaluate], steps, fell_back = cells(sub).policy_value(
+                greedy[evaluate], problem.discount, guess=u[evaluate], atol=atol
+            )
+            evaluations[sub] += 1
+            krylov[sub] += steps
+            fallbacks[sub] += fell_back
+        rows, u = _rows(~done, rows, tu)
+    fields = _fields(grid, values)
+    if op.lone:
+        return fields[0], infos[0]
+    return fields, Family(infos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,7 +481,7 @@ def solve_ergodic_relative(
     tol: float = 1e-6,
     max_iter: int = 500_000,
     u0: np.ndarray | None = None,
-) -> ErgodicRelativeResult:
+):
     """Relative value iteration for the zero-discount (ergodic) problem.
 
     ``tol`` bounds the error of the returned average-cost ``rate``: iteration
@@ -347,55 +499,65 @@ def solve_ergodic_relative(
     fixed point (values grow by rate*delta per application), and in-place
     sweeps smear that growth across the sweep order, poisoning the span.
     Policy iteration does not apply either, since ``I - P`` is singular.
+
+    The cells of a family iterate in lockstep, each stopping and damping on
+    its own; a family returns a :class:`Family` of results.
     """
     op = operator
-    anchor = op.grid.anchor_index()
-    u = np.zeros(op.grid.size) if u0 is None else np.array(u0, dtype=float).reshape(-1)
-    u -= u[anchor]
-    spans: list[float] = []
-    damped = False
+    grid = op.grid
+    k, n = op.cells, grid.size
+    anchor = grid.anchor_index()
+    u = np.zeros((k, n)) if u0 is None else np.array(u0, dtype=float).reshape(k, n)
+    u -= u[:, [anchor]]
+    spans: deque[np.ndarray] = deque(maxlen=_STALL_WINDOW)  # per application, one span per cell
+    damped = np.zeros(k, dtype=bool)
+    best = np.full(k, math.inf)
+    best_rate, best_lo, best_hi = np.zeros((3, k))
+    best_rel = np.zeros((k, n))
+    results: list[ErgodicRelativeResult | None] = [None] * k
+
+    def settle(c: int, rel: np.ndarray, rate, span, lo, hi, converged: bool) -> None:
+        history = tuple(float(s[c]) for s in list(spans)[-50:])
+        results[c] = ErgodicRelativeResult(
+            ValueField(grid, rel.reshape(grid.n1, grid.n2).copy()), float(rate), float(span) / 2.0,
+            (float(lo), float(hi)), it, converged, history,
+        )
+
+    rows = np.arange(k)
+    family = op.family()
     it = 0
-    best: tuple[float, float, np.ndarray, tuple[float, float]] | None = None
-    while it < max_iter:
-        tu = op.apply(u, 0.0)
+    while rows.size and it < max_iter:
+        tu = family.apply(u, 0.0)
         it += 1
         d = tu - u
-        dmax = float(np.max(d))
-        dmin = float(np.min(d))
+        dmax = np.max(d, axis=1)
+        dmin = np.min(d, axis=1)
         span = dmax - dmin
         rate = 0.5 * (dmax + dmin) / op.delta
-        bounds = (dmin / op.delta, dmax / op.delta)
-        spans.append(span)
-        if best is None or span < best[0]:
-            best = (span, rate, u - u[anchor], bounds)
-        if span <= 2.0 * tol * op.delta:
-            rel = u - u[anchor]
-            return ErgodicRelativeResult(
-                ValueField(op.grid, rel.reshape(op.grid.n1, op.grid.n2)),
-                rate,
-                span / 2.0,
-                bounds,
-                it,
-                True,
-                tuple(spans[-50:]),
-            )
-        if damped:
-            u = 0.5 * (u + tu)
-        else:
-            u = tu
-        u -= u[anchor]
-        if not damped and len(spans) > 300 and span > 0.98 * spans[-200]:
-            damped = True
-    span, rate, rel, bounds = best
-    return ErgodicRelativeResult(
-        ValueField(op.grid, rel.reshape(op.grid.n1, op.grid.n2)),
-        rate,
-        span / 2.0,
-        bounds,
-        it,
-        False,
-        tuple(spans[-50:]),
-    )
+        lo, hi = dmin / op.delta, dmax / op.delta
+        spans.append(np.full(k, math.nan))
+        spans[-1][rows] = span
+        rel = u - u[:, [anchor]]
+        better = span < best[rows]
+        sub = rows[better]
+        best[sub], best_rate[sub], best_rel[sub] = span[better], rate[better], rel[better]
+        best_lo[sub], best_hi[sub] = lo[better], hi[better]
+        done = span <= 2.0 * tol * op.delta
+        for j in np.flatnonzero(done):
+            settle(rows[j], rel[j], rate[j], span[j], lo[j], hi[j], True)
+        damp = damped[rows]
+        tu[damp] = 0.5 * (u[damp] + tu[damp])
+        u = tu
+        u -= u[:, [anchor]]
+        if it > _STALL_START:
+            damped[rows[span > 0.98 * spans[0][rows]]] = True
+        if done.any():
+            rows, u = _rows(~done, rows, u)
+            if rows.size:
+                family = family.family(~done)
+    for c in rows:
+        settle(c, best_rel[c], best_rate[c], best[c], best_lo[c], best_hi[c], False)
+    return results[0] if op.lone else Family(results)
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,7 +577,7 @@ def ergodic_continuation(
     factor: float,
     tol: float,
     max_iter: int = 400_000,
-) -> ContinuationResult:
+):
     """Vanishing-discount estimate of the average cost.
 
     Runs discounted solves along ``lambda0 * factor**k`` with warm starts
@@ -426,42 +588,66 @@ def ergodic_continuation(
     or once the discount falls below 1e-7).  Inner solves run to residual
     ``0.1 * tol * delta`` so their contribution to the rate error stays below
     ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
+
+    The cells of a family share the discount schedule: each stage is one
+    family solve of the cells whose extrapolations still disagree.  A family
+    returns a :class:`Family` of results.
     """
     op = operator
+    k = op.cells
     anchor = op.grid.anchor_index()
     inner_tol = 0.1 * tol * op.delta
     lam = lambda0
     u: np.ndarray | None = None
-    history: list[tuple[float, float]] = []
-    extrapolations: list[float] = []
-    rates: list[float] = []
-    solves: list[SolveInfo] = []
-    converged = False
+    history: list[list[tuple[float, float]]] = [[] for _ in range(k)]
+    extrapolations: list[list[float]] = [[] for _ in range(k)]
+    rates: list[list[float]] = [[] for _ in range(k)]
+    solves: list[list[SolveInfo]] = [[] for _ in range(k)]
+    last: list[ValueField | None] = [None] * k
+    converged = np.zeros(k, dtype=bool)
+    results: list[ContinuationResult | None] = [None] * k
+    rows = np.arange(k)
+    family = op.family()
     stage = 0
-    fieldv: ValueField | None = None
-    while stage < _MAX_STAGES and lam >= _LAMBDA_FLOOR:
-        fieldv, info = solve_discounted(
-            DiscountedProblem(op, lam), tol=inner_tol, max_iter=max_iter, u0=u
+
+    def settle(c: int) -> None:
+        ext = extrapolations[c]
+        rate = ext[-1] if ext else (rates[c][-1] if rates[c] else math.nan)
+        assert last[c] is not None
+        results[c] = ContinuationResult(
+            rate, tuple(history[c]), last[c], bool(converged[c]), len(solves[c]), tuple(solves[c])
         )
-        solves.append(info)
-        u = fieldv.flat().copy()
-        a_val = float(u[anchor])
-        history.append((lam, a_val))
-        rates.append(lam * a_val)
-        if len(history) >= 2:
-            (l_prev, a_prev) = history[-2]
-            c_prev = l_prev * a_prev
-            c_curr = rates[-1]
-            extrapolations.append((l_prev * c_curr - lam * c_prev) / (l_prev - lam))
-            if len(extrapolations) >= 2 and abs(extrapolations[-1] - extrapolations[-2]) <= 0.5 * tol:
-                converged = info.converged
-                stage += 1
-                break
-        next_lam = lam * factor
-        c_est = extrapolations[-1] if extrapolations else rates[-1]
-        u = u + c_est * (1.0 / next_lam - 1.0 / lam)
-        lam = next_lam
+
+    while rows.size and stage < _MAX_STAGES and lam >= _LAMBDA_FLOOR:
+        fields, infos = solve_discounted(
+            DiscountedProblem(family, lam), tol=inner_tol, max_iter=max_iter, u0=u
+        )
         stage += 1
-    rate = extrapolations[-1] if extrapolations else (rates[-1] if rates else math.nan)
-    assert fieldv is not None
-    return ContinuationResult(rate, tuple(history), fieldv, converged, stage, tuple(solves))
+        u = np.stack([f.flat() for f in fields])
+        done = np.zeros(len(rows), dtype=bool)
+        for j, c in enumerate(rows):
+            solves[c].append(infos[j])
+            last[c] = fields[j]
+            a_val = float(u[j, anchor])
+            history[c].append((lam, a_val))
+            rates[c].append(lam * a_val)
+            if len(history[c]) >= 2:
+                (l_prev, a_prev) = history[c][-2]
+                c_prev = l_prev * a_prev
+                ext = extrapolations[c]
+                ext.append((l_prev * rates[c][-1] - lam * c_prev) / (l_prev - lam))
+                if len(ext) >= 2 and abs(ext[-1] - ext[-2]) <= 0.5 * tol:
+                    converged[c] = infos[j].converged
+                    done[j] = True
+                    settle(c)
+        next_lam = lam * factor
+        c_est = np.array([extrapolations[c][-1] if extrapolations[c] else rates[c][-1] for c in rows])
+        u = u + c_est[:, None] * (1.0 / next_lam - 1.0 / lam)
+        lam = next_lam
+        if done.any():
+            rows, u = _rows(~done, rows, u)
+            if rows.size:
+                family = family.family(~done)
+    for c in rows:
+        settle(c)
+    return results[0] if op.lone else Family(results)

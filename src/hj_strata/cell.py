@@ -23,6 +23,16 @@ Truncation families: strips grow in the half-height ``rho``, the compact-core
 constant ``E`` comes from boxes ``[-R, R]^2`` (an exhausting family with the
 same monotone limit as discs), both with state constraints at the cut
 boundaries.
+
+Cell families: the cells of one table that share a grid and a drift differ
+only in the cost shift ``p . f`` (the strips of one branch at one ``rho``,
+the torus cells of the ``hbar`` table).  ``strip_ergodic`` and
+``torus_effective`` take an array of momenta and solve its cells as
+families (see :mod:`hj_strata.bellman`): one operator build per family, and
+every solver step in lockstep over the family.  A family's estimates equal
+its cells' lone estimates bit for bit.  ``tangential_hamiltonian`` walks a
+family along ``rho``: every momentum at the first truncation, every one at
+the second, then only those whose last two constants disagree.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .bellman import (
+    Family,
     SLOperator,
     ergodic_continuation,
     solve_ergodic_relative,
@@ -46,6 +57,17 @@ from .scenario import Scenario
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
 _MAX_ITER = 500_000     # application budget of each ergodic solver
 _SLOPE_TOL = 5e-2       # corrector-slope fit vs window, in verify_corrector_slopes
+
+# Cells solved as one family.  Larger families pay off less and less while
+# their step costs (copied each time cells leave the lockstep) and their
+# (n_controls*N, cells) kernel candidates grow with them.  Measured on a shared
+# 2-core machine, tabulate_effective on the default checkerboard preset (4.9-
+# 5.5 s and 81 MiB peak RSS with every cell solved alone, 3.4-4.1 s of it in
+# the 289 torus cells): families of 8 cells 3.7 s (torus cells 2.6 s), 16 cells
+# 3.0 s (1.7 s), 32 cells 2.8 s (1.8 s), 64 cells 2.9 s (1.7 s), one family
+# 2.9 s (1.4 s), at a peak RSS of 81, 82, 86, 99 and 184 MiB.  The bench's
+# tables (21 strips per truncation, 25 torus cells) fit one family of 32.
+_FAMILY_CELLS = 32
 
 __all__ = [
     "ErgodicEstimate",
@@ -98,51 +120,63 @@ class ErgodicEstimate:
     delta: float
 
 
-def _relative_and_continuation(
-    op: SLOperator,
+def _solve_cells(
     scn: Scenario,
+    build: Callable[[np.ndarray], SLOperator],
+    momenta: np.ndarray,
     *,
     tol: float,
     kind: str,
     branch: str | None,
-    p: tuple[float, float],
     truncation: float,
-) -> ErgodicEstimate:
+) -> tuple[ErgodicEstimate, ...]:
+    """One estimate per row of ``momenta`` (shape (cells, 2)), solved in
+    families of at most ``_FAMILY_CELLS`` cells; ``build(rows)`` builds the
+    operator of a family.  Each family runs the continuation, then relative
+    VI from each cell's last discounted field."""
     sched = scn.schedules
-    cont = ergodic_continuation(
-        op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER
-    )
-    vi = solve_ergodic_relative(op, tol=tol, max_iter=_MAX_ITER, u0=cont.field.flat())
-    vi_constant = -vi.rate
-    cont_constant = -cont.rate
-    gap = abs(vi_constant - cont_constant)
-    return ErgodicEstimate(
-        kind=kind,
-        branch=branch,
-        p=p,
-        truncation=truncation,
-        constant=vi_constant,
-        continuation_constant=cont_constant,
-        method_gap=gap,
-        corrector=vi.field,
-        lambda_history=cont.history,
-        converged=bool(vi.converged and cont.converged and gap <= 2.0 * tol),
-        residual=vi.residual,
-        iterations=vi.iterations,
-        delta=op.delta,
-    )
+    out = []
+    for start in range(0, len(momenta), _FAMILY_CELLS):
+        rows = momenta[start:start + _FAMILY_CELLS]
+        family = build(rows).family()
+        conts = ergodic_continuation(
+            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER
+        )
+        vis = solve_ergodic_relative(
+            family, tol=tol, max_iter=_MAX_ITER, u0=np.stack([c.field.flat() for c in conts])
+        )
+        for p, cont, vi in zip(rows, conts, vis):
+            vi_constant, cont_constant = -vi.rate, -cont.rate
+            gap = abs(vi_constant - cont_constant)
+            out.append(ErgodicEstimate(
+                kind=kind,
+                branch=branch,
+                p=(float(p[0]), float(p[1])),
+                truncation=truncation,
+                constant=vi_constant,
+                continuation_constant=cont_constant,
+                method_gap=gap,
+                corrector=vi.field,
+                lambda_history=cont.history,
+                converged=bool(vi.converged and cont.converged and gap <= 2.0 * tol),
+                residual=vi.residual,
+                iterations=vi.iterations,
+                delta=family.delta,
+            ))
+    return tuple(out)
 
 
 def strip_operator(
     scn: Scenario,
-    p1: float,
+    p1,
     *,
     branch: str = "main",
     rho: float,
     h: float | None = None,
     delta: float | None = None,
 ) -> SLOperator:
-    """Build the shifted-cost Bellman operator of one truncated strip.
+    """Build the shifted-cost Bellman operator of one truncated strip, or of
+    the family of strips at the momenta of a 1-D ``p1``.
 
     ``delta`` overrides the scheduled time step.  The default ``sqrt(h)``
     balances the step and interpolation errors of the *constant*; corrector
@@ -158,37 +192,53 @@ def strip_operator(
     pts = grid.nodes()
     drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
     cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
-    cost = cost + p1 * drift[..., 0]
-    return SLOperator(grid, drift, cost, sched.delta(h) if delta is None else delta)
+    p1 = np.asarray(p1, dtype=float)
+    cost = cost[..., None] + np.atleast_1d(p1) * drift[..., 0, None]
+    delta = sched.delta(h) if delta is None else delta
+    return SLOperator(grid, drift, cost if p1.ndim else cost[..., 0], delta)
 
 
 def strip_ergodic(
     scn: Scenario,
-    p1: float,
+    p1,
     *,
     branch: str = "main",
     rho: float,
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-) -> ErgodicEstimate:
-    """Ergodic constant/corrector of one truncated strip at momentum ``p1``."""
+):
+    """Ergodic constant/corrector of one truncated strip at momentum ``p1``;
+    a 1-D ``p1`` solves its strips as one family and returns one estimate
+    per momentum."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    op = strip_operator(scn, p1, branch=branch, rho=rho, h=h, delta=delta)
-    return _relative_and_continuation(
-        op, scn, tol=tol, kind="strip", branch=branch, p=(p1, 0.0), truncation=rho
+    p1s = np.atleast_1d(np.asarray(p1, dtype=float))
+    estimates = _solve_cells(
+        scn,
+        lambda rows: strip_operator(scn, rows[:, 0], branch=branch, rho=rho, h=h, delta=delta),
+        np.column_stack([p1s, np.zeros_like(p1s)]),
+        tol=tol, kind="strip", branch=branch, truncation=rho,
     )
+    return estimates if np.ndim(p1) else estimates[0]
 
 
-def _walk_truncations(solve: Callable[[float], ErgodicEstimate], truncations, tol: float):
-    """Solve along ``truncations`` until two consecutive constants agree within
-    ``tol``; converged only then, and only if every solve converged."""
-    estimates: list[ErgodicEstimate] = []
+def _walk_truncations(solve, truncations, tol: float, cells: int):
+    """Walk ``cells`` cells along ``truncations``: ``solve(t, walking)``
+    solves the cells still walking at truncation ``t`` as one family.  A cell
+    stops once two consecutive constants agree within ``tol``, converged only
+    then and only if every one of its solves converged.  Returns each cell's
+    ``(estimates, converged)``."""
+    estimates: list[list[ErgodicEstimate]] = [[] for _ in range(cells)]
+    walking = list(range(cells))
+    agreed = [False] * cells
     for t in truncations:
-        estimates.append(solve(t))
-        if len(estimates) >= 2 and abs(estimates[-1].constant - estimates[-2].constant) <= tol:
-            return tuple(estimates), all(e.converged for e in estimates)
-    return tuple(estimates), False
+        for c, est in zip(walking, solve(t, walking)):
+            estimates[c].append(est)
+            agreed[c] = len(estimates[c]) >= 2 and abs(est.constant - estimates[c][-2].constant) <= tol
+        walking = [c for c in walking if not agreed[c]]
+        if not walking:
+            break
+    return [(tuple(e), a and all(x.converged for x in e)) for e, a in zip(estimates, agreed)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,21 +252,29 @@ class TangentialResult:
 
 def tangential_hamiltonian(
     scn: Scenario,
-    p1: float,
+    p1,
     *,
     branch: str = "main",
     tol: float | None = None,
-) -> TangentialResult:
+):
     """Tangential effective Hamiltonian at ``p1``: strip constants run along
     the scheduled ``rho_list`` until two consecutive values agree within
     ``tol``; if the schedule is exhausted first the result is flagged
-    unconverged."""
+    unconverged.
+
+    A 1-D ``p1`` walks its strips as a family: every momentum at the first
+    ``rho``, every one at the second, then only those whose last two
+    constants disagree.  It returns a :class:`Family` with one result per
+    momentum."""
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
-    estimates, converged = _walk_truncations(
-        lambda rho: strip_ergodic(scn, p1, branch=branch, rho=rho, tol=tol), sched.rho_list, tol
+    p1s = np.atleast_1d(np.asarray(p1, dtype=float))
+    walks = _walk_truncations(
+        lambda rho, cells: strip_ergodic(scn, p1s[cells], branch=branch, rho=rho, tol=tol),
+        sched.rho_list, tol, len(p1s),
     )
-    return TangentialResult(estimates[-1].constant, estimates, converged)
+    results = Family(TangentialResult(est[-1].constant, est, conv) for est, conv in walks)
+    return results if np.ndim(p1) else results[0]
 
 
 def ball_operator(
@@ -246,10 +304,10 @@ def ball_ergodic(
 ) -> ErgodicEstimate:
     """Compact-core ergodic constant on the box truncation of radius ``R``."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    op = ball_operator(scn, R, h=h, delta=delta)
-    return _relative_and_continuation(
-        op, scn, tol=tol, kind="ball", branch=None, p=(0.0, 0.0), truncation=R
-    )
+    return _solve_cells(
+        scn, lambda rows: ball_operator(scn, R, h=h, delta=delta), np.zeros((1, 2)),
+        tol=tol, kind="ball", branch=None, truncation=R,
+    )[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,17 +331,21 @@ def dirichlet_datum(
     sched = scn.schedules
     Rs = tuple(R_list) if R_list is not None else sched.R_list
     tol = sched.tol_ergodic if tol is None else tol
-    estimates, converged = _walk_truncations(lambda R: ball_ergodic(scn, R, tol=tol), Rs, tol)
+    [(estimates, converged)] = _walk_truncations(
+        lambda R, cells: (ball_ergodic(scn, R, tol=tol),), Rs, tol, 1
+    )
     return DirichletResult(estimates[-1].constant, estimates[-1].corrector, estimates, converged)
 
 
 def torus_operator(
     scn: Scenario,
-    p: tuple[float, float],
+    p,
     *,
     h: float | None = None,
     delta: float | None = None,
 ) -> SLOperator:
+    """Operator of the periodic background cell at momentum ``p`` (shape
+    (2,)), or of the family of cells at the rows of ``p`` (shape (cells, 2))."""
     if scn.case != "case2":
         raise ValueError("torus cell problems belong to case2 (periodic background)")
     sched = scn.schedules
@@ -294,24 +356,31 @@ def torus_operator(
     block = scn.background
     drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
     cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
-    cost = cost + p[0] * drift[..., 0] + p[1] * drift[..., 1]
-    return SLOperator(grid, drift, cost, sched.delta(h) if delta is None else delta)
+    p = np.asarray(p, dtype=float)
+    q = np.atleast_2d(p)
+    cost = cost[..., None] + q[:, 0] * drift[..., 0, None] + q[:, 1] * drift[..., 1, None]
+    delta = sched.delta(h) if delta is None else delta
+    return SLOperator(grid, drift, cost if p.ndim == 2 else cost[..., 0], delta)
 
 
 def torus_effective(
     scn: Scenario,
-    p: tuple[float, float],
+    p,
     *,
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-) -> ErgodicEstimate:
-    """Periodic-background effective Hamiltonian value at momentum ``p``."""
+):
+    """Periodic-background effective Hamiltonian value at momentum ``p``; the
+    rows of a (cells, 2) ``p`` are solved as one family, one estimate each."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    op = torus_operator(scn, p, h=h, delta=delta)
-    return _relative_and_continuation(
-        op, scn, tol=tol, kind="torus", branch=None, p=(float(p[0]), float(p[1])), truncation=0.0
+    estimates = _solve_cells(
+        scn,
+        lambda rows: torus_operator(scn, rows, h=h, delta=delta),
+        np.atleast_2d(np.asarray(p, dtype=float)),
+        tol=tol, kind="torus", branch=None, truncation=0.0,
     )
+    return estimates if np.ndim(p) == 2 else estimates[0]
 
 
 def _background_lines(scn: Scenario, p1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -572,8 +641,11 @@ def tabulate_effective(
 ) -> EffectiveTables:
     """Batch-solve every table the junction scheme needs.
 
-    Independent entries run in a thread pool (``threads``); assembly order is
-    fixed, so results are deterministic regardless of the pool width.
+    The pool (``threads`` workers) runs families, not entries: the
+    tangential walk of each branch, the ``E`` walk and, in case2, the torus
+    cells of ``hbar``.  Assembly order is fixed and a cell's estimate does
+    not depend on its family, so results are deterministic regardless of
+    the pool width.
     Failures (non-converged solves, method-gap violations, slope errors) are
     recorded per entry in ``flags`` instead of aborting the batch.
     """
@@ -590,54 +662,40 @@ def tabulate_effective(
     )
     branches = list(scn.branches)
     flags: dict[str, str] = {}
-
-    def solve_h1t(branch: str, p1: float) -> TangentialResult:
-        return tangential_hamiltonian(scn, p1, branch=branch, tol=tol)
-
     h1t: dict[str, np.ndarray] = {}
     gaps: dict[str, np.ndarray] = {}
+    ps = None
+    hbar = None
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        futures = {
-            (branch, i): pool.submit(solve_h1t, branch, float(p1))
+        tangential = {
+            branch: pool.submit(tangential_hamiltonian, scn, p1s, branch=branch, tol=tol)
             for branch in branches
-            for i, p1 in enumerate(p1s)
         }
         e_future = pool.submit(dirichlet_datum, scn, tol=tol)
-        torus_futures = None
-        ps = None
         if scn.case == "case2":
             ps = (
                 np.asarray(list(p_grid), dtype=float)
                 if p_grid is not None
                 else np.linspace(-window, window, 17)
             )
-            torus_futures = {
-                (i, j): pool.submit(torus_effective, scn, (float(a), float(b)), tol=tol)
-                for i, a in enumerate(ps)
-                for j, b in enumerate(ps)
-            }
+            momenta = np.stack(np.meshgrid(ps, ps, indexing="ij"), axis=-1).reshape(-1, 2)
+            torus_future = pool.submit(torus_effective, scn, momenta, tol=tol)
         for branch in branches:
-            vals = np.empty(len(p1s))
-            gap_row = np.empty(len(p1s))
-            for i in range(len(p1s)):
-                result = futures[(branch, i)].result()
-                vals[i] = result.value
-                gap_row[i] = max(e.method_gap for e in result.estimates)
+            results = tangential[branch].result()
+            h1t[branch] = np.array([r.value for r in results])
+            gaps[branch] = np.array([max(e.method_gap for e in r.estimates) for r in results])
+            for i, result in enumerate(results):
                 if not result.converged:
                     flags[f"h1t/{branch}/{i}"] = "truncation schedule exhausted or solver not converged"
-            h1t[branch] = vals
-            gaps[branch] = gap_row
         dirichlet = e_future.result()
         if not dirichlet.converged:
             flags["E"] = "truncation schedule exhausted or solver not converged"
-        hbar = None
-        if torus_futures is not None and ps is not None:
-            hbar = np.empty((len(ps), len(ps)))
-            for (i, j), fut in sorted(torus_futures.items()):
-                est = fut.result()
-                hbar[i, j] = est.constant
+        if ps is not None:
+            cells = torus_future.result()
+            hbar = np.array([est.constant for est in cells]).reshape(len(ps), len(ps))
+            for n, est in enumerate(cells):
                 if not est.converged:
-                    flags[f"hbar/{i}/{j}"] = "torus solve not converged"
+                    flags[f"hbar/{n // len(ps)}/{n % len(ps)}"] = "torus solve not converged"
 
     pi_lower: dict[str, np.ndarray] = {}
     pi_upper: dict[str, np.ndarray] = {}

@@ -3,15 +3,24 @@
 An operator stores, for each control ``a`` and node ``n``, the four corner
 indices ``idx[a, n]`` and bilinear weights ``w[a, n]`` of the foot point, and
 the step cost ``base[a, n]`` (``+inf`` marks an inadmissible control, whose
-weights are zero).  Those stencils are the rows of a sparse
-``(n_controls*N) x N`` transition matrix, built by :func:`stencil_matrix`
-with ``w`` and ``idx`` as its data and column arrays.  An application is then
-one sparse product ``gamma * (P @ u) + base`` followed by a min (or argmin)
-over controls.  scipy's CSR matvec sums each row as
-``w0*u0 + w1*u1 + w2*u2 + w3*u3`` in a compiled loop, the same order as a
-per-node C loop, so no extension module is needed and no build step either.
-``P`` is rebuilt on every call: building it copies neither array and costs
-about 6% of an application on a 25,921-node ball.
+weights are zero).  A family of cells that share the grid and the drift
+shares ``idx`` and ``w`` and stacks one step cost per cell along a trailing
+axis, ``base[a, n, c]``; the values ``u[c, n]`` then have one row per cell.
+A lone cell is a family of one (``base`` of shape (na, N), ``u`` of shape
+(N,)).
+
+The stencils are the rows of a sparse ``(n_controls*N) x N`` transition
+matrix, built by :func:`stencil_matrix` with ``w`` and ``idx`` as its data
+and column arrays.  An application is then one sparse product ``gamma * (P
+@ U) + base`` on the (N, cells) block ``U`` followed by a min (or argmin)
+over controls.  scipy's CSR products sum each row as ``w0*u0 + w1*u1 +
+w2*u2 + w3*u3`` in a compiled loop, for one column or many, so every cell of
+a family gets bit for bit the values it gets alone, no extension module is
+needed and no build step either.  ``P`` is built once per call, copying
+neither array; its cost is shared by every cell of the family.
+
+The cell layer solves at most 32 cells as one family (``cell._FAMILY_CELLS``),
+which bounds the (n_controls*N, cells) candidate array of one call.
 
 The signatures of :func:`jacobi_min` and :func:`jacobi_argmin` are fixed:
 callers pass the operator's raw arrays, and the benchmark's tracer wraps
@@ -35,29 +44,38 @@ def stencil_matrix(idx: np.ndarray, w: np.ndarray, n: int) -> sparse.csr_matrix:
 
 
 def _candidates(idx, w, base, gamma, u) -> np.ndarray:
-    """``base + gamma * u(foot)`` for every (control, node) pair, shape (na, N)."""
-    cand = stencil_matrix(idx, w, u.size) @ u
+    """``base + gamma * u(foot)`` for every (control, node, cell), shape
+    (na, N, cells); a lone cell is viewed as a family of one."""
+    na, n = idx.shape[:2]
+    cand = stencil_matrix(idx, w, n) @ u.reshape(-1, n).T
     cand *= gamma
-    cand += base.reshape(-1)
-    return cand.reshape(base.shape)
+    cand = cand.reshape(na, n, -1)
+    cand += base.reshape(na, n, -1)
+    return cand
 
 
 def jacobi_min(
     idx: np.ndarray,      # (na, N, 4) int32 corner indices
     w: np.ndarray,        # (na, N, 4) float64 corner weights
-    base: np.ndarray,     # (na, N) float64 step cost (+inf marks inadmissible)
+    base: np.ndarray,     # (na, N) or (na, N, cells) step cost (+inf marks inadmissible)
     gamma: float,
-    u: np.ndarray,        # (N,) current values
-    out: np.ndarray,      # (N,) output
+    u: np.ndarray,        # (N,) or (cells, N) current values
+    out: np.ndarray,      # output, shaped like u
 ) -> None:
-    np.min(_candidates(idx, w, base, gamma, u), axis=0, out=out)
+    out[...] = np.min(_candidates(idx, w, base, gamma, u), axis=0).T.reshape(out.shape)
 
 
 def jacobi_argmin(idx, w, base, gamma, u, out, policy) -> None:
-    """``jacobi_min`` that also writes the first minimizing control to ``policy`` (N,)."""
+    """``jacobi_min`` that also writes the first minimizing control to
+    ``policy`` (shaped like ``u``)."""
     cand = _candidates(idx, w, base, gamma, u)
-    np.argmin(cand, axis=0, out=policy)
-    out[:] = cand[policy, np.arange(cand.shape[1])]
+    flat = cand.reshape(cand.shape[0], -1)
+    # the first minimizing control, as np.argmin(flat, axis=0) finds it
+    # (slower along a leading axis)
+    choice = np.argmax(flat == flat.min(axis=0), axis=0)
+    values = np.take(flat, choice * flat.shape[1] + np.arange(flat.shape[1]))
+    policy[...] = choice.reshape(cand.shape[1:]).T.reshape(policy.shape)
+    out[...] = values.reshape(cand.shape[1:]).T.reshape(out.shape)
 
 
 __all__ = ["jacobi_min", "jacobi_argmin", "stencil_matrix", "BACKEND"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -135,6 +136,11 @@ def test_howard_iterations_do_not_grow_as_discount_vanishes():
     assert 1 <= info.policy_evaluations <= 20
 
 
+def _stalled_krylov(system, rhs, **kw):
+    """A BiCGSTAB stand-in whose every row (one per cell) stalls at once."""
+    return np.zeros_like(rhs), np.ones(len(rhs), dtype=int)
+
+
 def test_policy_value_falls_back_to_lu(monkeypatch):
     from hj_strata import bellman
 
@@ -142,7 +148,7 @@ def test_policy_value_falls_back_to_lu(monkeypatch):
     problem = DiscountedProblem(op, 0.05)
     krylov, _ = solve_discounted(problem, tol=1e-9)
     # a Krylov solve that stalls hands the evaluation to sparse LU
-    monkeypatch.setattr(bellman, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(bellman, "bicgstab", _stalled_krylov)
     lu, info = solve_discounted(problem, tol=1e-9)
     assert info.converged and info.policy_evaluations <= 20
     assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
@@ -157,7 +163,7 @@ def test_solve_info_reports_krylov_work_and_lu_fallbacks(monkeypatch):
     assert info.converged
     assert info.krylov_iterations >= info.policy_evaluations >= 1
     assert info.lu_fallbacks == 0
-    monkeypatch.setattr(bellman, "bicgstab", lambda a, b, **kw: (np.zeros_like(b), 1))
+    monkeypatch.setattr(bellman, "bicgstab", _stalled_krylov)
     _, stalled = solve_discounted(problem, tol=1e-9)
     assert stalled.converged and stalled.krylov_iterations == 0
     assert stalled.lu_fallbacks == stalled.policy_evaluations >= 1
@@ -209,6 +215,9 @@ def test_matrix_free_policy_value_solves_the_assembled_system(kind):
 
 
 def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
+    # the first policy evaluation is cut short and returns its start, so the
+    # next greedy step sees the same iterate and repeats the loosely solved
+    # policy; that policy must then be solved again at tol / 2
     from hj_strata import bellman
 
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
@@ -221,17 +230,22 @@ def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
         events.append(("greedy", policy.copy(), float(np.max(np.abs(tu - u)))))
         return tu, policy
 
-    def logged_bicgstab(a, b, **kw):
-        events.append(("solve", kw["atol"]))
-        return krylov(a, b, **kw)
+    def logged_bicgstab(system, rhs, **kw):
+        (atol,) = kw["atol"]  # one tolerance per cell, and one cell here
+        events.append(("solve", float(atol)))
+        if len(events) == 2:
+            return np.array(kw["x0"]), np.zeros(len(rhs), dtype=int)
+        return krylov(system, rhs, **kw)
 
     monkeypatch.setattr(SLOperator, "greedy", logged_greedy)
     monkeypatch.setattr(bellman, "bicgstab", logged_bicgstab)
     _, info = solve_discounted(DiscountedProblem(op, 0.5), tol=tol)
     assert info.converged
     assert [e[0] for e in events[::2]] == ["greedy"] * len(events[::2])
-    atols = [e[1] for e in events if e[0] == "solve"]
-    assert atols[0] > 0.5 * tol and min(atols) == 0.5 * tol
+    (_, first, _), (_, loose), (_, again, residual), (_, tight) = events[:4]
+    assert loose > 0.5 * tol and residual > tol
+    assert np.array_equal(again, first)
+    assert tight == 0.5 * tol
     checked = 0
     for k in range(1, len(events) - 2, 2):
         # events[k] solved the policy of events[k - 1]; events[k + 1] is the next greedy step
@@ -425,3 +439,81 @@ def test_discounted_solve_does_not_depend_on_the_blas_thread_count():
         outputs.append(proc.stdout)
     assert len(outputs[0]) == 8 * 161 * 161
     assert outputs[0] == outputs[1]
+
+
+def _torus_family(controls, costs, h=1 / 8, delta=None):
+    """A family of torus cells sharing ``controls`` as constant drifts, one
+    cell per cost function, and the lone operator of each cell."""
+    grid = GridSpec.torus(1.0, h)
+    pts = grid.nodes()
+    a = np.asarray(controls, dtype=float)
+    drift = np.broadcast_to(a[:, None, :], (len(a), grid.size, 2)).copy()
+    cost = np.stack([np.broadcast_to(c(pts), (len(a), grid.size)) for c in costs], axis=-1)
+    delta = math.sqrt(h) if delta is None else delta
+    family = SLOperator(grid, drift, cost, delta)
+    return family, [SLOperator(grid, drift, cost[..., c].copy(), delta) for c in range(len(costs))]
+
+
+def _assert_same_results(family, lone):
+    """Family results equal the lone results field by field, arrays bit for bit."""
+    assert len(family) == len(lone)
+    for a, b in zip(family, lone):
+        assert a.field.values.tobytes() == b.field.values.tobytes()
+        assert dataclasses.replace(a, field=None) == dataclasses.replace(b, field=None)
+
+
+def _flat(p):
+    return np.ones(len(p))
+
+
+def _wave(p):
+    return 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0])
+
+
+def _rows(p):
+    return _wave(p) + 0.3 * np.cos(2 * np.pi * p[:, 1])
+
+
+def test_family_relative_vi_equals_lone_solves_bit_for_bit(monkeypatch):
+    # transport along e1 at one node or three quarters of a node per step: the
+    # flat cell stops at the first check, the wave cell converges after 507
+    # undamped applications, and the rows cell, whose rows grow at different
+    # rates, stalls, switches to damped updates and runs out of applications
+    from hj_strata import bellman
+
+    family, lone = _torus_family([(1.0, 0.0), (0.75, 0.0)], [_flat, _wave, _rows], delta=1 / 8)
+    batch = solve_ergodic_relative(family, tol=1e-8, max_iter=1000)
+    assert [(r.iterations, r.converged) for r in batch] == [(1, True), (507, True), (1000, False)]
+    assert batch.iterations == 1508
+    _assert_same_results(batch, [solve_ergodic_relative(op, tol=1e-8, max_iter=1000) for op in lone])
+    monkeypatch.setattr(bellman, "_STALL_START", 1000)  # the rows cell never damps
+    undamped = solve_ergodic_relative(lone[2], tol=1e-8, max_iter=1000)
+    assert undamped.field.values.tobytes() != batch[2].field.values.tobytes()
+
+
+def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatch):
+    from hj_strata import bellman
+
+    controls = load_preset("eikonal").controls
+    family, lone = _torus_family(controls, [_wave, _flat, _rows])
+    krylov = bellman.bicgstab
+
+    def stalls_on_flat_rows(system, rhs, **kw):
+        # the flat cell's policy evaluations all fall back to LU
+        x, info = krylov(system, rhs, **kw)
+        return x, np.where(np.ptp(rhs, axis=1) == 0.0, 1, info)
+
+    monkeypatch.setattr(bellman, "bicgstab", stalls_on_flat_rows)
+    for max_iter in (200_000, 2):
+        fields, infos = solve_discounted(DiscountedProblem(family, 0.5), tol=1e-9, max_iter=max_iter)
+        alone = [solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9, max_iter=max_iter) for op in lone]
+        for field, info, (field_1, info_1) in zip(fields, infos, alone):
+            assert field.values.tobytes() == field_1.values.tobytes()
+            assert info == info_1
+        assert infos.iterations == sum(info.iterations for _, info in alone)
+    # with two applications only the flat cell converges, on its LU solve
+    assert [(i.converged, i.lu_fallbacks) for i in infos] == [(False, 0), (True, 1), (False, 0)]
+    batch = ergodic_continuation(family, lambda0=0.5, factor=0.5, tol=1e-6)
+    _assert_same_results(batch, [ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-6) for op in lone])
+    assert len({r.stages for r in batch}) > 1  # the cells leave the family at different stages
+    assert batch.stages == sum(r.stages for r in batch)

@@ -305,3 +305,57 @@ def test_case3_tables_have_two_branches():
     assert tab.branches() == ["minus", "plus"]
     # mirror-symmetric preset: the two branch tables coincide
     assert tab.h1t["plus"][0] == pytest.approx(tab.h1t["minus"][0], abs=1e-6)
+
+
+def _same_estimates(family, lone):
+    """Estimates equal field by field, correctors bit for bit."""
+    assert len(family) == len(lone)
+    for a, b in zip(family, lone):
+        assert a.corrector.values.tobytes() == b.corrector.values.tobytes()
+        assert dataclasses.replace(a, corrector=None) == dataclasses.replace(b, corrector=None)
+
+
+def test_strip_family_walk_equals_lone_walks_bit_for_bit():
+    # a slow, cheap lane at |y2| >= 2 beats the line when |p1| is small: those
+    # momenta read new constants at rho = 2 and walk on to rho = 4, while the
+    # line wins at |p1| = 1 and those stop at rho = 2
+    scn = parse_scenario(
+        {
+            "case": "case1",
+            "alpha": 1.0,
+            "R0": 0.5,
+            "controls": {"directions": 8, "speed": 1.0, "include_zero": True},
+            "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+            "strip_defect": {
+                "period": 1.0,
+                "drift": ["{a1}*(1 - 0.9*smoothstep(1.25, 2, abs(y2)))", "{a2}"],
+                "cost": "1 - 0.5*smoothstep(0.5, 0.25, abs(y2)) - 0.8*smoothstep(1.25, 2, abs(y2))",
+            },
+            "schedules": {"cell_h": 0.125},
+        },
+        label="far_lane",
+    )
+    p1s = np.array([-1.0, 0.0, 0.25, 1.0])
+    family = tangential_hamiltonian(scn, p1s, tol=1e-3)
+    assert [len(r.estimates) for r in family] == [2, 3, 3, 2]
+    assert len(family.estimates) == 10
+    for result, p1 in zip(family, p1s):
+        alone = tangential_hamiltonian(scn, float(p1), tol=1e-3)
+        assert (result.value, result.converged) == (alone.value, alone.converged)
+        _same_estimates(result.estimates, alone.estimates)
+    assert [r.converged for r in family] == [True, True, False, True]
+
+
+def test_torus_family_equals_lone_cells_bit_for_bit():
+    scn = load_preset("checkerboard")
+    momenta = np.array([[0.0, 0.0], [0.8, -0.4], [-1.2, 0.6]])
+    family = torus_effective(scn, momenta, tol=1e-4)
+    _same_estimates(family, [torus_effective(scn, tuple(p), tol=1e-4) for p in momenta])
+
+
+def test_tables_do_not_depend_on_the_pool_width():
+    scn = load_preset("checkerboard")
+    grids = dict(p1_grid=[-0.8, 0.0, 0.5], p_grid=[-0.6, 0.0, 0.6])
+    one = tabulate_effective(scn, tol=1e-3, threads=1, **grids)
+    three = tabulate_effective(scn, tol=1e-3, threads=3, **grids)
+    assert one.to_json_dict() == three.to_json_dict()
