@@ -606,30 +606,6 @@ class EffectiveTables:
             provenance=dict(data.get("provenance", {})),
         )
 
-    def to_csv(self, path) -> None:
-        """Human-readable CSV blocks with provenance comment headers."""
-        from pathlib import Path
-
-        lines = ["# hj-strata effective tables"]
-        for k, v in sorted(self.provenance.items()):
-            lines.append(f"# {k}={v}")
-        lines.append(f"# E={self.E!r}")
-        for R, ER in self.E_history:
-            lines.append(f"# E_R,{R!r},{ER!r}")
-        lines.append("block,branch,p1,value,pi_lower,pi_upper")
-        for branch in self.branches():
-            for i, p1 in enumerate(self.p1_grid):
-                lines.append(
-                    f"h1t,{branch},{p1!r},{self.h1t[branch][i]!r},"
-                    f"{self.pi_lower[branch][i]!r},{self.pi_upper[branch][i]!r}"
-                )
-        if self.hbar is not None and self.p_grid is not None:
-            lines.append("block,p1,p2,value")
-            for i, a in enumerate(self.p_grid):
-                for j, b in enumerate(self.p_grid):
-                    lines.append(f"hbar,{a!r},{b!r},{self.hbar[i, j]!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def tabulate_effective(
     scn: Scenario,

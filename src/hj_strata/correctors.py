@@ -30,16 +30,16 @@ and the spec's notes say so.  ``subsolution_residual`` then
 measures how well the assembled minimum satisfies the level inequality under
 the true Hamiltonian, differencing the active piece only and reporting each
 node's most favorable one-sided candidate (the almost-everywhere test).
+``_territory`` and ``subsolution_residual`` share that one per-piece
+measurement, ``_piece_level_residual``.
 ``bellman_certificate`` cross-checks the same inequality through the dynamic
 programming operator, with no differencing at all.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -67,7 +67,6 @@ __all__ = [
     "bellman_certificate",
     "build_corrector_set",
     "build_subcorrector",
-    "check_min_subsolution",
     "majorant_gap",
     "residual_field",
     "select_regime",
@@ -333,34 +332,6 @@ class SubcorrectorSpec:
         if absent)."""
         return next((pc.radius for pc in self.pieces if pc.kind == "ball"), None)
 
-    def write_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        origin = self.origin_radius()
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["# key", "value"])
-            writer.writerow(["regime", self.regime])
-            writer.writerow(["target1", float(self.target[0])])
-            writer.writerow(["target2", float(self.target[1])])
-            writer.writerow(["level", float(self.level)])
-            writer.writerow(["eta", float(self.eta)])
-            writer.writerow(["c", float(self.c)])
-            writer.writerow(["C", float(self.C)])
-            writer.writerow(["split_radius", float(self.split_radius)])
-            writer.writerow(["origin_radius", "none" if origin is None else float(origin)])
-            writer.writerow(["half_width", float(self.half_width)])
-            for key, val in sorted(self.q_values.items()):
-                writer.writerow([key, float(val)])
-            writer.writerow([])
-            writer.writerow(["label", "kind", "branch", "slope1", "slope2", "offset", "halfplane"])
-            for piece in self.pieces:
-                writer.writerow([
-                    piece.label, piece.kind, piece.branch or "",
-                    float(piece.slope[0]), float(piece.slope[1]),
-                    float(piece.offset), piece.halfplane,
-                ])
-        return path
-
 
 # ---------------------------------------------------------------------------
 # corrector cache
@@ -624,14 +595,24 @@ def _piece_quotients(piece: Piece, pts: np.ndarray, h1: float, h2: float):
 
 
 def _piece_level_residual(
-    scn: Scenario, piece: Piece, pts: np.ndarray, h1: float, h2: float, level: float
+    scn: Scenario, pieces, active: np.ndarray, pts: np.ndarray, h1: float, h2: float, level: float
 ) -> np.ndarray:
-    """Per-node level residual of one piece under the true Hamiltonian --
-    the same a.e. measurement the final residual check applies to the
-    composed minimum, here on the piece's smooth extension.
+    """Per-node level residual, under the true Hamiltonian, of the piece
+    ``active`` selects at each node: the one a.e. measurement that both
+    :func:`_territory` and :func:`subsolution_residual` read.
+
+    Differencing the smooth extension of the active piece keeps kink lines of
+    the composed minimum from polluting the residual; the pieces' own internal
+    kinks (every corrector has them) are then handled by the candidate rule in
+    :func:`_favorable_hamiltonian`.
     """
-    quot = _piece_quotients(piece, pts, h1, h2)
-    return _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - level
+    residual = np.empty(len(pts))
+    for k, piece in enumerate(pieces):
+        sel = active == k
+        if sel.any():
+            quot = _piece_quotients(piece, pts[sel], h1, h2)
+            residual[sel] = _favorable_hamiltonian(scn, pts[sel], _pair_candidates(*quot)) - level
+    return residual
 
 
 def _territory(
@@ -659,12 +640,12 @@ def _territory(
     active = np.argmin(outer_vals, axis=0)
     rows = np.arange(len(pts))
     trusted = _piece_safety(scn, outer, pts)[active, rows]
+    unsettled = ~trusted
     loose = np.zeros(len(pts), dtype=bool)
-    for k, piece in enumerate(outer):
-        sel = (active == k) & ~trusted
-        if sel.any():
-            measured = _piece_level_residual(scn, piece, pts[sel], grid.h1, grid.h2, level)
-            loose[sel] = measured <= _SAFETY_MARGIN
+    measured = _piece_level_residual(
+        scn, outer, active[unsettled], pts[unsettled], grid.h1, grid.h2, level
+    )
+    loose[unsettled] = measured <= _SAFETY_MARGIN
     if loose.any():
         worst = [outer[k].label for k in sorted(set(active[loose]))]
         notes.append(
@@ -1057,23 +1038,6 @@ def build_subcorrector(
 # ---------------------------------------------------------------------------
 
 
-def _active_piece_quotients(spec: SubcorrectorSpec, pts: np.ndarray, h1: float, h2: float):
-    """Per-axis one-sided quotients of the selected piece at each node.
-
-    Differencing the smooth extension of the active piece keeps kink lines of
-    the composed minimum from polluting the residual; the pieces' own internal
-    kinks (every corrector has them) are then handled by the candidate rule in
-    :func:`_favorable_hamiltonian`.
-    """
-    active = spec.active(pts)
-    quot = np.empty((4, len(pts)))
-    for k, piece in enumerate(spec.pieces):
-        sel = active == k
-        if sel.any():
-            quot[:, sel] = _piece_quotients(piece, pts[sel], h1, h2)
-    return tuple(quot)
-
-
 def _check_probe_coverage(spec: SubcorrectorSpec, grid: GridSpec) -> None:
     reach1 = grid.origin[0] + (grid.n1 - 1) * grid.h1 + grid.h1
     reach2 = grid.origin[1] + (grid.n2 - 1) * grid.h2 + grid.h2
@@ -1100,8 +1064,9 @@ def _level_residual(
     """Sample nodes and, at each, ``H(0, y, Dχ) - level`` by the a.e. test."""
     _check_probe_coverage(spec, sample_grid)
     pts = sample_grid.nodes()
-    quot = _active_piece_quotients(spec, pts, sample_grid.h1, sample_grid.h2)
-    return pts, _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - float(level)
+    return pts, _piece_level_residual(
+        scn, spec.pieces, spec.active(pts), pts, sample_grid.h1, sample_grid.h2, float(level)
+    )
 
 
 def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> float:
@@ -1172,51 +1137,3 @@ def bellman_certificate(
     chi = spec.values(pts)
     residual = (chi - op.apply(chi, 0.0)) / step - float(level)
     return float(residual[full_fan].max())
-
-
-def _field_quotients(values: np.ndarray, grid: GridSpec):
-    """Per-axis one-sided quotient arrays of a node field.
-
-    Constrained edges replicate the adjacent interior quotient so every node
-    carries a full candidate set; periodic axes wrap.
-    """
-    v = values
-    if grid.periodic1:
-        f1m = (v - np.roll(v, 1, axis=0)) / grid.h1
-        f1p = (np.roll(v, -1, axis=0) - v) / grid.h1
-    else:
-        d1 = (v[1:] - v[:-1]) / grid.h1
-        f1m = np.concatenate([d1[:1], d1], axis=0)
-        f1p = np.concatenate([d1, d1[-1:]], axis=0)
-    if grid.periodic2:
-        f2m = (v - np.roll(v, 1, axis=1)) / grid.h2
-        f2p = (np.roll(v, -1, axis=1) - v) / grid.h2
-    else:
-        d2 = (v[:, 1:] - v[:, :-1]) / grid.h2
-        f2m = np.concatenate([d2[:, :1], d2], axis=1)
-        f2p = np.concatenate([d2, d2[:, -1:]], axis=1)
-    return f1m, f1p, f2m, f2p
-
-
-def check_min_subsolution(scn: Scenario, u1: ValueField, u2: ValueField, level: float) -> float:
-    """Level residual of ``min(u1, u2)`` from two sampled subsolutions.
-
-    At each node the difference quotients of whichever field achieves the
-    minimum are tested (most favorable candidate, as in
-    :func:`_favorable_hamiltonian`), so the residual of the composition never
-    exceeds the inputs' residuals by more than the difference slack.
-    """
-    if u1.grid.meta_line() != u2.grid.meta_line():
-        raise ValueError(
-            f"grid mismatch: {u1.grid.meta_line()} vs {u2.grid.meta_line()}"
-        )
-    grid = u1.grid
-    take1 = u1.values <= u2.values
-    parts1 = _field_quotients(u1.values, grid)
-    parts2 = _field_quotients(u2.values, grid)
-    quot = tuple(
-        np.where(take1, a, b).reshape(-1) for a, b in zip(parts1, parts2)
-    )
-    pts = grid.nodes()
-    residual = _favorable_hamiltonian(scn, pts, _pair_candidates(*quot)) - float(level)
-    return float(residual.max())

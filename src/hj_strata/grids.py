@@ -13,14 +13,11 @@ functions, which doubles as the correctness test for the weight logic.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-__all__ = ["GridSpec", "ValueField", "interpolate"]
+__all__ = ["GridSpec", "ValueField"]
 
 _ALIGN_TOL = 1e-9
 
@@ -174,27 +171,6 @@ class GridSpec:
             ok &= (pts[:, 1] >= lo - tol) & (pts[:, 1] <= hi + tol)
         return ok
 
-    def meta_line(self) -> str:
-        return (
-            f"kind={self.kind} n1={self.n1} n2={self.n2} h1={self.h1!r} h2={self.h2!r} "
-            f"o1={self.origin[0]!r} o2={self.origin[1]!r} "
-            f"periodic1={int(self.periodic1)} periodic2={int(self.periodic2)}"
-        )
-
-    @classmethod
-    def from_meta_line(cls, line: str) -> "GridSpec":
-        fields = dict(re.findall(r"(\w+)=([^\s]+)", line))
-        return cls(
-            kind=fields["kind"],
-            n1=int(fields["n1"]),
-            n2=int(fields["n2"]),
-            h1=float(fields["h1"]),
-            h2=float(fields["h2"]),
-            origin=(float(fields["o1"]), float(fields["o2"])),
-            periodic1=bool(int(fields["periodic1"])),
-            periodic2=bool(int(fields["periodic2"])),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ValueField:
@@ -215,38 +191,13 @@ class ValueField:
         return float(self.flat()[self.grid.anchor_index()])
 
     def __call__(self, points: np.ndarray, *, clip: bool = False) -> np.ndarray:
-        return interpolate(self, points, clip=clip)
+        """Bilinear interpolation at ``points`` of shape (..., 2).
 
-    def to_csv(self, path: str | Path) -> Path:
-        """Write ``y1,y2,value`` rows (full float precision) plus grid metadata."""
-        path = Path(path)
-        pts = self.grid.nodes()
-        vals = self.flat()
-        lines = ["# hj-strata value field", f"# {self.grid.meta_line()}", "y1,y2,value"]
-        lines.extend(f"{float(p[0])!r},{float(p[1])!r},{float(v)!r}" for p, v in zip(pts, vals))
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "ValueField":
-        lines = Path(path).read_text().splitlines()
-        meta = next(l for l in lines if l.startswith("# kind="))
-        grid = GridSpec.from_meta_line(meta[2:])
-        rows = [l for l in lines if l and not l.startswith("#") and not l.startswith("y1,")]
-        if len(rows) != grid.size:
-            raise ValueError(f"{path}: expected {grid.size} rows, found {len(rows)}")
-        vals = np.array([float(r.rsplit(",", 1)[1]) for r in rows])
-        return cls(grid, vals.reshape(grid.n1, grid.n2))
-
-
-def interpolate(field: ValueField, points: np.ndarray, *, clip: bool = False) -> np.ndarray:
-    """Bilinear interpolation of ``field`` at ``points`` of shape (..., 2).
-
-    Wraps on periodic axes; on constrained axes points outside the grid raise
-    unless ``clip`` clamps them to the boundary.  Exact on affine functions.
-    """
-    pts = np.asarray(points, dtype=float)
-    shape = pts.shape[:-1]
-    idx, w = field.grid.interp_weights(pts.reshape(-1, 2), clip=clip)
-    vals = (field.flat()[idx] * w).sum(axis=1)
-    return vals.reshape(shape)
+        Wraps on periodic axes; on constrained axes points outside the grid raise
+        unless ``clip`` clamps them to the boundary.  Exact on affine functions.
+        """
+        pts = np.asarray(points, dtype=float)
+        shape = pts.shape[:-1]
+        idx, w = self.grid.interp_weights(pts.reshape(-1, 2), clip=clip)
+        vals = (self.flat()[idx] * w).sum(axis=1)
+        return vals.reshape(shape)

@@ -38,7 +38,7 @@ import numpy as np
 from . import bellman
 from .bellman import SLOperator
 from .cell import EffectiveTables
-from .grids import GridSpec, ValueField
+from .grids import _ALIGN_TOL, GridSpec, ValueField
 from .hamiltonian import estimate_bounds
 from .scenario import Scenario
 
@@ -101,10 +101,10 @@ def build_scheme(
         raise ValueError("stratified solves need a plain box grid")
     if abs(grid.h1 - grid.h2) > 1e-12:
         raise ValueError("stratified solves need square cells (h1 == h2)")
-    try:
-        origin = grid.index_of((0.0, 0.0))
-    except (ValueError, KeyError):
-        raise ValueError("the origin must be a grid node") from None
+    origin = grid.index_of((0.0, 0.0))
+    i0, j0 = divmod(origin, grid.n2)
+    if max(abs(grid.coords1()[i0]), abs(grid.coords2()[j0])) > _ALIGN_TOL * grid.h1:
+        raise ValueError("the origin must be a grid node")
 
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if bounds["r_f"] <= 0:
@@ -121,7 +121,6 @@ def build_scheme(
         raise ValueError("alpha*delta >= 1: shrink the time step or the grid spacing")
 
     coords1 = grid.coords1()
-    j0 = int(round(-grid.origin[1] / grid.h2))
     n2 = grid.n2
     flat_axis = np.arange(grid.n1) * n2 + j0
     m1 = {branch: flat_axis[side * coords1 > 1e-12] for branch, side in scn.branches.items()}

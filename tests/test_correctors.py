@@ -13,14 +13,13 @@ from hj_strata.correctors import (
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
-    check_min_subsolution,
     majorant_gap,
     plane_level,
     residual_field,
     select_regime,
     subsolution_residual,
 )
-from hj_strata.grids import GridSpec, ValueField
+from hj_strata.grids import GridSpec
 from hj_strata.hamiltonian import eval_fields
 from hj_strata.scenario import load_preset, parse_scenario, validate_assumptions
 
@@ -53,6 +52,15 @@ def _certify(scn, spec, correctors, h=1 / 32):
     gap = majorant_gap(spec, grid)
     cert = bellman_certificate(scn, spec, spec.level, grid, delta=correctors.delta)
     return residual, gap, cert
+
+
+def _affine_spec(scn, target, level, *pieces):
+    """A hand-made plane-regime spec whose minimum is over ``pieces``."""
+    return SubcorrectorSpec(
+        target=tuple(target), regime="plane", case=scn.case, level=level, eta=0.0,
+        q_values={}, c=0.0, C=0.0, split_radius=scn.R1, half_width=2.0,
+        pieces=pieces,
+    )
 
 
 def test_select_regime_orders_levels(attract):
@@ -267,11 +275,7 @@ def test_residual_reports_level_violation_exactly(attract):
     scn, _, _ = attract
     p = (0.0, 2.0)
     level = -0.5
-    spec = SubcorrectorSpec(
-        target=p, regime="plane", case=scn.case, level=level, eta=0.0,
-        q_values={}, c=0.0, C=0.0, split_radius=scn.R1, half_width=2.0,
-        pieces=(Piece(label="target", kind="affine", slope=p),),
-    )
+    spec = _affine_spec(scn, p, level, Piece(label="target", kind="affine", slope=p))
     grid = GridSpec.box(1.0, 1 / 16)
     pts = grid.nodes()
     drift, cost = eval_fields(scn, np.zeros(2), pts)
@@ -304,7 +308,7 @@ def test_coverage_check_rejects_oversized_grid(attract):
 
 def test_min_of_certified_fields_stays_certified(attract):
     # seeded random affine pairs: the composed minimum never exceeds the
-    # worse input residual by more than the difference slack
+    # worse single-piece residual by more than the difference slack
     scn, _, _ = attract
     grid = GridSpec.box(1.0, 1 / 16)
     pts = grid.nodes()
@@ -314,37 +318,17 @@ def test_min_of_certified_fields_stays_certified(attract):
         p = rng.uniform(-1.2, 1.2, size=2)
         q = rng.uniform(-1.2, 1.2, size=2)
         shift = rng.uniform(-0.5, 0.5)
-        u1 = ValueField(grid, (pts @ p).reshape(grid.n1, grid.n2))
-        u2 = ValueField(grid, (pts @ q + shift).reshape(grid.n1, grid.n2))
+        target = Piece(label="target", kind="affine", slope=tuple(p))
+        other = Piece(label="other", kind="affine", slope=tuple(q), offset=-shift)
         level = float(
             max((-(drift @ p) - cost).max(), (-(drift @ q) - cost).max())
         )
-        r1 = check_min_subsolution(scn, u1, u1, level)
-        r2 = check_min_subsolution(scn, u2, u2, level)
-        composed = check_min_subsolution(scn, u1, u2, level)
+        r1 = subsolution_residual(scn, _affine_spec(scn, p, level, target), level, grid)
+        alone = dataclasses.replace(other, label="target")
+        r2 = subsolution_residual(scn, _affine_spec(scn, q, level, alone), level, grid)
+        composed = subsolution_residual(scn, _affine_spec(scn, p, level, target, other), level, grid)
         assert composed <= max(r1, r2) + 1e-6
         assert composed <= 1e-9  # both inputs are exact at this level
-
-
-def test_min_check_idempotent(attract):
-    scn, _, _ = attract
-    grid = GridSpec.box(1.0, 1 / 16)
-    pts = grid.nodes()
-    u = ValueField(grid, (pts @ [0.2, 0.1]).reshape(grid.n1, grid.n2))
-    level = 0.0
-    alone = check_min_subsolution(scn, u, u, level)
-    drift, cost = eval_fields(scn, np.zeros(2), pts)
-    expected = float((-(drift @ np.array([0.2, 0.1])) - cost).max()) - level
-    assert alone == pytest.approx(expected, abs=1e-9)
-
-
-def test_min_check_rejects_grid_mismatch(attract):
-    scn, _, _ = attract
-    g1, g2 = GridSpec.box(1.0, 1 / 16), GridSpec.box(1.0, 1 / 8)
-    u1 = ValueField(g1, np.zeros((g1.n1, g1.n2)))
-    u2 = ValueField(g2, np.zeros((g2.n1, g2.n2)))
-    with pytest.raises(ValueError, match="grid mismatch"):
-        check_min_subsolution(scn, u1, u2, 0.0)
 
 
 def test_corrector_piece_composes_with_affine(attract):
@@ -353,12 +337,10 @@ def test_corrector_piece_composes_with_affine(attract):
     scn, tables, correctors = attract
     spec = build_subcorrector(scn, tables, correctors, (0.3, 0.0), "line")
     grid = GridSpec.box(1.5, 1 / 32)
-    pts = grid.nodes()
     band = next(pc for pc in spec.pieces if pc.kind == "strip")
     plane = next(pc for pc in spec.pieces if pc.label == "escape")
-    u1 = ValueField(grid, band.values(pts).reshape(grid.n1, grid.n2))
-    u2 = ValueField(grid, plane.values(pts).reshape(grid.n1, grid.n2))
-    assert check_min_subsolution(scn, u1, u2, spec.level) <= TOL_CORR
+    pair = dataclasses.replace(spec, pieces=(band, plane))
+    assert residual_field(scn, pair, spec.level, grid).values.max() <= TOL_CORR
 
 
 def test_case3_plane_roots_are_mirrored(mirror):
@@ -516,14 +498,3 @@ def test_periodic_background_build_is_structurally_sound():
         if pc.label.startswith("bracket"):
             est = correctors.plane_estimate(pc.slope)
             assert est.constant == pytest.approx(spec.level, abs=5e-3)
-
-
-def test_spec_csv_round_trips_keys(tmp_path, attract):
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.3, 0.0), "line")
-    path = spec.write_csv(tmp_path / "spec.csv")
-    text = path.read_text()
-    assert "p_tilde" in text
-    assert "origin_radius" in text
-    assert "band" in text
-    assert str(spec.regime) in text

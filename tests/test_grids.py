@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hj_strata.grids import GridSpec, ValueField, interpolate
+from hj_strata.grids import GridSpec, ValueField
 
 
 def test_box_factory_counts_and_coords():
@@ -90,26 +90,3 @@ def test_contains_tolerance():
     pts = np.array([[1.0, 1.0], [1.0 + 1e-13, 0.0], [1.1, 0.0]])
     inside = g.contains(pts)
     assert inside.tolist() == [True, True, False]
-
-
-def test_value_field_csv_round_trip(tmp_path):
-    g = GridSpec.strip(2.0, 1.0, 0.5)
-    rng = np.random.default_rng(5)
-    f = ValueField(g, rng.normal(size=(g.n1, g.n2)))
-    p = f.to_csv(tmp_path / "field.csv")
-    back = ValueField.from_csv(p)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
-
-
-def test_meta_line_round_trip():
-    for g in (GridSpec.box((2.0, 1.0), 0.25), GridSpec.torus(1.0, 0.125)):
-        assert GridSpec.from_meta_line(g.meta_line()) == g
-
-
-def test_interpolate_helper_matches_method():
-    g = GridSpec.box(1.0, 0.25)
-    vals = np.arange(g.size, dtype=float).reshape(g.n1, g.n2)
-    f = ValueField(g, vals)
-    q = np.array([[0.1, -0.3], [0.0, 0.0]])
-    assert np.array_equal(interpolate(f, q), f(q))

@@ -217,6 +217,13 @@ def test_narrow_tables_rejected_at_build():
         build_scheme(scn, narrow, box_grid(1 / 8))
 
 
+def test_origin_off_the_grid_rejected_at_build():
+    # nodes at +-0.25 and +-0.75: the nearest node to the origin is not it
+    scn = load_preset("strip_attract")
+    with pytest.raises(ValueError, match="origin must be a grid node"):
+        build_scheme(scn, cached_tables("strip_attract"), GridSpec.box(0.75, 0.5))
+
+
 def test_out_of_window_solution_rejected():
     # sweeps clip transient lookups, but a returned field whose slopes leave
     # the tabulated window must still raise; a steep ramp survives one sweep
