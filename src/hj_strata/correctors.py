@@ -26,14 +26,15 @@ territory the piece is left out.  If no rim inside the window glues, the
 piece stays unconfined -- still a subsolution at the level ``w_constant``
 below the certified one wherever its truncation reaches -- with ``C`` fitted
 over the disc of radius ``max(R1, territory) + h`` that holds the territory,
-and the spec's notes say so.  ``subsolution_residual`` then
-measures how well the assembled minimum satisfies the level inequality under
-the true Hamiltonian, differencing the active piece only and reporting each
-node's most favorable one-sided candidate (the almost-everywhere test).
-``_territory`` and ``subsolution_residual`` share that one per-piece
-measurement, ``_piece_level_residual``.
-``bellman_certificate`` cross-checks the same inequality through the dynamic
-programming operator, with no differencing at all.
+and the spec's notes say so.
+
+Every level measurement reads one test of ``H(0, y, Dχ) <= level``: the
+one-step dynamic-programming reading ``(v(y) - min_a [δ ℓ(y, a) + v(y + δ
+f(y, a))]) / δ - level``, with ``v`` evaluated exactly at every foot.
+``_territory``, ``subsolution_residual`` and ``residual_field`` apply it to
+the active piece at each node (``_piece_level_residual``);
+``bellman_certificate`` applies it to the composed minimum, the only reading
+that sees a jump at the origin piece's rim.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .bellman import SLOperator
 from .cell import (
     _X0,
     ErgodicEstimate,
@@ -75,11 +75,10 @@ __all__ = [
 
 _EDGE_FRACTION = 0.75   # the split radius must fit inside this fraction of the box
 _RIM_CELLS = 3          # width of the gluing ring, in grid spacings
-# Origin regime: the origin piece owns |y| <= this * R0.  The docs do not fix
-# the size; R0/2 was picked by scanning 3h..10h on strip_attract (h = 1/32).
-# The DP certificate there is set by where the origin/band seam falls between
-# nodes, not by which piece owns them (each piece alone certifies), and reads
-# 0.0022 .. 0.0232 over that scan -- see ROADMAP, Known defects.
+# Origin regime: the origin piece owns |y| <= this * R0.  The paper does not
+# fix the size, and the certificate does not pick it: scanning the disc from
+# 3h to 10h (h = 1/32), bellman_certificate reads 6.6e-5 at every radius on
+# strip_attract and 6.0e-4 on checkerboard.
 _CORE_FRACTION = 0.5
 _TIE_SLACK = 1e-9
 # Largest measured level residual that lets a piece be selected off its
@@ -277,6 +276,8 @@ class Piece:
     def masked(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         ok = self.admissible(pts)
+        if ok.all():
+            return self.values(pts)
         out = np.full(len(pts), np.inf)
         if ok.any():
             out[ok] = self.values(pts[ok])
@@ -407,11 +408,13 @@ def build_corrector_set(
     ``4 * R1``, rounded up to the grid; sampled fields are solved on a padded
     domain so their state-constrained boundaries sit outside it.
 
-    Unlike the table solves, these fields are differenced pointwise by the
-    residual checks, so the time step is the linear one, ``delta = h``: the
-    scheduled ``sqrt(h)`` step converges to the right constants but leaves
-    O(sqrt(h)) slope errors wherever the running cost varies, which a
-    gradient test then reports as a (spurious) level violation.
+    Unlike the table solves, these fields are read node by node by the
+    one-step level checks, so the time step is the linear one, ``delta = h``:
+    the scheduled ``sqrt(h)`` step converges to the right constants but leaves
+    O(sqrt(h)) slope errors wherever the running cost varies, which a reading
+    at step ``h`` then reports as a (spurious) level violation.  At ``delta =
+    h`` a solved piece read on its own grid meets its discrete fixed-point
+    identity, so the reading there is the solver residual.
     """
     sched = scn.schedules
     h = sched.cell_h if h is None else float(h)
@@ -553,66 +556,52 @@ def _shared_offset(scn: Scenario, pieces, grid: GridSpec, pts: np.ndarray) -> fl
     return fit
 
 
-def _pair_candidates(g1m, g1p, g2m, g2p):
-    """Gradient candidates from per-axis one-sided quotients.
+def _one_step(values, pts: np.ndarray, feet: np.ndarray, step_cost: np.ndarray, step: float) -> np.ndarray:
+    """One-step dynamic-programming reading ``(v(y) - min_a [δ ℓ(y, a) + v(y +
+    δ f(y, a))]) / δ`` of ``v = values`` at each node, from :func:`_feet`.
 
-    The symmetric average plus the four one-sided pairings.  Where the
-    differenced function is C1 at grid scale all five coincide; within a cell
-    of a kink they bracket the nearby almost-everywhere gradients instead.
+    ``v`` is evaluated exactly at every foot, not interpolated from its node
+    values, so a concave seam of a composed minimum is not undercut between
+    nodes, and no derivative is taken, so a kink reads like any other point.
     """
-    return [
-        (0.5 * (g1m + g1p), 0.5 * (g2m + g2p)),
-        (g1m, g2m), (g1m, g2p), (g1p, g2m), (g1p, g2p),
-    ]
+    n = len(pts)
+    at = values(np.concatenate([pts, feet.reshape(-1, 2)]))
+    return (at[:n] - np.min(step_cost + at[n:].reshape(-1, n), axis=0)) / step
 
 
-def _favorable_hamiltonian(scn: Scenario, pts: np.ndarray, candidates) -> np.ndarray:
-    """min over gradient candidates of H(0, y, g): the a.e. test at grid scale.
-
-    A subsolution is only constrained at points of differentiability (and at
-    superdifferential points, where convexity reduces the test to one-sided
-    limits), so at a node whose difference quotients disagree -- the sampled
-    kinks of a corrector, or the seam cells of a composed minimum -- the only
-    sound pointwise verdict comes from the candidate consistent with a nearby
-    smooth point.  A genuine violation lives on an open set and shows on
-    every candidate, so taking the most favorable one never hides it.
-    """
+def _feet(scn: Scenario, pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Feet ``y + δ f(y, a)``, shape (controls, n, 2), and step costs ``δ ℓ(y, a)``
+    under the true fields at the frozen slow point."""
     drift, cost = eval_fields(scn, _X0, pts)
-    best = np.full(len(pts), np.inf)
-    for g1, g2 in candidates:
-        values = -(drift[..., 0] * g1 + drift[..., 1] * g2) - cost
-        best = np.minimum(best, values.max(axis=0))
-    return best
+    return pts + step * drift, step * cost
 
 
-def _piece_quotients(piece: Piece, pts: np.ndarray, h1: float, h2: float):
-    v0 = piece.values(pts)
-    g1m = (v0 - piece.values(pts - [h1, 0.0])) / h1
-    g1p = (piece.values(pts + [h1, 0.0]) - v0) / h1
-    g2m = (v0 - piece.values(pts - [0.0, h2])) / h2
-    g2p = (piece.values(pts + [0.0, h2]) - v0) / h2
-    return g1m, g1p, g2m, g2p
+def _check_coverage(pieces, *point_sets: np.ndarray) -> None:
+    for piece in pieces:
+        if piece.field is not None and not all(piece.field.grid.contains(p).all() for p in point_sets):
+            raise ValueError(
+                f"sample nodes (with their one-step feet) leave the coverage of "
+                f"piece {piece.label!r}; shrink the grid"
+            )
 
 
 def _piece_level_residual(
-    scn: Scenario, pieces, active: np.ndarray, pts: np.ndarray, h1: float, h2: float, level: float
+    scn: Scenario, pieces, active: np.ndarray, pts: np.ndarray, step: float, level: float
 ) -> np.ndarray:
-    """Per-node level residual, under the true Hamiltonian, of the piece
-    ``active`` selects at each node: the one a.e. measurement that both
-    :func:`_territory` and :func:`subsolution_residual` read.
-
-    Differencing the smooth extension of the active piece keeps kink lines of
-    the composed minimum from polluting the residual; the pieces' own internal
-    kinks (every corrector has them) are then handled by the candidate rule in
-    :func:`_favorable_hamiltonian`.
+    """Per-node level residual of the piece ``active`` selects at each node:
+    the one-step reading of its own smooth extension, which both
+    :func:`_territory` and :func:`subsolution_residual` read.  So the seams of
+    the composed minimum stay out of it, and so does a jump at a piece's
+    admissibility rim; only :func:`bellman_certificate` sees those.
     """
+    feet, step_cost = _feet(scn, pts, step)
+    _check_coverage(pieces, pts, feet)
     residual = np.empty(len(pts))
     for k, piece in enumerate(pieces):
         sel = active == k
         if sel.any():
-            quot = _piece_quotients(piece, pts[sel], h1, h2)
-            residual[sel] = _favorable_hamiltonian(scn, pts[sel], _pair_candidates(*quot)) - level
-    return residual
+            residual[sel] = _one_step(piece.values, pts[sel], feet[:, sel], step_cost[:, sel], step)
+    return residual - level
 
 
 def _territory(
@@ -643,7 +632,7 @@ def _territory(
     unsettled = ~trusted
     loose = np.zeros(len(pts), dtype=bool)
     measured = _piece_level_residual(
-        scn, outer, active[unsettled], pts[unsettled], grid.h1, grid.h2, level
+        scn, outer, active[unsettled], pts[unsettled], min(grid.h1, grid.h2), level
     )
     loose[unsettled] = measured <= _SAFETY_MARGIN
     if loose.any():
@@ -1038,46 +1027,24 @@ def build_subcorrector(
 # ---------------------------------------------------------------------------
 
 
-def _check_probe_coverage(spec: SubcorrectorSpec, grid: GridSpec) -> None:
-    reach1 = grid.origin[0] + (grid.n1 - 1) * grid.h1 + grid.h1
-    reach2 = grid.origin[1] + (grid.n2 - 1) * grid.h2 + grid.h2
-    for piece in spec.pieces:
-        if piece.field is None:
-            continue
-        fg = piece.field.grid
-        corners = np.array([
-            [grid.origin[0] - grid.h1, grid.origin[1] - grid.h2],
-            [reach1, reach2],
-            [grid.origin[0] - grid.h1, reach2],
-            [reach1, grid.origin[1] - grid.h2],
-        ])
-        if not fg.contains(corners).all():
-            raise ValueError(
-                f"sample grid (with difference probes) leaves the coverage of "
-                f"piece {piece.label!r}; shrink the grid"
-            )
-
-
 def _level_residual(
     scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample nodes and, at each, ``H(0, y, Dχ) - level`` by the a.e. test."""
-    _check_probe_coverage(spec, sample_grid)
+    """Sample nodes and, at each, the one-step reading of its active piece."""
     pts = sample_grid.nodes()
-    return pts, _piece_level_residual(
-        scn, spec.pieces, spec.active(pts), pts, sample_grid.h1, sample_grid.h2, float(level)
-    )
+    step = min(sample_grid.h1, sample_grid.h2)
+    return pts, _piece_level_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level))
 
 
 def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> float:
     """Worst violation of the level inequality and of the plane-wave bound.
 
     Returns ``max(H(0, y, Dχ) - level, χ - ⟨p, y⟩)`` over the sample nodes,
-    with gradients taken as one-sided differences of the active piece and the
-    most favorable candidate reported per node (the a.e. test; see
-    :func:`_favorable_hamiltonian`).  A negative value is the certified
-    margin; a large positive value is a finding about the construction, not
-    an error.
+    the level part read on the active piece at each node at a step of the
+    grid spacing (:func:`_piece_level_residual`), so a jump at the origin
+    piece's rim does not show here; only :func:`bellman_certificate` catches
+    it.  A negative value is the certified margin; a large positive value is
+    a finding about the construction, not an error.
     """
     pts, residual = _level_residual(scn, spec, level, sample_grid)
     gap = spec.values(pts) - spec.target_values(pts)
@@ -1104,36 +1071,27 @@ def bellman_certificate(
     *,
     delta: float | None = None,
 ) -> float:
-    """Dynamic-programming check of the level inequality, no differencing.
+    """Dynamic-programming check of the level inequality on the composed minimum.
 
-    A Lipschitz subsolution of ``H(0, y, Du) <= level`` satisfies the one-step
-    bound ``χ(y) <= min_a [δ ℓ(y, a) + χ(y + δ f(y, a))] + δ level`` -- the
-    running cost integrated along each straight step dominates the decrease of
-    χ even across kinks, where difference quotients stop being gradients.  So
-    this returns ``max((χ - Tχ)/δ) - level`` over the nodes whose whole
-    control fan stays on the grid (boundary nodes see a truncated minimum and
-    are excluded).  The reading is exact up to O(δ) cost-freezing slack plus
-    the foot interpolation error of the sampled χ; the latter is O(h²/δ)
-    where χ is smooth but grows to O(h/δ) times the slope gap within a step
-    of the kinks, so isolated positive spikes in a seam's collar are an
-    artifact while a violation on a piece's interior is genuine.  A piece
-    produced by the ergodic solvers satisfies its own discrete fixed-point
-    identity, so with the sample grid and step matched to the corrector set's
-    the certificate reads the solver residual directly there.  ``delta``
-    defaults to the grid spacing; pass the corrector set's ``delta`` (and
-    build the grid at its ``h``) for the sharpest reading on solved pieces.
+    Returns the largest one-step reading (:func:`_one_step`) of ``χ =
+    spec.values`` minus ``level`` over the nodes whose whole control fan
+    stays on the grid; boundary nodes see a truncated minimum and are
+    excluded.  A Lipschitz subsolution meets the one-step bound, kinks
+    included, up to O(δ) cost-freezing slack; where every admissible piece
+    meets it, so does their minimum, so the reading exceeds the pieces' own
+    only where a foot crosses an admissibility rim -- the jump this check
+    exists to catch.  ``delta`` defaults to the grid spacing; at the corrector
+    set's ``delta`` and ``h`` a solved piece reads its solver residual.
     """
-    _check_probe_coverage(spec, sample_grid)
     step = min(sample_grid.h1, sample_grid.h2) if delta is None else float(delta)
     pts = sample_grid.nodes()
-    drift, cost = eval_fields(scn, _X0, pts)
-    op = SLOperator(sample_grid, drift, cost, step)
-    full_fan = np.isfinite(op.base).all(axis=0)
+    _check_coverage(spec.pieces, pts)
+    feet, step_cost = _feet(scn, pts, step)
+    full_fan = sample_grid.contains(feet, tol=1e-9 * step).reshape(step_cost.shape).all(axis=0)
     if not full_fan.any():
         raise ValueError(
             "every sample node loses part of its control fan at this step; "
             "enlarge the grid or shrink delta"
         )
-    chi = spec.values(pts)
-    residual = (chi - op.apply(chi, 0.0)) / step - float(level)
-    return float(residual[full_fan].max())
+    reading = _one_step(spec.values, pts[full_fan], feet[:, full_fan], step_cost[:, full_fan], step)
+    return float(reading.max()) - float(level)

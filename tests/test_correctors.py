@@ -287,6 +287,42 @@ def test_residual_reports_level_violation_exactly(attract):
     assert cert > 0.0
 
 
+def _lowered(spec, drop):
+    """``spec`` with its origin piece lowered by ``drop``: a jump at its rim."""
+    pieces = tuple(
+        dataclasses.replace(pc, offset=pc.offset + drop) if pc.kind == "ball" else pc
+        for pc in spec.pieces
+    )
+    return dataclasses.replace(spec, pieces=pieces)
+
+
+@pytest.mark.parametrize("drop, floor", [(0.05, 1.0), (0.2, 5.0)])
+def test_certificate_catches_a_jump_at_the_origin_rim(attract, drop, floor):
+    # cutting a lowered origin piece off at its rim opens a downward jump of
+    # the composed minimum, which a step of length h reads as O(drop / h)
+    scn, tables, correctors = attract
+    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    assert spec.origin_radius() == spec.split_radius
+    _, _, cert = _certify(scn, _lowered(spec, drop), correctors)
+    assert cert > floor
+
+
+def test_certificate_reads_a_lowered_level_as_its_excess(attract):
+    scn, tables, correctors = attract
+    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    grid = GridSpec.box(min(4 * scn.R1, correctors.half_width), 1 / 32)
+    cert = bellman_certificate(scn, spec, spec.level - 0.05, grid, delta=correctors.delta)
+    assert cert == pytest.approx(0.05, abs=1e-3)
+
+
+def test_certificate_needs_a_node_with_its_whole_control_fan(attract):
+    scn, _, _ = attract
+    p = (0.0, 0.8)
+    spec = _affine_spec(scn, p, -0.5, Piece(label="target", kind="affine", slope=p))
+    with pytest.raises(ValueError, match="control fan"):
+        bellman_certificate(scn, spec, -0.5, GridSpec.box(1 / 16, 1 / 16), delta=1 / 8)
+
+
 def test_residual_field_matches_scalar_report(attract):
     scn, tables, correctors = attract
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.8), "plane")
@@ -481,16 +517,17 @@ def test_case3_degenerate_plane_root_raises(mirror):
 
 
 def test_periodic_background_build_is_structurally_sound():
-    # The solved correctors of a genuinely periodic medium are curved, so the
-    # sampled construction carries an O(h) residual floor (measured to halve
-    # from h=1/32 to h=1/64); certify structure and the floor's scale here.
+    # Read at the corrector set's step, each solved periodic piece meets its
+    # own fixed-point identity, so the curved correctors of a periodic medium
+    # certify at the standard bar, the composed minimum included.
     scn = load_preset("checkerboard")
     tables = tabulate_effective(scn, tol=5e-4)
     correctors = build_corrector_set(scn, h=1 / 32, tol=5e-4)
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
     grid = GridSpec.box(2.0, 1 / 32)
     assert majorant_gap(spec, grid) <= 1e-9
-    assert subsolution_residual(scn, spec, spec.level, grid) <= 0.05
+    assert subsolution_residual(scn, spec, spec.level, grid) <= TOL_CORR
+    assert bellman_certificate(scn, spec, spec.level, grid, delta=correctors.delta) <= TOL_CORR
     # plane pieces carry their periodic correction and sit at the level
     planes = [pc for pc in spec.pieces if pc.kind == "plane"]
     assert planes and all(pc.field is not None for pc in planes)
