@@ -30,10 +30,15 @@ Three solvers share the operator:
   each policy evaluation is a Newton linear solve, and it is solved inexactly
   (Dembo, Eisenstat & Steihaug): only as far as the current Bellman residual
   warrants, matrix-free, to ``tol / 2`` once the policy settles.
-* :func:`solve_ergodic_relative` — relative value iteration at zero discount;
-  the returned ``rate`` is the optimal long-run average cost, certified by the
-  span of ``T0[u] - u`` (the true rate always lies between the extreme nodal
-  growth rates).
+* :func:`solve_ergodic_relative` — relative value iteration at zero discount
+  with policy steps (modified policy iteration): between two full
+  applications the iterate takes one step of the last greedy policy's
+  operator per control, each costing one stencil per node.  The returned
+  ``rate`` is the optimal long-run average cost, certified by the span of
+  ``T0[u] - u`` read from full applications only (the true rate lies between
+  the extreme nodal growth rates for every ``u``, so the policy steps move
+  the path to the certificate, not the certificate).  ``max_iter`` counts
+  full applications.
 * :func:`ergodic_continuation` — small-discount limit ``discount -> 0`` with
   warm starts and Richardson extrapolation of the anchor value; an independent
   estimate of the same average cost, used as a cross-check.
@@ -93,12 +98,17 @@ class Family(tuple):
     """Per-cell results of one family solve, in cell order.
 
     The counts a run report reads once per solve are totals over the cells:
-    ``iterations`` and ``stages`` sum, ``estimates`` concatenates.
+    ``iterations``, ``policy_steps`` and ``stages`` sum, ``estimates``
+    concatenates.
     """
 
     @property
     def iterations(self) -> int:
         return sum(r.iterations for r in self)
+
+    @property
+    def policy_steps(self) -> int:
+        return sum(r.policy_steps for r in self)
 
     @property
     def stages(self) -> int:
@@ -117,8 +127,27 @@ def _dot(x: np.ndarray, y: np.ndarray, work: np.ndarray | None = None) -> np.nda
     return np.add.reduce(np.multiply(x, y, out=work), axis=-1)
 
 
+def _dot_pair(a, b, c, d, work: np.ndarray) -> np.ndarray:
+    """``_dot(a, b)`` and ``_dot(c, d)`` as one reduction over their stacked
+    (2, rows, N) products in ``work``; each row keeps its own pairwise sum,
+    so both equal the separate reductions bit for bit."""
+    pair = work[: 2 * len(a)].reshape(2, len(a), -1)
+    np.multiply(a, b, out=pair[0])
+    np.multiply(c, d, out=pair[1])
+    return np.add.reduce(pair, axis=-1)
+
+
 def _rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a[keep] for a in arrays]
+
+
+def _block_diagonal(idx: np.ndarray, w: np.ndarray) -> sparse.csr_matrix:
+    """One transition matrix for the per-cell stencils ``idx``/``w`` of shape
+    (cells, N, 4): block ``c`` maps row ``c`` of a flattened (cells, N) array,
+    and each of its rows sums its four terms as a lone cell's matrix does."""
+    cells, n = idx.shape[:2]
+    shift = (np.arange(cells, dtype=idx.dtype) * n)[:, None, None]
+    return kernels.stencil_matrix(idx + shift, w, cells * n)
 
 
 def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
@@ -143,7 +172,8 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
-    work = np.empty_like(r)
+    work = np.empty((2 * len(x), x.shape[1]))   # products of one or two reductions
+    scaled = np.empty_like(r)                    # a step length times a direction
     rho_prev, alpha, omega = np.ones((3, len(x)))
     atol = np.broadcast_to(np.asarray(atol, dtype=float), len(x))
 
@@ -151,9 +181,12 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
         out[rows[done]] = x[done]
         info[rows[done]] = code[done]
 
+    def times(step, vector):
+        return np.multiply(step[:, None], vector, out=scaled[: len(vector)])
+
     for _ in range(maxiter):
-        converged = np.sqrt(_dot(r, r, work[: len(r)])) <= atol
-        rho = _dot(r_hat, r, work[: len(r)])
+        rr, rho = _dot_pair(r, r, r_hat, r, work)
+        converged = np.sqrt(rr) <= atol
         done = converged | (np.abs(rho) < _BREAKDOWN) | (np.abs(omega) < _BREAKDOWN)
         if done.any():
             settle(done, np.where(converged, 0, -10))
@@ -162,7 +195,7 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
             )
             if not rows.size:
                 return out, info
-        p -= omega[:, None] * v
+        p -= times(omega, v)
         p *= ((rho / rho_prev) * (alpha / omega))[:, None]
         p += r
         v = system(p, rows)
@@ -176,8 +209,8 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
             if not rows.size:
                 return out, info
         alpha = rho / rv
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * v
+        x += times(alpha, p)
+        r -= times(alpha, v)
         done = np.sqrt(_dot(r, r, work[: len(r)])) <= atol
         if done.any():
             settle(done, np.zeros(len(done), dtype=int))
@@ -187,9 +220,10 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
             if not rows.size:
                 return out, info
         t = system(r, rows)
-        omega = _dot(t, r, work[: len(r)]) / _dot(t, t, work[: len(r)])
-        x += omega[:, None] * r
-        r -= omega[:, None] * t
+        tr, tt = _dot_pair(t, r, t, t, work)
+        omega = tr / tt
+        x += times(omega, r)
+        r -= times(omega, t)
         rho_prev = rho
         callback(rows)
     out[rows] = x
@@ -277,6 +311,17 @@ class SLOperator:
         kernels.jacobi_argmin(self.idx, self.w, self.base, self.gamma(discount), u, out, policy)
         return out, policy
 
+    def policy_stencils(self, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stencils ``idx``/``w`` of shape (cells, N, 4) and step costs of shape
+        (cells, N) of the control that ``policy`` picks at each node of each cell."""
+        n = self.grid.size
+        cells = self.cells
+        at = policy.reshape(cells, n) * n + np.arange(n)   # flat (control, node) index
+        idx = np.take(self.idx.reshape(-1, 4), at, axis=0)
+        w = np.take(self.w.reshape(-1, 4), at, axis=0)
+        base = np.take(self.base, at * cells + np.arange(cells)[:, None])
+        return idx, w, base
+
     def policy_value(
         self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol
     ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
@@ -297,18 +342,14 @@ class SLOperator:
         n = self.grid.size
         cells = self.cells
         gamma = self.gamma(discount)
-        at = policy.reshape(cells, n) * n + np.arange(n)   # flat (control, node) index
-        idx = np.take(self.idx.reshape(-1, 4), at, axis=0)
-        w = np.take(self.w.reshape(-1, 4), at, axis=0)
-        rhs = np.take(self.base, at * cells + np.arange(cells)[:, None])
+        idx, w, rhs = self.policy_stencils(policy)
         blocks: dict[int, sparse.csr_matrix] = {}
 
         def system(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
             # rows only shrink during one solve, so their count names them
             if rows.size not in blocks:
                 blocks.clear()
-                shift = (np.arange(rows.size, dtype=idx.dtype) * n)[:, None, None]
-                blocks[rows.size] = kernels.stencil_matrix(idx[rows] + shift, w[rows], rows.size * n)
+                blocks[rows.size] = _block_diagonal(idx[rows], w[rows])
             y = (blocks[rows.size] @ x.reshape(-1)).reshape(x.shape)
             y *= -gamma
             y += x
@@ -470,7 +511,8 @@ class ErgodicRelativeResult:
     rate: float                # optimal long-run average cost
     residual: float            # certified half-span of T0[u] - u
     rate_bounds: tuple[float, float]
-    iterations: int
+    iterations: int            # full Bellman applications
+    policy_steps: int          # applications of a greedy policy's operator
     converged: bool
     span_history: tuple[float, ...] = field(repr=False, default=())
 
@@ -482,7 +524,8 @@ def solve_ergodic_relative(
     max_iter: int = 500_000,
     u0: np.ndarray | None = None,
 ):
-    """Relative value iteration for the zero-discount (ergodic) problem.
+    """Relative value iteration with policy steps for the zero-discount
+    (ergodic) problem.
 
     ``tol`` bounds the error of the returned average-cost ``rate``: iteration
     stops once ``span(T0[u] - u) / (2 delta) <= tol``, and the true rate lies
@@ -490,15 +533,28 @@ def solve_ergodic_relative(
     ``(min(T0[u] - u), max(T0[u] - u)) / delta`` holds for every ``u``, so the
     start ``u0`` (zero by default) moves the iteration count, not the
     certificate.  The relative field is normalized to 0 at the grid anchor.
-    On stall (periodic optimal
-    policies) the update switches to damped averaging, which restores
-    convergence at half speed; non-convergence within ``max_iter`` returns the
-    flagged best iterate with its span history.
+
+    Each full application ``T0`` also yields its greedy policy ``pi``.  Before
+    the next full application the iterate takes one policy step ``u <- base_pi
+    + P_pi u`` per control, each renormalized at the anchor (modified policy
+    iteration, Puterman & Shin 1978).  A policy step reads one stencil per
+    node where a full application reads one per control, so it costs about
+    one control's share of a full application.  Stopping, ``rate``,
+    ``rate_bounds`` and ``residual`` are read only from full applications:
+    since the bracket holds for every ``u``, the policy steps move the path to
+    the certificate, not the certificate.  ``max_iter`` and ``iterations``
+    count full applications; ``policy_steps`` counts the policy steps.
+
+    On stall (periodic optimal policies) a cell switches to damped averaging,
+    in its full applications and its policy steps, which restores
+    convergence at half speed; non-convergence within ``max_iter`` returns
+    the flagged best iterate with its span history.
 
     Synchronous applications only: at zero discount the operator has no
     fixed point (values grow by rate*delta per application), and in-place
     sweeps smear that growth across the sweep order, poisoning the span.
-    Policy iteration does not apply either, since ``I - P`` is singular.
+    Howard's exact policy evaluation does not apply either, since ``I - P``
+    is singular; a policy step is one application of ``P``, never a solve.
 
     The cells of a family iterate in lockstep, each stopping and damping on
     its own; a family returns a :class:`Family` of results.
@@ -507,6 +563,7 @@ def solve_ergodic_relative(
     grid = op.grid
     k, n = op.cells, grid.size
     anchor = grid.anchor_index()
+    steps = op.idx.shape[0]   # policy steps between full applications
     u = np.zeros((k, n)) if u0 is None else np.array(u0, dtype=float).reshape(k, n)
     u -= u[:, [anchor]]
     spans: deque[np.ndarray] = deque(maxlen=_STALL_WINDOW)  # per application, one span per cell
@@ -514,20 +571,21 @@ def solve_ergodic_relative(
     best = np.full(k, math.inf)
     best_rate, best_lo, best_hi = np.zeros((3, k))
     best_rel = np.zeros((k, n))
+    policy_steps = np.zeros(k, dtype=int)
     results: list[ErgodicRelativeResult | None] = [None] * k
 
     def settle(c: int, rel: np.ndarray, rate, span, lo, hi, converged: bool) -> None:
         history = tuple(float(s[c]) for s in list(spans)[-50:])
         results[c] = ErgodicRelativeResult(
             ValueField(grid, rel.reshape(grid.n1, grid.n2).copy()), float(rate), float(span) / 2.0,
-            (float(lo), float(hi)), it, converged, history,
+            (float(lo), float(hi)), it, int(policy_steps[c]), converged, history,
         )
 
     rows = np.arange(k)
     family = op.family()
     it = 0
     while rows.size and it < max_iter:
-        tu = family.apply(u, 0.0)
+        tu, policy = family.greedy(u, 0.0)
         it += 1
         d = tu - u
         dmax = np.max(d, axis=1)
@@ -552,12 +610,32 @@ def solve_ergodic_relative(
         if it > _STALL_START:
             damped[rows[span > 0.98 * spans[0][rows]]] = True
         if done.any():
-            rows, u = _rows(~done, rows, u)
+            rows, u, policy = _rows(~done, rows, u, policy)
             if rows.size:
                 family = family.family(~done)
+        if rows.size and it < max_iter:
+            u = _policy_steps(family, policy, u, damped[rows], anchor, steps)
+            policy_steps[rows] += steps
     for c in rows:
         settle(c, best_rel[c], best_rate[c], best[c], best_lo[c], best_hi[c], False)
     return results[0] if op.lone else Family(results)
+
+
+def _policy_steps(
+    family: SLOperator, policy: np.ndarray, u: np.ndarray, damp: np.ndarray, anchor: int, steps: int
+) -> np.ndarray:
+    """``steps`` applications of the zero-discount operator of ``policy`` to
+    the (cells, N) iterate ``u``, each renormalized at ``anchor``; the cells
+    in ``damp`` average every step with their previous iterate."""
+    idx, w, base = family.policy_stencils(policy)
+    transition = _block_diagonal(idx, w)
+    for _ in range(steps):
+        v = (transition @ u.reshape(-1)).reshape(u.shape)
+        v += base
+        v[damp] = 0.5 * (u[damp] + v[damp])
+        v -= v[:, [anchor]]
+        u = v
+    return u
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,7 +55,7 @@ from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, e
 from .scenario import Scenario
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
-_MAX_ITER = 500_000     # application budget of each ergodic solver
+_MAX_ITER = 500_000     # full applications per discounted stage or relative VI solve
 _SLOPE_TOL = 5e-2       # corrector-slope fit vs window, in verify_corrector_slopes
 
 # Cells solved as one family.  Larger families pay off less and less while

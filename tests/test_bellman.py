@@ -398,17 +398,35 @@ def test_ergodic_relative_warm_start_from_continuation_saves_applications():
     cont = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
     warm = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
     assert cold.converged and warm.converged
-    assert (cold.iterations, warm.iterations) == (93, 17)
+    assert (cold.iterations, warm.iterations) == (21, 3)
     assert warm.iterations < cold.iterations / 2
     assert warm.rate == pytest.approx(cold.rate, abs=tol)
 
 
 def test_best_iterate_fallback_reports_not_converged():
     op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
-    res = solve_ergodic_relative(op, tol=1e-13, max_iter=4)
+    res = solve_ergodic_relative(op, tol=1e-13, max_iter=2)
     assert not res.converged
     assert math.isfinite(res.rate)
     assert res.rate_bounds[0] <= res.rate_bounds[1]
+
+
+def test_corrector_ball_policy_steps_keep_the_span_certificate():
+    # the strip_attract corrector ball (25,921 nodes, 17 controls) as
+    # build_corrector_set solves it: relative VI warm-started from the
+    # continuation; without policy steps it took 110 full applications
+    scn = load_preset("strip_attract")
+    sched = scn.schedules
+    op = ball_operator(scn, 2.5, h=1 / 32, delta=1 / 32)
+    tol = 5e-4
+    cont = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
+    vi = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
+    assert vi.converged and cont.converged
+    lo, hi = vi.rate_bounds
+    assert lo <= vi.rate <= hi
+    assert hi - lo <= 2 * tol
+    assert vi.rate == pytest.approx(cont.rate, abs=tol)
+    assert (vi.iterations, vi.policy_steps) == (8, 7 * 17)
 
 
 _BALL_SOLVE = """
@@ -476,15 +494,28 @@ def _rows(p):
 
 def test_family_relative_vi_equals_lone_solves_bit_for_bit(monkeypatch):
     # transport along e1 at one node or three quarters of a node per step: the
-    # flat cell stops at the first check, the wave cell converges after 507
+    # flat cell stops at the first check, the wave cell converges after 173
     # undamped applications, and the rows cell, whose rows grow at different
-    # rates, stalls, switches to damped updates and runs out of applications
+    # rates, stalls, switches to damped updates and policy steps and runs out
+    # of applications
     from hj_strata import bellman
 
     family, lone = _torus_family([(1.0, 0.0), (0.75, 0.0)], [_flat, _wave, _rows], delta=1 / 8)
+    damped = []
+    policy_steps = bellman._policy_steps
+
+    def spy(family, policy, u, damp, anchor, steps):
+        damped.append(damp.tolist())
+        return policy_steps(family, policy, u, damp, anchor, steps)
+
+    monkeypatch.setattr(bellman, "_policy_steps", spy)
     batch = solve_ergodic_relative(family, tol=1e-8, max_iter=1000)
-    assert [(r.iterations, r.converged) for r in batch] == [(1, True), (507, True), (1000, False)]
-    assert batch.iterations == 1508
+    assert [(r.iterations, r.converged) for r in batch] == [(1, True), (173, True), (1000, False)]
+    assert batch.iterations == 1174
+    # two policy steps (one per control) after every full application but the last
+    assert [r.policy_steps for r in batch] == [0, 2 * 172, 2 * 999]
+    assert batch.policy_steps == 2342
+    assert damped[0] == [False, False] and damped[-1] == [True]
     _assert_same_results(batch, [solve_ergodic_relative(op, tol=1e-8, max_iter=1000) for op in lone])
     monkeypatch.setattr(bellman, "_STALL_START", 1000)  # the rows cell never damps
     undamped = solve_ergodic_relative(lone[2], tol=1e-8, max_iter=1000)
