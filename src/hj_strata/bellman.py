@@ -12,14 +12,15 @@ stencils are the rows of a sparse transition matrix, so an application is
 one sparse product and a min over controls, and a fixed policy's transition
 matrix is a row selection of the same stencils (see :mod:`hj_strata.kernels`).
 
-An operator may hold a *family* of cells: cells on one grid with one drift
+An operator holds a *family* of cells: cells on one grid with one drift
 whose running costs differ (the momentum shift ``p . f`` of a table).  The
 stencils are built once and each cell keeps its own step cost.  The solvers
 run every cell of a family in lockstep over a (cells, N) array, and each cell
 stops, damps, falls back to LU or takes its next stage on its own, with the
-arithmetic it would do alone: a family's results equal its cells' lone
-results bit for bit.  A lone cell is a family of one, and a lone operator's
-solvers return one result where a family's return a :class:`Family`.
+arithmetic it would do alone: a family's results equal its cells' results
+when each is solved as a family of one, bit for bit.  A single cell is a
+family of one, and every solver returns a :class:`Family`, one result per
+cell.
 
 Three solvers share the operator:
 
@@ -234,12 +235,11 @@ class SLOperator:
     """Precomputed Bellman operator on every node of ``grid``.
 
     ``drift`` has shape (n_controls, grid.size, 2), with nodes in flat order.
-    ``cost`` has shape (n_controls, grid.size) for a lone cell, or
-    (n_controls, grid.size, cells) for a family of cells that share the grid
-    and the drift; ``base`` keeps that shape.  Feet, stencils and
-    admissibility are computed once for the whole family.  Methods take and
-    return one row of values per cell: (N,) arrays for a lone cell, (cells,
-    N) for a family.
+    ``cost`` has shape (n_controls, grid.size, cells) for a family of cells
+    that share the grid and the drift; a (n_controls, grid.size) cost is one
+    cell.  ``base`` always has shape (n_controls, grid.size, cells).  Feet,
+    stencils and admissibility are computed once for the whole family.
+    Methods take and return one row of values per cell, shape (cells, N).
     """
 
     def __init__(self, grid: GridSpec, drift: np.ndarray, cost: np.ndarray, delta: float):
@@ -260,7 +260,7 @@ class SLOperator:
         idx, w = grid.interp_weights(flat_feet, clip=True)
         self.idx = np.ascontiguousarray(idx.reshape(na, n, 4), dtype=np.int32)
         self.w = np.ascontiguousarray(w.reshape(na, n, 4))
-        self.base = np.ascontiguousarray(self.delta * cost)
+        self.base = np.ascontiguousarray(self.delta * cost.reshape(na, n, -1))
         bad = ~admissible
         if bad.any():
             self.base[bad] = np.inf
@@ -276,20 +276,15 @@ class SLOperator:
             )
 
     @property
-    def lone(self) -> bool:
-        return self.base.ndim == 2
-
-    @property
     def cells(self) -> int:
-        return 1 if self.lone else self.base.shape[2]
+        return self.base.shape[2]
 
-    def family(self, cells=slice(None)) -> "SLOperator":
-        """This operator as a family on ``cells`` (a slice, indices or a
-        mask; every cell by default).  The stencils are shared; the step
-        costs of a proper subset are copied once, so that each application
-        reads them contiguously."""
+    def family(self, cells) -> "SLOperator":
+        """This operator on the subset ``cells`` (indices or a mask) of its
+        cells.  The stencils are shared; the step costs are copied once, so
+        that each application reads them contiguously."""
         sub = copy.copy(self)
-        sub.base = np.ascontiguousarray(self.base.reshape(*self.idx.shape[:2], -1)[:, :, cells])
+        sub.base = np.ascontiguousarray(self.base[:, :, cells])
         return sub
 
     def gamma(self, discount: float) -> float:
@@ -324,7 +319,7 @@ class SLOperator:
 
     def policy_value(
         self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol
-    ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value of a stationary policy per cell: the solution of ``(I - gamma
         P) u = base``, where row ``n`` of ``P`` is the stencil of node ``n``'s
         control.
@@ -337,7 +332,7 @@ class SLOperator:
         gamma * (P @ x)``.  For a cell whose solve breaks down or stalls, its
         ``I - gamma P`` is assembled for one sparse LU solve, whose factor is
         dropped on return.  Returns the values, the BiCGSTAB iterations taken
-        and whether the LU fallback ran, per cell (scalars for a lone cell).
+        and whether the LU fallback ran, one row or entry per cell.
         """
         n = self.grid.size
         cells = self.cells
@@ -369,8 +364,6 @@ class SLOperator:
             transition = kernels.stencil_matrix(idx[c], w[c], n)
             assembled = sparse.identity(n, format="csr") - gamma * transition
             value[c] = splu(assembled.tocsc()).solve(rhs[c])
-        if self.lone:
-            return value[0], int(steps[0]), bool(fell_back[0])
         return value, steps, fell_back
 
 
@@ -431,8 +424,8 @@ def solve_discounted(
     ``converged=False`` when ``max_iter`` applications are exhausted.
 
     Every cell of a family takes these steps on its own, in lockstep with the
-    others.  Returns ``(field, info)`` for a lone operator and ``(fields,
-    infos)``, a tuple and a :class:`Family`, for a family.
+    others.  Returns ``(fields, infos)``: a tuple of fields and a
+    :class:`Family` of infos, one per cell.
     """
     op = problem.operator
     grid = op.grid
@@ -455,13 +448,11 @@ def solve_discounted(
             "residual" if converged else "max_iter", int(krylov[c]), int(fallbacks[c]),
         )
 
-    family = op.family()
-
     def cells(subset: np.ndarray) -> SLOperator:
         # A proper subset takes its step costs from a copy made for one call:
         # Howard applies the operator a few times per solve, so the copies cost
         # less than keeping one alive beside the caller's step costs.
-        return family if subset.size == k else family.family(subset)
+        return op if subset.size == k else op.family(subset)
 
     rows = np.arange(k)
     while rows.size:
@@ -499,10 +490,7 @@ def solve_discounted(
             krylov[sub] += steps
             fallbacks[sub] += fell_back
         rows, u = _rows(~done, rows, tu)
-    fields = _fields(grid, values)
-    if op.lone:
-        return fields[0], infos[0]
-    return fields, Family(infos)
+    return _fields(grid, values), Family(infos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -557,13 +545,13 @@ def solve_ergodic_relative(
     is singular; a policy step is one application of ``P``, never a solve.
 
     The cells of a family iterate in lockstep, each stopping and damping on
-    its own; a family returns a :class:`Family` of results.
+    its own.  Returns a :class:`Family` of results, one per cell.
     """
-    op = operator
-    grid = op.grid
-    k, n = op.cells, grid.size
+    family = operator
+    grid = family.grid
+    k, n = family.cells, grid.size
     anchor = grid.anchor_index()
-    steps = op.idx.shape[0]   # policy steps between full applications
+    steps = family.idx.shape[0]   # policy steps between full applications
     u = np.zeros((k, n)) if u0 is None else np.array(u0, dtype=float).reshape(k, n)
     u -= u[:, [anchor]]
     spans: deque[np.ndarray] = deque(maxlen=_STALL_WINDOW)  # per application, one span per cell
@@ -582,7 +570,6 @@ def solve_ergodic_relative(
         )
 
     rows = np.arange(k)
-    family = op.family()
     it = 0
     while rows.size and it < max_iter:
         tu, policy = family.greedy(u, 0.0)
@@ -591,8 +578,8 @@ def solve_ergodic_relative(
         dmax = np.max(d, axis=1)
         dmin = np.min(d, axis=1)
         span = dmax - dmin
-        rate = 0.5 * (dmax + dmin) / op.delta
-        lo, hi = dmin / op.delta, dmax / op.delta
+        rate = 0.5 * (dmax + dmin) / family.delta
+        lo, hi = dmin / family.delta, dmax / family.delta
         spans.append(np.full(k, math.nan))
         spans[-1][rows] = span
         rel = u - u[:, [anchor]]
@@ -600,7 +587,7 @@ def solve_ergodic_relative(
         sub = rows[better]
         best[sub], best_rate[sub], best_rel[sub] = span[better], rate[better], rel[better]
         best_lo[sub], best_hi[sub] = lo[better], hi[better]
-        done = span <= 2.0 * tol * op.delta
+        done = span <= 2.0 * tol * family.delta
         for j in np.flatnonzero(done):
             settle(rows[j], rel[j], rate[j], span[j], lo[j], hi[j], True)
         damp = damped[rows]
@@ -618,7 +605,7 @@ def solve_ergodic_relative(
             policy_steps[rows] += steps
     for c in rows:
         settle(c, best_rel[c], best_rate[c], best[c], best_lo[c], best_hi[c], False)
-    return results[0] if op.lone else Family(results)
+    return Family(results)
 
 
 def _policy_steps(
@@ -668,13 +655,13 @@ def ergodic_continuation(
     ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
 
     The cells of a family share the discount schedule: each stage is one
-    family solve of the cells whose extrapolations still disagree.  A family
-    returns a :class:`Family` of results.
+    family solve of the cells whose extrapolations still disagree.  Returns a
+    :class:`Family` of results, one per cell.
     """
-    op = operator
-    k = op.cells
-    anchor = op.grid.anchor_index()
-    inner_tol = 0.1 * tol * op.delta
+    family = operator
+    k = family.cells
+    anchor = family.grid.anchor_index()
+    inner_tol = 0.1 * tol * family.delta
     lam = lambda0
     u: np.ndarray | None = None
     history: list[list[tuple[float, float]]] = [[] for _ in range(k)]
@@ -685,7 +672,6 @@ def ergodic_continuation(
     converged = np.zeros(k, dtype=bool)
     results: list[ContinuationResult | None] = [None] * k
     rows = np.arange(k)
-    family = op.family()
     stage = 0
 
     def settle(c: int) -> None:
@@ -728,4 +714,4 @@ def ergodic_continuation(
                 family = family.family(~done)
     for c in rows:
         settle(c)
-    return results[0] if op.lone else Family(results)
+    return Family(results)

@@ -26,13 +26,13 @@ boundaries.
 
 Cell families: the cells of one table that share a grid and a drift differ
 only in the cost shift ``p . f`` (the strips of one branch at one ``rho``,
-the torus cells of the ``hbar`` table).  ``strip_ergodic`` and
-``torus_effective`` take an array of momenta and solve its cells as
-families (see :mod:`hj_strata.bellman`): one operator build per family, and
-every solver step in lockstep over the family.  A family's estimates equal
-its cells' lone estimates bit for bit.  ``tangential_hamiltonian`` walks a
-family along ``rho``: every momentum at the first truncation, every one at
-the second, then only those whose last two constants disagree.
+the torus cells of the ``hbar`` table).  Every cell solve is a family solve
+(see :mod:`hj_strata.bellman`), a single cell being a family of one: one
+operator build per family, every solver step in lockstep over it, and one
+result per cell, bit for bit what the cell gets alone.
+``tangential_hamiltonian`` walks a family along ``rho``: every momentum at
+the first truncation, every one at the second, then only those whose last
+two constants disagree.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _solve_cells(
     out = []
     for start in range(0, len(momenta), _FAMILY_CELLS):
         rows = momenta[start:start + _FAMILY_CELLS]
-        family = build(rows).family()
+        family = build(rows)
         conts = ergodic_continuation(
             family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER
         )
@@ -175,8 +175,8 @@ def strip_operator(
     h: float | None = None,
     delta: float | None = None,
 ) -> SLOperator:
-    """Build the shifted-cost Bellman operator of one truncated strip, or of
-    the family of strips at the momenta of a 1-D ``p1``.
+    """Build the shifted-cost Bellman operator of the family of truncated
+    strips at the momenta ``p1`` (a scalar or a 1-D array).
 
     ``delta`` overrides the scheduled time step.  The default ``sqrt(h)``
     balances the step and interpolation errors of the *constant*; corrector
@@ -192,10 +192,9 @@ def strip_operator(
     pts = grid.nodes()
     drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
     cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
-    p1 = np.asarray(p1, dtype=float)
     cost = cost[..., None] + np.atleast_1d(p1) * drift[..., 0, None]
     delta = sched.delta(h) if delta is None else delta
-    return SLOperator(grid, drift, cost if p1.ndim else cost[..., 0], delta)
+    return SLOperator(grid, drift, cost, delta)
 
 
 def strip_ergodic(
@@ -207,19 +206,18 @@ def strip_ergodic(
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-):
-    """Ergodic constant/corrector of one truncated strip at momentum ``p1``;
-    a 1-D ``p1`` solves its strips as one family and returns one estimate
+) -> tuple[ErgodicEstimate, ...]:
+    """Ergodic constants/correctors of the truncated strips at the momenta
+    ``p1`` (a scalar or a 1-D array), solved as one family: one estimate
     per momentum."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
-    estimates = _solve_cells(
+    return _solve_cells(
         scn,
         lambda rows: strip_operator(scn, rows[:, 0], branch=branch, rho=rho, h=h, delta=delta),
         np.column_stack([p1s, np.zeros_like(p1s)]),
         tol=tol, kind="strip", branch=branch, truncation=rho,
     )
-    return estimates if np.ndim(p1) else estimates[0]
 
 
 def _walk_truncations(solve, truncations, tol: float, cells: int):
@@ -256,16 +254,15 @@ def tangential_hamiltonian(
     *,
     branch: str = "main",
     tol: float | None = None,
-):
-    """Tangential effective Hamiltonian at ``p1``: strip constants run along
-    the scheduled ``rho_list`` until two consecutive values agree within
-    ``tol``; if the schedule is exhausted first the result is flagged
-    unconverged.
+) -> Family:
+    """Tangential effective Hamiltonian at the momenta ``p1`` (a scalar or a
+    1-D array): strip constants run along the scheduled ``rho_list`` until
+    two consecutive values agree within ``tol``; if the schedule is exhausted
+    first the result is flagged unconverged.
 
-    A 1-D ``p1`` walks its strips as a family: every momentum at the first
-    ``rho``, every one at the second, then only those whose last two
-    constants disagree.  It returns a :class:`Family` with one result per
-    momentum."""
+    The strips walk as a family: every momentum at the first ``rho``, every
+    one at the second, then only those whose last two constants disagree.
+    Returns a :class:`Family` with one result per momentum."""
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
@@ -273,8 +270,7 @@ def tangential_hamiltonian(
         lambda rho, cells: strip_ergodic(scn, p1s[cells], branch=branch, rho=rho, tol=tol),
         sched.rho_list, tol, len(p1s),
     )
-    results = Family(TangentialResult(est[-1].constant, est, conv) for est, conv in walks)
-    return results if np.ndim(p1) else results[0]
+    return Family(TangentialResult(est[-1].constant, est, conv) for est, conv in walks)
 
 
 def ball_operator(
@@ -301,13 +297,13 @@ def ball_ergodic(
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-) -> ErgodicEstimate:
-    """Compact-core ergodic constant on the box truncation of radius ``R``."""
+) -> tuple[ErgodicEstimate]:
+    """Compact-core ergodic constant on the box truncation of radius ``R``: one estimate."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
     return _solve_cells(
         scn, lambda rows: ball_operator(scn, R, h=h, delta=delta), np.zeros((1, 2)),
         tol=tol, kind="ball", branch=None, truncation=R,
-    )[0]
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,7 +328,7 @@ def dirichlet_datum(
     Rs = tuple(R_list) if R_list is not None else sched.R_list
     tol = sched.tol_ergodic if tol is None else tol
     [(estimates, converged)] = _walk_truncations(
-        lambda R, cells: (ball_ergodic(scn, R, tol=tol),), Rs, tol, 1
+        lambda R, cells: ball_ergodic(scn, R, tol=tol), Rs, tol, 1
     )
     return DirichletResult(estimates[-1].constant, estimates[-1].corrector, estimates, converged)
 
@@ -344,8 +340,8 @@ def torus_operator(
     h: float | None = None,
     delta: float | None = None,
 ) -> SLOperator:
-    """Operator of the periodic background cell at momentum ``p`` (shape
-    (2,)), or of the family of cells at the rows of ``p`` (shape (cells, 2))."""
+    """Operator of the family of periodic background cells at the momenta
+    ``p``: one of shape (2,), or the rows of one of shape (cells, 2)."""
     if scn.case != "case2":
         raise ValueError("torus cell problems belong to case2 (periodic background)")
     sched = scn.schedules
@@ -356,11 +352,10 @@ def torus_operator(
     block = scn.background
     drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
     cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
-    p = np.asarray(p, dtype=float)
-    q = np.atleast_2d(p)
+    q = np.atleast_2d(np.asarray(p, dtype=float))
     cost = cost[..., None] + q[:, 0] * drift[..., 0, None] + q[:, 1] * drift[..., 1, None]
     delta = sched.delta(h) if delta is None else delta
-    return SLOperator(grid, drift, cost if p.ndim == 2 else cost[..., 0], delta)
+    return SLOperator(grid, drift, cost, delta)
 
 
 def torus_effective(
@@ -370,17 +365,17 @@ def torus_effective(
     h: float | None = None,
     tol: float | None = None,
     delta: float | None = None,
-):
-    """Periodic-background effective Hamiltonian value at momentum ``p``; the
-    rows of a (cells, 2) ``p`` are solved as one family, one estimate each."""
+) -> tuple[ErgodicEstimate, ...]:
+    """Periodic-background effective Hamiltonian values at the momenta ``p``
+    (one of shape (2,), or the rows of one of shape (cells, 2)), solved as
+    one family: one estimate per momentum."""
     tol = scn.schedules.tol_ergodic if tol is None else tol
-    estimates = _solve_cells(
+    return _solve_cells(
         scn,
         lambda rows: torus_operator(scn, rows, h=h, delta=delta),
         np.atleast_2d(np.asarray(p, dtype=float)),
         tol=tol, kind="torus", branch=None, truncation=0.0,
     )
-    return estimates if np.ndim(p) == 2 else estimates[0]
 
 
 def _background_lines(scn: Scenario, p1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -607,6 +602,18 @@ class EffectiveTables:
         )
 
 
+def _failure_cause(estimates: Sequence[ErgodicEstimate], tol: float) -> str:
+    """Why an entry built from ``estimates`` is not converged: a method gap
+    above ``2 * tol``, else a solver that did not converge, else (every
+    solve passed) a truncation walk that ended before two constants agreed."""
+    gap = max(e.method_gap for e in estimates)
+    if gap > 2.0 * tol:
+        return f"method gap {gap:.2e} > 2·tol ({2.0 * tol:.0e})"
+    if not all(e.converged for e in estimates):
+        return "relative VI or continuation not converged"
+    return "truncation schedule exhausted"
+
+
 def tabulate_effective(
     scn: Scenario,
     *,
@@ -622,8 +629,9 @@ def tabulate_effective(
     cells of ``hbar``.  Assembly order is fixed and a cell's estimate does
     not depend on its family, so results are deterministic regardless of
     the pool width.
-    Failures (non-converged solves, method-gap violations, slope errors) are
-    recorded per entry in ``flags`` instead of aborting the batch.
+    Failures (method-gap violations, non-converged solves, exhausted
+    truncation schedules, slope errors) are recorded per entry in ``flags``,
+    each with its cause, instead of aborting the batch.
     """
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
@@ -662,16 +670,16 @@ def tabulate_effective(
             gaps[branch] = np.array([max(e.method_gap for e in r.estimates) for r in results])
             for i, result in enumerate(results):
                 if not result.converged:
-                    flags[f"h1t/{branch}/{i}"] = "truncation schedule exhausted or solver not converged"
+                    flags[f"h1t/{branch}/{i}"] = _failure_cause(result.estimates, tol)
         dirichlet = e_future.result()
         if not dirichlet.converged:
-            flags["E"] = "truncation schedule exhausted or solver not converged"
+            flags["E"] = _failure_cause(dirichlet.estimates, tol)
         if ps is not None:
             cells = torus_future.result()
             hbar = np.array([est.constant for est in cells]).reshape(len(ps), len(ps))
             for n, est in enumerate(cells):
                 if not est.converged:
-                    flags[f"hbar/{n // len(ps)}/{n % len(ps)}"] = "torus solve not converged"
+                    flags[f"hbar/{n // len(ps)}/{n % len(ps)}"] = _failure_cause((est,), tol)
 
     pi_lower: dict[str, np.ndarray] = {}
     pi_upper: dict[str, np.ndarray] = {}

@@ -365,7 +365,7 @@ class CorrectorSet:
     def strip_corrector(self, momentum: float, branch: str = "main") -> ValueField:
         key = (branch, round(float(momentum), 12))
         if key not in self._strips:
-            est = strip_ergodic(
+            (est,) = strip_ergodic(
                 self.scenario, float(momentum), branch=branch,
                 rho=self.coverage, h=self.h, tol=self.tol, delta=self.delta,
             )
@@ -380,7 +380,7 @@ class CorrectorSet:
         """Solved periodic cell estimate at momentum ``q`` (case2 only)."""
         key = (round(float(q[0]), 12), round(float(q[1]), 12))
         if key not in self._plane:
-            est = torus_effective(
+            (est,) = torus_effective(
                 self.scenario, (float(q[0]), float(q[1])),
                 h=self.h, tol=self.tol, delta=self.delta,
             )
@@ -422,7 +422,7 @@ def build_corrector_set(
     half_width = math.ceil(4.0 * scn.R1 / h) * h
     pad = max(0.5, 8.0 * h)
     coverage = math.ceil((half_width + pad) / h) * h
-    est = ball_ergodic(scn, coverage, h=h, tol=tol, delta=h)
+    (est,) = ball_ergodic(scn, coverage, h=h, tol=tol, delta=h)
     notes = [f"origin corrector truncation {coverage:g}, constant {est.constant:.6g}"]
     if not est.converged:
         raise RuntimeError(f"origin corrector at truncation {coverage:g} did not converge")
@@ -444,25 +444,31 @@ def build_corrector_set(
 # ---------------------------------------------------------------------------
 
 
+def _tie(tables: EffectiveTables) -> float:
+    """Two effective levels closer than this count as tied: the solver
+    tolerance the tables were built at, and at least ``_TIE_SLACK``.
+    Orderings tighter than that are not resolved by the data."""
+    return max(_TIE_SLACK, float(tables.provenance.get("tol_ergodic", 0.0)))
+
+
 def select_regime(scn: Scenario, tables: EffectiveTables, p) -> str:
     """Dominant level at the covector: ``"plane"``, ``"line"``, or ``"origin"``.
 
     Ties follow the constructions' reach: the origin datum wins its ties (the
     lifted level E + η covers equalities) and the tangential level wins a tie
-    with the ambient one.  Levels within the solver tolerance the tables were
-    built at (at least 1e-9) count as tied -- orderings tighter than that are
-    not resolved by the data, and the origin construction is the one that
-    tolerates them.
+    with the ambient one.  The selector reads the builders' dominance guards
+    with the same :func:`_tie`: a plane or line regime it picks passes its
+    guard, and an origin regime does whenever η exceeds three ties.
     """
-    slack = max(1e-9, float(tables.provenance.get("tol_ergodic", 0.0)))
+    tie = _tie(tables)
     p = np.asarray(p, dtype=float)
     plane = plane_level(scn, tables, p)
     line = max(float(tables.h1t_at(p[0], branch)) for branch in tables.branches())
-    if tables.E + slack >= plane and tables.E + slack >= line:
-        return "origin"
-    if plane > line + slack:
+    if plane > max(line, tables.E) + tie:
         return "plane"
-    return "line"
+    if line > tables.E + tie:
+        return "line"
+    return "origin"
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +754,7 @@ def _band_pieces(roots: Mapping[str, float], correctors: CorrectorSet) -> list[P
 def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = plane_level(scn, tables, p)
     lines = _line_levels(scn, tables, p[0])
-    if not (level > max(*lines.values(), tables.E) + _TIE_SLACK):
+    if not (level > max(*lines.values(), tables.E) + _tie(tables)):
         raise RegimeError(
             f"plane regime needs the ambient level to dominate strictly: "
             f"ambient {level:.6g}, tangential {lines}, origin {tables.E:.6g}"
@@ -767,7 +773,7 @@ def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
 def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = float(tables.h1t_at(p[0]))
     plane = plane_level(scn, tables, p)
-    if level < plane - _TIE_SLACK or level <= tables.E + _TIE_SLACK:
+    if level < plane - _tie(tables) or level <= tables.E + _tie(tables):
         raise RegimeError(
             f"line regime needs the tangential level on top: tangential "
             f"{level:.6g}, ambient {plane:.6g}, origin {tables.E:.6g}"
@@ -829,7 +835,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     lines = _line_levels(scn, tables, p[0])
     level = max(lines.values())
     plane = plane_level(scn, tables, p)
-    if level < plane - _TIE_SLACK or level <= tables.E + _TIE_SLACK:
+    if level < plane - _tie(tables) or level <= tables.E + _tie(tables):
         raise RegimeError(
             f"line regime needs a tangential level on top: tangential {lines}, "
             f"ambient {plane:.6g}, origin {tables.E:.6g}"
@@ -893,7 +899,7 @@ def _draft_origin(scn, tables, correctors, p, eta, notes) -> _Draft:
     lines = _line_levels(scn, tables, p[0])
     # The construction certifies the lifted level, so that is what must be on
     # top -- comparing raw E would reject solver-tolerance ties it covers.
-    if tables.E + eta <= max(plane, *lines.values()) + _TIE_SLACK:
+    if tables.E + eta <= max(plane, *lines.values()) + _tie(tables):
         raise RegimeError(
             f"origin construction needs the lifted level on top: E + eta "
             f"{tables.E + eta:.6g}, ambient {plane:.6g}, tangential {lines}"

@@ -1,13 +1,12 @@
 """The Bellman kernel: one synchronous semi-Lagrangian application.
 
-An operator stores, for each control ``a`` and node ``n``, the four corner
-indices ``idx[a, n]`` and bilinear weights ``w[a, n]`` of the foot point, and
-the step cost ``base[a, n]`` (``+inf`` marks an inadmissible control, whose
-weights are zero).  A family of cells that share the grid and the drift
-shares ``idx`` and ``w`` and stacks one step cost per cell along a trailing
-axis, ``base[a, n, c]``; the values ``u[c, n]`` then have one row per cell.
-A lone cell is a family of one (``base`` of shape (na, N), ``u`` of shape
-(N,)).
+An operator holds a family of cells that share the grid and the drift.  It
+stores, for each control ``a`` and node ``n``, the four corner indices
+``idx[a, n]`` and bilinear weights ``w[a, n]`` of the foot point, and one
+step cost per cell, ``base[a, n, c]`` (``+inf`` marks an inadmissible
+control, whose weights are zero); the values ``u[c, n]`` have one row per
+cell.  A single cell is a family of one, ``base`` of shape (na, N, 1); a flat
+(N,) ``u`` is read as its one row and the result keeps the shape of ``u``.
 
 The stencils are the rows of a sparse ``(n_controls*N) x N`` transition
 matrix, built by :func:`stencil_matrix` with ``w`` and ``idx`` as its data
@@ -45,7 +44,7 @@ def stencil_matrix(idx: np.ndarray, w: np.ndarray, n: int) -> sparse.csr_matrix:
 
 def _candidates(idx, w, base, gamma, u) -> np.ndarray:
     """``base + gamma * u(foot)`` for every (control, node, cell), shape
-    (na, N, cells); a lone cell is viewed as a family of one."""
+    (na, N, cells)."""
     na, n = idx.shape[:2]
     cand = stencil_matrix(idx, w, n) @ u.reshape(-1, n).T
     cand *= gamma
@@ -57,9 +56,9 @@ def _candidates(idx, w, base, gamma, u) -> np.ndarray:
 def jacobi_min(
     idx: np.ndarray,      # (na, N, 4) int32 corner indices
     w: np.ndarray,        # (na, N, 4) float64 corner weights
-    base: np.ndarray,     # (na, N) or (na, N, cells) step cost (+inf marks inadmissible)
+    base: np.ndarray,     # (na, N, cells) step cost (+inf marks inadmissible)
     gamma: float,
-    u: np.ndarray,        # (N,) or (cells, N) current values
+    u: np.ndarray,        # (cells, N) current values, or (N,) for one cell
     out: np.ndarray,      # output, shaped like u
 ) -> None:
     out[...] = np.min(_candidates(idx, w, base, gamma, u), axis=0).T.reshape(out.shape)

@@ -45,7 +45,6 @@ from .scenario import Scenario
 __all__ = [
     "StratifiedScheme",
     "build_scheme",
-    "junction_update",
     "scheme_residuals",
     "solve_effective",
     "solve_scheme",
@@ -222,30 +221,6 @@ def _sweep(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
     return new
 
 
-def junction_update(scheme: StratifiedScheme, node: int, u: np.ndarray) -> float:
-    """Candidate minimum at one defect-line node (reference implementation).
-
-    ``node`` must lie on the defect line or be the origin; the value is the
-    minimum of the plane update, the tangential update of the node's branch,
-    and (at the origin) the compact-defect constant.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    branch = None
-    for b, rows in scheme.m1_rows.items():
-        if node in rows:
-            branch = b
-            break
-    if branch is None and node != scheme.origin:
-        raise ValueError(f"node {node} is not on the defect line")
-    value = float(_plane_update(scheme, u)[node])
-    if branch is not None:
-        tang = _tangential_update(scheme, u, np.array([node]), branch)
-        value = min(value, float(tang[0]))
-    if node == scheme.origin:
-        value = min(value, -scheme.tables.E / scheme.alpha)
-    return value
-
-
 def _fixed_point(
     step, u: np.ndarray, *, tol: float, max_iter: int, what: str
 ) -> tuple[np.ndarray, int, float]:
@@ -286,7 +261,7 @@ def _control_plane(
     operator: SLOperator, alpha: float, *, tol: float, max_iter: int
 ) -> np.ndarray:
     """Plane solution in control form: one Howard solve at discount ``alpha``."""
-    field, info = bellman.solve_discounted(
+    (field,), (info,) = bellman.solve_discounted(
         bellman.DiscountedProblem(operator, alpha), tol=tol, max_iter=max_iter
     )
     if not info.converged:

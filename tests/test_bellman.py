@@ -13,6 +13,7 @@ from scipy.sparse.linalg import splu
 from hj_strata import kernels
 from hj_strata.bellman import (
     DiscountedProblem,
+    Family,
     SLOperator,
     ergodic_continuation,
     solve_discounted,
@@ -43,9 +44,17 @@ def test_operator_shapes_and_base():
     op = _torus_operator()
     assert op.idx.shape == (17, op.grid.size, 4)
     assert op.w.shape == op.idx.shape
-    assert op.base.shape == (17, op.grid.size)
+    assert op.base.shape == (17, op.grid.size, 1)  # one cell is a family of one
     assert np.all(np.isfinite(op.base))  # torus: every control admissible
     assert np.allclose(op.w.sum(axis=-1), 1.0)
+    # a (n_controls, N) cost and its one-cell stacking build the same operator
+    a = np.asarray(load_preset("eikonal").controls)
+    drift = np.broadcast_to(a[:, None, :], (len(a), op.grid.size, 2))
+    cost = 1.0 + np.sin(np.arange(len(a) * op.grid.size)).reshape(len(a), -1)
+    flat = SLOperator(op.grid, drift, cost, op.delta)
+    stacked = SLOperator(op.grid, drift, cost[..., None], op.delta)
+    assert flat.base.shape == stacked.base.shape == (17, op.grid.size, 1)
+    assert flat.base.tobytes() == stacked.base.tobytes()
 
 
 def test_state_constraints_drop_exiting_controls():
@@ -101,7 +110,7 @@ def test_discounted_constant_cost_oracle():
     # constant cost 1, discount alpha: the value is exactly 1/alpha everywhere
     for alpha in (1.0, 0.5, 1.5):
         op = _torus_operator()
-        field, info = solve_discounted(DiscountedProblem(op, alpha), tol=1e-12)
+        (field,), (info,) = solve_discounted(DiscountedProblem(op, alpha), tol=1e-12)
         assert info.converged
         assert np.allclose(field.values, 1.0 / alpha, atol=1e-9)
 
@@ -123,7 +132,7 @@ def test_howard_matches_value_iteration(lam):
     # tol/(lam*delta) for every lam*delta >= 1e-3
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     tol = 1e-7
-    field, info = solve_discounted(DiscountedProblem(op, lam), tol=1e-3 * tol)
+    (field,), (info,) = solve_discounted(DiscountedProblem(op, lam), tol=1e-3 * tol)
     assert info.converged and info.stop == "residual" and info.method == "howard"
     vi = _value_iteration(op, lam, tol)
     assert np.max(np.abs(field.flat() - vi)) <= tol / (lam * op.delta)
@@ -131,7 +140,7 @@ def test_howard_matches_value_iteration(lam):
 
 def test_howard_iterations_do_not_grow_as_discount_vanishes():
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    _, info = solve_discounted(DiscountedProblem(op, 0.005), tol=1e-9)
+    _, (info,) = solve_discounted(DiscountedProblem(op, 0.005), tol=1e-9)
     assert info.converged
     assert 1 <= info.policy_evaluations <= 20
 
@@ -146,10 +155,10 @@ def test_policy_value_falls_back_to_lu(monkeypatch):
 
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     problem = DiscountedProblem(op, 0.05)
-    krylov, _ = solve_discounted(problem, tol=1e-9)
+    (krylov,), _ = solve_discounted(problem, tol=1e-9)
     # a Krylov solve that stalls hands the evaluation to sparse LU
     monkeypatch.setattr(bellman, "bicgstab", _stalled_krylov)
-    lu, info = solve_discounted(problem, tol=1e-9)
+    (lu,), (info,) = solve_discounted(problem, tol=1e-9)
     assert info.converged and info.policy_evaluations <= 20
     assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
 
@@ -159,17 +168,17 @@ def test_solve_info_reports_krylov_work_and_lu_fallbacks(monkeypatch):
 
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     problem = DiscountedProblem(op, 0.05)
-    field, info = solve_discounted(problem, tol=1e-9)
+    (field,), (info,) = solve_discounted(problem, tol=1e-9)
     assert info.converged
     assert info.krylov_iterations >= info.policy_evaluations >= 1
     assert info.lu_fallbacks == 0
     monkeypatch.setattr(bellman, "bicgstab", _stalled_krylov)
-    _, stalled = solve_discounted(problem, tol=1e-9)
+    _, (stalled,) = solve_discounted(problem, tol=1e-9)
     assert stalled.converged and stalled.krylov_iterations == 0
     assert stalled.lu_fallbacks == stalled.policy_evaluations >= 1
     # a constant shift keeps the optimal policy greedy, so one LU solve lands
     # on the fixed point
-    _, warm = solve_discounted(problem, tol=1e-9, u0=field.flat() + 1e-3)
+    _, (warm,) = solve_discounted(problem, tol=1e-9, u0=field.flat() + 1e-3)
     assert warm.converged
     assert (warm.policy_evaluations, warm.lu_fallbacks, warm.krylov_iterations) == (1, 1, 0)
 
@@ -177,7 +186,8 @@ def test_solve_info_reports_krylov_work_and_lu_fallbacks(monkeypatch):
 def _random_policy(op, seed):
     """A random admissible control per node."""
     rng = np.random.default_rng(seed)
-    keys = np.where(np.isfinite(op.base), rng.random(op.base.shape), -1.0)
+    base = op.base[..., 0]
+    keys = np.where(np.isfinite(base), rng.random(base.shape), -1.0)
     return np.argmax(keys, axis=0)
 
 
@@ -191,7 +201,7 @@ def _assembled_value(op, policy, gamma):
         shape=(n, n),
     )
     system = (sparse.identity(n) - gamma * p).tocsc()
-    return splu(system).solve(op.base[policy, nodes])
+    return splu(system).solve(op.base[policy, nodes, 0])
 
 
 @pytest.mark.parametrize("kind", ["strip", "ball", "torus"])
@@ -206,7 +216,7 @@ def test_matrix_free_policy_value_solves_the_assembled_system(kind):
     for seed, discount in enumerate((0.5, 0.05)):
         policy = _random_policy(op, seed)
         gamma = op.gamma(discount)
-        value, steps, fell_back = op.policy_value(
+        (value,), (steps,), (fell_back,) = op.policy_value(
             policy, discount, guess=np.zeros(op.grid.size), atol=atol
         )
         assert steps >= 1 and not fell_back
@@ -239,7 +249,7 @@ def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
 
     monkeypatch.setattr(SLOperator, "greedy", logged_greedy)
     monkeypatch.setattr(bellman, "bicgstab", logged_bicgstab)
-    _, info = solve_discounted(DiscountedProblem(op, 0.5), tol=tol)
+    _, (info,) = solve_discounted(DiscountedProblem(op, 0.5), tol=tol)
     assert info.converged
     assert [e[0] for e in events[::2]] == ["greedy"] * len(events[::2])
     (_, first, _), (_, loose), (_, again, residual), (_, tight) = events[:4]
@@ -261,14 +271,14 @@ def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
 def test_inexact_evaluations_stay_few_at_every_discount(preset):
     op = strip_operator(load_preset(preset), 0.3, rho=2.0)
     for discount in (0.5, 0.05, 0.005):
-        _, info = solve_discounted(DiscountedProblem(op, discount), tol=1e-9)
+        _, (info,) = solve_discounted(DiscountedProblem(op, discount), tol=1e-9)
         assert info.converged
         assert 1 <= info.policy_evaluations <= 20
 
 
 def test_discounted_max_iter_returns_flagged_best_iterate():
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    field, info = solve_discounted(DiscountedProblem(op, 0.005), tol=1e-30, max_iter=3)
+    (field,), (info,) = solve_discounted(DiscountedProblem(op, 0.005), tol=1e-30, max_iter=3)
     assert not info.converged and info.stop == "max_iter"
     assert info.iterations == 3
     assert np.all(np.isfinite(field.values))
@@ -278,7 +288,7 @@ def test_discounted_max_iter_returns_flagged_best_iterate():
 def test_ergodic_relative_constant_cost():
     # flat cost: average rate is exactly 1, corrector is 0
     op = _torus_operator()
-    res = solve_ergodic_relative(op, tol=1e-10)
+    (res,) = solve_ergodic_relative(op, tol=1e-10)
     assert res.converged
     assert res.rate == pytest.approx(1.0, abs=1e-9)
     assert res.rate_bounds[0] <= res.rate <= res.rate_bounds[1] + 1e-15
@@ -287,7 +297,7 @@ def test_ergodic_relative_constant_cost():
 
 def test_ergodic_relative_certificate_brackets_rate():
     op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
-    res = solve_ergodic_relative(op, tol=1e-8)
+    (res,) = solve_ergodic_relative(op, tol=1e-8)
     assert res.converged
     lo, hi = res.rate_bounds
     assert hi - lo <= 2e-8 + 1e-12
@@ -303,7 +313,7 @@ def test_ergodic_strip_no_defect_oracle():
     scn = load_preset("eikonal")
     for p1 in (0.5, -0.5, 0.25):
         op = strip_operator(scn, p1, rho=1.0)
-        res = solve_ergodic_relative(op, tol=1e-9)
+        (res,) = solve_ergodic_relative(op, tol=1e-9)
         assert res.converged
         assert res.rate == pytest.approx(1.0 - abs(p1) * COS16, abs=1e-9)
 
@@ -311,8 +321,8 @@ def test_ergodic_strip_no_defect_oracle():
 def test_continuation_matches_relative_vi():
     scn = load_preset("strip_attract")
     op = strip_operator(scn, 0.3, rho=2.0)
-    vi = solve_ergodic_relative(op, tol=1e-7)
-    cont = ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-7)
+    (vi,) = solve_ergodic_relative(op, tol=1e-7)
+    (cont,) = ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-7)
     assert vi.converged and cont.converged
     assert vi.rate == pytest.approx(cont.rate, abs=2e-7)
     # the discount history decreases geometrically
@@ -335,7 +345,7 @@ def _reference_min(op, gamma, u):
     """Per-control loop over the stored stencils: the reference application."""
     best = np.full(op.grid.size, np.inf)
     for a in range(op.idx.shape[0]):
-        cand = op.base[a] + gamma * np.sum(op.w[a] * u[op.idx[a]], axis=1)
+        cand = op.base[a, :, 0] + gamma * np.sum(op.w[a] * u[op.idx[a]], axis=1)
         best = np.minimum(best, cand)
     return best
 
@@ -368,18 +378,18 @@ def test_jacobi_argmin_returns_first_minimizer():
         kernels.jacobi_min(op.idx, op.w, op.base, gamma, u, tu)
         assert np.array_equal(out, tu)
         assert np.all(policy < na)  # ties go to the lower index
-        assert np.all(np.isfinite(op.base[policy, nodes]))  # never an inadmissible control
-        chosen = op.base[policy, nodes] + gamma * np.sum(op.w[policy, nodes] * u[op.idx[policy, nodes]], axis=1)
+        assert np.all(np.isfinite(op.base[policy, nodes, 0]))  # never an inadmissible control
+        chosen = op.base[policy, nodes, 0] + gamma * np.sum(op.w[policy, nodes] * u[op.idx[policy, nodes]], axis=1)
         assert np.allclose(out, chosen, rtol=0, atol=1e-13)  # the policy attains the minimum
 
 
 def test_ergodic_relative_from_any_start_keeps_its_certificate():
     op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
     tol = 1e-8
-    cold = solve_ergodic_relative(op, tol=tol)
+    (cold,) = solve_ergodic_relative(op, tol=tol)
     u0 = np.random.default_rng(11).normal(scale=3.0, size=op.grid.size)
     start = u0.copy()
-    warm = solve_ergodic_relative(op, tol=tol, u0=start)
+    (warm,) = solve_ergodic_relative(op, tol=tol, u0=start)
     assert cold.converged and warm.converged
     lo, hi = warm.rate_bounds
     assert hi - lo <= 2 * tol + 1e-12
@@ -394,9 +404,9 @@ def test_ergodic_relative_warm_start_from_continuation_saves_applications():
     sched = scn.schedules
     op = strip_operator(scn, -0.5, rho=1.0)
     tol = 5e-4
-    cold = solve_ergodic_relative(op, tol=tol)
-    cont = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
-    warm = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
+    (cold,) = solve_ergodic_relative(op, tol=tol)
+    (cont,) = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
+    (warm,) = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
     assert cold.converged and warm.converged
     assert (cold.iterations, warm.iterations) == (21, 3)
     assert warm.iterations < cold.iterations / 2
@@ -405,7 +415,7 @@ def test_ergodic_relative_warm_start_from_continuation_saves_applications():
 
 def test_best_iterate_fallback_reports_not_converged():
     op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
-    res = solve_ergodic_relative(op, tol=1e-13, max_iter=2)
+    (res,) = solve_ergodic_relative(op, tol=1e-13, max_iter=2)
     assert not res.converged
     assert math.isfinite(res.rate)
     assert res.rate_bounds[0] <= res.rate_bounds[1]
@@ -419,8 +429,8 @@ def test_corrector_ball_policy_steps_keep_the_span_certificate():
     sched = scn.schedules
     op = ball_operator(scn, 2.5, h=1 / 32, delta=1 / 32)
     tol = 5e-4
-    cont = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
-    vi = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
+    (cont,) = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
+    (vi,) = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
     assert vi.converged and cont.converged
     lo, hi = vi.rate_bounds
     assert lo <= vi.rate <= hi
@@ -436,7 +446,7 @@ from hj_strata.cell import ball_operator
 from hj_strata.scenario import load_preset
 
 op = ball_operator(load_preset("strip_attract"), 2.5, h=1 / 32, delta=1 / 32)
-field, info = solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9)
+(field,), (info,) = solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9)
 assert info.converged and info.krylov_iterations > 0
 sys.stdout.buffer.write(field.values.tobytes())
 """
@@ -461,7 +471,7 @@ def test_discounted_solve_does_not_depend_on_the_blas_thread_count():
 
 def _torus_family(controls, costs, h=1 / 8, delta=None):
     """A family of torus cells sharing ``controls`` as constant drifts, one
-    cell per cost function, and the lone operator of each cell."""
+    cell per cost function, and the one-cell operator of each cell."""
     grid = GridSpec.torus(1.0, h)
     pts = grid.nodes()
     a = np.asarray(controls, dtype=float)
@@ -473,9 +483,12 @@ def _torus_family(controls, costs, h=1 / 8, delta=None):
 
 
 def _assert_same_results(family, lone):
-    """Family results equal the lone results field by field, arrays bit for bit."""
+    """Family results equal the one-cell results field by field, arrays bit
+    for bit; a one-cell solve returns a Family of one result."""
     assert len(family) == len(lone)
-    for a, b in zip(family, lone):
+    for a, single in zip(family, lone):
+        assert isinstance(single, Family) and len(single) == 1
+        (b,) = single
         assert a.field.values.tobytes() == b.field.values.tobytes()
         assert dataclasses.replace(a, field=None) == dataclasses.replace(b, field=None)
 
@@ -518,7 +531,7 @@ def test_family_relative_vi_equals_lone_solves_bit_for_bit(monkeypatch):
     assert damped[0] == [False, False] and damped[-1] == [True]
     _assert_same_results(batch, [solve_ergodic_relative(op, tol=1e-8, max_iter=1000) for op in lone])
     monkeypatch.setattr(bellman, "_STALL_START", 1000)  # the rows cell never damps
-    undamped = solve_ergodic_relative(lone[2], tol=1e-8, max_iter=1000)
+    (undamped,) = solve_ergodic_relative(lone[2], tol=1e-8, max_iter=1000)
     assert undamped.field.values.tobytes() != batch[2].field.values.tobytes()
 
 
@@ -538,7 +551,8 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
     for max_iter in (200_000, 2):
         fields, infos = solve_discounted(DiscountedProblem(family, 0.5), tol=1e-9, max_iter=max_iter)
         alone = [solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9, max_iter=max_iter) for op in lone]
-        for field, info, (field_1, info_1) in zip(fields, infos, alone):
+        assert all(len(f) == 1 and isinstance(i, Family) and len(i) == 1 for f, i in alone)
+        for field, info, ((field_1,), (info_1,)) in zip(fields, infos, alone):
             assert field.values.tobytes() == field_1.values.tobytes()
             assert info == info_1
         assert infos.iterations == sum(info.iterations for _, info in alone)

@@ -7,7 +7,9 @@ import pytest
 
 from hj_strata.cell import (
     EffectiveTables,
+    ErgodicEstimate,
     TableRangeError,
+    _failure_cause,
     background_min_over_q,
     ball_ergodic,
     dirichlet_datum,
@@ -18,6 +20,7 @@ from hj_strata.cell import (
     torus_effective,
     verify_corrector_slopes,
 )
+from hj_strata.bellman import Family
 from hj_strata.hamiltonian import estimate_bounds, eval_H, eval_H_envelopes
 from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
@@ -28,7 +31,7 @@ def test_strip_no_defect_lambda_is_exact():
     """lambda(p1) = -(1 - |p1| cos(pi/16)) on the translation-invariant strip."""
     scn = load_preset("eikonal")
     for p1 in (0.0, 0.5, -0.75):
-        est = strip_ergodic(scn, p1, rho=1.0, tol=1e-9)
+        (est,) = strip_ergodic(scn, p1, rho=1.0, tol=1e-9)
         assert est.converged
         assert est.constant == pytest.approx(-(1.0 - abs(p1) * COS16), abs=1e-8)
         assert est.method_gap <= 2e-9
@@ -37,7 +40,7 @@ def test_strip_no_defect_lambda_is_exact():
 def test_strip_constant_monotone_in_truncation():
     # enlarging the strip can only help the optimizer: lambda_rho nondecreasing
     scn = load_preset("strip_attract")
-    consts = [strip_ergodic(scn, 0.25, rho=r, tol=1e-6).constant for r in (1.0, 2.0, 4.0)]
+    consts = [strip_ergodic(scn, 0.25, rho=r, tol=1e-6)[0].constant for r in (1.0, 2.0, 4.0)]
     for a, b in zip(consts, consts[1:]):
         assert b >= a - 1e-6
 
@@ -45,7 +48,7 @@ def test_strip_constant_monotone_in_truncation():
 def test_tangential_attractive_strip_oracle():
     # the dip floor 0.5 is reachable and sittable: H1T(0) = -0.5
     scn = load_preset("strip_attract")
-    res = tangential_hamiltonian(scn, 0.0, tol=1e-6)
+    (res,) = tangential_hamiltonian(scn, 0.0, tol=1e-6)
     assert res.converged
     assert res.value == pytest.approx(-0.5, abs=1e-5)
 
@@ -53,7 +56,7 @@ def test_tangential_attractive_strip_oracle():
 def test_ball_flat_bottom_oracle():
     # cost_bump: flat-bottom node with cost 0.5, zero control admissible
     scn = load_preset("cost_bump")
-    est = ball_ergodic(scn, 1.0, tol=1e-7)
+    (est,) = ball_ergodic(scn, 1.0, tol=1e-7)
     assert est.converged
     assert est.constant == pytest.approx(-0.5, abs=1e-6)
 
@@ -61,7 +64,7 @@ def test_ball_flat_bottom_oracle():
 def test_ball_repulsive_core_oracle():
     # core_repulse: cheapest reachable cost is the background 1 => E = -1
     scn = load_preset("core_repulse")
-    est = ball_ergodic(scn, 1.0, tol=1e-7)
+    (est,) = ball_ergodic(scn, 1.0, tol=1e-7)
     assert est.converged
     assert est.constant == pytest.approx(-1.0, abs=1e-6)
 
@@ -78,7 +81,7 @@ def test_dirichlet_datum_walks_truncations():
 def test_torus_effective_checkerboard_oracle():
     # cost 1 + 0.4 sin(2pi y1) sin(2pi y2) has a sittable grid minimum of 0.6
     scn = load_preset("checkerboard")
-    est = torus_effective(scn, (0.0, 0.0), tol=1e-7)
+    (est,) = torus_effective(scn, (0.0, 0.0), tol=1e-7)
     assert est.converged
     assert est.constant == pytest.approx(-0.6, abs=1e-6)
 
@@ -193,21 +196,40 @@ def test_checkerboard_strip_gap_is_the_continuation_stopping_early():
     # within tol, and the entry stays flagged
     scn = load_preset("checkerboard")
     p1, tol = -0.29445461807420503, 5e-4
-    est = strip_ergodic(scn, p1, rho=1.0, tol=tol)
+    (est,) = strip_ergodic(scn, p1, rho=1.0, tol=tol)
     assert est.constant == pytest.approx(-0.1, abs=tol)
     assert est.method_gap > 2 * tol
     assert len(est.lambda_history) == 3
     assert not est.converged
     # with a tighter tolerance the continuation runs on and meets VI at -0.1
-    tight = strip_ergodic(scn, p1, rho=1.0, tol=1e-6)
+    (tight,) = strip_ergodic(scn, p1, rho=1.0, tol=1e-6)
     assert tight.continuation_constant == pytest.approx(-0.1, abs=1e-5)
     assert tight.constant == pytest.approx(-0.1, abs=1e-5)
     assert tight.converged
 
 
+def _estimate(gap, converged):
+    """A hand-made strip estimate with the given method gap and verdict."""
+    return ErgodicEstimate(
+        kind="strip", branch="main", p=(0.0, 0.0), truncation=1.0, constant=-0.1,
+        continuation_constant=-0.1 - gap, method_gap=gap, corrector=None, lambda_history=(),
+        converged=converged, residual=0.0, iterations=1, delta=0.25,
+    )
+
+
+def test_failure_cause_names_the_first_failed_check():
+    tol = 5e-4
+    gap = [_estimate(1e-4, True), _estimate(4.47e-3, False)]
+    assert _failure_cause(gap, tol) == "method gap 4.47e-03 > 2·tol (1e-03)"
+    solver = [_estimate(1e-4, True), _estimate(2e-4, False)]
+    assert _failure_cause(solver, tol) == "relative VI or continuation not converged"
+    walk = [_estimate(1e-4, True), _estimate(2e-4, True)]
+    assert _failure_cause(walk, tol) == "truncation schedule exhausted"
+
+
 def test_verify_corrector_slopes_attractive():
     scn = load_preset("strip_attract")
-    est = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
+    (est,) = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
     check = verify_corrector_slopes(scn, est, level=-0.5)
     assert check.passed, check.detail
 
@@ -216,7 +238,7 @@ def test_verify_corrector_slopes_fails_off_the_level():
     # the corrector grows at the level-(-0.5) slopes, about +-0.51, while the
     # window at level -0.3 is about +-0.71: the check is binding and fails
     scn = load_preset("strip_attract")
-    est = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
+    (est,) = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
     check = verify_corrector_slopes(scn, est, level=-0.3)
     assert check.active
     assert not check.passed, check.detail
@@ -355,7 +377,9 @@ def test_strip_family_walk_equals_lone_walks_bit_for_bit():
     assert [len(r.estimates) for r in family] == [2, 3, 3, 2]
     assert len(family.estimates) == 10
     for result, p1 in zip(family, p1s):
-        alone = tangential_hamiltonian(scn, float(p1), tol=1e-3)
+        single = tangential_hamiltonian(scn, float(p1), tol=1e-3)
+        assert isinstance(single, Family) and len(single) == 1
+        (alone,) = single
         assert (result.value, result.converged) == (alone.value, alone.converged)
         _same_estimates(result.estimates, alone.estimates)
     assert [r.converged for r in family] == [True, True, False, True]
@@ -365,7 +389,9 @@ def test_torus_family_equals_lone_cells_bit_for_bit():
     scn = load_preset("checkerboard")
     momenta = np.array([[0.0, 0.0], [0.8, -0.4], [-1.2, 0.6]])
     family = torus_effective(scn, momenta, tol=1e-4)
-    _same_estimates(family, [torus_effective(scn, tuple(p), tol=1e-4) for p in momenta])
+    singles = [torus_effective(scn, tuple(p), tol=1e-4) for p in momenta]
+    assert all(isinstance(single, tuple) and len(single) == 1 for single in singles)
+    _same_estimates(family, [est for (est,) in singles])
 
 
 def test_tables_do_not_depend_on_the_pool_width():

@@ -261,6 +261,22 @@ def test_regime_mismatch_raises(attract):
         build_subcorrector(scn, tables, correctors, (0.0, 0.0), "plane")
 
 
+def test_selected_line_regime_builds_inside_the_tie(attract):
+    # tangential level just below the ambient one, inside the tolerance the
+    # tables were built at: the selector counts the two as tied and picks the
+    # line regime, and the line builder reads the same tie
+    scn, tables, correctors = attract
+    p = (0.3, 0.75)
+    tol = tables.provenance["tol_ergodic"]
+    plane = plane_level(scn, tables, p)
+    planted = _raised(tables, main=plane - 0.5 * tol - float(tables.h1t_at(p[0])))
+    level = float(planted.h1t_at(p[0]))
+    assert plane - tol < level < plane and level > planted.E + tol
+    assert select_regime(scn, planted, p) == "line"
+    spec = build_subcorrector(scn, planted, correctors, p, "line")
+    assert spec.level == pytest.approx(level, abs=1e-12)
+
+
 def test_bracket_failure_reports_table_edge(attract):
     scn, tables, correctors = attract
     # the ambient level at this covector exceeds the tangential table's

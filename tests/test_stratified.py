@@ -15,7 +15,6 @@ from hj_strata.stratified import (
     _plane_update,
     _sweep,
     build_scheme,
-    junction_update,
     scheme_residuals,
     solve_effective,
     solve_scheme,
@@ -184,30 +183,27 @@ def test_two_sided_starts_share_the_fixed_point():
     assert np.max(np.abs(from_above.values - from_plane.values)) <= 1e-7
 
 
-def test_junction_update_matches_vectorized_sweep():
+def test_sweep_takes_the_junction_minima_worked_by_hand():
+    # on a constant field c every stencil reads c: the plane update of the
+    # unit-cost background is delta + (1 - alpha delta) c, a line node also
+    # takes the tangential update (-h1t(0) + (2 theta/h) c) / (alpha + 2 theta/h),
+    # and the origin also takes -E/alpha.  At the line node the tangential
+    # update wins at c = 0.3 and 0.8, the plane at c = 2; at the origin the
+    # plane wins at c = 0.3, -E/alpha at c = 0.8 and 2
     scn = load_preset("strip_attract")
     tables = cached_tables("strip_attract")
     grid = box_grid(1 / 8)
     scheme = build_scheme(scn, tables, grid)
-    rng = np.random.default_rng(7)
-    probes = list(scheme.m1_rows["main"][::5]) + [scheme.origin]
-    for _ in range(4):
-        u = rng.uniform(0.0, 1.0, grid.size)
-        swept = _sweep(scheme, u)
-        for node in probes:
-            assert junction_update(scheme, int(node), u) == pytest.approx(
-                swept[node], abs=1e-12
-            )
-
-
-def test_junction_update_rejects_plane_nodes():
-    scn = load_preset("strip_attract")
-    tables = cached_tables("strip_attract")
-    grid = box_grid(1 / 8)
-    scheme = build_scheme(scn, tables, grid)
-    off_line = scheme.origin + 1  # one node above the axis
-    with pytest.raises(ValueError):
-        junction_update(scheme, off_line, np.zeros(grid.size))
+    alpha, delta, h = scheme.alpha, scheme.delta, grid.h1
+    k = 2 * scheme.theta_t["main"] / h
+    node = grid.index_of((-1.0, 0.0))
+    assert node in scheme.m1_rows["main"]
+    for c in (0.3, 0.8, 2.0):
+        swept = _sweep(scheme, np.full(grid.size, c))
+        plane = delta + (1 - alpha * delta) * c
+        line = (-float(tables.h1t_at(0.0)) + k * c) / (alpha + k)
+        assert swept[node] == pytest.approx(min(plane, line), abs=1e-12)
+        assert swept[scheme.origin] == pytest.approx(min(plane, -tables.E / alpha), abs=1e-12)
 
 
 def test_narrow_tables_rejected_at_build():
