@@ -120,22 +120,11 @@ class Family(tuple):
         return tuple(e for r in self for e in r.estimates)
 
 
-def _dot(x: np.ndarray, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Inner products of matching rows by numpy's pairwise summation rather
     than BLAS, so their summation order, and with it every bit of a solve,
-    depends neither on the BLAS thread count nor on the other rows.
-    ``work`` holds the products when given."""
-    return np.add.reduce(np.multiply(x, y, out=work), axis=-1)
-
-
-def _dot_pair(a, b, c, d, work: np.ndarray) -> np.ndarray:
-    """``_dot(a, b)`` and ``_dot(c, d)`` as one reduction over their stacked
-    (2, rows, N) products in ``work``; each row keeps its own pairwise sum,
-    so both equal the separate reductions bit for bit."""
-    pair = work[: 2 * len(a)].reshape(2, len(a), -1)
-    np.multiply(a, b, out=pair[0])
-    np.multiply(c, d, out=pair[1])
-    return np.add.reduce(pair, axis=-1)
+    depends neither on the BLAS thread count nor on the other rows."""
+    return np.add.reduce(x * y, axis=-1)
 
 
 def _rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
@@ -162,19 +151,18 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
     ``info`` per row: 0 on convergence, ``maxiter`` when the budget runs out
     and negative on a breakdown.  ``callback(rows)`` runs after every full
     iteration with the rows that took it.
+
+    Each inner product is its own :func:`_dot`: the solve's cost is memory
+    traffic, and fused reductions or preallocated buffers measured no faster.
     """
     x = np.array(x0, dtype=float)
     out = x.copy()
     info = np.full(len(x), maxiter)
     rows = np.arange(len(x))
     r = rhs - system(x, rows)
-    cold = ~x.any(axis=1)
-    r[cold] = rhs[cold]
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
-    work = np.empty((2 * len(x), x.shape[1]))   # products of one or two reductions
-    scaled = np.empty_like(r)                    # a step length times a direction
     rho_prev, alpha, omega = np.ones((3, len(x)))
     atol = np.broadcast_to(np.asarray(atol, dtype=float), len(x))
 
@@ -182,11 +170,8 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
         out[rows[done]] = x[done]
         info[rows[done]] = code[done]
 
-    def times(step, vector):
-        return np.multiply(step[:, None], vector, out=scaled[: len(vector)])
-
     for _ in range(maxiter):
-        rr, rho = _dot_pair(r, r, r_hat, r, work)
+        rr, rho = _dot(r, r), _dot(r_hat, r)
         converged = np.sqrt(rr) <= atol
         done = converged | (np.abs(rho) < _BREAKDOWN) | (np.abs(omega) < _BREAKDOWN)
         if done.any():
@@ -196,11 +181,11 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
             )
             if not rows.size:
                 return out, info
-        p -= times(omega, v)
+        p -= omega[:, None] * v
         p *= ((rho / rho_prev) * (alpha / omega))[:, None]
         p += r
         v = system(p, rows)
-        rv = _dot(r_hat, v, work[: len(r)])
+        rv = _dot(r_hat, v)
         done = rv == 0.0
         if done.any():
             settle(done, np.full(len(done), -11))
@@ -210,9 +195,9 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
             if not rows.size:
                 return out, info
         alpha = rho / rv
-        x += times(alpha, p)
-        r -= times(alpha, v)
-        done = np.sqrt(_dot(r, r, work[: len(r)])) <= atol
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * v
+        done = np.sqrt(_dot(r, r)) <= atol
         if done.any():
             settle(done, np.zeros(len(done), dtype=int))
             rows, x, r, r_hat, p, v, rho, alpha, atol = _rows(
@@ -221,10 +206,10 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
             if not rows.size:
                 return out, info
         t = system(r, rows)
-        tr, tt = _dot_pair(t, r, t, t, work)
+        tr, tt = _dot(t, r), _dot(t, t)
         omega = tr / tt
-        x += times(omega, r)
-        r -= times(omega, t)
+        x += omega[:, None] * r
+        r -= omega[:, None] * t
         rho_prev = rho
         callback(rows)
     out[rows] = x
@@ -303,7 +288,7 @@ class SLOperator:
         """One synchronous application and, per node, the index of a minimizing control."""
         out = np.empty(u.shape)
         policy = np.empty(u.shape, dtype=np.intp)
-        kernels.jacobi_argmin(self.idx, self.w, self.base, self.gamma(discount), u, out, policy)
+        kernels.jacobi_min(self.idx, self.w, self.base, self.gamma(discount), u, out, policy=policy)
         return out, policy
 
     def policy_stencils(self, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

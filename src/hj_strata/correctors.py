@@ -32,7 +32,7 @@ Every level measurement reads one test of ``H(0, y, Dχ) <= level``: the
 one-step dynamic-programming reading ``(v(y) - min_a [δ ℓ(y, a) + v(y + δ
 f(y, a))]) / δ - level``, with ``v`` evaluated exactly at every foot.
 ``_territory``, ``subsolution_residual`` and ``residual_field`` apply it to
-the active piece at each node (``_piece_level_residual``);
+the active piece at each node (``_piece_residual``);
 ``bellman_certificate`` applies it to the composed minimum, the only reading
 that sees a jump at the origin piece's rim.
 """
@@ -123,28 +123,23 @@ def _grid_root(grid: np.ndarray, vals: np.ndarray, level: float, side: str, what
             f"{what}: level {level:.6g} lies below the table minimum "
             f"{vals[k]:.6g} at p1={grid[k]:.6g}"
         )
-    if side == "right":
-        idx = range(k, len(grid) - 1)
-        edge = len(grid) - 1
-    else:
-        idx = range(k - 1, -1, -1)
-        edge = 0
+    step, edge = (1, len(grid) - 1) if side == "right" else (-1, 0)
     if vals[edge] < level - 1e-12:
         raise BracketError(
             f"{what}: level {level:.6g} is not reached on the {side} flank; "
             f"window ends at row p1={grid[edge]:.6g}, value {vals[edge]:.6g}"
         )
-    for i in idx:
-        lo, hi = vals[i], vals[i + 1]
-        if side == "left":
-            lo, hi = hi, lo
-        if lo - 1e-12 <= level <= hi + 1e-12:
-            a, b = (i, i + 1) if side == "right" else (i + 1, i)
+    # walk away from the argmin: the first segment whose far end reaches the
+    # level holds the root, since its near end is the argmin or lies below
+    for a in range(k, edge, step):
+        b = a + step
+        if vals[b] >= level - 1e-12:
             dv = vals[b] - vals[a]
             if abs(dv) < 1e-15:
                 return float(grid[b])
             t = (level - vals[a]) / dv
             return float(grid[a] + t * (grid[b] - grid[a]))
+    # the argmin sits on this flank's window edge
     raise BracketError(f"{what}: no table segment brackets level {level:.6g} on the {side} flank")
 
 
@@ -456,14 +451,16 @@ def select_regime(scn: Scenario, tables: EffectiveTables, p) -> str:
 
     Ties follow the constructions' reach: the origin datum wins its ties (the
     lifted level E + η covers equalities) and the tangential level wins a tie
-    with the ambient one.  The selector reads the builders' dominance guards
-    with the same :func:`_tie`: a plane or line regime it picks passes its
-    guard, and an origin regime does whenever η exceeds three ties.
+    with the ambient one.  This is the one reading of the plane and line
+    orderings: :func:`build_subcorrector` builds those regimes only where the
+    selector picks them.  The origin builder guards the lifted level E + η,
+    which the selector does not read; an origin regime it picks passes that
+    guard whenever η exceeds three ties.
     """
     tie = _tie(tables)
     p = np.asarray(p, dtype=float)
     plane = plane_level(scn, tables, p)
-    line = max(float(tables.h1t_at(p[0], branch)) for branch in tables.branches())
+    line = max(_line_levels(scn, tables, p[0]).values())
     if plane > max(line, tables.E) + tie:
         return "plane"
     if line > tables.E + tie:
@@ -591,12 +588,12 @@ def _check_coverage(pieces, *point_sets: np.ndarray) -> None:
             )
 
 
-def _piece_level_residual(
+def _piece_residual(
     scn: Scenario, pieces, active: np.ndarray, pts: np.ndarray, step: float, level: float
 ) -> np.ndarray:
     """Per-node level residual of the piece ``active`` selects at each node:
     the one-step reading of its own smooth extension, which both
-    :func:`_territory` and :func:`subsolution_residual` read.  So the seams of
+    :func:`_territory` and :func:`residual_field` read.  So the seams of
     the composed minimum stay out of it, and so does a jump at a piece's
     admissibility rim; only :func:`bellman_certificate` sees those.
     """
@@ -637,7 +634,7 @@ def _territory(
     trusted = _piece_safety(scn, outer, pts)[active, rows]
     unsettled = ~trusted
     loose = np.zeros(len(pts), dtype=bool)
-    measured = _piece_level_residual(
+    measured = _piece_residual(
         scn, outer, active[unsettled], pts[unsettled], min(grid.h1, grid.h2), level
     )
     loose[unsettled] = measured <= _SAFETY_MARGIN
@@ -753,12 +750,6 @@ def _band_pieces(roots: Mapping[str, float], correctors: CorrectorSet) -> list[P
 
 def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = plane_level(scn, tables, p)
-    lines = _line_levels(scn, tables, p[0])
-    if not (level > max(*lines.values(), tables.E) + _tie(tables)):
-        raise RegimeError(
-            f"plane regime needs the ambient level to dominate strictly: "
-            f"ambient {level:.6g}, tangential {lines}, origin {tables.E:.6g}"
-        )
     roots = _facing_roots(scn, tables, level)
     for b, q in roots.items():
         # the band must undercut the target along its own half-line
@@ -772,12 +763,6 @@ def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
 
 def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = float(tables.h1t_at(p[0]))
-    plane = plane_level(scn, tables, p)
-    if level < plane - _tie(tables) or level <= tables.E + _tie(tables):
-        raise RegimeError(
-            f"line regime needs the tangential level on top: tangential "
-            f"{level:.6g}, ambient {plane:.6g}, origin {tables.E:.6g}"
-        )
     grid = tables.p1_grid
     vals = np.asarray(tables.h1t["main"], dtype=float)
     argmin = grid[int(np.argmin(vals))]
@@ -835,11 +820,6 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     lines = _line_levels(scn, tables, p[0])
     level = max(lines.values())
     plane = plane_level(scn, tables, p)
-    if level < plane - _tie(tables) or level <= tables.E + _tie(tables):
-        raise RegimeError(
-            f"line regime needs a tangential level on top: tangential {lines}, "
-            f"ambient {plane:.6g}, origin {tables.E:.6g}"
-        )
     gap = lines["minus"] - lines["plus"]
     if abs(gap) > _TIE_SLACK:
         # One band dominates; its own momentum runs at the level while the
@@ -960,6 +940,10 @@ def build_subcorrector(
     It is left out when the territory is empty.  When no rim inside the
     window glues it is left unconfined, with ``C`` fitted over the disc of
     radius ``max(R1, territory) + h`` and a note.
+
+    Raises :class:`RegimeError` when a ``"plane"`` or ``"line"`` request
+    disagrees with :func:`select_regime`, naming the selected regime and the
+    three levels.
     """
     p = (float(np.asarray(p, dtype=float)[0]), float(np.asarray(p, dtype=float)[1]))
     if correctors.scenario is not scn and correctors.scenario.canonical() != scn.canonical():
@@ -969,6 +953,12 @@ def build_subcorrector(
         eta = 0.05 * max(float(np.max(np.abs(cost))), 1e-6)
     if regime not in _DRAFTS:
         raise ValueError(f"unknown regime {regime!r}; expected 'plane', 'line', or 'origin'")
+    if regime != "origin" and (selected := select_regime(scn, tables, p)) != regime:
+        raise RegimeError(
+            f"{regime} regime requested, but the level ordering selects {selected!r}: "
+            f"ambient {plane_level(scn, tables, p):.6g}, "
+            f"tangential {_line_levels(scn, tables, p[0])}, origin {tables.E:.6g}"
+        )
     draft = _DRAFTS[regime][len(scn.branches) > 1](scn, tables, correctors, p, eta, [])
 
     grid = GridSpec.box(correctors.half_width, correctors.h)
@@ -1033,33 +1023,27 @@ def build_subcorrector(
 # ---------------------------------------------------------------------------
 
 
-def _level_residual(
-    scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample nodes and, at each, the one-step reading of its active piece."""
-    pts = sample_grid.nodes()
-    step = min(sample_grid.h1, sample_grid.h2)
-    return pts, _piece_level_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level))
-
-
 def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> float:
     """Worst violation of the level inequality and of the plane-wave bound.
 
-    Returns ``max(H(0, y, Dχ) - level, χ - ⟨p, y⟩)`` over the sample nodes,
-    the level part read on the active piece at each node at a step of the
-    grid spacing (:func:`_piece_level_residual`), so a jump at the origin
+    Returns ``max(H(0, y, Dχ) - level, χ - ⟨p, y⟩)`` over the sample nodes:
+    the larger of :func:`residual_field` and :func:`majorant_gap`.  The level
+    part is read on the active piece at each node, so a jump at the origin
     piece's rim does not show here; only :func:`bellman_certificate` catches
     it.  A negative value is the certified margin; a large positive value is
     a finding about the construction, not an error.
     """
-    pts, residual = _level_residual(scn, spec, level, sample_grid)
-    gap = spec.values(pts) - spec.target_values(pts)
-    return float(max(residual.max(), gap.max()))
+    residual = residual_field(scn, spec, level, sample_grid).values
+    return max(float(residual.max()), majorant_gap(spec, sample_grid))
 
 
 def residual_field(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> ValueField:
-    """Per-node level residual of the composed minimum, for maps and reports."""
-    _, residual = _level_residual(scn, spec, level, sample_grid)
+    """Per-node level residual: the one-step reading of the active piece at
+    each sample node, at a step of the grid spacing
+    (:func:`_piece_residual`)."""
+    pts = sample_grid.nodes()
+    step = min(sample_grid.h1, sample_grid.h2)
+    residual = _piece_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level))
     return ValueField(sample_grid, residual.reshape(sample_grid.n1, sample_grid.n2))
 
 

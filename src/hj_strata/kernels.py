@@ -11,20 +11,23 @@ cell.  A single cell is a family of one, ``base`` of shape (na, N, 1); a flat
 The stencils are the rows of a sparse ``(n_controls*N) x N`` transition
 matrix, built by :func:`stencil_matrix` with ``w`` and ``idx`` as its data
 and column arrays.  An application is then one sparse product ``gamma * (P
-@ U) + base`` on the (N, cells) block ``U`` followed by a min (or argmin)
-over controls.  scipy's CSR products sum each row as ``w0*u0 + w1*u1 +
-w2*u2 + w3*u3`` in a compiled loop, for one column or many, so every cell of
-a family gets bit for bit the values it gets alone, no extension module is
-needed and no build step either.  ``P`` is built once per call, copying
+@ U) + base`` on the (N, cells) block ``U`` followed by a min over controls,
+and, when a ``policy`` output is given, the first minimizing control.
+scipy's CSR products sum each row as ``w0*u0 + w1*u1 + w2*u2 + w3*u3`` in a
+compiled loop, for one column or many, so every cell of a family gets bit
+for bit the values it gets alone, no extension module is needed and no build
+step either.  ``P`` is built once per call, copying
 neither array; its cost is shared by every cell of the family.
 
 The cell layer solves at most 32 cells as one family (``cell._FAMILY_CELLS``),
 which bounds the (n_controls*N, cells) candidate array of one call.
 
-The signatures of :func:`jacobi_min` and :func:`jacobi_argmin` are fixed:
-callers pass the operator's raw arrays, and the benchmark's tracer wraps
-``jacobi_min`` and reads ``idx.shape`` and ``w.nbytes`` from its arguments.
-``BACKEND`` names the kernel in run reports.
+Every Bellman application goes through :func:`jacobi_min`, whose six
+positional arguments are fixed: callers pass the operator's raw arrays, and
+the benchmark's tracer wraps ``jacobi_min`` and reads ``idx.shape`` and
+``w.nbytes`` from them.  The greedy output ``policy`` is keyword-only, so the
+tracer sees the same six arguments on every call.  ``BACKEND`` names the
+kernel in run reports.
 """
 
 from __future__ import annotations
@@ -42,17 +45,6 @@ def stencil_matrix(idx: np.ndarray, w: np.ndarray, n: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((w.reshape(-1), idx.reshape(-1), indptr), shape=(idx.size // 4, n))
 
 
-def _candidates(idx, w, base, gamma, u) -> np.ndarray:
-    """``base + gamma * u(foot)`` for every (control, node, cell), shape
-    (na, N, cells)."""
-    na, n = idx.shape[:2]
-    cand = stencil_matrix(idx, w, n) @ u.reshape(-1, n).T
-    cand *= gamma
-    cand = cand.reshape(na, n, -1)
-    cand += base.reshape(na, n, -1)
-    return cand
-
-
 def jacobi_min(
     idx: np.ndarray,      # (na, N, 4) int32 corner indices
     w: np.ndarray,        # (na, N, 4) float64 corner weights
@@ -60,15 +52,18 @@ def jacobi_min(
     gamma: float,
     u: np.ndarray,        # (cells, N) current values, or (N,) for one cell
     out: np.ndarray,      # output, shaped like u
+    *,
+    policy: np.ndarray | None = None,   # first minimizing control, shaped like u
 ) -> None:
-    out[...] = np.min(_candidates(idx, w, base, gamma, u), axis=0).T.reshape(out.shape)
-
-
-def jacobi_argmin(idx, w, base, gamma, u, out, policy) -> None:
-    """``jacobi_min`` that also writes the first minimizing control to
-    ``policy`` (shaped like ``u``)."""
-    cand = _candidates(idx, w, base, gamma, u)
-    flat = cand.reshape(cand.shape[0], -1)
+    na, n = idx.shape[:2]
+    cand = stencil_matrix(idx, w, n) @ u.reshape(-1, n).T
+    cand *= gamma
+    cand = cand.reshape(na, n, -1)
+    cand += base.reshape(na, n, -1)
+    if policy is None:
+        out[...] = np.min(cand, axis=0).T.reshape(out.shape)
+        return
+    flat = cand.reshape(na, -1)
     # the first minimizing control, as np.argmin(flat, axis=0) finds it
     # (slower along a leading axis)
     choice = np.argmax(flat == flat.min(axis=0), axis=0)
@@ -77,4 +72,4 @@ def jacobi_argmin(idx, w, base, gamma, u, out, policy) -> None:
     out[...] = values.reshape(cand.shape[1:]).T.reshape(out.shape)
 
 
-__all__ = ["jacobi_min", "jacobi_argmin", "stencil_matrix", "BACKEND"]
+__all__ = ["jacobi_min", "stencil_matrix", "BACKEND"]

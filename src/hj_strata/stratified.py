@@ -171,7 +171,7 @@ def _line_neighbors(
     return uL, uR
 
 
-def _plane_update(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
+def _plane_update(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True) -> np.ndarray:
     """Plane candidate at every node of the flat field ``u``.
 
     The control-form Bellman step when the scheme has a background operator;
@@ -180,8 +180,8 @@ def _plane_update(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
     one-sided slope), the standard monotone closure; callers keep comparison
     windows away from the frame.  Table lookups are clipped into the
     tabulated window because transient iterates can overshoot the solution's
-    gradient bound; the converged field is re-checked strictly by
-    :func:`solve_scheme`.
+    gradient bound; :func:`solve_scheme` reads the converged field's lookups
+    again with ``clip=False``, which raises ``TableRangeError`` outside it.
     """
     if scheme.operator is not None:
         return scheme.operator.apply(u, scheme.alpha)
@@ -189,36 +189,41 @@ def _plane_update(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
     th = scheme.theta_lf
     uW, uE, uS, uN = _plane_neighbors(u.reshape(scheme.grid.n1, scheme.grid.n2))
     p = np.stack([(uE - uW) / (2 * h), (uN - uS) / (2 * h)], axis=-1)
-    g = scheme.tables.hbar_at(p, clip=True)
+    g = scheme.tables.hbar_at(p, clip=clip)
     return ((-g + (th / h) * (uE + uW + uN + uS)) / (scheme.alpha + 4 * th / h)).reshape(-1)
 
 
-def _tangential_update(
-    scheme: StratifiedScheme, u: np.ndarray, rows: np.ndarray, branch: str
-) -> np.ndarray:
-    """Monotone 1D Lax-Friedrichs update along the defect line.
-
-    Lookups are clipped into the tabulated window (transients may overshoot);
-    :func:`solve_scheme` re-checks the converged field strictly.
-    """
-    grid = scheme.grid
-    h = grid.h1
-    th = scheme.theta_t[branch]
-    uL, uR = _line_neighbors(scheme, u, rows)
-    p1 = (uR - uL) / (2 * h)
-    g = scheme.tables.h1t_at(p1, branch, clip=True)
-    return (-g + (th / h) * (uL + uR)) / (scheme.alpha + 2 * th / h)
-
-
-def _sweep(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
-    """One Jacobi sweep: plane update everywhere, then the junction minima."""
-    new = _plane_update(scheme, u)
+def _line_candidates(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True) -> dict[str, np.ndarray]:
+    """Tangential candidate of every branch at its line nodes: the monotone
+    1D Lax-Friedrichs update of the tabulated line Hamiltonian.  Lookups are
+    clipped as in :func:`_plane_update`."""
+    h = scheme.grid.h1
+    out = {}
     for branch, rows in scheme.m1_rows.items():
-        upd = _tangential_update(scheme, u, rows, branch)
-        new[rows] = np.minimum(new[rows], upd)
+        th = scheme.theta_t[branch]
+        uL, uR = _line_neighbors(scheme, u, rows)
+        g = scheme.tables.h1t_at((uR - uL) / (2 * h), branch, clip=clip)
+        out[branch] = (-g + (th / h) * (uL + uR)) / (scheme.alpha + 2 * th / h)
+    return out
+
+
+def _junction_minima(
+    scheme: StratifiedScheme, plane: np.ndarray, lines: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """The node values the candidates compose to: the plane candidate, lowered
+    by each branch's line candidate on its half-line and by ``-E/alpha`` at
+    the origin."""
+    new = plane.copy()
+    for branch, rows in scheme.m1_rows.items():
+        new[rows] = np.minimum(new[rows], lines[branch])
     o = scheme.origin
     new[o] = min(new[o], -scheme.tables.E / scheme.alpha)
     return new
+
+
+def _sweep(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
+    """One Jacobi sweep: every candidate at ``u``, composed to the junction minima."""
+    return _junction_minima(scheme, _plane_update(scheme, u), _line_candidates(scheme, u))
 
 
 def _fixed_point(
@@ -239,22 +244,6 @@ def _fixed_point(
     raise RuntimeError(
         f"{what} stalled: residual {residual:.3e} > tol {tol:.3e} after {max_iter} sweeps"
     )
-
-
-def _verify_table_range(scheme: StratifiedScheme, u: np.ndarray) -> None:
-    """Strict window check on a converged field's central slopes.
-
-    Sweeps clip transient lookups, so an out-of-window *solution* would
-    otherwise pass silently; this re-raises ``TableRangeError`` for it.
-    """
-    h = scheme.grid.h1
-    for branch, rows in scheme.m1_rows.items():
-        uL, uR = _line_neighbors(scheme, u, rows)
-        scheme.tables.h1t_at((uR - uL) / (2 * h), branch)
-    if scheme.operator is None:
-        uW, uE, uS, uN = _plane_neighbors(u.reshape(scheme.grid.n1, scheme.grid.n2))
-        p = np.stack([(uE - uW) / (2 * h), (uN - uS) / (2 * h)], axis=-1)
-        scheme.tables.hbar_at(p)
 
 
 def _control_plane(
@@ -318,7 +307,11 @@ def solve_scheme(
     u, it, residual = _fixed_point(
         functools.partial(_sweep, scheme), u, tol=tol, max_iter=max_iter, what="stratified solve"
     )
-    _verify_table_range(scheme, u)
+    # sweeps clip transient lookups; read the solution's own strictly, so an
+    # out-of-window solution raises TableRangeError instead of passing
+    _line_candidates(scheme, u, clip=False)
+    if scheme.operator is None:
+        _plane_update(scheme, u, clip=False)
     return ValueField(scheme.grid, u.reshape(scheme.grid.n1, scheme.grid.n2)), it, residual
 
 
@@ -398,16 +391,17 @@ def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedR
 
     The subsolution numbers use the Godunov (upwind) evaluation of the
     tabulated tangential Hamiltonian, so they are scheme-independent; the
-    supersolution margin uses the scheme's own candidates (at the fixed point
-    the achieving candidate has residual 0, so the margin sits at 0 up to
-    iteration slack).
+    supersolution margin reads the scheme's own candidates, the ones the
+    iteration residual composes (at the fixed point the achieving candidate
+    has residual 0, so the margin sits at 0 up to iteration slack).
     """
     u = field.flat()
     grid = scheme.grid
     h = grid.h1
     alpha = scheme.alpha
-    new = _sweep(scheme, u)
-    iteration_residual = float(np.max(np.abs(new - u)))
+    plane = _plane_update(scheme, u)
+    lines = _line_candidates(scheme, u)
+    iteration_residual = float(np.max(np.abs(_junction_minima(scheme, plane, lines) - u)))
 
     origin_clamp = float(alpha * u[scheme.origin] + scheme.tables.E)
 
@@ -421,15 +415,13 @@ def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedR
         m1_sub[branch] = float(np.max(alpha * u[rows] + g)) if len(rows) else -math.inf
 
     # scaled candidate residuals: (u - update) * stiffness ~ alpha u + H_num
-    plane = _plane_update(scheme, u)
     if scheme.operator is not None:
         margin = (u - plane) / scheme.delta
     else:
         margin = (u - plane) * (alpha + 4 * scheme.theta_lf / h)
     for branch, rows in scheme.m1_rows.items():
-        upd = _tangential_update(scheme, u, rows, branch)
         scale = alpha + 2 * scheme.theta_t[branch] / h
-        margin[rows] = np.maximum(margin[rows], (u[rows] - upd) * scale)
+        margin[rows] = np.maximum(margin[rows], (u[rows] - lines[branch]) * scale)
     o = scheme.origin
     margin[o] = max(margin[o], alpha * u[o] + scheme.tables.E)
     supersolution_margin = float(np.min(margin))

@@ -10,6 +10,7 @@ from hj_strata.correctors import (
     Piece,
     RegimeError,
     SubcorrectorSpec,
+    _grid_root,
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
@@ -259,6 +260,34 @@ def test_regime_mismatch_raises(attract):
         build_subcorrector(scn, tables, correctors, (0.0, 0.8), "origin")
     with pytest.raises(RegimeError):
         build_subcorrector(scn, tables, correctors, (0.0, 0.0), "plane")
+    # plane and line requests read the one ordering, select_regime's
+    for p, asked, selected in (((0.0, 0.8), "line", "plane"), ((0.3, 0.0), "plane", "line")):
+        assert select_regime(scn, tables, p) == selected
+        with pytest.raises(RegimeError, match=f"selects '{selected}'"):
+            build_subcorrector(scn, tables, correctors, p, asked)
+
+
+def test_grid_root_walks_the_flank_away_from_the_argmin():
+    grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    vals = np.array([3.0, 1.0, 0.0, 0.5, 2.5])
+    # the root lies on the first segment whose far end reaches the level
+    assert _grid_root(grid, vals, 1.5, "right", "t") == 1.0 + (1.5 - 0.5) / 2.0
+    assert _grid_root(grid, vals, 0.5, "right", "t") == 1.0
+    assert _grid_root(grid, vals, 2.0, "left", "t") == -1.0 - (2.0 - 1.0) / 2.0
+    assert _grid_root(grid, vals, 0.25, "left", "t") == -0.25
+    # a flat segment at the level returns its far knot
+    flat = np.array([2.0, 0.0, 0.0, 2.0])
+    assert _grid_root(grid[:4], flat, 0.0, "right", "t") == 0.0
+    assert _grid_root(grid[:4], flat, 1e-13, "right", "t") == 0.0
+    # an argmin on the window edge leaves the flank no segment
+    edge = np.array([2.0, 1.0, 0.0])
+    for level in (0.0, 5e-13):
+        with pytest.raises(BracketError, match="no table segment brackets"):
+            _grid_root(grid[:3], edge, level, "right", "t")
+    with pytest.raises(BracketError, match="not reached on the right flank"):
+        _grid_root(grid[:3], edge, 0.5, "right", "t")
+    with pytest.raises(BracketError, match="below the table minimum"):
+        _grid_root(grid, vals, -0.1, "left", "t")
 
 
 def test_selected_line_regime_builds_inside_the_tie(attract):

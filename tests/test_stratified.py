@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from hj_strata import stratified
+from hj_strata.bellman import DiscountedProblem, SLOperator, solve_discounted
 from hj_strata.cell import TableRangeError, tabulate_effective
 from hj_strata.grids import GridSpec
+from hj_strata.hamiltonian import eval_fields
 from hj_strata.scenario import load_preset, parse_scenario
 from hj_strata.stratified import (
     _MAX_SWEEPS,
@@ -332,7 +334,7 @@ def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
     tables = checkerboard_tables()
     grid = box_grid(1 / 8)
     scheme = build_scheme(scn, tables, grid)
-    monkeypatch.setattr(stratified, "_plane_update", lambda scheme, u: _plane_update(scheme, u) + 1e-6)
+    monkeypatch.setattr(stratified, "_plane_update", lambda scheme, u, **kw: _plane_update(scheme, u, **kw) + 1e-6)
     with pytest.raises(RuntimeError, match="plane start"):
         solve_unstratified(scn, tables, grid, tol=1e-7)
     with pytest.raises(RuntimeError, match="plane start"):
@@ -346,3 +348,41 @@ def test_control_plane_start_that_stalls_raises():
     scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
     with pytest.raises(RuntimeError, match="plane start stalled"):
         solve_scheme(scheme, tol=1e-10, max_iter=1)
+
+
+def _epsilon_error(scn, eps, limit):
+    """sup over |x|_inf <= 1 of |u^eps - limit|, where u^eps solves the
+    oscillating problem alpha u + H(x, x/eps, Du) = 0 on the scheduled box,
+    semi-Lagrangian with spacing and time step eps/8, by one Howard solve."""
+    grid = GridSpec.box(scn.schedules.box_half_width, eps / 8)
+    x = grid.nodes()
+    drift, cost = eval_fields(scn, x, x / eps)
+    op = SLOperator(grid, drift, cost, grid.h1)
+    (field,), (info,) = solve_discounted(DiscountedProblem(op, scn.alpha), tol=1e-8)
+    assert info.converged
+    inner = np.max(np.abs(x), axis=1) <= 1.0 + 1e-12
+    return float(np.max(np.abs(field.flat()[inner] - limit(x[inner]))))
+
+
+def _attract_exact(x):
+    # 1 - e^(-d)/2, d the distance to the half-line x1 <= 0 (see above)
+    d = np.where(x[:, 0] <= 0.0, np.abs(x[:, 1]), np.hypot(x[:, 0], x[:, 1]))
+    return 1.0 - 0.5 * np.exp(-d)
+
+
+def _mirror_limit(scn):
+    tables = tabulate_effective(scn, tol=5e-4)
+    return solve_effective(scn, tables, GridSpec.box(scn.schedules.box_half_width, 1 / 32))
+
+
+@pytest.mark.parametrize("preset", ["strip_attract", "case3_mirror"])
+def test_oscillating_problem_converges_to_the_stratified_limit(preset):
+    # the homogenization theorem end to end: u^eps -> u as eps -> 0, at first
+    # order in eps (measured 0.070, 0.037, 0.019 on strip_attract against its
+    # closed form and 0.072, 0.038, 0.020 on case3_mirror against the solved
+    # limit)
+    scn = load_preset(preset)
+    limit = _attract_exact if preset == "strip_attract" else _mirror_limit(scn)
+    errors = [_epsilon_error(scn, eps, limit) for eps in (1 / 2, 1 / 4, 1 / 8)]
+    assert all(a >= 1.6 * b for a, b in zip(errors, errors[1:])), errors
+    assert errors[-1] <= 0.03, errors
