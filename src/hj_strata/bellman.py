@@ -374,7 +374,6 @@ class SolveInfo:
     stop: str                 # "residual" or "max_iter"
     krylov_iterations: int    # BiCGSTAB iterations over all policy evaluations
     lu_fallbacks: int         # evaluations handed to sparse LU
-    method: str = "howard"
 
 
 def _fields(grid: GridSpec, values: np.ndarray) -> tuple[ValueField, ...]:

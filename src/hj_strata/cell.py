@@ -71,8 +71,7 @@ _FAMILY_CELLS = 32
 
 __all__ = [
     "ErgodicEstimate",
-    "TangentialResult",
-    "DirichletResult",
+    "TruncationWalk",
     "SlopeCheck",
     "EffectiveTables",
     "TableRangeError",
@@ -220,12 +219,21 @@ def strip_ergodic(
     )
 
 
-def _walk_truncations(solve, truncations, tol: float, cells: int):
+@dataclass(frozen=True, slots=True)
+class TruncationWalk:
+    """Cell constants along a truncation schedule; ``value`` is the last."""
+
+    value: float
+    estimates: tuple[ErgodicEstimate, ...]
+    converged: bool
+
+
+def _walk_truncations(solve, truncations, tol: float, cells: int) -> list[TruncationWalk]:
     """Walk ``cells`` cells along ``truncations``: ``solve(t, walking)``
     solves the cells still walking at truncation ``t`` as one family.  A cell
     stops once two consecutive constants agree within ``tol``, converged only
-    then and only if every one of its solves converged.  Returns each cell's
-    ``(estimates, converged)``."""
+    then and only if every one of its solves converged.  Returns one
+    :class:`TruncationWalk` per cell."""
     estimates: list[list[ErgodicEstimate]] = [[] for _ in range(cells)]
     walking = list(range(cells))
     agreed = [False] * cells
@@ -236,16 +244,10 @@ def _walk_truncations(solve, truncations, tol: float, cells: int):
         walking = [c for c in walking if not agreed[c]]
         if not walking:
             break
-    return [(tuple(e), a and all(x.converged for x in e)) for e, a in zip(estimates, agreed)]
-
-
-@dataclass(frozen=True, slots=True)
-class TangentialResult:
-    """Strip constants along the truncation schedule; ``value`` is the last."""
-
-    value: float
-    estimates: tuple[ErgodicEstimate, ...]
-    converged: bool
+    return [
+        TruncationWalk(e[-1].constant, tuple(e), a and all(x.converged for x in e))
+        for e, a in zip(estimates, agreed)
+    ]
 
 
 def tangential_hamiltonian(
@@ -266,11 +268,10 @@ def tangential_hamiltonian(
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
-    walks = _walk_truncations(
+    return Family(_walk_truncations(
         lambda rho, cells: strip_ergodic(scn, p1s[cells], branch=branch, rho=rho, tol=tol),
         sched.rho_list, tol, len(p1s),
-    )
-    return Family(TangentialResult(est[-1].constant, est, conv) for est, conv in walks)
+    ))
 
 
 def ball_operator(
@@ -306,31 +307,20 @@ def ball_ergodic(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class DirichletResult:
-    """Limit constant E with its truncation history and the final corrector."""
-
-    E: float
-    corrector: ValueField
-    estimates: tuple[ErgodicEstimate, ...]
-    converged: bool
-
-
 def dirichlet_datum(
     scn: Scenario,
     *,
     R_list: Sequence[float] | None = None,
     tol: float | None = None,
-) -> DirichletResult:
+) -> TruncationWalk:
     """Origin datum ``E``: ball constants along ``R_list``, last value kept,
-    converged when two consecutive truncations agree within ``tol``."""
+    converged when two consecutive truncations agree within ``tol``.  ``E`` is
+    the walk's ``value``; its last estimate carries the corrector."""
     sched = scn.schedules
     Rs = tuple(R_list) if R_list is not None else sched.R_list
     tol = sched.tol_ergodic if tol is None else tol
-    [(estimates, converged)] = _walk_truncations(
-        lambda R, cells: ball_ergodic(scn, R, tol=tol), Rs, tol, 1
-    )
-    return DirichletResult(estimates[-1].constant, estimates[-1].corrector, estimates, converged)
+    [walk] = _walk_truncations(lambda R, cells: ball_ergodic(scn, R, tol=tol), Rs, tol, 1)
+    return walk
 
 
 def torus_operator(
@@ -710,7 +700,7 @@ def tabulate_effective(
         h1t=h1t,
         pi_lower=pi_lower,
         pi_upper=pi_upper,
-        E=dirichlet.E,
+        E=dirichlet.value,
         E_history=tuple((e.truncation, e.constant) for e in dirichlet.estimates),
         method_gaps=gaps,
         p_grid=ps if scn.case == "case2" else None,

@@ -529,9 +529,7 @@ def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
     edge = np.abs(y2) >= scn.R0 - 1e-9
     safe = np.zeros((len(pieces), len(pts)), dtype=bool)
     for k, piece in enumerate(pieces):
-        if piece.kind == "ball":
-            safe[k] = True
-        elif piece.kind in ("affine", "plane"):
+        if piece.kind in ("affine", "plane"):
             safe[k] = bg | (edge & ~masks["core"] & (y1 * y1 + y2 * y2 >= scn.R1 * scn.R1))
         elif piece.kind == "strip":
             safe[k] = masks[piece.branch] | (bg & edge)

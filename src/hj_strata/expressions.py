@@ -1,7 +1,9 @@
 """Scalar expression language for scenario fields.
 
-Expressions are written over the slow variables ``x1, x2`` and the fast
-variables ``y1, y2`` with the usual arithmetic operators ``+ - * / ^``
+Expressions are written over the slow variables ``x1, x2``, the fast
+variables ``y1, y2`` and the control components ``{a1}, {a2}`` (braced in the
+source, the variables ``a1, a2`` of the parsed tree; a bare ``a1`` is an
+unknown name) with the usual arithmetic operators ``+ - * / ^``
 (``^`` is right-associative power), unary minus, and the function set
 ``sin cos exp abs sqrt min max wrap smoothstep``.
 
@@ -12,14 +14,13 @@ descending ramp).  Both are the tools scenarios use to build periodic and
 compactly supported field patterns, so they are exact at their edges rather
 than merely close.
 
-Parsing produces a small immutable AST; :meth:`ScalarExpr.text` prints the
-canonical form, and parsing that text again yields a structurally identical
-tree.  Evaluation is vectorized over numpy arrays.
+Parsing produces a small immutable AST; evaluation is vectorized over numpy
+arrays, so one call covers every control once the control variables carry a
+control axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -28,6 +29,7 @@ import numpy as np
 __all__ = ["ExpressionError", "ScalarExpr", "parse_expression"]
 
 VARIABLES = ("x1", "x2", "y1", "y2")
+CONTROLS = ("a1", "a2")  # written {a1}, {a2}
 
 # name -> arity
 FUNCTIONS = {
@@ -85,8 +87,8 @@ class Call:
 
 Node = Union[Num, Var, Neg, Bin, Call]
 
-# Binding powers for the Pratt parser / canonical printer.
-_ADD, _MUL, _UNARY, _POW, _ATOM = 10, 20, 30, 40, 50
+# Binding powers for the Pratt parser.
+_ADD, _MUL, _UNARY, _POW = 10, 20, 30, 40
 _BIN_POWER = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
 
 
@@ -121,6 +123,15 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 raise ExpressionError(f"malformed number {text!r}", src, i) from None
             tokens.append(("num", text, i))
             i = j
+            continue
+        if ch == "{":
+            j = src.find("}", i)
+            if j < 0:
+                raise ExpressionError("unclosed '{'", src, i)
+            if src[i + 1 : j] not in CONTROLS:
+                raise ExpressionError(f"unknown control {src[i : j + 1]!r}; controls are {{a1}} and {{a2}}", src, i)
+            tokens.append(("control", src[i + 1 : j], i))
+            i = j + 1
             continue
         if ch.isalpha() or ch == "_":
             j = i
@@ -179,6 +190,8 @@ class _Parser:
         kind, text, off = self.advance()
         if kind == "num":
             return Num(float(text))
+        if kind == "control":
+            return Var(text)
         if kind == "name":
             if text in VARIABLES:
                 return Var(text)
@@ -209,55 +222,6 @@ class _Parser:
             self.expect(")")
             return node
         raise ExpressionError(f"unexpected token {text!r}" if text else "unexpected end of input", self.src, off)
-
-
-def _power(node: Node) -> int:
-    if isinstance(node, (Num, Var, Call)):
-        return _ATOM
-    if isinstance(node, Neg):
-        return _UNARY
-    return _BIN_POWER[node.op]
-
-
-def _format_number(v: float) -> str:
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _print(node: Node) -> str:
-    if isinstance(node, Num):
-        return _format_number(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _print(node.operand)
-        if _power(node.operand) < _UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(_print(a) for a in node.args)})"
-    power = _BIN_POWER[node.op]
-    left = _print(node.left)
-    right = _print(node.right)
-    # Left child needs parens below the operator power (or at it, for the
-    # right-associative '^'); right child needs them at-or-below for the
-    # left-associative operators.
-    lp = _power(node.left)
-    rp = _power(node.right)
-    if node.op == "^":
-        if lp <= power:
-            left = f"({left})"
-        if rp < power:
-            right = f"({right})"
-    else:
-        if lp < power:
-            left = f"({left})"
-        if rp <= power:
-            # Parenthesize equal-precedence right children even for + and *:
-            # "a + (b + c)" keeps the tree distinct from "(a + b) + c".
-            right = f"({right})"
-    return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
 
 
 def _evaluate(node: Node, env: Mapping[str, np.ndarray | float]):
@@ -319,13 +283,9 @@ def _free_vars(node: Node, acc: set[str]) -> None:
 
 @dataclass(frozen=True, slots=True)
 class ScalarExpr:
-    """A parsed scalar expression over ``x1, x2, y1, y2``."""
+    """A parsed scalar expression over ``x1, x2, y1, y2, a1, a2``."""
 
     root: Node
-
-    def text(self) -> str:
-        """Canonical source form; parsing it reproduces ``root`` exactly."""
-        return _print(self.root)
 
     def __call__(self, **env: np.ndarray | float):
         """Evaluate with numpy broadcasting; missing variables must be unused."""

@@ -122,12 +122,12 @@ def _frozen_background(scenario: Scenario, x) -> tuple[np.ndarray, np.ndarray]:
     if scenario.case == "case2":
         # Periodic backgrounds have no single control split; the envelope
         # notion needs a y-independent background drift.
-        for d1, d2 in scenario.background.drift:
-            if (d1.free_vars() | d2.free_vars()) & {"y1", "y2"}:
-                raise ValueError(
-                    "directional envelopes need a y-independent background drift; "
-                    "this case2 background is periodic in y"
-                )
+        d1, d2 = scenario.background.drift
+        if (d1.free_vars() | d2.free_vars()) & {"y1", "y2"}:
+            raise ValueError(
+                "directional envelopes need a y-independent background drift; "
+                "this case2 background is periodic in y"
+            )
     x = np.asarray(x, dtype=float)
     block = scenario.background
     return block.eval_drift(x[0], x[1], 0.0, 0.0), block.eval_cost(x[0], x[1], 0.0, 0.0)

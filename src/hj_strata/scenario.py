@@ -14,11 +14,11 @@ A scenario describes one control problem family:
 :meth:`Scenario.block` the one lookup of a region's fields.
 
 Fields are given per block as a drift expression pair and a cost expression
-over ``x1, x2, y1, y2``; the control components enter textually through the
-placeholders ``{a1}`` and ``{a2}``, which are substituted per control before
-parsing.  Blocks must agree where their regions meet; ``validate_assumptions``
-samples those seams and the structural bounds and reports findings instead of
-raising.
+over ``x1, x2, y1, y2`` and the control components, written ``{a1}`` and
+``{a2}``: the variables ``a1, a2`` of the expression language.  Each source
+is parsed once; evaluation runs it once over the whole control set.  Blocks
+must agree where their regions meet; ``validate_assumptions`` samples those
+seams and the structural bounds and reports findings instead of raising.
 """
 
 from __future__ import annotations
@@ -55,42 +55,44 @@ class ScenarioError(ValueError):
     """Scenario schema violation; the message names the offending clause."""
 
 
-def _substitute_control(source: str, a: tuple[float, float]) -> str:
-    return source.replace("{a1}", f"({a[0]!r})").replace("{a2}", f"({a[1]!r})")
-
-
 @dataclass(frozen=True, slots=True)
 class FieldPair:
-    """Drift/cost expressions of one region block, expanded per control.
+    """Drift/cost expressions of one region block over ``x1, x2, y1, y2``
+    and the control variables ``a1, a2``.
 
-    ``drift[k]`` and ``cost[k]`` belong to control ``k`` of the scenario's
-    control set; ``period`` is the y1-period for strip blocks (None
-    elsewhere).
+    ``drift`` is one expression pair and ``cost`` one expression; evaluation
+    runs each once, with ``a1, a2`` taken from ``controls`` (the scenario's
+    control set) along a leading control axis.  ``period`` is the y1-period
+    for strip blocks (None elsewhere).
     """
 
     drift_source: tuple[str, str]
     cost_source: str
-    drift: tuple[tuple[ScalarExpr, ScalarExpr], ...]
-    cost: tuple[ScalarExpr, ...]
+    drift: tuple[ScalarExpr, ScalarExpr]
+    cost: ScalarExpr
+    controls: tuple[tuple[float, float], ...]
     period: float | None = None
+
+    def _env(self, x1, x2, y1, y2) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
+        """Evaluation variables and the output shape ``(n_controls, *broadcast_shape)``."""
+        env = {k: np.asarray(v, dtype=float) for k, v in dict(x1=x1, x2=x2, y1=y1, y2=y2).items()}
+        shape = np.broadcast_shapes(*(v.shape for v in env.values()))
+        env["a1"], env["a2"] = np.array(self.controls).T.reshape(2, -1, *(1,) * len(shape))
+        return env, (len(self.controls), *shape)
 
     def eval_drift(self, x1, x2, y1, y2) -> np.ndarray:
         """Drift values, shape ``(n_controls, *broadcast_shape, 2)``."""
-        env = {k: np.asarray(v, dtype=float) for k, v in dict(x1=x1, x2=x2, y1=y1, y2=y2).items()}
-        shape = np.broadcast_shapes(*(v.shape for v in env.values()))
-        out = np.empty((len(self.drift), *shape, 2))
-        for k, (d1, d2) in enumerate(self.drift):
-            out[k, ..., 0] = d1(**env)
-            out[k, ..., 1] = d2(**env)
+        env, shape = self._env(x1, x2, y1, y2)
+        out = np.empty((*shape, 2))
+        out[..., 0] = self.drift[0](**env)
+        out[..., 1] = self.drift[1](**env)
         return out
 
     def eval_cost(self, x1, x2, y1, y2) -> np.ndarray:
         """Cost values, shape ``(n_controls, *broadcast_shape)``."""
-        env = {k: np.asarray(v, dtype=float) for k, v in dict(x1=x1, x2=x2, y1=y1, y2=y2).items()}
-        shape = np.broadcast_shapes(*(v.shape for v in env.values()))
-        out = np.empty((len(self.cost), *shape))
-        for k, c in enumerate(self.cost):
-            out[k, ...] = c(**env)
+        env, shape = self._env(x1, x2, y1, y2)
+        out = np.empty(shape)
+        out[...] = self.cost(**env)
         return out
 
     def clause(self) -> dict[str, Any]:
@@ -126,22 +128,17 @@ def _build_field_pair(
     elif period is not None:
         raise ScenarioError(f"{where}.period: only strip blocks carry a period")
 
-    drift_exprs: list[tuple[ScalarExpr, ScalarExpr]] = []
-    cost_exprs: list[ScalarExpr] = []
-    for a in controls:
-        try:
-            d1 = parse_expression(_substitute_control(str(drift_src[0]), a))
-            d2 = parse_expression(_substitute_control(str(drift_src[1]), a))
-            c = parse_expression(_substitute_control(str(cost_src), a))
-        except ExpressionError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        drift_exprs.append((d1, d2))
-        cost_exprs.append(c)
+    drift_source, cost_source = (str(drift_src[0]), str(drift_src[1])), str(cost_src)
+    try:
+        d1, d2, cost = map(parse_expression, (*drift_source, cost_source))
+    except ExpressionError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
     return FieldPair(
-        drift_source=(str(drift_src[0]), str(drift_src[1])),
-        cost_source=str(cost_src),
-        drift=tuple(drift_exprs),
-        cost=tuple(cost_exprs),
+        drift_source=drift_source,
+        cost_source=cost_source,
+        drift=(d1, d2),
+        cost=cost,
+        controls=controls,
         period=period,
     )
 
@@ -190,7 +187,7 @@ def _default_schedules(R0: float, R1: float) -> SolverSchedules:
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """A parsed, validated scenario (fields expanded per control)."""
+    """A parsed, validated scenario."""
 
     case: str
     alpha: float
@@ -384,8 +381,8 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
     else:
         if isinstance(raw.get("background"), Mapping) and "periods" in raw["background"]:
             raise ScenarioError("background.periods: only case2 backgrounds are periodic")
-        for i, src in enumerate(background.drift_source + (background.cost_source,)):
-            expr = parse_expression(_substitute_control(src, controls[0]))
+        sources = background.drift_source + (background.cost_source,)
+        for src, expr in zip(sources, background.drift + (background.cost,)):
             bad = expr.free_vars() & {"y1", "y2"}
             if bad:
                 raise ScenarioError(

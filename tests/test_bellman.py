@@ -133,7 +133,7 @@ def test_howard_matches_value_iteration(lam):
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     tol = 1e-7
     (field,), (info,) = solve_discounted(DiscountedProblem(op, lam), tol=1e-3 * tol)
-    assert info.converged and info.stop == "residual" and info.method == "howard"
+    assert info.converged and info.stop == "residual"
     vi = _value_iteration(op, lam, tol)
     assert np.max(np.abs(field.flat() - vi)) <= tol / (lam * op.delta)
 
@@ -583,3 +583,54 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
     _assert_same_results(batch, [ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-6) for op in lone])
     assert len({r.stages for r in batch}) > 1  # the cells leave the family at different stages
     assert batch.stages == sum(r.stages for r in batch)
+
+
+def _stacked_system(matrices):
+    """``system(x, rows)`` of :func:`bicgstab` for one matrix per row."""
+    mats = np.asarray(matrices, dtype=float)
+    return lambda x, rows: np.einsum("kij,kj->ki", mats[rows], x)
+
+
+def test_bicgstab_breakdown_leaves_the_other_rows_running():
+    from hj_strata.bellman import bicgstab
+
+    # r·Ar = 0 for a skew matrix, so the first step of row 0 has no alpha
+    skew, spd = [[0.0, 1.0], [-1.0, 0.0]], [[2.0, 0.5], [0.5, 3.0]]
+    rhs = np.array([[1.0, 2.0], [1.0, 2.0]])
+    x, info = bicgstab(_stacked_system([skew, spd]), rhs, x0=np.zeros((2, 2)), atol=1e-12, maxiter=50,
+                       callback=lambda rows: None)
+    assert info.tolist() == [-11, 0]
+    assert x[0].tolist() == [0.0, 0.0]
+    assert np.allclose(np.asarray(spd) @ x[1], rhs[1], atol=1e-12)
+
+
+def test_bicgstab_budget_exhaustion_returns_the_last_iterate():
+    from hj_strata.bellman import bicgstab
+
+    a = np.array([[4.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 2.0, 2.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    steps = []
+    x, info = bicgstab(_stacked_system([a]), b[None], x0=np.zeros((1, 3)), atol=1e-12, maxiter=1,
+                       callback=steps.append)
+    assert info.tolist() == [1] and len(steps) == 1
+    # one textbook BiCGSTAB step from x0 = 0
+    r = b.copy()
+    v = a @ r
+    alpha = (r @ r) / (r @ v)
+    s = r - alpha * v
+    t = a @ s
+    omega = (t @ s) / (t @ t)
+    assert np.allclose(x[0], alpha * r + omega * s, rtol=0, atol=1e-14)
+    assert np.linalg.norm(b - a @ x[0]) > 1e-12
+
+
+def test_continuation_out_of_stages_reports_unconverged_finite_rates(monkeypatch):
+    from hj_strata import bellman
+
+    monkeypatch.setattr(bellman, "_MAX_STAGES", 2)
+    op = strip_operator(load_preset("strip_attract"), np.array([0.0, 0.3]), rho=1.0)
+    results = ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-7)
+    assert len(results) == 2
+    for res in results:
+        assert not res.converged and res.stages == 2 and len(res.solves) == 2
+        assert math.isfinite(res.rate)

@@ -73,9 +73,9 @@ def test_dirichlet_datum_walks_truncations():
     scn = load_preset("cost_bump")
     res = dirichlet_datum(scn, R_list=(1.0, 2.0), tol=1e-6)
     assert res.converged
-    assert res.E == pytest.approx(-0.5, abs=1e-5)
+    assert res.value == pytest.approx(-0.5, abs=1e-5)
     assert len(res.estimates) == 2
-    assert res.corrector.anchor_value() == 0.0
+    assert res.estimates[-1].corrector.anchor_value() == 0.0
 
 
 def test_torus_effective_checkerboard_oracle():
@@ -225,6 +225,42 @@ def test_failure_cause_names_the_first_failed_check():
     assert _failure_cause(solver, tol) == "relative VI or continuation not converged"
     walk = [_estimate(1e-4, True), _estimate(2e-4, True)]
     assert _failure_cause(walk, tol) == "truncation schedule exhausted"
+
+
+def test_one_truncation_flags_the_origin_datum():
+    scn = load_preset("strip_attract")
+    one_R = dataclasses.replace(scn, schedules=dataclasses.replace(scn.schedules, R_list=(1.0,)))
+    tab = tabulate_effective(one_R, tol=1e-4, p1_grid=[0.0])
+    assert tab.flags == {"E": "truncation schedule exhausted"}
+    assert len(tab.E_history) == 1 and tab.E == tab.E_history[0][1]
+
+
+def test_unconverged_torus_cell_flags_its_hbar_entry(monkeypatch):
+    from hj_strata import cell
+
+    def torus(scn, momenta, *, tol):
+        return Family(_estimate(1e-4, n != 3) for n in range(len(momenta)))
+
+    monkeypatch.setattr(cell, "torus_effective", torus)
+    scn = load_preset("checkerboard")
+    tab = tabulate_effective(scn, tol=1e-3, p1_grid=[0.0], p_grid=[-0.5, 0.5])
+    assert tab.flags == {"hbar/1/1": "relative VI or continuation not converged"}
+    assert tab.hbar.tolist() == [[-0.1, -0.1], [-0.1, -0.1]]
+
+
+def test_slope_failure_flags_its_entry(monkeypatch):
+    from hj_strata import cell
+
+    def slopes_failing_at_half(scn, p1, level):
+        if p1 == 0.5:
+            raise ValueError("no root on this flank")
+        return slopes(scn, p1, level)
+
+    monkeypatch.setattr(cell, "slopes", slopes_failing_at_half)
+    tab = tabulate_effective(load_preset("strip_attract"), tol=1e-4, p1_grid=[-0.5, 0.0, 0.5])
+    assert tab.flags == {"slopes/main/2": "no root on this flank"}
+    assert math.isnan(tab.pi_lower["main"][2]) and math.isnan(tab.pi_upper["main"][2])
+    assert np.isfinite(tab.pi_lower["main"][:2]).all()
 
 
 def test_verify_corrector_slopes_attractive():

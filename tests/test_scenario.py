@@ -70,6 +70,48 @@ def test_control_placeholder_substitution():
     assert np.allclose(drift[:, 0, 1], a[:, 1] - 0.25)
 
 
+def test_malformed_field_quotes_the_source_as_written():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(variant(background={"drift": ["{a1}", "{a2}"], "cost": "{a1} + * y1"}), label="t")
+    assert str(exc.value).startswith("background: unexpected token '*'")
+    assert "offset 7 in '{a1} + * y1'" in str(exc.value)
+
+
+def test_field_sources_evaluate_once_over_all_controls(monkeypatch):
+    from hj_strata.expressions import ScalarExpr
+
+    calls = []
+    call = ScalarExpr.__call__
+
+    def counted(expr, **env):
+        calls.append(expr)
+        return call(expr, **env)
+
+    monkeypatch.setattr(ScalarExpr, "__call__", counted)
+    scn = load_preset("strip_attract")
+    drift = scn.background.eval_drift(0.0, 0.0, np.zeros(4), np.zeros(4))
+    assert len(calls) == 2
+    assert drift.shape == (len(scn.controls), 4, 2)
+    assert np.array_equal(drift[:, 2], np.asarray(scn.controls))
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_field_evaluation_equals_the_per_control_loop(name):
+    # the control axis comes from broadcasting; each control's slice must be
+    # bit for bit what a lone evaluation at that control gives
+    scn = load_preset(name)
+    rng = np.random.default_rng(3)
+    x1, x2, y1, y2 = rng.uniform(-2.0, 2.0, (4, 16))
+    env = dict(x1=x1, x2=x2, y1=y1, y2=y2)
+    for block in map(scn.block, (*scn.branches, "core", "background")):
+        drift, cost = block.eval_drift(**env), block.eval_cost(**env)
+        for k, (a1, a2) in enumerate(scn.controls):
+            lone = {**env, "a1": a1, "a2": a2}
+            for i in range(2):
+                assert np.array_equal(drift[k, :, i], np.broadcast_to(block.drift[i](**lone), 16))
+            assert np.array_equal(cost[k], np.broadcast_to(block.cost(**lone), 16))
+
+
 def test_cost_must_stay_positive_semidefinite_by_eval():
     # not a parse-time rule; the assumption checker flags it instead
     scn = parse_scenario(variant(background={"drift": ["{a1}", "{a2}"], "cost": "-1"}), label="t")
