@@ -421,14 +421,14 @@ def solve_discounted(
     solved = np.zeros(k, dtype=bool)   # a policy has been evaluated
     loose = np.zeros(k, dtype=bool)    # ... and only to the forcing tolerance
     best, best_u = np.full(k, math.inf), u.copy()
-    its, evaluations, krylov, fallbacks = np.zeros((4, k), dtype=int)
+    evaluations, krylov, fallbacks = np.zeros((3, k), dtype=int)
     values = np.empty((k, n))
     infos: list[SolveInfo | None] = [None] * k
 
     def settle(c: int, tu: np.ndarray, residual: float, converged: bool) -> None:
         values[c] = tu
         infos[c] = SolveInfo(
-            int(its[c]), float(residual), converged, int(evaluations[c]),
+            it, float(residual), converged, int(evaluations[c]),
             "residual" if converged else "max_iter", int(krylov[c]), int(fallbacks[c]),
         )
 
@@ -439,15 +439,10 @@ def solve_discounted(
         return op if subset.size == k else op.family(subset)
 
     rows = np.arange(k)
-    while rows.size:
-        done = its[rows] >= max_iter
-        for j in np.flatnonzero(done):
-            settle(rows[j], best_u[rows[j]], best[rows[j]], False)
-        rows, u = _rows(~done, rows, u)
-        if not rows.size:
-            break
+    it = 0
+    while rows.size and it < max_iter:
         tu, greedy = cells(rows).greedy(u, problem.discount)
-        its[rows] += 1
+        it += 1
         step = tu - u
         residual = np.max(np.abs(step), axis=1)
         done = residual <= tol
@@ -474,6 +469,8 @@ def solve_discounted(
             krylov[sub] += steps
             fallbacks[sub] += fell_back
         rows, u = _rows(~done, rows, tu)
+    for c in rows:
+        settle(c, best_u[c], best[c], False)
     return _fields(grid, values), Family(infos)
 
 

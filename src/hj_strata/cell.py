@@ -33,6 +33,13 @@ result per cell, bit for bit what the cell gets alone.
 ``tangential_hamiltonian`` walks a family along ``rho``: every momentum at
 the first truncation, every one at the second, then only those whose last
 two constants disagree.
+
+Resolution: every cell problem reads its grid spacing ``cell_h``, its time
+step (``sl_step``, through ``SolverSchedules.delta``) and its tolerance
+``tol_ergodic`` from ``scn.schedules``, and nothing else.  To solve at
+another resolution, pass the scenario with replaced schedules
+(:meth:`Scenario.with_schedules`), as ``tabulate_effective`` does for its
+``tol`` and ``correctors.build_corrector_set`` for its ``h`` and ``tol``.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .bellman import (
 )
 from .grids import GridSpec, ValueField
 from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, eval_fields
-from .scenario import Scenario
+from .scenario import FieldPair, Scenario
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
 _MAX_ITER = 500_000     # full applications per discounted stage or relative VI solve
@@ -124,7 +131,6 @@ def _solve_cells(
     build: Callable[[np.ndarray], SLOperator],
     momenta: np.ndarray,
     *,
-    tol: float,
     kind: str,
     branch: str | None,
     truncation: float,
@@ -134,6 +140,7 @@ def _solve_cells(
     operator of a family.  Each family runs the continuation, then relative
     VI from each cell's last discounted field."""
     sched = scn.schedules
+    tol = sched.tol_ergodic
     out = []
     for start in range(0, len(momenta), _FAMILY_CELLS):
         rows = momenta[start:start + _FAMILY_CELLS]
@@ -165,57 +172,40 @@ def _solve_cells(
     return tuple(out)
 
 
-def strip_operator(
-    scn: Scenario,
-    p1,
-    *,
-    branch: str = "main",
-    rho: float,
-    h: float | None = None,
-    delta: float | None = None,
-) -> SLOperator:
-    """Build the shifted-cost Bellman operator of the family of truncated
-    strips at the momenta ``p1`` (a scalar or a 1-D array).
-
-    ``delta`` overrides the scheduled time step.  The default ``sqrt(h)``
-    balances the step and interpolation errors of the *constant*; corrector
-    *profiles* want the linear step ``delta = h`` instead.
-    """
-    sched = scn.schedules
-    h = sched.cell_h if h is None else h
-    if branch not in scn.branches:
-        raise ValueError(f"{scn.case} strip branches are {list(scn.branches)}, got {branch!r}")
-    block = scn.block(branch)
-    period = block.period or 1.0
-    grid = GridSpec.strip(period, rho, h)
+def _shifted_operator(scn: Scenario, block: FieldPair, grid: GridSpec, p) -> SLOperator:
+    """Operator of the family of cells on ``grid`` with the fields of
+    ``block`` frozen at the slow point, one cell per momentum ``p`` (one of
+    shape (2,), or the rows of one of shape (cells, 2)), its running cost
+    shifted by ``p . f``."""
     pts = grid.nodes()
     drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
     cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
-    cost = cost[..., None] + np.atleast_1d(p1) * drift[..., 0, None]
-    delta = sched.delta(h) if delta is None else delta
-    return SLOperator(grid, drift, cost, delta)
+    q = np.atleast_2d(np.asarray(p, dtype=float))
+    cost = cost[..., None] + q[:, 0] * drift[..., 0, None] + q[:, 1] * drift[..., 1, None]
+    return SLOperator(grid, drift, cost, scn.schedules.delta(scn.schedules.cell_h))
 
 
-def strip_ergodic(
-    scn: Scenario,
-    p1,
-    *,
-    branch: str = "main",
-    rho: float,
-    h: float | None = None,
-    tol: float | None = None,
-    delta: float | None = None,
-) -> tuple[ErgodicEstimate, ...]:
+def strip_operator(scn: Scenario, p1, *, branch: str = "main", rho: float) -> SLOperator:
+    """Build the shifted-cost Bellman operator of the family of truncated
+    strips at the momenta ``p1`` (a scalar or a 1-D array)."""
+    if branch not in scn.branches:
+        raise ValueError(f"{scn.case} strip branches are {list(scn.branches)}, got {branch!r}")
+    block = scn.block(branch)
+    grid = GridSpec.strip(block.period or 1.0, rho, scn.schedules.cell_h)
+    p1s = np.atleast_1d(np.asarray(p1, dtype=float))
+    return _shifted_operator(scn, block, grid, np.column_stack([p1s, np.zeros_like(p1s)]))
+
+
+def strip_ergodic(scn: Scenario, p1, *, branch: str = "main", rho: float) -> tuple[ErgodicEstimate, ...]:
     """Ergodic constants/correctors of the truncated strips at the momenta
     ``p1`` (a scalar or a 1-D array), solved as one family: one estimate
     per momentum."""
-    tol = scn.schedules.tol_ergodic if tol is None else tol
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
     return _solve_cells(
         scn,
-        lambda rows: strip_operator(scn, rows[:, 0], branch=branch, rho=rho, h=h, delta=delta),
+        lambda rows: strip_operator(scn, rows[:, 0], branch=branch, rho=rho),
         np.column_stack([p1s, np.zeros_like(p1s)]),
-        tol=tol, kind="strip", branch=branch, truncation=rho,
+        kind="strip", branch=branch, truncation=rho,
     )
 
 
@@ -228,12 +218,13 @@ class TruncationWalk:
     converged: bool
 
 
-def _walk_truncations(solve, truncations, tol: float, cells: int) -> list[TruncationWalk]:
+def _walk_truncations(scn: Scenario, solve, truncations, cells: int) -> list[TruncationWalk]:
     """Walk ``cells`` cells along ``truncations``: ``solve(t, walking)``
     solves the cells still walking at truncation ``t`` as one family.  A cell
-    stops once two consecutive constants agree within ``tol``, converged only
-    then and only if every one of its solves converged.  Returns one
-    :class:`TruncationWalk` per cell."""
+    stops once two consecutive constants agree within the scheduled
+    ``tol_ergodic``, converged only then and only if every one of its solves
+    converged.  Returns one :class:`TruncationWalk` per cell."""
+    tol = scn.schedules.tol_ergodic
     estimates: list[list[ErgodicEstimate]] = [[] for _ in range(cells)]
     walking = list(range(cells))
     agreed = [False] * cells
@@ -250,121 +241,63 @@ def _walk_truncations(solve, truncations, tol: float, cells: int) -> list[Trunca
     ]
 
 
-def tangential_hamiltonian(
-    scn: Scenario,
-    p1,
-    *,
-    branch: str = "main",
-    tol: float | None = None,
-) -> Family:
+def tangential_hamiltonian(scn: Scenario, p1, *, branch: str = "main") -> Family:
     """Tangential effective Hamiltonian at the momenta ``p1`` (a scalar or a
     1-D array): strip constants run along the scheduled ``rho_list`` until
-    two consecutive values agree within ``tol``; if the schedule is exhausted
-    first the result is flagged unconverged.
+    two consecutive values agree within ``tol_ergodic``; if the schedule is
+    exhausted first the result is flagged unconverged.
 
     The strips walk as a family: every momentum at the first ``rho``, every
     one at the second, then only those whose last two constants disagree.
     Returns a :class:`Family` with one result per momentum."""
-    sched = scn.schedules
-    tol = sched.tol_ergodic if tol is None else tol
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
     return Family(_walk_truncations(
-        lambda rho, cells: strip_ergodic(scn, p1s[cells], branch=branch, rho=rho, tol=tol),
-        sched.rho_list, tol, len(p1s),
+        scn, lambda rho, cells: strip_ergodic(scn, p1s[cells], branch=branch, rho=rho),
+        scn.schedules.rho_list, len(p1s),
     ))
 
 
-def ball_operator(
-    scn: Scenario,
-    R: float,
-    *,
-    h: float | None = None,
-    delta: float | None = None,
-) -> SLOperator:
+def ball_operator(scn: Scenario, R: float) -> SLOperator:
     """State-constrained operator on the box [-R, R]^2 with the full region
     dispatch (strips, core, background) frozen at the slow point x = 0."""
-    sched = scn.schedules
-    h = sched.cell_h if h is None else h
-    grid = GridSpec.box(R, h)
-    pts = grid.nodes()
-    drift, cost = eval_fields(scn, _X0, pts)
-    return SLOperator(grid, drift, cost, sched.delta(h) if delta is None else delta)
+    grid = GridSpec.box(R, scn.schedules.cell_h)
+    drift, cost = eval_fields(scn, _X0, grid.nodes())
+    return SLOperator(grid, drift, cost, scn.schedules.delta(scn.schedules.cell_h))
 
 
-def ball_ergodic(
-    scn: Scenario,
-    R: float,
-    *,
-    h: float | None = None,
-    tol: float | None = None,
-    delta: float | None = None,
-) -> tuple[ErgodicEstimate]:
+def ball_ergodic(scn: Scenario, R: float) -> tuple[ErgodicEstimate]:
     """Compact-core ergodic constant on the box truncation of radius ``R``: one estimate."""
-    tol = scn.schedules.tol_ergodic if tol is None else tol
     return _solve_cells(
-        scn, lambda rows: ball_operator(scn, R, h=h, delta=delta), np.zeros((1, 2)),
-        tol=tol, kind="ball", branch=None, truncation=R,
+        scn, lambda rows: ball_operator(scn, R), np.zeros((1, 2)),
+        kind="ball", branch=None, truncation=R,
     )
 
 
-def dirichlet_datum(
-    scn: Scenario,
-    *,
-    R_list: Sequence[float] | None = None,
-    tol: float | None = None,
-) -> TruncationWalk:
-    """Origin datum ``E``: ball constants along ``R_list``, last value kept,
-    converged when two consecutive truncations agree within ``tol``.  ``E`` is
-    the walk's ``value``; its last estimate carries the corrector."""
-    sched = scn.schedules
-    Rs = tuple(R_list) if R_list is not None else sched.R_list
-    tol = sched.tol_ergodic if tol is None else tol
-    [walk] = _walk_truncations(lambda R, cells: ball_ergodic(scn, R, tol=tol), Rs, tol, 1)
+def dirichlet_datum(scn: Scenario) -> TruncationWalk:
+    """Origin datum ``E``: ball constants along the scheduled ``R_list``,
+    last value kept, converged when two consecutive truncations agree within
+    ``tol_ergodic``.  ``E`` is the walk's ``value``; its last estimate
+    carries the corrector."""
+    [walk] = _walk_truncations(scn, lambda R, cells: ball_ergodic(scn, R), scn.schedules.R_list, 1)
     return walk
 
 
-def torus_operator(
-    scn: Scenario,
-    p,
-    *,
-    h: float | None = None,
-    delta: float | None = None,
-) -> SLOperator:
+def torus_operator(scn: Scenario, p) -> SLOperator:
     """Operator of the family of periodic background cells at the momenta
     ``p``: one of shape (2,), or the rows of one of shape (cells, 2)."""
     if scn.case != "case2":
         raise ValueError("torus cell problems belong to case2 (periodic background)")
-    sched = scn.schedules
-    h = sched.cell_h if h is None else h
-    periods = scn.background_periods or (1.0, 1.0)
-    grid = GridSpec.torus(periods, h)
-    pts = grid.nodes()
-    block = scn.background
-    drift = block.eval_drift(*_X0, pts[:, 0], pts[:, 1])
-    cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
-    q = np.atleast_2d(np.asarray(p, dtype=float))
-    cost = cost[..., None] + q[:, 0] * drift[..., 0, None] + q[:, 1] * drift[..., 1, None]
-    delta = sched.delta(h) if delta is None else delta
-    return SLOperator(grid, drift, cost, delta)
+    grid = GridSpec.torus(scn.background_periods or (1.0, 1.0), scn.schedules.cell_h)
+    return _shifted_operator(scn, scn.background, grid, p)
 
 
-def torus_effective(
-    scn: Scenario,
-    p,
-    *,
-    h: float | None = None,
-    tol: float | None = None,
-    delta: float | None = None,
-) -> tuple[ErgodicEstimate, ...]:
+def torus_effective(scn: Scenario, p) -> tuple[ErgodicEstimate, ...]:
     """Periodic-background effective Hamiltonian values at the momenta ``p``
     (one of shape (2,), or the rows of one of shape (cells, 2)), solved as
     one family: one estimate per momentum."""
-    tol = scn.schedules.tol_ergodic if tol is None else tol
     return _solve_cells(
-        scn,
-        lambda rows: torus_operator(scn, rows, h=h, delta=delta),
-        np.atleast_2d(np.asarray(p, dtype=float)),
-        tol=tol, kind="torus", branch=None, truncation=0.0,
+        scn, lambda rows: torus_operator(scn, rows), np.atleast_2d(np.asarray(p, dtype=float)),
+        kind="torus", branch=None, truncation=0.0,
     )
 
 
@@ -622,9 +555,17 @@ def tabulate_effective(
     Failures (method-gap violations, non-converged solves, exhausted
     truncation schedules, slope errors) are recorded per entry in ``flags``,
     each with its cause, instead of aborting the batch.
+
+    Every cell solves at the scheduled resolution with ``tol`` (default: the
+    scheduled ``tol_ergodic``) in place of the scheduled tolerance.
+    ``p_grid`` sets the momentum grid of ``hbar``; it raises ``ValueError``
+    outside case2, which has no ``hbar``.
     """
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
+    if p_grid is not None and scn.case != "case2":
+        raise ValueError(f"p_grid samples the periodic background of case2; a {scn.case} scenario has none")
+    cell_scn = scn.with_schedules(tol_ergodic=tol)
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if not math.isfinite(bounds["p_window"]):
         raise ValueError("cannot size the momentum window: control hull is degenerate (r_f <= 0)")
@@ -642,10 +583,10 @@ def tabulate_effective(
     hbar = None
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         tangential = {
-            branch: pool.submit(tangential_hamiltonian, scn, p1s, branch=branch, tol=tol)
+            branch: pool.submit(tangential_hamiltonian, cell_scn, p1s, branch=branch)
             for branch in branches
         }
-        e_future = pool.submit(dirichlet_datum, scn, tol=tol)
+        e_future = pool.submit(dirichlet_datum, cell_scn)
         if scn.case == "case2":
             ps = (
                 np.asarray(list(p_grid), dtype=float)
@@ -653,7 +594,7 @@ def tabulate_effective(
                 else np.linspace(-window, window, 17)
             )
             momenta = np.stack(np.meshgrid(ps, ps, indexing="ij"), axis=-1).reshape(-1, 2)
-            torus_future = pool.submit(torus_effective, scn, momenta, tol=tol)
+            torus_future = pool.submit(torus_effective, cell_scn, momenta)
         for branch in branches:
             results = tangential[branch].result()
             h1t[branch] = np.array([r.value for r in results])
@@ -703,7 +644,7 @@ def tabulate_effective(
         E=dirichlet.value,
         E_history=tuple((e.truncation, e.constant) for e in dirichlet.estimates),
         method_gaps=gaps,
-        p_grid=ps if scn.case == "case2" else None,
+        p_grid=ps,
         hbar=hbar,
         flags=flags,
         provenance=provenance,

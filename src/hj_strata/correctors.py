@@ -212,13 +212,13 @@ def _polish_vertical_root(
 
 
 def _table_gradient(tables: EffectiveTables, branch: str, p1: float) -> tuple[float, float]:
-    """Left/right difference quotients of a tangential table at ``p1``."""
+    """Left/right difference quotients of a tangential table at ``p1``: the
+    slopes of the segments ending and starting there, one segment's slope on
+    both sides inside it."""
     grid = tables.p1_grid
-    vals = np.asarray(tables.h1t[branch], dtype=float)
-    i = int(np.clip(np.searchsorted(grid, p1), 1, len(grid) - 1))
-    left = (vals[i] - vals[i - 1]) / (grid[i] - grid[i - 1])
-    j = min(i + 1, len(grid) - 1)
-    right = (vals[j] - vals[j - 1]) / (grid[j] - grid[j - 1])
+    quotients = np.diff(np.asarray(tables.h1t[branch], dtype=float)) / np.diff(grid)
+    ends = np.searchsorted(grid, p1, side="left"), np.searchsorted(grid, p1, side="right")
+    left, right = quotients[np.clip(np.subtract(ends, 1), 0, len(quotients) - 1)]
     return float(left), float(right)
 
 
@@ -342,10 +342,13 @@ class CorrectorSet:
     pads the certification window so its constrained boundary stays outside)
     and lazily solved strip correctors keyed by (branch, momentum).  For
     periodic backgrounds it also caches torus correctors so plane waves can
-    carry their periodic correction.
+    carry their periodic correction.  ``scenario`` is the caller's scenario;
+    every corrector solves on ``cell_scenario``, the same scenario at the
+    corrector resolution ``h``, ``tol`` and ``delta``.
     """
 
     scenario: Scenario
+    cell_scenario: Scenario
     half_width: float
     coverage: float
     h: float
@@ -360,28 +363,20 @@ class CorrectorSet:
     def strip_corrector(self, momentum: float, branch: str = "main") -> ValueField:
         key = (branch, round(float(momentum), 12))
         if key not in self._strips:
-            (est,) = strip_ergodic(
-                self.scenario, float(momentum), branch=branch,
-                rho=self.coverage, h=self.h, tol=self.tol, delta=self.delta,
+            self._strips[key] = _converged(
+                strip_ergodic(self.cell_scenario, float(momentum), branch=branch, rho=self.coverage),
+                f"strip corrector at momentum {momentum:.6g} ({branch})",
             )
-            if not est.converged:
-                raise RuntimeError(
-                    f"strip corrector at momentum {momentum:.6g} ({branch}) did not converge"
-                )
-            self._strips[key] = est
         return self._strips[key].corrector
 
     def plane_estimate(self, q) -> ErgodicEstimate:
         """Solved periodic cell estimate at momentum ``q`` (case2 only)."""
         key = (round(float(q[0]), 12), round(float(q[1]), 12))
         if key not in self._plane:
-            (est,) = torus_effective(
-                self.scenario, (float(q[0]), float(q[1])),
-                h=self.h, tol=self.tol, delta=self.delta,
+            self._plane[key] = _converged(
+                torus_effective(self.cell_scenario, (float(q[0]), float(q[1]))),
+                f"torus corrector at momentum {key}",
             )
-            if not est.converged:
-                raise RuntimeError(f"torus corrector at momentum {key} did not converge")
-            self._plane[key] = est
         return self._plane[key]
 
     def plane_corrector(self, q) -> ValueField | None:
@@ -389,6 +384,15 @@ class CorrectorSet:
         if self.scenario.case != "case2":
             return None
         return self.plane_estimate(q).corrector
+
+
+def _converged(estimates: tuple[ErgodicEstimate, ...], what: str) -> ErgodicEstimate:
+    """The one estimate of a corrector solve; raises ``RuntimeError`` naming
+    ``what`` when it did not converge."""
+    (est,) = estimates
+    if not est.converged:
+        raise RuntimeError(f"{what} did not converge")
+    return est
 
 
 def build_corrector_set(
@@ -401,7 +405,9 @@ def build_corrector_set(
 
     The certification window the fitted constants must cover has half-width
     ``4 * R1``, rounded up to the grid; sampled fields are solved on a padded
-    domain so their state-constrained boundaries sit outside it.
+    domain so their state-constrained boundaries sit outside it.  Every
+    corrector solves at grid spacing ``h`` and tolerance ``tol`` (defaults:
+    the scheduled ``cell_h`` and ``tol_ergodic``).
 
     Unlike the table solves, these fields are read node by node by the
     one-step level checks, so the time step is the linear one, ``delta = h``:
@@ -414,23 +420,22 @@ def build_corrector_set(
     sched = scn.schedules
     h = sched.cell_h if h is None else float(h)
     tol = sched.tol_ergodic if tol is None else float(tol)
+    cell_scn = scn.with_schedules(cell_h=h, sl_step=h, tol_ergodic=tol)
     half_width = math.ceil(4.0 * scn.R1 / h) * h
     pad = max(0.5, 8.0 * h)
     coverage = math.ceil((half_width + pad) / h) * h
-    (est,) = ball_ergodic(scn, coverage, h=h, tol=tol, delta=h)
-    notes = [f"origin corrector truncation {coverage:g}, constant {est.constant:.6g}"]
-    if not est.converged:
-        raise RuntimeError(f"origin corrector at truncation {coverage:g} did not converge")
+    est = _converged(ball_ergodic(cell_scn, coverage), f"origin corrector at truncation {coverage:g}")
     return CorrectorSet(
         scenario=scn,
+        cell_scenario=cell_scn,
         half_width=float(half_width),
         coverage=float(coverage),
         h=h,
         tol=tol,
-        delta=h,
+        delta=est.delta,
         w_field=est.corrector,
         w_constant=float(est.constant),
-        notes=tuple(notes),
+        notes=(f"origin corrector truncation {coverage:g}, constant {est.constant:.6g}",),
     )
 
 

@@ -232,6 +232,10 @@ class Scenario:
         text = json.dumps(self.canonical(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()
 
+    def with_schedules(self, **changes: Any) -> "Scenario":
+        """This scenario with the named :class:`SolverSchedules` fields replaced."""
+        return replace(self, schedules=replace(self.schedules, **changes))
+
     @property
     def branches(self) -> dict[str, int]:
         """Defect half-lines by name, each with the side of the origin it lies

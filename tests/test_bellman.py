@@ -209,7 +209,8 @@ def test_matrix_free_policy_value_solves_the_assembled_system(kind):
     if kind == "strip":
         op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     elif kind == "ball":
-        op = ball_operator(load_preset("strip_attract"), 2.5, h=1 / 16)  # the corrector ball at 2h
+        # the corrector ball at 2h
+        op = ball_operator(load_preset("strip_attract").with_schedules(cell_h=1 / 16), 2.5)
     else:
         op = _torus_operator(h=1 / 16, cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
     atol = 1e-10
@@ -446,9 +447,9 @@ def test_corrector_ball_policy_steps_keep_the_span_certificate():
     # the strip_attract corrector ball (25,921 nodes, 17 controls) as
     # build_corrector_set solves it: relative VI warm-started from the
     # continuation; without policy steps it took 110 full applications
-    scn = load_preset("strip_attract")
+    scn = load_preset("strip_attract").with_schedules(cell_h=1 / 32, sl_step=1 / 32)
     sched = scn.schedules
-    op = ball_operator(scn, 2.5, h=1 / 32, delta=1 / 32)
+    op = ball_operator(scn, 2.5)
     tol = 5e-4
     (cont,) = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
     (vi,) = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
@@ -466,7 +467,7 @@ from hj_strata.bellman import DiscountedProblem, solve_discounted
 from hj_strata.cell import ball_operator
 from hj_strata.scenario import load_preset
 
-op = ball_operator(load_preset("strip_attract"), 2.5, h=1 / 32, delta=1 / 32)
+op = ball_operator(load_preset("strip_attract").with_schedules(cell_h=1 / 32, sl_step=1 / 32), 2.5)
 (field,), (info,) = solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9)
 assert info.converged and info.krylov_iterations > 0
 sys.stdout.buffer.write(field.values.tobytes())

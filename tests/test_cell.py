@@ -12,12 +12,15 @@ from hj_strata.cell import (
     _failure_cause,
     background_min_over_q,
     ball_ergodic,
+    ball_operator,
     dirichlet_datum,
     slopes,
     strip_ergodic,
+    strip_operator,
     tabulate_effective,
     tangential_hamiltonian,
     torus_effective,
+    torus_operator,
     verify_corrector_slopes,
 )
 from hj_strata.bellman import Family
@@ -29,9 +32,9 @@ COS16 = math.cos(math.pi / 16)
 
 def test_strip_no_defect_lambda_is_exact():
     """lambda(p1) = -(1 - |p1| cos(pi/16)) on the translation-invariant strip."""
-    scn = load_preset("eikonal")
+    scn = load_preset("eikonal").with_schedules(tol_ergodic=1e-9)
     for p1 in (0.0, 0.5, -0.75):
-        (est,) = strip_ergodic(scn, p1, rho=1.0, tol=1e-9)
+        (est,) = strip_ergodic(scn, p1, rho=1.0)
         assert est.converged
         assert est.constant == pytest.approx(-(1.0 - abs(p1) * COS16), abs=1e-8)
         assert est.method_gap <= 2e-9
@@ -39,39 +42,39 @@ def test_strip_no_defect_lambda_is_exact():
 
 def test_strip_constant_monotone_in_truncation():
     # enlarging the strip can only help the optimizer: lambda_rho nondecreasing
-    scn = load_preset("strip_attract")
-    consts = [strip_ergodic(scn, 0.25, rho=r, tol=1e-6)[0].constant for r in (1.0, 2.0, 4.0)]
+    scn = load_preset("strip_attract").with_schedules(tol_ergodic=1e-6)
+    consts = [strip_ergodic(scn, 0.25, rho=r)[0].constant for r in (1.0, 2.0, 4.0)]
     for a, b in zip(consts, consts[1:]):
         assert b >= a - 1e-6
 
 
 def test_tangential_attractive_strip_oracle():
     # the dip floor 0.5 is reachable and sittable: H1T(0) = -0.5
-    scn = load_preset("strip_attract")
-    (res,) = tangential_hamiltonian(scn, 0.0, tol=1e-6)
+    scn = load_preset("strip_attract").with_schedules(tol_ergodic=1e-6)
+    (res,) = tangential_hamiltonian(scn, 0.0)
     assert res.converged
     assert res.value == pytest.approx(-0.5, abs=1e-5)
 
 
 def test_ball_flat_bottom_oracle():
     # cost_bump: flat-bottom node with cost 0.5, zero control admissible
-    scn = load_preset("cost_bump")
-    (est,) = ball_ergodic(scn, 1.0, tol=1e-7)
+    scn = load_preset("cost_bump").with_schedules(tol_ergodic=1e-7)
+    (est,) = ball_ergodic(scn, 1.0)
     assert est.converged
     assert est.constant == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_ball_repulsive_core_oracle():
     # core_repulse: cheapest reachable cost is the background 1 => E = -1
-    scn = load_preset("core_repulse")
-    (est,) = ball_ergodic(scn, 1.0, tol=1e-7)
+    scn = load_preset("core_repulse").with_schedules(tol_ergodic=1e-7)
+    (est,) = ball_ergodic(scn, 1.0)
     assert est.converged
     assert est.constant == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_dirichlet_datum_walks_truncations():
-    scn = load_preset("cost_bump")
-    res = dirichlet_datum(scn, R_list=(1.0, 2.0), tol=1e-6)
+    scn = load_preset("cost_bump").with_schedules(R_list=(1.0, 2.0), tol_ergodic=1e-6)
+    res = dirichlet_datum(scn)
     assert res.converged
     assert res.value == pytest.approx(-0.5, abs=1e-5)
     assert len(res.estimates) == 2
@@ -80,10 +83,30 @@ def test_dirichlet_datum_walks_truncations():
 
 def test_torus_effective_checkerboard_oracle():
     # cost 1 + 0.4 sin(2pi y1) sin(2pi y2) has a sittable grid minimum of 0.6
-    scn = load_preset("checkerboard")
-    (est,) = torus_effective(scn, (0.0, 0.0), tol=1e-7)
+    scn = load_preset("checkerboard").with_schedules(tol_ergodic=1e-7)
+    (est,) = torus_effective(scn, (0.0, 0.0))
     assert est.converged
     assert est.constant == pytest.approx(-0.6, abs=1e-6)
+
+
+def test_cell_solves_read_their_resolution_from_the_schedules():
+    attract = load_preset("strip_attract").with_schedules(cell_h=1 / 8, sl_step=0.2)
+    checkerboard = load_preset("checkerboard").with_schedules(cell_h=1 / 8, sl_step=0.2)
+    ops = [
+        strip_operator(attract, 0.3, rho=1.0),
+        ball_operator(attract, 1.0),
+        torus_operator(checkerboard, (0.3, 0.0)),
+    ]
+    for op in ops:
+        assert op.grid.h2 == 1 / 8
+        assert op.delta == 0.2
+
+
+@pytest.mark.parametrize("name", ["strip_attract", "case3_mirror"])
+def test_p_grid_outside_case2_raises(name):
+    scn = load_preset(name)
+    with pytest.raises(ValueError, match=f"p_grid .* {scn.case} scenario has none"):
+        tabulate_effective(scn, p1_grid=[0.0], p_grid=[-0.5, 0.5])
 
 
 def test_background_min_over_q():
@@ -196,13 +219,13 @@ def test_checkerboard_strip_gap_is_the_continuation_stopping_early():
     # within tol, and the entry stays flagged
     scn = load_preset("checkerboard")
     p1, tol = -0.29445461807420503, 5e-4
-    (est,) = strip_ergodic(scn, p1, rho=1.0, tol=tol)
+    (est,) = strip_ergodic(scn.with_schedules(tol_ergodic=tol), p1, rho=1.0)
     assert est.constant == pytest.approx(-0.1, abs=tol)
     assert est.method_gap > 2 * tol
     assert len(est.lambda_history) == 3
     assert not est.converged
     # with a tighter tolerance the continuation runs on and meets VI at -0.1
-    (tight,) = strip_ergodic(scn, p1, rho=1.0, tol=1e-6)
+    (tight,) = strip_ergodic(scn.with_schedules(tol_ergodic=1e-6), p1, rho=1.0)
     assert tight.continuation_constant == pytest.approx(-0.1, abs=1e-5)
     assert tight.constant == pytest.approx(-0.1, abs=1e-5)
     assert tight.converged
@@ -229,7 +252,7 @@ def test_failure_cause_names_the_first_failed_check():
 
 def test_one_truncation_flags_the_origin_datum():
     scn = load_preset("strip_attract")
-    one_R = dataclasses.replace(scn, schedules=dataclasses.replace(scn.schedules, R_list=(1.0,)))
+    one_R = scn.with_schedules(R_list=(1.0,))
     tab = tabulate_effective(one_R, tol=1e-4, p1_grid=[0.0])
     assert tab.flags == {"E": "truncation schedule exhausted"}
     assert len(tab.E_history) == 1 and tab.E == tab.E_history[0][1]
@@ -238,7 +261,7 @@ def test_one_truncation_flags_the_origin_datum():
 def test_unconverged_torus_cell_flags_its_hbar_entry(monkeypatch):
     from hj_strata import cell
 
-    def torus(scn, momenta, *, tol):
+    def torus(scn, momenta):
         return Family(_estimate(1e-4, n != 3) for n in range(len(momenta)))
 
     monkeypatch.setattr(cell, "torus_effective", torus)
@@ -265,7 +288,7 @@ def test_slope_failure_flags_its_entry(monkeypatch):
 
 def test_verify_corrector_slopes_attractive():
     scn = load_preset("strip_attract")
-    (est,) = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
+    (est,) = strip_ergodic(scn.with_schedules(tol_ergodic=1e-7), 0.0, rho=4.0)
     check = verify_corrector_slopes(scn, est, level=-0.5)
     assert check.passed, check.detail
 
@@ -274,7 +297,7 @@ def test_verify_corrector_slopes_fails_off_the_level():
     # the corrector grows at the level-(-0.5) slopes, about +-0.51, while the
     # window at level -0.3 is about +-0.71: the check is binding and fails
     scn = load_preset("strip_attract")
-    (est,) = strip_ergodic(scn, 0.0, rho=4.0, tol=1e-7)
+    (est,) = strip_ergodic(scn.with_schedules(tol_ergodic=1e-7), 0.0, rho=4.0)
     check = verify_corrector_slopes(scn, est, level=-0.3)
     assert check.active
     assert not check.passed, check.detail
@@ -407,13 +430,13 @@ def test_strip_family_walk_equals_lone_walks_bit_for_bit():
             "schedules": {"cell_h": 0.125},
         },
         label="far_lane",
-    )
+    ).with_schedules(tol_ergodic=1e-3)
     p1s = np.array([-1.0, 0.0, 0.25, 1.0])
-    family = tangential_hamiltonian(scn, p1s, tol=1e-3)
+    family = tangential_hamiltonian(scn, p1s)
     assert [len(r.estimates) for r in family] == [2, 3, 3, 2]
     assert len(family.estimates) == 10
     for result, p1 in zip(family, p1s):
-        single = tangential_hamiltonian(scn, float(p1), tol=1e-3)
+        single = tangential_hamiltonian(scn, float(p1))
         assert isinstance(single, Family) and len(single) == 1
         (alone,) = single
         assert (result.value, result.converged) == (alone.value, alone.converged)
@@ -422,10 +445,10 @@ def test_strip_family_walk_equals_lone_walks_bit_for_bit():
 
 
 def test_torus_family_equals_lone_cells_bit_for_bit():
-    scn = load_preset("checkerboard")
+    scn = load_preset("checkerboard").with_schedules(tol_ergodic=1e-4)
     momenta = np.array([[0.0, 0.0], [0.8, -0.4], [-1.2, 0.6]])
-    family = torus_effective(scn, momenta, tol=1e-4)
-    singles = [torus_effective(scn, tuple(p), tol=1e-4) for p in momenta]
+    family = torus_effective(scn, momenta)
+    singles = [torus_effective(scn, tuple(p)) for p in momenta]
     assert all(isinstance(single, tuple) and len(single) == 1 for single in singles)
     _same_estimates(family, [est for (est,) in singles])
 

@@ -13,6 +13,7 @@ from hj_strata.correctors import (
     SubcorrectorSpec,
     _grid_root,
     _polish_vertical_root,
+    _table_gradient,
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
@@ -582,6 +583,26 @@ def test_periodic_background_build_is_structurally_sound():
         if pc.label.startswith("bracket"):
             est = correctors.plane_estimate(pc.slope)
             assert est.constant == pytest.approx(spec.level, abs=5e-3)
+
+
+def test_corrector_set_solves_every_cell_at_step_h():
+    scn = load_preset("checkerboard")
+    correctors = build_corrector_set(scn, h=1 / 8, tol=1e-3)
+    assert correctors.scenario is scn
+    assert correctors.delta == correctors.h == 1 / 8
+    assert correctors.w_field.grid.h2 == correctors.h
+    strip = correctors.strip_corrector(0.0)
+    (est,) = correctors._strips.values()
+    assert est.corrector is strip and est.delta == correctors.h
+    assert correctors.plane_estimate((0.0, 0.0)).delta == correctors.h
+
+
+def test_table_gradient_reads_one_segment_inside_it_and_two_at_a_knot():
+    grid, vals = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 3.0, 6.0])
+    tables = SimpleNamespace(p1_grid=grid, h1t={"main": vals})
+    assert _table_gradient(tables, "main", 1.5) == (2.0, 2.0)
+    assert _table_gradient(tables, "main", 1.0) == (1.0, 2.0)
+    assert _table_gradient(tables, "main", 2.0) == (2.0, 3.0)
 
 
 def test_vertical_root_polish_notes_a_stall():
