@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from . import kernels
 from .grids import GridSpec, ValueField
@@ -79,7 +78,10 @@ __all__ = [
 # 25,921-node corrector ball).
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
-# thresholds for the rest of the process, so the heap stops shrinking.
+# thresholds for the rest of the process, so the heap stops shrinking.  The
+# fallback imports ``splu`` when it first runs: no benchmark pipeline takes
+# it, and importing ``scipy.sparse.linalg`` (with ``scipy.linalg``) costs a
+# fresh process 7.9 MiB and 0.11-0.14 s on a 2-core machine.
 _KRYLOV_MAX_ITER = 1000
 
 # Continuation stages, and the smallest discount a stage may take.
@@ -223,8 +225,10 @@ class SLOperator:
     ``cost`` has shape (n_controls, grid.size, cells) for a family of cells
     that share the grid and the drift; a (n_controls, grid.size) cost is one
     cell.  ``base`` always has shape (n_controls, grid.size, cells).  Feet,
-    stencils and admissibility are computed once for the whole family.
-    Methods take and return one row of values per cell, shape (cells, N).
+    stencils and admissibility are computed once for the whole family, one
+    control at a time into the kept arrays, so a build allocates little
+    beyond what the operator keeps.  Methods take and return one row of
+    values per cell, shape (cells, N).
     """
 
     def __init__(self, grid: GridSpec, drift: np.ndarray, cost: np.ndarray, delta: float):
@@ -239,18 +243,19 @@ class SLOperator:
         na = drift.shape[0]
         if drift.shape != (na, n, 2) or cost.shape[:2] != (na, n) or cost.ndim not in (2, 3):
             raise ValueError("drift/cost shapes do not match the grid")
-        feet = nodes[None, :, :] + self.delta * drift
-        flat_feet = feet.reshape(-1, 2)
-        admissible = grid.contains(flat_feet, tol=1e-9 * self.delta).reshape(na, n)
-        idx, w = grid.interp_weights(flat_feet, clip=True)
-        self.idx = np.ascontiguousarray(idx.reshape(na, n, 4), dtype=np.int32)
-        self.w = np.ascontiguousarray(w.reshape(na, n, 4))
-        self.base = np.ascontiguousarray(self.delta * cost.reshape(na, n, -1))
-        bad = ~admissible
-        if bad.any():
-            self.base[bad] = np.inf
-            self.w[bad] = 0.0
-            self.idx[bad] = 0
+        self.idx = np.empty((na, n, 4), dtype=np.int32)
+        self.w = np.empty((na, n, 4))
+        self.base = np.empty((na, n, 1 if cost.ndim == 2 else cost.shape[2]))
+        admissible = np.empty((na, n), dtype=bool)
+        for a in range(na):
+            feet = nodes + self.delta * drift[a]
+            admissible[a] = grid.contains(feet, tol=1e-9 * self.delta)
+            self.idx[a], self.w[a] = grid.interp_weights(feet, clip=True)
+            np.multiply(self.delta, cost[a].reshape(n, -1), out=self.base[a])
+            bad = ~admissible[a]
+            self.base[a, bad] = np.inf
+            self.w[a, bad] = 0.0
+            self.idx[a, bad] = 0
         no_control = ~admissible.any(axis=0)
         if no_control.any():
             k = int(np.argmax(no_control))
@@ -291,19 +296,24 @@ class SLOperator:
         kernels.jacobi_min(self.idx, self.w, self.base, self.gamma(discount), u, out, policy=policy)
         return out, policy
 
-    def policy_stencils(self, policy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def policy_stencils(
+        self, policy: np.ndarray, subset: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stencils ``idx``/``w`` of shape (cells, N, 4) and step costs of shape
-        (cells, N) of the control that ``policy`` picks at each node of each cell."""
+        (cells, N) of the control that ``policy`` picks at each node of each
+        cell.  With ``subset`` (cell indices), ``policy`` has one row per
+        listed cell, whose step costs are read from this operator's ``base``."""
         n = self.grid.size
-        cells = self.cells
-        at = policy.reshape(cells, n) * n + np.arange(n)   # flat (control, node) index
+        cells = np.arange(self.cells) if subset is None else np.asarray(subset)
+        at = policy.reshape(len(cells), n) * n + np.arange(n)   # flat (control, node) index
         idx = np.take(self.idx.reshape(-1, 4), at, axis=0)
         w = np.take(self.w.reshape(-1, 4), at, axis=0)
-        base = np.take(self.base, at * cells + np.arange(cells)[:, None])
+        base = np.take(self.base, at * self.cells + cells[:, None])
         return idx, w, base
 
     def policy_value(
-        self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol
+        self, policy: np.ndarray, discount: float, *, guess: np.ndarray, atol,
+        subset: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Value of a stationary policy per cell: the solution of ``(I - gamma
         P) u = base``, where row ``n`` of ``P`` is the stencil of node ``n``'s
@@ -316,13 +326,15 @@ class SLOperator:
         the cells' systems matrix-free, as one block-diagonal product ``x -
         gamma * (P @ x)``.  For a cell whose solve breaks down or stalls, its
         ``I - gamma P`` is assembled for one sparse LU solve, whose factor is
-        dropped on return.  Returns the values, the BiCGSTAB iterations taken
-        and whether the LU fallback ran, one row or entry per cell.
+        dropped on return.  ``subset`` evaluates only the listed cells, as
+        :meth:`policy_stencils` reads them.  Returns the values, the BiCGSTAB
+        iterations taken and whether the LU fallback ran, one row or entry per
+        evaluated cell.
         """
         n = self.grid.size
-        cells = self.cells
         gamma = self.gamma(discount)
-        idx, w, rhs = self.policy_stencils(policy)
+        idx, w, rhs = self.policy_stencils(policy, subset)
+        cells = len(rhs)
         blocks: dict[int, sparse.csr_matrix] = {}
 
         def system(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -346,6 +358,7 @@ class SLOperator:
         )
         fell_back = info != 0
         for c in np.flatnonzero(fell_back):
+            from scipy.sparse.linalg import splu  # see _KRYLOV_MAX_ITER
             transition = kernels.stencil_matrix(idx[c], w[c], n)
             assembled = sparse.identity(n, format="csr") - gamma * transition
             value[c] = splu(assembled.tocsc()).solve(rhs[c])
@@ -433,9 +446,10 @@ def solve_discounted(
         )
 
     def cells(subset: np.ndarray) -> SLOperator:
-        # A proper subset takes its step costs from a copy made for one call:
-        # Howard applies the operator a few times per solve, so the copies cost
-        # less than keeping one alive beside the caller's step costs.
+        # A proper subset's application takes its step costs from a copy made
+        # for one call: Howard applies the operator a few times per solve, so
+        # the copies cost less than keeping one alive beside the caller's step
+        # costs.  Policy evaluations read the subset's costs in place.
         return op if subset.size == k else op.family(subset)
 
     rows = np.arange(k)
@@ -462,8 +476,8 @@ def solve_discounted(
             policy[sub] = greedy[evaluate]
             solved[sub] = True
             loose[sub] = atol > tight
-            tu[evaluate], steps, fell_back = cells(sub).policy_value(
-                greedy[evaluate], problem.discount, guess=u[evaluate], atol=atol
+            tu[evaluate], steps, fell_back = op.policy_value(
+                greedy[evaluate], problem.discount, guess=u[evaluate], atol=atol, subset=sub
             )
             evaluations[sub] += 1
             krylov[sub] += steps

@@ -63,7 +63,6 @@ from .scenario import FieldPair, Scenario
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
 _MAX_ITER = 500_000     # full applications per discounted stage or relative VI solve
-_SLOPE_TOL = 5e-2       # corrector-slope fit vs window, in verify_corrector_slopes
 
 # Cells solved as one family.  Larger families pay off less and less while
 # their step costs (copied each time cells leave the lockstep) and their
@@ -79,7 +78,6 @@ _FAMILY_CELLS = 32
 __all__ = [
     "ErgodicEstimate",
     "TruncationWalk",
-    "SlopeCheck",
     "EffectiveTables",
     "TableRangeError",
     "strip_ergodic",
@@ -88,7 +86,6 @@ __all__ = [
     "dirichlet_datum",
     "torus_effective",
     "slopes",
-    "verify_corrector_slopes",
     "tabulate_effective",
 ]
 
@@ -343,67 +340,6 @@ def slopes(scn: Scenario, p1: float, level: float) -> tuple[float, float]:
         )
     fall, rise = f2 > 0.0, f2 < 0.0
     return float(np.max((a[fall] - level) / f2[fall])), float(np.min((a[rise] - level) / f2[rise]))
-
-
-@dataclass(frozen=True, slots=True)
-class SlopeCheck:
-    fit_lower: float
-    fit_upper: float
-    target_lower: float
-    target_upper: float
-    active: bool       # regime check: tangential constant above the background floor
-    passed: bool
-    detail: str
-
-
-def verify_corrector_slopes(
-    scn: Scenario,
-    estimate: ErgodicEstimate,
-    *,
-    level: float | None = None,
-) -> SlopeCheck:
-    """Check the linear growth of a strip corrector against the slope window.
-
-    Fits the mean vertical slope over the outer quarter of the strip (minus a
-    one-step boundary layer where the state constraint bends the corrector)
-    and compares with (pi_lower, pi_upper) at the tangential level, each
-    within ``_SLOPE_TOL``.  The
-    comparison is only binding in the regime where the tangential constant
-    exceeds the background floor; otherwise the corrector stays bounded and
-    the check passes vacuously.
-    """
-    if estimate.kind != "strip":
-        raise ValueError("slope verification applies to strip correctors")
-    p1 = estimate.p[0]
-    level = estimate.constant if level is None else level
-    floor = background_min_over_q(scn, p1)
-    active = level > floor + 1e-3
-    pi_lo, pi_hi = slopes(scn, p1, max(level, floor))
-    grid = estimate.corrector.grid
-    vals = estimate.corrector.values
-    rho = -grid.origin[1]
-    bounds = estimate_bounds(scn, samples=64, seed=0)
-    layer = max(2.0 * grid.h2, 1.5 * estimate.delta * bounds["M_f"])
-    lo_y, hi_y = rho / 2.0, rho - layer
-    c2 = grid.coords2()
-    top = np.nonzero((c2 >= lo_y) & (c2 <= hi_y))[0]
-    bot = np.nonzero((c2 <= -lo_y) & (c2 >= -hi_y))[0]
-    if len(top) < 3 or len(bot) < 3:
-        return SlopeCheck(math.nan, math.nan, pi_lo, pi_hi, active, not active,
-                          "strip too shallow to fit boundary slopes")
-    row_mean = vals.mean(axis=0)
-    fit_upper = float(np.polyfit(c2[top], row_mean[top], 1)[0])
-    fit_lower = float(np.polyfit(c2[bot], row_mean[bot], 1)[0])
-    if active:
-        passed = abs(fit_upper - pi_hi) <= _SLOPE_TOL and abs(fit_lower - pi_lo) <= _SLOPE_TOL
-        detail = (
-            f"fit ({fit_lower:.4f}, {fit_upper:.4f}) vs window ({pi_lo:.4f}, {pi_hi:.4f}), "
-            f"tol {_SLOPE_TOL:g}"
-        )
-    else:
-        passed = True
-        detail = "tangential constant at the background floor; corrector growth unconstrained"
-    return SlopeCheck(fit_lower, fit_upper, pi_lo, pi_hi, active, passed, detail)
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,7 +54,7 @@ from .cell import (
     strip_ergodic,
     torus_effective,
 )
-from .grids import GridSpec, ValueField
+from .grids import _BLOCK, GridSpec, ValueField
 from .hamiltonian import _frozen_background, eval_fields
 from .scenario import Scenario
 
@@ -569,10 +569,18 @@ def _one_step(values, pts: np.ndarray, feet: np.ndarray, step_cost: np.ndarray, 
     ``v`` is evaluated exactly at every foot, not interpolated from its node
     values, so a concave seam of a composed minimum is not undercut between
     nodes, and no derivative is taken, so a kink reads like any other point.
+    The nodes are read in blocks of at most ``_BLOCK`` points, nodes and feet
+    together; each node's reading is its own, the same bits in a block as
+    alone.
     """
-    n = len(pts)
-    at = values(np.concatenate([pts, feet.reshape(-1, 2)]))
-    return (at[:n] - np.min(step_cost + at[n:].reshape(-1, n), axis=0)) / step
+    reading = np.empty(len(pts))
+    nodes = max(1, _BLOCK // (1 + len(feet)))
+    for lo in range(0, len(pts), nodes):
+        block = slice(lo, lo + nodes)
+        n = len(pts[block])
+        at = values(np.concatenate([pts[block], feet[:, block].reshape(-1, 2)]))
+        reading[block] = (at[:n] - np.min(step_cost[:, block] + at[n:].reshape(-1, n), axis=0)) / step
+    return reading
 
 
 def _feet(scn: Scenario, pts: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:

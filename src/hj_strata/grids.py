@@ -21,6 +21,13 @@ __all__ = ["GridSpec", "ValueField"]
 
 _ALIGN_TOL = 1e-9
 
+# Points per block of a large field reading (ValueField.__call__ and the
+# one-step readings of hj_strata.correctors).  Read at once, the 300k nodes
+# and feet of one certificate reading on strip_attract's 16,641-node sample
+# grid peaked at 51-54 MB under tracemalloc; in blocks of this size, at 17 MB,
+# most of it the feet themselves.
+_BLOCK = 1 << 14
+
 
 def _check_multiple(length: float, h: float, what: str) -> int:
     ratio = length / h
@@ -195,9 +202,17 @@ class ValueField:
 
         Wraps on periodic axes; on constrained axes points outside the grid raise
         unless ``clip`` clamps them to the boundary.  Exact on affine functions.
+
+        The points are read in blocks of ``_BLOCK``, each with its own stencils,
+        so a large reading never holds all of them; every value is its point's
+        own gather-and-sum, the same bits in a block as alone.
         """
         pts = np.asarray(points, dtype=float)
         shape = pts.shape[:-1]
-        idx, w = self.grid.interp_weights(pts.reshape(-1, 2), clip=clip)
-        vals = (self.flat()[idx] * w).sum(axis=1)
+        pts = pts.reshape(-1, 2)
+        flat = self.flat()
+        vals = np.empty(len(pts))
+        for lo in range(0, len(pts), _BLOCK):
+            idx, w = self.grid.interp_weights(pts[lo:lo + _BLOCK], clip=clip)
+            vals[lo:lo + _BLOCK] = (flat[idx] * w).sum(axis=1)
         return vals.reshape(shape)

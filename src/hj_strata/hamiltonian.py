@@ -24,8 +24,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
 
 from .scenario import (
     FieldPair,
@@ -156,18 +154,39 @@ def hull_inradius(points: np.ndarray) -> float:
     """Inradius about the origin of the convex hull of ``points`` (n, 2).
 
     Positive iff the origin lies strictly inside the hull; degenerate point
-    sets give 0.
+    sets (fewer than three distinct points, or all on one line) give 0.
+
+    The hull is Andrew's monotone chain: the points sorted by their first
+    coordinate, then their second; the lower chain swept left to right and
+    the upper one back, each dropping a point that does not turn left, so
+    duplicates and points inside an edge fall out and the vertices come out
+    counter-clockwise.  Each edge ``a -> b`` lies on the line ``n . z = n .
+    a`` with outward unit normal ``n = (b2 - a2, a1 - b1) / |b - a|``, so
+    ``n . a`` is the origin's distance from that line, negative when the
+    origin lies beyond it; the inradius is the smallest.  A control set has
+    a few dozen points at most, so the chain is a loop over Python floats.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         return 0.0
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
+    ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    chain: list[list[float]] = []
+    for sweep in (ordered, ordered[::-1]):
+        start = len(chain)
+        for p in sweep:
+            while len(chain) >= start + 2:
+                (o1, o2), (a1, a2) = chain[-2], chain[-1]
+                if (a1 - o1) * (p[1] - o2) - (a2 - o2) * (p[0] - o1) > 0.0:
+                    break
+                chain.pop()
+            chain.append(p)
+        chain.pop()  # each chain ends where the other starts
+    if len(chain) < 3:
         return 0.0
-    # Facet equations are n.x + b <= 0 with |n| = 1; -b is the origin-facet
-    # distance, negative when the origin is on the wrong side.
-    return float(np.min(-hull.equations[:, -1]))
+    a = np.array(chain)
+    d = np.roll(a, -1, axis=0) - a
+    length = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    return float(np.min(a[:, 0] * (d[:, 1] / length) - a[:, 1] * (d[:, 0] / length)))
 
 
 _BOUNDS_CACHE: dict[tuple[str, int, int], dict[str, float]] = {}

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hj_strata.bellman import (
     solve_ergodic_relative,
 )
 from hj_strata.grids import GridSpec
+from hj_strata.hamiltonian import eval_fields
 from hj_strata.scenario import load_preset
 from hj_strata.cell import ball_operator, strip_operator
 
@@ -55,6 +57,56 @@ def test_operator_shapes_and_base():
     stacked = SLOperator(op.grid, drift, cost[..., None], op.delta)
     assert flat.base.shape == stacked.base.shape == (17, op.grid.size, 1)
     assert flat.base.tobytes() == stacked.base.tobytes()
+
+
+def _one_shot_build(grid, drift, cost, delta):
+    """The operator's arrays built for every control at once: feet,
+    admissibility, stencils and step costs, inadmissible controls masked."""
+    na, n = drift.shape[:2]
+    feet = (grid.nodes()[None, :, :] + delta * drift).reshape(-1, 2)
+    admissible = grid.contains(feet, tol=1e-9 * delta).reshape(na, n)
+    idx, w = grid.interp_weights(feet, clip=True)
+    idx, w = idx.reshape(na, n, 4), w.reshape(na, n, 4)
+    base = delta * cost.reshape(na, n, -1)
+    base[~admissible], w[~admissible], idx[~admissible] = np.inf, 0.0, 0
+    return admissible, idx, w, base
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec.box(1.0, 1 / 16), GridSpec.strip(1.0, 1.0, 1 / 16)], ids=["box", "strip"]
+)
+def test_operator_build_equals_a_one_shot_build_bit_for_bit(grid):
+    # drift_defect's fields vary in space; the strip wraps in y1 and holds a
+    # family of three cells
+    scn = load_preset("drift_defect")
+    drift, cost = eval_fields(scn, np.zeros(2), grid.nodes())
+    if grid.kind == "strip":
+        cost = cost[..., None] + np.array([-0.5, 0.0, 0.75]) * drift[..., :1]
+    op = SLOperator(grid, drift, cost, 0.25)
+    admissible, idx, w, base = _one_shot_build(grid, drift, cost, 0.25)
+    assert 0 < admissible.sum() < admissible.size   # state constraints bite
+    assert np.array_equal(np.isfinite(op.base), np.broadcast_to(admissible[..., None], op.base.shape))
+    assert op.idx.dtype == np.int32 and op.idx.tobytes() == idx.astype(np.int32).tobytes()
+    assert op.w.tobytes() == w.tobytes()
+    assert op.base.shape == base.shape and op.base.tobytes() == base.tobytes()
+
+
+def test_operator_build_allocates_little_beyond_what_it_keeps():
+    # the strip_attract corrector ball (25,921 nodes, 17 controls): built
+    # for every control at once, its feet and stencils took about 25 MB of
+    # temporaries beside the 24.7 MB the operator keeps
+    scn = load_preset("strip_attract").with_schedules(cell_h=1 / 32, sl_step=1 / 32)
+    grid = GridSpec.box(2.5, 1 / 32)
+    drift, cost = eval_fields(scn, np.zeros(2), grid.nodes())
+    tracemalloc.start()
+    try:
+        op = SLOperator(grid, drift, cost, 1 / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = op.idx.nbytes + op.w.nbytes + op.base.nbytes
+    assert grid.size == 25_921 and kept > 24e6
+    assert peak - kept <= kept / 4
 
 
 def test_state_constraints_drop_exiting_controls():

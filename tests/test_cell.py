@@ -21,7 +21,6 @@ from hj_strata.cell import (
     tangential_hamiltonian,
     torus_effective,
     torus_operator,
-    verify_corrector_slopes,
 )
 from hj_strata.bellman import Family
 from hj_strata.hamiltonian import estimate_bounds, eval_H, eval_H_envelopes
@@ -284,25 +283,6 @@ def test_slope_failure_flags_its_entry(monkeypatch):
     assert tab.flags == {"slopes/main/2": "no root on this flank"}
     assert math.isnan(tab.pi_lower["main"][2]) and math.isnan(tab.pi_upper["main"][2])
     assert np.isfinite(tab.pi_lower["main"][:2]).all()
-
-
-def test_verify_corrector_slopes_attractive():
-    scn = load_preset("strip_attract")
-    (est,) = strip_ergodic(scn.with_schedules(tol_ergodic=1e-7), 0.0, rho=4.0)
-    check = verify_corrector_slopes(scn, est, level=-0.5)
-    assert check.passed, check.detail
-
-
-def test_verify_corrector_slopes_fails_off_the_level():
-    # the corrector grows at the level-(-0.5) slopes, about +-0.51, while the
-    # window at level -0.3 is about +-0.71: the check is binding and fails
-    scn = load_preset("strip_attract")
-    (est,) = strip_ergodic(scn.with_schedules(tol_ergodic=1e-7), 0.0, rho=4.0)
-    check = verify_corrector_slopes(scn, est, level=-0.3)
-    assert check.active
-    assert not check.passed, check.detail
-    assert check.target_upper - check.fit_upper > 0.05
-    assert check.fit_lower - check.target_lower > 0.05
 
 
 def test_effective_tables_small_batch():

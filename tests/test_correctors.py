@@ -12,6 +12,7 @@ from hj_strata.correctors import (
     RegimeError,
     SubcorrectorSpec,
     _grid_root,
+    _one_step,
     _polish_vertical_root,
     _table_gradient,
     bellman_certificate,
@@ -23,7 +24,7 @@ from hj_strata.correctors import (
     select_regime,
     subsolution_residual,
 )
-from hj_strata.grids import GridSpec
+from hj_strata.grids import _BLOCK, GridSpec, ValueField
 from hj_strata.hamiltonian import eval_fields
 from hj_strata.scenario import load_preset, parse_scenario, validate_assumptions
 
@@ -626,3 +627,17 @@ def test_vertical_root_polish_notes_a_stall():
     q = _polish_vertical_root(load_preset("checkerboard"), tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert q == 0.5 and len(asked) == 6
     assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]
+
+
+def test_blocked_one_step_reading_equals_the_one_shot_reading_bit_for_bit():
+    # 17 controls: more nodes than one block of _BLOCK points holds
+    grid = GridSpec.box(2.0, 1 / 16)
+    rng = np.random.default_rng(11)
+    field = ValueField(grid, rng.normal(size=(grid.n1, grid.n2)))
+    n = 3 * (_BLOCK // 18) + 5
+    pts = rng.uniform(-1.5, 1.5, size=(n, 2))
+    feet = pts + 0.25 * rng.uniform(-1.0, 1.0, size=(17, n, 2))
+    step_cost = rng.uniform(0.0, 1.0, size=(17, n))
+    at = field(np.concatenate([pts, feet.reshape(-1, 2)]))
+    one_shot = (at[:n] - np.min(step_cost + at[n:].reshape(-1, n), axis=0)) / 0.25
+    assert _one_step(field, pts, feet, step_cost, 0.25).tobytes() == one_shot.tobytes()

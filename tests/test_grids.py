@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hj_strata.grids import GridSpec, ValueField
+from hj_strata.grids import _BLOCK, GridSpec, ValueField
 
 
 def test_box_factory_counts_and_coords():
@@ -90,3 +90,24 @@ def test_contains_tolerance():
     pts = np.array([[1.0, 1.0], [1.0 + 1e-13, 0.0], [1.1, 0.0]])
     inside = g.contains(pts)
     assert inside.tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("grid", [GridSpec.box(1.5, 0.125), GridSpec.strip(1.0, 1.5, 0.125)], ids=["box", "strip"])
+def test_blocked_reading_equals_the_one_shot_gather_bit_for_bit(grid):
+    rng = np.random.default_rng(3)
+    f = ValueField(grid, rng.normal(size=(grid.n1, grid.n2)))
+    pts = rng.uniform(-2.0, 2.0, size=(3 * _BLOCK + 17, 2))
+    idx, w = grid.interp_weights(pts, clip=True)
+    one_shot = (f.flat()[idx] * w).sum(axis=1)
+    got = f(pts[None], clip=True)
+    assert got.shape == (1, len(pts))
+    assert got[0].tobytes() == one_shot.tobytes()
+
+
+def test_blocked_reading_raises_on_a_point_in_a_later_block():
+    g = GridSpec.box(1.0, 0.5)
+    f = ValueField(g, np.zeros((g.n1, g.n2)))
+    pts = np.zeros((2 * _BLOCK, 2))
+    pts[-1] = [1.6, 0.0]
+    with pytest.raises(ValueError, match="outside the grid"):
+        f(pts)

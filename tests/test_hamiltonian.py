@@ -189,6 +189,74 @@ def test_hull_inradius():
     assert hull_inradius(line) == 0.0
 
 
+def test_hull_inradius_of_the_sixteen_directions_is_cos_pi_over_16():
+    # 16 unit directions at odd multiples of pi/16, plus the zero control
+    controls = np.asarray(load_preset("eikonal").controls)
+    assert len(controls) == 17
+    r = math.cos(math.pi / 16)
+    assert abs(hull_inradius(controls) - r) <= 2 * np.spacing(r)
+    assert abs(hull_inradius(controls[::-1]) - r) <= 2 * np.spacing(r)
+
+
+@pytest.mark.parametrize("points", [
+    [],
+    [[0.5, 0.5]],
+    [[1.0, 0.0], [-1.0, 0.0]],
+    [[1.0, 1.0]] * 5,
+    [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],   # duplicates on a line
+    [[-1.0, -1.0], [0.0, 0.0], [2.0, 2.0], [0.5, 0.5], [-1.0, -1.0]],
+    [[0.0, -3.0], [0.0, 1.0], [0.0, 2.0]],                 # a vertical line
+])
+def test_hull_inradius_of_a_degenerate_set_is_zero(points):
+    assert hull_inradius(np.array(points, dtype=float).reshape(-1, 2)) == 0.0
+
+
+def test_hull_inradius_ignores_duplicates_and_edge_points():
+    sq = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    extra = np.array([[0.0, 1.0], [1.0, 0.25], [0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]])
+    assert hull_inradius(np.vstack([sq, extra, sq])) == 1.0
+
+
+def test_hull_inradius_outside_the_hull_is_the_signed_facet_distance():
+    # the square [4, 6]^2: the facets x = 4 and y = 4 face away from the origin
+    sq = np.array([[4.0, 4.0], [6.0, 4.0], [6.0, 6.0], [4.0, 6.0]])
+    assert hull_inradius(sq) == -4.0
+    assert hull_inradius(sq - [5.0, 0.0]) == -4.0   # x in [-1, 1]: the facet y = 4
+
+
+def test_hull_inradius_matches_qhull_on_random_sets():
+    from scipy.spatial import ConvexHull, QhullError
+
+    rng = np.random.default_rng(7)
+    for k in range(2000):
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 34)), 2)) + rng.uniform(-0.5, 0.5, 2)
+        if k % 3 == 0:   # on a lattice: duplicates, collinear runs, the origin on an edge
+            pts = np.round(4.0 * pts) / 4.0
+        try:
+            expected = float(np.min(-ConvexHull(pts).equations[:, -1]))
+        except QhullError:
+            expected = 0.0
+        assert hull_inradius(pts) == pytest.approx(expected, abs=1e-12), pts
+
+
+# p_window as the Qhull hull gave it (samples=200, seed=0, as the tables and
+# the stratified scheme size their windows)
+_P_WINDOW = {
+    "case3_mirror": "0x1.0281f68be5d2ap+1",
+    "checkerboard": "0x1.69de421dbfcecp+1",
+    "core_repulse": "0x1.83c2f1d1d8bbfp+1",
+    "cost_bump": "0x1.0281f68be5d2ap+1",
+    "drift_defect": "0x1.d025bf1c37400p+1",
+    "eikonal": "0x1.0281f68be5d2ap+1",
+    "strip_attract": "0x1.0281f68be5d2ap+1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_P_WINDOW))
+def test_p_window_is_the_qhull_value_bit_for_bit(name):
+    assert estimate_bounds(load_preset(name), samples=200, seed=0)["p_window"].hex() == _P_WINDOW[name]
+
+
 def test_estimate_bounds_eikonal():
     scn = load_preset("eikonal")
     b = estimate_bounds(scn, seed=0)

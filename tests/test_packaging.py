@@ -33,14 +33,19 @@ def test_every_exported_name_resolves():
 
 def test_pipeline_modules_do_not_import_scipy_optimize():
     """The cell, corrector and scheme layers solve their envelope algebra in
-    closed form; importing ``scipy.optimize`` would cost memory and start-up
-    time for no caller."""
+    closed form, the control hull is a monotone chain, and sparse LU is
+    imported only when a policy evaluation falls back to it; importing
+    ``scipy.optimize``, ``scipy.spatial`` (with ``scipy.special``) or
+    ``scipy.sparse.linalg`` would cost memory and start-up time for no
+    caller."""
     code = (
         "import sys\n"
         "import hj_strata.cell, hj_strata.correctors, hj_strata.stratified\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "hj_strata.load_preset('strip_attract')\n"
+        "unused = ('scipy.optimize', 'scipy.spatial', 'scipy.sparse.linalg', 'scipy.special')\n"
+        "print([m for m in unused if m in sys.modules])\n"
     )
     src = Path(importlib.import_module("hj_strata").__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
