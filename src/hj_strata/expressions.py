@@ -31,17 +31,30 @@ __all__ = ["ExpressionError", "ScalarExpr", "parse_expression"]
 VARIABLES = ("x1", "x2", "y1", "y2")
 CONTROLS = ("a1", "a2")  # written {a1}, {a2}
 
-# name -> arity
+
+def wrap(v, period):
+    """``v`` reduced modulo ``period`` into ``[0, period)``."""
+    return v - period * np.floor(v / period)
+
+
+def smoothstep(lo, hi, v):
+    """Cubic ramp from 0 at ``v = lo`` to 1 at ``v = hi``, exactly saturated
+    outside the edges."""
+    t = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+# name -> (arity, implementation)
 FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "abs": 1,
-    "sqrt": 1,
-    "min": 2,
-    "max": 2,
-    "wrap": 2,
-    "smoothstep": 3,
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "exp": (1, np.exp),
+    "abs": (1, np.abs),
+    "sqrt": (1, np.sqrt),
+    "min": (2, np.minimum),
+    "max": (2, np.maximum),
+    "wrap": (2, wrap),
+    "smoothstep": (3, smoothstep),
 }
 
 
@@ -89,7 +102,14 @@ Node = Union[Num, Var, Neg, Bin, Call]
 
 # Binding powers for the Pratt parser.
 _ADD, _MUL, _UNARY, _POW = 10, 20, 30, 40
-_BIN_POWER = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
+# operator -> (binding power, implementation)
+_OPERATORS = {
+    "+": (_ADD, np.add),
+    "-": (_ADD, np.subtract),
+    "*": (_MUL, np.multiply),
+    "/": (_MUL, np.divide),
+    "^": (_POW, np.power),
+}
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -176,9 +196,9 @@ class _Parser:
         node = self.prefix()
         while True:
             kind, text, _ = self.peek()
-            if kind != "op" or text not in _BIN_POWER:
+            if kind != "op" or text not in _OPERATORS:
                 return node
-            power = _BIN_POWER[text]
+            power = _OPERATORS[text][0]
             if power < min_power:
                 return node
             self.advance()
@@ -206,7 +226,7 @@ class _Parser:
                     else:
                         break
                 self.expect(")")
-                arity = FUNCTIONS[text]
+                arity = FUNCTIONS[text][0]
                 if len(args) != arity:
                     raise ExpressionError(
                         f"{text} takes {arity} argument(s), got {len(args)}", self.src, off
@@ -232,40 +252,8 @@ def _evaluate(node: Node, env: Mapping[str, np.ndarray | float]):
     if isinstance(node, Neg):
         return -_evaluate(node.operand, env)
     if isinstance(node, Bin):
-        a = _evaluate(node.left, env)
-        b = _evaluate(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(a, b)
-    a = [_evaluate(arg, env) for arg in node.args]
-    f = node.func
-    if f == "sin":
-        return np.sin(a[0])
-    if f == "cos":
-        return np.cos(a[0])
-    if f == "exp":
-        return np.exp(a[0])
-    if f == "abs":
-        return np.abs(a[0])
-    if f == "sqrt":
-        return np.sqrt(a[0])
-    if f == "min":
-        return np.minimum(a[0], a[1])
-    if f == "max":
-        return np.maximum(a[0], a[1])
-    if f == "wrap":
-        v, period = a
-        return v - period * np.floor(v / period)
-    # smoothstep(a, b, v): cubic ramp, exactly saturated outside the edges.
-    lo, hi, v = a
-    t = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
+        return _OPERATORS[node.op][1](_evaluate(node.left, env), _evaluate(node.right, env))
+    return FUNCTIONS[node.func][1](*(_evaluate(arg, env) for arg in node.args))
 
 
 def _free_vars(node: Node, acc: set[str]) -> None:

@@ -44,6 +44,7 @@ __all__ = [
 
 _CHECK_SAMPLES = 400    # fast points per slow point in the assumption checks
 _SEAM_TOL = 1e-8        # largest field gap a seam may show
+_SEAM_STEP = 1e-9       # step across a seam to the region beyond it
 
 
 def eval_fields(scenario: Scenario, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +215,18 @@ def estimate_bounds(scenario: Scenario, *, samples: int = 400, seed: int = 0) ->
     return dict(cached)
 
 
+def _solver_reach(scenario: Scenario) -> float:
+    """Bound on ``|y1|`` and ``|y2|`` for the fast points any solve reads,
+    plus a margin of 1: the largest strip truncation, ball radius, core
+    double ``2 R1`` and limit-box half-width."""
+    sched = scenario.schedules
+    return max(max(sched.rho_list), max(sched.R_list), 2.0 * scenario.R1, sched.box_half_width) + 1.0
+
+
 def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, float]:
     rng = np.random.default_rng(seed)
-    sched = scenario.schedules
-    y_reach = max(
-        max(sched.rho_list),
-        max(sched.R_list),
-        2.0 * scenario.R1,
-        sched.box_half_width,
-    ) + 1.0
-    x_reach = sched.box_half_width
+    y_reach = _solver_reach(scenario)
+    x_reach = scenario.schedules.box_half_width
     n = max(16, samples)
     xs = np.concatenate([np.zeros((1, 2)), rng.uniform(-x_reach, x_reach, size=(7, 2))])
     ys = rng.uniform(-y_reach, y_reach, size=(n, 2))
@@ -266,105 +269,93 @@ def _seam_gap(
     ``block_b`` at ``pts_b`` (default: the same points)."""
     pts_b = pts if pts_b is None else pts_b
     x1 = np.zeros(len(pts))
-    gaps = []
     da = block_a.eval_drift(x1, x1, pts[:, 0], pts[:, 1])
     db = block_b.eval_drift(x1, x1, pts_b[:, 0], pts_b[:, 1])
     ca = block_a.eval_cost(x1, x1, pts[:, 0], pts[:, 1])
     cb = block_b.eval_cost(x1, x1, pts_b[:, 0], pts_b[:, 1])
-    gaps.append(float(np.max(np.abs(da - db))))
-    gaps.append(float(np.max(np.abs(ca - cb))))
-    return max(gaps)
+    return max(float(np.max(np.abs(da - db))), float(np.max(np.abs(ca - cb))))
+
+
+def _outside_gap(scenario: Scenario, block: FieldPair, pts: np.ndarray, step) -> float:
+    """Largest gap of ``block`` at the seam points ``pts`` against the block
+    of the region :meth:`Scenario.regions` puts at ``pts + step``."""
+    moved = pts + step
+    masks = scenario.regions(moved[:, 0], moved[:, 1])
+    return max(_seam_gap(block, scenario.block(r), pts[m]) for r, m in masks.items() if m.any())
 
 
 def run_assumption_checks(scenario: Scenario, *, seed: int = 0) -> ValidationReport:
-    """Backing implementation of :func:`hj_strata.scenario.validate_assumptions`."""
+    """Backing implementation of :func:`hj_strata.scenario.validate_assumptions`.
+
+    Besides the bounds of :func:`estimate_bounds`, each seam entry samples
+    100 fast points (the core circle 400) at the slow point 0 and passes when
+    two blocks' drifts and costs there differ by at most 1e-8.  Each branch of
+    :attr:`Scenario.branches` is sampled on its side, ``band_start <=
+    side*y1 <= r`` with ``r`` the solver reach of :func:`_solver_reach`, and
+    gets the same entries, prefixed ``strip`` for the one branch of case1 and
+    case2 and ``strip_<branch>`` in case3:
+
+    * ``_periodicity``, for a declared block: the block at ``y`` against
+      ``y + side*T e1`` with ``|y2| <= r``;
+    * ``_background_seam``: the block against the background off the band,
+      ``R0 <= |y2| <= r``, all of which a strip cell solve reads;
+    * ``_mouth_seam``: the block on its mouth ``side*y1 = band_start``,
+      ``|y2| <= R0``, against the region across it, toward the origin;
+    * ``_edge_seam``: the block on its edges ``|y2| = R0`` against the region
+      across them, with half the points where the edge runs inside the core
+      disc and half beyond it, out to ``r``.
+
+    The region just across a seam is the one :meth:`Scenario.regions` gives
+    a step of 1e-9 away.  Then ``core_background_seam`` compares the core
+    with the background on the circle ``|y| = R1`` off the branches, and
+    case2's ``background_periodicity`` shifts the background by each period.
+    """
     rng = np.random.default_rng(seed)
     est = estimate_bounds(scenario, samples=_CHECK_SAMPLES, seed=seed)
-    entries: list[ValidationEntry] = []
-    entries.append(
-        ValidationEntry(
-            "coercivity",
-            est["r_f"] > 0.0,
-            f"control hull inradius r_f = {est['r_f']:.6g} (need > 0)",
-            est["r_f"],
-        )
-    )
-    entries.append(ValidationEntry("drift_bound", math.isfinite(est["M_f"]), f"M_f = {est['M_f']:.6g}", est["M_f"]))
-    entries.append(ValidationEntry("cost_bound", math.isfinite(est["M_l"]), f"M_l = {est['M_l']:.6g}", est["M_l"]))
-    entries.append(
-        ValidationEntry("lipschitz_surrogate", math.isfinite(est["L_f"]), f"L_f = {est['L_f']:.6g}", est["L_f"])
-    )
+    r_f = est["r_f"]
+    entries = [ValidationEntry("coercivity", r_f > 0.0, f"control hull inradius r_f = {r_f:.6g} (need > 0)", r_f)]
+    for name, key in (("drift_bound", "M_f"), ("cost_bound", "M_l"), ("lipschitz_surrogate", "L_f")):
+        entries.append(ValidationEntry(name, math.isfinite(est[key]), f"{key} = {est[key]:.6g}", est[key]))
 
-    R0, R1 = scenario.R0, scenario.R1
-    n = max(32, _CHECK_SAMPLES // 4)
-
-    def gap_entry(name: str, what: str, block_a: FieldPair, block_b: FieldPair, pts, pts_b=None) -> None:
-        gap = _seam_gap(block_a, block_b, pts, pts_b)
+    def seam(name: str, gap: float, what: str = "max field gap") -> None:
         entries.append(ValidationEntry(name, gap <= _SEAM_TOL, f"{what} {gap:.3g} (tol {_SEAM_TOL:.1g})", gap))
 
-    def seam_entry(name: str, block_a: FieldPair, block_b: FieldPair, pts: np.ndarray) -> None:
-        gap_entry(name, "max field gap", block_a, block_b, pts)
-
-    shift_gap = "max |field(y) - field(y + T e1)| ="
-    core = scenario.block("core")
+    R0, R1, start = scenario.R0, scenario.R1, scenario.band_start
+    reach = _solver_reach(scenario)
+    inner = math.sqrt(max(R1 * R1 - R0 * R0, start * start))  # where an edge leaves the core disc
+    n = max(32, _CHECK_SAMPLES // 4)
     bg = scenario.background
 
-    if scenario.case in ("case1", "case2"):
-        strip = scenario.block("main")
-        if "main" in scenario.strips:
-            period = strip.period or 1.0
-            base = np.column_stack([
-                rng.uniform(-2.0 * period, 0.0, size=n),
-                rng.uniform(-R0 - 1.0, R0 + 1.0, size=n),
-            ])
-            shifted = base + np.array([period, 0.0])
-            gap_entry("strip_periodicity", shift_gap, strip, strip, base, shifted)
-            outside = np.column_stack([
-                rng.uniform(-2.0 * period, 0.0, size=n),
-                np.concatenate([rng.uniform(R0, R0 + 2.0, size=n // 2), rng.uniform(-R0 - 2.0, -R0, size=n - n // 2)]),
-            ])
-            seam_entry("strip_background_seam", strip, bg, outside)
-        if scenario.strips or scenario.core is not None:
-            edge = np.column_stack([np.zeros(n), rng.uniform(-R0, R0, size=n)])
-            seam_entry("core_strip_seam", core, strip, edge)
-            theta = rng.uniform(-math.pi / 2, math.pi / 2, size=n)
-            arc = R0 * np.column_stack([np.cos(theta), np.sin(theta)])
-            seam_entry("core_background_seam", core, bg, arc)
-        if scenario.case == "case2":
-            T1, T2 = scenario.background_periods or (1.0, 1.0)
-            base = rng.uniform(-2.0, 2.0, size=(n, 2))
-            moved = np.vstack([base + [T1, 0.0], base + [0.0, T2]])
-            gap_entry(
-                "background_periodicity", "max periodic background mismatch",
-                bg, bg, np.vstack([base, base]), moved,
-            )
-    else:
-        for key, sign in scenario.branches.items():
-            strip = scenario.block(key)
-            branch = f"strip_{key}"
-            if key in scenario.strips:
-                period = strip.period or 1.0
-                base = np.column_stack([
-                    sign * rng.uniform(R0, R0 + 2.0 * period, size=n),
-                    rng.uniform(-R0, R0, size=n),
-                ])
-                shifted = base + np.array([sign * period, 0.0])
-                gap_entry(f"{branch}_periodicity", shift_gap, strip, strip, base, shifted)
-            # Strip edge |y2| = R0: neighbor is core inside the disc of
-            # radius R1, background beyond it.
-            y1_core = sign * rng.uniform(R0, math.sqrt(max(R1 * R1 - R0 * R0, R0 * R0)), size=n)
-            edge_core = np.column_stack([y1_core, np.where(rng.random(n) < 0.5, R0, -R0)])
-            seam_entry(f"{branch}_core_seam_edge", strip, core, edge_core)
-            y1_bg = sign * rng.uniform(math.sqrt(max(R1 * R1 - R0 * R0, R0 * R0)), R1 + 2.0, size=n)
-            edge_bg = np.column_stack([y1_bg, np.where(rng.random(n) < 0.5, R0, -R0)])
-            seam_entry(f"{branch}_background_seam_edge", strip, bg, edge_bg)
-            # Strip mouth y1 = +-R0, |y2| <= R0: neighbor is the core.
-            mouth = np.column_stack([np.full(n, sign * R0), rng.uniform(-R0, R0, size=n)])
-            seam_entry(f"{branch}_core_seam_mouth", strip, core, mouth)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=4 * n)
-        arc = R1 * np.column_stack([np.cos(theta), np.sin(theta)])
-        keep = np.abs(arc[:, 1]) > R0  # outside the strip band
-        if keep.any():
-            seam_entry("core_background_seam", core, bg, arc[keep])
+    def signs() -> np.ndarray:
+        return np.where(rng.random(n) < 0.5, 1.0, -1.0)
+
+    for key, side in scenario.branches.items():
+        strip = scenario.block(key)
+        name = "strip" if key == "main" else f"strip_{key}"
+        if key in scenario.strips:
+            base = np.column_stack([side * rng.uniform(start, reach, n), rng.uniform(-reach, reach, n)])
+            shift = _seam_gap(strip, strip, base, base + [side * strip.period, 0.0])
+            seam(f"{name}_periodicity", shift, "max |field(y) - field(y + T e1)| =")
+        off_band = np.column_stack([side * rng.uniform(start, reach, n), signs() * rng.uniform(R0, reach, n)])
+        seam(f"{name}_background_seam", _seam_gap(strip, bg, off_band))
+        mouth = np.column_stack([np.full(n, side * start), rng.uniform(-R0, R0, n)])
+        seam(f"{name}_mouth_seam", _outside_gap(scenario, strip, mouth, [-side * _SEAM_STEP, 0.0]))
+        along = np.concatenate([rng.uniform(start, inner, n // 2), rng.uniform(inner, reach, n - n // 2)])
+        up = signs()
+        edge = np.column_stack([side * along, up * R0])
+        step = np.column_stack([np.zeros(n), up * _SEAM_STEP])
+        seam(f"{name}_edge_seam", _outside_gap(scenario, strip, edge, step))
+
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=4 * n)
+    circle = R1 * np.column_stack([np.cos(theta), np.sin(theta)])
+    masks = scenario.regions(circle[:, 0], circle[:, 1])
+    off_bands = ~np.logical_or.reduce([masks[b] for b in scenario.branches])
+    seam("core_background_seam", _seam_gap(scenario.block("core"), bg, circle[off_bands]))
+    if scenario.case == "case2":
+        T1, T2 = scenario.background_periods
+        base = rng.uniform(-2.0, 2.0, size=(n, 2))
+        moved = np.vstack([base + [T1, 0.0], base + [0.0, T2]])
+        seam("background_periodicity", _seam_gap(bg, bg, np.vstack([base, base]), moved),
+             "max periodic background mismatch")
 
     return ValidationReport(entries=tuple(entries), estimates=est)

@@ -64,10 +64,10 @@ def jacobi_min(
         out[...] = np.min(cand, axis=0).T.reshape(out.shape)
         return
     flat = cand.reshape(na, -1)
+    values = flat.min(axis=0)
     # the first minimizing control, as np.argmin(flat, axis=0) finds it
-    # (slower along a leading axis)
-    choice = np.argmax(flat == flat.min(axis=0), axis=0)
-    values = np.take(flat, choice * flat.shape[1] + np.arange(flat.shape[1]))
+    # (slower along a leading axis); its candidate is ``values`` bit for bit
+    choice = np.argmax(flat == values, axis=0)
     policy[...] = choice.reshape(cand.shape[1:]).T.reshape(policy.shape)
     out[...] = values.reshape(cand.shape[1:]).T.reshape(out.shape)
 

@@ -17,8 +17,9 @@ Fields are given per block as a drift expression pair and a cost expression
 over ``x1, x2, y1, y2`` and the control components, written ``{a1}`` and
 ``{a2}``: the variables ``a1, a2`` of the expression language.  Each source
 is parsed once; evaluation runs it once over the whole control set.  Blocks
-must agree where their regions meet; ``validate_assumptions`` samples those
-seams and the structural bounds and reports findings instead of raising.
+must agree where their regions meet, and a strip block must equal the
+background off its band; ``validate_assumptions`` samples those seams and
+the structural bounds and reports findings instead of raising.
 """
 
 from __future__ import annotations
@@ -243,19 +244,28 @@ class Scenario:
         """
         return {"plus": +1, "minus": -1} if self.case == "case3" else {"main": -1}
 
+    @property
+    def band_start(self) -> float:
+        """Distance from the origin to each branch's mouth ``side*y1 =
+        band_start``: R0 in case3, where the core disc separates the two
+        branches, and 0 otherwise, where the band reaches the origin."""
+        return self.R0 if self.case == "case3" else 0.0
+
     def regions(self, y1, y2, slack: float = 0.0) -> dict[str, np.ndarray]:
         """One mask per region, partitioning the fast points ``(y1, y2)``.
 
-        Each branch owns the closed half-strip ``side*y1 >= start``,
-        ``|y2| <= R0 + slack`` around its half-line, where ``start`` is 0 in
-        case1/case2 and R0 in case3.  ``"core"`` is the rest of the disc
-        ``|y| <= R1`` and ``"background"`` everything else.
+        Each branch owns the closed half-strip ``side*y1 >= band_start``,
+        ``|y2| <= R0 + slack`` around its half-line.  ``"core"`` is the rest
+        of the disc ``|y| <= R1`` and ``"background"`` everything else.
+
+        Field evaluation reads these masks, and so do the assumption checks
+        of :func:`validate_assumptions`: they compare each branch's block with
+        the region these masks give just outside its mouth and edges.
         """
         y1 = np.asarray(y1, dtype=float)
         y2 = np.asarray(y2, dtype=float)
-        start = self.R0 if self.case == "case3" else 0.0
         band = np.abs(y2) <= self.R0 + slack
-        masks = {b: band & (side * y1 >= start) for b, side in self.branches.items()}
+        masks = {b: band & (side * y1 >= self.band_start) for b, side in self.branches.items()}
         taken = np.logical_or.reduce(list(masks.values()))
         masks["core"] = ~taken & (y1 * y1 + y2 * y2 <= self.R1 * self.R1)
         masks["background"] = ~(taken | masks["core"])
@@ -500,22 +510,17 @@ class ValidationReport:
     def failures(self) -> list[ValidationEntry]:
         return [e for e in self.entries if not e.passed]
 
-    def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            status = "ok  " if e.passed else "FAIL"
-            out.append(f"[{status}] {e.name}: {e.detail}")
-        return out
-
 
 def validate_assumptions(scenario: Scenario) -> ValidationReport:
     """Sample the structural assumptions behind the scenario's case.
 
-    Estimates the drift/cost bounds and the control-hull inradius, and checks
-    the seams between region blocks (strip <-> core <-> background, each to
-    a field gap of 1e-8) plus strip periodicity.  Findings are report
-    entries, not exceptions; the sampling is seeded, so the report is
-    deterministic.
+    Estimates the drift/cost bounds and the control-hull inradius.  Checks,
+    each to a field gap of 1e-8, every branch's periodicity, its agreement
+    with the background off its band out to the reach of the solvers, and
+    the seams of the regions of :meth:`Scenario.regions` (strip <-> core <->
+    background); see :func:`hj_strata.hamiltonian.run_assumption_checks`.
+    Findings are report entries, not exceptions; the sampling is seeded, so
+    the report is deterministic.
     """
     from . import hamiltonian  # local import: hamiltonian depends on this module
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -421,19 +422,24 @@ def test_jacobi_argmin_returns_first_minimizer():
     na = len(controls)
     op = _box_operator(np.concatenate([controls, controls]))  # control a + na duplicates a
     assert np.array_equal(op.base[:na], op.base[na:]) and np.isinf(op.base).any()
-    u = np.random.default_rng(3).normal(size=op.grid.size)
+    rng = np.random.default_rng(3)
+    one = (op.base, rng.normal(size=op.grid.size))
+    # a family of three cells: one stencil, a step cost and a value row per cell
+    family = (np.concatenate([op.base, op.base + 0.25, 1.5 * op.base], axis=2), rng.normal(size=(3, op.grid.size)))
     nodes = np.arange(op.grid.size)
-    for gamma in (0.97, 1.0):
-        out = np.empty(op.grid.size)
-        policy = np.empty(op.grid.size, dtype=np.intp)
-        kernels.jacobi_min(op.idx, op.w, op.base, gamma, u, out, policy=policy)
-        tu = np.empty(op.grid.size)
-        kernels.jacobi_min(op.idx, op.w, op.base, gamma, u, tu)
+    for (base, u), gamma in itertools.product((one, family), (0.97, 1.0)):
+        out = np.empty(u.shape)
+        policy = np.empty(u.shape, dtype=np.intp)
+        kernels.jacobi_min(op.idx, op.w, base, gamma, u, out, policy=policy)
+        tu = np.empty(u.shape)
+        kernels.jacobi_min(op.idx, op.w, base, gamma, u, tu)
         assert np.array_equal(out, tu)
         assert np.all(policy < na)  # ties go to the lower index
-        assert np.all(np.isfinite(op.base[policy, nodes, 0]))  # never an inadmissible control
-        chosen = op.base[policy, nodes, 0] + gamma * np.sum(op.w[policy, nodes] * u[op.idx[policy, nodes]], axis=1)
-        assert np.allclose(out, chosen, rtol=0, atol=1e-13)  # the policy attains the minimum
+        for c, (u_c, policy_c, out_c) in enumerate(zip(*map(np.atleast_2d, (u, policy, out)))):
+            assert np.all(np.isfinite(base[policy_c, nodes, c]))  # never an inadmissible control
+            reach = np.sum(op.w[policy_c, nodes] * u_c[op.idx[policy_c, nodes]], axis=1)
+            chosen = base[policy_c, nodes, c] + gamma * reach
+            assert np.allclose(out_c, chosen, rtol=0, atol=1e-13)  # the policy attains the minimum
 
 
 def test_every_full_application_is_one_jacobi_min_call(monkeypatch):

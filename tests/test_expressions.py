@@ -37,6 +37,7 @@ def test_function_calls():
     assert parse_expression("min(1, -3)")() == pytest.approx(-3.0)
     assert parse_expression("abs(-2.5)")() == pytest.approx(2.5)
     assert parse_expression("cos(0)")() == pytest.approx(1.0)
+    assert parse_expression("sin(0.5)")() == pytest.approx(math.sin(0.5))
     assert parse_expression("exp(0)")() == pytest.approx(1.0)
 
 

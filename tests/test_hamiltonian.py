@@ -283,30 +283,68 @@ def test_estimate_bounds_is_cached_by_content(monkeypatch):
     assert other != again
 
 
+CHECK_SEEDS = range(5)
+
+
 def test_assumption_checks_pass_on_presets():
-    for name in ("eikonal", "cost_bump", "strip_attract", "checkerboard", "case3_mirror"):
-        scn = load_preset(name)
-        report = run_assumption_checks(scn, seed=0)
-        assert report.passed, f"{name}: {[e.name for e in report.failures()]}"
+    for name in preset_names():
+        for seed in CHECK_SEEDS:
+            report = run_assumption_checks(load_preset(name), seed=seed)
+            assert report.passed, f"{name} seed {seed}: {[e.name for e in report.failures()]}"
+
+
+def _case1(strip_cost: str) -> dict:
+    return {
+        "case": "case1",
+        "alpha": 1.0,
+        "R0": 0.5,
+        "controls": {"directions": 8, "speed": 1.0, "include_zero": True},
+        "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+        "strip_defect": {"period": 1.0, "drift": ["{a1}", "{a2}"], "cost": strip_cost},
+    }
+
+
+def _case3(strip_cost: str, core_cost: str | None = None) -> dict:
+    strip = {"period": 1.0, "drift": ["{a1}", "{a2}"], "cost": strip_cost}
+    raw = {
+        "case": "case3",
+        "alpha": 1.0,
+        "R0": 0.5,
+        "R1": 0.75,
+        "controls": {"directions": 8, "speed": 1.0, "include_zero": True},
+        "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+        "strip_defect": {"plus": strip, "minus": strip},
+    }
+    if core_cost is not None:
+        raw["core_defect"] = {"drift": ["{a1}", "{a2}"], "cost": core_cost}
+    return raw
 
 
 def test_assumption_checks_catch_seam_mismatch():
-    scn = parse_scenario(
-        {
-            "case": "case1",
-            "alpha": 1.0,
-            "R0": 0.5,
-            "controls": {"directions": 8, "speed": 1.0, "include_zero": True},
-            "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
-            # strip cost != background cost at |y2| >= R0: violates the
-            # "defect lives inside the strip" assumption
-            "strip_defect": {"period": 1.0, "drift": ["{a1}", "{a2}"], "cost": "0.25"},
-        },
-        label="t",
-    )
-    report = run_assumption_checks(scn, seed=0)
-    names = {e.name: e for e in report.entries}
-    assert not names["strip_background_seam"].passed
+    well = "1 - 0.5*smoothstep(0.5, 0.25, abs(y2))"
+    cases = [
+        # strip cost != background cost at |y2| >= R0: violates the
+        # "defect lives inside the strip" assumption
+        (_case1("0.25"), {"strip_background_seam"}),
+        # a dip at |y2| >= 3, which the strips at rho = 4 read
+        (_case1("1 - 0.9*smoothstep(3.0, 3.5, abs(y2))"), {"strip_background_seam"}),
+        # a rise just beyond the band edge
+        (_case3("1 + 0.5*smoothstep(0.5, 1.0, abs(y2))"), {"strip_plus_background_seam", "strip_minus_background_seam"}),
+        # the core lacks the strips' well at their mouths y1 = +-R0
+        (_case3(well, "1"), {"strip_plus_mouth_seam", "strip_minus_mouth_seam"}),
+        # the core rises off the band, so it misses the background on |y| = R1
+        (_case3(well, well + " + 0.2*smoothstep(0.5, 0.7, abs(y2))"), {"core_background_seam"}),
+        # the core rises along the band edges inside its disc, R0 < |y1| < sqrt(R1^2 - R0^2)
+        (
+            _case3(well, well + " + 0.2*smoothstep(0.5, 0.55, abs(y1))*smoothstep(0.4, 0.5, abs(y2))"),
+            {"strip_plus_edge_seam", "strip_minus_edge_seam"},
+        ),
+    ]
+    for raw, expected in cases:
+        scn = parse_scenario(raw, label="t")
+        for seed in CHECK_SEEDS:
+            failed = {e.name for e in run_assumption_checks(scn, seed=seed).failures()}
+            assert expected <= failed, f"{raw} seed {seed}: {sorted(failed)}"
 
 
 def test_assumption_checks_deterministic():
