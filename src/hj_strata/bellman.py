@@ -74,8 +74,9 @@ __all__ = [
 # BiCGSTAB steps before a policy evaluation falls back to sparse LU.  Warm
 # started from the previous iterate and stopped at the forcing tolerance, one
 # evaluation in the benchmark's four pipelines (seeds 0 and 11) takes at most
-# 140 steps (on case3_mirror's 50,625-node ball; 101 on strip_attract's
-# 25,921-node corrector ball).
+# 128 steps (on case3_mirror's 7,200-node strip correctors; 124 on its
+# 50,625-node ball, 83 on strip_attract's 25,921-node corrector ball), and
+# none falls back.
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
 # thresholds for the rest of the process, so the heap stops shrinking.  The
@@ -637,17 +638,27 @@ def ergodic_continuation(
     factor: float,
     tol: float,
     max_iter: int = 400_000,
+    u0: np.ndarray | None = None,
 ):
     """Vanishing-discount estimate of the average cost.
 
-    Runs discounted solves along ``lambda0 * factor**k`` with warm starts
-    (shifting by the estimated rate times the change of ``1/lambda``), records
-    ``(lambda, anchor value)`` pairs, and Richardson-extrapolates
+    Runs discounted solves along ``lambda0 * factor**k``, the first from
+    ``u0`` (one row per cell; zero when omitted), each later one from the
+    last (shifted by the estimated rate times the change of ``1/lambda``),
+    records ``(lambda, anchor value)`` pairs, and Richardson-extrapolates
     ``lambda * anchor`` to ``lambda = 0``; stops when two successive
     extrapolations agree within ``0.5 * tol`` (unconverged after 60 stages
     or once the discount falls below 1e-7).  Inner solves run to residual
     ``0.1 * tol * delta`` so their contribution to the rate error stays below
     ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
+
+    A good ``u0`` is the Laurent expansion ``u_lambda = rate / lambda + h +
+    O(lambda)`` (Puterman 1994, section 8.2) at ``lambda0``: a corrector
+    ``h`` plus its rate over ``lambda0``.  The start moves the first stage's
+    Howard iterations, not the certificate: each stage stops on its own
+    residual ``max |T u - u| <= 0.1 * tol * delta``, which reads ``T u``
+    alone, and the extrapolation reads only the anchor values of those
+    certified fields, so the rate error bound holds from every start.
 
     The cells of a family share the discount schedule: each stage is one
     family solve of the cells whose extrapolations still disagree.  Returns a
@@ -658,7 +669,7 @@ def ergodic_continuation(
     anchor = family.grid.anchor_index()
     inner_tol = 0.1 * tol * family.delta
     lam = lambda0
-    u: np.ndarray | None = None
+    u = u0
     history: list[list[tuple[float, float]]] = [[] for _ in range(k)]
     extrapolations: list[list[float]] = [[] for _ in range(k)]
     rates: list[list[float]] = [[] for _ in range(k)]

@@ -10,19 +10,23 @@ convex.
 
 Each constant is computed twice: by a vanishing-discount continuation
 (Richardson-extrapolated anchor values) and by relative value iteration (the
-value recorded in the tables).  Relative VI starts from the continuation's last
-discounted field, which is close to a corrector and saves most of its
-applications.  The start does not carry the continuation's rate into the VI
-constant: the bracket ``(min(T0[u] - u), max(T0[u] - u)) / delta`` holds the
-true rate for every ``u``, so the VI constant is span-certified to ``tol``
-whatever it starts from.  The two rates are still computed independently, and
-``method_gap`` records their disagreement; entries whose gap exceeds twice the
-requested tolerance are flagged as failed rather than papered over.
+value recorded in the tables).  Whichever runs second starts from what the
+first found, which saves most of its work: at ``delta = sqrt(h)`` (the
+tables) relative VI starts from the continuation's last discounted field; at
+``delta = h`` (the correctors) relative VI runs first and the continuation
+starts at VI's Laurent point ``h + rate / lambda0``.  No start carries one
+rate into the other: the bracket ``(min(T0[u] - u), max(T0[u] - u)) /
+delta`` holds the true rate for every ``u``, and every continuation stage
+stops on its own Howard residual, so both constants are certified to ``tol``
+whatever they start from.  ``method_gap`` records their disagreement; entries
+whose gap exceeds twice the requested tolerance are flagged as failed rather
+than papered over.
 
 Truncation families: strips grow in the half-height ``rho``, the compact-core
 constant ``E`` comes from boxes ``[-R, R]^2`` (an exhausting family with the
 same monotone limit as discs), both with state constraints at the cut
-boundaries.
+boundaries.  A walk along a truncation schedule starts each solve after the
+first from the cell's estimate at the truncation before.
 
 Cell families: the cells of one table that share a grid and a drift differ
 only in the cost shift ``p . f`` (the strips of one branch at one ``rho``,
@@ -131,23 +135,59 @@ def _solve_cells(
     kind: str,
     branch: str | None,
     truncation: float,
+    previous: Sequence[ErgodicEstimate] | None = None,
 ) -> tuple[ErgodicEstimate, ...]:
     """One estimate per row of ``momenta`` (shape (cells, 2)), solved in
     families of at most ``_FAMILY_CELLS`` cells; ``build(rows)`` builds the
-    operator of a family.  Each family runs the continuation, then relative
-    VI from each cell's last discounted field."""
+    operator of a family.  ``previous`` holds each cell's estimate at the
+    last truncation of a walk (None for a first solve); its corrector, read
+    on the new grid with edge values beyond the old one, starts this solve.
+
+    The order of the two methods follows the time step.  At ``delta <=
+    cell_h`` relative VI runs first (cold, or from the previous corrector)
+    and the continuation starts at VI's Laurent point ``h + rate / lambda0``.
+    At larger steps the continuation runs first (from the previous
+    corrector's Laurent point, or cold) and relative VI starts from its
+    last discounted field.  A start moves the iteration counts, and the
+    constants only within ``tol``: both certificates hold from every start."""
     sched = scn.schedules
     tol = sched.tol_ergodic
+
+    def continuation(family: SLOperator, u0: np.ndarray | None) -> Family:
+        return ergodic_continuation(
+            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER, u0=u0
+        )
+
+    def laurent(fields: np.ndarray, rates) -> np.ndarray:
+        # u_lambda0 = rate / lambda0 + h + O(lambda0), one row per cell, in place
+        fields += np.asarray(rates)[:, None] / sched.lambda0
+        return fields
+
     out = []
     for start in range(0, len(momenta), _FAMILY_CELLS):
         rows = momenta[start:start + _FAMILY_CELLS]
         family = build(rows)
-        conts = ergodic_continuation(
-            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER
-        )
-        vis = solve_ergodic_relative(
-            family, tol=tol, max_iter=_MAX_ITER, u0=np.stack([c.field.flat() for c in conts])
-        )
+        last = None if previous is None else previous[start:start + _FAMILY_CELLS]
+        prior = None
+        if last is not None:
+            nodes = family.grid.nodes()
+            prior = np.stack([e.corrector(nodes, clip=True) for e in last])
+        # The order is measured.  At delta = h cold relative VI is cheap
+        # (0.09 s on attract_full's corrector ball), while a cold first
+        # continuation stage took 29 of that ball's 35 Howard iterations.  At
+        # delta = sqrt(h) cold VI takes 14-41 applications a cell: running it
+        # first there too took checkerboard_tables from 0.62-0.70 to
+        # 0.88-1.05 s, about 40% more.
+        if family.delta <= sched.cell_h:
+            vis = solve_ergodic_relative(family, tol=tol, max_iter=_MAX_ITER, u0=prior)
+            fields = np.stack([vi.field.flat() for vi in vis])
+            conts = continuation(family, laurent(fields, [vi.rate for vi in vis]))
+        else:
+            u0 = None if last is None else laurent(prior, [-e.constant for e in last])
+            conts = continuation(family, u0)
+            vis = solve_ergodic_relative(
+                family, tol=tol, max_iter=_MAX_ITER, u0=np.stack([c.field.flat() for c in conts])
+            )
         for p, cont, vi in zip(rows, conts, vis):
             vi_constant, cont_constant = -vi.rate, -cont.rate
             gap = abs(vi_constant - cont_constant)
@@ -193,16 +233,25 @@ def strip_operator(scn: Scenario, p1, *, branch: str = "main", rho: float) -> SL
     return _shifted_operator(scn, block, grid, np.column_stack([p1s, np.zeros_like(p1s)]))
 
 
-def strip_ergodic(scn: Scenario, p1, *, branch: str = "main", rho: float) -> tuple[ErgodicEstimate, ...]:
+def strip_ergodic(
+    scn: Scenario,
+    p1,
+    *,
+    branch: str = "main",
+    rho: float,
+    _previous: Sequence[ErgodicEstimate] | None = None,
+) -> tuple[ErgodicEstimate, ...]:
     """Ergodic constants/correctors of the truncated strips at the momenta
     ``p1`` (a scalar or a 1-D array), solved as one family: one estimate
-    per momentum."""
+    per momentum.  ``_previous`` is the truncation walk's: each momentum's
+    estimate at the last ``rho``, which starts its solve (see
+    :func:`_solve_cells`)."""
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
     return _solve_cells(
         scn,
         lambda rows: strip_operator(scn, rows[:, 0], branch=branch, rho=rho),
         np.column_stack([p1s, np.zeros_like(p1s)]),
-        kind="strip", branch=branch, truncation=rho,
+        kind="strip", branch=branch, truncation=rho, previous=_previous,
     )
 
 
@@ -216,22 +265,26 @@ class TruncationWalk:
 
 
 def _walk_truncations(scn: Scenario, solve, truncations, cells: int) -> list[TruncationWalk]:
-    """Walk ``cells`` cells along ``truncations``: ``solve(t, walking)``
-    solves the cells still walking at truncation ``t`` as one family.  A cell
-    stops once two consecutive constants agree within the scheduled
-    ``tol_ergodic``, converged only then and only if every one of its solves
-    converged.  Returns one :class:`TruncationWalk` per cell."""
+    """Walk ``cells`` cells along ``truncations``: ``solve(t, walking,
+    previous)`` solves the cells still walking at truncation ``t`` as one
+    family, each starting from its estimate at the last truncation in
+    ``previous`` (None at the first, which starts cold).  A cell stops once
+    two consecutive constants agree within the scheduled ``tol_ergodic``,
+    converged only then and only if every one of its solves converged.
+    Returns one :class:`TruncationWalk` per cell."""
     tol = scn.schedules.tol_ergodic
     estimates: list[list[ErgodicEstimate]] = [[] for _ in range(cells)]
     walking = list(range(cells))
     agreed = [False] * cells
+    previous = None
     for t in truncations:
-        for c, est in zip(walking, solve(t, walking)):
+        for c, est in zip(walking, solve(t, walking, previous)):
             estimates[c].append(est)
             agreed[c] = len(estimates[c]) >= 2 and abs(est.constant - estimates[c][-2].constant) <= tol
         walking = [c for c in walking if not agreed[c]]
         if not walking:
             break
+        previous = [estimates[c][-1] for c in walking]
     return [
         TruncationWalk(e[-1].constant, tuple(e), a and all(x.converged for x in e))
         for e, a in zip(estimates, agreed)
@@ -246,12 +299,15 @@ def tangential_hamiltonian(scn: Scenario, p1, *, branch: str = "main") -> Family
 
     The strips walk as a family: every momentum at the first ``rho``, every
     one at the second, then only those whose last two constants disagree.
+    The first ``rho`` starts cold; each later one starts from the momentum's
+    corrector and constant at the one before, the corrector read on the
+    taller strip with its edge rows carried outward.
     Returns a :class:`Family` with one result per momentum."""
     p1s = np.atleast_1d(np.asarray(p1, dtype=float))
-    return Family(_walk_truncations(
-        scn, lambda rho, cells: strip_ergodic(scn, p1s[cells], branch=branch, rho=rho),
-        scn.schedules.rho_list, len(p1s),
-    ))
+    def solve(rho: float, cells: list[int], previous) -> tuple[ErgodicEstimate, ...]:
+        return strip_ergodic(scn, p1s[cells], branch=branch, rho=rho, _previous=previous)
+
+    return Family(_walk_truncations(scn, solve, scn.schedules.rho_list, len(p1s)))
 
 
 def ball_operator(scn: Scenario, R: float) -> SLOperator:
@@ -262,20 +318,28 @@ def ball_operator(scn: Scenario, R: float) -> SLOperator:
     return SLOperator(grid, drift, cost, scn.schedules.delta(scn.schedules.cell_h))
 
 
-def ball_ergodic(scn: Scenario, R: float) -> tuple[ErgodicEstimate]:
-    """Compact-core ergodic constant on the box truncation of radius ``R``: one estimate."""
+def ball_ergodic(
+    scn: Scenario, R: float, *, _previous: Sequence[ErgodicEstimate] | None = None
+) -> tuple[ErgodicEstimate]:
+    """Compact-core ergodic constant on the box truncation of radius ``R``:
+    one estimate.  ``_previous`` is the truncation walk's: the estimate at
+    the last ``R``, which starts the solve (see :func:`_solve_cells`)."""
     return _solve_cells(
         scn, lambda rows: ball_operator(scn, R), np.zeros((1, 2)),
-        kind="ball", branch=None, truncation=R,
+        kind="ball", branch=None, truncation=R, previous=_previous,
     )
 
 
 def dirichlet_datum(scn: Scenario) -> TruncationWalk:
     """Origin datum ``E``: ball constants along the scheduled ``R_list``,
     last value kept, converged when two consecutive truncations agree within
-    ``tol_ergodic``.  ``E`` is the walk's ``value``; its last estimate
-    carries the corrector."""
-    [walk] = _walk_truncations(scn, lambda R, cells: ball_ergodic(scn, R), scn.schedules.R_list, 1)
+    ``tol_ergodic``.  The first box starts cold; each later one starts from
+    the corrector and constant of the box before, the corrector read on the
+    larger box with its edge values carried outward.  ``E`` is the walk's
+    ``value``; its last estimate carries the corrector."""
+    [walk] = _walk_truncations(
+        scn, lambda R, cells, previous: ball_ergodic(scn, R, _previous=previous), scn.schedules.R_list, 1
+    )
     return walk
 
 

@@ -24,7 +24,7 @@ from hj_strata.bellman import (
 from hj_strata.grids import GridSpec
 from hj_strata.hamiltonian import eval_fields
 from hj_strata.scenario import load_preset
-from hj_strata.cell import ball_operator, strip_operator
+from hj_strata.cell import ball_ergodic, ball_operator, strip_ergodic, strip_operator
 
 COS16 = math.cos(math.pi / 16)
 
@@ -491,6 +491,44 @@ def test_ergodic_relative_warm_start_from_continuation_saves_applications():
     assert (cold.iterations, warm.iterations) == (21, 3)
     assert warm.iterations < cold.iterations / 2
     assert warm.rate == pytest.approx(cold.rate, abs=tol)
+
+
+@pytest.mark.parametrize("cell", ["strip", "ball"])
+def test_continuation_from_any_start_keeps_its_certificate(cell):
+    # two starts of the first stage: the Laurent point of a corrector (relative
+    # VI's field plus its rate over lambda0) and the last truncation's
+    # corrector read on the larger grid; each moves that stage's Howard
+    # iterations, while every stage still stops on its own residual, the
+    # stages are as many and the rate is the cold one within tol
+    tol = 5e-4
+    if cell == "strip":   # delta = sqrt(h)
+        scn = load_preset("strip_attract").with_schedules(tol_ergodic=tol)
+        op = strip_operator(scn, 0.25, rho=2.0)
+        (last,) = strip_ergodic(scn, 0.25, rho=1.0)
+    else:                 # delta = h
+        scn = load_preset("strip_attract").with_schedules(cell_h=1 / 16, sl_step=1 / 16, tol_ergodic=tol)
+        op = ball_operator(scn, 1.5)
+        (last,) = ball_ergodic(scn, 0.75)
+    sched = scn.schedules
+    (vi,) = solve_ergodic_relative(op, tol=tol)
+    starts = [
+        vi.field.flat() + vi.rate / sched.lambda0,
+        last.corrector(op.grid.nodes(), clip=True) - last.constant / sched.lambda0,
+    ]
+
+    def continuation(u0):
+        return ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, u0=u0)
+
+    (cold,) = continuation(None)
+    assert cold.converged
+    for u0 in starts:
+        start = u0.copy()
+        (warm,) = continuation(start[None])
+        assert warm.converged and warm.stages == cold.stages
+        assert warm.rate == pytest.approx(cold.rate, abs=tol)
+        assert all(info.converged and info.residual <= 0.1 * tol * op.delta for info in warm.solves)
+        assert warm.solves[0].iterations < cold.solves[0].iterations
+        assert np.array_equal(start, u0)  # the caller's start is not modified
 
 
 def test_best_iterate_fallback_reports_not_converged():

@@ -22,7 +22,7 @@ from hj_strata.cell import (
     torus_effective,
     torus_operator,
 )
-from hj_strata.bellman import Family
+from hj_strata.bellman import Family, ergodic_continuation, solve_ergodic_relative
 from hj_strata.hamiltonian import estimate_bounds, eval_H, eval_H_envelopes
 from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
@@ -422,6 +422,78 @@ def test_strip_family_walk_equals_lone_walks_bit_for_bit():
         assert (result.value, result.converged) == (alone.value, alone.converged)
         _same_estimates(result.estimates, alone.estimates)
     assert [r.converged for r in family] == [True, True, False, True]
+
+
+def _continuation(scn, op, u0=None):
+    sched = scn.schedules
+    return ergodic_continuation(
+        op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=sched.tol_ergodic, u0=u0
+    )
+
+
+def test_delta_h_ball_runs_relative_vi_first():
+    # at delta = h cold relative VI gives the corrector, and the continuation
+    # starts at its Laurent point field + rate / lambda0: the first stage takes
+    # 4 Howard iterations against 15 from zero (4 against 29 on the
+    # benchmark's corrector ball at h = 1/32, R = 2.5)
+    scn = load_preset("strip_attract").with_schedules(cell_h=1 / 16, sl_step=1 / 16, tol_ergodic=5e-4)
+    (est,) = ball_ergodic(scn, 1.5)
+    op = ball_operator(scn, 1.5)
+    (vi,) = solve_ergodic_relative(op, tol=5e-4)
+    assert est.corrector.values.tobytes() == vi.field.values.tobytes()
+    assert (est.constant, est.iterations, est.residual) == (-vi.rate, vi.iterations, vi.residual)
+    (warm,) = _continuation(scn, op, (vi.field.flat() + vi.rate / scn.schedules.lambda0)[None])
+    (cold,) = _continuation(scn, op)
+    assert (est.continuation_constant, est.lambda_history) == (-warm.rate, warm.history)
+    assert (warm.solves[0].iterations, cold.solves[0].iterations) == (4, 15)
+    assert warm.stages == cold.stages == 3
+
+
+def test_sqrt_h_strips_run_the_continuation_first():
+    # at delta = sqrt(h) the continuation runs first, cold at a walk's first
+    # truncation, and relative VI starts from its last discounted fields
+    scn = load_preset("strip_attract").with_schedules(tol_ergodic=5e-4)
+    p1s = np.array([-0.5, 0.25])
+    estimates = strip_ergodic(scn, p1s, rho=1.0)
+    op = strip_operator(scn, p1s, rho=1.0)
+    conts = _continuation(scn, op)
+    vis = solve_ergodic_relative(op, tol=5e-4, u0=np.stack([c.field.flat() for c in conts]))
+    assert [e.iterations for e in estimates] == [vi.iterations for vi in vis]
+    assert [e.constant for e in estimates] == [-vi.rate for vi in vis]
+    assert [e.lambda_history for e in estimates] == [c.history for c in conts]
+    for e, vi in zip(estimates, vis):
+        assert e.corrector.values.tobytes() == vi.field.values.tobytes()
+
+
+def test_truncation_walk_starts_each_rho_from_the_last(monkeypatch):
+    # the first rho starts cold, as a lone strip_ergodic call does; the second
+    # starts from each momentum's corrector at the first, which saves Howard
+    # iterations and keeps the constants of a cold solve within tol
+    from hj_strata import cell
+
+    scn = load_preset("strip_attract").with_schedules(tol_ergodic=5e-4)
+    rho1, rho2 = scn.schedules.rho_list[:2]
+    p1s = np.array([-0.5, 0.0, 0.25])
+    howard = []
+    continuation = cell.ergodic_continuation
+
+    def counted(*args, **kwargs):
+        results = continuation(*args, **kwargs)
+        howard.append(sum(info.iterations for r in results for info in r.solves))
+        return results
+
+    monkeypatch.setattr(cell, "ergodic_continuation", counted)
+    walk = tangential_hamiltonian(scn, p1s)
+    walked = howard[1]
+    _same_estimates([r.estimates[0] for r in walk], strip_ergodic(scn, p1s, rho=rho1))
+    howard.clear()
+    cold = strip_ergodic(scn, p1s, rho=rho2)
+    assert walked < howard[0]
+    for r, c in zip(walk, cold):
+        warm = r.estimates[1]
+        assert warm.truncation == c.truncation == rho2 and warm.converged and c.converged
+        assert warm.constant == pytest.approx(c.constant, abs=5e-4)
+        assert warm.continuation_constant == pytest.approx(c.continuation_constant, abs=5e-4)
 
 
 def test_torus_family_equals_lone_cells_bit_for_bit():
