@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -77,8 +79,13 @@ def test_unbound_variable_raises_at_eval():
         e(y1=1.0)
 
 
+# Python-only syntax that the language keeps rejecting
+PYTHON_ONLY = ["2**3", "1//2", "1 % 2", "y1.real", "(1, 2)", "1_0", "0x1", "1j", "True", "sin(1,)", "{ a1 }", "1 # c",
+               "y1 if x1 else y2", "not y1", "1and 2"]
+
+
 def test_syntax_errors_carry_offset():
-    for src in ["1 +", "(1", "sin()", "sin(1, 2)", "1 2", "foo(1)", "@", ""]:
+    for src in ["1 +", "(1", "sin()", "sin(1, 2)", "1 2", "foo(1)", "@", "", *PYTHON_ONLY]:
         with pytest.raises(ExpressionError) as exc:
             parse_expression(src)()
         assert exc.value.offset >= 0
@@ -101,3 +108,39 @@ def test_malformed_control_rejected_at_its_offset(src, offset):
     with pytest.raises(ExpressionError) as exc:
         parse_expression(src)
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "src, value", [("\n 1 +\t.5e1", 6.0), ("1.e1", 10.0), ("2^-1", 0.5), ("--y1", 3.0), ("007 + 01.5", 8.5)]
+)
+def test_whitespace_literals_and_stacked_signs_accepted(src, value):
+    assert parse_expression(src)(y1=3.0) == value
+
+
+TOKENS = ["1", "2.5", ".5", "1e3", "01", "x1", "y2", "{a1}", "{a2}", "+", "-", "*", "/", "^", "(", ")", ",", "sin",
+          "max", "smoothstep", " ", "\n", "**", "//", "%", ".", "_", "j", "e", "0x1", "True", "and", "or", "not", "if",
+          "else", "in", "lambda", ":", "[", "]", "=", "#", "'", "...", "a1", "{", "}", "{a3}", "q", "yield", ";", "\\"]
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_only_expression_errors_leave_the_parser(action):
+    # Python's own parser warns on some inputs ("1and 2"); neither a warning
+    # nor another exception may escape, whatever the warning filter.
+    rng = random.Random(25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        for _ in range(4000):
+            src = "".join(rng.choice(TOKENS) for _ in range(rng.randint(0, 8)))
+            try:
+                parse_expression(src)
+            except ExpressionError as exc:
+                assert 0 <= exc.offset <= len(src)
+    assert not caught
+
+
+def test_deep_nesting_is_an_expression_error():
+    # Python's parser caps parentheses at 200 levels and its recursion below that
+    assert parse_expression("(" * 200 + "1" + ")" * 200)() == 1.0
+    for src in ["(" * 201 + "1" + ")" * 201, "-" * 5000 + "1", "1+" * 5000 + "1"]:
+        with pytest.raises(ExpressionError):
+            parse_expression(src)
