@@ -255,6 +255,11 @@ def test_one_truncation_flags_the_origin_datum():
     tab = tabulate_effective(one_R, tol=1e-4, p1_grid=[0.0])
     assert tab.flags == {"E": "truncation schedule exhausted"}
     assert len(tab.E_history) == 1 and tab.E == tab.E_history[0][1]
+    # one strip width: every tangential entry is flagged, though each solve passes
+    one_rho = scn.with_schedules(rho_list=scn.schedules.rho_list[:1])
+    tab = tabulate_effective(one_rho, tol=1e-4, p1_grid=[0.0, 0.5])
+    assert tab.flags == {f"h1t/main/{i}": "truncation schedule exhausted" for i in range(2)}
+    assert tab.method_gaps["main"].max() <= 2e-4
 
 
 def test_unconverged_torus_cell_flags_its_hbar_entry(monkeypatch):

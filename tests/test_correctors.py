@@ -629,6 +629,30 @@ def test_vertical_root_polish_notes_a_stall():
     assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]
 
 
+def test_vertical_root_polish_takes_secant_steps_to_the_solved_root():
+    # solved constants rise three times as fast as the table's slope says, so
+    # only the secant update reaches their root at 0.2 (the table slope alone
+    # oscillates away from it)
+    p_grid = np.linspace(-1.0, 1.0, 9)
+    zeros = np.zeros(3)
+    tables = EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=np.linspace(-1.0, 1.0, 3), h1t={"main": zeros}, pi_lower={"main": zeros},
+        pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
+        p_grid=p_grid, hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5, flags={},
+    )
+    asked = []
+
+    def plane_estimate(p):
+        asked.append(p)
+        return SimpleNamespace(constant=3.0 * (p[1] - 0.2))
+
+    notes = []
+    stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
+    q = _polish_vertical_root(load_preset("checkerboard"), tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    assert abs(q - 0.2) <= 2 * stub.tol and notes == []
+    assert len(asked) == 3
+
+
 def test_blocked_one_step_reading_equals_the_one_shot_reading_bit_for_bit():
     # 17 controls: more nodes than one block of _BLOCK points holds
     grid = GridSpec.box(2.0, 1 / 16)
