@@ -646,8 +646,10 @@ def ergodic_continuation(
     ``u0`` (one row per cell; zero when omitted), each later one from the
     last (shifted by the estimated rate times the change of ``1/lambda``),
     records ``(lambda, anchor value)`` pairs, and Richardson-extrapolates
-    ``lambda * anchor`` to ``lambda = 0``; stops when two successive
-    extrapolations agree within ``0.5 * tol`` (unconverged after 60 stages
+    ``lambda * anchor`` to ``lambda = 0``; stops when three successive
+    extrapolations agree, both of their differences within ``0.5 * tol``, so
+    that one chance agreement on a plateau does not end the walk (unconverged
+    after 60 stages
     or once the discount falls below 1e-7).  Inner solves run to residual
     ``0.1 * tol * delta`` so their contribution to the rate error stays below
     ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
@@ -706,7 +708,7 @@ def ergodic_continuation(
                 c_prev = l_prev * a_prev
                 ext = extrapolations[c]
                 ext.append((l_prev * rates[c][-1] - lam * c_prev) / (l_prev - lam))
-                if len(ext) >= 2 and abs(ext[-1] - ext[-2]) <= 0.5 * tol:
+                if len(ext) >= 3 and max(abs(ext[-1] - ext[-2]), abs(ext[-2] - ext[-3])) <= 0.5 * tol:
                     converged[c] = infos[j].converged
                     done[j] = True
                     settle(c)
