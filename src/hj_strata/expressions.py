@@ -155,7 +155,8 @@ def parse_expression(source: str) -> ScalarExpr:
             variables.add(node.elts[0].id)
         elif kind is ast.Constant and _DECIMAL.fullmatch(segment):
             node.value = float(segment)
-        elif kind is ast.Call and type(node.func) is ast.Name and node.func.col_offset == node.col_offset and not node.keywords:
+        elif (kind is ast.Call and type(node.func) is ast.Name and not node.keywords
+              and node.func.col_offset == node.col_offset):  # not '(sin)(1)'
             name, arity = node.func.id, FUNCTIONS.get(node.func.id, (None,))[0]
             if arity is None:
                 fail(f"unknown name {name!r}", node)
