@@ -649,10 +649,10 @@ def ergodic_continuation(
     ``lambda * anchor`` to ``lambda = 0``; stops when three successive
     extrapolations agree, both of their differences within ``0.5 * tol``, so
     that one chance agreement on a plateau does not end the walk (unconverged
-    after 60 stages
-    or once the discount falls below 1e-7).  Inner solves run to residual
-    ``0.1 * tol * delta`` so their contribution to the rate error stays below
-    ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
+    after 60 stages or once the discount falls below 1e-7).  Inner solves run
+    to residual ``0.1 * tol * delta`` so their contribution to the rate error
+    stays below ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in
+    ``solves``.
 
     A good ``u0`` is the Laurent expansion ``u_lambda = rate / lambda + h +
     O(lambda)`` (Puterman 1994, section 8.2) at ``lambda0``: a corrector

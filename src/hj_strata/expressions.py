@@ -74,7 +74,7 @@ _BAD_TOKEN = re.compile(r"\*\*|,\s*\)")
 class ExpressionError(ValueError):
     """Syntax or validity error in an expression source string.
 
-    ``offset`` is the byte offset of the offending token in the source.
+    ``offset`` is the index of the offending token in the source string.
     """
 
     def __init__(self, message: str, source: str, offset: int):
@@ -120,7 +120,7 @@ class ScalarExpr:
 def parse_expression(source: str) -> ScalarExpr:
     """Parse ``source`` into a :class:`ScalarExpr`.
 
-    Raises :class:`ExpressionError` carrying the byte offset of the first
+    Raises :class:`ExpressionError` carrying the index of the first
     offending token on malformed input.
     """
     if m := _BAD_CHARACTER.search(source):

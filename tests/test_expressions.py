@@ -139,7 +139,7 @@ def test_only_expression_errors_leave_the_parser(action):
 
 
 def test_deep_nesting_is_an_expression_error():
-    # Python's parser caps parentheses at 200 levels and its recursion below that
+    # past the limits of Python's parser (200 parentheses, its recursion depth)
     assert parse_expression("(" * 200 + "1" + ")" * 200)() == 1.0
     for src in ["(" * 201 + "1" + ")" * 201, "-" * 5000 + "1", "1+" * 5000 + "1"]:
         with pytest.raises(ExpressionError):
