@@ -30,7 +30,10 @@ Three solvers share the operator:
   discount vanishes.  Howard's algorithm is a semismooth Newton method, so
   each policy evaluation is a Newton linear solve, and it is solved inexactly
   (Dembo, Eisenstat & Steihaug): only as far as the current Bellman residual
-  warrants, matrix-free, to ``tol / 2`` once the policy settles.
+  warrants, matrix-free, to ``tol / 2`` once the policy settles.  A solve
+  may start from a policy as well as a value: its first step is then that
+  policy's evaluation at ``tol / 2``.  Each solve returns its cells' final
+  greedy policies.
 * :func:`solve_ergodic_relative` — relative value iteration at zero discount
   with policy steps (modified policy iteration): between two full
   applications the iterate takes one step of the last greedy policy's
@@ -42,7 +45,10 @@ Three solvers share the operator:
   full applications.
 * :func:`ergodic_continuation` — small-discount limit ``discount -> 0`` with
   warm starts and Richardson extrapolation of the anchor value; an independent
-  estimate of the same average cost, used as a cross-check.
+  estimate of the same average cost, used as a cross-check.  Each stage
+  starts from the last stage's field and optimal policy, and every stage
+  stops on its own Bellman residual, so the starts move the Howard
+  iterations and never the certificate.
 """
 
 from __future__ import annotations
@@ -72,11 +78,14 @@ __all__ = [
 
 
 # BiCGSTAB steps before a policy evaluation falls back to sparse LU.  Warm
-# started from the previous iterate and stopped at the forcing tolerance, one
-# evaluation in the benchmark's four pipelines (seeds 0 and 11) takes at most
-# 128 steps (on case3_mirror's 7,200-node strip correctors; 124 on its
-# 50,625-node ball, 83 on strip_attract's 25,921-node corrector ball), and
-# none falls back.
+# started from the previous iterate and stopped at the forcing tolerance or
+# at tol / 2, one evaluation in the benchmark's four pipelines (seeds 0 and
+# 11) takes at most 300 steps: the tight first evaluation of the carried
+# policy at the second continuation stage of case3_mirror's 7,200-node strip
+# correctors (262 at seed 11).  Its 50,625-node ball takes at most 139,
+# strip_attract's 25,921-node corrector ball 112 and every table cell 39;
+# none falls back.  At seed 33 one such evaluation on those strips breaks
+# down after 200 steps and falls back, so a larger budget would not help.
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
 # thresholds for the rest of the process, so the heap stops shrinking.  The
@@ -388,6 +397,9 @@ class SolveInfo:
     stop: str                 # "residual" or "max_iter"
     krylov_iterations: int    # BiCGSTAB iterations over all policy evaluations
     lu_fallbacks: int         # evaluations handed to sparse LU
+    # greedy control per node of the returned field's application, in the
+    # smallest unsigned type that holds the operator's control indices
+    policy: np.ndarray = field(repr=False, compare=False)
 
 
 def _fields(grid: GridSpec, values: np.ndarray) -> tuple[ValueField, ...]:
@@ -402,6 +414,7 @@ def solve_discounted(
     tol: float = 1e-9,
     max_iter: int = 200_000,
     u0: np.ndarray | None = None,
+    policy0: np.ndarray | None = None,
 ):
     """Fixed point of the discounted operator to residual ``tol`` (sup norm).
 
@@ -421,6 +434,18 @@ def solve_discounted(
     tol``.  Returns the iterate with the smallest residual and
     ``converged=False`` when ``max_iter`` applications are exhausted.
 
+    ``u0`` (one row per cell; zero when omitted) starts the iterate.
+    ``policy0`` (one row of admissible controls per cell) starts Howard from
+    a policy: the first step is then that policy's evaluation at ``tol / 2``
+    from ``u0``, in place of the first greedy application and its loose
+    solve, and the policy counts as solved tight, so when it is still greedy
+    at its value the next step keeps ``T u``.  Started from its own optimal
+    policy near its value, a solve takes one evaluation and one application.
+    Like ``u0``, ``policy0`` moves where Howard starts, never the stopping
+    rule or the certificate.  Each info's ``policy`` is the cell's greedy
+    policy at the returned field's application, ready to start a nearby
+    problem.
+
     Every cell of a family takes these steps on its own, in lockstep with the
     others.  Returns ``(fields, infos)``: a tuple of fields and a
     :class:`Family` of infos, one per cell.
@@ -431,19 +456,28 @@ def solve_discounted(
     u = np.zeros((k, n)) if u0 is None else np.array(u0, dtype=float).reshape(k, n)
     forcing = problem.discount * op.delta  # 1 - gamma
     tight = 0.5 * tol
+    compact = np.min_scalar_type(op.idx.shape[0] - 1)   # the policies' stored type
     policy = np.zeros((k, n), dtype=np.intp)
     solved = np.zeros(k, dtype=bool)   # a policy has been evaluated
     loose = np.zeros(k, dtype=bool)    # ... and only to the forcing tolerance
-    best, best_u = np.full(k, math.inf), u.copy()
     evaluations, krylov, fallbacks = np.zeros((3, k), dtype=int)
+    if policy0 is not None:
+        policy[:] = np.reshape(policy0, (k, n))
+        u, steps, fell_back = op.policy_value(policy, problem.discount, guess=u, atol=tight)
+        evaluations += 1
+        krylov += steps
+        fallbacks += fell_back
+        solved[:] = True
+    best, best_u, best_policy = np.full(k, math.inf), u.copy(), policy.copy()
     values = np.empty((k, n))
     infos: list[SolveInfo | None] = [None] * k
 
-    def settle(c: int, tu: np.ndarray, residual: float, converged: bool) -> None:
+    def settle(c: int, tu: np.ndarray, greedy: np.ndarray, residual: float, converged: bool) -> None:
         values[c] = tu
         infos[c] = SolveInfo(
             it, float(residual), converged, int(evaluations[c]),
             "residual" if converged else "max_iter", int(krylov[c]), int(fallbacks[c]),
+            greedy.astype(compact),
         )
 
     def cells(subset: np.ndarray) -> SLOperator:
@@ -462,10 +496,11 @@ def solve_discounted(
         residual = np.max(np.abs(step), axis=1)
         done = residual <= tol
         for j in np.flatnonzero(done):
-            settle(rows[j], tu[j], residual[j], True)
+            settle(rows[j], tu[j], greedy[j], residual[j], True)
         better = ~done & (residual < best[rows])
         best[rows[better]] = residual[better]
         best_u[rows[better]] = tu[better]
+        best_policy[rows[better]] = greedy[better]
         repeated = solved[rows] & (greedy == policy[rows]).all(axis=1)
         evaluate = ~done & ~(repeated & ~loose[rows])
         if evaluate.any():
@@ -485,7 +520,7 @@ def solve_discounted(
             fallbacks[sub] += fell_back
         rows, u = _rows(~done, rows, tu)
     for c in rows:
-        settle(c, best_u[c], best[c], False)
+        settle(c, best_u[c], best_policy[c], best[c], False)
     return _fields(grid, values), Family(infos)
 
 
@@ -630,6 +665,11 @@ class ContinuationResult:
     stages: int
     solves: tuple[SolveInfo, ...] = field(repr=False, default=())  # one per stage
 
+    @property
+    def policy(self) -> np.ndarray:
+        """The first stage's final greedy policy."""
+        return self.solves[0].policy
+
 
 def ergodic_continuation(
     operator: SLOperator,
@@ -639,28 +679,39 @@ def ergodic_continuation(
     tol: float,
     max_iter: int = 400_000,
     u0: np.ndarray | None = None,
+    policy0: np.ndarray | None = None,
 ):
     """Vanishing-discount estimate of the average cost.
 
     Runs discounted solves along ``lambda0 * factor**k``, the first from
-    ``u0`` (one row per cell; zero when omitted), each later one from the
-    last (shifted by the estimated rate times the change of ``1/lambda``),
-    records ``(lambda, anchor value)`` pairs, and Richardson-extrapolates
-    ``lambda * anchor`` to ``lambda = 0``; stops when three successive
-    extrapolations agree, both of their differences within ``0.5 * tol``, so
-    that one chance agreement on a plateau does not end the walk (unconverged
-    after 60 stages or once the discount falls below 1e-7).  Inner solves run
-    to residual ``0.1 * tol * delta`` so their contribution to the rate error
+    ``u0`` (one row per cell; zero when omitted) and ``policy0`` (one row of
+    admissible controls per cell; a greedy start when omitted), each later
+    one from the last stage's field (shifted by the estimated rate times the
+    change of ``1/lambda``) and its final greedy policy, records ``(lambda,
+    anchor value)`` pairs, and Richardson-extrapolates ``lambda * anchor``
+    to ``lambda = 0``; stops when three successive extrapolations agree,
+    both of their differences within ``0.5 * tol``, so that one chance
+    agreement on a plateau does not end the walk (unconverged after 60
+    stages or once the discount falls below 1e-7).  Inner solves run to
+    residual ``0.1 * tol * delta`` so their contribution to the rate error
     stays below ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in
     ``solves``.
 
     A good ``u0`` is the Laurent expansion ``u_lambda = rate / lambda + h +
     O(lambda)`` (Puterman 1994, section 8.2) at ``lambda0``: a corrector
-    ``h`` plus its rate over ``lambda0``.  The start moves the first stage's
-    Howard iterations, not the certificate: each stage stops on its own
-    residual ``max |T u - u| <= 0.1 * tol * delta``, which reads ``T u``
-    alone, and the extrapolation reads only the anchor values of those
-    certified fields, so the rate error bound holds from every start.
+    ``h`` plus its rate over ``lambda0``.  A good ``policy0`` is one that was
+    optimal on a nearby problem at ``lambda0``, such as the first-stage
+    policy of a smaller truncation.  Howard is a Newton method on policies,
+    and the small change of discount between stages mostly keeps the last
+    stage's optimal policy optimal, so a stage started from it takes one
+    evaluation and one application when it still is: over the benchmark's
+    pipelines at seed 0 such stages average 1.7-3.2 applications, against
+    3.7-4.8 from a greedy start.  The starts move the Howard iterations, not
+    the certificate: each stage stops on its own residual ``max |T u - u| <=
+    0.1 * tol * delta``, which reads ``T u`` alone, and the extrapolation
+    reads only the anchor values of those certified fields, so the rate
+    error bound holds from every start.  Each result's ``policy`` is the
+    cell's first-stage policy, which starts the next truncation of a walk.
 
     The cells of a family share the discount schedule: each stage is one
     family solve of the cells whose extrapolations still disagree.  Returns a
@@ -671,7 +722,7 @@ def ergodic_continuation(
     anchor = family.grid.anchor_index()
     inner_tol = 0.1 * tol * family.delta
     lam = lambda0
-    u = u0
+    u, policy = u0, policy0
     history: list[list[tuple[float, float]]] = [[] for _ in range(k)]
     extrapolations: list[list[float]] = [[] for _ in range(k)]
     rates: list[list[float]] = [[] for _ in range(k)]
@@ -692,10 +743,11 @@ def ergodic_continuation(
 
     while rows.size and stage < _MAX_STAGES and lam >= _LAMBDA_FLOOR:
         fields, infos = solve_discounted(
-            DiscountedProblem(family, lam), tol=inner_tol, max_iter=max_iter, u0=u
+            DiscountedProblem(family, lam), tol=inner_tol, max_iter=max_iter, u0=u, policy0=policy
         )
         stage += 1
         u = np.stack([f.flat() for f in fields])
+        policy = np.stack([info.policy for info in infos])
         done = np.zeros(len(rows), dtype=bool)
         for j, c in enumerate(rows):
             solves[c].append(infos[j])
@@ -717,7 +769,7 @@ def ergodic_continuation(
         u = u + c_est[:, None] * (1.0 / next_lam - 1.0 / lam)
         lam = next_lam
         if done.any():
-            rows, u = _rows(~done, rows, u)
+            rows, u, policy = _rows(~done, rows, u, policy)
             if rows.size:
                 family = family.family(~done)
     for c in rows:

@@ -4,9 +4,10 @@ Conventions.  Every ergodic solve reports the *constant* in the Hamiltonian
 normalization: it equals minus the optimal long-run average cost of the
 underlying control problem.  The tangential constant of a strip problem with
 momentum shift ``p1`` uses the shifted running cost ``l + p1 * f1`` (an exact
-reformulation, not a discretization), so the resulting table is a pointwise
-minimum of affine functions of ``p1`` up to solver tolerance — in particular
-convex.
+reformulation, not a discretization).  The optimal average cost is then a
+pointwise minimum over policies of affine functions of ``p1``, hence
+concave, and the table, minus that cost, is a pointwise maximum of affine
+functions of ``p1`` up to solver tolerance — in particular convex.
 
 Each constant is computed twice: by a vanishing-discount continuation
 (Richardson-extrapolated anchor values) and by relative value iteration (the
@@ -26,7 +27,9 @@ Truncation families: strips grow in the half-height ``rho``, the compact-core
 constant ``E`` comes from boxes ``[-R, R]^2`` (an exhausting family with the
 same monotone limit as discs), both with state constraints at the cut
 boundaries.  A walk along a truncation schedule starts each solve after the
-first from the cell's estimate at the truncation before.
+first from the cell's estimate at the truncation before: its corrector, and
+at ``delta > cell_h`` also the optimal policy of its continuation's first
+stage, both read node by node on the larger grid.
 
 Cell families: the cells of one table that share a grid and a drift differ
 only in the cost shift ``p . f`` (the strips of one branch at one ``rho``,
@@ -125,6 +128,8 @@ class ErgodicEstimate:
     residual: float
     iterations: int
     delta: float
+    # the continuation's first-stage policy on the corrector's grid
+    policy: np.ndarray | None = field(repr=False, compare=False, default=None)
 
 
 def _solve_cells(
@@ -146,16 +151,20 @@ def _solve_cells(
     The order of the two methods follows the time step.  At ``delta <=
     cell_h`` relative VI runs first (cold, or from the previous corrector)
     and the continuation starts at VI's Laurent point ``h + rate / lambda0``.
-    At larger steps the continuation runs first (from the previous
-    corrector's Laurent point, or cold) and relative VI starts from its
-    last discounted field.  A start moves the iteration counts, and the
-    constants only within ``tol``: both certificates hold from every start."""
+    At larger steps the continuation runs first and relative VI starts from
+    its last discounted field.  The continuation starts cold at a walk's
+    first truncation; at a later one it starts from the previous
+    corrector's Laurent point and from the previous estimate's first-stage
+    policy, read on the new grid by :func:`_read_policy`.  A start moves the
+    iteration counts, and the constants only within ``tol``: both
+    certificates hold from every start."""
     sched = scn.schedules
     tol = sched.tol_ergodic
 
-    def continuation(family: SLOperator, u0: np.ndarray | None) -> Family:
+    def continuation(family: SLOperator, u0: np.ndarray | None, policy0: np.ndarray | None) -> Family:
         return ergodic_continuation(
-            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER, u0=u0
+            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER,
+            u0=u0, policy0=policy0,
         )
 
     def laurent(fields: np.ndarray, rates) -> np.ndarray:
@@ -181,10 +190,13 @@ def _solve_cells(
         if family.delta <= sched.cell_h:
             vis = solve_ergodic_relative(family, tol=tol, max_iter=_MAX_ITER, u0=prior)
             fields = np.stack([vi.field.flat() for vi in vis])
-            conts = continuation(family, laurent(fields, [vi.rate for vi in vis]))
+            conts = continuation(family, laurent(fields, [vi.rate for vi in vis]), None)
         else:
-            u0 = None if last is None else laurent(prior, [-e.constant for e in last])
-            conts = continuation(family, u0)
+            u0 = policy0 = None
+            if last is not None:
+                u0 = laurent(prior, [-e.constant for e in last])
+                policy0 = _read_policy(family, last[0].corrector.grid, np.stack([e.policy for e in last]))
+            conts = continuation(family, u0, policy0)
             vis = solve_ergodic_relative(
                 family, tol=tol, max_iter=_MAX_ITER, u0=np.stack([c.field.flat() for c in conts])
             )
@@ -205,8 +217,21 @@ def _solve_cells(
                 residual=vi.residual,
                 iterations=vi.iterations,
                 delta=family.delta,
+                policy=cont.policy,
             ))
     return tuple(out)
+
+
+def _read_policy(op: SLOperator, grid: GridSpec, policies: np.ndarray) -> np.ndarray:
+    """The policies ``policies`` (one row per cell of ``op``, on ``grid``)
+    read on ``op``'s grid: each node takes the control of the nearest node
+    of ``grid`` (:meth:`GridSpec.index_of`: periodic axes wrap, constrained
+    axes clamp), or, where that control is inadmissible on ``op``, the
+    cell's cheapest admissible control at the node.  Returns one row per
+    cell."""
+    read = np.asarray(policies, dtype=np.intp)[:, grid.index_of(op.grid.nodes())]
+    step = np.take_along_axis(op.base, read.T[None], axis=0)[0]   # (N, cells)
+    return np.where(np.isinf(step), np.argmin(op.base, axis=0), read.T).T
 
 
 def _shifted_operator(scn: Scenario, block: FieldPair, grid: GridSpec, p) -> SLOperator:

@@ -105,19 +105,19 @@ class GridSpec:
         j = int(np.argmin(np.abs(self.coords2())))
         return self.flat_index(i, j)
 
-    def index_of(self, point: tuple[float, float]) -> int:
-        """Flat index of the node nearest ``point``."""
-        t1 = (point[0] - self.origin[0]) / self.h1
-        t2 = (point[1] - self.origin[1]) / self.h2
-        if self.periodic1:
-            i = int(round(t1)) % self.n1
-        else:
-            i = min(max(int(round(t1)), 0), self.n1 - 1)
-        if self.periodic2:
-            j = int(round(t2)) % self.n2
-        else:
-            j = min(max(int(round(t2)), 0), self.n2 - 1)
-        return self.flat_index(i, j)
+    def index_of(self, points) -> int | np.ndarray:
+        """Flat index of the node nearest each point: an ``int`` for one
+        point of shape (2,), an array for points of shape (..., 2).
+        Periodic axes wrap; constrained axes clamp to the edge node."""
+        pts = np.asarray(points, dtype=float)
+        near = []
+        for axis, (n, h, periodic) in enumerate(
+            ((self.n1, self.h1, self.periodic1), (self.n2, self.h2, self.periodic2))
+        ):
+            k = np.rint((pts[..., axis] - self.origin[axis]) / h).astype(np.int64)
+            near.append(k % n if periodic else np.clip(k, 0, n - 1))
+        flat = near[0] * self.n2 + near[1]
+        return int(flat) if flat.ndim == 0 else flat
 
     def interp_weights(self, points: np.ndarray, *, clip: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Bilinear stencil of each point: flat corner indices (n, 4), weights (n, 4).

@@ -278,6 +278,42 @@ def test_matrix_free_policy_value_solves_the_assembled_system(kind):
         assert np.max(np.abs(value - reference)) <= atol / (1.0 - gamma)
 
 
+@pytest.mark.parametrize("kind", ["strip", "ball"])
+def test_policy_start_from_any_admissible_policy_converges(kind):
+    # the start moves Howard's path, not the certificate: from a random
+    # admissible policy every solve stops on its residual, and its field lies
+    # within tol / (discount * delta) of the solve started greedy
+    if kind == "strip":
+        op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
+    else:  # state-constrained on both axes
+        op = ball_operator(load_preset("strip_attract").with_schedules(cell_h=1 / 16), 1.5)
+    tol = 1e-9
+    for seed, discount in enumerate((0.5, 0.05, 0.005)):
+        problem = DiscountedProblem(op, discount)
+        (greedy,), _ = solve_discounted(problem, tol=tol)
+        policy0 = _random_policy(op, seed)
+        start = policy0.copy()
+        (field,), (info,) = solve_discounted(problem, tol=tol, policy0=policy0)
+        assert info.converged and info.residual <= tol
+        assert np.max(np.abs(field.flat() - greedy.flat())) <= tol / (discount * op.delta)
+        assert np.array_equal(start, policy0)  # the caller's start is not modified
+
+
+def test_policy_start_from_its_own_optimal_policy_takes_one_step():
+    # Howard's first step evaluates the policy at tol / 2, and the optimal
+    # policy's value is the fixed point: one application certifies it
+    op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
+    for discount in (0.5, 0.005):
+        problem = DiscountedProblem(op, discount)
+        (field,), (info,) = solve_discounted(problem, tol=1e-9)
+        assert info.converged and info.iterations > 1
+        assert info.policy.dtype == np.uint8 and info.policy.shape == (op.grid.size,)
+        for u0 in (None, field.flat()):
+            (again,), (warm,) = solve_discounted(problem, tol=1e-9, u0=u0, policy0=info.policy)
+            assert warm.converged and (warm.iterations, warm.policy_evaluations) == (1, 1)
+            assert np.max(np.abs(again.flat() - field.flat())) <= 1e-9 / (discount * op.delta)
+
+
 def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
     # the first policy evaluation is cut short and returns its start, so the
     # next greedy step sees the same iterate and repeats the loosely solved
@@ -672,12 +708,23 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
         assert all(len(f) == 1 and isinstance(i, Family) and len(i) == 1 for f, i in alone)
         for field, info, ((field_1,), (info_1,)) in zip(fields, infos, alone):
             assert field.values.tobytes() == field_1.values.tobytes()
-            assert info == info_1
+            assert info == info_1 and info.policy.tobytes() == info_1.policy.tobytes()
         assert infos.iterations == sum(info.iterations for _, info in alone)
     # with two applications only the flat cell converges, on its LU solve
     assert [(i.converged, i.lu_fallbacks) for i in infos] == [(False, 0), (True, 1), (False, 0)]
+    # a policy start, one row per cell, keeps the cells apart as well
+    policy0 = np.stack([i.policy for i in infos])
+    fields, infos = solve_discounted(DiscountedProblem(family, 0.25), tol=1e-9, policy0=policy0)
+    for op, start, field, info in zip(lone, policy0, fields, infos):
+        (field_1,), (info_1,) = solve_discounted(DiscountedProblem(op, 0.25), tol=1e-9, policy0=start)
+        assert field.values.tobytes() == field_1.values.tobytes()
+        assert info == info_1 and info.policy.tobytes() == info_1.policy.tobytes()
     batch = ergodic_continuation(family, lambda0=0.5, factor=0.5, tol=1e-6)
-    _assert_same_results(batch, [ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-6) for op in lone])
+    lone_batches = [ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-6) for op in lone]
+    _assert_same_results(batch, lone_batches)
+    for a, (b,) in zip(batch, lone_batches):
+        assert a.policy.tobytes() == b.policy.tobytes()
+        assert [i.policy.tobytes() for i in a.solves] == [i.policy.tobytes() for i in b.solves]
     assert len({r.stages for r in batch}) > 1  # the cells leave the family at different stages
     assert batch.stages == sum(r.stages for r in batch)
 

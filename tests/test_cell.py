@@ -393,6 +393,7 @@ def _same_estimates(family, lone):
     assert len(family) == len(lone)
     for a, b in zip(family, lone):
         assert a.corrector.values.tobytes() == b.corrector.values.tobytes()
+        assert a.policy.tobytes() == b.policy.tobytes()
         assert dataclasses.replace(a, corrector=None) == dataclasses.replace(b, corrector=None)
 
 
@@ -479,17 +480,22 @@ def test_truncation_walk_starts_each_rho_from_the_last(monkeypatch):
     scn = load_preset("strip_attract").with_schedules(tol_ergodic=5e-4)
     rho1, rho2 = scn.schedules.rho_list[:2]
     p1s = np.array([-0.5, 0.0, 0.25])
-    howard = []
+    howard, first_stage = [], []
     continuation = cell.ergodic_continuation
 
     def counted(*args, **kwargs):
         results = continuation(*args, **kwargs)
         howard.append(sum(info.iterations for r in results for info in r.solves))
+        first_stage.append([r.solves[0].iterations for r in results])
         return results
 
     monkeypatch.setattr(cell, "ergodic_continuation", counted)
     walk = tangential_hamiltonian(scn, p1s)
     walked = howard[1]
+    # the first stage at the second rho starts from each momentum's
+    # first-stage policy at the first: 8-9 applications a cell from the
+    # corrector alone
+    assert first_stage[1] == [4, 1, 1]
     _same_estimates([r.estimates[0] for r in walk], strip_ergodic(scn, p1s, rho=rho1))
     howard.clear()
     cold = strip_ergodic(scn, p1s, rho=rho2)
@@ -499,6 +505,73 @@ def test_truncation_walk_starts_each_rho_from_the_last(monkeypatch):
         assert warm.truncation == c.truncation == rho2 and warm.converged and c.converged
         assert warm.constant == pytest.approx(c.constant, abs=5e-4)
         assert warm.continuation_constant == pytest.approx(c.continuation_constant, abs=5e-4)
+
+
+# A cheap lane along the strip's edges at |y2| >= 1, and beyond it a drift
+# that pushes outward: on the rho = 1 strip the lane's optimal controls run
+# along the edge, and read on the outer rows of the rho = 2 strip they leave it.
+_OUTWARD_PUSH = {
+    "case": "case1",
+    "alpha": 1.0,
+    "R0": 0.5,
+    "controls": {"directions": 8, "speed": 1.0, "include_zero": True},
+    "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+    "strip_defect": {
+        "period": 1.0,
+        "drift": ["{a1}", "{a2} + 0.6*smoothstep(1, 2, y2) - 0.6*smoothstep(-1, -2, y2)"],
+        "cost": "1 - 0.8*smoothstep(0.75, 1, abs(y2))",
+    },
+    "schedules": {"cell_h": 0.125, "rho_list": [1.0, 2.0], "R_list": [1.0, 2.0]},
+}
+
+
+@pytest.mark.parametrize("kind", ["strip", "box"])
+def test_first_stage_policy_read_on_a_larger_grid(kind):
+    # each node takes the control of the nearest node of the smaller grid;
+    # every read control is admissible, and only on the new outer rows may
+    # the cell's cheapest admissible control replace one that is not
+    from hj_strata import cell
+
+    scn = parse_scenario(_OUTWARD_PUSH, label="outward_push").with_schedules(tol_ergodic=1e-3)
+    p1s = np.array([-0.5, 0.25])
+    if kind == "strip":
+        old, op = strip_ergodic(scn, p1s, rho=1.0), strip_operator(scn, p1s, rho=2.0)
+    else:
+        old, op = ball_ergodic(scn, 1.0), ball_operator(scn, 2.0)
+    grid = old[0].corrector.grid
+    policies = np.stack([e.policy for e in old])
+    read = cell._read_policy(op, grid, policies)
+    nodes = op.grid.nodes()
+    raw = policies[:, grid.index_of(nodes)]
+    outer = np.max(np.abs(nodes[:, 1:] if kind == "strip" else nodes), axis=1) > 1.0 + 1e-9
+    every = np.arange(op.grid.size)
+    for c in range(op.cells):
+        assert np.all(np.isfinite(op.base[read[c], every, c]))
+        moved = read[c] != raw[c]
+        assert not moved[~outer].any()
+        assert np.array_equal(read[c, moved], np.argmin(op.base[:, moved, c], axis=0))
+        if kind == "strip":  # the lane's edge controls leave the taller strip
+            assert moved.any() and not np.all(np.isfinite(op.base[raw[c], every, c]))
+    if kind == "strip":  # and the walk's second strip starts from the read policy
+        walk = tangential_hamiltonian(scn, p1s)
+        assert all(len(r.estimates) == 2 and all(e.converged for e in r.estimates) for r in walk)
+
+
+def test_policy_read_wraps_the_periodic_axis():
+    # a policy on a strip of period 1 read on one of period 2: the second
+    # period repeats the first
+    from hj_strata import cell
+    from hj_strata.bellman import SLOperator
+    from hj_strata.grids import GridSpec
+
+    h = 0.125
+    small, large = GridSpec.strip(1.0, 1.0, h), GridSpec.strip(2.0, 1.0, h)
+    a = np.asarray(load_preset("eikonal").controls)
+    drift = np.broadcast_to(a[:, None, :], (len(a), large.size, 2))
+    op = SLOperator(large, drift, np.ones((len(a), large.size)), math.sqrt(h))
+    policies = np.random.default_rng(5).integers(0, len(a), size=(1, small.size))
+    read = cell._read_policy(op, small, policies).reshape(large.n1, large.n2)
+    assert np.array_equal(read[small.n1:], read[:small.n1])
 
 
 def test_torus_family_equals_lone_cells_bit_for_bit():

@@ -45,6 +45,13 @@ def test_index_of_matches_nodes():
     rng = np.random.default_rng(3)
     for k in rng.integers(0, g.size, 25):
         assert g.index_of(tuple(pts[k])) == k
+    # an array of points gives one index each; constrained axes clamp and
+    # periodic axes wrap
+    assert np.array_equal(g.index_of(pts), np.arange(g.size))
+    assert g.index_of((3.0, -3.0)) == g.index_of((1.0, -1.0))
+    s = GridSpec.strip(1.0, 1.0, 0.25)
+    wrapped = s.index_of([(2.25, 0.5), (-0.75, 9.0)])
+    assert wrapped.tolist() == [s.index_of((0.25, 0.5)), s.index_of((0.25, 1.0))]
 
 
 def test_interp_exact_on_affine():
