@@ -140,6 +140,19 @@ def parse_expression(source: str) -> ScalarExpr:
     def fail(message: str, node: ast.expr):
         raise ExpressionError(message, source, where[node.col_offset])
 
+    def operator(node: ast.expr) -> int:
+        # An infix node starts with its leftmost operand, perhaps behind
+        # parentheses; its operator is the first token after that operand
+        # and the operand's closing parentheses.  Any other node is reported
+        # where it starts.
+        operands = [c for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)]
+        if operands:
+            first = min(operands, key=lambda c: c.col_offset)
+            if not text[node.col_offset:first.col_offset].strip(" ("):
+                rest = text[first.end_col_offset:]
+                return first.end_col_offset + len(rest) - len(rest.lstrip(" )"))
+        return node.col_offset
+
     def check(node: ast.expr) -> None:
         kind, segment = type(node), source[where[node.col_offset] : where[node.end_col_offset]]
         if kind is ast.BinOp and type(node.op) in _OPERATORS:
@@ -165,7 +178,7 @@ def parse_expression(source: str) -> ScalarExpr:
             for arg in node.args:
                 check(arg)
         else:
-            fail(f"unsupported syntax {segment!r}", node)
+            raise ExpressionError(f"unsupported syntax {segment!r}", source, where[operator(node)])
 
     try:
         with warnings.catch_warnings():

@@ -89,6 +89,11 @@ def test_syntax_errors_carry_offset():
         with pytest.raises(ExpressionError) as exc:
             parse_expression(src)()
         assert exc.value.offset >= 0
+    # an unsupported infix form is reported at its operator
+    for src, offset in [("1//2", 1), ("y1 if x1 else y2", 3)]:
+        with pytest.raises(ExpressionError, match="unsupported syntax") as exc:
+            parse_expression(src)
+        assert exc.value.offset == offset
 
 
 def test_braced_controls_are_variables():
