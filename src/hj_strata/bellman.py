@@ -9,7 +9,7 @@ axes a control is admissible only when its foot stays inside the grid, and a
 node with no admissible control is a construction error.  The interpolation
 stencils, weights, and step costs are precomputed once per operator.  The
 stencils are the rows of a sparse transition matrix, so an application is
-one sparse product and a min over controls, and a fixed policy's transition
+one stencil product and a min over controls, and a fixed policy's transition
 matrix is a row selection of the same stencils (see :mod:`hj_strata.kernels`).
 
 An operator holds a *family* of cells: cells on one grid with one drift
@@ -85,7 +85,9 @@ __all__ = [
 # correctors (262 at seed 11).  Its 50,625-node ball takes at most 139,
 # strip_attract's 25,921-node corrector ball 112 and every table cell 39;
 # none falls back.  At seed 33 one such evaluation on those strips breaks
-# down after 200 steps and falls back, so a larger budget would not help.
+# down after 200 steps, where a larger budget would not help; BiCGSTAB
+# restarts it once from that iterate, which converges without LU.  Only a
+# cell that breaks down twice or runs out of budget falls back.
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
 # thresholds for the rest of the process, so the heap stops shrinking.  The
@@ -143,13 +145,13 @@ def _rows(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
     return [a[keep] for a in arrays]
 
 
-def _block_diagonal(idx: np.ndarray, w: np.ndarray) -> sparse.csr_matrix:
-    """One transition matrix for the per-cell stencils ``idx``/``w`` of shape
-    (cells, N, 4): block ``c`` maps row ``c`` of a flattened (cells, N) array,
-    and each of its rows sums its four terms as a lone cell's matrix does."""
+def _block_diagonal(idx: np.ndarray) -> np.ndarray:
+    """Column indices of one block-diagonal transition matrix for the
+    per-cell stencils ``idx`` of shape (cells, N, 4): block ``c`` maps row
+    ``c`` of a flattened (cells, N) array, and each of its rows sums its four
+    terms as a lone cell's matrix does."""
     cells, n = idx.shape[:2]
-    shift = (np.arange(cells, dtype=idx.dtype) * n)[:, None, None]
-    return kernels.stencil_matrix(idx + shift, w, cells * n)
+    return idx + (np.arange(cells, dtype=idx.dtype) * n)[:, None, None]
 
 
 def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
@@ -162,7 +164,10 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
     entry of ``atol``; then it drops out.  Returns ``(x, info)`` with one
     ``info`` per row: 0 on convergence, ``maxiter`` when the budget runs out
     and negative on a breakdown.  ``callback(rows)`` runs after every full
-    iteration with the rows that took it.
+    iteration with the rows that took it.  A caller restarts a broken-down
+    row by calling again from the returned iterate, which draws a fresh
+    shadow residual; :meth:`SLOperator.policy_value` does so once before it
+    falls back to LU (see ``_KRYLOV_MAX_ITER``).
 
     Each inner product is its own :func:`_dot`: the solve's cost is memory
     traffic, and fused reductions or preallocated buffers measured no faster.
@@ -334,8 +339,10 @@ class SLOperator:
         P)^-1||_inf = 1 / (1 - gamma)``, the value is then within ``atol / (1
         - gamma)`` of the policy's exact value in the sup norm.  BiCGSTAB sees
         the cells' systems matrix-free, as one block-diagonal product ``x -
-        gamma * (P @ x)``.  For a cell whose solve breaks down or stalls, its
-        ``I - gamma P`` is assembled for one sparse LU solve, whose factor is
+        gamma * (P @ x)``.  A cell whose solve breaks down is restarted once
+        from where it stopped, with a fresh shadow residual.  For a cell
+        whose restart breaks down too, or whose budget runs out, its ``I -
+        gamma P`` is assembled for one sparse LU solve, whose factor is
         dropped on return.  ``subset`` evaluates only the listed cells, as
         :meth:`policy_stencils` reads them.  Returns the values, the BiCGSTAB
         iterations taken and whether the LU fallback ran, one row or entry per
@@ -345,27 +352,36 @@ class SLOperator:
         gamma = self.gamma(discount)
         idx, w, rhs = self.policy_stencils(policy, subset)
         cells = len(rhs)
-        blocks: dict[int, sparse.csr_matrix] = {}
-
-        def system(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            # rows only shrink during one solve, so their count names them
-            if rows.size not in blocks:
-                blocks.clear()
-                blocks[rows.size] = _block_diagonal(idx[rows], w[rows])
-            y = (blocks[rows.size] @ x.reshape(-1)).reshape(x.shape)
-            y *= -gamma
-            y += x
-            return y
-
+        atol = np.broadcast_to(np.asarray(atol, dtype=float), cells)
         steps = np.zeros(cells, dtype=int)
 
-        def count(rows: np.ndarray) -> None:
-            steps[rows] += 1
+        def krylov(solve: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            """BiCGSTAB on the systems of the cells ``solve`` from ``x0``."""
+            blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-        value, info = bicgstab(
-            system, rhs, x0=np.reshape(guess, (cells, n)), atol=atol,
-            maxiter=_KRYLOV_MAX_ITER, callback=count,
-        )
+            def system(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                # rows only shrink during one solve, so their count names them
+                if rows.size not in blocks:
+                    blocks.clear()
+                    sel = solve[rows]
+                    blocks[rows.size] = (_block_diagonal(idx[sel]), w[sel])
+                y = kernels.stencil_product(*blocks[rows.size], x.reshape(-1)).reshape(x.shape)
+                y *= -gamma
+                y += x
+                return y
+
+            def count(rows: np.ndarray) -> None:
+                steps[solve[rows]] += 1
+
+            return bicgstab(
+                system, rhs[solve], x0=x0, atol=atol[solve], maxiter=_KRYLOV_MAX_ITER, callback=count,
+            )
+
+        value, info = krylov(np.arange(cells), np.reshape(guess, (cells, n)))
+        broke = np.flatnonzero(info < 0)
+        if broke.size:
+            # one restart from where it stopped, with a fresh shadow residual
+            value[broke], info[broke] = krylov(broke, value[broke])
         fell_back = info != 0
         for c in np.flatnonzero(fell_back):
             from scipy.sparse.linalg import splu  # see _KRYLOV_MAX_ITER
@@ -646,9 +662,9 @@ def _policy_steps(
     the (cells, N) iterate ``u``, each renormalized at ``anchor``; the cells
     in ``damp`` average every step with their previous iterate."""
     idx, w, base = family.policy_stencils(policy)
-    transition = _block_diagonal(idx, w)
+    idx = _block_diagonal(idx)
     for _ in range(steps):
-        v = (transition @ u.reshape(-1)).reshape(u.shape)
+        v = kernels.stencil_product(idx, w, u.reshape(-1)).reshape(u.shape)
         v += base
         v[damp] = 0.5 * (u[damp] + v[damp])
         v -= v[:, [anchor]]

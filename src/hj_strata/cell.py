@@ -467,13 +467,6 @@ class EffectiveTables:
             _check_window(p1a, self.p1_grid[0], self.p1_grid[-1])
         return np.interp(p1a, self.p1_grid, self.h1t[branch])
 
-    def slopes_at(self, p1: float, branch: str = "main") -> tuple[float, float]:
-        _check_window(p1, self.p1_grid[0], self.p1_grid[-1])
-        return (
-            float(np.interp(p1, self.p1_grid, self.pi_lower[branch])),
-            float(np.interp(p1, self.p1_grid, self.pi_upper[branch])),
-        )
-
     def hbar_at(self, p, *, clip: bool = False) -> float | np.ndarray:
         if self.hbar is None or self.p_grid is None:
             raise ValueError("this scenario has no periodic-background table")
@@ -486,15 +479,19 @@ class EffectiveTables:
             p2 = np.clip(p2, g[0], g[-1])
         else:
             _check_window(np.concatenate([p1, p2]), g[0], g[-1])
-        i = np.clip(np.searchsorted(g, p1) - 1, 0, len(g) - 2)
-        j = np.clip(np.searchsorted(g, p2) - 1, 0, len(g) - 2)
+        # the cell [g[i], g[i+1]] of each momentum, clamped to the end cells:
+        # clip(searchsorted(g, p) - 1, 0, m - 2) in one search
+        i = np.searchsorted(g[1:-1], p1)
+        j = np.searchsorted(g[1:-1], p2)
         t = (p1 - g[i]) / (g[i + 1] - g[i])
         s = (p2 - g[j]) / (g[j + 1] - g[j])
+        m = self.hbar.shape[1]
+        flat, corner = self.hbar.reshape(-1), i * m + j   # flat index of hbar[i, j]
         v = (
-            (1 - t) * (1 - s) * self.hbar[i, j]
-            + t * (1 - s) * self.hbar[i + 1, j]
-            + (1 - t) * s * self.hbar[i, j + 1]
-            + t * s * self.hbar[i + 1, j + 1]
+            (1 - t) * (1 - s) * np.take(flat, corner)
+            + t * (1 - s) * np.take(flat, corner + m)
+            + (1 - t) * s * np.take(flat, corner + 1)
+            + t * s * np.take(flat, corner + m + 1)
         )
         out = v.reshape(p[..., 0].shape) if p.ndim > 1 else float(v[0])
         return out

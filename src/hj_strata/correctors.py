@@ -323,11 +323,6 @@ class SubcorrectorSpec:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         return pts @ np.asarray(self.target)
 
-    def origin_radius(self) -> float | None:
-        """Admissibility radius of the origin piece (inf if unconfined, None
-        if absent)."""
-        return next((pc.radius for pc in self.pieces if pc.kind == "ball"), None)
-
 
 # ---------------------------------------------------------------------------
 # corrector cache

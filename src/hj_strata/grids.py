@@ -194,9 +194,6 @@ class ValueField:
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
-    def anchor_value(self) -> float:
-        return float(self.flat()[self.grid.anchor_index()])
-
     def __call__(self, points: np.ndarray, *, clip: bool = False) -> np.ndarray:
         """Bilinear interpolation at ``points`` of shape (..., 2).
 

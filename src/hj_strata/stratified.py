@@ -150,15 +150,6 @@ def build_scheme(
     )
 
 
-def _plane_neighbors(u2: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(W, E, S, N) neighbor values with reflected box edges."""
-    uW = np.vstack([u2[:1, :], u2[:-1, :]])
-    uE = np.vstack([u2[1:, :], u2[-1:, :]])
-    uS = np.hstack([u2[:, :1], u2[:, :-1]])
-    uN = np.hstack([u2[:, 1:], u2[:, -1:]])
-    return uW, uE, uS, uN
-
-
 def _line_neighbors(
     scheme: StratifiedScheme, u: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +178,14 @@ def _plane_update(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True)
         return scheme.operator.apply(u, scheme.alpha)
     h = scheme.grid.h1
     th = scheme.theta_lf
-    uW, uE, uS, uN = _plane_neighbors(u.reshape(scheme.grid.n1, scheme.grid.n2))
+    n1, n2 = scheme.grid.n1, scheme.grid.n2
+    # the field with one reflected layer of nodes around it (corners unused),
+    # filled by hand: np.pad costs more than the update's arithmetic here
+    pad = np.empty((n1 + 2, n2 + 2))
+    pad[1:-1, 1:-1] = u.reshape(n1, n2)
+    pad[0, 1:-1], pad[-1, 1:-1] = pad[1, 1:-1], pad[-2, 1:-1]
+    pad[1:-1, 0], pad[1:-1, -1] = pad[1:-1, 1], pad[1:-1, -2]
+    uW, uE, uS, uN = pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]
     p = np.stack([(uE - uW) / (2 * h), (uN - uS) / (2 * h)], axis=-1)
     g = scheme.tables.hbar_at(p, clip=clip)
     return ((-g + (th / h) * (uE + uW + uN + uS)) / (scheme.alpha + 4 * th / h)).reshape(-1)

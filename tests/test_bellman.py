@@ -216,6 +216,39 @@ def test_policy_value_falls_back_to_lu(monkeypatch):
     assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
 
 
+def test_policy_value_restarts_a_breakdown_once_before_lu(monkeypatch):
+    from hj_strata import bellman
+
+    op = strip_operator(load_preset("strip_attract"), np.array([0.0, 0.3]), rho=2.0)
+    discount, atol = 0.05, 1e-10
+    u = np.zeros((2, op.grid.size))
+    _, policy = op.greedy(u, discount)
+    expected, steps, fell_back = op.policy_value(policy, discount, guess=u, atol=atol)
+    assert not fell_back.any()
+    bicgstab, calls = bellman.bicgstab, []
+
+    def breaks_first(system, rhs, *, x0, **kw):
+        x, info = bicgstab(system, rhs, x0=x0, **kw)
+        calls.append(len(rhs))
+        if len(calls) == 1:   # cell 1 reports a breakdown where it started
+            x[1], info[1] = x0[1], -10
+        return x, info
+
+    monkeypatch.setattr(bellman, "bicgstab", breaks_first)
+    value, restarted, fell_back = op.policy_value(policy, discount, guess=u, atol=atol)
+    # only cell 1 is solved again, alone, from the same start: the lone
+    # solve of a family cell, bit for bit, with both solves' steps counted
+    assert calls == [2, 1] and not fell_back.any()
+    assert value.tobytes() == expected.tobytes()
+    assert restarted.tolist() == [steps[0], 2 * steps[1]]
+    # a cell that breaks down again goes to sparse LU
+    calls.clear()
+    monkeypatch.setattr(bellman, "bicgstab", lambda system, rhs, **kw: (np.zeros_like(rhs), np.full(len(rhs), -10)))
+    value, _, fell_back = op.policy_value(policy, discount, guess=u, atol=atol)
+    assert fell_back.all()
+    assert np.max(np.abs(value - expected)) <= atol / (discount * op.delta)
+
+
 def test_solve_info_reports_krylov_work_and_lu_fallbacks(monkeypatch):
     from hj_strata import bellman
 
@@ -451,6 +484,69 @@ def test_jacobi_min_matches_reference_loop(gamma):
         out = np.empty(op.grid.size)
         kernels.jacobi_min(op.idx, op.w, op.base, gamma, u, out)
         assert np.allclose(out, _reference_min(op, gamma, u), rtol=0, atol=1e-13)
+
+
+def _csr_product(idx, w, x):
+    """``csr_matrix @ x`` for the stencil rows ``idx``/``w``, the matrix built
+    from scratch."""
+    rows = idx.size // 4
+    indptr = np.arange(0, 4 * rows + 1, 4)
+    return sparse.csr_matrix((w.ravel(), idx.ravel(), indptr), shape=(rows, x.shape[0])) @ x
+
+
+def test_stencil_product_is_the_csr_product_bit_for_bit():
+    # the kernel calls scipy's compiled CSR loops directly, so a change of
+    # their private signatures fails here
+    from hj_strata.bellman import _block_diagonal
+
+    op = _box_operator(load_preset("eikonal").controls)   # inadmissible rows carry zero weights
+    n = op.grid.size
+    rng = np.random.default_rng(5)
+    columns = (
+        rng.normal(size=n), rng.normal(size=(n, 1)), rng.normal(size=(1, n)).T,
+        rng.normal(size=(n, 3)), rng.normal(size=(3, n)).T,
+    )
+    for x in columns:
+        got, want = kernels.stencil_product(op.idx, op.w, x), _csr_product(op.idx, op.w, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # a block-diagonal family of policy stencils, before and after a cell drops
+    nodes = np.arange(n)
+    policies = [_random_policy(op, seed) for seed in range(3)]
+    idx = np.stack([op.idx[pol, nodes] for pol in policies])
+    w = np.stack([op.w[pol, nodes] for pol in policies])
+    x = rng.normal(size=(3, n))
+    for rows in (np.arange(3), np.array([0, 2])):
+        block = _block_diagonal(idx[rows])
+        got = kernels.stencil_product(block, w[rows], x[rows].reshape(-1))
+        assert got.tobytes() == _csr_product(block, w[rows], x[rows].reshape(-1)).tobytes()
+        for row, c in zip(got.reshape(len(rows), n), rows):
+            assert row.tobytes() == _csr_product(idx[c], w[c], x[c]).tobytes()
+
+
+def test_stencil_products_on_threads_share_their_row_pointers_safely(monkeypatch):
+    # the row pointers are one array shared by the cell pool's threads; each
+    # thread's products of growing and shrinking row counts stay exact
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(kernels, "_INDPTR", np.zeros(1, dtype=np.int32))   # grown by the threads
+    op = _box_operator(load_preset("eikonal").controls)
+    n = op.grid.size
+    x = np.random.default_rng(9).normal(size=n)
+    controls = [op.idx.shape[0] - k for k in range(8)]
+    expected = {na: _csr_product(op.idx[:na], op.w[:na], x).tobytes() for na in controls}
+
+    def products(seed):
+        order = np.random.default_rng(seed).permutation(controls * 5)
+        return all(kernels.stencil_product(op.idx[:na], op.w[:na], x).tobytes() == expected[na] for na in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert all(pool.map(products, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not kernels._INDPTR.flags.writeable
 
 
 def test_jacobi_argmin_returns_first_minimizer():

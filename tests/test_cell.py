@@ -77,7 +77,8 @@ def test_dirichlet_datum_walks_truncations():
     assert res.converged
     assert res.value == pytest.approx(-0.5, abs=1e-5)
     assert len(res.estimates) == 2
-    assert res.estimates[-1].corrector.anchor_value() == 0.0
+    corrector = res.estimates[-1].corrector
+    assert corrector.flat()[corrector.grid.anchor_index()] == 0.0
 
 
 def test_torus_effective_checkerboard_oracle():
@@ -290,6 +291,41 @@ def test_slope_failure_flags_its_entry(monkeypatch):
     assert np.isfinite(tab.pi_lower["main"][:2]).all()
 
 
+def _hbar_two_index(tables, p):
+    """Bilinear lookup of ``tables.hbar`` at the clipped momenta ``p`` (k, 2),
+    each corner read by its 2-D index."""
+    g, hbar = tables.p_grid, tables.hbar
+    p1, p2 = np.clip(p[:, 0], g[0], g[-1]), np.clip(p[:, 1], g[0], g[-1])
+    i = np.clip(np.searchsorted(g, p1) - 1, 0, len(g) - 2)
+    j = np.clip(np.searchsorted(g, p2) - 1, 0, len(g) - 2)
+    t = (p1 - g[i]) / (g[i + 1] - g[i])
+    s = (p2 - g[j]) / (g[j + 1] - g[j])
+    return (
+        (1 - t) * (1 - s) * hbar[i, j]
+        + t * (1 - s) * hbar[i + 1, j]
+        + (1 - t) * s * hbar[i, j + 1]
+        + t * s * hbar[i + 1, j + 1]
+    )
+
+
+def test_hbar_lookup_equals_the_two_index_formula_bit_for_bit():
+    g = np.array([-1.0, -0.6, -0.1, 0.0, 0.35, 1.2])   # non-uniform momentum grid
+    rng = np.random.default_rng(11)
+    tables = EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=g, h1t={}, pi_lower={}, pi_upper={}, E=0.0, E_history=(),
+        method_gaps={}, p_grid=g, hbar=rng.normal(size=(6, 6)), flags={},
+    )
+    inside = rng.uniform(-1.0, 1.2, size=(200, 2))
+    nodes = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)   # exact nodes and edges
+    outside = rng.uniform(-3.0, 3.0, size=(200, 2))   # mostly clipped
+    for p, clip in ((inside, False), (nodes, False), (outside, True)):
+        got = tables.hbar_at(p.reshape(4, -1, 2), clip=clip)
+        assert got.shape == (4, len(p) // 4)
+        assert got.tobytes() == _hbar_two_index(tables, p).tobytes()
+    assert tables.hbar_at(nodes[7]) == tables.hbar.reshape(-1)[7]
+    assert tables.hbar_at((5.0, -5.0), clip=True) == tables.hbar[-1, 0]
+
+
 def test_effective_tables_small_batch():
     scn = load_preset("strip_attract")
     tab = tabulate_effective(scn, tol=1e-5, threads=2, p1_grid=[-0.5, 0.0, 0.5])
@@ -298,14 +334,14 @@ def test_effective_tables_small_batch():
     # symmetric scenario: even table
     assert tab.h1t["main"][0] == pytest.approx(tab.h1t["main"][2], abs=1e-4)
     assert tab.h1t_at(0.0) == pytest.approx(-0.5, abs=1e-4)
-    lo, hi = tab.slopes_at(0.0)
+    lo, hi = tab.pi_lower["main"][1], tab.pi_upper["main"][1]   # at p1_grid[1] = 0
     assert lo < 0 < hi
     assert tab.E == pytest.approx(-0.5, abs=1e-4)
     assert tab.midpoint_convexity_violation() <= 1e-4
     with pytest.raises(TableRangeError):
         tab.h1t_at(99.0)
     with pytest.raises(TableRangeError):
-        tab.slopes_at(-99.0)
+        tab.h1t_at(-99.0)
     # an asymmetric window: the error names the momentum that lies outside,
     # not the one of largest magnitude
     skew = dataclasses.replace(

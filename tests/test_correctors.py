@@ -208,6 +208,11 @@ def test_active_pieces_follow_the_region_split(attract):
     assert "band" in set(labels[on_strip])
 
 
+def _ball_radii(spec):
+    """Admissibility radius of each origin piece: inf if unconfined."""
+    return [pc.radius for pc in spec.pieces if pc.kind == "ball"]
+
+
 def _origin_radii(spec, grid):
     pts = grid.nodes()
     labels = np.array([piece.label for piece in spec.pieces])[spec.active(pts)]
@@ -220,12 +225,12 @@ def test_origin_piece_is_glued_at_its_rim(attract):
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
     # confined: admissible out to the reported rim, and the ring just inside
     # the rim already belongs to the rivals, so the cut opens no jump
-    assert spec.origin_radius() == spec.split_radius
+    assert _ball_radii(spec) == [spec.split_radius]
     assert 0.2 < spec.split_radius < 2.0
     assert _origin_radii(spec, grid).max() <= spec.split_radius - 3 / 32
     # every outer node is trusted in the plane regime: no origin piece at all
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.8), "plane")
-    assert spec.origin_radius() is None
+    assert _ball_radii(spec) == []
     assert spec.split_radius == 0.0
     assert math.isnan(spec.C)
 
@@ -234,7 +239,7 @@ def test_unglued_origin_piece_is_reported_unconfined(mirror):
     scn, tables, correctors = mirror
     grid = GridSpec.box(min(4 * scn.R1, correctors.half_width), 1 / 32)
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.9), "plane")
-    assert spec.origin_radius() == math.inf
+    assert _ball_radii(spec) == [math.inf]
     assert any("left unconfined" in note for note in spec.notes)
     # C is fitted over a disc of radius at least R1 + h, so the piece owns
     # the whole core disc, and the reported radius reaches past it
@@ -243,7 +248,7 @@ def test_unglued_origin_piece_is_reported_unconfined(mirror):
     assert set(labels[np.linalg.norm(pts, axis=1) <= scn.R1]) == {"origin"}
     assert spec.split_radius >= scn.R1
     spec = build_subcorrector(scn, tables, correctors, (0.5, 0.1), "line")
-    assert spec.origin_radius() is None
+    assert _ball_radii(spec) == []
 
 
 def test_unconfined_origin_piece_keeps_its_certificate(attract):
@@ -251,7 +256,7 @@ def test_unconfined_origin_piece_keeps_its_certificate(attract):
     # offset over the disc that holds its territory, still certifies
     scn, tables, correctors = attract
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin", eta=0.02)
-    assert spec.origin_radius() == math.inf
+    assert _ball_radii(spec) == [math.inf]
     residual, gap, cert = _certify(scn, spec, correctors)
     assert residual <= TOL_CORR
     assert gap <= 1e-9
@@ -351,7 +356,7 @@ def test_certificate_catches_a_jump_at_the_origin_rim(attract, drop, floor):
     # the composed minimum, which a step of length h reads as O(drop / h)
     scn, tables, correctors = attract
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
-    assert spec.origin_radius() == spec.split_radius
+    assert _ball_radii(spec) == [spec.split_radius]
     _, _, cert = _certify(scn, _lowered(spec, drop), correctors)
     assert cert > floor
 

@@ -37,11 +37,13 @@ def test_pipeline_modules_do_not_import_scipy_optimize():
     imported only when a policy evaluation falls back to it; importing
     ``scipy.optimize``, ``scipy.spatial`` (with ``scipy.special``) or
     ``scipy.sparse.linalg`` would cost memory and start-up time for no
-    caller."""
+    caller.  A whole table solve stays on BiCGSTAB, so the common solve path
+    does not import sparse LU either."""
     code = (
         "import sys\n"
         "import hj_strata.cell, hj_strata.correctors, hj_strata.stratified\n"
         "hj_strata.load_preset('strip_attract')\n"
+        "hj_strata.cell.tabulate_effective(hj_strata.load_preset('eikonal'), tol=5e-4)\n"
         "unused = ('scipy.optimize', 'scipy.spatial', 'scipy.sparse.linalg', 'scipy.special')\n"
         "print([m for m in unused if m in sys.modules])\n"
     )

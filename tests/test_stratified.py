@@ -370,19 +370,21 @@ def _attract_exact(x):
     return 1.0 - 0.5 * np.exp(-d)
 
 
-def _mirror_limit(scn):
+def _solved_limit(scn):
     tables = tabulate_effective(scn, tol=5e-4)
     return solve_effective(scn, tables, GridSpec.box(scn.schedules.box_half_width, 1 / 32))
 
 
-@pytest.mark.parametrize("preset", ["strip_attract", "case3_mirror"])
+@pytest.mark.parametrize("preset", ["strip_attract", "case3_mirror", "cost_bump", "core_repulse"])
 def test_oscillating_problem_converges_to_the_stratified_limit(preset):
     # the homogenization theorem end to end: u^eps -> u as eps -> 0, at first
-    # order in eps (measured 0.070, 0.037, 0.019 on strip_attract against its
-    # closed form and 0.072, 0.038, 0.020 on case3_mirror against the solved
-    # limit)
+    # order in eps.  Measured sup errors at eps = 1/2, 1/4, 1/8: strip_attract
+    # 0.070, 0.037, 0.019 against its closed form; against the solved limit
+    # case3_mirror 0.072, 0.038, 0.020, cost_bump 0.0837, 0.0465, 0.0267 and
+    # core_repulse 0.0513, 0.0260, 0.0131.  drift_defect and eikonal cannot
+    # serve: their u^eps equals the limit, so the error reads 0 at every eps.
     scn = load_preset(preset)
-    limit = _attract_exact if preset == "strip_attract" else _mirror_limit(scn)
+    limit = _attract_exact if preset == "strip_attract" else _solved_limit(scn)
     errors = [_epsilon_error(scn, eps, limit) for eps in (1 / 2, 1 / 4, 1 / 8)]
     assert all(a >= 1.6 * b for a, b in zip(errors, errors[1:])), errors
     assert errors[-1] <= 0.03, errors
