@@ -12,12 +12,11 @@ from .scenario import (
     Scenario,
     ScenarioError,
     SolverSchedules,
-    ValidationReport,
     load_preset,
     parse_scenario,
     preset_names,
-    validate_assumptions,
 )
+from .hamiltonian import ValidationReport, validate_assumptions
 from .expressions import ExpressionError, ScalarExpr, parse_expression
 
 __version__ = "0.1.0"

@@ -24,16 +24,16 @@ cell.
 
 Three solvers share the operator:
 
-* :func:`solve_discounted` — Howard policy iteration for ``discount > 0``:
-  the greedy control of a synchronous application fixes a policy, whose
-  value is one sparse linear solve; the iteration count does not grow as the
-  discount vanishes.  Howard's algorithm is a semismooth Newton method, so
-  each policy evaluation is a Newton linear solve, and it is solved inexactly
-  (Dembo, Eisenstat & Steihaug): only as far as the current Bellman residual
-  warrants, matrix-free, to ``tol / 2`` once the policy settles.  A solve
-  may start from a policy as well as a value: its first step is then that
-  policy's evaluation at ``tol / 2``.  Each solve returns its cells' final
-  greedy policies.
+* :func:`solve_discounted` — Howard policy iteration at a ``discount > 0``
+  passed beside the operator: the greedy control of a synchronous application
+  fixes a policy, whose value is one sparse linear solve; the iteration count
+  does not grow as the discount vanishes.  Howard's algorithm is a semismooth
+  Newton method, so each policy evaluation is a Newton linear solve, and it
+  is solved inexactly (Dembo, Eisenstat & Steihaug): only as far as the
+  current Bellman residual warrants, matrix-free, to ``tol / 2`` once the
+  policy settles.  A solve may start from a policy as well as a value: its
+  first step is then that policy's evaluation at ``tol / 2``.  Each solve
+  returns its cells' final greedy policies.
 * :func:`solve_ergodic_relative` — relative value iteration at zero discount
   with policy steps (modified policy iteration): between two full
   applications the iterate takes one step of the last greedy policy's
@@ -66,7 +66,6 @@ from .grids import GridSpec, ValueField
 
 __all__ = [
     "SLOperator",
-    "DiscountedProblem",
     "SolveInfo",
     "ErgodicRelativeResult",
     "ContinuationResult",
@@ -392,19 +391,6 @@ class SLOperator:
 
 
 @dataclass(frozen=True, slots=True)
-class DiscountedProblem:
-    """An operator paired with a positive discount, ``discount*delta < 1``."""
-
-    operator: SLOperator
-    discount: float
-
-    def __post_init__(self):
-        if self.discount <= 0:
-            raise ValueError("discounted problems need discount > 0")
-        self.operator.gamma(self.discount)  # validates the range
-
-
-@dataclass(frozen=True, slots=True)
 class SolveInfo:
     iterations: int           # synchronous Bellman applications
     residual: float           # max |T u - u| of the returned field's application
@@ -425,14 +411,16 @@ def _fields(grid: GridSpec, values: np.ndarray) -> tuple[ValueField, ...]:
 
 
 def solve_discounted(
-    problem: DiscountedProblem,
+    operator: SLOperator,
+    discount: float,
     *,
     tol: float = 1e-9,
     max_iter: int = 200_000,
     u0: np.ndarray | None = None,
     policy0: np.ndarray | None = None,
 ):
-    """Fixed point of the discounted operator to residual ``tol`` (sup norm).
+    """Fixed point of ``operator`` at ``discount`` to residual ``tol`` (sup
+    norm); raises unless ``discount > 0`` and ``discount * delta < 1``.
 
     Howard's algorithm: each step applies the operator once, stops if
     ``max |T u - u| <= tol`` (returning ``T u``), and otherwise replaces
@@ -466,20 +454,22 @@ def solve_discounted(
     others.  Returns ``(fields, infos)``: a tuple of fields and a
     :class:`Family` of infos, one per cell.
     """
-    op = problem.operator
-    grid = op.grid
-    k, n = op.cells, grid.size
+    if discount <= 0:
+        raise ValueError("discounted problems need discount > 0")
+    operator.gamma(discount)  # validates the range
+    grid = operator.grid
+    k, n = operator.cells, grid.size
     u = np.zeros((k, n)) if u0 is None else np.array(u0, dtype=float).reshape(k, n)
-    forcing = problem.discount * op.delta  # 1 - gamma
+    forcing = discount * operator.delta  # 1 - gamma
     tight = 0.5 * tol
-    compact = np.min_scalar_type(op.idx.shape[0] - 1)   # the policies' stored type
+    compact = np.min_scalar_type(operator.idx.shape[0] - 1)   # the policies' stored type
     policy = np.zeros((k, n), dtype=np.intp)
     solved = np.zeros(k, dtype=bool)   # a policy has been evaluated
     loose = np.zeros(k, dtype=bool)    # ... and only to the forcing tolerance
     evaluations, krylov, fallbacks = np.zeros((3, k), dtype=int)
     if policy0 is not None:
         policy[:] = np.reshape(policy0, (k, n))
-        u, steps, fell_back = op.policy_value(policy, problem.discount, guess=u, atol=tight)
+        u, steps, fell_back = operator.policy_value(policy, discount, guess=u, atol=tight)
         evaluations += 1
         krylov += steps
         fallbacks += fell_back
@@ -501,12 +491,12 @@ def solve_discounted(
         # for one call: Howard applies the operator a few times per solve, so
         # the copies cost less than keeping one alive beside the caller's step
         # costs.  Policy evaluations read the subset's costs in place.
-        return op if subset.size == k else op.family(subset)
+        return operator if subset.size == k else operator.family(subset)
 
     rows = np.arange(k)
     it = 0
     while rows.size and it < max_iter:
-        tu, greedy = cells(rows).greedy(u, problem.discount)
+        tu, greedy = cells(rows).greedy(u, discount)
         it += 1
         step = tu - u
         residual = np.max(np.abs(step), axis=1)
@@ -528,8 +518,8 @@ def solve_discounted(
             policy[sub] = greedy[evaluate]
             solved[sub] = True
             loose[sub] = atol > tight
-            tu[evaluate], steps, fell_back = op.policy_value(
-                greedy[evaluate], problem.discount, guess=u[evaluate], atol=atol, subset=sub
+            tu[evaluate], steps, fell_back = operator.policy_value(
+                greedy[evaluate], discount, guess=u[evaluate], atol=atol, subset=sub
             )
             evaluations[sub] += 1
             krylov[sub] += steps
@@ -741,7 +731,6 @@ def ergodic_continuation(
     u, policy = u0, policy0
     history: list[list[tuple[float, float]]] = [[] for _ in range(k)]
     extrapolations: list[list[float]] = [[] for _ in range(k)]
-    rates: list[list[float]] = [[] for _ in range(k)]
     solves: list[list[SolveInfo]] = [[] for _ in range(k)]
     last: list[ValueField | None] = [None] * k
     converged = np.zeros(k, dtype=bool)
@@ -749,18 +738,19 @@ def ergodic_continuation(
     rows = np.arange(k)
     stage = 0
 
+    def estimate(c: int) -> float:
+        # the latest extrapolation, else the latest lambda * anchor value
+        lam_c, a_c = history[c][-1]
+        return extrapolations[c][-1] if extrapolations[c] else lam_c * a_c
+
     def settle(c: int) -> None:
-        ext = extrapolations[c]
-        rate = ext[-1] if ext else (rates[c][-1] if rates[c] else math.nan)
         assert last[c] is not None
         results[c] = ContinuationResult(
-            rate, tuple(history[c]), last[c], bool(converged[c]), len(solves[c]), tuple(solves[c])
+            estimate(c), tuple(history[c]), last[c], bool(converged[c]), len(solves[c]), tuple(solves[c])
         )
 
     while rows.size and stage < _MAX_STAGES and lam >= _LAMBDA_FLOOR:
-        fields, infos = solve_discounted(
-            DiscountedProblem(family, lam), tol=inner_tol, max_iter=max_iter, u0=u, policy0=policy
-        )
+        fields, infos = solve_discounted(family, lam, tol=inner_tol, max_iter=max_iter, u0=u, policy0=policy)
         stage += 1
         u = np.stack([f.flat() for f in fields])
         policy = np.stack([info.policy for info in infos])
@@ -770,18 +760,16 @@ def ergodic_continuation(
             last[c] = fields[j]
             a_val = float(u[j, anchor])
             history[c].append((lam, a_val))
-            rates[c].append(lam * a_val)
             if len(history[c]) >= 2:
                 (l_prev, a_prev) = history[c][-2]
-                c_prev = l_prev * a_prev
                 ext = extrapolations[c]
-                ext.append((l_prev * rates[c][-1] - lam * c_prev) / (l_prev - lam))
+                ext.append((l_prev * (lam * a_val) - lam * (l_prev * a_prev)) / (l_prev - lam))
                 if len(ext) >= 3 and max(abs(ext[-1] - ext[-2]), abs(ext[-2] - ext[-3])) <= 0.5 * tol:
                     converged[c] = infos[j].converged
                     done[j] = True
                     settle(c)
         next_lam = lam * factor
-        c_est = np.array([extrapolations[c][-1] if extrapolations[c] else rates[c][-1] for c in rows])
+        c_est = np.array([estimate(c) for c in rows])
         u = u + c_est[:, None] * (1.0 / next_lam - 1.0 / lam)
         lam = next_lam
         if done.any():

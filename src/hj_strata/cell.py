@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -115,9 +115,6 @@ def _check_window(p, lo: float, hi: float) -> None:
 class ErgodicEstimate:
     """One cell-problem solve: constant, corrector, and method diagnostics."""
 
-    kind: str                # "strip" | "ball" | "torus"
-    branch: str | None
-    p: tuple[float, float]   # momentum shift entering the running cost
     truncation: float        # rho (strip) or R (ball); 0 for torus cells
     constant: float          # ergodic constant = -(average cost), from relative VI
     continuation_constant: float
@@ -137,8 +134,6 @@ def _solve_cells(
     build: Callable[[np.ndarray], SLOperator],
     momenta: np.ndarray,
     *,
-    kind: str,
-    branch: str | None,
     truncation: float,
     previous: Sequence[ErgodicEstimate] | None = None,
 ) -> tuple[ErgodicEstimate, ...]:
@@ -200,13 +195,10 @@ def _solve_cells(
             vis = solve_ergodic_relative(
                 family, tol=tol, max_iter=_MAX_ITER, u0=np.stack([c.field.flat() for c in conts])
             )
-        for p, cont, vi in zip(rows, conts, vis):
+        for cont, vi in zip(conts, vis):
             vi_constant, cont_constant = -vi.rate, -cont.rate
             gap = abs(vi_constant - cont_constant)
             out.append(ErgodicEstimate(
-                kind=kind,
-                branch=branch,
-                p=(float(p[0]), float(p[1])),
                 truncation=truncation,
                 constant=vi_constant,
                 continuation_constant=cont_constant,
@@ -276,7 +268,7 @@ def strip_ergodic(
         scn,
         lambda rows: strip_operator(scn, rows[:, 0], branch=branch, rho=rho),
         np.column_stack([p1s, np.zeros_like(p1s)]),
-        kind="strip", branch=branch, truncation=rho, previous=_previous,
+        truncation=rho, previous=_previous,
     )
 
 
@@ -350,8 +342,7 @@ def ball_ergodic(
     one estimate.  ``_previous`` is the truncation walk's: the estimate at
     the last ``R``, which starts the solve (see :func:`_solve_cells`)."""
     return _solve_cells(
-        scn, lambda rows: ball_operator(scn, R), np.zeros((1, 2)),
-        kind="ball", branch=None, truncation=R, previous=_previous,
+        scn, lambda rows: ball_operator(scn, R), np.zeros((1, 2)), truncation=R, previous=_previous
     )
 
 
@@ -381,10 +372,8 @@ def torus_effective(scn: Scenario, p) -> tuple[ErgodicEstimate, ...]:
     """Periodic-background effective Hamiltonian values at the momenta ``p``
     (one of shape (2,), or the rows of one of shape (cells, 2)), solved as
     one family: one estimate per momentum."""
-    return _solve_cells(
-        scn, lambda rows: torus_operator(scn, rows), np.atleast_2d(np.asarray(p, dtype=float)),
-        kind="torus", branch=None, truncation=0.0,
-    )
+    momenta = np.atleast_2d(np.asarray(p, dtype=float))
+    return _solve_cells(scn, lambda rows: torus_operator(scn, rows), momenta, truncation=0.0)
 
 
 def _background_lines(scn: Scenario, p1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -514,37 +503,31 @@ class EffectiveTables:
         return worst
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "x0": list(self.x0),
-            "p1_grid": self.p1_grid.tolist(),
-            "h1t": {k: v.tolist() for k, v in self.h1t.items()},
-            "pi_lower": {k: v.tolist() for k, v in self.pi_lower.items()},
-            "pi_upper": {k: v.tolist() for k, v in self.pi_upper.items()},
-            "E": self.E,
-            "E_history": [list(x) for x in self.E_history],
-            "method_gaps": {k: v.tolist() for k, v in self.method_gaps.items()},
-            "p_grid": None if self.p_grid is None else self.p_grid.tolist(),
-            "hbar": None if self.hbar is None else self.hbar.tolist(),
-            "flags": dict(self.flags),
-            "provenance": dict(self.provenance),
-        }
+        """Every field as plain JSON data: arrays and tuples become lists."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "EffectiveTables":
-        return cls(
-            x0=tuple(data["x0"]),
-            p1_grid=np.asarray(data["p1_grid"], dtype=float),
-            h1t={k: np.asarray(v, dtype=float) for k, v in data["h1t"].items()},
-            pi_lower={k: np.asarray(v, dtype=float) for k, v in data["pi_lower"].items()},
-            pi_upper={k: np.asarray(v, dtype=float) for k, v in data["pi_upper"].items()},
-            E=float(data["E"]),
-            E_history=tuple(tuple(x) for x in data["E_history"]),
-            method_gaps={k: np.asarray(v, dtype=float) for k, v in data["method_gaps"].items()},
-            p_grid=None if data["p_grid"] is None else np.asarray(data["p_grid"], dtype=float),
-            hbar=None if data["hbar"] is None else np.asarray(data["hbar"], dtype=float),
-            flags=dict(data["flags"]),
-            provenance=dict(data.get("provenance", {})),
-        )
+        """Inverse of :meth:`to_json_dict`; ``provenance`` may be absent."""
+        def array(v):
+            return None if v is None else np.asarray(v, dtype=float)
+
+        def arrays(d):
+            return {k: array(v) for k, v in d.items()}
+
+        convert = {"x0": tuple, "p1_grid": array, "h1t": arrays, "pi_lower": arrays, "pi_upper": arrays,
+                   "E": float, "E_history": lambda h: tuple(map(tuple, h)), "method_gaps": arrays,
+                   "p_grid": array, "hbar": array, "flags": dict, "provenance": dict}
+        return cls(**{f.name: convert[f.name](data[f.name]) for f in fields(cls) if f.name in data})
+
+
+def _plain(value):
+    """``value`` as JSON data: arrays and tuples become lists, mappings dicts."""
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def _failure_cause(estimates: Sequence[ErgodicEstimate], tol: float) -> str:

@@ -1,4 +1,4 @@
-"""Pointwise control model: regions, dynamics/cost dispatch, Hamiltonians.
+"""Pointwise control model: regions, dynamics/cost dispatch, Hamiltonians, assumption checks.
 
 The Hamiltonian is the controlled form ``H(x, y, p) = max_a (-p.f(x,y,a) -
 l(x,y,a))``: convex piecewise-linear in ``p``, Lipschitz with the drift bound,
@@ -15,6 +15,9 @@ admissible when confined to the upper half-plane), ``h_up`` keeps ``f2 <= 0``.
 Controls with ``f2 == 0`` belong to both, so ``max(h_down, h_up)`` equals the
 full Hamiltonian exactly, not merely up to rounding.  A component within
 rounding of zero counts as ``f2 == 0`` (see :func:`_vertical_drift`).
+
+:func:`validate_assumptions` samples the structural bounds and the seams
+where two regions' blocks meet, and reports findings instead of raising.
 """
 
 from __future__ import annotations
@@ -22,15 +25,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .scenario import (
-    FieldPair,
-    Scenario,
-    ValidationEntry,
-    ValidationReport,
-)
+from .scenario import FieldPair, Scenario
 
 __all__ = [
     "HamiltonianSample",
@@ -39,7 +38,9 @@ __all__ = [
     "eval_H_envelopes",
     "hull_inradius",
     "estimate_bounds",
-    "run_assumption_checks",
+    "ValidationEntry",
+    "ValidationReport",
+    "validate_assumptions",
 ]
 
 _CHECK_SAMPLES = 400    # fast points per slow point in the assumption checks
@@ -284,8 +285,30 @@ def _outside_gap(scenario: Scenario, block: FieldPair, pts: np.ndarray, step) ->
     return max(_seam_gap(block, scenario.block(r), pts[m]) for r, m in masks.items() if m.any())
 
 
-def run_assumption_checks(scenario: Scenario, *, seed: int = 0) -> ValidationReport:
-    """Backing implementation of :func:`hj_strata.scenario.validate_assumptions`.
+@dataclass(frozen=True, slots=True)
+class ValidationEntry:
+    name: str
+    passed: bool
+    detail: str
+    value: float = math.nan
+
+
+@dataclass(frozen=True, slots=True)
+class ValidationReport:
+    entries: tuple[ValidationEntry, ...]
+    estimates: Mapping[str, float]
+
+    @property
+    def passed(self) -> bool:
+        return all(e.passed for e in self.entries)
+
+    def failures(self) -> list[ValidationEntry]:
+        return [e for e in self.entries if not e.passed]
+
+
+def validate_assumptions(scenario: Scenario, *, seed: int = 0) -> ValidationReport:
+    """Sample the structural assumptions behind the scenario's case, seeded
+    by ``seed``; findings are report entries, not exceptions.
 
     Besides the bounds of :func:`estimate_bounds`, each seam entry samples
     100 fast points (the core circle 400) at the slow point 0 and passes when

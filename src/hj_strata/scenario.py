@@ -1,4 +1,4 @@
-"""Scenario configuration: schema parsing, defaults, and assumption checks.
+"""Scenario configuration: schema parsing and defaults.
 
 A scenario describes one control problem family:
 
@@ -18,8 +18,9 @@ over ``x1, x2, y1, y2`` and the control components, written ``{a1}`` and
 ``{a2}``: the variables ``a1, a2`` of the expression language.  Each source
 is parsed once; evaluation runs it once over the whole control set.  Blocks
 must agree where their regions meet, and a strip block must equal the
-background off its band; ``validate_assumptions`` samples those seams and
-the structural bounds and reports findings instead of raising.
+background off its band; :func:`hj_strata.hamiltonian.validate_assumptions`
+samples those seams and the structural bounds and reports findings instead
+of raising.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ __all__ = [
     "FieldPair",
     "SolverSchedules",
     "Scenario",
-    "ValidationEntry",
-    "ValidationReport",
     "parse_scenario",
     "load_preset",
     "preset_names",
-    "validate_assumptions",
 ]
 
 CASES = ("case1", "case2", "case3")
@@ -259,7 +257,7 @@ class Scenario:
         of the disc ``|y| <= R1`` and ``"background"`` everything else.
 
         Field evaluation reads these masks, and so do the assumption checks
-        of :func:`validate_assumptions`: they compare each branch's block with
+        of :func:`hj_strata.hamiltonian.validate_assumptions`: they compare each branch's block with
         the region these masks give just outside its mouth and edges.
         """
         y1 = np.asarray(y1, dtype=float)
@@ -488,40 +486,3 @@ def load_preset(name: str) -> Scenario:
     except FileNotFoundError:
         raise ScenarioError(f"unknown preset {name!r}; available: {preset_names()}") from None
     return parse_scenario(json.loads(text), label=name)
-
-
-@dataclass(frozen=True, slots=True)
-class ValidationEntry:
-    name: str
-    passed: bool
-    detail: str
-    value: float = math.nan
-
-
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    entries: tuple[ValidationEntry, ...]
-    estimates: Mapping[str, float]
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def failures(self) -> list[ValidationEntry]:
-        return [e for e in self.entries if not e.passed]
-
-
-def validate_assumptions(scenario: Scenario) -> ValidationReport:
-    """Sample the structural assumptions behind the scenario's case.
-
-    Estimates the drift/cost bounds and the control-hull inradius.  Checks,
-    each to a field gap of 1e-8, every branch's periodicity, its agreement
-    with the background off its band out to the reach of the solvers, and
-    the seams of the regions of :meth:`Scenario.regions` (strip <-> core <->
-    background); see :func:`hj_strata.hamiltonian.run_assumption_checks`.
-    Findings are report entries, not exceptions; the sampling is seeded, so
-    the report is deterministic.
-    """
-    from . import hamiltonian  # local import: hamiltonian depends on this module
-
-    return hamiltonian.run_assumption_checks(scenario)

@@ -244,13 +244,9 @@ def _fixed_point(
     )
 
 
-def _control_plane(
-    operator: SLOperator, alpha: float, *, tol: float, max_iter: int
-) -> np.ndarray:
+def _control_plane(operator: SLOperator, alpha: float, *, tol: float, max_iter: int) -> np.ndarray:
     """Plane solution in control form: one Howard solve at discount ``alpha``."""
-    (field,), (info,) = bellman.solve_discounted(
-        bellman.DiscountedProblem(operator, alpha), tol=tol, max_iter=max_iter
-    )
+    (field,), (info,) = bellman.solve_discounted(operator, alpha, tol=tol, max_iter=max_iter)
     if not info.converged:
         raise RuntimeError(
             f"plane start stalled: residual {info.residual:.3e} > tol {tol:.3e} "

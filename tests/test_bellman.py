@@ -14,7 +14,6 @@ from scipy.sparse.linalg import splu
 
 from hj_strata import kernels
 from hj_strata.bellman import (
-    DiscountedProblem,
     Family,
     SLOperator,
     ergodic_continuation,
@@ -163,7 +162,7 @@ def test_discounted_constant_cost_oracle():
     # constant cost 1, discount alpha: the value is exactly 1/alpha everywhere
     for alpha in (1.0, 0.5, 1.5):
         op = _torus_operator()
-        (field,), (info,) = solve_discounted(DiscountedProblem(op, alpha), tol=1e-12)
+        (field,), (info,) = solve_discounted(op, alpha, tol=1e-12)
         assert info.converged
         assert np.allclose(field.values, 1.0 / alpha, atol=1e-9)
 
@@ -185,7 +184,7 @@ def test_howard_matches_value_iteration(lam):
     # tol/(lam*delta) for every lam*delta >= 1e-3
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     tol = 1e-7
-    (field,), (info,) = solve_discounted(DiscountedProblem(op, lam), tol=1e-3 * tol)
+    (field,), (info,) = solve_discounted(op, lam, tol=1e-3 * tol)
     assert info.converged and info.stop == "residual"
     vi = _value_iteration(op, lam, tol)
     assert np.max(np.abs(field.flat() - vi)) <= tol / (lam * op.delta)
@@ -193,7 +192,7 @@ def test_howard_matches_value_iteration(lam):
 
 def test_howard_iterations_do_not_grow_as_discount_vanishes():
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    _, (info,) = solve_discounted(DiscountedProblem(op, 0.005), tol=1e-9)
+    _, (info,) = solve_discounted(op, 0.005, tol=1e-9)
     assert info.converged
     assert 1 <= info.policy_evaluations <= 20
 
@@ -207,11 +206,10 @@ def test_policy_value_falls_back_to_lu(monkeypatch):
     from hj_strata import bellman
 
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    problem = DiscountedProblem(op, 0.05)
-    (krylov,), _ = solve_discounted(problem, tol=1e-9)
+    (krylov,), _ = solve_discounted(op, 0.05, tol=1e-9)
     # a Krylov solve that stalls hands the evaluation to sparse LU
     monkeypatch.setattr(bellman, "bicgstab", _stalled_krylov)
-    (lu,), (info,) = solve_discounted(problem, tol=1e-9)
+    (lu,), (info,) = solve_discounted(op, 0.05, tol=1e-9)
     assert info.converged and info.policy_evaluations <= 20
     assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
 
@@ -253,18 +251,17 @@ def test_solve_info_reports_krylov_work_and_lu_fallbacks(monkeypatch):
     from hj_strata import bellman
 
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    problem = DiscountedProblem(op, 0.05)
-    (field,), (info,) = solve_discounted(problem, tol=1e-9)
+    (field,), (info,) = solve_discounted(op, 0.05, tol=1e-9)
     assert info.converged
     assert info.krylov_iterations >= info.policy_evaluations >= 1
     assert info.lu_fallbacks == 0
     monkeypatch.setattr(bellman, "bicgstab", _stalled_krylov)
-    _, (stalled,) = solve_discounted(problem, tol=1e-9)
+    _, (stalled,) = solve_discounted(op, 0.05, tol=1e-9)
     assert stalled.converged and stalled.krylov_iterations == 0
     assert stalled.lu_fallbacks == stalled.policy_evaluations >= 1
     # a constant shift keeps the optimal policy greedy, so one LU solve lands
     # on the fixed point
-    _, (warm,) = solve_discounted(problem, tol=1e-9, u0=field.flat() + 1e-3)
+    _, (warm,) = solve_discounted(op, 0.05, tol=1e-9, u0=field.flat() + 1e-3)
     assert warm.converged
     assert (warm.policy_evaluations, warm.lu_fallbacks, warm.krylov_iterations) == (1, 1, 0)
 
@@ -322,11 +319,10 @@ def test_policy_start_from_any_admissible_policy_converges(kind):
         op = ball_operator(load_preset("strip_attract").with_schedules(cell_h=1 / 16), 1.5)
     tol = 1e-9
     for seed, discount in enumerate((0.5, 0.05, 0.005)):
-        problem = DiscountedProblem(op, discount)
-        (greedy,), _ = solve_discounted(problem, tol=tol)
+        (greedy,), _ = solve_discounted(op, discount, tol=tol)
         policy0 = _random_policy(op, seed)
         start = policy0.copy()
-        (field,), (info,) = solve_discounted(problem, tol=tol, policy0=policy0)
+        (field,), (info,) = solve_discounted(op, discount, tol=tol, policy0=policy0)
         assert info.converged and info.residual <= tol
         assert np.max(np.abs(field.flat() - greedy.flat())) <= tol / (discount * op.delta)
         assert np.array_equal(start, policy0)  # the caller's start is not modified
@@ -337,12 +333,11 @@ def test_policy_start_from_its_own_optimal_policy_takes_one_step():
     # policy's value is the fixed point: one application certifies it
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     for discount in (0.5, 0.005):
-        problem = DiscountedProblem(op, discount)
-        (field,), (info,) = solve_discounted(problem, tol=1e-9)
+        (field,), (info,) = solve_discounted(op, discount, tol=1e-9)
         assert info.converged and info.iterations > 1
         assert info.policy.dtype == np.uint8 and info.policy.shape == (op.grid.size,)
         for u0 in (None, field.flat()):
-            (again,), (warm,) = solve_discounted(problem, tol=1e-9, u0=u0, policy0=info.policy)
+            (again,), (warm,) = solve_discounted(op, discount, tol=1e-9, u0=u0, policy0=info.policy)
             assert warm.converged and (warm.iterations, warm.policy_evaluations) == (1, 1)
             assert np.max(np.abs(again.flat() - field.flat())) <= 1e-9 / (discount * op.delta)
 
@@ -372,7 +367,7 @@ def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
 
     monkeypatch.setattr(SLOperator, "greedy", logged_greedy)
     monkeypatch.setattr(bellman, "bicgstab", logged_bicgstab)
-    _, (info,) = solve_discounted(DiscountedProblem(op, 0.5), tol=tol)
+    _, (info,) = solve_discounted(op, 0.5, tol=tol)
     assert info.converged
     assert [e[0] for e in events[::2]] == ["greedy"] * len(events[::2])
     (_, first, _), (_, loose), (_, again, residual), (_, tight) = events[:4]
@@ -394,18 +389,46 @@ def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
 def test_inexact_evaluations_stay_few_at_every_discount(preset):
     op = strip_operator(load_preset(preset), 0.3, rho=2.0)
     for discount in (0.5, 0.05, 0.005):
-        _, (info,) = solve_discounted(DiscountedProblem(op, discount), tol=1e-9)
+        _, (info,) = solve_discounted(op, discount, tol=1e-9)
         assert info.converged
         assert 1 <= info.policy_evaluations <= 20
 
 
 def test_discounted_max_iter_returns_flagged_best_iterate():
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    (field,), (info,) = solve_discounted(DiscountedProblem(op, 0.005), tol=1e-30, max_iter=3)
+    (field,), (info,) = solve_discounted(op, 0.005, tol=1e-30, max_iter=3)
     assert not info.converged and info.stop == "max_iter"
     assert info.iterations == 3
     assert np.all(np.isfinite(field.values))
     assert 0.0 < info.residual < math.inf
+
+
+def test_discounted_solve_refuses_a_discount_out_of_range(monkeypatch):
+    # discount <= 0 and discount * delta >= 1 are refused before any Bellman
+    # application, also when the budget allows none
+    op = _torus_operator()
+    assert op.delta == 0.5
+    applications = []
+    monkeypatch.setattr(kernels, "jacobi_min", lambda *args, **kw: applications.append(args))
+    for discount, match in ((0.0, "discount > 0"), (-0.5, "discount > 0"), (2.0, "must lie in"), (6.0, "must lie in")):
+        for max_iter in (10, 0):
+            with pytest.raises(ValueError, match=match):
+                solve_discounted(op, discount, tol=1e-9, max_iter=max_iter)
+    assert applications == []
+
+
+def test_bicgstab_returns_once_every_row_breaks_down_on_rv():
+    # a skew-symmetric system makes r_hat . (A p) vanish exactly at the first
+    # step of every row: each row stops at its start with code -11
+    from hj_strata.bellman import bicgstab
+
+    skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    x0 = np.array([[0.0, 0.0], [0.5, -0.25]])
+    rhs = np.array([[1.0, 2.0], [3.0, -1.0]])
+    steps = []
+    x, info = bicgstab(lambda x, rows: x @ skew.T, rhs, x0=x0, atol=1e-12, maxiter=10, callback=steps.append)
+    assert info.tolist() == [-11, -11] and steps == []
+    assert np.array_equal(x, x0)
 
 
 def test_ergodic_relative_constant_cost():
@@ -588,7 +611,7 @@ def test_every_full_application_is_one_jacobi_min_call(monkeypatch):
 
     monkeypatch.setattr(kernels, "jacobi_min", counted)
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    _, (info,) = solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9)
+    _, (info,) = solve_discounted(op, 0.5, tol=1e-9)
     assert info.iterations > 1 and calls == [6] * info.iterations
     calls.clear()
     (res,) = solve_ergodic_relative(op, tol=1e-7)
@@ -691,12 +714,12 @@ def test_corrector_ball_policy_steps_keep_the_span_certificate():
 
 _BALL_SOLVE = """
 import sys
-from hj_strata.bellman import DiscountedProblem, solve_discounted
+from hj_strata.bellman import solve_discounted
 from hj_strata.cell import ball_operator
 from hj_strata.scenario import load_preset
 
 op = ball_operator(load_preset("strip_attract").with_schedules(cell_h=1 / 32, sl_step=1 / 32), 2.5)
-(field,), (info,) = solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9)
+(field,), (info,) = solve_discounted(op, 0.5, tol=1e-9)
 assert info.converged and info.krylov_iterations > 0
 sys.stdout.buffer.write(field.values.tobytes())
 """
@@ -799,8 +822,8 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
 
     monkeypatch.setattr(bellman, "bicgstab", stalls_on_flat_rows)
     for max_iter in (200_000, 2):
-        fields, infos = solve_discounted(DiscountedProblem(family, 0.5), tol=1e-9, max_iter=max_iter)
-        alone = [solve_discounted(DiscountedProblem(op, 0.5), tol=1e-9, max_iter=max_iter) for op in lone]
+        fields, infos = solve_discounted(family, 0.5, tol=1e-9, max_iter=max_iter)
+        alone = [solve_discounted(op, 0.5, tol=1e-9, max_iter=max_iter) for op in lone]
         assert all(len(f) == 1 and isinstance(i, Family) and len(i) == 1 for f, i in alone)
         for field, info, ((field_1,), (info_1,)) in zip(fields, infos, alone):
             assert field.values.tobytes() == field_1.values.tobytes()
@@ -810,9 +833,9 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
     assert [(i.converged, i.lu_fallbacks) for i in infos] == [(False, 0), (True, 1), (False, 0)]
     # a policy start, one row per cell, keeps the cells apart as well
     policy0 = np.stack([i.policy for i in infos])
-    fields, infos = solve_discounted(DiscountedProblem(family, 0.25), tol=1e-9, policy0=policy0)
+    fields, infos = solve_discounted(family, 0.25, tol=1e-9, policy0=policy0)
     for op, start, field, info in zip(lone, policy0, fields, infos):
-        (field_1,), (info_1,) = solve_discounted(DiscountedProblem(op, 0.25), tol=1e-9, policy0=start)
+        (field_1,), (info_1,) = solve_discounted(op, 0.25, tol=1e-9, policy0=start)
         assert field.values.tobytes() == field_1.values.tobytes()
         assert info == info_1 and info.policy.tobytes() == info_1.policy.tobytes()
     batch = ergodic_continuation(family, lambda0=0.5, factor=0.5, tol=1e-6)

@@ -234,7 +234,7 @@ def test_checkerboard_strip_entry_converges_past_a_plateau():
 def _estimate(gap, converged):
     """A hand-made strip estimate with the given method gap and verdict."""
     return ErgodicEstimate(
-        kind="strip", branch="main", p=(0.0, 0.0), truncation=1.0, constant=-0.1,
+        truncation=1.0, constant=-0.1,
         continuation_constant=-0.1 - gap, method_gap=gap, corrector=None, lambda_history=(),
         converged=converged, residual=0.0, iterations=1, delta=0.25,
     )

@@ -11,6 +11,7 @@ from hj_strata.correctors import (
     Piece,
     RegimeError,
     SubcorrectorSpec,
+    _fit_max,
     _grid_root,
     _one_step,
     _polish_vertical_root,
@@ -25,8 +26,8 @@ from hj_strata.correctors import (
     subsolution_residual,
 )
 from hj_strata.grids import _BLOCK, GridSpec, ValueField
-from hj_strata.hamiltonian import eval_fields
-from hj_strata.scenario import load_preset, parse_scenario, validate_assumptions
+from hj_strata.hamiltonian import eval_fields, validate_assumptions
+from hj_strata.scenario import load_preset, parse_scenario
 
 COS16 = math.cos(math.pi / 16)
 
@@ -274,6 +275,27 @@ def test_regime_mismatch_raises(attract):
         assert select_regime(scn, tables, p) == selected
         with pytest.raises(RegimeError, match=f"selects '{selected}'"):
             build_subcorrector(scn, tables, correctors, p, asked)
+
+
+def test_build_refuses_another_scenarios_correctors_and_an_unknown_regime(attract):
+    scn, tables, correctors = attract
+    with pytest.raises(ValueError, match="different scenario"):
+        build_subcorrector(load_preset("drift_defect"), tables, correctors, (0.0, 0.0), "origin")
+    with pytest.raises(ValueError, match="unknown regime 'ridge'"):
+        build_subcorrector(scn, tables, correctors, (0.0, 0.0), "ridge")
+
+
+def test_fit_refuses_a_maximum_on_the_sampling_box_edge():
+    grid = GridSpec.box(1.0, 0.25)
+    y1 = grid.nodes()[:, 0]
+    everywhere = np.ones(grid.size, dtype=bool)
+    with pytest.raises(ValueError, match=r"ramp: the fitted maximum sits on the sampling-box edge at y=\(1, "):
+        _fit_max(y1, grid, everywhere, "ramp")
+    # a tie between the edge and the interior passes, as does an interior maximum
+    assert _fit_max(np.zeros(grid.size), grid, everywhere, "flat") == pytest.approx(0.0, abs=1e-9)
+    assert _fit_max(-y1 * y1, grid, everywhere, "cap") >= 0.0
+    with pytest.raises(ValueError, match="misses every sample node"):
+        _fit_max(y1, grid, ~everywhere, "empty")
 
 
 def test_grid_root_walks_the_flank_away_from_the_argmin():

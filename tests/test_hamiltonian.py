@@ -10,7 +10,7 @@ from hj_strata.hamiltonian import (
     eval_H_envelopes,
     eval_fields,
     hull_inradius,
-    run_assumption_checks,
+    validate_assumptions,
 )
 from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
@@ -289,7 +289,7 @@ CHECK_SEEDS = range(5)
 def test_assumption_checks_pass_on_presets():
     for name in preset_names():
         for seed in CHECK_SEEDS:
-            report = run_assumption_checks(load_preset(name), seed=seed)
+            report = validate_assumptions(load_preset(name), seed=seed)
             assert report.passed, f"{name} seed {seed}: {[e.name for e in report.failures()]}"
 
 
@@ -343,14 +343,14 @@ def test_assumption_checks_catch_seam_mismatch():
     for raw, expected in cases:
         scn = parse_scenario(raw, label="t")
         for seed in CHECK_SEEDS:
-            failed = {e.name for e in run_assumption_checks(scn, seed=seed).failures()}
+            failed = {e.name for e in validate_assumptions(scn, seed=seed).failures()}
             assert expected <= failed, f"{raw} seed {seed}: {sorted(failed)}"
 
 
 def test_assumption_checks_deterministic():
     scn = load_preset("strip_attract")
-    r1 = run_assumption_checks(scn, seed=9)
-    r2 = run_assumption_checks(scn, seed=9)
+    r1 = validate_assumptions(scn, seed=9)
+    r2 = validate_assumptions(scn, seed=9)
     assert [(e.name, e.passed, e.detail) for e in r1.entries] == [
         (e.name, e.passed, e.detail) for e in r2.entries
     ]

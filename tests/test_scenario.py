@@ -20,6 +20,9 @@ BASE = {
     "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
 }
 
+BLOCK = {"drift": ["{a1}", "{a2}"], "cost": "1"}
+STRIP = {**BLOCK, "period": 1.0}
+
 
 def variant(**over):
     d = json.loads(json.dumps(BASE))
@@ -155,12 +158,42 @@ def test_schedules_fixed_step():
         ({"schedules": {"sl_step": True}}, "sl_step"),
         ({"schedules": {"tol_ergodic": "x"}}, "tol_ergodic"),
         ({"schedules": {"R_list": ["x"]}}, "R_list"),
+        ({"background": "1"}, "background: expected an object with 'drift' and 'cost'"),
+        ({"background": {"drift": ["{a1}", "{a2}"]}}, "background: missing required key 'cost'"),
+        ({"background": {"drift": "{a1}", "cost": "1"}}, "background.drift: expected a pair"),
+        ({"strip_defect": {**BLOCK, "period": 0.0}}, "strip_defect.period: must be positive"),
+        ({"core_defect": {**BLOCK, "period": 1.0}}, "core_defect.period: only strip blocks"),
+        ({"controls": [[1.0, 0.0], [0.5]]}, "entries must be [a1, a2] pairs"),
+        ({"controls": []}, "control set must be non-empty"),
+        ({"controls": {"speed": 1.0}}, "needs a 'directions' count"),
+        ({"controls": "sixteen"}, "controls: expected a generator object"),
+        (lambda tmp: tmp / "missing.json", "cannot read scenario file"),
+        (lambda tmp: _written(tmp / "bad.json", "{"), "bad.json: invalid JSON"),
+        (lambda tmp: "{", "invalid JSON"),
+        (lambda tmp: "[1, 2]", "scenario: top level must be an object"),
+        (lambda tmp: {k: v for k, v in BASE.items() if k != "alpha"}, "missing required key 'alpha'"),
+        (lambda tmp: {k: v for k, v in BASE.items() if k != "background"}, "background: required"),
+        ({"case": "case3"}, "R1: required for case3"),
+        ({"R1": 0.75}, "R1: only case3 scenarios take a separate R1"),
+        ({"case": "case2", "background": {**BLOCK, "periods": [1.0]}}, "background.periods: expected [T1, T2]"),
+        ({"case": "case2", "background": {**BLOCK, "periods": [1.0, 0.0]}}, "background.periods: must be positive"),
+        ({"case": "case3", "R1": 0.75, "strip_defect": {"plus": STRIP}}, "strip_defect: case3 takes"),
+        ({"strip_defect": {"plus": STRIP, "minus": STRIP}}, "per-branch blocks are a case3 feature"),
+        ({"schedules": [1]}, "schedules: expected an object"),
+        ({"schedules": {"rho_list": [-1.0, 1.0]}}, "schedules.rho_list: entries must be positive"),
     ],
 )
-def test_rejects_invalid_input_naming_the_clause(patch, needle):
+def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
+    # a row patches BASE, or is a function of a scratch directory giving the source
+    source = patch(tmp_path) if callable(patch) else variant(**patch)
     with pytest.raises(ScenarioError) as exc:
-        parse_scenario(variant(**patch), label="t")
+        parse_scenario(source, label="t")
     assert needle in str(exc.value)
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
 
 
 def test_case3_requires_wide_core():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from hj_strata import stratified
-from hj_strata.bellman import DiscountedProblem, SLOperator, solve_discounted
+from hj_strata.bellman import SLOperator, solve_discounted
 from hj_strata.cell import TableRangeError, tabulate_effective
 from hj_strata.grids import GridSpec
 from hj_strata.hamiltonian import eval_fields
@@ -350,6 +351,28 @@ def test_control_plane_start_that_stalls_raises():
         solve_scheme(scheme, tol=1e-10, max_iter=1)
 
 
+@pytest.mark.parametrize(
+    "entry, preset, scn_over, tables_over, grid, match",
+    [
+        (build_scheme, "strip_attract", {}, {}, GridSpec.torus(2.0, 1 / 8), "plain box grid"),
+        (build_scheme, "strip_attract", {}, {}, GridSpec("box", 33, 17, 1 / 8, 1 / 4, (-2.0, -2.0), False, False),
+         "square cells"),
+        (build_scheme, "strip_attract", {"alpha": 8.0}, {}, box_grid(1 / 8), r"alpha\*delta >= 1"),
+        (build_scheme, "strip_attract", {}, {"h1t": {}}, box_grid(1 / 8), r"lack tangential branch\(es\) \['main'\]"),
+        (build_scheme, "checkerboard", {}, {"hbar": None}, box_grid(1 / 8), "case2 schemes need the tabulated plane"),
+        (solve_unstratified, "checkerboard", {}, None, box_grid(1 / 8), "periodic backgrounds need tabulated"),
+    ],
+    ids=["periodic-grid", "non-square-cells", "alpha-delta", "missing-branch", "case2-without-hbar",
+         "case2-without-tables"],
+)
+def test_scheme_refuses_what_it_cannot_solve(entry, preset, scn_over, tables_over, grid, match):
+    # at 1/8 the limit step is 1/8, so alpha = 8 puts alpha * delta at 1
+    scn = dataclasses.replace(load_preset(preset), **scn_over)
+    tables = checkerboard_tables() if preset == "checkerboard" else cached_tables(preset)
+    with pytest.raises(ValueError, match=match):
+        entry(scn, None if tables_over is None else dataclasses.replace(tables, **tables_over), grid)
+
+
 def _epsilon_error(scn, eps, limit):
     """sup over |x|_inf <= 1 of |u^eps - limit|, where u^eps solves the
     oscillating problem alpha u + H(x, x/eps, Du) = 0 on the scheduled box,
@@ -358,7 +381,7 @@ def _epsilon_error(scn, eps, limit):
     x = grid.nodes()
     drift, cost = eval_fields(scn, x, x / eps)
     op = SLOperator(grid, drift, cost, grid.h1)
-    (field,), (info,) = solve_discounted(DiscountedProblem(op, scn.alpha), tol=1e-8)
+    (field,), (info,) = solve_discounted(op, scn.alpha, tol=1e-8)
     assert info.converged
     inner = np.max(np.abs(x), axis=1) <= 1.0 + 1e-12
     return float(np.max(np.abs(field.flat()[inner] - limit(x[inner]))))
