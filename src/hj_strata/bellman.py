@@ -153,20 +153,20 @@ def _block_diagonal(idx: np.ndarray) -> np.ndarray:
     return idx + (np.arange(cells, dtype=idx.dtype) * n)[:, None, None]
 
 
-def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
+def bicgstab(system, rhs, *, x0, atol, maxiter):
     """Unpreconditioned BiCGSTAB (van der Vorst), one system per row.
 
     ``system(x, rows)`` is the matrix-vector product of the systems ``rows``
     (indices into ``rhs``) on the matching rows of ``x``.  Each row iterates
     from its row of ``x0``, in lockstep with the others and with the
     arithmetic of a lone solve, until its residual's 2-norm is at most its
-    entry of ``atol``; then it drops out.  Returns ``(x, info)`` with one
-    ``info`` per row: 0 on convergence, ``maxiter`` when the budget runs out
-    and negative on a breakdown.  ``callback(rows)`` runs after every full
-    iteration with the rows that took it.  A caller restarts a broken-down
-    row by calling again from the returned iterate, which draws a fresh
-    shadow residual; :meth:`SLOperator.policy_value` does so once before it
-    falls back to LU (see ``_KRYLOV_MAX_ITER``).
+    entry of ``atol``; then it drops out.  Returns ``(x, info, steps)`` with
+    one ``info`` per row: 0 on convergence, ``maxiter`` when the budget runs
+    out and negative on a breakdown; ``steps`` counts the full iterations each
+    row took, 0 for a row that stops within its first.  A caller restarts a
+    broken-down row by calling again from the returned iterate, which draws a
+    fresh shadow residual; :meth:`SLOperator.policy_value` does so once before
+    it falls back to LU (see ``_KRYLOV_MAX_ITER``).
 
     Each inner product is its own :func:`_dot`: the solve's cost is memory
     traffic, and fused reductions or preallocated buffers measured no faster.
@@ -174,6 +174,7 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
     x = np.array(x0, dtype=float)
     out = x.copy()
     info = np.full(len(x), maxiter)
+    steps = np.zeros(len(x), dtype=int)
     rows = np.arange(len(x))
     r = rhs - system(x, rows)
     r_hat = r.copy()
@@ -196,7 +197,7 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
                 ~done, rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, atol
             )
             if not rows.size:
-                return out, info
+                return out, info, steps
         p -= omega[:, None] * v
         p *= ((rho / rho_prev) * (alpha / omega))[:, None]
         p += r
@@ -209,7 +210,7 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
                 ~done, rows, x, r, r_hat, p, v, rho, rv, atol
             )
             if not rows.size:
-                return out, info
+                return out, info, steps
         alpha = rho / rv
         x += alpha[:, None] * p
         r -= alpha[:, None] * v
@@ -220,16 +221,16 @@ def bicgstab(system, rhs, *, x0, atol, maxiter, callback):
                 ~done, rows, x, r, r_hat, p, v, rho, alpha, atol
             )
             if not rows.size:
-                return out, info
+                return out, info, steps
         t = system(r, rows)
         tr, tt = _dot(t, r), _dot(t, t)
         omega = tr / tt
         x += omega[:, None] * r
         r -= omega[:, None] * t
         rho_prev = rho
-        callback(rows)
+        steps[rows] += 1
     out[rows] = x
-    return out, info
+    return out, info, steps
 
 
 class SLOperator:
@@ -352,9 +353,8 @@ class SLOperator:
         idx, w, rhs = self.policy_stencils(policy, subset)
         cells = len(rhs)
         atol = np.broadcast_to(np.asarray(atol, dtype=float), cells)
-        steps = np.zeros(cells, dtype=int)
 
-        def krylov(solve: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def krylov(solve: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """BiCGSTAB on the systems of the cells ``solve`` from ``x0``."""
             blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -369,18 +369,14 @@ class SLOperator:
                 y += x
                 return y
 
-            def count(rows: np.ndarray) -> None:
-                steps[solve[rows]] += 1
+            return bicgstab(system, rhs[solve], x0=x0, atol=atol[solve], maxiter=_KRYLOV_MAX_ITER)
 
-            return bicgstab(
-                system, rhs[solve], x0=x0, atol=atol[solve], maxiter=_KRYLOV_MAX_ITER, callback=count,
-            )
-
-        value, info = krylov(np.arange(cells), np.reshape(guess, (cells, n)))
+        value, info, steps = krylov(np.arange(cells), np.reshape(guess, (cells, n)))
         broke = np.flatnonzero(info < 0)
         if broke.size:
             # one restart from where it stopped, with a fresh shadow residual
-            value[broke], info[broke] = krylov(broke, value[broke])
+            value[broke], info[broke], restart = krylov(broke, value[broke])
+            steps[broke] += restart
         fell_back = info != 0
         for c in np.flatnonzero(fell_back):
             from scipy.sparse.linalg import splu  # see _KRYLOV_MAX_ITER
@@ -396,7 +392,6 @@ class SolveInfo:
     residual: float           # max |T u - u| of the returned field's application
     converged: bool
     policy_evaluations: int   # linear solves for a policy's value
-    stop: str                 # "residual" or "max_iter"
     krylov_iterations: int    # BiCGSTAB iterations over all policy evaluations
     lu_fallbacks: int         # evaluations handed to sparse LU
     # greedy control per node of the returned field's application, in the
@@ -481,8 +476,7 @@ def solve_discounted(
     def settle(c: int, tu: np.ndarray, greedy: np.ndarray, residual: float, converged: bool) -> None:
         values[c] = tu
         infos[c] = SolveInfo(
-            it, float(residual), converged, int(evaluations[c]),
-            "residual" if converged else "max_iter", int(krylov[c]), int(fallbacks[c]),
+            it, float(residual), converged, int(evaluations[c]), int(krylov[c]), int(fallbacks[c]),
             greedy.astype(compact),
         )
 

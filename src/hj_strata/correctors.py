@@ -23,10 +23,10 @@ territory, and the piece is admissible only out to the first *rim* beyond the
 territory where it sits on or above the rivals at every ring node, so the
 cut opens no jump; ``split_radius`` reports that rim.  With an empty
 territory the piece is left out.  If no rim inside the window glues, the
-piece stays unconfined -- still a subsolution at the level ``w_constant``
-below the certified one wherever its truncation reaches -- with ``C`` fitted
-over the disc of radius ``max(R1, territory) + h`` that holds the territory,
-and the spec's notes say so.
+piece stays unconfined -- a subsolution at the origin corrector's constant,
+below the certified level, wherever its truncation reaches -- with ``C``
+fitted over the disc of radius ``max(R1, territory) + h`` that holds the
+territory, and the spec's notes say so.
 
 Every level measurement reads one test of ``H(0, y, Dχ) <= level``: the
 one-step dynamic-programming reading ``(v(y) - min_a [δ ℓ(y, a) + v(y + δ
@@ -103,8 +103,6 @@ def plane_level(scn: Scenario, tables: EffectiveTables, p) -> float:
     """Ambient effective value H̄(0, p) at the frozen slow point."""
     p = np.asarray(p, dtype=float)
     if scn.case == "case2":
-        if tables.hbar is None:
-            raise ValueError("case2 tables carry no ambient grid; retabulate with a p_grid")
         return float(tables.hbar_at(p))
     drift, cost = _frozen_background(scn, _X0)
     return float(np.max(-(drift @ p) - cost))
@@ -153,10 +151,8 @@ def _vertical_roots(scn: Scenario, tables: EffectiveTables, p1: float, level: fl
     """Both roots q₂ of H̄(0, (p₁, q₂)) = level, bracketing the sublevel set."""
     if scn.case != "case2":
         return slopes(scn, p1, level)
-    if tables.p_grid is None or tables.hbar is None:
-        raise ValueError("case2 tables carry no ambient grid; retabulate with a p_grid")
     q_grid = np.asarray(tables.p_grid, dtype=float)
-    section = np.array([float(tables.hbar_at((p1, q))) for q in q_grid])
+    section = tables.hbar_at(np.column_stack([np.full_like(q_grid, p1), q_grid]))
     lower = _grid_root(q_grid, section, level, "left", "ambient section, lower slope")
     upper = _grid_root(q_grid, section, level, "right", "ambient section, upper slope")
     return lower, upper
@@ -296,14 +292,12 @@ class SubcorrectorSpec:
 
     target: tuple[float, float]
     regime: str
-    case: str
     level: float
     eta: float
     q_values: Mapping[str, float]
     c: float
     C: float
     split_radius: float
-    half_width: float
     pieces: tuple[Piece, ...]
     notes: tuple[str, ...] = ()
 
@@ -350,7 +344,6 @@ class CorrectorSet:
     tol: float
     delta: float
     w_field: ValueField
-    w_constant: float
     notes: tuple[str, ...] = ()
     _strips: dict = field(default_factory=dict, repr=False)
     _plane: dict = field(default_factory=dict, repr=False)
@@ -373,12 +366,6 @@ class CorrectorSet:
                 f"torus corrector at momentum {key}",
             )
         return self._plane[key]
-
-    def plane_corrector(self, q) -> ValueField | None:
-        """Periodic correction of the plane wave ⟨q, y⟩ (case2 only)."""
-        if self.scenario.case != "case2":
-            return None
-        return self.plane_estimate(q).corrector
 
 
 def _converged(estimates: tuple[ErgodicEstimate, ...], what: str) -> ErgodicEstimate:
@@ -429,7 +416,6 @@ def build_corrector_set(
         tol=tol,
         delta=est.delta,
         w_field=est.corrector,
-        w_constant=float(est.constant),
         notes=(f"origin corrector truncation {coverage:g}, constant {est.constant:.6g}",),
     )
 
@@ -513,15 +499,15 @@ def _fit_max(diff: np.ndarray, grid: GridSpec, mask: np.ndarray, what: str) -> f
 
 
 def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
-    """Where each piece's own Hamiltonian agrees with the true one, by the
-    regions of :meth:`Scenario.regions`.
+    """Where each outer piece's own Hamiltonian agrees with the true one, by
+    the regions of :meth:`Scenario.regions`.
 
-    The sampled origin corrector solves the true equation everywhere inside
-    its truncation.  A strip piece is trusted on its own branch region and on
-    the background nodes at ``|y2| >= R0``, where its fields meet the
-    background's.  A plane wave is trusted on the background and on the
-    branches' band edge ``|y2| = R0`` outside the open core disc, where the
-    strip fields meet the background's.
+    The pieces are plane waves and strips (the origin corrector solves the
+    true equation inside its truncation).  A strip piece is trusted on its
+    own branch region and on the background nodes at ``|y2| >= R0``, where
+    its fields meet the background's.  A plane wave is trusted on the
+    background and on the branches' band edge ``|y2| = R0`` outside the open
+    core disc, where the strip fields meet the background's.
     """
     y1, y2 = pts[:, 0], pts[:, 1]
     masks = scn.regions(y1, y2)
@@ -531,10 +517,8 @@ def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
     for k, piece in enumerate(pieces):
         if piece.kind in ("affine", "plane"):
             safe[k] = bg | (edge & ~masks["core"] & (y1 * y1 + y2 * y2 >= scn.R1 * scn.R1))
-        elif piece.kind == "strip":
-            safe[k] = masks[piece.branch] | (bg & edge)
         else:
-            raise ValueError(f"unknown piece kind {piece.kind!r}")
+            safe[k] = masks[piece.branch] | (bg & edge)
     return safe
 
 
@@ -653,14 +637,6 @@ def _territory(
     return ~(trusted | loose)
 
 
-def _ball_offset(excess: np.ndarray, region: np.ndarray, grid: GridSpec) -> float:
-    """Offset ``C`` dropping the origin corrector below every rival on
-    ``region`` (its territory, or the disc holding it when the piece stays
-    unconfined): the max of ``excess = w - rivals`` there, plus a Lipschitz
-    margin."""
-    return _margined_max(excess, grid, region & np.isfinite(excess))
-
-
 def _split_radius(
     glue: np.ndarray, territory: np.ndarray, radii: np.ndarray, grid: GridSpec, cap: float
 ) -> float | None:
@@ -693,10 +669,11 @@ def _split_radius(
 
 
 def _affine_piece(label, q, correctors: CorrectorSet) -> Piece:
+    """The plane wave ⟨q, y⟩, with its periodic correction in case2."""
     q = (float(q[0]), float(q[1]))
-    fld = correctors.plane_corrector(q)
-    kind = "plane" if fld is not None else "affine"
-    return Piece(label=label, kind=kind, slope=q, field=fld)
+    if correctors.scenario.case != "case2":
+        return Piece(label=label, kind="affine", slope=q)
+    return Piece(label=label, kind="plane", slope=q, field=correctors.plane_estimate(q).corrector)
 
 
 def _strip_piece(
@@ -708,10 +685,6 @@ def _strip_piece(
         label=label, kind="strip", slope=(float(momentum), 0.0), branch=branch,
         field=fld, halfplane=halfplane, shares_c=shares_c,
     )
-
-
-def _ball_piece(correctors: CorrectorSet) -> Piece:
-    return Piece(label="origin", kind="ball", slope=(0.0, 0.0), field=correctors.w_field)
 
 
 @dataclass
@@ -982,22 +955,23 @@ def build_subcorrector(
         territory |= radii <= _CORE_FRACTION * scn.R0 + _TIE_SLACK
     C, radius = math.nan, 0.0
     if territory.any():
-        ball = _ball_piece(correctors)
+        ball = Piece(label="origin", kind="ball", slope=(0.0, 0.0), field=correctors.w_field)
+        # C: the max of w - rivals on the territory, plus a Lipschitz margin
         excess = ball.values(pts) - np.min(outer_vals, axis=0)
-        C = _ball_offset(excess, territory, grid)
+        C = _margined_max(excess, grid, territory & np.isfinite(excess))
         cap = _EDGE_FRACTION * float(np.max(np.abs(pts)))
         rim = _split_radius(excess - C, territory, radii, grid, cap)
         if rim is not None:
             radius = rim
             pieces.append(replace(ball, offset=C, radius=rim))
         else:
-            # Unconfined, w - C is still a subsolution at the level
-            # w_constant <= level wherever its truncation reaches.  C is
-            # refitted over the disc that holds the territory (at least R1 + h,
-            # at most the cap), so it drops the piece below its rivals there.
+            # Unconfined, w - C is still a subsolution at the origin corrector's
+            # constant <= level wherever its truncation reaches.  C is refitted
+            # over the disc that holds the territory (at least R1 + h, at most
+            # the cap), so it drops the piece below its rivals there.
             h = max(grid.h1, grid.h2)
             reach = min(cap, max(float(scn.R1), float(np.max(radii[territory]))) + h)
-            C = _ball_offset(excess, radii <= reach + _TIE_SLACK, grid)
+            C = _margined_max(excess, grid, (radii <= reach + _TIE_SLACK) & np.isfinite(excess))
             pieces.append(replace(ball, offset=C))
             selected = (excess < C) & ball.admissible(pts)
             radius = float(np.max(radii[selected])) if selected.any() else 0.0
@@ -1011,14 +985,12 @@ def build_subcorrector(
     return SubcorrectorSpec(
         target=p,
         regime=regime,
-        case=scn.case,
         level=float(draft.level),
         eta=float(draft.eta),
         q_values=dict(draft.q_values),
         c=float(c),
         C=float(C),
         split_radius=float(radius),
-        half_width=float(correctors.half_width),
         pieces=tuple(pieces),
         notes=tuple(draft.notes),
     )

@@ -1,7 +1,8 @@
 """Grids and sampled value fields.
 
 Three grid kinds cover all solves: state-constrained boxes, periodic-in-y1
-strips with a constrained vertical extent, and fully periodic tori.  Nodes
+strips with a constrained vertical extent, and fully periodic tori, told
+apart by their periodic axes; spacings and periods must be positive.  Nodes
 are indexed ``(i, j)`` for the ``y1``/``y2`` axes with flat index
 ``i * n2 + j``; spacing may differ per axis (periodic axes divide the period
 exactly).  The anchor is the node closest to the origin and is the
@@ -29,6 +30,12 @@ _ALIGN_TOL = 1e-9
 _BLOCK = 1 << 14
 
 
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"grid {name} must be positive, got {value}")
+
+
 def _check_multiple(length: float, h: float, what: str) -> int:
     ratio = length / h
     n = round(ratio)
@@ -41,7 +48,6 @@ def _check_multiple(length: float, h: float, what: str) -> int:
 class GridSpec:
     """A rectangular grid; build with :meth:`box`, :meth:`strip`, or :meth:`torus`."""
 
-    kind: str
     n1: int
     n2: int
     h1: float
@@ -53,21 +59,21 @@ class GridSpec:
     @classmethod
     def box(cls, half_widths: float | tuple[float, float], h: float) -> "GridSpec":
         """State-constrained box ``[-L1, L1] x [-L2, L2]``; h must divide both."""
+        _check_positive(h=h)
         if isinstance(half_widths, (int, float)):
             half_widths = (float(half_widths), float(half_widths))
         L1, L2 = float(half_widths[0]), float(half_widths[1])
         m1 = _check_multiple(2.0 * L1, h, "box width")
         m2 = _check_multiple(2.0 * L2, h, "box height")
-        return cls("box", m1 + 1, m2 + 1, h, h, (-L1, -L2), False, False)
+        return cls(m1 + 1, m2 + 1, h, h, (-L1, -L2), False, False)
 
     @classmethod
     def strip(cls, period: float, rho: float, h: float) -> "GridSpec":
         """Periodic strip ``(R/T Z) x [-rho, rho]``."""
-        if period <= 0:
-            raise ValueError("strip period must be positive")
+        _check_positive(period=period, h=h)
         n1 = max(2, round(period / h))
         m2 = _check_multiple(2.0 * rho, h, "strip height")
-        return cls("strip", n1, m2 + 1, period / n1, h, (0.0, -rho), True, False)
+        return cls(n1, m2 + 1, period / n1, h, (0.0, -rho), True, False)
 
     @classmethod
     def torus(cls, periods: float | tuple[float, float], h: float) -> "GridSpec":
@@ -75,11 +81,10 @@ class GridSpec:
         if isinstance(periods, (int, float)):
             periods = (float(periods), float(periods))
         T1, T2 = float(periods[0]), float(periods[1])
-        if T1 <= 0 or T2 <= 0:
-            raise ValueError("torus periods must be positive")
+        _check_positive(T1=T1, T2=T2, h=h)
         n1 = max(2, round(T1 / h))
         n2 = max(2, round(T2 / h))
-        return cls("torus", n1, n2, T1 / n1, T2 / n2, (0.0, 0.0), True, True)
+        return cls(n1, n2, T1 / n1, T2 / n2, (0.0, 0.0), True, True)
 
     @property
     def size(self) -> int:
@@ -96,14 +101,11 @@ class GridSpec:
         c1, c2 = np.meshgrid(self.coords1(), self.coords2(), indexing="ij")
         return np.column_stack([c1.ravel(), c2.ravel()])
 
-    def flat_index(self, i: int, j: int) -> int:
-        return i * self.n2 + j
-
     def anchor_index(self) -> int:
         """Flat index of the node nearest the origin."""
         i = int(np.argmin(np.abs(self.coords1())))
         j = int(np.argmin(np.abs(self.coords2())))
-        return self.flat_index(i, j)
+        return i * self.n2 + j
 
     def index_of(self, points) -> int | np.ndarray:
         """Flat index of the node nearest each point: an ``int`` for one

@@ -121,9 +121,7 @@ def _build_field_pair(
     if period_required:
         if period is None:
             raise ScenarioError(f"{where}.period: strip blocks must declare their tangential period")
-        period = float(period)
-        if not period > 0:
-            raise ScenarioError(f"{where}.period: must be positive")
+        period = _positive(period, f"{where}.period")
     elif period is not None:
         raise ScenarioError(f"{where}.period: only strip blocks carry a period")
 
@@ -285,22 +283,17 @@ def _generate_controls(spec: Any) -> tuple[tuple[float, float], ...]:
     if isinstance(spec, (list, tuple)):
         controls = []
         for item in spec:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ScenarioError("controls: explicit control list entries must be [a1, a2] pairs")
+            if not (isinstance(item, (list, tuple)) and len(item) == 2 and all(map(_is_number, item))):
+                raise ScenarioError("controls: explicit control list entries must be [a1, a2] pairs of numbers")
             controls.append((float(item[0]), float(item[1])))
         if not controls:
             raise ScenarioError("controls: control set must be non-empty")
         return tuple(controls)
     if isinstance(spec, Mapping):
-        try:
-            n = int(spec["directions"])
-        except KeyError:
-            raise ScenarioError("controls: generator form needs a 'directions' count") from None
-        if n < 3:
-            raise ScenarioError("controls.directions: need at least 3 directions for a non-degenerate hull")
-        speed = float(spec.get("speed", 1.0))
-        if not speed > 0:
-            raise ScenarioError("controls.speed: must be positive")
+        n = spec.get("directions")
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 3):
+            raise ScenarioError(f"controls: generator form needs a 'directions' count of at least 3, got {n!r}")
+        speed = _positive(spec.get("speed", 1.0), "controls.speed")
         include_zero = bool(spec.get("include_zero", True))
         # Half-step offset keeps every direction away from the axes, so no
         # generated control is exactly +-e1 or +-e2.
@@ -317,6 +310,13 @@ def _generate_controls(spec: Any) -> tuple[tuple[float, float], ...]:
 def _is_number(value: Any) -> bool:
     """A finite int or float; JSON booleans do not count."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _positive(value: Any, clause: str) -> float:
+    """``value`` as a float if it is a positive number, else a ScenarioError naming ``clause``."""
+    if not (_is_number(value) and value > 0):
+        raise ScenarioError(f"{clause}: must be positive, got {value!r}")
+    return float(value)
 
 
 def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None = None) -> Scenario:
@@ -356,23 +356,19 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
     if case not in CASES:
         raise ScenarioError(f"case: expected one of {CASES}, got {case!r}")
     try:
-        alpha = float(raw["alpha"])
-        R0 = float(raw["R0"])
+        alpha = _positive(raw["alpha"], "alpha")
+        R0 = _positive(raw["R0"], "R0")
     except KeyError as exc:
         raise ScenarioError(f"scenario: missing required key {exc.args[0]!r}") from None
-    if not alpha > 0:
-        raise ScenarioError("alpha: must be positive")
-    if not R0 > 0:
-        raise ScenarioError("R0: must be positive")
 
     if case == "case3":
         if "R1" not in raw:
             raise ScenarioError("R1: required for case3")
-        R1 = float(raw["R1"])
+        R1 = _positive(raw["R1"], "R1")
         if not R1 > math.sqrt(2.0) * R0:
             raise ScenarioError("R1: case3 requires R1 > sqrt(2)*R0")
     else:
-        if "R1" in raw and not math.isclose(float(raw["R1"]), R0):
+        if "R1" in raw and not (_is_number(raw["R1"]) and math.isclose(raw["R1"], R0)):
             raise ScenarioError("R1: only case3 scenarios take a separate R1 (case1/case2 use R0)")
         R1 = R0
 
@@ -387,9 +383,7 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
         periods_raw = raw["background"].get("periods", [1.0, 1.0])
         if not (isinstance(periods_raw, (list, tuple)) and len(periods_raw) == 2):
             raise ScenarioError("background.periods: expected [T1, T2]")
-        background_periods = (float(periods_raw[0]), float(periods_raw[1]))
-        if not (background_periods[0] > 0 and background_periods[1] > 0):
-            raise ScenarioError("background.periods: must be positive")
+        background_periods = tuple(_positive(t, "background.periods") for t in periods_raw)
     else:
         if isinstance(raw.get("background"), Mapping) and "periods" in raw["background"]:
             raise ScenarioError("background.periods: only case2 backgrounds are periodic")

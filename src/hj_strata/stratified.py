@@ -96,7 +96,7 @@ def build_scheme(
     sched = scn.schedules
     if grid is None:
         grid = GridSpec.box(sched.box_half_width, sched.grid_h)
-    if grid.kind != "box" or grid.periodic1 or grid.periodic2:
+    if grid.periodic1 or grid.periodic2:
         raise ValueError("stratified solves need a plain box grid")
     if abs(grid.h1 - grid.h2) > 1e-12:
         raise ValueError("stratified solves need square cells (h1 == h2)")
@@ -244,9 +244,9 @@ def _fixed_point(
     )
 
 
-def _control_plane(operator: SLOperator, alpha: float, *, tol: float, max_iter: int) -> np.ndarray:
+def _control_plane(operator: SLOperator, alpha: float, *, tol: float) -> np.ndarray:
     """Plane solution in control form: one Howard solve at discount ``alpha``."""
-    (field,), (info,) = bellman.solve_discounted(operator, alpha, tol=tol, max_iter=max_iter)
+    (field,), (info,) = bellman.solve_discounted(operator, alpha, tol=tol, max_iter=_MAX_SWEEPS)
     if not info.converged:
         raise RuntimeError(
             f"plane start stalled: residual {info.residual:.3e} > tol {tol:.3e} "
@@ -274,32 +274,24 @@ def _tabulated_plane(scheme: StratifiedScheme, *, tol: float) -> np.ndarray:
     return u
 
 
-def solve_scheme(
-    scheme: StratifiedScheme,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = _MAX_SWEEPS,
-    u0: np.ndarray | None = None,
-) -> tuple[ValueField, int, float]:
+def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueField, int, float]:
     """Iterate the junction scheme to its fixed point.
 
-    Without ``u0`` the iteration starts from the plane solution, which
-    dominates the stratified one (the extra candidates only lower values), so
-    the sweeps descend monotonically.  That start is exact: one Howard solve
-    to residual ``tol`` (within ``max_iter`` Bellman applications) in control
-    form, the constant ``-Hbar(0)/alpha`` certified by one plane update on
-    the tabulated plane.  Returns ``(field, iterations, residual)``, counting
-    junction sweeps only; raises on non-convergence (every candidate is a
-    contraction, so this indicates a budget problem, not a scheme problem).
+    The iteration starts from the plane solution, which dominates the
+    stratified one (the extra candidates only lower values), so the sweeps
+    descend monotonically.  That start is exact: one Howard solve to residual
+    ``tol`` in control form, the constant ``-Hbar(0)/alpha`` certified by one
+    plane update on the tabulated plane.  Returns ``(field, iterations,
+    residual)``, counting junction sweeps only.  The Howard solve and the
+    sweeps each get ``_MAX_SWEEPS`` steps; running out raises (every candidate
+    is a contraction, so that is a budget problem, not a scheme problem).
     """
-    if u0 is None and scheme.operator is not None:
-        u = _control_plane(scheme.operator, scheme.alpha, tol=tol, max_iter=max_iter)
-    elif u0 is None:
-        u = _tabulated_plane(scheme, tol=tol)
+    if scheme.operator is not None:
+        u = _control_plane(scheme.operator, scheme.alpha, tol=tol)
     else:
-        u = np.array(u0, dtype=float).reshape(-1)
+        u = _tabulated_plane(scheme, tol=tol)
     u, it, residual = _fixed_point(
-        functools.partial(_sweep, scheme), u, tol=tol, max_iter=max_iter, what="stratified solve"
+        functools.partial(_sweep, scheme), u, tol=tol, max_iter=_MAX_SWEEPS, what="stratified solve"
     )
     # sweeps clip transient lookups; read the solution's own strictly, so an
     # out-of-window solution raises TableRangeError instead of passing
@@ -342,7 +334,7 @@ def solve_unstratified(
         grid = GridSpec.box(sched.box_half_width, sched.grid_h)
     if scn.case in ("case1", "case3"):
         op = _background_operator(scn, grid, sched.limit_delta(grid.h1))
-        u = _control_plane(op, scn.alpha, tol=tol, max_iter=_MAX_SWEEPS)
+        u = _control_plane(op, scn.alpha, tol=tol)
     else:
         if tables is None or tables.hbar is None:
             raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")

@@ -80,7 +80,7 @@ def test_operator_build_equals_a_one_shot_build_bit_for_bit(grid):
     # family of three cells
     scn = load_preset("drift_defect")
     drift, cost = eval_fields(scn, np.zeros(2), grid.nodes())
-    if grid.kind == "strip":
+    if grid.periodic1:
         cost = cost[..., None] + np.array([-0.5, 0.0, 0.75]) * drift[..., :1]
     op = SLOperator(grid, drift, cost, 0.25)
     admissible, idx, w, base = _one_shot_build(grid, drift, cost, 0.25)
@@ -185,7 +185,7 @@ def test_howard_matches_value_iteration(lam):
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     tol = 1e-7
     (field,), (info,) = solve_discounted(op, lam, tol=1e-3 * tol)
-    assert info.converged and info.stop == "residual"
+    assert info.converged
     vi = _value_iteration(op, lam, tol)
     assert np.max(np.abs(field.flat() - vi)) <= tol / (lam * op.delta)
 
@@ -199,7 +199,7 @@ def test_howard_iterations_do_not_grow_as_discount_vanishes():
 
 def _stalled_krylov(system, rhs, **kw):
     """A BiCGSTAB stand-in whose every row (one per cell) stalls at once."""
-    return np.zeros_like(rhs), np.ones(len(rhs), dtype=int)
+    return np.zeros_like(rhs), np.ones(len(rhs), dtype=int), np.zeros(len(rhs), dtype=int)
 
 
 def test_policy_value_falls_back_to_lu(monkeypatch):
@@ -226,11 +226,11 @@ def test_policy_value_restarts_a_breakdown_once_before_lu(monkeypatch):
     bicgstab, calls = bellman.bicgstab, []
 
     def breaks_first(system, rhs, *, x0, **kw):
-        x, info = bicgstab(system, rhs, x0=x0, **kw)
+        x, info, steps = bicgstab(system, rhs, x0=x0, **kw)
         calls.append(len(rhs))
         if len(calls) == 1:   # cell 1 reports a breakdown where it started
             x[1], info[1] = x0[1], -10
-        return x, info
+        return x, info, steps
 
     monkeypatch.setattr(bellman, "bicgstab", breaks_first)
     value, restarted, fell_back = op.policy_value(policy, discount, guess=u, atol=atol)
@@ -241,7 +241,8 @@ def test_policy_value_restarts_a_breakdown_once_before_lu(monkeypatch):
     assert restarted.tolist() == [steps[0], 2 * steps[1]]
     # a cell that breaks down again goes to sparse LU
     calls.clear()
-    monkeypatch.setattr(bellman, "bicgstab", lambda system, rhs, **kw: (np.zeros_like(rhs), np.full(len(rhs), -10)))
+    broken = lambda system, rhs, **kw: (np.zeros_like(rhs), np.full(len(rhs), -10), np.zeros(len(rhs), dtype=int))
+    monkeypatch.setattr(bellman, "bicgstab", broken)
     value, _, fell_back = op.policy_value(policy, discount, guess=u, atol=atol)
     assert fell_back.all()
     assert np.max(np.abs(value - expected)) <= atol / (discount * op.delta)
@@ -362,7 +363,7 @@ def test_repeated_policy_after_a_loose_solve_is_solved_again_tight(monkeypatch):
         (atol,) = kw["atol"]  # one tolerance per cell, and one cell here
         events.append(("solve", float(atol)))
         if len(events) == 2:
-            return np.array(kw["x0"]), np.zeros(len(rhs), dtype=int)
+            return np.array(kw["x0"]), np.zeros(len(rhs), dtype=int), np.zeros(len(rhs), dtype=int)
         return krylov(system, rhs, **kw)
 
     monkeypatch.setattr(SLOperator, "greedy", logged_greedy)
@@ -394,10 +395,26 @@ def test_inexact_evaluations_stay_few_at_every_discount(preset):
         assert 1 <= info.policy_evaluations <= 20
 
 
+def test_operator_refuses_a_non_positive_step_and_mismatched_shapes():
+    grid = GridSpec.box(1.0, 0.5)
+    drift, cost = np.zeros((2, grid.size, 2)), np.ones((2, grid.size))
+    for delta in (0.0, -0.25):
+        with pytest.raises(ValueError, match="time step delta must be positive"):
+            SLOperator(grid, drift, cost, delta)
+    for bad_drift, bad_cost in (
+        (np.zeros((2, grid.size, 3)), cost),          # a 3-vector drift
+        (np.zeros((2, grid.size + 1, 2)), cost),      # one node too many
+        (drift, np.ones((3, grid.size))),             # a control too many
+        (drift, np.ones((2, grid.size, 1, 1))),       # a 4-D cost
+    ):
+        with pytest.raises(ValueError, match="drift/cost shapes do not match the grid"):
+            SLOperator(grid, bad_drift, bad_cost, 0.25)
+
+
 def test_discounted_max_iter_returns_flagged_best_iterate():
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
     (field,), (info,) = solve_discounted(op, 0.005, tol=1e-30, max_iter=3)
-    assert not info.converged and info.stop == "max_iter"
+    assert not info.converged
     assert info.iterations == 3
     assert np.all(np.isfinite(field.values))
     assert 0.0 < info.residual < math.inf
@@ -425,9 +442,8 @@ def test_bicgstab_returns_once_every_row_breaks_down_on_rv():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x0 = np.array([[0.0, 0.0], [0.5, -0.25]])
     rhs = np.array([[1.0, 2.0], [3.0, -1.0]])
-    steps = []
-    x, info = bicgstab(lambda x, rows: x @ skew.T, rhs, x0=x0, atol=1e-12, maxiter=10, callback=steps.append)
-    assert info.tolist() == [-11, -11] and steps == []
+    x, info, steps = bicgstab(lambda x, rows: x @ skew.T, rhs, x0=x0, atol=1e-12, maxiter=10)
+    assert info.tolist() == [-11, -11] and steps.tolist() == [0, 0]
     assert np.array_equal(x, x0)
 
 
@@ -817,8 +833,8 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
 
     def stalls_on_flat_rows(system, rhs, **kw):
         # the flat cell's policy evaluations all fall back to LU
-        x, info = krylov(system, rhs, **kw)
-        return x, np.where(np.ptp(rhs, axis=1) == 0.0, 1, info)
+        x, info, steps = krylov(system, rhs, **kw)
+        return x, np.where(np.ptp(rhs, axis=1) == 0.0, 1, info), steps
 
     monkeypatch.setattr(bellman, "bicgstab", stalls_on_flat_rows)
     for max_iter in (200_000, 2):
@@ -860,11 +876,35 @@ def test_bicgstab_breakdown_leaves_the_other_rows_running():
     # r·Ar = 0 for a skew matrix, so the first step of row 0 has no alpha
     skew, spd = [[0.0, 1.0], [-1.0, 0.0]], [[2.0, 0.5], [0.5, 3.0]]
     rhs = np.array([[1.0, 2.0], [1.0, 2.0]])
-    x, info = bicgstab(_stacked_system([skew, spd]), rhs, x0=np.zeros((2, 2)), atol=1e-12, maxiter=50,
-                       callback=lambda rows: None)
+    x, info, _ = bicgstab(_stacked_system([skew, spd]), rhs, x0=np.zeros((2, 2)), atol=1e-12, maxiter=50)
     assert info.tolist() == [-11, 0]
     assert x[0].tolist() == [0.0, 0.0]
     assert np.allclose(np.asarray(spd) @ x[1], rhs[1], atol=1e-12)
+
+
+def test_bicgstab_steps_count_each_rows_full_iterations():
+    from hj_strata.bellman import bicgstab
+
+    # row 0 converges after two full iterations, row 1 half-way through its
+    # second, and the skew row 2 breaks down (r_hat . A p = 0) at its start
+    mats = [[[4.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 2.0, 2.0]],
+            [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]],
+            [[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]]]
+    rhs = np.array([[1.0, 2.0, 3.0]] * 3)
+    x, info, steps = bicgstab(_stacked_system(mats), rhs, x0=np.zeros((3, 3)), atol=1e-12, maxiter=50)
+    assert info.tolist() == [0, 0, -11] and steps.tolist() == [2, 1, 0]
+    # a lone solve takes one product for its start and two per full iteration,
+    # plus one where it stops half-way
+    for k, mat in enumerate(mats):
+        products = []
+
+        def counted(x, rows, system=_stacked_system([mat])):
+            products.append(rows)
+            return system(x, rows)
+
+        lone, _, lone_steps = bicgstab(counted, rhs[k:k + 1], x0=np.zeros((1, 3)), atol=1e-12, maxiter=50)
+        assert lone.tobytes() == x[k:k + 1].tobytes()
+        assert lone_steps.tolist() == [steps[k]] == [(len(products) - 1) // 2]
 
 
 def test_bicgstab_budget_exhaustion_returns_the_last_iterate():
@@ -872,10 +912,8 @@ def test_bicgstab_budget_exhaustion_returns_the_last_iterate():
 
     a = np.array([[4.0, 1.0, 0.0], [0.5, 3.0, 1.0], [0.0, 2.0, 2.0]])
     b = np.array([1.0, 2.0, 3.0])
-    steps = []
-    x, info = bicgstab(_stacked_system([a]), b[None], x0=np.zeros((1, 3)), atol=1e-12, maxiter=1,
-                       callback=steps.append)
-    assert info.tolist() == [1] and len(steps) == 1
+    x, info, steps = bicgstab(_stacked_system([a]), b[None], x0=np.zeros((1, 3)), atol=1e-12, maxiter=1)
+    assert info.tolist() == [1] and steps.tolist() == [1]
     # one textbook BiCGSTAB step from x0 = 0
     r = b.copy()
     v = a @ r

@@ -109,6 +109,27 @@ def test_p_grid_outside_case2_raises(name):
         tabulate_effective(scn, p1_grid=[0.0], p_grid=[-0.5, 0.5])
 
 
+def test_operators_refuse_cells_the_scenario_lacks():
+    # core and background are regions, not strip branches
+    scn = load_preset("strip_attract")
+    for branch in ("core", "background", "plus"):
+        with pytest.raises(ValueError, match=rf"case1 strip branches are \['main'\], got '{branch}'"):
+            strip_operator(scn, 0.3, branch=branch, rho=1.0)
+    with pytest.raises(ValueError, match="torus cell problems belong to case2"):
+        torus_operator(scn, (0.0, 0.0))
+
+
+def test_degenerate_control_hull_cannot_size_the_window():
+    # two controls span a segment that misses the origin: r_f = 0
+    scn = parse_scenario(
+        {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": [[1.0, 0.0], [0.0, 1.0]],
+         "background": {"drift": ["{a1}", "{a2}"], "cost": "1"}},
+        label="t",
+    )
+    with pytest.raises(ValueError, match=r"control hull is degenerate \(r_f <= 0\)"):
+        tabulate_effective(scn, p1_grid=[0.0])
+
+
 def test_background_min_over_q():
     scn = load_preset("eikonal")
     # background H(p1, q) = |p| cos(pi/16) - 1 up to the direction quantization;
@@ -324,6 +345,17 @@ def test_hbar_lookup_equals_the_two_index_formula_bit_for_bit():
         assert got.tobytes() == _hbar_two_index(tables, p).tobytes()
     assert tables.hbar_at(nodes[7]) == tables.hbar.reshape(-1)[7]
     assert tables.hbar_at((5.0, -5.0), clip=True) == tables.hbar[-1, 0]
+
+
+def test_hbar_lookup_refuses_tables_without_a_plane_table():
+    g = np.linspace(-1.0, 1.0, 3)
+    for p_grid, hbar in ((None, None), (g, None), (None, np.zeros((3, 3)))):
+        tables = EffectiveTables(
+            x0=(0.0, 0.0), p1_grid=g, h1t={}, pi_lower={}, pi_upper={}, E=0.0, E_history=(),
+            method_gaps={}, p_grid=p_grid, hbar=hbar, flags={},
+        )
+        with pytest.raises(ValueError, match="this scenario has no periodic-background table"):
+            tables.hbar_at((0.0, 0.0))
 
 
 def test_effective_tables_small_batch():

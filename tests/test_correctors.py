@@ -16,6 +16,7 @@ from hj_strata.correctors import (
     _one_step,
     _polish_vertical_root,
     _table_gradient,
+    _vertical_roots,
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
@@ -63,9 +64,8 @@ def _certify(scn, spec, correctors, h=1 / 32):
 def _affine_spec(scn, target, level, *pieces):
     """A hand-made plane-regime spec whose minimum is over ``pieces``."""
     return SubcorrectorSpec(
-        target=tuple(target), regime="plane", case=scn.case, level=level, eta=0.0,
-        q_values={}, c=0.0, C=0.0, split_radius=scn.R1, half_width=2.0,
-        pieces=pieces,
+        target=tuple(target), regime="plane", level=level, eta=0.0,
+        q_values={}, c=0.0, C=0.0, split_radius=scn.R1, pieces=pieces,
     )
 
 
@@ -678,6 +678,70 @@ def test_vertical_root_polish_takes_secant_steps_to_the_solved_root():
     q = _polish_vertical_root(load_preset("checkerboard"), tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert abs(q - 0.2) <= 2 * stub.tol and notes == []
     assert len(asked) == 3
+
+
+def _hand_tables(p1_grid, h1t, E, p_grid=None, hbar=None):
+    zeros = np.zeros(len(p1_grid))
+    return EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=p1_grid, h1t=h1t, pi_lower={b: zeros for b in h1t},
+        pi_upper={b: zeros for b in h1t}, E=E, E_history=(), method_gaps={b: zeros for b in h1t},
+        p_grid=p_grid, hbar=hbar, flags={},
+    )
+
+
+def test_unconverged_corrector_solve_is_refused(monkeypatch):
+    from hj_strata import correctors
+
+    unconverged = SimpleNamespace(converged=False, delta=1 / 8, corrector=None, constant=0.0)
+    monkeypatch.setattr(correctors, "ball_ergodic", lambda *args, **kwargs: (unconverged,))
+    with pytest.raises(RuntimeError, match=r"origin corrector at truncation \d.* did not converge"):
+        build_corrector_set(load_preset("strip_attract"), h=1 / 8, tol=1e-3)
+
+
+def test_equal_bands_refuse_vertical_roots_that_miss_the_covector(monkeypatch):
+    # both case3 bands sit at level 10, far above the ambient level at p = 0,
+    # so the line regime splits the plane along the vertical axis; roots that
+    # fail to bracket p2 = 0 are refused before any piece is built
+    from hj_strata import correctors
+
+    scn = load_preset("case3_mirror")
+    grid = np.array([-1.0, 0.0, 1.0])
+    tables = _hand_tables(grid, {"plus": np.full(3, 10.0), "minus": np.full(3, 10.0)}, E=0.0)
+    monkeypatch.setattr(correctors, "_vertical_roots", lambda *args: (0.5, 1.0))
+    with pytest.raises(RegimeError, match=r"vertical roots \(0.5, 1\) fail to bracket p2=0 at the shared"):
+        build_subcorrector(scn, tables, SimpleNamespace(scenario=scn), (0.0, 0.0), "line")
+
+
+def test_origin_regime_refuses_polished_roots_that_miss_the_covector():
+    # the solved constants put both vertical roots of E + eta at 0.3, so the
+    # polished bracket misses p2 = 0 although the table's roots hold it
+    scn = load_preset("checkerboard")
+    p1_grid, p_grid = np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 9)
+    tables = _hand_tables(p1_grid, {"main": p1_grid**2 - 0.5}, E=0.0, p_grid=p_grid,
+                          hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
+    stub = SimpleNamespace(
+        scenario=scn, tol=1e-4, plane_estimate=lambda q: SimpleNamespace(constant=0.1 + 3.0 * (q[1] - 0.3))
+    )
+    with pytest.raises(RegimeError, match=r"vertical roots \(0.3, 0.3\) fail to bracket p2=0; the ambient"):
+        build_subcorrector(scn, tables, stub, (0.0, 0.0), "origin", eta=0.1)
+
+
+def test_vertical_section_is_read_in_one_lookup_bit_for_bit():
+    # _vertical_roots reads the case2 section q -> H̄(0, (p1, q)) on the whole
+    # p_grid in one hbar_at call; each value equals its point's own lookup,
+    # so both roots equal those of the point-by-point section
+    scn = load_preset("checkerboard")
+    window = np.linspace(-1.6, 1.6, 5)
+    tables = tabulate_effective(scn, tol=1e-3, p1_grid=window[::2], p_grid=window)
+    q_grid = tables.p_grid
+    for p1 in np.linspace(-1.6, 1.6, 13):
+        section = tables.hbar_at(np.column_stack([np.full_like(q_grid, p1), q_grid]))
+        lone = np.array([float(tables.hbar_at((p1, q))) for q in q_grid])
+        assert section.tobytes() == lone.tobytes()
+        level = 0.5 * (lone.min() + min(lone[0], lone[-1]))
+        lower = _grid_root(q_grid, lone, level, "left", "lower")
+        upper = _grid_root(q_grid, lone, level, "right", "upper")
+        assert _vertical_roots(scn, tables, p1, level) == (lower, upper)
 
 
 def test_blocked_one_step_reading_equals_the_one_shot_reading_bit_for_bit():

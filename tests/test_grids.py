@@ -30,13 +30,44 @@ def test_torus_factory():
     assert (g.n1, g.n2) == (8, 4)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.25])
+@pytest.mark.parametrize(
+    "build",
+    [lambda h: GridSpec.box(1.0, h), lambda h: GridSpec.strip(1.0, 1.0, h), lambda h: GridSpec.torus(1.0, h)],
+    ids=["box", "strip", "torus"],
+)
+def test_constructors_refuse_a_non_positive_spacing(build, h):
+    with pytest.raises(ValueError, match=f"grid h must be positive, got {h}"):
+        build(h)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: GridSpec.strip(0.0, 1.0, 0.25), "period"),
+        (lambda: GridSpec.strip(-1.0, 1.0, 0.25), "period"),
+        (lambda: GridSpec.torus(0.0, 0.25), "T1"),
+        (lambda: GridSpec.torus((1.0, -0.5), 0.25), "T2"),
+    ],
+)
+def test_periodic_constructors_refuse_a_non_positive_period(build, name):
+    with pytest.raises(ValueError, match=f"grid {name} must be positive"):
+        build()
+
+
+def test_value_field_refuses_values_of_another_shape():
+    g = GridSpec.box(1.0, 0.5)
+    with pytest.raises(ValueError, match=r"values shape \(5, 4\) does not match grid \(5, 5\)"):
+        ValueField(g, np.zeros((5, 4)))
+
+
 def test_anchor_and_flat_index():
     g = GridSpec.box(1.0, 0.5)
     a = g.anchor_index()
     pts = g.nodes()
     assert np.allclose(pts[a], [0.0, 0.0])
     i, j = divmod(a, g.n2)
-    assert g.flat_index(i, j) == a
+    assert g.coords1()[i] == 0.0 and g.coords2()[j] == 0.0
 
 
 def test_index_of_matches_nodes():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hj_strata.cell import background_min_over_q
+from hj_strata.cell import background_min_over_q, slopes
 from hj_strata.hamiltonian import (
     estimate_bounds,
     eval_H,
@@ -150,6 +150,29 @@ def test_envelopes_count_a_rounding_level_vertical_drift_as_flat():
     samples = [eval_H(scn, X0, np.array([2.0, 2.0]), (p1, q)) for q in qs]
     assert min(s.h_down for s in samples) == pytest.approx(floor, abs=1e-12)
     assert min(s.h_up for s in samples) == pytest.approx(floor, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "controls, empty",
+    [
+        ([[1.0, 0.5], [-1.0, 0.5], [0.0, 1.0]], "f2 <= 0"),
+        ([[1.0, -0.5], [-1.0, -0.5], [0.0, -1.0]], "f2 >= 0"),
+    ],
+    ids=["all-rising", "all-falling"],
+)
+def test_envelopes_refuse_controls_that_all_rise_or_all_fall(controls, empty):
+    scn = parse_scenario(
+        {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": controls,
+         "background": {"drift": ["{a1}", "{a2}"], "cost": "1"}},
+        label="t",
+    )
+    with pytest.raises(ValueError, match=f"envelope split is empty: no background control with {empty}"):
+        eval_H_envelopes(scn, X0, (0.3, 0.0))
+    # the envelope algebra of the tables needs lines of both slopes too
+    with pytest.raises(ValueError, match="envelope is flat in q"):
+        background_min_over_q(scn, 0.3)
+    with pytest.raises(ValueError, match="envelope is flat in q"):
+        slopes(scn, 0.3, 1.0)
 
 
 def test_eval_H_64_direction_oracle():

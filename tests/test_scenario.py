@@ -181,6 +181,16 @@ def test_schedules_fixed_step():
         ({"strip_defect": {"plus": STRIP, "minus": STRIP}}, "per-branch blocks are a case3 feature"),
         ({"schedules": [1]}, "schedules: expected an object"),
         ({"schedules": {"rho_list": [-1.0, 1.0]}}, "schedules.rho_list: entries must be positive"),
+        ({"alpha": None}, "alpha: must be positive, got None"),
+        ({"R0": [1]}, "R0: must be positive, got [1]"),
+        ({"alpha": "fast"}, "alpha: must be positive, got 'fast'"),
+        ({"controls": {"directions": "many"}}, "'directions' count of at least 3, got 'many'"),
+        ({"controls": {"directions": 3.9}}, "'directions' count of at least 3, got 3.9"),
+        ({"controls": {"directions": 8, "speed": "x"}}, "controls.speed: must be positive, got 'x'"),
+        ({"controls": [["a", 0], [0.0, 1.0]]}, "entries must be [a1, a2] pairs of numbers"),
+        ({"strip_defect": {**BLOCK, "period": "one"}}, "strip_defect.period: must be positive, got 'one'"),
+        ({"case": "case2", "background": {**BLOCK, "periods": ["a", 1]}}, "background.periods: must be positive"),
+        ({"case": "case3", "R1": "big"}, "R1: must be positive, got 'big'"),
     ],
 )
 def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):

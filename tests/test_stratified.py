@@ -180,10 +180,10 @@ def test_two_sided_starts_share_the_fixed_point():
     grid = box_grid(1 / 8)
     scheme = build_scheme(scn, tables, grid)
     from_plane, _, _ = solve_scheme(scheme, tol=1e-10)
-    from_below, _, _ = solve_scheme(scheme, tol=1e-10, u0=np.zeros(grid.size))
-    from_above, _, _ = solve_scheme(scheme, tol=1e-10, u0=np.full(grid.size, 1.2))
-    assert np.max(np.abs(from_below.values - from_plane.values)) <= 1e-7
-    assert np.max(np.abs(from_above.values - from_plane.values)) <= 1e-7
+    sweep = functools.partial(_sweep, scheme)
+    for start in (np.zeros(grid.size), np.full(grid.size, 1.2)):   # below and above
+        other, _, _ = _fixed_point(sweep, start, tol=1e-10, max_iter=_MAX_SWEEPS, what="stratified solve")
+        assert np.max(np.abs(other - from_plane.flat())) <= 1e-7
 
 
 def test_sweep_takes_the_junction_minima_worked_by_hand():
@@ -223,7 +223,7 @@ def test_origin_off_the_grid_rejected_at_build():
         build_scheme(scn, cached_tables("strip_attract"), GridSpec.box(0.75, 0.5))
 
 
-def test_out_of_window_solution_rejected():
+def test_out_of_window_solution_rejected(monkeypatch):
     # sweeps clip transient lookups, but a returned field whose slopes leave
     # the tabulated window must still raise; a steep ramp survives one sweep
     # (the contraction shrinks it by 1 - alpha*delta, far from enough)
@@ -232,16 +232,19 @@ def test_out_of_window_solution_rejected():
     grid = box_grid(1 / 8)
     scheme = build_scheme(scn, tables, grid)
     ramp = 5.0 * grid.nodes()[:, 0]
+    monkeypatch.setattr(stratified, "_control_plane", lambda *args, **kwargs: ramp)
     with pytest.raises(TableRangeError):
-        solve_scheme(scheme, tol=1e9, max_iter=1, u0=ramp)
+        solve_scheme(scheme, tol=1e9)
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     scn = load_preset("strip_attract")
     tables = cached_tables("strip_attract")
     scheme = build_scheme(scn, tables, box_grid(1 / 8))
+    monkeypatch.setattr(stratified, "_control_plane", lambda *args, **kwargs: np.zeros(scheme.grid.size))
+    monkeypatch.setattr(stratified, "_MAX_SWEEPS", 2)
     with pytest.raises(RuntimeError, match="stalled"):
-        solve_scheme(scheme, tol=1e-14, max_iter=2, u0=np.zeros(scheme.grid.size))
+        solve_scheme(scheme, tol=1e-14)
 
 
 def test_mirrored_scenario_solution_is_even():
@@ -311,8 +314,10 @@ def test_control_plane_start_is_the_swept_plane_solution(preset):
     assert np.max(np.abs(plane - swept)) <= 2 * tol / (scn.alpha * scheme.delta)
     # solve_scheme starts its junction sweeps from that plane solution
     field, sweeps, _ = solve_scheme(scheme, tol=tol)
-    restarted, sweeps_u0, _ = solve_scheme(scheme, tol=tol, u0=plane)
-    assert sweeps == sweeps_u0 and np.array_equal(field.values, restarted.values)
+    restarted, sweeps_u0, _ = _fixed_point(
+        functools.partial(_sweep, scheme), plane, tol=tol, max_iter=_MAX_SWEEPS, what="from the plane",
+    )
+    assert sweeps == sweeps_u0 and np.array_equal(field.flat(), restarted)
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,18 +349,19 @@ def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
     solve_scheme(scheme, tol=1e-5)
 
 
-def test_control_plane_start_that_stalls_raises():
+def test_control_plane_start_that_stalls_raises(monkeypatch):
     scn = load_preset("strip_attract")
     scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+    monkeypatch.setattr(stratified, "_MAX_SWEEPS", 1)
     with pytest.raises(RuntimeError, match="plane start stalled"):
-        solve_scheme(scheme, tol=1e-10, max_iter=1)
+        solve_scheme(scheme, tol=1e-10)
 
 
 @pytest.mark.parametrize(
     "entry, preset, scn_over, tables_over, grid, match",
     [
         (build_scheme, "strip_attract", {}, {}, GridSpec.torus(2.0, 1 / 8), "plain box grid"),
-        (build_scheme, "strip_attract", {}, {}, GridSpec("box", 33, 17, 1 / 8, 1 / 4, (-2.0, -2.0), False, False),
+        (build_scheme, "strip_attract", {}, {}, GridSpec(33, 17, 1 / 8, 1 / 4, (-2.0, -2.0), False, False),
          "square cells"),
         (build_scheme, "strip_attract", {"alpha": 8.0}, {}, box_grid(1 / 8), r"alpha\*delta >= 1"),
         (build_scheme, "strip_attract", {}, {"h1t": {}}, box_grid(1 / 8), r"lack tangential branch\(es\) \['main'\]"),
@@ -371,6 +377,18 @@ def test_scheme_refuses_what_it_cannot_solve(entry, preset, scn_over, tables_ove
     tables = checkerboard_tables() if preset == "checkerboard" else cached_tables(preset)
     with pytest.raises(ValueError, match=match):
         entry(scn, None if tables_over is None else dataclasses.replace(tables, **tables_over), grid)
+
+
+def test_scheme_refuses_a_degenerate_control_hull():
+    # two controls span a segment that misses the origin: r_f = 0, and the
+    # limit problem has no gradient bound
+    scn = parse_scenario(
+        {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": [[1.0, 0.0], [0.0, 1.0]],
+         "background": {"drift": ["{a1}", "{a2}"], "cost": "1"}},
+        label="t",
+    )
+    with pytest.raises(ValueError, match="degenerate control hull: the limit problem loses coercivity"):
+        build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
 
 
 def _epsilon_error(scn, eps, limit):
