@@ -41,14 +41,17 @@ Three solvers share the operator:
   ``rate`` is the optimal long-run average cost, certified by the span of
   ``T0[u] - u`` read from full applications only (the true rate lies between
   the extreme nodal growth rates for every ``u``, so the policy steps move
-  the path to the certificate, not the certificate).  ``max_iter`` counts
-  full applications.
+  the path to the certificate, not the certificate).
 * :func:`ergodic_continuation` — small-discount limit ``discount -> 0`` with
   warm starts and Richardson extrapolation of the anchor value; an independent
   estimate of the same average cost, used as a cross-check.  Each stage
   starts from the last stage's field and optimal policy, and every stage
   stops on its own Bellman residual, so the starts move the Howard
   iterations and never the certificate.
+
+Every solve owns the same budget of ``_MAX_APPLICATIONS`` full applications
+(per discounted solve, per continuation stage, per relative VI solve); a
+solve that exhausts it returns its best iterate flagged unconverged.
 """
 
 from __future__ import annotations
@@ -94,6 +97,11 @@ __all__ = [
 # it, and importing ``scipy.sparse.linalg`` (with ``scipy.linalg``) costs a
 # fresh process 7.9 MiB and 0.11-0.14 s on a 2-core machine.
 _KRYLOV_MAX_ITER = 1000
+
+# Full Bellman applications of one solve: a discounted solve, a continuation
+# stage or a relative VI solve.  A solve that runs out returns its best
+# iterate flagged unconverged.
+_MAX_APPLICATIONS = 500_000
 
 # Continuation stages, and the smallest discount a stage may take.
 _MAX_STAGES = 60
@@ -410,7 +418,6 @@ def solve_discounted(
     discount: float,
     *,
     tol: float = 1e-9,
-    max_iter: int = 200_000,
     u0: np.ndarray | None = None,
     policy0: np.ndarray | None = None,
 ):
@@ -431,7 +438,7 @@ def solve_discounted(
     again, so the step keeps ``T u`` instead.  The stopping rule reads ``T u`` alone, so the solve
     tolerance moves the step count, never the certificate ``max |T u - u| <=
     tol``.  Returns the iterate with the smallest residual and
-    ``converged=False`` when ``max_iter`` applications are exhausted.
+    ``converged=False`` when ``_MAX_APPLICATIONS`` applications are exhausted.
 
     ``u0`` (one row per cell; zero when omitted) starts the iterate.
     ``policy0`` (one row of admissible controls per cell) starts Howard from
@@ -489,7 +496,7 @@ def solve_discounted(
 
     rows = np.arange(k)
     it = 0
-    while rows.size and it < max_iter:
+    while rows.size and it < _MAX_APPLICATIONS:
         tu, greedy = cells(rows).greedy(u, discount)
         it += 1
         step = tu - u
@@ -540,7 +547,6 @@ def solve_ergodic_relative(
     operator: SLOperator,
     *,
     tol: float = 1e-6,
-    max_iter: int = 500_000,
     u0: np.ndarray | None = None,
 ):
     """Relative value iteration with policy steps for the zero-discount
@@ -561,13 +567,14 @@ def solve_ergodic_relative(
     one control's share of a full application.  Stopping, ``rate``,
     ``rate_bounds`` and ``residual`` are read only from full applications:
     since the bracket holds for every ``u``, the policy steps move the path to
-    the certificate, not the certificate.  ``max_iter`` and ``iterations``
-    count full applications; ``policy_steps`` counts the policy steps.
+    the certificate, not the certificate.  ``iterations`` counts full
+    applications, at most ``_MAX_APPLICATIONS``; ``policy_steps`` counts the
+    policy steps.
 
     On stall (periodic optimal policies) a cell switches to damped averaging,
     in its full applications and its policy steps, which restores
-    convergence at half speed; non-convergence within ``max_iter`` returns
-    the flagged best iterate with its span history.
+    convergence at half speed; non-convergence within the budget returns the
+    flagged best iterate with its span history.
 
     Synchronous applications only: at zero discount the operator has no
     fixed point (values grow by rate*delta per application), and in-place
@@ -602,7 +609,7 @@ def solve_ergodic_relative(
 
     rows = np.arange(k)
     it = 0
-    while rows.size and it < max_iter:
+    while rows.size and it < _MAX_APPLICATIONS:
         tu, policy = family.greedy(u, 0.0)
         it += 1
         d = tu - u
@@ -631,7 +638,7 @@ def solve_ergodic_relative(
             rows, u, policy = _rows(~done, rows, u, policy)
             if rows.size:
                 family = family.family(~done)
-        if rows.size and it < max_iter:
+        if rows.size and it < _MAX_APPLICATIONS:
             u = _policy_steps(family, policy, u, damped[rows], anchor, steps)
             policy_steps[rows] += steps
     for c in rows:
@@ -662,8 +669,11 @@ class ContinuationResult:
     history: tuple[tuple[float, float], ...]  # (discount, anchor value) pairs
     field: ValueField                         # last discounted solution
     converged: bool
-    stages: int
-    solves: tuple[SolveInfo, ...] = field(repr=False, default=())  # one per stage
+    solves: tuple[SolveInfo, ...] = field(repr=False)  # one per stage
+
+    @property
+    def stages(self) -> int:
+        return len(self.solves)
 
     @property
     def policy(self) -> np.ndarray:
@@ -677,7 +687,6 @@ def ergodic_continuation(
     lambda0: float,
     factor: float,
     tol: float,
-    max_iter: int = 400_000,
     u0: np.ndarray | None = None,
     policy0: np.ndarray | None = None,
 ):
@@ -740,11 +749,11 @@ def ergodic_continuation(
     def settle(c: int) -> None:
         assert last[c] is not None
         results[c] = ContinuationResult(
-            estimate(c), tuple(history[c]), last[c], bool(converged[c]), len(solves[c]), tuple(solves[c])
+            estimate(c), tuple(history[c]), last[c], bool(converged[c]), tuple(solves[c])
         )
 
     while rows.size and stage < _MAX_STAGES and lam >= _LAMBDA_FLOOR:
-        fields, infos = solve_discounted(family, lam, tol=inner_tol, max_iter=max_iter, u0=u, policy0=policy)
+        fields, infos = solve_discounted(family, lam, tol=inner_tol, u0=u, policy0=policy)
         stage += 1
         u = np.stack([f.flat() for f in fields])
         policy = np.stack([info.policy for info in infos])

@@ -43,22 +43,27 @@ two constants disagree.
 
 Resolution: every cell problem reads its grid spacing ``cell_h``, its time
 step (``sl_step``, through ``SolverSchedules.delta``) and its tolerance
-``tol_ergodic`` from ``scn.schedules``, and nothing else.  To solve at
+``tol_ergodic`` from ``scn.schedules``, and nothing else; the iteration
+budget of every solve is :mod:`hj_strata.bellman`'s own.  To solve at
 another resolution, pass the scenario with replaced schedules
 (:meth:`Scenario.with_schedules`), as ``tabulate_effective`` does for its
 ``tol`` and ``correctors.build_corrector_set`` for its ``h`` and ``tol``.
+Replaced schedules are validated where they are built, so a value no
+solver can run with raises ``ScenarioError`` before any cell is solved.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .bellman import (
+    ContinuationResult,
+    ErgodicRelativeResult,
     Family,
     SLOperator,
     ergodic_continuation,
@@ -69,7 +74,6 @@ from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, e
 from .scenario import FieldPair, Scenario
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
-_MAX_ITER = 500_000     # full applications per discounted stage or relative VI solve
 
 # Cells solved as one family.  Larger families pay off less and less while
 # their step costs (copied each time cells leave the lockstep) and their
@@ -113,20 +117,35 @@ def _check_window(p, lo: float, hi: float) -> None:
 
 @dataclass(frozen=True, slots=True)
 class ErgodicEstimate:
-    """One cell-problem solve: constant, corrector, and method diagnostics."""
+    """One cell-problem solve: the records of its two methods and their verdict.
+
+    ``relative`` is the relative VI result, which gives the constant and the
+    corrector; ``continuation`` is the vanishing-discount result, whose
+    first-stage policy starts the next truncation of a walk.  ``converged``
+    holds when both converged and their constants agree within twice the
+    tolerance the cell was solved to.
+    """
 
     truncation: float        # rho (strip) or R (ball); 0 for torus cells
-    constant: float          # ergodic constant = -(average cost), from relative VI
-    continuation_constant: float
-    method_gap: float
-    corrector: ValueField    # relative value field, 0 at the anchor node
-    lambda_history: tuple[tuple[float, float], ...]
-    converged: bool
-    residual: float
-    iterations: int
     delta: float
-    # the continuation's first-stage policy on the corrector's grid
-    policy: np.ndarray | None = field(repr=False, compare=False, default=None)
+    converged: bool
+    relative: ErgodicRelativeResult
+    continuation: ContinuationResult
+
+    @property
+    def constant(self) -> float:
+        """Ergodic constant, minus the average cost of relative VI."""
+        return -self.relative.rate
+
+    @property
+    def corrector(self) -> ValueField:
+        """Relative value field, 0 at the anchor node."""
+        return self.relative.field
+
+    @property
+    def method_gap(self) -> float:
+        """Disagreement of the two methods' constants."""
+        return abs(-self.relative.rate - -self.continuation.rate)
 
 
 def _solve_cells(
@@ -158,8 +177,7 @@ def _solve_cells(
 
     def continuation(family: SLOperator, u0: np.ndarray | None, policy0: np.ndarray | None) -> Family:
         return ergodic_continuation(
-            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, max_iter=_MAX_ITER,
-            u0=u0, policy0=policy0,
+            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, u0=u0, policy0=policy0
         )
 
     def laurent(fields: np.ndarray, rates) -> np.ndarray:
@@ -183,34 +201,20 @@ def _solve_cells(
         # first there too took checkerboard_tables from 0.62-0.70 to
         # 0.88-1.05 s, about 40% more.
         if family.delta <= sched.cell_h:
-            vis = solve_ergodic_relative(family, tol=tol, max_iter=_MAX_ITER, u0=prior)
+            vis = solve_ergodic_relative(family, tol=tol, u0=prior)
             fields = np.stack([vi.field.flat() for vi in vis])
             conts = continuation(family, laurent(fields, [vi.rate for vi in vis]), None)
         else:
             u0 = policy0 = None
             if last is not None:
                 u0 = laurent(prior, [-e.constant for e in last])
-                policy0 = _read_policy(family, last[0].corrector.grid, np.stack([e.policy for e in last]))
+                policies = np.stack([e.continuation.policy for e in last])
+                policy0 = _read_policy(family, last[0].corrector.grid, policies)
             conts = continuation(family, u0, policy0)
-            vis = solve_ergodic_relative(
-                family, tol=tol, max_iter=_MAX_ITER, u0=np.stack([c.field.flat() for c in conts])
-            )
+            vis = solve_ergodic_relative(family, tol=tol, u0=np.stack([c.field.flat() for c in conts]))
         for cont, vi in zip(conts, vis):
-            vi_constant, cont_constant = -vi.rate, -cont.rate
-            gap = abs(vi_constant - cont_constant)
-            out.append(ErgodicEstimate(
-                truncation=truncation,
-                constant=vi_constant,
-                continuation_constant=cont_constant,
-                method_gap=gap,
-                corrector=vi.field,
-                lambda_history=cont.history,
-                converged=bool(vi.converged and cont.converged and gap <= 2.0 * tol),
-                residual=vi.residual,
-                iterations=vi.iterations,
-                delta=family.delta,
-                policy=cont.policy,
-            ))
+            est = ErgodicEstimate(truncation, family.delta, vi.converged and cont.converged, vi, cont)
+            out.append(est if est.method_gap <= 2.0 * tol else replace(est, converged=False))
     return tuple(out)
 
 
@@ -274,11 +278,15 @@ def strip_ergodic(
 
 @dataclass(frozen=True, slots=True)
 class TruncationWalk:
-    """Cell constants along a truncation schedule; ``value`` is the last."""
+    """Cell estimates along a truncation schedule."""
 
-    value: float
     estimates: tuple[ErgodicEstimate, ...]
     converged: bool
+
+    @property
+    def value(self) -> float:
+        """The constant at the last truncation walked."""
+        return self.estimates[-1].constant
 
 
 def _walk_truncations(scn: Scenario, solve, truncations, cells: int) -> list[TruncationWalk]:
@@ -303,7 +311,7 @@ def _walk_truncations(scn: Scenario, solve, truncations, cells: int) -> list[Tru
             break
         previous = [estimates[c][-1] for c in walking]
     return [
-        TruncationWalk(e[-1].constant, tuple(e), a and all(x.converged for x in e))
+        TruncationWalk(tuple(e), a and all(x.converged for x in e))
         for e, a in zip(estimates, agreed)
     ]
 
@@ -542,6 +550,17 @@ def _failure_cause(estimates: Sequence[ErgodicEstimate], tol: float) -> str:
     return "truncation schedule exhausted"
 
 
+def _momentum_grid(values: Sequence[float], name: str, least: int) -> np.ndarray:
+    """``values`` as a momentum grid, or a ``ValueError`` naming ``name``
+    unless they are at least ``least`` finite, strictly increasing numbers."""
+    grid = np.asarray(list(values), dtype=float)
+    if not (grid.ndim == 1 and grid.size >= least and np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise ValueError(
+            f"{name}: expected {least} or more finite, strictly increasing momenta, got {grid.tolist()}"
+        )
+    return grid
+
+
 def tabulate_effective(
     scn: Scenario,
     *,
@@ -563,23 +582,26 @@ def tabulate_effective(
 
     Every cell solves at the scheduled resolution with ``tol`` (default: the
     scheduled ``tol_ergodic``) in place of the scheduled tolerance.
-    ``p_grid`` sets the momentum grid of ``hbar``; it raises ``ValueError``
-    outside case2, which has no ``hbar``.
+    ``p1_grid`` sets the tangential momenta: finite and strictly increasing,
+    one point or more.  ``p_grid`` sets the momentum grid of ``hbar``: finite
+    and strictly increasing, two points or more, since each lookup
+    interpolates in a grid cell; it raises ``ValueError`` outside case2,
+    which has no ``hbar``.
     """
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
+    cell_scn = scn.with_schedules(tol_ergodic=tol)
     if p_grid is not None and scn.case != "case2":
         raise ValueError(f"p_grid samples the periodic background of case2; a {scn.case} scenario has none")
-    cell_scn = scn.with_schedules(tol_ergodic=tol)
+    if p1_grid is not None:
+        p1_grid = _momentum_grid(p1_grid, "p1_grid", 1)
+    if p_grid is not None:
+        p_grid = _momentum_grid(p_grid, "p_grid", 2)
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if not math.isfinite(bounds["p_window"]):
         raise ValueError("cannot size the momentum window: control hull is degenerate (r_f <= 0)")
     window = 1.05 * bounds["p_window"]
-    p1s = (
-        np.asarray(list(p1_grid), dtype=float)
-        if p1_grid is not None
-        else np.linspace(-window, window, sched.p1_points)
-    )
+    p1s = p1_grid if p1_grid is not None else np.linspace(-window, window, sched.p1_points)
     branches = list(scn.branches)
     flags: dict[str, str] = {}
     h1t: dict[str, np.ndarray] = {}
@@ -593,11 +615,7 @@ def tabulate_effective(
         }
         e_future = pool.submit(dirichlet_datum, cell_scn)
         if scn.case == "case2":
-            ps = (
-                np.asarray(list(p_grid), dtype=float)
-                if p_grid is not None
-                else np.linspace(-window, window, 17)
-            )
+            ps = p_grid if p_grid is not None else np.linspace(-window, window, 17)
             momenta = np.stack(np.meshgrid(ps, ps, indexing="ij"), axis=-1).reshape(-1, 2)
             torus_future = pool.submit(torus_effective, cell_scn, momenta)
         for branch in branches:

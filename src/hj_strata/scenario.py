@@ -107,9 +107,16 @@ def _build_field_pair(
     where: str,
     *,
     period_required: bool = False,
+    extra_keys: tuple[str, ...] = (),
 ) -> FieldPair:
+    """The block ``where``: ``drift``, ``cost`` and, on strip blocks, a
+    ``period``; ``extra_keys`` are read by the caller and any other key is
+    refused."""
     if not isinstance(block, Mapping):
         raise ScenarioError(f"{where}: expected an object with 'drift' and 'cost'")
+    unknown = set(block) - {"drift", "cost", "period", *extra_keys}
+    if unknown:
+        raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}")
     try:
         drift_src = block["drift"]
         cost_src = block["cost"]
@@ -149,18 +156,44 @@ class SolverSchedules:
     where it balances the step and interpolation errors of the constants,
     and ``h`` in the limit scheme, where the step ``sqrt(h)`` leaves an
     error off the defect line that does not shrink with ``h``.
+
+    Every construction is validated, :func:`parse_scenario`'s and
+    :meth:`Scenario.with_schedules`'s alike: a value no solver can run with
+    raises :class:`ScenarioError` naming its ``schedules.<field>`` clause.
+    The truncation lists have no default; :func:`parse_scenario` scales them
+    to the scenario's radii.
     """
 
+    rho_list: tuple[float, ...]
+    R_list: tuple[float, ...]
     lambda0: float = 0.5
     lambda_factor: float = 0.5
     tol_ergodic: float = 1e-4
-    rho_list: tuple[float, ...] = ()
-    R_list: tuple[float, ...] = ()
     cell_h: float = 1.0 / 16.0
     grid_h: float = 1.0 / 16.0
     box_half_width: float = 2.0
     sl_step: str | float = "sqrt"
     p1_points: int = 21
+
+    def __post_init__(self):
+        for name in ("rho_list", "R_list"):
+            seq = getattr(self, name)
+            if len(seq) == 0:
+                raise ScenarioError(f"schedules.{name}: must not be empty")
+            if any(b <= a for a, b in zip(seq, seq[1:])):
+                raise ScenarioError(f"schedules.{name}: must be strictly increasing")
+            if seq[0] <= 0:
+                raise ScenarioError(f"schedules.{name}: entries must be positive")
+        for name in ("lambda0", "tol_ergodic", "cell_h", "grid_h", "box_half_width"):
+            if not (_is_number(getattr(self, name)) and getattr(self, name) > 0):
+                raise ScenarioError(f"schedules.{name}: must be a positive number")
+        if not (_is_number(self.lambda_factor) and 0 < self.lambda_factor < 1):
+            raise ScenarioError("schedules.lambda_factor: must lie in (0, 1)")
+        if self.sl_step != "sqrt" and not (_is_number(self.sl_step) and self.sl_step > 0):
+            raise ScenarioError("schedules.sl_step: 'sqrt' or a positive time step")
+        points = self.p1_points
+        if not (isinstance(points, int) and not isinstance(points, bool) and points >= 2):
+            raise ScenarioError("schedules.p1_points: must be an integer of at least 2")
 
     def delta(self, h: float) -> float:
         """Semi-Lagrangian time step of a cell problem with grid spacing ``h``."""
@@ -230,7 +263,9 @@ class Scenario:
         return hashlib.sha256(text.encode()).hexdigest()
 
     def with_schedules(self, **changes: Any) -> "Scenario":
-        """This scenario with the named :class:`SolverSchedules` fields replaced."""
+        """This scenario with the named :class:`SolverSchedules` fields
+        replaced; the new schedules are validated as parsed ones are, so an
+        invalid value raises :class:`ScenarioError` here, before any solve."""
         return replace(self, schedules=replace(self.schedules, **changes))
 
     @property
@@ -290,11 +325,16 @@ def _generate_controls(spec: Any) -> tuple[tuple[float, float], ...]:
             raise ScenarioError("controls: control set must be non-empty")
         return tuple(controls)
     if isinstance(spec, Mapping):
+        unknown = set(spec) - {"directions", "speed", "include_zero"}
+        if unknown:
+            raise ScenarioError(f"controls: unknown key(s) {sorted(unknown)}")
         n = spec.get("directions")
         if not (isinstance(n, int) and not isinstance(n, bool) and n >= 3):
             raise ScenarioError(f"controls: generator form needs a 'directions' count of at least 3, got {n!r}")
         speed = _positive(spec.get("speed", 1.0), "controls.speed")
-        include_zero = bool(spec.get("include_zero", True))
+        include_zero = spec.get("include_zero", True)
+        if not isinstance(include_zero, bool):
+            raise ScenarioError(f"controls.include_zero: expected true or false, got {include_zero!r}")
         # Half-step offset keeps every direction away from the axes, so no
         # generated control is exactly +-e1 or +-e2.
         controls = [
@@ -376,7 +416,7 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
 
     if "background" not in raw:
         raise ScenarioError("background: required")
-    background = _build_field_pair(raw["background"], controls, "background")
+    background = _build_field_pair(raw["background"], controls, "background", extra_keys=("periods",))
 
     background_periods: tuple[float, float] | None = None
     if case == "case2":
@@ -433,23 +473,6 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
             for k in sched_raw
         },
     )
-    for name, seq in (("rho_list", sched.rho_list), ("R_list", sched.R_list)):
-        if len(seq) == 0:
-            raise ScenarioError(f"schedules.{name}: must not be empty")
-        if any(b <= a for a, b in zip(seq, seq[1:])):
-            raise ScenarioError(f"schedules.{name}: must be strictly increasing")
-        if seq[0] <= 0:
-            raise ScenarioError(f"schedules.{name}: entries must be positive")
-    for name in ("lambda0", "tol_ergodic", "cell_h", "grid_h", "box_half_width"):
-        if not (_is_number(getattr(sched, name)) and getattr(sched, name) > 0):
-            raise ScenarioError(f"schedules.{name}: must be a positive number")
-    if not (_is_number(sched.lambda_factor) and 0 < sched.lambda_factor < 1):
-        raise ScenarioError("schedules.lambda_factor: must lie in (0, 1)")
-    if sched.sl_step != "sqrt" and not (_is_number(sched.sl_step) and sched.sl_step > 0):
-        raise ScenarioError("schedules.sl_step: 'sqrt' or a positive time step")
-    points = sched.p1_points
-    if not (isinstance(points, int) and not isinstance(points, bool) and points >= 2):
-        raise ScenarioError("schedules.p1_points: must be an integer of at least 2")
 
     return Scenario(
         case=case,

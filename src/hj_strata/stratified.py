@@ -52,7 +52,7 @@ __all__ = [
     "StratifiedReport",
 ]
 
-_MAX_SWEEPS = 200_000   # junction sweeps, or Bellman applications of a plane solve
+_MAX_SWEEPS = 200_000   # junction sweeps
 
 
 def _background_operator(scn: Scenario, grid: GridSpec, delta: float) -> SLOperator:
@@ -246,7 +246,7 @@ def _fixed_point(
 
 def _control_plane(operator: SLOperator, alpha: float, *, tol: float) -> np.ndarray:
     """Plane solution in control form: one Howard solve at discount ``alpha``."""
-    (field,), (info,) = bellman.solve_discounted(operator, alpha, tol=tol, max_iter=_MAX_SWEEPS)
+    (field,), (info,) = bellman.solve_discounted(operator, alpha, tol=tol)
     if not info.converged:
         raise RuntimeError(
             f"plane start stalled: residual {info.residual:.3e} > tol {tol:.3e} "
@@ -282,9 +282,10 @@ def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueF
     descend monotonically.  That start is exact: one Howard solve to residual
     ``tol`` in control form, the constant ``-Hbar(0)/alpha`` certified by one
     plane update on the tabulated plane.  Returns ``(field, iterations,
-    residual)``, counting junction sweeps only.  The Howard solve and the
-    sweeps each get ``_MAX_SWEEPS`` steps; running out raises (every candidate
-    is a contraction, so that is a budget problem, not a scheme problem).
+    residual)``, counting junction sweeps only.  The Howard solve gets
+    :mod:`hj_strata.bellman`'s budget of applications and the sweeps
+    ``_MAX_SWEEPS``; running out of either raises (every candidate is a
+    contraction, so that is a budget problem, not a scheme problem).
     """
     if scheme.operator is not None:
         u = _control_plane(scheme.operator, scheme.alpha, tol=tol)

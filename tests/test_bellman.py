@@ -411,9 +411,12 @@ def test_operator_refuses_a_non_positive_step_and_mismatched_shapes():
             SLOperator(grid, bad_drift, bad_cost, 0.25)
 
 
-def test_discounted_max_iter_returns_flagged_best_iterate():
+def test_discounted_max_iter_returns_flagged_best_iterate(monkeypatch):
+    from hj_strata import bellman
+
     op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
-    (field,), (info,) = solve_discounted(op, 0.005, tol=1e-30, max_iter=3)
+    monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", 3)
+    (field,), (info,) = solve_discounted(op, 0.005, tol=1e-30)
     assert not info.converged
     assert info.iterations == 3
     assert np.all(np.isfinite(field.values))
@@ -423,14 +426,17 @@ def test_discounted_max_iter_returns_flagged_best_iterate():
 def test_discounted_solve_refuses_a_discount_out_of_range(monkeypatch):
     # discount <= 0 and discount * delta >= 1 are refused before any Bellman
     # application, also when the budget allows none
+    from hj_strata import bellman
+
     op = _torus_operator()
     assert op.delta == 0.5
     applications = []
     monkeypatch.setattr(kernels, "jacobi_min", lambda *args, **kw: applications.append(args))
     for discount, match in ((0.0, "discount > 0"), (-0.5, "discount > 0"), (2.0, "must lie in"), (6.0, "must lie in")):
-        for max_iter in (10, 0):
+        for budget in (10, 0):
+            monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", budget)
             with pytest.raises(ValueError, match=match):
-                solve_discounted(op, discount, tol=1e-9, max_iter=max_iter)
+                solve_discounted(op, discount, tol=1e-9)
     assert applications == []
 
 
@@ -702,9 +708,12 @@ def test_continuation_from_any_start_keeps_its_certificate(cell):
         assert np.array_equal(start, u0)  # the caller's start is not modified
 
 
-def test_best_iterate_fallback_reports_not_converged():
+def test_best_iterate_fallback_reports_not_converged(monkeypatch):
+    from hj_strata import bellman
+
     op = _torus_operator(cost_fn=lambda p: 1.0 + 0.4 * np.sin(2 * np.pi * p[:, 0]))
-    (res,) = solve_ergodic_relative(op, tol=1e-13, max_iter=2)
+    monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", 2)
+    (res,) = solve_ergodic_relative(op, tol=1e-13)
     assert not res.converged
     assert math.isfinite(res.rate)
     assert res.rate_bounds[0] <= res.rate_bounds[1]
@@ -811,16 +820,17 @@ def test_family_relative_vi_equals_lone_solves_bit_for_bit(monkeypatch):
         return policy_steps(family, policy, u, damp, anchor, steps)
 
     monkeypatch.setattr(bellman, "_policy_steps", spy)
-    batch = solve_ergodic_relative(family, tol=1e-8, max_iter=1000)
+    monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", 1000)
+    batch = solve_ergodic_relative(family, tol=1e-8)
     assert [(r.iterations, r.converged) for r in batch] == [(1, True), (173, True), (1000, False)]
     assert batch.iterations == 1174
     # two policy steps (one per control) after every full application but the last
     assert [r.policy_steps for r in batch] == [0, 2 * 172, 2 * 999]
     assert batch.policy_steps == 2342
     assert damped[0] == [False, False] and damped[-1] == [True]
-    _assert_same_results(batch, [solve_ergodic_relative(op, tol=1e-8, max_iter=1000) for op in lone])
+    _assert_same_results(batch, [solve_ergodic_relative(op, tol=1e-8) for op in lone])
     monkeypatch.setattr(bellman, "_STALL_START", 1000)  # the rows cell never damps
-    (undamped,) = solve_ergodic_relative(lone[2], tol=1e-8, max_iter=1000)
+    (undamped,) = solve_ergodic_relative(lone[2], tol=1e-8)
     assert undamped.field.values.tobytes() != batch[2].field.values.tobytes()
 
 
@@ -837,9 +847,11 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
         return x, np.where(np.ptp(rhs, axis=1) == 0.0, 1, info), steps
 
     monkeypatch.setattr(bellman, "bicgstab", stalls_on_flat_rows)
-    for max_iter in (200_000, 2):
-        fields, infos = solve_discounted(family, 0.5, tol=1e-9, max_iter=max_iter)
-        alone = [solve_discounted(op, 0.5, tol=1e-9, max_iter=max_iter) for op in lone]
+    full = bellman._MAX_APPLICATIONS
+    for budget in (full, 2):
+        monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", budget)
+        fields, infos = solve_discounted(family, 0.5, tol=1e-9)
+        alone = [solve_discounted(op, 0.5, tol=1e-9) for op in lone]
         assert all(len(f) == 1 and isinstance(i, Family) and len(i) == 1 for f, i in alone)
         for field, info, ((field_1,), (info_1,)) in zip(fields, infos, alone):
             assert field.values.tobytes() == field_1.values.tobytes()
@@ -847,6 +859,7 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
         assert infos.iterations == sum(info.iterations for _, info in alone)
     # with two applications only the flat cell converges, on its LU solve
     assert [(i.converged, i.lu_fallbacks) for i in infos] == [(False, 0), (True, 1), (False, 0)]
+    monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", full)
     # a policy start, one row per cell, keeps the cells apart as well
     policy0 = np.stack([i.policy for i in infos])
     fields, infos = solve_discounted(family, 0.25, tol=1e-9, policy0=policy0)

@@ -22,7 +22,13 @@ from hj_strata.cell import (
     torus_effective,
     torus_operator,
 )
-from hj_strata.bellman import Family, ergodic_continuation, solve_ergodic_relative
+from hj_strata.bellman import (
+    ContinuationResult,
+    ErgodicRelativeResult,
+    Family,
+    ergodic_continuation,
+    solve_ergodic_relative,
+)
 from hj_strata.hamiltonian import estimate_bounds, eval_H, eval_H_envelopes
 from hj_strata.scenario import load_preset, parse_scenario, preset_names
 
@@ -241,23 +247,26 @@ def test_checkerboard_strip_entry_converges_past_a_plateau():
     p1, tol = -0.29445461807420503, 5e-4
     (est,) = strip_ergodic(scn.with_schedules(tol_ergodic=tol), p1, rho=1.0)
     assert est.constant == pytest.approx(-0.1, abs=tol)
-    assert est.continuation_constant == pytest.approx(-0.1, abs=tol)
+    assert -est.continuation.rate == pytest.approx(-0.1, abs=tol)
     assert est.method_gap <= 2 * tol
-    assert len(est.lambda_history) > 3
+    assert len(est.continuation.history) > 3
     assert est.converged
     # with a tighter tolerance the continuation runs on and meets VI at -0.1
     (tight,) = strip_ergodic(scn.with_schedules(tol_ergodic=1e-6), p1, rho=1.0)
-    assert tight.continuation_constant == pytest.approx(-0.1, abs=1e-5)
+    assert -tight.continuation.rate == pytest.approx(-0.1, abs=1e-5)
     assert tight.constant == pytest.approx(-0.1, abs=1e-5)
     assert tight.converged
 
 
 def _estimate(gap, converged):
     """A hand-made strip estimate with the given method gap and verdict."""
+    relative = ErgodicRelativeResult(
+        field=None, rate=0.1, residual=0.0, rate_bounds=(0.1, 0.1), iterations=1, policy_steps=0,
+        converged=converged,
+    )
+    continuation = ContinuationResult(rate=0.1 + gap, history=(), field=None, converged=converged, solves=())
     return ErgodicEstimate(
-        truncation=1.0, constant=-0.1,
-        continuation_constant=-0.1 - gap, method_gap=gap, corrector=None, lambda_history=(),
-        converged=converged, residual=0.0, iterations=1, delta=0.25,
+        truncation=1.0, delta=0.25, converged=converged, relative=relative, continuation=continuation
     )
 
 
@@ -282,6 +291,31 @@ def test_one_truncation_flags_the_origin_datum():
     tab = tabulate_effective(one_rho, tol=1e-4, p1_grid=[0.0, 0.5])
     assert tab.flags == {f"h1t/main/{i}": "truncation schedule exhausted" for i in range(2)}
     assert tab.method_gaps["main"].max() <= 2e-4
+
+
+@pytest.mark.parametrize(
+    "preset, grids, name",
+    [
+        ("strip_attract", {"p1_grid": []}, "p1_grid"),
+        ("strip_attract", {"p1_grid": [0.5, 0.0, -0.5]}, "p1_grid"),
+        ("strip_attract", {"p1_grid": [0.0, 0.0]}, "p1_grid"),
+        ("strip_attract", {"p1_grid": [0.0, math.nan]}, "p1_grid"),
+        ("strip_attract", {"p1_grid": [-math.inf, 0.0]}, "p1_grid"),
+        ("checkerboard", {"p1_grid": [0.0], "p_grid": [0.0]}, "p_grid"),
+        ("checkerboard", {"p1_grid": [0.0], "p_grid": [0.5, 0.0, -0.5]}, "p_grid"),
+        ("checkerboard", {"p1_grid": [0.0], "p_grid": [0.0, math.inf]}, "p_grid"),
+    ],
+)
+def test_tables_refuse_momentum_grids_their_lookups_cannot_read(preset, grids, name, monkeypatch):
+    # a decreasing p1 grid would tabulate and then misreport its window, and a
+    # one-point p_grid would tabulate and then fail every hbar lookup
+    from hj_strata.bellman import SLOperator
+
+    built = []
+    monkeypatch.setattr(SLOperator, "__init__", lambda self, *args: built.append(args))
+    with pytest.raises(ValueError, match=f"^{name}: expected"):
+        tabulate_effective(load_preset(preset), tol=1e-3, **grids)
+    assert built == []
 
 
 def test_unconverged_torus_cell_flags_its_hbar_entry(monkeypatch):
@@ -457,12 +491,24 @@ def test_case3_tables_have_two_branches():
 
 
 def _same_estimates(family, lone):
-    """Estimates equal field by field, correctors bit for bit."""
+    """Estimates equal field by field, the records' fields and policies bit for bit."""
     assert len(family) == len(lone)
     for a, b in zip(family, lone):
         assert a.corrector.values.tobytes() == b.corrector.values.tobytes()
-        assert a.policy.tobytes() == b.policy.tobytes()
-        assert dataclasses.replace(a, corrector=None) == dataclasses.replace(b, corrector=None)
+        assert a.continuation.field.values.tobytes() == b.continuation.field.values.tobytes()
+        assert [i.policy.tobytes() for i in a.continuation.solves] == [
+            i.policy.tobytes() for i in b.continuation.solves
+        ]
+        assert _without_fields(a) == _without_fields(b)
+
+
+def _without_fields(est):
+    """``est`` with the value fields of its records dropped, for ``==``."""
+    return dataclasses.replace(
+        est,
+        relative=dataclasses.replace(est.relative, field=None),
+        continuation=dataclasses.replace(est.continuation, field=None),
+    )
 
 
 def test_strip_family_walk_equals_lone_walks_bit_for_bit():
@@ -515,10 +561,11 @@ def test_delta_h_ball_runs_relative_vi_first():
     op = ball_operator(scn, 1.5)
     (vi,) = solve_ergodic_relative(op, tol=5e-4)
     assert est.corrector.values.tobytes() == vi.field.values.tobytes()
-    assert (est.constant, est.iterations, est.residual) == (-vi.rate, vi.iterations, vi.residual)
+    assert est.constant == -vi.rate
+    assert (est.relative.iterations, est.relative.residual) == (vi.iterations, vi.residual)
     (warm,) = _continuation(scn, op, (vi.field.flat() + vi.rate / scn.schedules.lambda0)[None])
     (cold,) = _continuation(scn, op)
-    assert (est.continuation_constant, est.lambda_history) == (-warm.rate, warm.history)
+    assert (est.continuation.rate, est.continuation.history) == (warm.rate, warm.history)
     assert (warm.solves[0].iterations, cold.solves[0].iterations) == (4, 15)
     assert warm.stages == cold.stages == 4
 
@@ -532,9 +579,9 @@ def test_sqrt_h_strips_run_the_continuation_first():
     op = strip_operator(scn, p1s, rho=1.0)
     conts = _continuation(scn, op)
     vis = solve_ergodic_relative(op, tol=5e-4, u0=np.stack([c.field.flat() for c in conts]))
-    assert [e.iterations for e in estimates] == [vi.iterations for vi in vis]
+    assert [e.relative.iterations for e in estimates] == [vi.iterations for vi in vis]
     assert [e.constant for e in estimates] == [-vi.rate for vi in vis]
-    assert [e.lambda_history for e in estimates] == [c.history for c in conts]
+    assert [e.continuation.history for e in estimates] == [c.history for c in conts]
     for e, vi in zip(estimates, vis):
         assert e.corrector.values.tobytes() == vi.field.values.tobytes()
 
@@ -572,7 +619,7 @@ def test_truncation_walk_starts_each_rho_from_the_last(monkeypatch):
         warm = r.estimates[1]
         assert warm.truncation == c.truncation == rho2 and warm.converged and c.converged
         assert warm.constant == pytest.approx(c.constant, abs=5e-4)
-        assert warm.continuation_constant == pytest.approx(c.continuation_constant, abs=5e-4)
+        assert warm.continuation.rate == pytest.approx(c.continuation.rate, abs=5e-4)
 
 
 # A cheap lane along the strip's edges at |y2| >= 1, and beyond it a drift
@@ -607,7 +654,7 @@ def test_first_stage_policy_read_on_a_larger_grid(kind):
     else:
         old, op = ball_ergodic(scn, 1.0), ball_operator(scn, 2.0)
     grid = old[0].corrector.grid
-    policies = np.stack([e.policy for e in old])
+    policies = np.stack([e.continuation.policy for e in old])
     read = cell._read_policy(op, grid, policies)
     nodes = op.grid.nodes()
     raw = policies[:, grid.index_of(nodes)]

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from hj_strata.bellman import SLOperator
+from hj_strata.cell import tabulate_effective
+from hj_strata.correctors import build_corrector_set
 from hj_strata.scenario import (
     Scenario,
     ScenarioError,
@@ -191,6 +194,14 @@ def test_schedules_fixed_step():
         ({"strip_defect": {**BLOCK, "period": "one"}}, "strip_defect.period: must be positive, got 'one'"),
         ({"case": "case2", "background": {**BLOCK, "periods": ["a", 1]}}, "background.periods: must be positive"),
         ({"case": "case3", "R1": "big"}, "R1: must be positive, got 'big'"),
+        ({"controls": {"directions": 8, "include_zero": "no"}}, "controls.include_zero: expected true or false, got 'no'"),
+        ({"controls": {"directions": 8, "include_zero": 0}}, "controls.include_zero: expected true or false, got 0"),
+        ({"controls": {"directions": 8, "speeed": 2.0}}, "controls: unknown key(s) ['speeed']"),
+        ({"case": "case2", "background": {**BLOCK, "perods": [2, 2]}}, "background: unknown key(s) ['perods']"),
+        ({"strip_defect": {**STRIP, "peroid": 2.0}}, "strip_defect: unknown key(s) ['peroid']"),
+        ({"core_defect": {**BLOCK, "periods": [1.0, 1.0]}}, "core_defect: unknown key(s) ['periods']"),
+        ({"case": "case3", "R1": 0.75, "strip_defect": {"plus": STRIP, "minus": {**STRIP, "costs": "1"}}},
+         "strip_defect.minus: unknown key(s) ['costs']"),
     ],
 )
 def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
@@ -199,6 +210,29 @@ def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(source, label="t")
     assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "build, clause",
+    [
+        (lambda scn: scn.with_schedules(tol_ergodic=0), "tol_ergodic: must be a positive number"),
+        (lambda scn: scn.with_schedules(tol_ergodic=-1.0, lambda_factor=1.5, cell_h=0.0), "tol_ergodic"),
+        (lambda scn: scn.with_schedules(lambda_factor=1.5), r"lambda_factor: must lie in \(0, 1\)"),
+        (lambda scn: scn.with_schedules(rho_list=()), "rho_list: must not be empty"),
+        (lambda scn: tabulate_effective(scn, tol=0), "tol_ergodic: must be a positive number"),
+        (lambda scn: build_corrector_set(scn, tol=-1), "tol_ergodic: must be a positive number"),
+        (lambda scn: build_corrector_set(scn, h=0.0), "cell_h: must be a positive number"),
+    ],
+    ids=["with_schedules", "with_schedules-first-clause", "lambda_factor", "rho_list", "tabulate_effective",
+         "build_corrector_set-tol", "build_corrector_set-h"],
+)
+def test_every_schedule_path_refuses_what_parsing_refuses(build, clause, monkeypatch):
+    # replaced schedules are validated where they are built, before any solve
+    built = []
+    monkeypatch.setattr(SLOperator, "__init__", lambda self, *args: built.append(args))
+    with pytest.raises(ScenarioError, match=rf"^schedules\.{clause}"):
+        build(load_preset("strip_attract"))
+    assert built == []
 
 
 def _written(path, text):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hj_strata import stratified
+from hj_strata import bellman, stratified
 from hj_strata.bellman import SLOperator, solve_discounted
 from hj_strata.cell import TableRangeError, tabulate_effective
 from hj_strata.grids import GridSpec
@@ -352,7 +352,7 @@ def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
 def test_control_plane_start_that_stalls_raises(monkeypatch):
     scn = load_preset("strip_attract")
     scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
-    monkeypatch.setattr(stratified, "_MAX_SWEEPS", 1)
+    monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", 1)
     with pytest.raises(RuntimeError, match="plane start stalled"):
         solve_scheme(scheme, tol=1e-10)
 
