@@ -89,6 +89,7 @@ _FAMILY_CELLS = 32
 __all__ = [
     "ErgodicEstimate",
     "TruncationWalk",
+    "BracketError",
     "EffectiveTables",
     "TableRangeError",
     "strip_ergodic",
@@ -105,6 +106,10 @@ class TableRangeError(ValueError):
     """A table lookup outside the tabulated momentum window."""
 
 
+class BracketError(ValueError):
+    """A momentum root is not bracketed inside the tabulated window."""
+
+
 def _check_window(p, lo: float, hi: float) -> None:
     """Raise :class:`TableRangeError` naming the momentum farthest outside
     ``[lo, hi]``, if any lies outside."""
@@ -113,6 +118,39 @@ def _check_window(p, lo: float, hi: float) -> None:
     if np.any(excess > 1e-12):
         worst = float(p[np.argmax(excess)])
         raise TableRangeError(f"momentum {worst:.6g} outside the tabulated window [{lo:.6g}, {hi:.6g}]")
+
+
+def _grid_root(grid: np.ndarray, vals: np.ndarray, level: float, side: str, what: str) -> float:
+    """Piecewise-linear root of a convex table at ``level`` on one flank.
+
+    ``side`` is ``"right"`` (root above the argmin) or ``"left"``.  Exact for
+    tables that are linear between knots; raises :class:`BracketError` with
+    the bounding table row when the level never reaches the window edge.
+    """
+    k = int(np.argmin(vals))
+    if level < vals[k] - 1e-12:
+        raise BracketError(
+            f"{what}: level {level:.6g} lies below the table minimum "
+            f"{vals[k]:.6g} at p1={grid[k]:.6g}"
+        )
+    step, edge = (1, len(grid) - 1) if side == "right" else (-1, 0)
+    if vals[edge] < level - 1e-12:
+        raise BracketError(
+            f"{what}: level {level:.6g} is not reached on the {side} flank; "
+            f"window ends at row p1={grid[edge]:.6g}, value {vals[edge]:.6g}"
+        )
+    # walk away from the argmin: the first segment whose far end reaches the
+    # level holds the root, since its near end is the argmin or lies below
+    for a in range(k, edge, step):
+        b = a + step
+        if vals[b] >= level - 1e-12:
+            dv = vals[b] - vals[a]
+            if abs(dv) < 1e-15:
+                return float(grid[b])
+            t = (level - vals[a]) / dv
+            return float(grid[a] + t * (grid[b] - grid[a]))
+    # the argmin sits on this flank's window edge
+    raise BracketError(f"{what}: no table segment brackets level {level:.6g} on the {side} flank")
 
 
 @dataclass(frozen=True, slots=True)
@@ -438,6 +476,14 @@ class EffectiveTables:
     full effective Hamiltonian on the momentum grid ``p_grid x p_grid``.
     ``flags`` maps entry labels to failure notes; an empty dict means every
     solve converged and cross-checked.
+
+    The tables are piecewise linear between their knots, and these methods
+    are the only readers of that format: the lookups :meth:`h1t_at` and
+    :meth:`hbar_at`, the flank root :meth:`tangential_root`, the section
+    roots :meth:`section_roots`, the difference quotients
+    :meth:`one_sided_quotients` and :meth:`tangential_slope_bound`, the
+    minimizer :meth:`tangential_argmin` and the upwind value
+    :meth:`tangential_upwind`.
     """
 
     x0: tuple[float, float]
@@ -493,9 +539,49 @@ class EffectiveTables:
         out = v.reshape(p[..., 0].shape) if p.ndim > 1 else float(v[0])
         return out
 
+    def tangential_root(self, branch: str, level: float, side: str) -> float:
+        """Root of ``h1t[branch] = level`` on the ``side`` flank of its argmin
+        (``"right"`` or ``"left"``); see :func:`_grid_root`."""
+        return _grid_root(self.p1_grid, self.h1t[branch], level, side, f"{branch} tangential table")
+
+    def section_roots(self, p1: float, level: float) -> tuple[float, float]:
+        """Both roots ``q`` of ``hbar_at((p1, q)) = level``, lower then upper,
+        on the section read at every ``p_grid`` node in one lookup."""
+        q_grid = self.p_grid
+        section = self.hbar_at(np.column_stack([np.full_like(q_grid, p1), q_grid]))
+        lower = _grid_root(q_grid, section, level, "left", "ambient section, lower slope")
+        upper = _grid_root(q_grid, section, level, "right", "ambient section, upper slope")
+        return lower, upper
+
+    def _quotients(self, branch: str) -> np.ndarray:
+        """Slope of every segment of ``h1t[branch]``."""
+        return np.diff(self.h1t[branch]) / np.diff(self.p1_grid)
+
+    def one_sided_quotients(self, branch: str, p1: float) -> tuple[float, float]:
+        """Left/right difference quotients of ``h1t[branch]`` at ``p1``: the
+        slopes of the segments ending and starting there, one segment's slope
+        on both sides inside it."""
+        quotients = self._quotients(branch)
+        grid = self.p1_grid
+        ends = np.searchsorted(grid, p1, side="left"), np.searchsorted(grid, p1, side="right")
+        left, right = quotients[np.clip(np.subtract(ends, 1), 0, len(quotients) - 1)]
+        return float(left), float(right)
+
     def tangential_slope_bound(self, branch: str = "main") -> float:
-        d = np.diff(self.h1t[branch]) / np.diff(self.p1_grid)
-        return float(np.max(np.abs(d)))
+        return float(np.max(np.abs(self._quotients(branch))))
+
+    def tangential_argmin(self, branch: str) -> float:
+        """The first knot where ``h1t[branch]`` is least."""
+        return self.p1_grid[int(np.argmin(self.h1t[branch]))]
+
+    def tangential_upwind(self, branch: str, d_minus, d_plus) -> np.ndarray:
+        """Godunov upwind value ``max(H(max(d-, p*)), H(min(d+, p*)))`` of the
+        convex table ``H = h1t[branch]`` with argmin ``p*``: the exact upwind
+        value for convex H, read with clipped lookups."""
+        p_star = self.tangential_argmin(branch)
+        lo = self.h1t_at(np.maximum(d_minus, p_star), branch, clip=True)
+        hi = self.h1t_at(np.minimum(d_plus, p_star), branch, clip=True)
+        return np.maximum(lo, hi)
 
     def midpoint_convexity_violation(self) -> float:
         """Worst excess of a tabulated midpoint over its chord (0 = convex)."""

@@ -31,10 +31,10 @@ territory, and the spec's notes say so.
 Every level measurement reads one test of ``H(0, y, Dχ) <= level``: the
 one-step dynamic-programming reading ``(v(y) - min_a [δ ℓ(y, a) + v(y + δ
 f(y, a))]) / δ - level``, with ``v`` evaluated exactly at every foot.
-``_territory``, ``subsolution_residual`` and ``residual_field`` apply it to
-the active piece at each node (``_piece_residual``);
-``bellman_certificate`` applies it to the composed minimum, the only reading
-that sees a jump at the origin piece's rim.
+``_territory`` and ``subsolution_residual`` apply it to the active piece at
+each node (``_piece_residual``); ``bellman_certificate`` applies it to the
+composed minimum, the only reading that sees a jump at the origin piece's
+rim.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import numpy as np
 
 from .cell import (
     _X0,
+    BracketError,
     ErgodicEstimate,
     EffectiveTables,
     ball_ergodic,
@@ -68,7 +69,6 @@ __all__ = [
     "build_corrector_set",
     "build_subcorrector",
     "majorant_gap",
-    "residual_field",
     "select_regime",
     "subsolution_residual",
 ]
@@ -90,10 +90,6 @@ class RegimeError(ValueError):
     """The requested construction contradicts the measured level ordering."""
 
 
-class BracketError(ValueError):
-    """A momentum root is not bracketed inside the tabulated window."""
-
-
 # ---------------------------------------------------------------------------
 # level queries and momentum roots
 # ---------------------------------------------------------------------------
@@ -108,54 +104,11 @@ def plane_level(scn: Scenario, tables: EffectiveTables, p) -> float:
     return float(np.max(-(drift @ p) - cost))
 
 
-def _grid_root(grid: np.ndarray, vals: np.ndarray, level: float, side: str, what: str) -> float:
-    """Piecewise-linear root of a convex table at ``level`` on one flank.
-
-    ``side`` is ``"right"`` (root above the argmin) or ``"left"``.  Exact for
-    tables that are linear between knots; raises :class:`BracketError` with
-    the bounding table row when the level never reaches the window edge.
-    """
-    k = int(np.argmin(vals))
-    if level < vals[k] - 1e-12:
-        raise BracketError(
-            f"{what}: level {level:.6g} lies below the table minimum "
-            f"{vals[k]:.6g} at p1={grid[k]:.6g}"
-        )
-    step, edge = (1, len(grid) - 1) if side == "right" else (-1, 0)
-    if vals[edge] < level - 1e-12:
-        raise BracketError(
-            f"{what}: level {level:.6g} is not reached on the {side} flank; "
-            f"window ends at row p1={grid[edge]:.6g}, value {vals[edge]:.6g}"
-        )
-    # walk away from the argmin: the first segment whose far end reaches the
-    # level holds the root, since its near end is the argmin or lies below
-    for a in range(k, edge, step):
-        b = a + step
-        if vals[b] >= level - 1e-12:
-            dv = vals[b] - vals[a]
-            if abs(dv) < 1e-15:
-                return float(grid[b])
-            t = (level - vals[a]) / dv
-            return float(grid[a] + t * (grid[b] - grid[a]))
-    # the argmin sits on this flank's window edge
-    raise BracketError(f"{what}: no table segment brackets level {level:.6g} on the {side} flank")
-
-
-def _tangential_root(
-    tables: EffectiveTables, branch: str, level: float, side: str, what: str
-) -> float:
-    return _grid_root(tables.p1_grid, np.asarray(tables.h1t[branch], dtype=float), level, side, what)
-
-
 def _vertical_roots(scn: Scenario, tables: EffectiveTables, p1: float, level: float) -> tuple[float, float]:
     """Both roots q₂ of H̄(0, (p₁, q₂)) = level, bracketing the sublevel set."""
     if scn.case != "case2":
         return slopes(scn, p1, level)
-    q_grid = np.asarray(tables.p_grid, dtype=float)
-    section = tables.hbar_at(np.column_stack([np.full_like(q_grid, p1), q_grid]))
-    lower = _grid_root(q_grid, section, level, "left", "ambient section, lower slope")
-    upper = _grid_root(q_grid, section, level, "right", "ambient section, upper slope")
-    return lower, upper
+    return tables.section_roots(p1, level)
 
 
 def _polish_vertical_root(
@@ -205,17 +158,6 @@ def _polish_vertical_root(
         f"(momentum {best_q:.6g})"
     )
     return best_q
-
-
-def _table_gradient(tables: EffectiveTables, branch: str, p1: float) -> tuple[float, float]:
-    """Left/right difference quotients of a tangential table at ``p1``: the
-    slopes of the segments ending and starting there, one segment's slope on
-    both sides inside it."""
-    grid = tables.p1_grid
-    quotients = np.diff(np.asarray(tables.h1t[branch], dtype=float)) / np.diff(grid)
-    ends = np.searchsorted(grid, p1, side="left"), np.searchsorted(grid, p1, side="right")
-    left, right = quotients[np.clip(np.subtract(ends, 1), 0, len(quotients) - 1)]
-    return float(left), float(right)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +525,7 @@ def _piece_residual(
 ) -> np.ndarray:
     """Per-node level residual of the piece ``active`` selects at each node:
     the one-step reading of its own smooth extension, which both
-    :func:`_territory` and :func:`residual_field` read.  So the seams of
+    :func:`_territory` and :func:`subsolution_residual` read.  So the seams of
     the composed minimum stay out of it, and so does a jump at a piece's
     admissibility rim; only :func:`bellman_certificate` sees those.
     """
@@ -716,7 +658,7 @@ def _facing_roots(scn: Scenario, tables: EffectiveTables, level: float) -> dict[
     """Each branch's tangential root of ``level`` on the flank facing the
     origin, minus before plus."""
     return {
-        b: _tangential_root(tables, b, level, _facing_flank(side), f"{b} tangential table")
+        b: tables.tangential_root(b, level, _facing_flank(side))
         for b, side in sorted(scn.branches.items(), key=lambda item: item[1])
     }
 
@@ -742,11 +684,8 @@ def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
 
 def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = float(tables.h1t_at(p[0]))
-    grid = tables.p1_grid
-    vals = np.asarray(tables.h1t["main"], dtype=float)
-    argmin = grid[int(np.argmin(vals))]
-    side = "left" if p[0] > argmin else "right"
-    p_tilde = _tangential_root(tables, "main", level, side, "tangential table")
+    side = "left" if p[0] > tables.tangential_argmin("main") else "right"
+    p_tilde = tables.tangential_root("main", level, side)
     q_values = {"p_tilde": p_tilde}
     if p_tilde > p[0]:
         # The strip momentum exceeds the target's, so the band piece dies off
@@ -778,9 +717,7 @@ def _drop_band(scn, tables, correctors, p, level):
     no table reaches the level at a root whose band undercuts the target."""
     for branch, side in scn.branches.items():
         try:
-            p_tilde = _tangential_root(
-                tables, branch, level, _facing_flank(side), f"{branch} tangential table"
-            )
+            p_tilde = tables.tangential_root(branch, level, _facing_flank(side))
         except BracketError:
             continue
         if side * (p[0] - p_tilde) <= _TIE_SLACK:
@@ -805,7 +742,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         # other band is carried at the far root of the dominant level.
         high, low = ("minus", "plus") if gap > 0 else ("plus", "minus")
         side = _facing_flank(scn.branches[low])
-        p_tilde = _tangential_root(tables, low, level, side, f"{low} tangential table")
+        p_tilde = tables.tangential_root(low, level, side)
         pieces = [
             _affine_piece("target", p, correctors),
             _strip_piece(f"band-{high}", p[0], correctors, branch=high),
@@ -832,7 +769,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     # All three levels coincide above E: drop one band strictly below the
     # level at a table root whose band undercuts the target along its own
     # half-line (a descending flank can still miss); else lift the level by eta.
-    grads = {b: _table_gradient(tables, b, p[0]) for b in scn.branches}
+    grads = {b: tables.one_sided_quotients(b, p[0]) for b in scn.branches}
     dropped = _drop_band(scn, tables, correctors, p, level - min(eta, 0.5 * (level - tables.E)))
     if dropped is not None:
         branch, p_tilde, pieces = dropped
@@ -1005,24 +942,17 @@ def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sa
     """Worst violation of the level inequality and of the plane-wave bound.
 
     Returns ``max(H(0, y, Dχ) - level, χ - ⟨p, y⟩)`` over the sample nodes:
-    the larger of :func:`residual_field` and :func:`majorant_gap`.  The level
-    part is read on the active piece at each node, so a jump at the origin
-    piece's rim does not show here; only :func:`bellman_certificate` catches
-    it.  A negative value is the certified margin; a large positive value is
-    a finding about the construction, not an error.
+    the larger of the level residual and :func:`majorant_gap`.  The level
+    residual is the one-step reading of the active piece at each node, at a
+    step of the grid spacing (:func:`_piece_residual`), so a jump at the
+    origin piece's rim does not show here; only :func:`bellman_certificate`
+    catches it.  A negative value is the certified margin; a large positive
+    value is a finding about the construction, not an error.
     """
-    residual = residual_field(scn, spec, level, sample_grid).values
-    return max(float(residual.max()), majorant_gap(spec, sample_grid))
-
-
-def residual_field(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> ValueField:
-    """Per-node level residual: the one-step reading of the active piece at
-    each sample node, at a step of the grid spacing
-    (:func:`_piece_residual`)."""
     pts = sample_grid.nodes()
     step = min(sample_grid.h1, sample_grid.h2)
     residual = _piece_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level))
-    return ValueField(sample_grid, residual.reshape(sample_grid.n1, sample_grid.n2))
+    return max(float(residual.max()), majorant_gap(spec, sample_grid))
 
 
 def majorant_gap(spec: SubcorrectorSpec, sample_grid: GridSpec) -> float:

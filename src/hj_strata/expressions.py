@@ -113,9 +113,6 @@ class ScalarExpr:
             raise KeyError(f"expression uses unbound variable(s) {sorted(missing)}")
         return _evaluate(self.root, env)
 
-    def free_vars(self) -> frozenset[str]:
-        return self.variables
-
 
 def parse_expression(source: str) -> ScalarExpr:
     """Parse ``source`` into a :class:`ScalarExpr`.

@@ -57,15 +57,12 @@ class GridSpec:
     periodic2: bool
 
     @classmethod
-    def box(cls, half_widths: float | tuple[float, float], h: float) -> "GridSpec":
-        """State-constrained box ``[-L1, L1] x [-L2, L2]``; h must divide both."""
+    def box(cls, half_width: float, h: float) -> "GridSpec":
+        """State-constrained square box ``[-L, L]^2``; h must divide ``2L``."""
         _check_positive(h=h)
-        if isinstance(half_widths, (int, float)):
-            half_widths = (float(half_widths), float(half_widths))
-        L1, L2 = float(half_widths[0]), float(half_widths[1])
-        m1 = _check_multiple(2.0 * L1, h, "box width")
-        m2 = _check_multiple(2.0 * L2, h, "box height")
-        return cls(m1 + 1, m2 + 1, h, h, (-L1, -L2), False, False)
+        L = float(half_width)
+        m = _check_multiple(2.0 * L, h, "box width")
+        return cls(m + 1, m + 1, h, h, (-L, -L), False, False)
 
     @classmethod
     def strip(cls, period: float, rho: float, h: float) -> "GridSpec":

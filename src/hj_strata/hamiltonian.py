@@ -123,7 +123,7 @@ def _frozen_background(scenario: Scenario, x) -> tuple[np.ndarray, np.ndarray]:
         # Periodic backgrounds have no single control split; the envelope
         # notion needs a y-independent background drift.
         d1, d2 = scenario.background.drift
-        if (d1.free_vars() | d2.free_vars()) & {"y1", "y2"}:
+        if (d1.variables | d2.variables) & {"y1", "y2"}:
             raise ValueError(
                 "directional envelopes need a y-independent background drift; "
                 "this case2 background is periodic in y"

@@ -160,8 +160,9 @@ class SolverSchedules:
     Every construction is validated, :func:`parse_scenario`'s and
     :meth:`Scenario.with_schedules`'s alike: a value no solver can run with
     raises :class:`ScenarioError` naming its ``schedules.<field>`` clause.
-    The truncation lists have no default; :func:`parse_scenario` scales them
-    to the scenario's radii.
+    The truncation lists are stored as tuples of floats, whatever sequence
+    of numbers they were given as.  They have no default;
+    :func:`parse_scenario` scales them to the scenario's radii.
     """
 
     rho_list: tuple[float, ...]
@@ -178,6 +179,10 @@ class SolverSchedules:
     def __post_init__(self):
         for name in ("rho_list", "R_list"):
             seq = getattr(self, name)
+            if not (isinstance(seq, (list, tuple)) and all(map(_is_number, seq))):
+                raise ScenarioError(f"schedules.{name}: expected a list of numbers")
+            seq = tuple(float(v) for v in seq)
+            object.__setattr__(self, name, seq)
             if len(seq) == 0:
                 raise ScenarioError(f"schedules.{name}: must not be empty")
             if any(b <= a for a, b in zip(seq, seq[1:])):
@@ -429,7 +434,7 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
             raise ScenarioError("background.periods: only case2 backgrounds are periodic")
         sources = background.drift_source + (background.cost_source,)
         for src, expr in zip(sources, background.drift + (background.cost,)):
-            bad = expr.free_vars() & {"y1", "y2"}
+            bad = expr.variables & {"y1", "y2"}
             if bad:
                 raise ScenarioError(
                     f"background: case1/case3 background fields depend only on x1, x2 "
@@ -448,8 +453,6 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
             if isinstance(strip_raw, Mapping) and ("plus" in strip_raw or "minus" in strip_raw):
                 raise ScenarioError("strip_defect: per-branch blocks are a case3 feature")
             strips["main"] = _build_field_pair(strip_raw, controls, "strip_defect", period_required=True)
-    elif case == "case3":
-        pass  # no strip defects: both branches fall back to the background
 
     core = None
     if raw.get("core_defect") is not None:
@@ -461,18 +464,7 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
     unknown = set(sched_raw) - {f.name for f in fields(SolverSchedules)}
     if unknown:
         raise ScenarioError(f"schedules: unknown key(s) {sorted(unknown)}")
-    for name in ("rho_list", "R_list"):
-        if name in sched_raw and not (
-            isinstance(sched_raw[name], (list, tuple)) and all(map(_is_number, sched_raw[name]))
-        ):
-            raise ScenarioError(f"schedules.{name}: expected a list of numbers")
-    sched = replace(
-        _default_schedules(R0, R1),
-        **{
-            k: (tuple(float(v) for v in sched_raw[k]) if k in ("rho_list", "R_list") else sched_raw[k])
-            for k in sched_raw
-        },
-    )
+    sched = replace(_default_schedules(R0, R1), **sched_raw)
 
     return Scenario(
         case=case,

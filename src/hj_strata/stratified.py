@@ -72,13 +72,11 @@ class StratifiedScheme:
     scn: Scenario
     tables: EffectiveTables
     grid: GridSpec
-    delta: float
     operator: SLOperator | None          # case1/case3 control-form backbone
     theta_lf: float | None               # case2 plane dissipation (= M_f)
     theta_t: Mapping[str, float]         # tangential dissipation per branch
     m1_rows: Mapping[str, np.ndarray]    # branch -> flat indices, ascending x1
     origin: int
-    alpha: float
 
 
 def build_scheme(
@@ -123,7 +121,7 @@ def build_scheme(
     n2 = grid.n2
     flat_axis = np.arange(grid.n1) * n2 + j0
     m1 = {branch: flat_axis[side * coords1 > 1e-12] for branch, side in scn.branches.items()}
-    missing = set(m1) - set(tables.h1t)
+    missing = set(m1) - set(tables.branches())
     if missing:
         raise ValueError(f"tables lack tangential branch(es) {sorted(missing)}")
 
@@ -140,13 +138,11 @@ def build_scheme(
         scn=scn,
         tables=tables,
         grid=grid,
-        delta=delta,
         operator=operator,
         theta_lf=theta_lf,
         theta_t=theta_t,
         m1_rows=m1,
         origin=origin,
-        alpha=scn.alpha,
     )
 
 
@@ -175,7 +171,7 @@ def _plane_update(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True)
     again with ``clip=False``, which raises ``TableRangeError`` outside it.
     """
     if scheme.operator is not None:
-        return scheme.operator.apply(u, scheme.alpha)
+        return scheme.operator.apply(u, scheme.scn.alpha)
     h = scheme.grid.h1
     th = scheme.theta_lf
     n1, n2 = scheme.grid.n1, scheme.grid.n2
@@ -188,7 +184,7 @@ def _plane_update(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True)
     uW, uE, uS, uN = pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]
     p = np.stack([(uE - uW) / (2 * h), (uN - uS) / (2 * h)], axis=-1)
     g = scheme.tables.hbar_at(p, clip=clip)
-    return ((-g + (th / h) * (uE + uW + uN + uS)) / (scheme.alpha + 4 * th / h)).reshape(-1)
+    return ((-g + (th / h) * (uE + uW + uN + uS)) / (scheme.scn.alpha + 4 * th / h)).reshape(-1)
 
 
 def _line_candidates(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True) -> dict[str, np.ndarray]:
@@ -201,7 +197,7 @@ def _line_candidates(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = Tr
         th = scheme.theta_t[branch]
         uL, uR = _line_neighbors(scheme, u, rows)
         g = scheme.tables.h1t_at((uR - uL) / (2 * h), branch, clip=clip)
-        out[branch] = (-g + (th / h) * (uL + uR)) / (scheme.alpha + 2 * th / h)
+        out[branch] = (-g + (th / h) * (uL + uR)) / (scheme.scn.alpha + 2 * th / h)
     return out
 
 
@@ -215,7 +211,7 @@ def _junction_minima(
     for branch, rows in scheme.m1_rows.items():
         new[rows] = np.minimum(new[rows], lines[branch])
     o = scheme.origin
-    new[o] = min(new[o], -scheme.tables.E / scheme.alpha)
+    new[o] = min(new[o], -scheme.tables.E / scheme.scn.alpha)
     return new
 
 
@@ -264,7 +260,7 @@ def _tabulated_plane(scheme: StratifiedScheme, *, tol: float) -> np.ndarray:
     only fixed point.  One update certifies it: raises ``RuntimeError`` if it moves a node by more
     than ``tol``.
     """
-    u = np.full(scheme.grid.size, -float(scheme.tables.hbar_at((0.0, 0.0))) / scheme.alpha)
+    u = np.full(scheme.grid.size, -float(scheme.tables.hbar_at((0.0, 0.0))) / scheme.scn.alpha)
     residual = float(np.max(np.abs(_plane_update(scheme, u) - u)))
     if residual > tol:
         raise RuntimeError(
@@ -288,7 +284,7 @@ def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueF
     contraction, so that is a budget problem, not a scheme problem).
     """
     if scheme.operator is not None:
-        u = _control_plane(scheme.operator, scheme.alpha, tol=tol)
+        u = _control_plane(scheme.operator, scheme.scn.alpha, tol=tol)
     else:
         u = _tabulated_plane(scheme, tol=tol)
     u, it, residual = _fixed_point(
@@ -360,32 +356,21 @@ class StratifiedReport:
         return max(vals)
 
 
-def _godunov_1d(table_p: np.ndarray, table_v: np.ndarray, d_minus: np.ndarray,
-                d_plus: np.ndarray) -> np.ndarray:
-    """Godunov numerical Hamiltonian of a convex tabulated function.
-
-    ``max(H(max(d-, p*)), H(min(d+, p*)))`` with ``p*`` the table argmin --
-    the exact upwind value for convex H.
-    """
-    p_star = table_p[int(np.argmin(table_v))]
-    lo = np.interp(np.maximum(d_minus, p_star), table_p, table_v)
-    hi = np.interp(np.minimum(d_plus, p_star), table_p, table_v)
-    return np.maximum(lo, hi)
-
-
 def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedReport:
     """Measure the stratified optimality conditions on a candidate solution.
 
     The subsolution numbers use the Godunov (upwind) evaluation of the
-    tabulated tangential Hamiltonian, so they are scheme-independent; the
-    supersolution margin reads the scheme's own candidates, the ones the
-    iteration residual composes (at the fixed point the achieving candidate
-    has residual 0, so the margin sits at 0 up to iteration slack).
+    tabulated tangential Hamiltonian
+    (:meth:`~hj_strata.cell.EffectiveTables.tangential_upwind`), so they are
+    scheme-independent; the supersolution margin reads the scheme's own
+    candidates, the ones the iteration residual composes (at the fixed point
+    the achieving candidate has residual 0, so the margin sits at 0 up to
+    iteration slack).
     """
     u = field.flat()
     grid = scheme.grid
     h = grid.h1
-    alpha = scheme.alpha
+    alpha = scheme.scn.alpha
     plane = _plane_update(scheme, u)
     lines = _line_candidates(scheme, u)
     iteration_residual = float(np.max(np.abs(_junction_minima(scheme, plane, lines) - u)))
@@ -397,13 +382,12 @@ def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedR
         uL, uR = _line_neighbors(scheme, u, rows)
         d_minus = (u[rows] - uL) / h
         d_plus = (uR - u[rows]) / h
-        g = _godunov_1d(scheme.tables.p1_grid, np.asarray(scheme.tables.h1t[branch]),
-                        d_minus, d_plus)
+        g = scheme.tables.tangential_upwind(branch, d_minus, d_plus)
         m1_sub[branch] = float(np.max(alpha * u[rows] + g)) if len(rows) else -math.inf
 
     # scaled candidate residuals: (u - update) * stiffness ~ alpha u + H_num
     if scheme.operator is not None:
-        margin = (u - plane) / scheme.delta
+        margin = (u - plane) / scheme.operator.delta
     else:
         margin = (u - plane) * (alpha + 4 * scheme.theta_lf / h)
     for branch, rows in scheme.m1_rows.items():

@@ -381,6 +381,27 @@ def test_hbar_lookup_equals_the_two_index_formula_bit_for_bit():
     assert tables.hbar_at((5.0, -5.0), clip=True) == tables.hbar[-1, 0]
 
 
+def test_tangential_upwind_equals_the_godunov_formula_bit_for_bit():
+    # max(H(max(d-, p*)), H(min(d+, p*))) with p* the table argmin, each H
+    # read by np.interp, which clamps slopes outside the window to its ends
+    g = np.array([-1.0, -0.6, -0.1, 0.0, 0.35, 1.2])   # non-uniform momentum grid
+    convex = {"minus": (g - 0.3) ** 2 - 0.5, "plus": np.abs(g + 0.2) + 0.1 * g}
+    tables = EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=g, h1t=convex, pi_lower={}, pi_upper={}, E=0.0, E_history=(),
+        method_gaps={}, p_grid=None, hbar=None, flags={},
+    )
+    rng = np.random.default_rng(5)
+    d_minus, d_plus = rng.uniform(-3.0, 3.0, size=(2, 400))
+    assert ((d_minus < g[0]) | (d_minus > g[-1])).any() and ((g[0] < d_plus) & (d_plus < g[-1])).any()
+    for branch, vals in convex.items():
+        p_star = g[int(np.argmin(vals))]
+        expected = np.maximum(
+            np.interp(np.maximum(d_minus, p_star), g, vals), np.interp(np.minimum(d_plus, p_star), g, vals)
+        )
+        assert tables.tangential_argmin(branch) == p_star
+        assert tables.tangential_upwind(branch, d_minus, d_plus).tobytes() == expected.tobytes()
+
+
 def test_hbar_lookup_refuses_tables_without_a_plane_table():
     g = np.linspace(-1.0, 1.0, 3)
     for p_grid, hbar in ((None, None), (g, None), (None, np.zeros((3, 3)))):

@@ -5,24 +5,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hj_strata.cell import EffectiveTables, tabulate_effective
+from hj_strata.cell import EffectiveTables, _grid_root, tabulate_effective
 from hj_strata.correctors import (
     BracketError,
     Piece,
     RegimeError,
     SubcorrectorSpec,
     _fit_max,
-    _grid_root,
     _one_step,
+    _piece_residual,
     _polish_vertical_root,
-    _table_gradient,
     _vertical_roots,
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
     majorant_gap,
     plane_level,
-    residual_field,
     select_regime,
     subsolution_residual,
 )
@@ -299,26 +297,28 @@ def test_fit_refuses_a_maximum_on_the_sampling_box_edge():
 
 
 def test_grid_root_walks_the_flank_away_from_the_argmin():
+    # EffectiveTables.tangential_root reads a tangential table's flank roots
     grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    vals = np.array([3.0, 1.0, 0.0, 0.5, 2.5])
+    tables = _hand_tables(grid, {"main": np.array([3.0, 1.0, 0.0, 0.5, 2.5])}, E=0.0)
     # the root lies on the first segment whose far end reaches the level
-    assert _grid_root(grid, vals, 1.5, "right", "t") == 1.0 + (1.5 - 0.5) / 2.0
-    assert _grid_root(grid, vals, 0.5, "right", "t") == 1.0
-    assert _grid_root(grid, vals, 2.0, "left", "t") == -1.0 - (2.0 - 1.0) / 2.0
-    assert _grid_root(grid, vals, 0.25, "left", "t") == -0.25
+    assert tables.tangential_root("main", 1.5, "right") == 1.0 + (1.5 - 0.5) / 2.0
+    assert tables.tangential_root("main", 0.5, "right") == 1.0
+    assert tables.tangential_root("main", 2.0, "left") == -1.0 - (2.0 - 1.0) / 2.0
+    assert tables.tangential_root("main", 0.25, "left") == -0.25
     # a flat segment at the level returns its far knot
-    flat = np.array([2.0, 0.0, 0.0, 2.0])
-    assert _grid_root(grid[:4], flat, 0.0, "right", "t") == 0.0
-    assert _grid_root(grid[:4], flat, 1e-13, "right", "t") == 0.0
-    # an argmin on the window edge leaves the flank no segment
-    edge = np.array([2.0, 1.0, 0.0])
+    flat = _hand_tables(grid[:4], {"main": np.array([2.0, 0.0, 0.0, 2.0])}, E=0.0)
+    assert flat.tangential_root("main", 0.0, "right") == 0.0
+    assert flat.tangential_root("main", 1e-13, "right") == 0.0
+    # an argmin on the window edge leaves the flank no segment; every message
+    # names the branch's table
+    edge = _hand_tables(grid[:3], {"plus": np.array([2.0, 1.0, 0.0])}, E=0.0)
     for level in (0.0, 5e-13):
-        with pytest.raises(BracketError, match="no table segment brackets"):
-            _grid_root(grid[:3], edge, level, "right", "t")
+        with pytest.raises(BracketError, match="^plus tangential table: no table segment brackets"):
+            edge.tangential_root("plus", level, "right")
     with pytest.raises(BracketError, match="not reached on the right flank"):
-        _grid_root(grid[:3], edge, 0.5, "right", "t")
-    with pytest.raises(BracketError, match="below the table minimum"):
-        _grid_root(grid, vals, -0.1, "left", "t")
+        edge.tangential_root("plus", 0.5, "right")
+    with pytest.raises(BracketError, match="^main tangential table: level -0.1 lies below the table minimum"):
+        tables.tangential_root("main", -0.1, "left")
 
 
 def test_selected_line_regime_builds_inside_the_tie(attract):
@@ -399,18 +399,6 @@ def test_certificate_needs_a_node_with_its_whole_control_fan(attract):
         bellman_certificate(scn, spec, -0.5, GridSpec.box(1 / 16, 1 / 16), delta=1 / 8)
 
 
-def test_residual_field_matches_scalar_report(attract):
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.8), "plane")
-    grid = GridSpec.box(1.5, 1 / 32)
-    fld = residual_field(scn, spec, spec.level, grid)
-    assert fld.values.shape == (grid.n1, grid.n2)
-    scalar = subsolution_residual(scn, spec, spec.level, grid)
-    assert scalar == pytest.approx(
-        max(float(fld.values.max()), majorant_gap(spec, grid)), abs=1e-12
-    )
-
-
 def test_coverage_check_rejects_oversized_grid(attract):
     scn, tables, correctors = attract
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
@@ -452,7 +440,9 @@ def test_corrector_piece_composes_with_affine(attract):
     band = next(pc for pc in spec.pieces if pc.kind == "strip")
     plane = next(pc for pc in spec.pieces if pc.label == "escape")
     pair = dataclasses.replace(spec, pieces=(band, plane))
-    assert residual_field(scn, pair, spec.level, grid).values.max() <= TOL_CORR
+    pts = grid.nodes()
+    # the level residual of the active piece alone, without the majorant gap
+    assert _piece_residual(scn, pair.pieces, pair.active(pts), pts, grid.h1, spec.level).max() <= TOL_CORR
 
 
 def test_case3_plane_roots_are_mirrored(mirror):
@@ -627,10 +617,12 @@ def test_corrector_set_solves_every_cell_at_step_h():
 
 def test_table_gradient_reads_one_segment_inside_it_and_two_at_a_knot():
     grid, vals = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 3.0, 6.0])
-    tables = SimpleNamespace(p1_grid=grid, h1t={"main": vals})
-    assert _table_gradient(tables, "main", 1.5) == (2.0, 2.0)
-    assert _table_gradient(tables, "main", 1.0) == (1.0, 2.0)
-    assert _table_gradient(tables, "main", 2.0) == (2.0, 3.0)
+    tables = _hand_tables(grid, {"main": vals}, E=0.0)
+    assert tables.one_sided_quotients("main", 1.5) == (2.0, 2.0)
+    assert tables.one_sided_quotients("main", 1.0) == (1.0, 2.0)
+    assert tables.one_sided_quotients("main", 2.0) == (2.0, 3.0)
+    # the same segment slopes that bound the scheme's tangential dissipation
+    assert tables.tangential_slope_bound("main") == 3.0
 
 
 def test_vertical_root_polish_notes_a_stall():
@@ -727,9 +719,10 @@ def test_origin_regime_refuses_polished_roots_that_miss_the_covector():
 
 
 def test_vertical_section_is_read_in_one_lookup_bit_for_bit():
-    # _vertical_roots reads the case2 section q -> H̄(0, (p1, q)) on the whole
-    # p_grid in one hbar_at call; each value equals its point's own lookup,
-    # so both roots equal those of the point-by-point section
+    # EffectiveTables.section_roots, which _vertical_roots reads in case2,
+    # reads the section q -> H̄(0, (p1, q)) on the whole p_grid in one hbar_at
+    # call; each value equals its point's own lookup, so both roots equal
+    # those of the point-by-point section
     scn = load_preset("checkerboard")
     window = np.linspace(-1.6, 1.6, 5)
     tables = tabulate_effective(scn, tol=1e-3, p1_grid=window[::2], p_grid=window)
@@ -741,6 +734,7 @@ def test_vertical_section_is_read_in_one_lookup_bit_for_bit():
         level = 0.5 * (lone.min() + min(lone[0], lone[-1]))
         lower = _grid_root(q_grid, lone, level, "left", "lower")
         upper = _grid_root(q_grid, lone, level, "right", "upper")
+        assert tables.section_roots(p1, level) == (lower, upper)
         assert _vertical_roots(scn, tables, p1, level) == (lower, upper)
 
 

@@ -30,7 +30,7 @@ def test_variables_and_vectorized_eval():
     y2 = np.linspace(0.0, 2.0, 7)
     out = e(y1=y1, y2=y2)
     assert np.allclose(out, y1**2 + y2**2)
-    assert e.free_vars() == {"y1", "y2"}
+    assert e.variables == {"y1", "y2"}
 
 
 def test_function_calls():
@@ -98,7 +98,7 @@ def test_syntax_errors_carry_offset():
 
 def test_braced_controls_are_variables():
     e = parse_expression("{a1} + 2*{a2}")
-    assert e.free_vars() == {"a1", "a2"}
+    assert e.variables == {"a1", "a2"}
     assert e(a1=np.array([1.0, 3.0]), a2=0.5).tolist() == [2.0, 4.0]
 
 

@@ -202,6 +202,7 @@ def test_schedules_fixed_step():
         ({"core_defect": {**BLOCK, "periods": [1.0, 1.0]}}, "core_defect: unknown key(s) ['periods']"),
         ({"case": "case3", "R1": 0.75, "strip_defect": {"plus": STRIP, "minus": {**STRIP, "costs": "1"}}},
          "strip_defect.minus: unknown key(s) ['costs']"),
+        ({"schedules": {"R_list": [1.0, True]}}, "schedules.R_list: expected a list of numbers"),
     ],
 )
 def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
@@ -222,9 +223,13 @@ def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
         (lambda scn: tabulate_effective(scn, tol=0), "tol_ergodic: must be a positive number"),
         (lambda scn: build_corrector_set(scn, tol=-1), "tol_ergodic: must be a positive number"),
         (lambda scn: build_corrector_set(scn, h=0.0), "cell_h: must be a positive number"),
+        (lambda scn: scn.with_schedules(rho_list=(True, 2.0)), "rho_list: expected a list of numbers"),
+        (lambda scn: scn.with_schedules(R_list=("a", "b")), "R_list: expected a list of numbers"),
+        (lambda scn: scn.with_schedules(rho_list=[1, "x"]), "rho_list: expected a list of numbers"),
     ],
     ids=["with_schedules", "with_schedules-first-clause", "lambda_factor", "rho_list", "tabulate_effective",
-         "build_corrector_set-tol", "build_corrector_set-h"],
+         "build_corrector_set-tol", "build_corrector_set-h", "rho_list-boolean", "R_list-strings",
+         "rho_list-mixed"],
 )
 def test_every_schedule_path_refuses_what_parsing_refuses(build, clause, monkeypatch):
     # replaced schedules are validated where they are built, before any solve
@@ -233,6 +238,12 @@ def test_every_schedule_path_refuses_what_parsing_refuses(build, clause, monkeyp
     with pytest.raises(ScenarioError, match=rf"^schedules\.{clause}"):
         build(load_preset("strip_attract"))
     assert built == []
+
+
+def test_schedule_lists_are_stored_as_tuples_of_floats():
+    schedules = load_preset("strip_attract").with_schedules(rho_list=[1.0, 2.0], R_list=[1, 3]).schedules
+    assert schedules.rho_list == (1.0, 2.0) and type(schedules.rho_list) is tuple
+    assert schedules.R_list == (1.0, 3.0) and all(type(v) is float for v in schedules.R_list)
 
 
 def _written(path, text):

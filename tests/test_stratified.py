@@ -197,7 +197,7 @@ def test_sweep_takes_the_junction_minima_worked_by_hand():
     tables = cached_tables("strip_attract")
     grid = box_grid(1 / 8)
     scheme = build_scheme(scn, tables, grid)
-    alpha, delta, h = scheme.alpha, scheme.delta, grid.h1
+    alpha, delta, h = scn.alpha, scheme.operator.delta, grid.h1
     k = 2 * scheme.theta_t["main"] / h
     node = grid.index_of((-1.0, 0.0))
     assert node in scheme.m1_rows["main"]
@@ -311,7 +311,7 @@ def test_control_plane_start_is_the_swept_plane_solution(preset):
         tol=tol, max_iter=_MAX_SWEEPS, what="plane sweeps",
     )
     plane = solve_unstratified(scn, grid=grid, tol=tol).flat()
-    assert np.max(np.abs(plane - swept)) <= 2 * tol / (scn.alpha * scheme.delta)
+    assert np.max(np.abs(plane - swept)) <= 2 * tol / (scn.alpha * scheme.operator.delta)
     # solve_scheme starts its junction sweeps from that plane solution
     field, sweeps, _ = solve_scheme(scheme, tol=tol)
     restarted, sweeps_u0, _ = _fixed_point(
@@ -416,7 +416,18 @@ def _solved_limit(scn):
     return solve_effective(scn, tables, GridSpec.box(scn.schedules.box_half_width, 1 / 32))
 
 
-@pytest.mark.parametrize("preset", ["strip_attract", "case3_mirror", "cost_bump", "core_repulse"])
+_CASE2_LIMIT_FAILS = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the case2 limit's Lax-Friedrichs plane is first order in h: sup errors 0.124, 0.087, 0.066 "
+           "at eps = 1/2, 1/4, 1/8 fall 1.43x and 1.32x, short of the 1.6x bar, and end above 0.03",
+)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["strip_attract", "case3_mirror", "cost_bump", "core_repulse",
+     pytest.param("checkerboard", marks=_CASE2_LIMIT_FAILS)],
+)
 def test_oscillating_problem_converges_to_the_stratified_limit(preset):
     # the homogenization theorem end to end: u^eps -> u as eps -> 0, at first
     # order in eps.  Measured sup errors at eps = 1/2, 1/4, 1/8: strip_attract
@@ -424,6 +435,8 @@ def test_oscillating_problem_converges_to_the_stratified_limit(preset):
     # case3_mirror 0.072, 0.038, 0.020, cost_bump 0.0837, 0.0465, 0.0267 and
     # core_repulse 0.0513, 0.0260, 0.0131.  drift_defect and eikonal cannot
     # serve: their u^eps equals the limit, so the error reads 0 at every eps.
+    # checkerboard, the one case2 preset, fails both bars; strict xfail makes
+    # the row fail once its limit passes, so the marker goes with the fault.
     scn = load_preset(preset)
     limit = _attract_exact if preset == "strip_attract" else _solved_limit(scn)
     errors = [_epsilon_error(scn, eps, limit) for eps in (1 / 2, 1 / 4, 1 / 8)]
