@@ -120,17 +120,12 @@ class Family(tuple):
     """Per-cell results of one family solve, in cell order.
 
     The counts a run report reads once per solve are totals over the cells:
-    ``iterations``, ``policy_steps`` and ``stages`` sum, ``estimates``
-    concatenates.
+    ``iterations`` and ``stages`` sum, ``estimates`` concatenates.
     """
 
     @property
     def iterations(self) -> int:
         return sum(r.iterations for r in self)
-
-    @property
-    def policy_steps(self) -> int:
-        return sum(r.policy_steps for r in self)
 
     @property
     def stages(self) -> int:
@@ -188,48 +183,40 @@ def bicgstab(system, rhs, *, x0, atol, maxiter):
     r_hat = r.copy()
     p = np.zeros_like(r)
     v = np.zeros_like(r)
-    rho_prev, alpha, omega = np.ones((3, len(x)))
+    rho_prev, alpha, omega, rv = np.ones((4, len(x)))
     atol = np.broadcast_to(np.asarray(atol, dtype=float), len(x))
 
-    def settle(done, code):
+    def retire(done, codes) -> bool:
+        """Settle the rows ``done`` with their ``codes`` and drop them from
+        every per-row array; True when no row is left."""
+        nonlocal rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, rv, atol
         out[rows[done]] = x[done]
-        info[rows[done]] = code[done]
+        info[rows[done]] = codes
+        rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, rv, atol = _rows(
+            ~done, rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, rv, atol
+        )
+        return not rows.size
 
     for _ in range(maxiter):
         rr, rho = _dot(r, r), _dot(r_hat, r)
         converged = np.sqrt(rr) <= atol
         done = converged | (np.abs(rho) < _BREAKDOWN) | (np.abs(omega) < _BREAKDOWN)
-        if done.any():
-            settle(done, np.where(converged, 0, -10))
-            rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, atol = _rows(
-                ~done, rows, x, r, r_hat, p, v, rho, rho_prev, alpha, omega, atol
-            )
-            if not rows.size:
-                return out, info, steps
+        if done.any() and retire(done, np.where(converged, 0, -10)[done]):
+            return out, info, steps
         p -= omega[:, None] * v
         p *= ((rho / rho_prev) * (alpha / omega))[:, None]
         p += r
         v = system(p, rows)
         rv = _dot(r_hat, v)
         done = rv == 0.0
-        if done.any():
-            settle(done, np.full(len(done), -11))
-            rows, x, r, r_hat, p, v, rho, rv, atol = _rows(
-                ~done, rows, x, r, r_hat, p, v, rho, rv, atol
-            )
-            if not rows.size:
-                return out, info, steps
+        if done.any() and retire(done, -11):
+            return out, info, steps
         alpha = rho / rv
         x += alpha[:, None] * p
         r -= alpha[:, None] * v
         done = np.sqrt(_dot(r, r)) <= atol
-        if done.any():
-            settle(done, np.zeros(len(done), dtype=int))
-            rows, x, r, r_hat, p, v, rho, alpha, atol = _rows(
-                ~done, rows, x, r, r_hat, p, v, rho, alpha, atol
-            )
-            if not rows.size:
-                return out, info, steps
+        if done.any() and retire(done, 0):
+            return out, info, steps
         t = system(r, rows)
         tr, tt = _dot(t, r), _dot(t, t)
         omega = tr / tt

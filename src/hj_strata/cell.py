@@ -120,24 +120,25 @@ def _check_window(p, lo: float, hi: float) -> None:
         raise TableRangeError(f"momentum {worst:.6g} outside the tabulated window [{lo:.6g}, {hi:.6g}]")
 
 
-def _grid_root(grid: np.ndarray, vals: np.ndarray, level: float, side: str, what: str) -> float:
+def _grid_root(grid: np.ndarray, vals: np.ndarray, level: float, side: str, what: str, axis: str) -> float:
     """Piecewise-linear root of a convex table at ``level`` on one flank.
 
     ``side`` is ``"right"`` (root above the argmin) or ``"left"``.  Exact for
     tables that are linear between knots; raises :class:`BracketError` with
-    the bounding table row when the level never reaches the window edge.
+    the bounding table row, named by its ``axis`` coordinate, when the level
+    never reaches the window edge.
     """
     k = int(np.argmin(vals))
     if level < vals[k] - 1e-12:
         raise BracketError(
             f"{what}: level {level:.6g} lies below the table minimum "
-            f"{vals[k]:.6g} at p1={grid[k]:.6g}"
+            f"{vals[k]:.6g} at {axis}={grid[k]:.6g}"
         )
     step, edge = (1, len(grid) - 1) if side == "right" else (-1, 0)
     if vals[edge] < level - 1e-12:
         raise BracketError(
             f"{what}: level {level:.6g} is not reached on the {side} flank; "
-            f"window ends at row p1={grid[edge]:.6g}, value {vals[edge]:.6g}"
+            f"window ends at row {axis}={grid[edge]:.6g}, value {vals[edge]:.6g}"
         )
     # walk away from the argmin: the first segment whose far end reaches the
     # level holds the root, since its near end is the argmin or lies below
@@ -542,15 +543,16 @@ class EffectiveTables:
     def tangential_root(self, branch: str, level: float, side: str) -> float:
         """Root of ``h1t[branch] = level`` on the ``side`` flank of its argmin
         (``"right"`` or ``"left"``); see :func:`_grid_root`."""
-        return _grid_root(self.p1_grid, self.h1t[branch], level, side, f"{branch} tangential table")
+        return _grid_root(self.p1_grid, self.h1t[branch], level, side, f"{branch} tangential table", "p1")
 
     def section_roots(self, p1: float, level: float) -> tuple[float, float]:
         """Both roots ``q`` of ``hbar_at((p1, q)) = level``, lower then upper,
         on the section read at every ``p_grid`` node in one lookup."""
         q_grid = self.p_grid
         section = self.hbar_at(np.column_stack([np.full_like(q_grid, p1), q_grid]))
-        lower = _grid_root(q_grid, section, level, "left", "ambient section, lower slope")
-        upper = _grid_root(q_grid, section, level, "right", "ambient section, upper slope")
+        what = f"ambient section at p1={p1:.6g}"
+        lower = _grid_root(q_grid, section, level, "left", f"{what}, lower slope", "q")
+        upper = _grid_root(q_grid, section, level, "right", f"{what}, upper slope", "q")
         return lower, upper
 
     def _quotients(self, branch: str) -> np.ndarray:

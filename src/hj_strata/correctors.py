@@ -13,10 +13,13 @@ three effective levels dominates at the target covector:
 * ``"origin"`` -- the origin datum E dominates; the construction certifies
   the slightly lifted level E + η.
 
-``build_subcorrector`` assembles the pieces for a regime and fits the
-separating constants by scanning samples.  The origin piece is confined to a
-glued disc: its *territory* is the set of nodes where the outer pieces'
-running minimum is untrusted (selected off its analytic region with a
+``build_subcorrector`` takes the paper's two steps: a draft names the pieces
+and their momenta from roots of the tabulated levels, then one step
+(``_solved``) gives each piece the corrector of its cell problem.  (Case2's
+drafts still polish vertical roots on solved torus constants.)  The build
+then fits the separating constants by scanning samples.  The origin piece is
+confined to a glued disc: its *territory* is the set of nodes where the outer
+pieces' running minimum is untrusted (selected off its analytic region with a
 measured residual above the safety margin), plus, in the origin regime, the
 disc ``|y| <= R0/2``.  The offset ``C`` drops it below every rival on the
 territory, and the piece is admissible only out to the first *rim* beyond the
@@ -34,7 +37,7 @@ f(y, a))]) / δ - level``, with ``v`` evaluated exactly at every foot.
 ``_territory`` and ``subsolution_residual`` apply it to the active piece at
 each node (``_piece_residual``); ``bellman_certificate`` applies it to the
 composed minimum, the only reading that sees a jump at the origin piece's
-rim.
+rim.  Each reading checks field coverage before it evaluates any piece.
 """
 
 from __future__ import annotations
@@ -169,11 +172,13 @@ def _polish_vertical_root(
 class Piece:
     """One branch of the piecewise minimum.
 
-    ``values`` is the smooth extension ``slope . y + field(y) - offset``;
-    ``admissible`` marks where the piece may be selected: the half-plane
-    restriction, the disc ``|y| <= radius`` (finite only for a glued origin
-    piece) and the sampled field's coverage.  ``shares_c`` tags the strip
-    pieces whose common offset is the fitted constant ``c``.
+    A draft names the piece with no ``field``; the solve step of
+    :func:`build_subcorrector` adds its cell corrector.  ``values`` is the
+    smooth extension ``slope . y + field(y) - offset`` and raises outside the
+    field's coverage; ``admissible`` is the construction's own geometry, the
+    half-plane restriction and the disc ``|y| <= radius`` (finite only for a
+    glued origin piece).  ``shares_c`` tags the strip pieces whose common
+    offset is the fitted constant ``c``.
     """
 
     label: str
@@ -202,8 +207,6 @@ class Piece:
             ok &= pts[:, 0] >= -_TIE_SLACK
         if math.isfinite(self.radius):
             ok &= np.hypot(pts[:, 0], pts[:, 1]) <= self.radius + _TIE_SLACK
-        if self.field is not None:
-            ok &= self.field.grid.contains(pts)
         return ok
 
     def masked(self, pts: np.ndarray) -> np.ndarray:
@@ -271,11 +274,13 @@ class CorrectorSet:
 
     Holds the truncated origin corrector ``w`` (solved once, on a box that
     pads the certification window so its constrained boundary stays outside)
-    and lazily solved strip correctors keyed by (branch, momentum).  For
-    periodic backgrounds it also caches torus correctors so plane waves can
-    carry their periodic correction.  ``scenario`` is the caller's scenario;
-    every corrector solves on ``cell_scenario``, the same scenario at the
-    corrector resolution ``h``, ``tol`` and ``delta``.
+    and strip correctors keyed by (branch, momentum), each solved when the
+    solve step of :func:`build_subcorrector` first asks for it.  For periodic
+    backgrounds it also caches torus correctors so plane waves can carry their
+    periodic correction.  Fields cover ``|y_i| <= coverage``, beyond the fit
+    window's ``half_width``.  ``scenario`` is the caller's scenario; every
+    corrector solves on ``cell_scenario``, the same scenario at the corrector
+    resolution ``h``, ``tol`` and ``delta``.
     """
 
     scenario: Scenario
@@ -286,7 +291,6 @@ class CorrectorSet:
     tol: float
     delta: float
     w_field: ValueField
-    notes: tuple[str, ...] = ()
     _strips: dict = field(default_factory=dict, repr=False)
     _plane: dict = field(default_factory=dict, repr=False)
 
@@ -358,7 +362,6 @@ def build_corrector_set(
         tol=tol,
         delta=est.delta,
         w_field=est.corrector,
-        notes=(f"origin corrector truncation {coverage:g}, constant {est.constant:.6g}",),
     )
 
 
@@ -512,10 +515,11 @@ def _feet(scn: Scenario, pts: np.ndarray, step: float) -> tuple[np.ndarray, np.n
 
 
 def _check_coverage(pieces, *point_sets: np.ndarray) -> None:
+    """Refuse point sets that leave a piece's field: each reading's precondition."""
     for piece in pieces:
         if piece.field is not None and not all(piece.field.grid.contains(p).all() for p in point_sets):
             raise ValueError(
-                f"sample nodes (with their one-step feet) leave the coverage of "
+                f"sample nodes or their one-step feet leave the coverage of "
                 f"piece {piece.label!r}; shrink the grid"
             )
 
@@ -610,23 +614,21 @@ def _split_radius(
 # ---------------------------------------------------------------------------
 
 
-def _affine_piece(label, q, correctors: CorrectorSet) -> Piece:
-    """The plane wave ⟨q, y⟩, with its periodic correction in case2."""
-    q = (float(q[0]), float(q[1]))
-    if correctors.scenario.case != "case2":
-        return Piece(label=label, kind="affine", slope=q)
-    return Piece(label=label, kind="plane", slope=q, field=correctors.plane_estimate(q).corrector)
-
-
-def _strip_piece(
-    label, momentum, correctors: CorrectorSet, *, branch: str = "main",
-    shares_c: bool = True, halfplane: int = 0,
-) -> Piece:
-    fld = correctors.strip_corrector(momentum, branch)
+def _strip_piece(label, momentum, *, branch: str = "main", shares_c: bool = True, halfplane: int = 0) -> Piece:
     return Piece(
         label=label, kind="strip", slope=(float(momentum), 0.0), branch=branch,
-        field=fld, halfplane=halfplane, shares_c=shares_c,
+        halfplane=halfplane, shares_c=shares_c,
     )
+
+
+def _solved(piece: Piece, correctors: CorrectorSet) -> Piece:
+    """``piece`` with its cell corrector: a strip's at its momentum and, in
+    case2, the torus corrector that makes an affine piece a plane wave."""
+    if piece.kind == "strip":
+        return replace(piece, field=correctors.strip_corrector(piece.slope[0], piece.branch))
+    if piece.kind == "affine" and correctors.scenario.case == "case2":
+        return replace(piece, kind="plane", field=correctors.plane_estimate(piece.slope).corrector)
+    return piece
 
 
 @dataclass
@@ -663,10 +665,8 @@ def _facing_roots(scn: Scenario, tables: EffectiveTables, level: float) -> dict[
     }
 
 
-def _band_pieces(roots: Mapping[str, float], correctors: CorrectorSet) -> list[Piece]:
-    return [
-        _strip_piece(_tagged("band", b, "-"), q, correctors, branch=b) for b, q in roots.items()
-    ]
+def _band_pieces(roots: Mapping[str, float]) -> list[Piece]:
+    return [_strip_piece(_tagged("band", b, "-"), q, branch=b) for b, q in roots.items()]
 
 
 def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
@@ -678,7 +678,7 @@ def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
             raise RegimeError(
                 f"degenerate tangential root {_tagged('q1', b, '_')}={q:.6g} at p1={p[0]:.6g}"
             )
-    pieces = [_affine_piece("target", p, correctors), *_band_pieces(roots, correctors)]
+    pieces = [Piece(label="target", kind="affine", slope=p), *_band_pieces(roots)]
     return _Draft(level, 0.0, {_tagged("q1", b, "_"): q for b, q in roots.items()}, pieces, notes)
 
 
@@ -690,10 +690,7 @@ def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
     if p_tilde > p[0]:
         # The strip momentum exceeds the target's, so the band piece dies off
         # to the left on its own; the target plane wave covers the rest.
-        pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece("band", p_tilde, correctors),
-        ]
+        pieces = [Piece(label="target", kind="affine", slope=p), _strip_piece("band", p_tilde)]
         notes.append("band carried at the far-side root")
     else:
         pi_upper = _vertical_roots(scn, tables, p_tilde, level)[1]
@@ -702,15 +699,15 @@ def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
         )
         q_values["pi_upper"] = pi_upper
         pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece("band", p[0], correctors),
-            _affine_piece("escape", (p_tilde, pi_upper), correctors),
+            Piece(label="target", kind="affine", slope=p),
+            _strip_piece("band", p[0]),
+            Piece(label="escape", kind="affine", slope=(p_tilde, pi_upper)),
         ]
         notes.append("band carried at the target momentum with an escape plane wave")
     return _Draft(level, 0.0, q_values, pieces, notes)
 
 
-def _drop_band(scn, tables, correctors, p, level):
+def _drop_band(scn, tables, p, level):
     """Carry the first branch (plus, then minus) whose table reaches ``level``
     on the flank facing the origin at that root, and the other band at the
     target momentum.  Returns ``(branch, root, pieces)``, or None when
@@ -724,9 +721,9 @@ def _drop_band(scn, tables, correctors, p, level):
             continue  # the band would not undercut the target along its half-line
         other = next(b for b in scn.branches if b != branch)
         pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece(f"band-{branch}", p_tilde, correctors, branch=branch),
-            _strip_piece(f"band-{other}", p[0], correctors, branch=other),
+            Piece(label="target", kind="affine", slope=p),
+            _strip_piece(f"band-{branch}", p_tilde, branch=branch),
+            _strip_piece(f"band-{other}", p[0], branch=other),
         ]
         return branch, p_tilde, pieces
     return None
@@ -744,9 +741,9 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         side = _facing_flank(scn.branches[low])
         p_tilde = tables.tangential_root(low, level, side)
         pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece(f"band-{high}", p[0], correctors, branch=high),
-            _strip_piece(f"band-{low}", p_tilde, correctors, branch=low, shares_c=False),
+            Piece(label="target", kind="affine", slope=p),
+            _strip_piece(f"band-{high}", p[0], branch=high),
+            _strip_piece(f"band-{low}", p_tilde, branch=low, shares_c=False),
         ]
         notes.append(f"dominant branch {high}; opposite band carried at its level root")
         return _Draft(level, 0.0, {"p_tilde": p_tilde}, pieces, notes)
@@ -760,9 +757,9 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
                 f"at the shared tangential level"
             )
         pieces = [
-            _affine_piece("target", p, correctors),
-            _strip_piece("band-minus", p[0], correctors, branch="minus", halfplane=-1),
-            _strip_piece("band-plus", p[0], correctors, branch="plus", halfplane=+1),
+            Piece(label="target", kind="affine", slope=p),
+            _strip_piece("band-minus", p[0], branch="minus", halfplane=-1),
+            _strip_piece("band-plus", p[0], branch="plus", halfplane=+1),
         ]
         notes.append("equal bands split along the vertical axis")
         return _Draft(level, 0.0, {"pi_lower": lo, "pi_upper": hi}, pieces, notes)
@@ -770,7 +767,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     # level at a table root whose band undercuts the target along its own
     # half-line (a descending flank can still miss); else lift the level by eta.
     grads = {b: tables.one_sided_quotients(b, p[0]) for b in scn.branches}
-    dropped = _drop_band(scn, tables, correctors, p, level - min(eta, 0.5 * (level - tables.E)))
+    dropped = _drop_band(scn, tables, p, level - min(eta, 0.5 * (level - tables.E)))
     if dropped is not None:
         branch, p_tilde, pieces = dropped
         tag = "ascending" if scn.branches[branch] > 0 else "descending"
@@ -780,7 +777,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
         f"no table flank descends below the level near p1={p[0]:.6g} to a root whose band "
         f"undercuts the target (difference quotients {grads}); certifying the lifted level"
     )
-    dropped = _drop_band(scn, tables, correctors, p, level + eta)
+    dropped = _drop_band(scn, tables, p, level + eta)
     if dropped is not None:
         _, p_tilde, pieces = dropped
         return _Draft(level + eta, eta, {"p_tilde": p_tilde}, pieces, notes)
@@ -811,14 +808,14 @@ def _draft_origin(scn, tables, correctors, p, eta, notes) -> _Draft:
             f"the ambient level at the covector exceeds E + eta"
         )
     pieces = [
-        _affine_piece("bracket-lower", (p[0], q_lo), correctors),
-        _affine_piece("bracket-upper", (p[0], q_hi), correctors),
-        *_band_pieces(roots, correctors),
+        Piece(label="bracket-lower", kind="affine", slope=(p[0], q_lo)),
+        Piece(label="bracket-upper", kind="affine", slope=(p[0], q_hi)),
+        *_band_pieces(roots),
     ]
     if scn.case == "case2":
         # Periodic corrections break the exact affine squeeze against the
         # target plane wave, so the corrected target joins the minimum.
-        pieces.insert(0, _affine_piece("target", p, correctors))
+        pieces.insert(0, Piece(label="target", kind="affine", slope=p))
         notes.append("corrected target included to keep the plane-wave majorant")
     q_values = {_tagged("q1", b, "_"): q for b, q in roots.items()}
     return _Draft(level, eta, {**q_values, "q2_lower": q_lo, "q2_upper": q_hi}, pieces, notes)
@@ -876,15 +873,13 @@ def build_subcorrector(
             f"tangential {_line_levels(scn, tables, p[0])}, origin {tables.E:.6g}"
         )
     draft = _DRAFTS[regime][len(scn.branches) > 1](scn, tables, correctors, p, eta, [])
+    solved = [_solved(piece, correctors) for piece in draft.pieces]
 
     grid = GridSpec.box(correctors.half_width, correctors.h)
     pts = grid.nodes()
 
-    c = _shared_offset(scn, draft.pieces, grid, pts)
-    pieces = [
-        replace(piece, offset=c) if piece.shares_c else piece
-        for piece in draft.pieces
-    ]
+    c = _shared_offset(scn, solved, grid, pts)
+    pieces = [replace(piece, offset=c) if piece.shares_c else piece for piece in solved]
     outer_vals = _piece_matrix(pieces, pts)
     territory = _territory(scn, pieces, outer_vals, grid, pts, draft.level, draft.notes)
     radii = np.hypot(pts[:, 0], pts[:, 1])
@@ -910,7 +905,7 @@ def build_subcorrector(
             reach = min(cap, max(float(scn.R1), float(np.max(radii[territory]))) + h)
             C = _margined_max(excess, grid, (radii <= reach + _TIE_SLACK) & np.isfinite(excess))
             pieces.append(replace(ball, offset=C))
-            selected = (excess < C) & ball.admissible(pts)
+            selected = excess < C
             radius = float(np.max(radii[selected])) if selected.any() else 0.0
             draft.notes.append(
                 f"origin piece left unconfined: no rim inside radius {cap:.4g} "
@@ -947,17 +942,21 @@ def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sa
     step of the grid spacing (:func:`_piece_residual`), so a jump at the
     origin piece's rim does not show here; only :func:`bellman_certificate`
     catches it.  A negative value is the certified margin; a large positive
-    value is a finding about the construction, not an error.
+    value is a finding about the construction, not an error.  The gap's
+    coverage check runs first, before any piece is read.
     """
+    gap = majorant_gap(spec, sample_grid)
     pts = sample_grid.nodes()
     step = min(sample_grid.h1, sample_grid.h2)
     residual = _piece_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level))
-    return max(float(residual.max()), majorant_gap(spec, sample_grid))
+    return max(float(residual.max()), gap)
 
 
 def majorant_gap(spec: SubcorrectorSpec, sample_grid: GridSpec) -> float:
-    """Max of χ - ⟨p, y⟩ over the sample nodes (should never be positive)."""
+    """Max of χ - ⟨p, y⟩ over the sample nodes (should never be positive).
+    Raises ``ValueError`` when a node leaves a piece's coverage."""
     pts = sample_grid.nodes()
+    _check_coverage(spec.pieces, pts)
     return float(np.max(spec.values(pts) - spec.target_values(pts)))
 
 

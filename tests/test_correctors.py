@@ -11,6 +11,8 @@ from hj_strata.correctors import (
     Piece,
     RegimeError,
     SubcorrectorSpec,
+    _draft_line_split,
+    _draft_plane,
     _fit_max,
     _one_step,
     _piece_residual,
@@ -400,10 +402,33 @@ def test_certificate_needs_a_node_with_its_whole_control_fan(attract):
 
 
 def test_coverage_check_rejects_oversized_grid(attract):
+    # coverage is a precondition of every reading, the majorant gap included,
+    # which no longer masks the nodes beyond a piece's field
     scn, tables, correctors = attract
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    grid = GridSpec.box(6.0, 1 / 8)
     with pytest.raises(ValueError, match="coverage"):
-        subsolution_residual(scn, spec, spec.level, GridSpec.box(6.0, 1 / 8))
+        subsolution_residual(scn, spec, spec.level, grid)
+    with pytest.raises(ValueError, match="coverage"):
+        majorant_gap(spec, grid)
+    with pytest.raises(ValueError, match="coverage"):
+        bellman_certificate(scn, spec, spec.level, grid)
+
+
+def test_drafts_name_pieces_and_one_step_solves_them(attract, mirror):
+    # outside case2 a draft solves no cell, so it runs with no corrector set
+    # and names every piece with no field; build_subcorrector's solve step
+    # then gives each strip piece its corrector
+    for (scn, tables, correctors), draft, p, regime in (
+        (attract, _draft_plane, (0.0, 0.8), "plane"),
+        (mirror, _draft_line_split, (0.5, 0.1), "line"),
+    ):
+        named = draft(scn, tables, None, p, 0.0, []).pieces
+        assert named and all(pc.field is None for pc in named)
+        spec = build_subcorrector(scn, tables, correctors, p, regime)
+        strips = [pc for pc in spec.pieces if pc.kind == "strip"]
+        assert [pc.label for pc in strips] == [pc.label for pc in named if pc.kind == "strip"]
+        assert strips and all(pc.field is not None for pc in strips)
 
 
 def test_min_of_certified_fields_stays_certified(attract):
@@ -732,10 +757,23 @@ def test_vertical_section_is_read_in_one_lookup_bit_for_bit():
         lone = np.array([float(tables.hbar_at((p1, q))) for q in q_grid])
         assert section.tobytes() == lone.tobytes()
         level = 0.5 * (lone.min() + min(lone[0], lone[-1]))
-        lower = _grid_root(q_grid, lone, level, "left", "lower")
-        upper = _grid_root(q_grid, lone, level, "right", "upper")
+        lower = _grid_root(q_grid, lone, level, "left", "lower", "q")
+        upper = _grid_root(q_grid, lone, level, "right", "upper", "q")
         assert tables.section_roots(p1, level) == (lower, upper)
         assert _vertical_roots(scn, tables, p1, level) == (lower, upper)
+
+
+def test_section_root_failures_name_the_vertical_momentum():
+    # a section's rows are vertical momenta q at a fixed p1, and its
+    # messages say so
+    grid = np.linspace(-1.0, 1.0, 5)
+    tables = _hand_tables(grid, {"main": grid**2}, E=0.0, p_grid=grid, hbar=grid[:, None] ** 2 + grid[None, :] ** 2)
+    with pytest.raises(BracketError, match=r"^ambient section at p1=0.5, lower slope: level 0.1 lies below "
+                                           r"the table minimum 0.25 at q=0$"):
+        tables.section_roots(0.5, 0.1)
+    with pytest.raises(BracketError, match=r"^ambient section at p1=0.5, lower slope: level 2 is not reached "
+                                           r"on the left flank; window ends at row q=-1, value 1.25$"):
+        tables.section_roots(0.5, 2.0)
 
 
 def test_blocked_one_step_reading_equals_the_one_shot_reading_bit_for_bit():
