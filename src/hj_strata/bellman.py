@@ -394,6 +394,12 @@ class SolveInfo:
     policy: np.ndarray = field(repr=False, compare=False)
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a stopping tolerance no residual meets: zero, negative or NaN."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def _fields(grid: GridSpec, values: np.ndarray) -> tuple[ValueField, ...]:
     """One field per row, each owning its values, so a field that outlives
     its family keeps no other cell's values alive."""
@@ -404,12 +410,13 @@ def solve_discounted(
     operator: SLOperator,
     discount: float,
     *,
-    tol: float = 1e-9,
+    tol: float,
     u0: np.ndarray | None = None,
     policy0: np.ndarray | None = None,
 ):
     """Fixed point of ``operator`` at ``discount`` to residual ``tol`` (sup
-    norm); raises unless ``discount > 0`` and ``discount * delta < 1``.
+    norm); raises unless ``tol > 0``, ``discount > 0`` and ``discount * delta
+    < 1``.
 
     Howard's algorithm: each step applies the operator once, stops if
     ``max |T u - u| <= tol`` (returning ``T u``), and otherwise replaces
@@ -443,6 +450,7 @@ def solve_discounted(
     others.  Returns ``(fields, infos)``: a tuple of fields and a
     :class:`Family` of infos, one per cell.
     """
+    _check_tol(tol)
     if discount <= 0:
         raise ValueError("discounted problems need discount > 0")
     operator.gamma(discount)  # validates the range
@@ -533,18 +541,19 @@ class ErgodicRelativeResult:
 def solve_ergodic_relative(
     operator: SLOperator,
     *,
-    tol: float = 1e-6,
+    tol: float,
     u0: np.ndarray | None = None,
 ):
     """Relative value iteration with policy steps for the zero-discount
     (ergodic) problem.
 
-    ``tol`` bounds the error of the returned average-cost ``rate``: iteration
-    stops once ``span(T0[u] - u) / (2 delta) <= tol``, and the true rate lies
-    inside ``rate_bounds`` by the monotone growth estimate.  That bracket
-    ``(min(T0[u] - u), max(T0[u] - u)) / delta`` holds for every ``u``, so the
-    start ``u0`` (zero by default) moves the iteration count, not the
-    certificate.  The relative field is normalized to 0 at the grid anchor.
+    ``tol`` (positive) bounds the error of the returned average-cost
+    ``rate``: iteration stops once ``span(T0[u] - u) / (2 delta) <= tol``,
+    and the true rate lies inside ``rate_bounds`` by the monotone growth
+    estimate.  That bracket ``(min(T0[u] - u), max(T0[u] - u)) / delta``
+    holds for every ``u``, so the start ``u0`` (zero by default) moves the
+    iteration count, not the certificate.  The relative field is normalized
+    to 0 at the grid anchor.
 
     Each full application ``T0`` also yields its greedy policy ``pi``.  Before
     the next full application the iterate takes one policy step ``u <- base_pi
@@ -572,6 +581,7 @@ def solve_ergodic_relative(
     The cells of a family iterate in lockstep, each stopping and damping on
     its own.  Returns a :class:`Family` of results, one per cell.
     """
+    _check_tol(tol)
     family = operator
     grid = family.grid
     k, n = family.cells, grid.size
@@ -711,8 +721,9 @@ def ergodic_continuation(
 
     The cells of a family share the discount schedule: each stage is one
     family solve of the cells whose extrapolations still disagree.  Returns a
-    :class:`Family` of results, one per cell.
+    :class:`Family` of results, one per cell.  Raises unless ``tol > 0``.
     """
+    _check_tol(tol)
     family = operator
     k = family.cells
     anchor = family.grid.anchor_index()

@@ -31,13 +31,14 @@ below the certified level, wherever its truncation reaches -- with ``C``
 fitted over the disc of radius ``max(R1, territory) + h`` that holds the
 territory, and the spec's notes say so.
 
-Every level measurement reads one test of ``H(0, y, Dχ) <= level``: the
-one-step dynamic-programming reading ``(v(y) - min_a [δ ℓ(y, a) + v(y + δ
-f(y, a))]) / δ - level``, with ``v`` evaluated exactly at every foot.
-``_territory`` and ``subsolution_residual`` apply it to the active piece at
-each node (``_piece_residual``); ``bellman_certificate`` applies it to the
-composed minimum, the only reading that sees a jump at the origin piece's
-rim.  Each reading checks field coverage before it evaluates any piece.
+Each reading answers one question.  ``majorant_gap`` reads the plane-wave
+bound ``χ <= ⟨p, y⟩``; the level readings test ``H(0, y, Dχ) <= level`` by
+the one-step reading ``(v(y) - min_a [δ ℓ(y, a) + v(y + δ f(y, a))]) / δ -
+level``, with ``v`` evaluated exactly at every foot.  ``_territory`` and
+``subsolution_residual`` apply it to the active piece at each node
+(``_piece_residual``); ``bellman_certificate`` applies it to the composed
+minimum, the only reading that sees a jump at the origin piece's rim.  Each
+reading checks field coverage before it evaluates any piece.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def _piece_matrix(pieces, pts) -> np.ndarray:
 class SubcorrectorSpec:
     """A fitted piecewise subsolution: pieces, offsets, and the region split.
 
-    ``C`` is the origin piece's offset (NaN when the piece was left out).
+    The offsets live on the pieces; ``c`` and ``C`` read them back.
     ``split_radius`` is the radius out to which the minimum uses the origin
     piece: its gluing rim when confined, the largest radius at which it is
     selected on the fitting window when left unconfined (the notes say so),
@@ -240,11 +241,19 @@ class SubcorrectorSpec:
     level: float
     eta: float
     q_values: Mapping[str, float]
-    c: float
-    C: float
     split_radius: float
     pieces: tuple[Piece, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def c(self) -> float:
+        """Common offset of the ``shares_c`` strip pieces; 0.0 when there are none."""
+        return next((pc.offset for pc in self.pieces if pc.shares_c), 0.0)
+
+    @property
+    def C(self) -> float:
+        """The origin piece's offset; NaN when the piece was left out."""
+        return next((pc.offset for pc in self.pieces if pc.kind == "ball"), math.nan)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """The composed minimum at the sample points."""
@@ -280,7 +289,7 @@ class CorrectorSet:
     periodic correction.  Fields cover ``|y_i| <= coverage``, beyond the fit
     window's ``half_width``.  ``scenario`` is the caller's scenario; every
     corrector solves on ``cell_scenario``, the same scenario at the corrector
-    resolution ``h``, ``tol`` and ``delta``.
+    resolution ``h`` and ``tol``, with time step ``delta = h``.
     """
 
     scenario: Scenario
@@ -289,10 +298,14 @@ class CorrectorSet:
     coverage: float
     h: float
     tol: float
-    delta: float
     w_field: ValueField
     _strips: dict = field(default_factory=dict, repr=False)
     _plane: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def delta(self) -> float:
+        """Time step of every corrector solve: the grid spacing ``h``."""
+        return self.h
 
     def strip_corrector(self, momentum: float, branch: str = "main") -> ValueField:
         key = (branch, round(float(momentum), 12))
@@ -360,7 +373,6 @@ def build_corrector_set(
         coverage=float(coverage),
         h=h,
         tol=tol,
-        delta=est.delta,
         w_field=est.corrector,
     )
 
@@ -885,7 +897,7 @@ def build_subcorrector(
     radii = np.hypot(pts[:, 0], pts[:, 1])
     if regime == "origin":
         territory |= radii <= _CORE_FRACTION * scn.R0 + _TIE_SLACK
-    C, radius = math.nan, 0.0
+    radius = 0.0
     if territory.any():
         ball = Piece(label="origin", kind="ball", slope=(0.0, 0.0), field=correctors.w_field)
         # C: the max of w - rivals on the territory, plus a Lipschitz margin
@@ -920,8 +932,6 @@ def build_subcorrector(
         level=float(draft.level),
         eta=float(draft.eta),
         q_values=dict(draft.q_values),
-        c=float(c),
-        C=float(C),
         split_radius=float(radius),
         pieces=tuple(pieces),
         notes=tuple(draft.notes),
@@ -934,22 +944,19 @@ def build_subcorrector(
 
 
 def subsolution_residual(scn: Scenario, spec: SubcorrectorSpec, level: float, sample_grid: GridSpec) -> float:
-    """Worst violation of the level inequality and of the plane-wave bound.
+    """Worst violation of the level inequality ``H(0, y, Dχ) <= level``.
 
-    Returns ``max(H(0, y, Dχ) - level, χ - ⟨p, y⟩)`` over the sample nodes:
-    the larger of the level residual and :func:`majorant_gap`.  The level
-    residual is the one-step reading of the active piece at each node, at a
-    step of the grid spacing (:func:`_piece_residual`), so a jump at the
-    origin piece's rim does not show here; only :func:`bellman_certificate`
-    catches it.  A negative value is the certified margin; a large positive
-    value is a finding about the construction, not an error.  The gap's
-    coverage check runs first, before any piece is read.
+    Returns the largest one-step reading of the active piece at each sample
+    node, at a step of the grid spacing (:func:`_piece_residual`), minus
+    ``level``.  A jump at the origin piece's rim does not show here; only
+    :func:`bellman_certificate` catches it.  The plane-wave bound is
+    :func:`majorant_gap`'s.  A negative value is the certified margin; a
+    large positive value is a finding about the construction, not an error.
     """
-    gap = majorant_gap(spec, sample_grid)
     pts = sample_grid.nodes()
+    _check_coverage(spec.pieces, pts)
     step = min(sample_grid.h1, sample_grid.h2)
-    residual = _piece_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level))
-    return max(float(residual.max()), gap)
+    return float(_piece_residual(scn, spec.pieces, spec.active(pts), pts, step, float(level)).max())
 
 
 def majorant_gap(spec: SubcorrectorSpec, sample_grid: GridSpec) -> float:
@@ -977,10 +984,13 @@ def bellman_certificate(
     included, up to O(δ) cost-freezing slack; where every admissible piece
     meets it, so does their minimum, so the reading exceeds the pieces' own
     only where a foot crosses an admissibility rim -- the jump this check
-    exists to catch.  ``delta`` defaults to the grid spacing; at the corrector
-    set's ``delta`` and ``h`` a solved piece reads its solver residual.
+    exists to catch.  ``delta`` defaults to the grid spacing and must be
+    positive and finite; at the corrector set's ``delta`` and ``h`` a solved
+    piece reads its solver residual.
     """
     step = min(sample_grid.h1, sample_grid.h2) if delta is None else float(delta)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     pts = sample_grid.nodes()
     _check_coverage(spec.pieces, pts)
     feet, step_cost = _feet(scn, pts, step)

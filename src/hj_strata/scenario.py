@@ -159,7 +159,8 @@ class SolverSchedules:
 
     Every construction is validated, :func:`parse_scenario`'s and
     :meth:`Scenario.with_schedules`'s alike: a value no solver can run with
-    raises :class:`ScenarioError` naming its ``schedules.<field>`` clause.
+    raises :class:`ScenarioError` naming its ``schedules.<field>`` clause, and
+    a key that names no field raises one listing the unknown keys.
     The truncation lists are stored as tuples of floats, whatever sequence
     of numbers they were given as.  They have no default;
     :func:`parse_scenario` scales them to the scenario's radii.
@@ -211,6 +212,14 @@ class SolverSchedules:
         if self.sl_step == "sqrt":
             return h
         return float(self.sl_step)
+
+
+def _schedules_with(base: SolverSchedules, changes: Mapping[str, Any]) -> SolverSchedules:
+    """``base`` with the named fields replaced; the one check of schedule keys."""
+    unknown = set(changes) - {f.name for f in fields(SolverSchedules)}
+    if unknown:
+        raise ScenarioError(f"schedules: unknown key(s) {sorted(unknown)}")
+    return replace(base, **changes)
 
 
 def _default_schedules(R0: float, R1: float) -> SolverSchedules:
@@ -271,7 +280,7 @@ class Scenario:
         """This scenario with the named :class:`SolverSchedules` fields
         replaced; the new schedules are validated as parsed ones are, so an
         invalid value raises :class:`ScenarioError` here, before any solve."""
-        return replace(self, schedules=replace(self.schedules, **changes))
+        return replace(self, schedules=_schedules_with(self.schedules, changes))
 
     @property
     def branches(self) -> dict[str, int]:
@@ -461,10 +470,7 @@ def parse_scenario(source: Mapping[str, Any] | str | Path, *, label: str | None 
     sched_raw = raw.get("schedules", {})
     if not isinstance(sched_raw, Mapping):
         raise ScenarioError("schedules: expected an object")
-    unknown = set(sched_raw) - {f.name for f in fields(SolverSchedules)}
-    if unknown:
-        raise ScenarioError(f"schedules: unknown key(s) {sorted(unknown)}")
-    sched = replace(_default_schedules(R0, R1), **sched_raw)
+    sched = _schedules_with(_default_schedules(R0, R1), sched_raw)
 
     return Scenario(
         case=case,

@@ -281,8 +281,10 @@ def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueF
     residual)``, counting junction sweeps only.  The Howard solve gets
     :mod:`hj_strata.bellman`'s budget of applications and the sweeps
     ``_MAX_SWEEPS``; running out of either raises (every candidate is a
-    contraction, so that is a budget problem, not a scheme problem).
+    contraction, so that is a budget problem, not a scheme problem).  Raises
+    ``ValueError`` unless ``tol > 0``.
     """
+    bellman._check_tol(tol)
     if scheme.operator is not None:
         u = _control_plane(scheme.operator, scheme.scn.alpha, tol=tol)
     else:
@@ -324,8 +326,9 @@ def solve_unstratified(
     the limit time step of ``SolverSchedules.limit_delta``, to residual
     ``tol``; for periodic ones (``tables`` required then) the constant
     ``-Hbar(0)/alpha`` of the tabulated plane, certified by one
-    Lax-Friedrichs update.
+    Lax-Friedrichs update.  Raises ``ValueError`` unless ``tol > 0``.
     """
+    bellman._check_tol(tol)
     sched = scn.schedules
     if grid is None:
         grid = GridSpec.box(sched.box_half_width, sched.grid_h)

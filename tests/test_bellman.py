@@ -440,6 +440,23 @@ def test_discounted_solve_refuses_a_discount_out_of_range(monkeypatch):
     assert applications == []
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_solvers_refuse_a_tolerance_no_residual_meets(monkeypatch, tol):
+    # a zero, negative or NaN tol would spin through the whole budget; each
+    # solver refuses it before any Bellman application
+    applications = []
+    monkeypatch.setattr(kernels, "jacobi_min", lambda *args, **kw: applications.append(args))
+    op = strip_operator(load_preset("strip_attract"), 0.3, rho=1.0)
+    for solve in (
+        lambda: solve_discounted(op, 0.5, tol=tol),
+        lambda: solve_ergodic_relative(op, tol=tol),
+        lambda: ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve()
+    assert applications == []
+
+
 def test_bicgstab_returns_once_every_row_breaks_down_on_rv():
     # a skew-symmetric system makes r_hat . (A p) vanish exactly at the first
     # step of every row: each row stops at its start with code -11

@@ -15,7 +15,6 @@ from hj_strata.correctors import (
     _draft_plane,
     _fit_max,
     _one_step,
-    _piece_residual,
     _polish_vertical_root,
     _vertical_roots,
     bellman_certificate,
@@ -65,7 +64,7 @@ def _affine_spec(scn, target, level, *pieces):
     """A hand-made plane-regime spec whose minimum is over ``pieces``."""
     return SubcorrectorSpec(
         target=tuple(target), regime="plane", level=level, eta=0.0,
-        q_values={}, c=0.0, C=0.0, split_radius=scn.R1, pieces=pieces,
+        q_values={}, split_radius=scn.R1, pieces=pieces,
     )
 
 
@@ -365,6 +364,40 @@ def test_residual_reports_level_violation_exactly(attract):
     assert cert > 0.0
 
 
+def test_residual_reads_the_level_margin_below_the_plane_wave_bound(attract):
+    # the level inequality and the plane-wave bound are separate readings: a
+    # lone target plane sits on its bound (gap 0), while its level residual
+    # reads the margin to a level 0.1 above the exact plane level
+    scn, _, _ = attract
+    p = (0.0, 0.8)
+    grid = GridSpec.box(1.0, 1 / 16)
+    drift, cost = eval_fields(scn, np.zeros(2), grid.nodes())
+    level = float((-(drift @ np.asarray(p)) - cost).max()) + 0.1
+    spec = _affine_spec(scn, p, level, Piece(label="target", kind="affine", slope=p))
+    assert majorant_gap(spec, grid) == 0.0
+    assert subsolution_residual(scn, spec, level, grid) == pytest.approx(-0.1, abs=1e-9)
+
+
+def test_spec_offsets_are_read_from_its_pieces(attract):
+    scn, tables, correctors = attract
+    for p, regime in (((0.0, 0.8), "plane"), ((0.0, 0.0), "origin")):
+        spec = build_subcorrector(scn, tables, correctors, p, regime)
+        shared = {pc.offset for pc in spec.pieces if pc.shares_c}
+        balls = [pc.offset for pc in spec.pieces if pc.kind == "ball"]
+        assert shared and shared == {spec.c}
+        assert balls == ([] if math.isnan(spec.C) else [spec.C])
+    assert balls and _lowered(spec, 0.05).C == spec.C + 0.05
+
+
+def test_certificate_refuses_a_step_that_is_not_positive(attract):
+    scn, tables, correctors = attract
+    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.8), "plane")
+    grid = GridSpec.box(2.0, 1 / 32)
+    for delta in (-1 / 32, 0.0, math.nan):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            bellman_certificate(scn, spec, spec.level, grid, delta=delta)
+
+
 def _lowered(spec, drop):
     """``spec`` with its origin piece lowered by ``drop``: a jump at its rim."""
     pieces = tuple(
@@ -465,9 +498,7 @@ def test_corrector_piece_composes_with_affine(attract):
     band = next(pc for pc in spec.pieces if pc.kind == "strip")
     plane = next(pc for pc in spec.pieces if pc.label == "escape")
     pair = dataclasses.replace(spec, pieces=(band, plane))
-    pts = grid.nodes()
-    # the level residual of the active piece alone, without the majorant gap
-    assert _piece_residual(scn, pair.pieces, pair.active(pts), pts, grid.h1, spec.level).max() <= TOL_CORR
+    assert subsolution_residual(scn, pair, spec.level, grid) <= TOL_CORR
 
 
 def test_case3_plane_roots_are_mirrored(mirror):

@@ -240,6 +240,11 @@ def test_every_schedule_path_refuses_what_parsing_refuses(build, clause, monkeyp
     assert built == []
 
 
+def test_with_schedules_refuses_an_unknown_key_as_parsing_does():
+    with pytest.raises(ScenarioError, match=r"^schedules: unknown key\(s\) \['cell_hh'\]$"):
+        load_preset("strip_attract").with_schedules(cell_hh=0.1)
+
+
 def test_schedule_lists_are_stored_as_tuples_of_floats():
     schedules = load_preset("strip_attract").with_schedules(rho_list=[1.0, 2.0], R_list=[1, 3]).schedules
     assert schedules.rho_list == (1.0, 2.0) and type(schedules.rho_list) is tuple

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hj_strata import bellman, stratified
+from hj_strata import bellman, kernels, stratified
 from hj_strata.bellman import SLOperator, solve_discounted
 from hj_strata.cell import TableRangeError, tabulate_effective
 from hj_strata.grids import GridSpec
@@ -377,6 +377,23 @@ def test_scheme_refuses_what_it_cannot_solve(entry, preset, scn_over, tables_ove
     tables = checkerboard_tables() if preset == "checkerboard" else cached_tables(preset)
     with pytest.raises(ValueError, match=match):
         entry(scn, None if tables_over is None else dataclasses.replace(tables, **tables_over), grid)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_solves_refuse_a_tolerance_no_residual_meets(monkeypatch, tol):
+    # refused before the plane start's Bellman applications and any sweep
+    calls = []
+    monkeypatch.setattr(kernels, "jacobi_min", lambda *args, **kw: calls.append("jacobi_min"))
+    monkeypatch.setattr(stratified, "_sweep", lambda *args: calls.append("sweep"))
+    scn = load_preset("strip_attract")
+    scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+    for solve in (
+        lambda: solve_scheme(scheme, tol=tol),
+        lambda: solve_unstratified(scn, grid=box_grid(1 / 8), tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve()
+    assert calls == []
 
 
 def test_scheme_refuses_a_degenerate_control_hull():
