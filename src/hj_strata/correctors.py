@@ -13,10 +13,10 @@ three effective levels dominates at the target covector:
 * ``"origin"`` -- the origin datum E dominates; the construction certifies
   the slightly lifted level E + η.
 
-``build_subcorrector`` takes the paper's two steps: a draft names the pieces
-and their momenta from roots of the tabulated levels, then one step
-(``_solved``) gives each piece the corrector of its cell problem.  (Case2's
-drafts still polish vertical roots on solved torus constants.)  The build
+``build_subcorrector`` takes the paper's two steps: a draft reads the pieces
+and their momenta off the tabulated levels and closed forms, then one step
+(``_solved``) makes every cell solve: it gives each piece the corrector of
+its cell problem, polishing case2's vertical roots first.  The build
 then fits the separating constants by scanning samples.  The origin piece is
 confined to a glued disc: its *territory* is the set of nodes where the outer
 pieces' running minimum is untrusted (selected off its analytic region with a
@@ -116,28 +116,20 @@ def _vertical_roots(scn: Scenario, tables: EffectiveTables, p1: float, level: fl
 
 
 def _polish_vertical_root(
-    scn: Scenario,
-    tables: EffectiveTables,
-    correctors: CorrectorSet,
-    p1: float,
-    q0: float,
-    level: float,
-    notes: list,
-    what: str,
+    tables: EffectiveTables, correctors: CorrectorSet, p1: float, q0: float, level: float, notes: list, what: str
 ) -> float:
-    """Refine a periodic-background vertical root against solved constants.
+    """Move a case2 vertical root of ``level`` that sits above it onto it.
 
     The ambient table is interpolated on a coarse momentum grid, so its roots
-    can miss the solved level by the interpolation error -- and an affine
-    piece pinned at such a root then runs above the level it claims.  Secant
+    can miss the solved level -- and a plane wave pinned at a root above it
+    runs above the level it claims.  A root whose solved constant sits at or
+    below the level is kept: moving it would spend the margin.  Secant
     iteration on solved cell constants (cached on the corrector set, where
-    the piece needs the corrector anyway) pins the root to solver accuracy.
-    Convexity of the effective Hamiltonian keeps each flank monotone, so the
-    secant is well behaved; if it still fails to settle, the best iterate is
-    kept and noted.
+    the piece needs the corrector anyway) pins any other root to solver
+    accuracy; convexity keeps each flank monotone, and if the secant still
+    fails to settle, the best iterate is kept and noted.  Called by
+    :func:`_solved` only.
     """
-    if scn.case != "case2":
-        return q0
     target = max(2.0 * correctors.tol, 1e-6)
     q_grid = np.asarray(tables.p_grid, dtype=float)
     e = max(q_grid[1] - q_grid[0], 1e-3)
@@ -149,7 +141,7 @@ def _polish_vertical_root(
         f = float(correctors.plane_estimate((p1, q)).constant) - level
         if abs(f) < abs(best_f):
             best_q, best_f = q, f
-        if abs(f) <= target:
+        if abs(f) <= target or (q_prev is None and f < 0.0):
             return q
         if q_prev is not None and abs(f - f_prev) > 1e-14:
             slope = (f - f_prev) / (q - q_prev)
@@ -230,6 +222,9 @@ class SubcorrectorSpec:
     """A fitted piecewise subsolution: pieces, offsets, and the region split.
 
     The offsets live on the pieces; ``c`` and ``C`` read them back.
+    ``q_values`` are the momenta the draft read off the tables; the pieces
+    carry the solved slopes, which differ only where case2's polish moved a
+    vertical root (``pi_upper``, ``q2_lower``, ``q2_upper``).
     ``split_radius`` is the radius out to which the minimum uses the origin
     piece: its gluing rim when confined, the largest radius at which it is
     selected on the fitting window when left unconfined (the notes say so),
@@ -288,19 +283,25 @@ class CorrectorSet:
     backgrounds it also caches torus correctors so plane waves can carry their
     periodic correction.  Fields cover ``|y_i| <= coverage``, beyond the fit
     window's ``half_width``.  ``scenario`` is the caller's scenario; every
-    corrector solves on ``cell_scenario``, the same scenario at the corrector
-    resolution ``h`` and ``tol``, with time step ``delta = h``.
+    corrector solves on ``cell_scenario``, which owns the resolution ``h`` and
+    ``tol``, with time step ``delta = h``.
     """
 
     scenario: Scenario
     cell_scenario: Scenario
     half_width: float
     coverage: float
-    h: float
-    tol: float
     w_field: ValueField
     _strips: dict = field(default_factory=dict, repr=False)
     _plane: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def h(self) -> float:
+        return self.cell_scenario.schedules.cell_h
+
+    @property
+    def tol(self) -> float:
+        return self.cell_scenario.schedules.tol_ergodic
 
     @property
     def delta(self) -> float:
@@ -358,21 +359,15 @@ def build_corrector_set(
     h`` a solved piece read on its own grid meets its discrete fixed-point
     identity, so the reading there is the solver residual.
     """
-    sched = scn.schedules
-    h = sched.cell_h if h is None else float(h)
-    tol = sched.tol_ergodic if tol is None else float(tol)
+    h = scn.schedules.cell_h if h is None else float(h)
+    tol = scn.schedules.tol_ergodic if tol is None else float(tol)
     cell_scn = scn.with_schedules(cell_h=h, sl_step=h, tol_ergodic=tol)
     half_width = math.ceil(4.0 * scn.R1 / h) * h
     pad = max(0.5, 8.0 * h)
     coverage = math.ceil((half_width + pad) / h) * h
     est = _converged(ball_ergodic(cell_scn, coverage), f"origin corrector at truncation {coverage:g}")
     return CorrectorSet(
-        scenario=scn,
-        cell_scenario=cell_scn,
-        half_width=float(half_width),
-        coverage=float(coverage),
-        h=h,
-        tol=tol,
+        scenario=scn, cell_scenario=cell_scn, half_width=float(half_width), coverage=float(coverage),
         w_field=est.corrector,
     )
 
@@ -633,14 +628,19 @@ def _strip_piece(label, momentum, *, branch: str = "main", shares_c: bool = True
     )
 
 
-def _solved(piece: Piece, correctors: CorrectorSet) -> Piece:
+def _solved(piece: Piece, tables: EffectiveTables, correctors: CorrectorSet, level: float, notes: list) -> Piece:
     """``piece`` with its cell corrector: a strip's at its momentum and, in
-    case2, the torus corrector that makes an affine piece a plane wave."""
+    case2, the torus corrector that makes an affine piece a plane wave.  Every
+    case2 affine piece but ``target`` sits at a vertical root of ``level``, so
+    its slope is polished (:func:`_polish_vertical_root`) before the solve."""
     if piece.kind == "strip":
         return replace(piece, field=correctors.strip_corrector(piece.slope[0], piece.branch))
-    if piece.kind == "affine" and correctors.scenario.case == "case2":
-        return replace(piece, kind="plane", field=correctors.plane_estimate(piece.slope).corrector)
-    return piece
+    if piece.kind != "affine" or correctors.scenario.case != "case2":
+        return piece
+    p1, q = piece.slope
+    if piece.label != "target":
+        q = _polish_vertical_root(tables, correctors, p1, q, level, notes, f"{piece.label} slope")
+    return replace(piece, kind="plane", slope=(p1, q), field=correctors.plane_estimate((p1, q)).corrector)
 
 
 @dataclass
@@ -681,7 +681,7 @@ def _band_pieces(roots: Mapping[str, float]) -> list[Piece]:
     return [_strip_piece(_tagged("band", b, "-"), q, branch=b) for b, q in roots.items()]
 
 
-def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
+def _draft_plane(scn, tables, p, eta, notes) -> _Draft:
     level = plane_level(scn, tables, p)
     roots = _facing_roots(scn, tables, level)
     for b, q in roots.items():
@@ -694,7 +694,7 @@ def _draft_plane(scn, tables, correctors, p, eta, notes) -> _Draft:
     return _Draft(level, 0.0, {_tagged("q1", b, "_"): q for b, q in roots.items()}, pieces, notes)
 
 
-def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
+def _draft_line_single(scn, tables, p, eta, notes) -> _Draft:
     level = float(tables.h1t_at(p[0]))
     side = "left" if p[0] > tables.tangential_argmin("main") else "right"
     p_tilde = tables.tangential_root("main", level, side)
@@ -705,11 +705,7 @@ def _draft_line_single(scn, tables, correctors, p, eta, notes) -> _Draft:
         pieces = [Piece(label="target", kind="affine", slope=p), _strip_piece("band", p_tilde)]
         notes.append("band carried at the far-side root")
     else:
-        pi_upper = _vertical_roots(scn, tables, p_tilde, level)[1]
-        pi_upper = _polish_vertical_root(
-            scn, tables, correctors, p_tilde, pi_upper, level, notes, "escape slope"
-        )
-        q_values["pi_upper"] = pi_upper
+        q_values["pi_upper"] = pi_upper = _vertical_roots(scn, tables, p_tilde, level)[1]
         pieces = [
             Piece(label="target", kind="affine", slope=p),
             _strip_piece("band", p[0]),
@@ -741,7 +737,7 @@ def _drop_band(scn, tables, p, level):
     return None
 
 
-def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
+def _draft_line_split(scn, tables, p, eta, notes) -> _Draft:
     lines = _line_levels(scn, tables, p[0])
     level = max(lines.values())
     plane = plane_level(scn, tables, p)
@@ -799,7 +795,7 @@ def _draft_line_split(scn, tables, correctors, p, eta, notes) -> _Draft:
     )
 
 
-def _draft_origin(scn, tables, correctors, p, eta, notes) -> _Draft:
+def _draft_origin(scn, tables, p, eta, notes) -> _Draft:
     plane = plane_level(scn, tables, p)
     lines = _line_levels(scn, tables, p[0])
     # The construction certifies the lifted level, so that is what must be on
@@ -812,13 +808,6 @@ def _draft_origin(scn, tables, correctors, p, eta, notes) -> _Draft:
     level = tables.E + eta
     roots = _facing_roots(scn, tables, level)
     q_lo, q_hi = _vertical_roots(scn, tables, p[0], level)
-    q_lo = _polish_vertical_root(scn, tables, correctors, p[0], q_lo, level, notes, "lower bracket slope")
-    q_hi = _polish_vertical_root(scn, tables, correctors, p[0], q_hi, level, notes, "upper bracket slope")
-    if not (q_lo - _TIE_SLACK <= p[1] <= q_hi + _TIE_SLACK):
-        raise RegimeError(
-            f"vertical roots ({q_lo:.6g}, {q_hi:.6g}) fail to bracket p2={p[1]:.6g}; "
-            f"the ambient level at the covector exceeds E + eta"
-        )
     pieces = [
         Piece(label="bracket-lower", kind="affine", slope=(p[0], q_lo)),
         Piece(label="bracket-upper", kind="affine", slope=(p[0], q_hi)),
@@ -852,7 +841,8 @@ def build_subcorrector(
 ) -> SubcorrectorSpec:
     """Assemble and fit the piecewise subsolution for one regime.
 
-    The momenta come from exact roots of the tabulated levels; the offsets
+    The momenta come from exact roots of the tabulated levels (in case2 the
+    solve step moves each vertical root above the level onto it); the offsets
     ``c`` and ``C`` are fitted by scanning the certification window, each with
     a finite-difference Lipschitz margin.  A piece selected off its analytic
     home region is accepted where its measured residual is at most 5e-3.
@@ -868,7 +858,7 @@ def build_subcorrector(
 
     Raises :class:`RegimeError` when a ``"plane"`` or ``"line"`` request
     disagrees with :func:`select_regime`, naming the selected regime and the
-    three levels.
+    three levels, and when polished origin brackets miss ``p2``.
     """
     p = (float(np.asarray(p, dtype=float)[0]), float(np.asarray(p, dtype=float)[1]))
     if correctors.scenario is not scn and correctors.scenario.canonical() != scn.canonical():
@@ -884,8 +874,16 @@ def build_subcorrector(
             f"ambient {plane_level(scn, tables, p):.6g}, "
             f"tangential {_line_levels(scn, tables, p[0])}, origin {tables.E:.6g}"
         )
-    draft = _DRAFTS[regime][len(scn.branches) > 1](scn, tables, correctors, p, eta, [])
-    solved = [_solved(piece, correctors) for piece in draft.pieces]
+    draft = _DRAFTS[regime][len(scn.branches) > 1](scn, tables, p, eta, [])
+    solved = [_solved(piece, tables, correctors, draft.level, draft.notes) for piece in draft.pieces]
+    if regime == "origin":
+        # the lifted-level guard puts p2 between the table roots; a polish can move them
+        q_lo, q_hi = (pc.slope[1] for pc in solved if pc.label.startswith("bracket"))
+        if not (q_lo - _TIE_SLACK <= p[1] <= q_hi + _TIE_SLACK):
+            raise RegimeError(
+                f"vertical roots ({q_lo:.6g}, {q_hi:.6g}) fail to bracket p2={p[1]:.6g}; "
+                f"the ambient level at the covector exceeds E + eta"
+            )
 
     grid = GridSpec.box(correctors.half_width, correctors.h)
     pts = grid.nodes()

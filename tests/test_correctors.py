@@ -12,6 +12,7 @@ from hj_strata.correctors import (
     RegimeError,
     SubcorrectorSpec,
     _draft_line_split,
+    _draft_origin,
     _draft_plane,
     _fit_max,
     _one_step,
@@ -47,6 +48,14 @@ def attract():
 @pytest.fixture(scope="module")
 def mirror():
     scn = load_preset("case3_mirror")
+    tables = tabulate_effective(scn, tol=5e-4)
+    correctors = build_corrector_set(scn, h=1 / 32, tol=5e-4)
+    return scn, tables, correctors
+
+
+@pytest.fixture(scope="module")
+def checkerboard():
+    scn = load_preset("checkerboard")
     tables = tabulate_effective(scn, tol=5e-4)
     correctors = build_corrector_set(scn, h=1 / 32, tol=5e-4)
     return scn, tables, correctors
@@ -448,20 +457,27 @@ def test_coverage_check_rejects_oversized_grid(attract):
         bellman_certificate(scn, spec, spec.level, grid)
 
 
-def test_drafts_name_pieces_and_one_step_solves_them(attract, mirror):
-    # outside case2 a draft solves no cell, so it runs with no corrector set
-    # and names every piece with no field; build_subcorrector's solve step
-    # then gives each strip piece its corrector
+def test_drafts_name_pieces_and_one_step_solves_them(attract, mirror, checkerboard):
+    # a draft reads only the tables and the closed forms, so it takes no
+    # corrector set and names every piece with no field -- case2's bracket
+    # planes at the table's own vertical roots; build_subcorrector's solve
+    # step then gives each strip piece its corrector, and the spec reports
+    # the momenta the draft read
     for (scn, tables, correctors), draft, p, regime in (
         (attract, _draft_plane, (0.0, 0.8), "plane"),
         (mirror, _draft_line_split, (0.5, 0.1), "line"),
+        (checkerboard, _draft_origin, (0.0, 0.0), "origin"),
     ):
-        named = draft(scn, tables, None, p, 0.0, []).pieces
-        assert named and all(pc.field is None for pc in named)
-        spec = build_subcorrector(scn, tables, correctors, p, regime)
+        named = draft(scn, tables, p, 0.05, [])
+        assert named.pieces and all(pc.field is None for pc in named.pieces)
+        spec = build_subcorrector(scn, tables, correctors, p, regime, eta=0.05)
+        assert spec.q_values == named.q_values
         strips = [pc for pc in spec.pieces if pc.kind == "strip"]
-        assert [pc.label for pc in strips] == [pc.label for pc in named if pc.kind == "strip"]
+        assert [pc.label for pc in strips] == [pc.label for pc in named.pieces if pc.kind == "strip"]
         assert strips and all(pc.field is not None for pc in strips)
+        if regime == "origin":
+            brackets = tuple(pc.slope[1] for pc in named.pieces if pc.label.startswith("bracket"))
+            assert brackets == tables.section_roots(p[0], named.level)
 
 
 def test_min_of_certified_fields_stays_certified(attract):
@@ -638,25 +654,24 @@ def test_case3_degenerate_plane_root_raises(mirror):
         build_subcorrector(scn, welled, correctors, (0.0, 0.9), "plane")
 
 
-def test_periodic_background_build_is_structurally_sound():
+def test_periodic_background_build_is_structurally_sound(checkerboard):
     # Read at the corrector set's step, each solved periodic piece meets its
     # own fixed-point identity, so the curved correctors of a periodic medium
-    # certify at the standard bar, the composed minimum included.
-    scn = load_preset("checkerboard")
-    tables = tabulate_effective(scn, tol=5e-4)
-    correctors = build_corrector_set(scn, h=1 / 32, tol=5e-4)
+    # certify the lifted origin level with a margin, the composed minimum
+    # included: the bracket roots sit below the level and are kept.
+    scn, tables, correctors = checkerboard
     spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
     grid = GridSpec.box(2.0, 1 / 32)
     assert majorant_gap(spec, grid) <= 1e-9
-    assert subsolution_residual(scn, spec, spec.level, grid) <= TOL_CORR
-    assert bellman_certificate(scn, spec, spec.level, grid, delta=correctors.delta) <= TOL_CORR
-    # plane pieces carry their periodic correction and sit at the level
+    assert subsolution_residual(scn, spec, spec.level, grid) <= 0.0
+    assert bellman_certificate(scn, spec, spec.level, grid, delta=correctors.delta) <= 0.0
+    # plane pieces carry their periodic correction and sit at or below the level
     planes = [pc for pc in spec.pieces if pc.kind == "plane"]
     assert planes and all(pc.field is not None for pc in planes)
     for pc in planes:
         if pc.label.startswith("bracket"):
             est = correctors.plane_estimate(pc.slope)
-            assert est.constant == pytest.approx(spec.level, abs=5e-3)
+            assert est.constant <= spec.level + 2 * correctors.tol
 
 
 def test_corrector_set_solves_every_cell_at_step_h():
@@ -699,7 +714,7 @@ def test_vertical_root_polish_notes_a_stall():
 
     notes = []
     stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
-    q = _polish_vertical_root(load_preset("checkerboard"), tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    q = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert q == 0.5 and len(asked) == 6
     assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]
 
@@ -723,9 +738,29 @@ def test_vertical_root_polish_takes_secant_steps_to_the_solved_root():
 
     notes = []
     stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
-    q = _polish_vertical_root(load_preset("checkerboard"), tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    q = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert abs(q - 0.2) <= 2 * stub.tol and notes == []
     assert len(asked) == 3
+
+
+@pytest.mark.parametrize("offset", [-0.1, -1e-4, 0.0, 1e-4])
+def test_vertical_root_polish_keeps_a_root_at_or_below_the_level(offset):
+    # the polish is one-sided: a table root whose solved constant already
+    # sits at or below the level (within the polish target) is kept after
+    # one solve, and no note is written
+    p_grid = np.linspace(-1.0, 1.0, 9)
+    tables = _hand_tables(np.linspace(-1.0, 1.0, 3), {"main": np.zeros(3)}, E=0.0, p_grid=p_grid,
+                          hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
+    asked = []
+
+    def plane_estimate(p):
+        asked.append(p)
+        return SimpleNamespace(constant=offset + 3.0 * (p[1] - 0.5))
+
+    notes = []
+    stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
+    assert _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope") == 0.5
+    assert asked == [(0.0, 0.5)] and notes == []
 
 
 def _hand_tables(p1_grid, h1t, E, p_grid=None, hbar=None):
@@ -761,14 +796,16 @@ def test_equal_bands_refuse_vertical_roots_that_miss_the_covector(monkeypatch):
 
 
 def test_origin_regime_refuses_polished_roots_that_miss_the_covector():
-    # the solved constants put both vertical roots of E + eta at 0.3, so the
+    # the solved constants sit above E + eta at both table roots, and the
+    # solve step's polish moves both onto the solved root at 0.3, so the
     # polished bracket misses p2 = 0 although the table's roots hold it
     scn = load_preset("checkerboard")
     p1_grid, p_grid = np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 9)
     tables = _hand_tables(p1_grid, {"main": p1_grid**2 - 0.5}, E=0.0, p_grid=p_grid,
                           hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
     stub = SimpleNamespace(
-        scenario=scn, tol=1e-4, plane_estimate=lambda q: SimpleNamespace(constant=0.1 + 3.0 * (q[1] - 0.3))
+        scenario=scn, tol=1e-4, strip_corrector=lambda momentum, branch: None,
+        plane_estimate=lambda q: SimpleNamespace(constant=0.1 + abs(q[1] - 0.3), corrector=None),
     )
     with pytest.raises(RegimeError, match=r"vertical roots \(0.3, 0.3\) fail to bracket p2=0; the ambient"):
         build_subcorrector(scn, tables, stub, (0.0, 0.0), "origin", eta=0.1)

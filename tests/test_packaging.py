@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -51,3 +52,50 @@ def test_pipeline_modules_do_not_import_scipy_optimize():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_settable_values_counts_defaults_and_dataclass_fields(tmp_path):
+    """``tools/settable_values.py`` counts defaulted parameters of public
+    functions and public methods of public classes, and every field of a
+    public dataclass; private and nested definitions and ``ClassVar``s are
+    left out."""
+    spec = importlib.util.spec_from_file_location(
+        "settable_values", Path(__file__).resolve().parents[1] / "tools" / "settable_values.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "import dataclasses\n"
+        "def f(x, y=1, *, z=2, w): pass\n"           # 2
+        "def _g(x=1): pass\n"                         # private: 0
+        "def h(x=1):\n"                               # 1
+        "    def inner(y=2): pass\n"                  # nested: 0
+        "class P:\n"
+        "    a: int = 0\n"                            # not a dataclass: 0
+        "    def m(self, k=1): pass\n"                # 1
+        "    def _m(self, k=1): pass\n"               # private method: 0
+        "    def __call__(self, k=1): pass\n"         # dunder: 0
+        "class _Q:\n"
+        "    def m(self, k=1): pass\n"                # private class: 0
+    )
+    (tmp_path / "b.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class R:\n"
+        "    x: float\n"                              # field
+        "    y: float = 0.0\n"                        # field
+        "    _cache: dict = field(default_factory=dict)\n"  # field
+        "    K: ClassVar[int] = 3\n"                  # not a field
+        "    def at(self, t=0.5): pass\n"             # 1
+        "@dataclasses.dataclass\n"
+        "class S:\n"
+        "    z: int\n"                                # field
+        "@dataclass\n"
+        "class _T:\n"
+        "    hidden: int = 0\n"                       # private dataclass: 0
+    )
+    assert tool.count(tmp_path) == (5, 4)
