@@ -659,11 +659,11 @@ def tabulate_effective(
 ) -> EffectiveTables:
     """Batch-solve every table the junction scheme needs.
 
-    The pool (``threads`` workers) runs families, not entries: the
-    tangential walk of each branch, the ``E`` walk and, in case2, the torus
-    cells of ``hbar``.  Assembly order is fixed and a cell's estimate does
-    not depend on its family, so results are deterministic regardless of
-    the pool width.
+    The pool (``threads`` workers, a positive integer, else ``ValueError``)
+    runs families, not entries: the tangential walk of each branch, the
+    ``E`` walk and, in case2, the torus cells of ``hbar``.  Assembly order is
+    fixed and a cell's estimate does not depend on its family, so results
+    are deterministic regardless of the pool width.
     Failures (method-gap violations, non-converged solves, exhausted
     truncation schedules, slope errors) are recorded per entry in ``flags``,
     each with its cause, instead of aborting the batch.
@@ -676,6 +676,8 @@ def tabulate_effective(
     interpolates in a grid cell; it raises ``ValueError`` outside case2,
     which has no ``hbar``.
     """
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
     cell_scn = scn.with_schedules(tol_ergodic=tol)
@@ -696,7 +698,7 @@ def tabulate_effective(
     gaps: dict[str, np.ndarray] = {}
     ps = None
     hbar = None
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         tangential = {
             branch: pool.submit(tangential_hamiltonian, cell_scn, p1s, branch=branch)
             for branch in branches

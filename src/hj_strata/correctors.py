@@ -15,9 +15,10 @@ three effective levels dominates at the target covector:
 
 ``build_subcorrector`` takes the paper's two steps: a draft reads the pieces
 and their momenta off the tabulated levels and closed forms, then one step
-(``_solved``) makes every cell solve: it gives each piece the corrector of
-its cell problem, polishing case2's vertical roots first.  The build
-then fits the separating constants by scanning samples.  The origin piece is
+(``_solved``) makes every cell solve at the resolution of the frozen
+:class:`CorrectorSet`: it gives each piece the corrector of its cell
+problem, polishing case2's vertical roots first.  The build then fits the
+separating constants by scanning samples.  The origin piece is
 confined to a glued disc: its *territory* is the set of nodes where the outer
 pieces' running minimum is untrusted (selected off its analytic region with a
 measured residual above the safety margin), plus, in the origin regime, the
@@ -44,7 +45,7 @@ reading checks field coverage before it evaluates any piece.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -117,18 +118,17 @@ def _vertical_roots(scn: Scenario, tables: EffectiveTables, p1: float, level: fl
 
 def _polish_vertical_root(
     tables: EffectiveTables, correctors: CorrectorSet, p1: float, q0: float, level: float, notes: list, what: str
-) -> float:
+) -> tuple[float, ErgodicEstimate]:
     """Move a case2 vertical root of ``level`` that sits above it onto it.
 
     The ambient table is interpolated on a coarse momentum grid, so its roots
     can miss the solved level -- and a plane wave pinned at a root above it
     runs above the level it claims.  A root whose solved constant sits at or
     below the level is kept: moving it would spend the margin.  Secant
-    iteration on solved cell constants (cached on the corrector set, where
-    the piece needs the corrector anyway) pins any other root to solver
+    iteration on solved cell constants pins any other root to solver
     accuracy; convexity keeps each flank monotone, and if the secant still
-    fails to settle, the best iterate is kept and noted.  Called by
-    :func:`_solved` only.
+    fails to settle, the best iterate is kept and noted.  Returns the kept
+    slope and its torus estimate.  Called by :func:`_solved` only.
     """
     target = max(2.0 * correctors.tol, 1e-6)
     q_grid = np.asarray(tables.p_grid, dtype=float)
@@ -136,24 +136,23 @@ def _polish_vertical_root(
     qa, qb = np.clip([q0 - e, q0 + e], q_grid[0], q_grid[-1])
     slope = (float(tables.hbar_at((p1, qb))) - float(tables.hbar_at((p1, qa)))) / (qb - qa)
     q_prev, f_prev = None, None
-    q, best_q, best_f = float(q0), float(q0), math.inf
+    q, best_q, best_f, best = float(q0), float(q0), math.inf, None
     for _ in range(6):
-        f = float(correctors.plane_estimate((p1, q)).constant) - level
-        if abs(f) < abs(best_f):
-            best_q, best_f = q, f
+        solved = torus_effective(correctors.cell_scenario, (p1, q))
+        est = _converged(solved, f"torus corrector at momentum {p1, q}")
+        f = float(est.constant) - level
+        if best is None or abs(f) < abs(best_f):
+            best_q, best_f, best = q, f, est
         if abs(f) <= target or (q_prev is None and f < 0.0):
-            return q
+            return q, est
         if q_prev is not None and abs(f - f_prev) > 1e-14:
             slope = (f - f_prev) / (q - q_prev)
         if abs(slope) < 1e-9:
             break
         q_prev, f_prev = q, f
         q = q - f / slope
-    notes.append(
-        f"{what}: solved-root polish stalled at offset {best_f:+.2e} "
-        f"(momentum {best_q:.6g})"
-    )
-    return best_q
+    notes.append(f"{what}: solved-root polish stalled at offset {best_f:+.2e} (momentum {best_q:.6g})")
+    return best_q, best
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +165,17 @@ class Piece:
     """One branch of the piecewise minimum.
 
     A draft names the piece with no ``field``; the solve step of
-    :func:`build_subcorrector` adds its cell corrector.  ``values`` is the
-    smooth extension ``slope . y + field(y) - offset`` and raises outside the
-    field's coverage; ``admissible`` is the construction's own geometry, the
-    half-plane restriction and the disc ``|y| <= radius`` (finite only for a
-    glued origin piece).  ``shares_c`` tags the strip pieces whose common
-    offset is the fitted constant ``c``.
+    :func:`build_subcorrector` adds its cell corrector and keeps its kind,
+    so an ``"affine"`` piece with a torus field is a case2 plane wave.
+    ``values`` is the smooth extension ``slope . y + field(y) - offset`` and
+    raises outside the field's coverage; ``admissible`` is the
+    construction's own geometry, the half-plane restriction and the disc
+    ``|y| <= radius`` (finite only for a glued origin piece).  ``shares_c``
+    tags the strip pieces whose common offset is the fitted constant ``c``.
     """
 
     label: str
-    kind: str                      # "affine" | "plane" | "strip" | "ball"
+    kind: str                      # "affine" | "strip" | "ball"
     slope: tuple[float, float]
     branch: str | None = None
     offset: float = 0.0
@@ -268,23 +268,22 @@ class SubcorrectorSpec:
 
 
 # ---------------------------------------------------------------------------
-# corrector cache
+# corrector set
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CorrectorSet:
-    """Sampled correctors shared by the subsolution builders.
+    """The origin corrector and the resolution every corrector solves at.
 
-    Holds the truncated origin corrector ``w`` (solved once, on a box that
-    pads the certification window so its constrained boundary stays outside)
-    and strip correctors keyed by (branch, momentum), each solved when the
-    solve step of :func:`build_subcorrector` first asks for it.  For periodic
-    backgrounds it also caches torus correctors so plane waves can carry their
-    periodic correction.  Fields cover ``|y_i| <= coverage``, beyond the fit
-    window's ``half_width``.  ``scenario`` is the caller's scenario; every
-    corrector solves on ``cell_scenario``, which owns the resolution ``h`` and
-    ``tol``, with time step ``delta = h``.
+    Holds the truncated origin corrector ``w_field``, solved once on a box
+    that pads the certification window so its constrained boundary stays
+    outside.  The strip and torus correctors of a build are solved by the
+    solve step of :func:`build_subcorrector` on ``cell_scenario``, out to
+    ``coverage``.  Fields cover ``|y_i| <= coverage``, beyond the fit
+    window's ``half_width``.  ``scenario`` is the caller's scenario;
+    ``cell_scenario`` owns the resolution ``h`` and ``tol``, with time step
+    ``delta = h``.
     """
 
     scenario: Scenario
@@ -292,8 +291,6 @@ class CorrectorSet:
     half_width: float
     coverage: float
     w_field: ValueField
-    _strips: dict = field(default_factory=dict, repr=False)
-    _plane: dict = field(default_factory=dict, repr=False)
 
     @property
     def h(self) -> float:
@@ -307,25 +304,6 @@ class CorrectorSet:
     def delta(self) -> float:
         """Time step of every corrector solve: the grid spacing ``h``."""
         return self.h
-
-    def strip_corrector(self, momentum: float, branch: str = "main") -> ValueField:
-        key = (branch, round(float(momentum), 12))
-        if key not in self._strips:
-            self._strips[key] = _converged(
-                strip_ergodic(self.cell_scenario, float(momentum), branch=branch, rho=self.coverage),
-                f"strip corrector at momentum {momentum:.6g} ({branch})",
-            )
-        return self._strips[key].corrector
-
-    def plane_estimate(self, q) -> ErgodicEstimate:
-        """Solved periodic cell estimate at momentum ``q`` (case2 only)."""
-        key = (round(float(q[0]), 12), round(float(q[1]), 12))
-        if key not in self._plane:
-            self._plane[key] = _converged(
-                torus_effective(self.cell_scenario, (float(q[0]), float(q[1]))),
-                f"torus corrector at momentum {key}",
-            )
-        return self._plane[key]
 
 
 def _converged(estimates: tuple[ErgodicEstimate, ...], what: str) -> ErgodicEstimate:
@@ -384,6 +362,14 @@ def _tie(tables: EffectiveTables) -> float:
     return max(_TIE_SLACK, float(tables.provenance.get("tol_ergodic", 0.0)))
 
 
+def _covector(p) -> tuple[float, float]:
+    """``p`` as two floats; raises ``ValueError`` unless it is two finite numbers."""
+    q = np.asarray(p, dtype=float)
+    if q.shape != (2,) or not np.isfinite(q).all():
+        raise ValueError(f"covector p must be two finite numbers, got {p!r}")
+    return float(q[0]), float(q[1])
+
+
 def select_regime(scn: Scenario, tables: EffectiveTables, p) -> str:
     """Dominant level at the covector: ``"plane"``, ``"line"``, or ``"origin"``.
 
@@ -393,10 +379,11 @@ def select_regime(scn: Scenario, tables: EffectiveTables, p) -> str:
     orderings: :func:`build_subcorrector` builds those regimes only where the
     selector picks them.  The origin builder guards the lifted level E + η,
     which the selector does not read; an origin regime it picks passes that
-    guard whenever η exceeds three ties.
+    guard whenever η exceeds three ties.  Raises ``ValueError`` unless ``p``
+    is two finite numbers.
     """
     tie = _tie(tables)
-    p = np.asarray(p, dtype=float)
+    p = _covector(p)
     plane = plane_level(scn, tables, p)
     line = max(_line_levels(scn, tables, p[0]).values())
     if plane > max(line, tables.E) + tie:
@@ -467,7 +454,7 @@ def _piece_safety(scn: Scenario, pieces, pts: np.ndarray) -> np.ndarray:
     edge = np.abs(y2) >= scn.R0 - 1e-9
     safe = np.zeros((len(pieces), len(pts)), dtype=bool)
     for k, piece in enumerate(pieces):
-        if piece.kind in ("affine", "plane"):
+        if piece.kind == "affine":
             safe[k] = bg | (edge & ~masks["core"] & (y1 * y1 + y2 * y2 >= scn.R1 * scn.R1))
         else:
             safe[k] = masks[piece.branch] | (bg & edge)
@@ -632,15 +619,21 @@ def _solved(piece: Piece, tables: EffectiveTables, correctors: CorrectorSet, lev
     """``piece`` with its cell corrector: a strip's at its momentum and, in
     case2, the torus corrector that makes an affine piece a plane wave.  Every
     case2 affine piece but ``target`` sits at a vertical root of ``level``, so
-    its slope is polished (:func:`_polish_vertical_root`) before the solve."""
+    its slope is polished (:func:`_polish_vertical_root`) first.  Every strip
+    and torus solve of a build happens here."""
+    cell = correctors.cell_scenario
     if piece.kind == "strip":
-        return replace(piece, field=correctors.strip_corrector(piece.slope[0], piece.branch))
+        solved = strip_ergodic(cell, piece.slope[0], branch=piece.branch, rho=correctors.coverage)
+        what = f"strip corrector at momentum {piece.slope[0]:.6g} ({piece.branch})"
+        return replace(piece, field=_converged(solved, what).corrector)
     if piece.kind != "affine" or correctors.scenario.case != "case2":
         return piece
     p1, q = piece.slope
-    if piece.label != "target":
-        q = _polish_vertical_root(tables, correctors, p1, q, level, notes, f"{piece.label} slope")
-    return replace(piece, kind="plane", slope=(p1, q), field=correctors.plane_estimate((p1, q)).corrector)
+    if piece.label == "target":
+        est = _converged(torus_effective(cell, (p1, q)), f"torus corrector at momentum {p1, q}")
+    else:
+        q, est = _polish_vertical_root(tables, correctors, p1, q, level, notes, f"{piece.label} slope")
+    return replace(piece, slope=(p1, q), field=est.corrector)
 
 
 @dataclass
@@ -846,8 +839,10 @@ def build_subcorrector(
     ``c`` and ``C`` are fitted by scanning the certification window, each with
     a finite-difference Lipschitz margin.  A piece selected off its analytic
     home region is accepted where its measured residual is at most 5e-3.
-    ``eta``, the lift of the origin regime's level, defaults to 5% of the
-    largest background cost at y = 0 (at least 5e-8).
+    ``eta``, the lift of the origin regime's level, must be positive and
+    finite; it defaults to 5% of the largest background cost at y = 0 (at
+    least 5e-8).  ``p`` must be two finite numbers, as for
+    :func:`select_regime`; both refusals raise ``ValueError``.
 
     The origin piece covers its territory -- the nodes where the outer
     selection is untrusted, plus ``|y| <= R0/2`` in the origin regime -- and
@@ -860,12 +855,14 @@ def build_subcorrector(
     disagrees with :func:`select_regime`, naming the selected regime and the
     three levels, and when polished origin brackets miss ``p2``.
     """
-    p = (float(np.asarray(p, dtype=float)[0]), float(np.asarray(p, dtype=float)[1]))
+    p = _covector(p)
     if correctors.scenario is not scn and correctors.scenario.canonical() != scn.canonical():
         raise ValueError("corrector set was built for a different scenario")
     if eta is None:
         cost = scn.background.eval_cost(0.0, 0.0, 0.0, 0.0)
         eta = 0.05 * max(float(np.max(np.abs(cost))), 1e-6)
+    elif not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
     if regime not in _DRAFTS:
         raise ValueError(f"unknown regime {regime!r}; expected 'plane', 'line', or 'origin'")
     if regime != "origin" and (selected := select_regime(scn, tables, p)) != regime:

@@ -725,3 +725,10 @@ def test_tables_do_not_depend_on_the_pool_width():
     one = tabulate_effective(scn, tol=1e-3, threads=1, **grids)
     three = tabulate_effective(scn, tol=1e-3, threads=3, **grids)
     assert one.to_json_dict() == three.to_json_dict()
+
+
+@pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2"])
+def test_tables_refuse_a_pool_width_that_is_not_a_positive_integer(threads):
+    # refused before any solve, where max(1, threads) once ran one worker
+    with pytest.raises(ValueError, match=f"^threads must be a positive integer, got {threads!r}$"):
+        tabulate_effective(load_preset("eikonal"), threads=threads)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hj_strata.cell import EffectiveTables, _grid_root, tabulate_effective
+from hj_strata.cell import EffectiveTables, _grid_root, tabulate_effective, torus_effective
 from hj_strata.correctors import (
     BracketError,
     Piece,
@@ -61,6 +61,28 @@ def checkerboard():
     return scn, tables, correctors
 
 
+def _specs(setup, covectors):
+    """One spec per regime at the default lift, built once for the tests
+    that read it unedited."""
+    scn, tables, correctors = setup
+    return {regime: build_subcorrector(scn, tables, correctors, p, regime) for regime, p in covectors.items()}
+
+
+@pytest.fixture(scope="module")
+def attract_specs(attract):
+    return _specs(attract, {"plane": (0.0, 0.8), "line": (0.3, 0.0), "origin": (0.0, 0.0)})
+
+
+@pytest.fixture(scope="module")
+def mirror_specs(mirror):
+    return _specs(mirror, {"plane": (0.0, 0.9), "line": (0.5, 0.1)})
+
+
+@pytest.fixture(scope="module")
+def checkerboard_specs(checkerboard):
+    return _specs(checkerboard, {"origin": (0.0, 0.0)})
+
+
 def _certify(scn, spec, correctors, h=1 / 32):
     grid = GridSpec.box(min(4 * scn.R1, correctors.half_width), h)
     residual = subsolution_residual(scn, spec, spec.level, grid)
@@ -87,10 +109,9 @@ def test_select_regime_orders_levels(attract):
     assert select_regime(scn, tables, (0.0, 0.0)) == "origin"
 
 
-def test_plane_regime_certifies(attract):
-    scn, tables, correctors = attract
-    p = (0.0, 0.8)
-    spec = build_subcorrector(scn, tables, correctors, p, "plane")
+def test_plane_regime_certifies(attract, attract_specs):
+    scn, _, correctors = attract
+    spec = attract_specs["plane"]
     # level = H(0,p) of the eikonal-cone background, root on the right flank
     level = 0.8 * COS16 - 1.0
     assert spec.level == pytest.approx(level, abs=1e-6)
@@ -157,9 +178,9 @@ def test_line_regime_far_root(attract):
     assert gap <= 1e-9
 
 
-def test_line_regime_escape_plane(attract):
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.3, 0.0), "line")
+def test_line_regime_escape_plane(attract, attract_specs):
+    scn, _, correctors = attract
+    spec = attract_specs["line"]
     assert spec.q_values["p_tilde"] == pytest.approx(-0.3, abs=2e-3)
     assert "pi_upper" in spec.q_values
     residual, gap, cert = _certify(scn, spec, correctors)
@@ -168,9 +189,9 @@ def test_line_regime_escape_plane(attract):
     assert cert <= TOL_CORR
 
 
-def test_origin_regime_brackets_target(attract):
+def test_origin_regime_brackets_target(attract, attract_specs):
     scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    spec = attract_specs["origin"]
     # default lift is five percent of the cost bound
     assert spec.eta == pytest.approx(0.05)
     assert spec.level == pytest.approx(tables.E + 0.05, abs=1e-9)
@@ -200,9 +221,8 @@ def test_origin_lift_sweeps_downward(attract):
     assert levels[-1] - tables.E == pytest.approx(0.008, abs=1e-9)
 
 
-def test_active_pieces_follow_the_region_split(attract):
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+def test_active_pieces_follow_the_region_split(attract_specs):
+    spec = attract_specs["origin"]
     grid = GridSpec.box(2.0, 1 / 32)
     pts = grid.nodes()
     labels = np.array([piece.label for piece in spec.pieces])[spec.active(pts)]
@@ -228,26 +248,25 @@ def _origin_radii(spec, grid):
     return np.linalg.norm(pts, axis=1)[labels == "origin"]
 
 
-def test_origin_piece_is_glued_at_its_rim(attract):
-    scn, tables, correctors = attract
+def test_origin_piece_is_glued_at_its_rim(attract_specs):
     grid = GridSpec.box(2.0, 1 / 32)
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    spec = attract_specs["origin"]
     # confined: admissible out to the reported rim, and the ring just inside
     # the rim already belongs to the rivals, so the cut opens no jump
     assert _ball_radii(spec) == [spec.split_radius]
     assert 0.2 < spec.split_radius < 2.0
     assert _origin_radii(spec, grid).max() <= spec.split_radius - 3 / 32
     # every outer node is trusted in the plane regime: no origin piece at all
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.8), "plane")
+    spec = attract_specs["plane"]
     assert _ball_radii(spec) == []
     assert spec.split_radius == 0.0
     assert math.isnan(spec.C)
 
 
-def test_unglued_origin_piece_is_reported_unconfined(mirror):
-    scn, tables, correctors = mirror
+def test_unglued_origin_piece_is_reported_unconfined(mirror, mirror_specs):
+    scn, _, correctors = mirror
     grid = GridSpec.box(min(4 * scn.R1, correctors.half_width), 1 / 32)
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.9), "plane")
+    spec = mirror_specs["plane"]
     assert _ball_radii(spec) == [math.inf]
     assert any("left unconfined" in note for note in spec.notes)
     # C is fitted over a disc of radius at least R1 + h, so the piece owns
@@ -256,8 +275,7 @@ def test_unglued_origin_piece_is_reported_unconfined(mirror):
     labels = np.array([piece.label for piece in spec.pieces])[spec.active(pts)]
     assert set(labels[np.linalg.norm(pts, axis=1) <= scn.R1]) == {"origin"}
     assert spec.split_radius >= scn.R1
-    spec = build_subcorrector(scn, tables, correctors, (0.5, 0.1), "line")
-    assert _ball_radii(spec) == []
+    assert _ball_radii(mirror_specs["line"]) == []
 
 
 def test_unconfined_origin_piece_keeps_its_certificate(attract):
@@ -283,6 +301,39 @@ def test_regime_mismatch_raises(attract):
         assert select_regime(scn, tables, p) == selected
         with pytest.raises(RegimeError, match=f"selects '{selected}'"):
             build_subcorrector(scn, tables, correctors, p, asked)
+
+
+@pytest.mark.parametrize("p", [(math.nan, 0.0), (0.0, math.inf), (0.1,), (0.1, 0.2, 0.3)])
+def test_select_and_build_refuse_a_covector_that_is_not_two_finite_numbers(attract, p):
+    scn, tables, correctors = attract
+    with pytest.raises(ValueError, match=r"covector p must be two finite numbers, got \("):
+        select_regime(scn, tables, p)
+    with pytest.raises(ValueError, match=r"covector p must be two finite numbers, got \("):
+        build_subcorrector(scn, tables, correctors, p, "origin")
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.05])
+def test_build_refuses_a_lift_that_is_not_positive_and_finite(attract, eta):
+    scn, tables, correctors = attract
+    with pytest.raises(ValueError, match=f"eta must be positive and finite, got {eta!r}"):
+        build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin", eta=eta)
+
+
+@pytest.mark.parametrize("setup, regime", [("attract", "line"), ("checkerboard", "origin")])
+def test_a_second_build_at_one_covector_repeats_every_bit(request, setup, regime):
+    # the corrector set caches nothing, so a second build solves every cell
+    # again; the solves are deterministic, so the spec repeats bit for bit
+    scn, tables, correctors = request.getfixturevalue(setup)
+    first = request.getfixturevalue(f"{setup}_specs")[regime]
+    again = build_subcorrector(scn, tables, correctors, first.target, regime)
+    assert again.q_values == first.q_values and again.split_radius == first.split_radius
+    assert [(pc.label, pc.kind, pc.slope, pc.offset) for pc in again.pieces] == [
+        (pc.label, pc.kind, pc.slope, pc.offset) for pc in first.pieces
+    ]
+    for a, b in zip(first.pieces, again.pieces):
+        assert (a.field is None) == (b.field is None)
+        if a.field is not None:
+            assert a.field.grid == b.field.grid and a.field.values.tobytes() == b.field.values.tobytes()
 
 
 def test_build_refuses_another_scenarios_correctors_and_an_unknown_regime(attract):
@@ -387,10 +438,9 @@ def test_residual_reads_the_level_margin_below_the_plane_wave_bound(attract):
     assert subsolution_residual(scn, spec, level, grid) == pytest.approx(-0.1, abs=1e-9)
 
 
-def test_spec_offsets_are_read_from_its_pieces(attract):
-    scn, tables, correctors = attract
-    for p, regime in (((0.0, 0.8), "plane"), ((0.0, 0.0), "origin")):
-        spec = build_subcorrector(scn, tables, correctors, p, regime)
+def test_spec_offsets_are_read_from_its_pieces(attract_specs):
+    for regime in ("plane", "origin"):
+        spec = attract_specs[regime]
         shared = {pc.offset for pc in spec.pieces if pc.shares_c}
         balls = [pc.offset for pc in spec.pieces if pc.kind == "ball"]
         assert shared and shared == {spec.c}
@@ -398,9 +448,9 @@ def test_spec_offsets_are_read_from_its_pieces(attract):
     assert balls and _lowered(spec, 0.05).C == spec.C + 0.05
 
 
-def test_certificate_refuses_a_step_that_is_not_positive(attract):
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.8), "plane")
+def test_certificate_refuses_a_step_that_is_not_positive(attract, attract_specs):
+    scn, _, _ = attract
+    spec = attract_specs["plane"]
     grid = GridSpec.box(2.0, 1 / 32)
     for delta in (-1 / 32, 0.0, math.nan):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
@@ -417,19 +467,19 @@ def _lowered(spec, drop):
 
 
 @pytest.mark.parametrize("drop, floor", [(0.05, 1.0), (0.2, 5.0)])
-def test_certificate_catches_a_jump_at_the_origin_rim(attract, drop, floor):
+def test_certificate_catches_a_jump_at_the_origin_rim(attract, attract_specs, drop, floor):
     # cutting a lowered origin piece off at its rim opens a downward jump of
     # the composed minimum, which a step of length h reads as O(drop / h)
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    scn, _, correctors = attract
+    spec = attract_specs["origin"]
     assert _ball_radii(spec) == [spec.split_radius]
     _, _, cert = _certify(scn, _lowered(spec, drop), correctors)
     assert cert > floor
 
 
-def test_certificate_reads_a_lowered_level_as_its_excess(attract):
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+def test_certificate_reads_a_lowered_level_as_its_excess(attract, attract_specs):
+    scn, _, correctors = attract
+    spec = attract_specs["origin"]
     grid = GridSpec.box(min(4 * scn.R1, correctors.half_width), 1 / 32)
     cert = bellman_certificate(scn, spec, spec.level - 0.05, grid, delta=correctors.delta)
     assert cert == pytest.approx(0.05, abs=1e-3)
@@ -443,11 +493,11 @@ def test_certificate_needs_a_node_with_its_whole_control_fan(attract):
         bellman_certificate(scn, spec, -0.5, GridSpec.box(1 / 16, 1 / 16), delta=1 / 8)
 
 
-def test_coverage_check_rejects_oversized_grid(attract):
+def test_coverage_check_rejects_oversized_grid(attract, attract_specs):
     # coverage is a precondition of every reading, the majorant gap included,
     # which no longer masks the nodes beyond a piece's field
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    scn, _, _ = attract
+    spec = attract_specs["origin"]
     grid = GridSpec.box(6.0, 1 / 8)
     with pytest.raises(ValueError, match="coverage"):
         subsolution_residual(scn, spec, spec.level, grid)
@@ -457,20 +507,23 @@ def test_coverage_check_rejects_oversized_grid(attract):
         bellman_certificate(scn, spec, spec.level, grid)
 
 
-def test_drafts_name_pieces_and_one_step_solves_them(attract, mirror, checkerboard):
+def test_drafts_name_pieces_and_one_step_solves_them(
+    attract, mirror, checkerboard, attract_specs, mirror_specs, checkerboard_specs
+):
     # a draft reads only the tables and the closed forms, so it takes no
     # corrector set and names every piece with no field -- case2's bracket
     # planes at the table's own vertical roots; build_subcorrector's solve
     # step then gives each strip piece its corrector, and the spec reports
-    # the momenta the draft read
-    for (scn, tables, correctors), draft, p, regime in (
-        (attract, _draft_plane, (0.0, 0.8), "plane"),
-        (mirror, _draft_line_split, (0.5, 0.1), "line"),
-        (checkerboard, _draft_origin, (0.0, 0.0), "origin"),
+    # the momenta the draft read (0.05 is the default lift on all three)
+    for (scn, tables, _), specs, draft, p, regime in (
+        (attract, attract_specs, _draft_plane, (0.0, 0.8), "plane"),
+        (mirror, mirror_specs, _draft_line_split, (0.5, 0.1), "line"),
+        (checkerboard, checkerboard_specs, _draft_origin, (0.0, 0.0), "origin"),
     ):
         named = draft(scn, tables, p, 0.05, [])
         assert named.pieces and all(pc.field is None for pc in named.pieces)
-        spec = build_subcorrector(scn, tables, correctors, p, regime, eta=0.05)
+        spec = specs[regime]
+        assert spec.target == p and spec.eta == (0.05 if regime == "origin" else 0.0)
         assert spec.q_values == named.q_values
         strips = [pc for pc in spec.pieces if pc.kind == "strip"]
         assert [pc.label for pc in strips] == [pc.label for pc in named.pieces if pc.kind == "strip"]
@@ -505,11 +558,11 @@ def test_min_of_certified_fields_stays_certified(attract):
         assert composed <= 1e-9  # both inputs are exact at this level
 
 
-def test_corrector_piece_composes_with_affine(attract):
+def test_corrector_piece_composes_with_affine(attract, attract_specs):
     # one solved band piece against its own escape plane: the composition
     # keeps the certified level of the full construction
-    scn, tables, correctors = attract
-    spec = build_subcorrector(scn, tables, correctors, (0.3, 0.0), "line")
+    scn, _, _ = attract
+    spec = attract_specs["line"]
     grid = GridSpec.box(1.5, 1 / 32)
     band = next(pc for pc in spec.pieces if pc.kind == "strip")
     plane = next(pc for pc in spec.pieces if pc.label == "escape")
@@ -517,9 +570,9 @@ def test_corrector_piece_composes_with_affine(attract):
     assert subsolution_residual(scn, pair, spec.level, grid) <= TOL_CORR
 
 
-def test_case3_plane_roots_are_mirrored(mirror):
-    scn, tables, correctors = mirror
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.9), "plane")
+def test_case3_plane_roots_are_mirrored(mirror, mirror_specs):
+    scn, _, correctors = mirror
+    spec = mirror_specs["plane"]
     assert spec.q_values["q1_minus"] == pytest.approx(-spec.q_values["q1_plus"], abs=2e-3)
     residual, gap, cert = _certify(scn, spec, correctors)
     assert residual <= TOL_CORR
@@ -527,9 +580,9 @@ def test_case3_plane_roots_are_mirrored(mirror):
     assert cert <= TOL_CORR
 
 
-def test_case3_equal_bands_split_along_the_axis(mirror):
-    scn, tables, correctors = mirror
-    spec = build_subcorrector(scn, tables, correctors, (0.5, 0.1), "line")
+def test_case3_equal_bands_split_along_the_axis(mirror, mirror_specs):
+    scn, _, correctors = mirror
+    spec = mirror_specs["line"]
     halfplanes = {pc.label: pc.halfplane for pc in spec.pieces}
     assert halfplanes.get("band-minus") == -1
     assert halfplanes.get("band-plus") == +1
@@ -654,36 +707,59 @@ def test_case3_degenerate_plane_root_raises(mirror):
         build_subcorrector(scn, welled, correctors, (0.0, 0.9), "plane")
 
 
-def test_periodic_background_build_is_structurally_sound(checkerboard):
+def test_periodic_background_build_is_structurally_sound(checkerboard, checkerboard_specs):
     # Read at the corrector set's step, each solved periodic piece meets its
     # own fixed-point identity, so the curved correctors of a periodic medium
     # certify the lifted origin level with a margin, the composed minimum
     # included: the bracket roots sit below the level and are kept.
-    scn, tables, correctors = checkerboard
-    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    scn, _, correctors = checkerboard
+    spec = checkerboard_specs["origin"]
     grid = GridSpec.box(2.0, 1 / 32)
     assert majorant_gap(spec, grid) <= 1e-9
     assert subsolution_residual(scn, spec, spec.level, grid) <= 0.0
     assert bellman_certificate(scn, spec, spec.level, grid, delta=correctors.delta) <= 0.0
-    # plane pieces carry their periodic correction and sit at or below the level
-    planes = [pc for pc in spec.pieces if pc.kind == "plane"]
+    # affine pieces carry their periodic correction and sit at or below the level
+    planes = [pc for pc in spec.pieces if pc.kind == "affine"]
     assert planes and all(pc.field is not None for pc in planes)
     for pc in planes:
         if pc.label.startswith("bracket"):
-            est = correctors.plane_estimate(pc.slope)
+            (est,) = torus_effective(correctors.cell_scenario, pc.slope)
             assert est.constant <= spec.level + 2 * correctors.tol
 
 
-def test_corrector_set_solves_every_cell_at_step_h():
-    scn = load_preset("checkerboard")
+def test_corrector_set_solves_every_cell_at_step_h(checkerboard, monkeypatch):
+    # the corrector set is a frozen record of the origin corrector and the
+    # resolution; a build's solve step calls the strip and torus solvers
+    # through this module's names, at the set's step, and each piece carries
+    # a corrector it solved
+    from hj_strata import correctors as module
+
+    scn, tables, _ = checkerboard
     correctors = build_corrector_set(scn, h=1 / 8, tol=1e-3)
+    assert [f.name for f in dataclasses.fields(correctors)] == [
+        "scenario", "cell_scenario", "half_width", "coverage", "w_field"
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        correctors.coverage = 1.0
     assert correctors.scenario is scn
     assert correctors.delta == correctors.h == 1 / 8
     assert correctors.w_field.grid.h2 == correctors.h
-    strip = correctors.strip_corrector(0.0)
-    (est,) = correctors._strips.values()
-    assert est.corrector is strip and est.delta == correctors.h
-    assert correctors.plane_estimate((0.0, 0.0)).delta == correctors.h
+    solved = []
+
+    def recorded(solve):
+        def run(*args, **kwargs):
+            estimates = solve(*args, **kwargs)
+            solved.extend(estimates)
+            return estimates
+        return run
+
+    for name in ("strip_ergodic", "torus_effective"):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+    spec = build_subcorrector(scn, tables, correctors, (0.0, 0.0), "origin")
+    fields = [pc.field for pc in spec.pieces if pc.kind != "ball"]
+    assert {"affine", "strip"} <= {pc.kind for pc in spec.pieces}
+    assert solved and all(est.delta == correctors.h for est in solved)
+    assert all(any(f is est.corrector for est in solved) for f in fields)
 
 
 def test_table_gradient_reads_one_segment_inside_it_and_two_at_a_knot():
@@ -696,7 +772,22 @@ def test_table_gradient_reads_one_segment_inside_it_and_two_at_a_knot():
     assert tables.tangential_slope_bound("main") == 3.0
 
 
-def test_vertical_root_polish_notes_a_stall():
+def _solved_constants(monkeypatch, constant):
+    """Patch the torus solver to return ``constant(q)`` at momentum ``q``;
+    returns the list of momenta it was asked for."""
+    from hj_strata import correctors
+
+    asked = []
+
+    def torus_effective(scn, q):
+        asked.append(q)
+        return (SimpleNamespace(converged=True, constant=constant(q), momentum=q, corrector=None),)
+
+    monkeypatch.setattr(correctors, "torus_effective", torus_effective)
+    return asked
+
+
+def test_vertical_root_polish_notes_a_stall(monkeypatch):
     # every solved constant misses the level by 0.1, so the secant never
     # settles: the first iterate is kept and the stall is noted
     p_grid = np.linspace(-1.0, 1.0, 9)
@@ -706,20 +797,16 @@ def test_vertical_root_polish_notes_a_stall():
         pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
         p_grid=p_grid, hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5, flags={},
     )
-    asked = []
-
-    def plane_estimate(p):
-        asked.append(p)
-        return SimpleNamespace(constant=0.1)
-
+    asked = _solved_constants(monkeypatch, lambda q: 0.1)
     notes = []
-    stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
-    q = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
+    q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert q == 0.5 and len(asked) == 6
+    assert est.momentum == (0.0, 0.5)  # the kept iterate's own estimate
     assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]
 
 
-def test_vertical_root_polish_takes_secant_steps_to_the_solved_root():
+def test_vertical_root_polish_takes_secant_steps_to_the_solved_root(monkeypatch):
     # solved constants rise three times as fast as the table's slope says, so
     # only the secant update reaches their root at 0.2 (the table slope alone
     # oscillates away from it)
@@ -730,36 +817,28 @@ def test_vertical_root_polish_takes_secant_steps_to_the_solved_root():
         pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
         p_grid=p_grid, hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5, flags={},
     )
-    asked = []
-
-    def plane_estimate(p):
-        asked.append(p)
-        return SimpleNamespace(constant=3.0 * (p[1] - 0.2))
-
+    asked = _solved_constants(monkeypatch, lambda q: 3.0 * (q[1] - 0.2))
     notes = []
-    stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
-    q = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
+    q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert abs(q - 0.2) <= 2 * stub.tol and notes == []
     assert len(asked) == 3
+    assert est.momentum == asked[-1] == (0.0, q)
 
 
 @pytest.mark.parametrize("offset", [-0.1, -1e-4, 0.0, 1e-4])
-def test_vertical_root_polish_keeps_a_root_at_or_below_the_level(offset):
+def test_vertical_root_polish_keeps_a_root_at_or_below_the_level(monkeypatch, offset):
     # the polish is one-sided: a table root whose solved constant already
     # sits at or below the level (within the polish target) is kept after
     # one solve, and no note is written
     p_grid = np.linspace(-1.0, 1.0, 9)
     tables = _hand_tables(np.linspace(-1.0, 1.0, 3), {"main": np.zeros(3)}, E=0.0, p_grid=p_grid,
                           hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
-    asked = []
-
-    def plane_estimate(p):
-        asked.append(p)
-        return SimpleNamespace(constant=offset + 3.0 * (p[1] - 0.5))
-
+    asked = _solved_constants(monkeypatch, lambda q: offset + 3.0 * (q[1] - 0.5))
     notes = []
-    stub = SimpleNamespace(tol=1e-4, plane_estimate=plane_estimate)
-    assert _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope") == 0.5
+    stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
+    q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+    assert q == 0.5 and est.momentum == (0.0, 0.5)
     assert asked == [(0.0, 0.5)] and notes == []
 
 
@@ -795,18 +874,20 @@ def test_equal_bands_refuse_vertical_roots_that_miss_the_covector(monkeypatch):
         build_subcorrector(scn, tables, SimpleNamespace(scenario=scn), (0.0, 0.0), "line")
 
 
-def test_origin_regime_refuses_polished_roots_that_miss_the_covector():
+def test_origin_regime_refuses_polished_roots_that_miss_the_covector(monkeypatch):
     # the solved constants sit above E + eta at both table roots, and the
     # solve step's polish moves both onto the solved root at 0.3, so the
     # polished bracket misses p2 = 0 although the table's roots hold it
+    from hj_strata import correctors
+
     scn = load_preset("checkerboard")
     p1_grid, p_grid = np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 9)
     tables = _hand_tables(p1_grid, {"main": p1_grid**2 - 0.5}, E=0.0, p_grid=p_grid,
                           hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
-    stub = SimpleNamespace(
-        scenario=scn, tol=1e-4, strip_corrector=lambda momentum, branch: None,
-        plane_estimate=lambda q: SimpleNamespace(constant=0.1 + abs(q[1] - 0.3), corrector=None),
-    )
+    unsolved = SimpleNamespace(converged=True, corrector=None)
+    monkeypatch.setattr(correctors, "strip_ergodic", lambda *args, **kwargs: (unsolved,))
+    _solved_constants(monkeypatch, lambda q: 0.1 + abs(q[1] - 0.3))
+    stub = SimpleNamespace(scenario=scn, tol=1e-4, cell_scenario=scn, coverage=1.0)
     with pytest.raises(RegimeError, match=r"vertical roots \(0.3, 0.3\) fail to bracket p2=0; the ambient"):
         build_subcorrector(scn, tables, stub, (0.0, 0.0), "origin", eta=0.1)
 
