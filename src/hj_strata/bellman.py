@@ -617,14 +617,13 @@ def solve_ergodic_relative(
         lo, hi = dmin / family.delta, dmax / family.delta
         spans.append(np.full(k, math.nan))
         spans[-1][rows] = span
-        rel = u - u[:, [anchor]]
-        better = span < best[rows]
+        better = span < best[rows]   # u is 0 at the anchor: the relative field
         sub = rows[better]
-        best[sub], best_rate[sub], best_rel[sub] = span[better], rate[better], rel[better]
+        best[sub], best_rate[sub], best_rel[sub] = span[better], rate[better], u[better]
         best_lo[sub], best_hi[sub] = lo[better], hi[better]
         done = span <= 2.0 * tol * family.delta
         for j in np.flatnonzero(done):
-            settle(rows[j], rel[j], rate[j], span[j], lo[j], hi[j], True)
+            settle(rows[j], u[j], rate[j], span[j], lo[j], hi[j], True)
         damp = damped[rows]
         tu[damp] = 0.5 * (u[damp] + tu[damp])
         u = tu

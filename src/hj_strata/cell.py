@@ -48,8 +48,9 @@ budget of every solve is :mod:`hj_strata.bellman`'s own.  To solve at
 another resolution, pass the scenario with replaced schedules
 (:meth:`Scenario.with_schedules`), as ``tabulate_effective`` does for its
 ``tol`` and ``correctors.build_corrector_set`` for its ``h`` and ``tol``.
-Replaced schedules are validated where they are built, so a value no
-solver can run with raises ``ScenarioError`` before any cell is solved.
+Replaced schedules are validated where they are built, and the truncations
+against ``cell_h`` by ``tabulate_effective``, so a value no solver can run
+with raises ``ScenarioError`` before any cell is solved.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from .bellman import (
     ergodic_continuation,
     solve_ergodic_relative,
 )
-from .grids import GridSpec, ValueField
+from .grids import GridSpec, ValueField, _check_multiple
 from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, eval_fields
-from .scenario import FieldPair, Scenario
+from .scenario import FieldPair, Scenario, ScenarioError
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
 
@@ -112,10 +113,10 @@ class BracketError(ValueError):
 
 def _check_window(p, lo: float, hi: float) -> None:
     """Raise :class:`TableRangeError` naming the momentum farthest outside
-    ``[lo, hi]``, if any lies outside."""
+    ``[lo, hi]``, if any lies outside or is NaN (named first)."""
     p = np.asarray(p, dtype=float).ravel()
     excess = np.maximum(lo - p, p - hi)
-    if np.any(excess > 1e-12):
+    if not np.all(excess <= 1e-12):
         worst = float(p[np.argmax(excess)])
         raise TableRangeError(f"momentum {worst:.6g} outside the tabulated window [{lo:.6g}, {hi:.6g}]")
 
@@ -435,10 +436,10 @@ def _background_lines(scn: Scenario, p1: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def background_min_over_q(scn: Scenario, p1: float) -> float:
-    """min over q of the background Hamiltonian at (p1, q): the floor every
-    tangential constant must dominate.  The minimum of a maximum of lines is
-    the highest flat line or the highest crossing of a falling line
-    (``f2 > 0``) with a rising one (``f2 < 0``)."""
+    """min over q of the background Hamiltonian at (p1, q), case1/case3 only:
+    the floor every tangential constant must dominate.  The minimum of a
+    maximum of lines is the highest flat line or the highest crossing of a
+    falling line (``f2 > 0``) with a rising one (``f2 < 0``)."""
     a, f2 = _background_lines(scn, p1)
     fall, rise = f2 > 0.0, f2 < 0.0
     fi, ai = f2[fall, None], a[fall, None]
@@ -447,7 +448,8 @@ def background_min_over_q(scn: Scenario, p1: float) -> float:
 
 
 def slopes(scn: Scenario, p1: float, level: float) -> tuple[float, float]:
-    """Vertical slope window ``(pi_lower, pi_upper)`` at the given level.
+    """Vertical slope window ``(pi_lower, pi_upper)`` at the given level of a
+    case1/case3 background (case2 reads :meth:`EffectiveTables.section_roots`).
 
     ``pi_upper`` is the largest ``q`` with ``h_up(p1, q) <= level`` and
     ``pi_lower`` the smallest ``q`` with ``h_down(p1, q) <= level``.  The
@@ -472,18 +474,19 @@ class EffectiveTables:
     """Tabulated effective Hamiltonian data at a frozen slow point.
 
     ``h1t[branch]`` samples the tangential Hamiltonian on ``p1_grid``;
-    ``pi_lower/pi_upper`` the slope windows at the tangential level; ``E`` is
-    the origin datum.  For periodic backgrounds (case2), ``hbar`` holds the
-    full effective Hamiltonian on the momentum grid ``p_grid x p_grid``.
-    ``flags`` maps entry labels to failure notes; an empty dict means every
-    solve converged and cross-checked.
+    ``pi_lower/pi_upper`` the window of the ambient Hamiltonian at the
+    tangential level lifted to its minimum over q: the background's closed
+    form in case1/case3, the ``hbar`` table's section in case2, where
+    ``hbar`` holds the full effective Hamiltonian on ``p_grid x p_grid``.
+    ``E`` is the origin datum.  ``flags`` maps entry labels to failure
+    notes; an empty dict means every solve converged and cross-checked.
 
     The tables are piecewise linear between their knots, and these methods
     are the only readers of that format: the lookups :meth:`h1t_at` and
     :meth:`hbar_at`, the flank root :meth:`tangential_root`, the section
-    roots :meth:`section_roots`, the difference quotients
-    :meth:`one_sided_quotients` and :meth:`tangential_slope_bound`, the
-    minimizer :meth:`tangential_argmin` and the upwind value
+    :meth:`_section` and its roots :meth:`section_roots`, the difference
+    quotients :meth:`one_sided_quotients` and :meth:`tangential_slope_bound`,
+    the minimizer :meth:`tangential_argmin` and the upwind value
     :meth:`tangential_upwind`.
     """
 
@@ -545,11 +548,14 @@ class EffectiveTables:
         (``"right"`` or ``"left"``); see :func:`_grid_root`."""
         return _grid_root(self.p1_grid, self.h1t[branch], level, side, f"{branch} tangential table", "p1")
 
+    def _section(self, p1: float) -> np.ndarray:
+        """``hbar_at((p1, q))`` at every ``p_grid`` node ``q``, in one lookup."""
+        return self.hbar_at(np.column_stack([np.full_like(self.p_grid, p1), self.p_grid]))
+
     def section_roots(self, p1: float, level: float) -> tuple[float, float]:
         """Both roots ``q`` of ``hbar_at((p1, q)) = level``, lower then upper,
-        on the section read at every ``p_grid`` node in one lookup."""
-        q_grid = self.p_grid
-        section = self.hbar_at(np.column_stack([np.full_like(q_grid, p1), q_grid]))
+        on the section :meth:`_section`."""
+        q_grid, section = self.p_grid, self._section(p1)
         what = f"ambient section at p1={p1:.6g}"
         lower = _grid_root(q_grid, section, level, "left", f"{what}, lower slope", "q")
         upper = _grid_root(q_grid, section, level, "right", f"{what}, upper slope", "q")
@@ -681,6 +687,12 @@ def tabulate_effective(
     sched = scn.schedules
     tol = sched.tol_ergodic if tol is None else tol
     cell_scn = scn.with_schedules(tol_ergodic=tol)
+    for name, what in (("rho_list", "strip height"), ("R_list", "box width")):
+        for t in getattr(sched, name):   # 2t spans the walk's grid at cell_h
+            try:
+                _check_multiple(2.0 * t, sched.cell_h, what)
+            except ValueError as exc:
+                raise ScenarioError(f"schedules.{name}: {exc}") from None
     if p_grid is not None and scn.case != "case2":
         raise ValueError(f"p_grid samples the periodic background of case2; a {scn.case} scenario has none")
     if p1_grid is not None:
@@ -725,20 +737,6 @@ def tabulate_effective(
                 if not est.converged:
                     flags[f"hbar/{n // len(ps)}/{n % len(ps)}"] = _failure_cause((est,), tol)
 
-    pi_lower: dict[str, np.ndarray] = {}
-    pi_upper: dict[str, np.ndarray] = {}
-    for branch in branches:
-        lo = np.full(len(p1s), math.nan)
-        hi = np.full(len(p1s), math.nan)
-        for i, p1 in enumerate(p1s):
-            try:
-                floor = background_min_over_q(scn, float(p1))
-                lo[i], hi[i] = slopes(scn, float(p1), max(h1t[branch][i], floor))
-            except ValueError as exc:
-                flags[f"slopes/{branch}/{i}"] = str(exc)
-        pi_lower[branch] = lo
-        pi_upper[branch] = hi
-
     provenance = {
         "scenario": scn.label,
         "scenario_hash": scn.content_hash(),
@@ -748,12 +746,12 @@ def tabulate_effective(
         "R_list": list(sched.R_list),
         "p_window": window,
     }
-    return EffectiveTables(
+    tables = EffectiveTables(
         x0=(0.0, 0.0),
         p1_grid=p1s,
         h1t=h1t,
-        pi_lower=pi_lower,
-        pi_upper=pi_upper,
+        pi_lower={},
+        pi_upper={},
         E=dirichlet.value,
         E_history=tuple((e.truncation, e.constant) for e in dirichlet.estimates),
         method_gaps=gaps,
@@ -762,3 +760,19 @@ def tabulate_effective(
         flags=flags,
         provenance=provenance,
     )
+    # slope windows at the tangential levels lifted to the ambient minimum over q;
+    # case2's ambient Hamiltonian is the hbar table just built
+    pi_lower: dict[str, np.ndarray] = {}
+    pi_upper: dict[str, np.ndarray] = {}
+    for branch in branches:
+        ends = np.full((2, len(p1s)), math.nan)
+        for i, p1 in enumerate(map(float, p1s)):
+            try:
+                if scn.case == "case2":
+                    ends[:, i] = tables.section_roots(p1, max(h1t[branch][i], tables._section(p1).min()))
+                else:
+                    ends[:, i] = slopes(scn, p1, max(h1t[branch][i], background_min_over_q(scn, p1)))
+            except ValueError as exc:
+                flags[f"slopes/{branch}/{i}"] = str(exc)
+        pi_lower[branch], pi_upper[branch] = ends
+    return replace(tables, pi_lower=pi_lower, pi_upper=pi_upper)

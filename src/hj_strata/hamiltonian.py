@@ -9,12 +9,13 @@ the regions of :meth:`Scenario.regions` -- a branch's closed half-strip
 or the background -- and that region's block (:meth:`Scenario.block`) is
 evaluated at ``(x, y)``.
 
-The directional envelopes split the background control set by the sign of the
-vertical drift component: ``h_down`` keeps controls with ``f2 >= 0`` (those
-admissible when confined to the upper half-plane), ``h_up`` keeps ``f2 <= 0``.
-Controls with ``f2 == 0`` belong to both, so ``max(h_down, h_up)`` equals the
-full Hamiltonian exactly, not merely up to rounding.  A component within
-rounding of zero counts as ``f2 == 0`` (see :func:`_vertical_drift`).
+The directional envelopes of a case1/case3 background split its control set
+by the sign of the vertical drift component: ``h_down`` keeps controls with
+``f2 >= 0`` (admissible when confined to the upper half-plane), ``h_up`` keeps
+``f2 <= 0``.  Controls with ``f2 == 0`` belong to both, so ``max(h_down,
+h_up)`` equals the full Hamiltonian exactly, not merely up to rounding.  A
+component within rounding of zero counts as ``f2 == 0`` (see
+:func:`_vertical_drift`).
 
 :func:`validate_assumptions` samples the structural bounds and the seams
 where two regions' blocks meet, and reports findings instead of raising.
@@ -117,24 +118,22 @@ def _vertical_drift(drift: np.ndarray) -> np.ndarray:
 
 
 def _frozen_background(scenario: Scenario, x) -> tuple[np.ndarray, np.ndarray]:
-    """Background ``(drift, cost)`` of every control at the slow point ``x``
-    with the fast point frozen at the origin."""
+    """Background ``(drift, cost)`` of every control at the slow point ``x``,
+    case1/case3 only: parsing keeps those independent of the fast point.  A
+    case2 background is periodic in y; its ambient Hamiltonian is the
+    ``hbar`` table, so every case2 scenario raises."""
     if scenario.case == "case2":
-        # Periodic backgrounds have no single control split; the envelope
-        # notion needs a y-independent background drift.
-        d1, d2 = scenario.background.drift
-        if (d1.variables | d2.variables) & {"y1", "y2"}:
-            raise ValueError(
-                "directional envelopes need a y-independent background drift; "
-                "this case2 background is periodic in y"
-            )
+        raise ValueError(
+            "directional envelopes need a y-independent background; a case2 background is periodic in y"
+        )
     x = np.asarray(x, dtype=float)
     block = scenario.background
     return block.eval_drift(x[0], x[1], 0.0, 0.0), block.eval_cost(x[0], x[1], 0.0, 0.0)
 
 
 def eval_H_envelopes(scenario: Scenario, x, p) -> tuple[float, float]:
-    """Directional envelopes ``(h_down, h_up)`` of the background Hamiltonian.
+    """Directional envelopes ``(h_down, h_up)`` of the background Hamiltonian,
+    in case1/case3 (case2 raises, see :func:`_frozen_background`).
 
     ``h_down`` maximizes over controls whose background drift has ``f2 >= 0``
     (trajectories that can stay in the upper half-plane), ``h_up`` over

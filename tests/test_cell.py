@@ -168,7 +168,12 @@ def _table_momenta(scn, n=5):
     return np.linspace(-window, window, n)
 
 
-@pytest.mark.parametrize("name", preset_names())
+# presets whose ambient Hamiltonian is the background's closed form; case2's
+# is the hbar table (see test_case2_slope_windows_read_the_hbar_sections)
+CLOSED_FORM_PRESETS = [name for name in preset_names() if load_preset(name).case != "case2"]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_PRESETS)
 def test_slope_window_ends_sit_on_the_level(name):
     """The closed-form window ends solve h_down(pi_lower) = h_up(pi_upper) = level."""
     scn = load_preset(name)
@@ -181,11 +186,11 @@ def test_slope_window_ends_sit_on_the_level(name):
             assert eval_H_envelopes(scn, np.zeros(2), (p1, hi))[1] == pytest.approx(level, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", CLOSED_FORM_PRESETS)
 def test_background_floor_is_attained(name):
     """H(p1, .) attains the closed-form floor at pi_lower(floor) and stays above it."""
     scn = load_preset(name)
-    y = (4.0, 4.0)  # a background point; periodic backgrounds repeat the origin here
+    y = (4.0, 4.0)  # a background point
     assert scn.regions(*y)["background"]
     for p1 in _table_momenta(scn, 3):
         floor = background_min_over_q(scn, p1)
@@ -218,8 +223,9 @@ def test_rounding_level_vertical_drift_counts_as_flat():
             slopes(scn, p1, floor - 0.1)
 
 
-def test_envelope_algebra_rejects_a_y_dependent_case2_drift():
-    scn = parse_scenario(
+def _y_drift_case2():
+    """A case2 scenario whose background drift depends on y."""
+    return parse_scenario(
         {
             "case": "case2",
             "alpha": 1.0,
@@ -233,10 +239,30 @@ def test_envelope_algebra_rejects_a_y_dependent_case2_drift():
         },
         label="t",
     )
-    with pytest.raises(ValueError, match="periodic in y"):
-        slopes(scn, 0.0, 0.0)
-    with pytest.raises(ValueError, match="periodic in y"):
-        background_min_over_q(scn, 0.0)
+
+
+def test_envelope_algebra_rejects_a_y_dependent_case2_drift():
+    # every case2 background is refused, a y-dependent cost (checkerboard) as
+    # much as a y-dependent drift: frozen at y = 0 it is not the ambient
+    # Hamiltonian
+    for scn in (_y_drift_case2(), load_preset("checkerboard")):
+        with pytest.raises(ValueError, match="periodic in y"):
+            slopes(scn, 0.0, 0.0)
+        with pytest.raises(ValueError, match="periodic in y"):
+            background_min_over_q(scn, 0.0)
+        with pytest.raises(ValueError, match="periodic in y"):
+            eval_H_envelopes(scn, np.zeros(2), (0.0, 0.0))
+
+
+def test_a_y_dependent_case2_drift_tabulates_its_slope_windows():
+    # its windows read the hbar sections; the closed form refuses this background
+    scn = _y_drift_case2()
+    grid = _table_momenta(scn)
+    tab = tabulate_effective(scn, tol=1e-3, p1_grid=grid, p_grid=grid)
+    assert [key for key in tab.flags if key.startswith("slopes/")] == []
+    # with no strip defect h1t is the section minimum: each window closes on q = 0
+    assert (tab.pi_lower["main"] <= tab.pi_upper["main"]).all()
+    assert np.abs([tab.pi_lower["main"], tab.pi_upper["main"]]).max() <= 1e-12
 
 
 def test_checkerboard_strip_entry_converges_past_a_plateau():
@@ -327,7 +353,13 @@ def test_unconverged_torus_cell_flags_its_hbar_entry(monkeypatch):
     monkeypatch.setattr(cell, "torus_effective", torus)
     scn = load_preset("checkerboard")
     tab = tabulate_effective(scn, tol=1e-3, p1_grid=[0.0], p_grid=[-0.5, 0.5])
-    assert tab.flags == {"hbar/1/1": "relative VI or continuation not converged"}
+    # the slope window reads this flat table's section, which never reaches
+    # the tangential level above it
+    assert tab.flags == {
+        "hbar/1/1": "relative VI or continuation not converged",
+        "slopes/main/0": "ambient section at p1=0, lower slope: level -0.0997699 is not reached on the "
+                         "left flank; window ends at row q=-0.5, value -0.1",
+    }
     assert tab.hbar.tolist() == [[-0.1, -0.1], [-0.1, -0.1]]
 
 
@@ -344,6 +376,24 @@ def test_slope_failure_flags_its_entry(monkeypatch):
     assert tab.flags == {"slopes/main/2": "no root on this flank"}
     assert math.isnan(tab.pi_lower["main"][2]) and math.isnan(tab.pi_upper["main"][2])
     assert np.isfinite(tab.pi_lower["main"][:2]).all()
+
+
+def test_case2_slope_windows_read_the_hbar_sections():
+    # each window is the section's roots at the tangential level, lifted to
+    # the section's minimum over the p_grid knots (it is linear between them)
+    scn = load_preset("checkerboard")
+    ps = _table_momenta(scn)   # the bench's checkerboard_tables p_grid
+    tab = tabulate_effective(scn, tol=5e-4, p_grid=ps)
+    assert tab.flags == {}
+    for i, p1 in enumerate(map(float, tab.p1_grid)):
+        section = tab.hbar_at(np.column_stack([np.full_like(ps, p1), ps]))
+        level = max(tab.h1t["main"][i], section.min())
+        assert (tab.pi_lower["main"][i], tab.pi_upper["main"][i]) == tab.section_roots(p1, level)
+    # at p1 = 0 (the background frozen at y = 0 gives +-0.9176)
+    centre = len(tab.p1_grid) // 2
+    assert tab.p1_grid[centre] == pytest.approx(0.0, abs=1e-12)
+    assert tab.pi_lower["main"][centre] == pytest.approx(-0.6716, abs=1e-4)
+    assert tab.pi_upper["main"][centre] == pytest.approx(0.6716, abs=1e-4)
 
 
 def _hbar_two_index(tables, p):
@@ -453,6 +503,13 @@ def _tables(h1t, hbar=None):
         p_grid=None if hbar is None else np.linspace(-1.0, 1.0, len(hbar)),
         hbar=None if hbar is None else np.asarray(hbar, dtype=float), flags={},
     )
+
+
+@pytest.mark.parametrize("lookup, p", [("h1t_at", math.nan), ("hbar_at", (0.0, math.nan))])
+def test_strict_lookups_refuse_a_nan_momentum(lookup, p):
+    tables = _tables([1.0, 0.0, 1.0], hbar=np.zeros((3, 3)))
+    with pytest.raises(TableRangeError, match=r"^momentum nan outside the tabulated window \[-1, 1\]$"):
+        getattr(tables, lookup)(p)
 
 
 def test_midpoint_convexity_of_a_two_point_p1_table_is_zero():
@@ -721,9 +778,11 @@ def test_torus_family_equals_lone_cells_bit_for_bit():
 
 def test_tables_do_not_depend_on_the_pool_width():
     scn = load_preset("checkerboard")
-    grids = dict(p1_grid=[-0.8, 0.0, 0.5], p_grid=[-0.6, 0.0, 0.6])
+    # p_grid brackets every slope window, so no entry is NaN (NaN != NaN)
+    grids = dict(p1_grid=[-0.8, 0.0, 0.5], p_grid=[-1.0, 0.0, 1.0])
     one = tabulate_effective(scn, tol=1e-3, threads=1, **grids)
     three = tabulate_effective(scn, tol=1e-3, threads=3, **grids)
+    assert one.flags == {}
     assert one.to_json_dict() == three.to_json_dict()
 
 

@@ -226,10 +226,18 @@ def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
         (lambda scn: scn.with_schedules(rho_list=(True, 2.0)), "rho_list: expected a list of numbers"),
         (lambda scn: scn.with_schedules(R_list=("a", "b")), "R_list: expected a list of numbers"),
         (lambda scn: scn.with_schedules(rho_list=[1, "x"]), "rho_list: expected a list of numbers"),
+        # truncations whose grids cell_h does not divide, refused before the walks are submitted
+        (lambda scn: tabulate_effective(scn.with_schedules(rho_list=(0.3, 1.0))),
+         r"rho_list: strip height \(0\.6\) must be a positive integer multiple of h \(0\.0625\)$"),
+        (lambda scn: tabulate_effective(scn.with_schedules(R_list=(0.3,))),
+         r"R_list: box width \(0\.6\) must be a positive integer multiple of h \(0\.0625\)$"),
+        (lambda scn: tabulate_effective(scn.with_schedules(cell_h=0.3)),
+         r"rho_list: strip height \(2\.0\) must be a positive integer multiple of h \(0\.3\)$"),
     ],
     ids=["with_schedules", "with_schedules-first-clause", "lambda_factor", "rho_list", "tabulate_effective",
          "build_corrector_set-tol", "build_corrector_set-h", "rho_list-boolean", "R_list-strings",
-         "rho_list-mixed"],
+         "rho_list-mixed", "tabulate_effective-rho_list-grid", "tabulate_effective-R_list-grid",
+         "tabulate_effective-cell_h-grid"],
 )
 def test_every_schedule_path_refuses_what_parsing_refuses(build, clause, monkeypatch):
     # replaced schedules are validated where they are built, before any solve
