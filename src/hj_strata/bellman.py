@@ -238,7 +238,10 @@ class SLOperator:
     stencils and admissibility are computed once for the whole family, one
     control at a time into the kept arrays, so a build allocates little
     beyond what the operator keeps.  Methods take and return one row of
-    values per cell, shape (cells, N).
+    values per cell, shape (cells, N).  A drift or cost that is not finite
+    raises ``ValueError`` naming the field, the control and the node: no
+    solver's stop rule holds at a NaN, and ``+inf`` in ``base`` marks an
+    inadmissible control.
     """
 
     def __init__(self, grid: GridSpec, drift: np.ndarray, cost: np.ndarray, delta: float):
@@ -253,6 +256,12 @@ class SLOperator:
         na = drift.shape[0]
         if drift.shape != (na, n, 2) or cost.shape[:2] != (na, n) or cost.ndim not in (2, 3):
             raise ValueError("drift/cost shapes do not match the grid")
+        for name, values in (("drift", drift), ("cost", cost)):
+            if not np.isfinite(values).all():
+                a, k = np.argwhere(~np.isfinite(values))[0][:2]
+                raise ValueError(
+                    f"{name} of control {a} is not finite at node ({nodes[k][0]:.6g}, {nodes[k][1]:.6g})"
+                )
         self.idx = np.empty((na, n, 4), dtype=np.int32)
         self.w = np.empty((na, n, 4))
         self.base = np.empty((na, n, 1 if cost.ndim == 2 else cost.shape[2]))

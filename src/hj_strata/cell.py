@@ -41,6 +41,14 @@ result per cell, bit for bit what the cell gets alone.
 the first truncation, every one at the second, then only those whose last
 two constants disagree.
 
+Ambient Hamiltonian: H̄ at the frozen slow point has three readers, each the
+only place that tells case2's ``hbar`` table from the closed form of a
+case1/case3 background.  :func:`ambient_level` gives H̄(0, p),
+:func:`ambient_floor` its minimum over q at a given ``p1``, and
+:func:`ambient_window` both roots q of a level.  The tables' slope windows
+and the subsolution drafts of :mod:`hj_strata.correctors` read H̄ only
+through them.
+
 Resolution: every cell problem reads its grid spacing ``cell_h``, its time
 step (``sl_step``, through ``SolverSchedules.delta``) and its tolerance
 ``tol_ergodic`` from ``scn.schedules``, and nothing else; the iteration
@@ -449,7 +457,7 @@ def background_min_over_q(scn: Scenario, p1: float) -> float:
 
 def slopes(scn: Scenario, p1: float, level: float) -> tuple[float, float]:
     """Vertical slope window ``(pi_lower, pi_upper)`` at the given level of a
-    case1/case3 background (case2 reads :meth:`EffectiveTables.section_roots`).
+    case1/case3 background (:func:`ambient_window` reads case2's table).
 
     ``pi_upper`` is the largest ``q`` with ``h_up(p1, q) <= level`` and
     ``pi_lower`` the smallest ``q`` with ``h_down(p1, q) <= level``.  The
@@ -469,15 +477,41 @@ def slopes(scn: Scenario, p1: float, level: float) -> tuple[float, float]:
     return float(np.max((a[fall] - level) / f2[fall])), float(np.min((a[rise] - level) / f2[rise]))
 
 
+def ambient_level(scn: Scenario, tables: EffectiveTables, p) -> float:
+    """Ambient effective value H̄(0, p) at the frozen slow point: the ``hbar``
+    table in case2, else the highest background line at ``(p1, p2)``."""
+    if scn.case == "case2":
+        return float(tables.hbar_at(p))
+    a, f2 = _background_lines(scn, p[0])
+    return float(np.max(a - p[1] * f2))
+
+
+def ambient_floor(scn: Scenario, tables: EffectiveTables, p1: float) -> float:
+    """min over q of H̄(0, (p1, q)): the least value of the ``hbar`` section
+    in case2, else :func:`background_min_over_q`."""
+    if scn.case == "case2":
+        return float(tables._section(p1).min())
+    return background_min_over_q(scn, p1)
+
+
+def ambient_window(scn: Scenario, tables: EffectiveTables, p1: float, level: float) -> tuple[float, float]:
+    """Both roots q of H̄(0, (p1, q)) = level, lower then upper: case2's
+    :meth:`EffectiveTables.section_roots`, else :func:`slopes`.  Each raises
+    ``ValueError`` where ``level`` lies below what it brackets."""
+    if scn.case == "case2":
+        return tables.section_roots(p1, level)
+    return slopes(scn, p1, level)
+
+
 @dataclass(frozen=True, slots=True)
 class EffectiveTables:
     """Tabulated effective Hamiltonian data at a frozen slow point.
 
     ``h1t[branch]`` samples the tangential Hamiltonian on ``p1_grid``;
-    ``pi_lower/pi_upper`` the window of the ambient Hamiltonian at the
-    tangential level lifted to its minimum over q: the background's closed
-    form in case1/case3, the ``hbar`` table's section in case2, where
-    ``hbar`` holds the full effective Hamiltonian on ``p_grid x p_grid``.
+    ``pi_lower/pi_upper`` hold, at each ``p1``, :func:`ambient_window` at the
+    tangential level lifted to :func:`ambient_floor`.  In case2 ``hbar``
+    holds the full effective Hamiltonian on ``p_grid x p_grid``, which those
+    readers read.
     ``E`` is the origin datum.  ``flags`` maps entry labels to failure
     notes; an empty dict means every solve converged and cross-checked.
 
@@ -515,6 +549,11 @@ class EffectiveTables:
         return np.interp(p1a, self.p1_grid, self.h1t[branch])
 
     def hbar_at(self, p, *, clip: bool = False) -> float | np.ndarray:
+        """Bilinear lookup of ``hbar`` at the momenta ``p`` (shape (..., 2)):
+        a float for one momentum, else an array of shape ``p.shape[:-1]``.
+        ``clip`` clamps each component into the window instead of raising
+        :class:`TableRangeError`; without ``hbar`` (case1/case3) it raises
+        ``ValueError``."""
         if self.hbar is None or self.p_grid is None:
             raise ValueError("this scenario has no periodic-background table")
         p = np.asarray(p, dtype=float)
@@ -575,7 +614,7 @@ class EffectiveTables:
         left, right = quotients[np.clip(np.subtract(ends, 1), 0, len(quotients) - 1)]
         return float(left), float(right)
 
-    def tangential_slope_bound(self, branch: str = "main") -> float:
+    def tangential_slope_bound(self, branch: str) -> float:
         return float(np.max(np.abs(self._quotients(branch))))
 
     def tangential_argmin(self, branch: str) -> float:
@@ -701,7 +740,9 @@ def tabulate_effective(
         p_grid = _momentum_grid(p_grid, "p_grid", 2)
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if not math.isfinite(bounds["p_window"]):
-        raise ValueError("cannot size the momentum window: control hull is degenerate (r_f <= 0)")
+        bad = next((k for k in ("M_f", "M_l", "r_f") if not math.isfinite(bounds[k])), None)
+        cause = f"the sampled bound {bad} is {bounds[bad]}" if bad else "control hull is degenerate (r_f <= 0)"
+        raise ValueError(f"cannot size the momentum window: {cause}")
     window = 1.05 * bounds["p_window"]
     p1s = p1_grid if p1_grid is not None else np.linspace(-window, window, sched.p1_points)
     branches = list(scn.branches)
@@ -768,10 +809,7 @@ def tabulate_effective(
         ends = np.full((2, len(p1s)), math.nan)
         for i, p1 in enumerate(map(float, p1s)):
             try:
-                if scn.case == "case2":
-                    ends[:, i] = tables.section_roots(p1, max(h1t[branch][i], tables._section(p1).min()))
-                else:
-                    ends[:, i] = slopes(scn, p1, max(h1t[branch][i], background_min_over_q(scn, p1)))
+                ends[:, i] = ambient_window(scn, tables, p1, max(h1t[branch][i], ambient_floor(scn, tables, p1)))
             except ValueError as exc:
                 flags[f"slopes/{branch}/{i}"] = str(exc)
         pi_lower[branch], pi_upper[branch] = ends

@@ -14,7 +14,9 @@ three effective levels dominates at the target covector:
   the slightly lifted level E + η.
 
 ``build_subcorrector`` takes the paper's two steps: a draft reads the pieces
-and their momenta off the tabulated levels and closed forms, then one step
+and their momenta off the tables and the ambient readers of
+:mod:`hj_strata.cell` (:func:`~hj_strata.cell.ambient_level`,
+:func:`~hj_strata.cell.ambient_window`), then one step
 (``_solved``) makes every cell solve at the resolution of the frozen
 :class:`CorrectorSet`: it gives each piece the corrector of its cell
 problem, polishing case2's vertical roots first.  The build then fits the
@@ -55,13 +57,15 @@ from .cell import (
     BracketError,
     ErgodicEstimate,
     EffectiveTables,
+    ambient_level,
+    ambient_window,
     ball_ergodic,
-    slopes,
+    slopes,  # not called here; bench/tracing.py patches and restores correctors.slopes
     strip_ergodic,
     torus_effective,
 )
 from .grids import _BLOCK, GridSpec, ValueField
-from .hamiltonian import _frozen_background, eval_fields
+from .hamiltonian import eval_fields
 from .scenario import Scenario
 
 __all__ = [
@@ -96,24 +100,8 @@ class RegimeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# level queries and momentum roots
+# case2 vertical roots
 # ---------------------------------------------------------------------------
-
-
-def plane_level(scn: Scenario, tables: EffectiveTables, p) -> float:
-    """Ambient effective value H̄(0, p) at the frozen slow point."""
-    p = np.asarray(p, dtype=float)
-    if scn.case == "case2":
-        return float(tables.hbar_at(p))
-    drift, cost = _frozen_background(scn, _X0)
-    return float(np.max(-(drift @ p) - cost))
-
-
-def _vertical_roots(scn: Scenario, tables: EffectiveTables, p1: float, level: float) -> tuple[float, float]:
-    """Both roots q₂ of H̄(0, (p₁, q₂)) = level, bracketing the sublevel set."""
-    if scn.case != "case2":
-        return slopes(scn, p1, level)
-    return tables.section_roots(p1, level)
 
 
 def _polish_vertical_root(
@@ -384,7 +372,7 @@ def select_regime(scn: Scenario, tables: EffectiveTables, p) -> str:
     """
     tie = _tie(tables)
     p = _covector(p)
-    plane = plane_level(scn, tables, p)
+    plane = ambient_level(scn, tables, p)
     line = max(_line_levels(scn, tables, p[0]).values())
     if plane > max(line, tables.E) + tie:
         return "plane"
@@ -675,7 +663,7 @@ def _band_pieces(roots: Mapping[str, float]) -> list[Piece]:
 
 
 def _draft_plane(scn, tables, p, eta, notes) -> _Draft:
-    level = plane_level(scn, tables, p)
+    level = ambient_level(scn, tables, p)
     roots = _facing_roots(scn, tables, level)
     for b, q in roots.items():
         # the band must undercut the target along its own half-line
@@ -698,7 +686,7 @@ def _draft_line_single(scn, tables, p, eta, notes) -> _Draft:
         pieces = [Piece(label="target", kind="affine", slope=p), _strip_piece("band", p_tilde)]
         notes.append("band carried at the far-side root")
     else:
-        q_values["pi_upper"] = pi_upper = _vertical_roots(scn, tables, p_tilde, level)[1]
+        q_values["pi_upper"] = pi_upper = ambient_window(scn, tables, p_tilde, level)[1]
         pieces = [
             Piece(label="target", kind="affine", slope=p),
             _strip_piece("band", p[0]),
@@ -733,7 +721,7 @@ def _drop_band(scn, tables, p, level):
 def _draft_line_split(scn, tables, p, eta, notes) -> _Draft:
     lines = _line_levels(scn, tables, p[0])
     level = max(lines.values())
-    plane = plane_level(scn, tables, p)
+    plane = ambient_level(scn, tables, p)
     gap = lines["minus"] - lines["plus"]
     if abs(gap) > _TIE_SLACK:
         # One band dominates; its own momentum runs at the level while the
@@ -751,7 +739,7 @@ def _draft_line_split(scn, tables, p, eta, notes) -> _Draft:
     if level > plane + _TIE_SLACK:
         # Equal bands above the ambient level: each half-plane keeps its own
         # band piece, glued along the vertical axis by the plane wave.
-        lo, hi = _vertical_roots(scn, tables, p[0], level)
+        lo, hi = ambient_window(scn, tables, p[0], level)
         if not (lo - _TIE_SLACK <= p[1] <= hi + _TIE_SLACK):
             raise RegimeError(
                 f"vertical roots ({lo:.6g}, {hi:.6g}) fail to bracket p2={p[1]:.6g} "
@@ -789,7 +777,7 @@ def _draft_line_split(scn, tables, p, eta, notes) -> _Draft:
 
 
 def _draft_origin(scn, tables, p, eta, notes) -> _Draft:
-    plane = plane_level(scn, tables, p)
+    plane = ambient_level(scn, tables, p)
     lines = _line_levels(scn, tables, p[0])
     # The construction certifies the lifted level, so that is what must be on
     # top -- comparing raw E would reject solver-tolerance ties it covers.
@@ -800,7 +788,7 @@ def _draft_origin(scn, tables, p, eta, notes) -> _Draft:
         )
     level = tables.E + eta
     roots = _facing_roots(scn, tables, level)
-    q_lo, q_hi = _vertical_roots(scn, tables, p[0], level)
+    q_lo, q_hi = ambient_window(scn, tables, p[0], level)
     pieces = [
         Piece(label="bracket-lower", kind="affine", slope=(p[0], q_lo)),
         Piece(label="bracket-upper", kind="affine", slope=(p[0], q_hi)),
@@ -868,7 +856,7 @@ def build_subcorrector(
     if regime != "origin" and (selected := select_regime(scn, tables, p)) != regime:
         raise RegimeError(
             f"{regime} regime requested, but the level ordering selects {selected!r}: "
-            f"ambient {plane_level(scn, tables, p):.6g}, "
+            f"ambient {ambient_level(scn, tables, p):.6g}, "
             f"tangential {_line_levels(scn, tables, p[0])}, origin {tables.E:.6g}"
         )
     draft = _DRAFTS[regime][len(scn.branches) > 1](scn, tables, p, eta, [])

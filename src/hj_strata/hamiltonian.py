@@ -239,6 +239,7 @@ def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, flo
             rng.uniform(-scenario.R0, scenario.R0, size=n // 4),
         ]),
     ])
+    # np.maximum/np.minimum fold the bounds: unlike max/min they keep a NaN sample
     m_f = 0.0
     m_l = 0.0
     r_f = math.inf
@@ -246,20 +247,21 @@ def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, flo
     eps = 1e-4
     for x in xs:
         drift, cost = eval_fields(scenario, x, ys)
-        m_f = max(m_f, float(np.max(np.linalg.norm(drift, axis=-1))))
-        m_l = max(m_l, float(np.max(np.abs(cost))))
+        m_f = np.maximum(m_f, np.max(np.linalg.norm(drift, axis=-1)))
+        m_l = np.maximum(m_l, np.max(np.abs(cost)))
         sub = ys[:: max(1, len(ys) // 48)]
         for y in sub:
             pts = eval_fields(scenario, x, y)[0]
-            r_f = min(r_f, hull_inradius(pts))
+            r_f = np.minimum(r_f, hull_inradius(pts))
         steps = rng.normal(size=ys.shape)
         steps *= eps / np.linalg.norm(steps, axis=1, keepdims=True)
         drift2, cost2 = eval_fields(scenario, x, ys + steps)
         df = np.max(np.linalg.norm(drift2 - drift, axis=-1)) / eps
         dl = np.max(np.abs(cost2 - cost)) / eps
-        l_f = max(l_f, float(df), float(dl))
+        l_f = np.maximum(np.maximum(l_f, df), dl)
     p_window = m_l * (1.0 + 1.0 / r_f) if r_f > 0 else math.nan
-    return {"M_f": m_f, "M_l": m_l, "r_f": r_f, "L_f": l_f, "p_window": p_window}
+    bounds = {"M_f": m_f, "M_l": m_l, "r_f": r_f, "L_f": l_f, "p_window": p_window}
+    return {k: float(v) for k, v in bounds.items()}
 
 
 def _seam_gap(
@@ -273,7 +275,7 @@ def _seam_gap(
     db = block_b.eval_drift(x1, x1, pts_b[:, 0], pts_b[:, 1])
     ca = block_a.eval_cost(x1, x1, pts[:, 0], pts[:, 1])
     cb = block_b.eval_cost(x1, x1, pts_b[:, 0], pts_b[:, 1])
-    return max(float(np.max(np.abs(da - db))), float(np.max(np.abs(ca - cb))))
+    return float(np.maximum(np.max(np.abs(da - db)), np.max(np.abs(ca - cb))))
 
 
 def _outside_gap(scenario: Scenario, block: FieldPair, pts: np.ndarray, step) -> float:
@@ -281,7 +283,7 @@ def _outside_gap(scenario: Scenario, block: FieldPair, pts: np.ndarray, step) ->
     of the region :meth:`Scenario.regions` puts at ``pts + step``."""
     moved = pts + step
     masks = scenario.regions(moved[:, 0], moved[:, 1])
-    return max(_seam_gap(block, scenario.block(r), pts[m]) for r, m in masks.items() if m.any())
+    return float(np.max([_seam_gap(block, scenario.block(r), pts[m]) for r, m in masks.items() if m.any()]))
 
 
 @dataclass(frozen=True, slots=True)

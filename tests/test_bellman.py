@@ -411,6 +411,18 @@ def test_operator_refuses_a_non_positive_step_and_mismatched_shapes():
             SLOperator(grid, bad_drift, bad_cost, 0.25)
 
 
+def test_operator_refuses_a_field_that_is_not_finite():
+    # a NaN meets no stop rule, so a solve would run out its whole budget,
+    # and +inf is the operator's own mark of an inadmissible control
+    grid = GridSpec.box(1.0, 0.5)
+    node = 3                                  # (-1, 0.5) in flat order
+    for name, value, control in (("cost", math.nan, 1), ("cost", math.inf, 0), ("drift", math.nan, 1)):
+        drift, cost = np.zeros((2, grid.size, 2)), np.ones((2, grid.size, 3))
+        {"drift": drift, "cost": cost}[name][control, node, -1] = value
+        with pytest.raises(ValueError, match=rf"^{name} of control {control} is not finite at node \(-1, 0.5\)$"):
+            SLOperator(grid, drift, cost, 0.25)
+
+
 def test_discounted_max_iter_returns_flagged_best_iterate(monkeypatch):
     from hj_strata import bellman
 

@@ -136,6 +136,22 @@ def test_degenerate_control_hull_cannot_size_the_window():
         tabulate_effective(scn, p1_grid=[0.0])
 
 
+def test_a_nan_bound_cannot_size_the_window():
+    # sqrt(y2) is NaN on the band's lower half, so the bound of the field it
+    # enters reads NaN, and the refusal names that bound, not the control
+    # hull (a NaN drift also leaves r_f = 0)
+    for drift, cost, bound in ((["{a1}", "{a2}"], "sqrt(y2)", "M_l"), (["{a1}", "{a2}*sqrt(y2)"], "1", "M_f")):
+        scn = parse_scenario(
+            {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": {"directions": 8, "speed": 1.0},
+             "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+             "strip_defect": {"period": 1.0, "drift": drift, "cost": cost}},
+            label="t",
+        )
+        message = rf"^cannot size the momentum window: the sampled bound {bound} is nan$"
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+            tabulate_effective(scn)
+
+
 def test_background_min_over_q():
     scn = load_preset("eikonal")
     # background H(p1, q) = |p| cos(pi/16) - 1 up to the direction quantization;

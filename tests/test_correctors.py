@@ -5,7 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hj_strata.cell import EffectiveTables, _grid_root, tabulate_effective, torus_effective
+from hj_strata.cell import (
+    EffectiveTables,
+    _grid_root,
+    ambient_level,
+    ambient_window,
+    tabulate_effective,
+    torus_effective,
+)
 from hj_strata.correctors import (
     BracketError,
     Piece,
@@ -17,12 +24,10 @@ from hj_strata.correctors import (
     _fit_max,
     _one_step,
     _polish_vertical_root,
-    _vertical_roots,
     bellman_certificate,
     build_corrector_set,
     build_subcorrector,
     majorant_gap,
-    plane_level,
     select_regime,
     subsolution_residual,
 )
@@ -389,7 +394,7 @@ def test_selected_line_regime_builds_inside_the_tie(attract):
     scn, tables, correctors = attract
     p = (0.3, 0.75)
     tol = tables.provenance["tol_ergodic"]
-    plane = plane_level(scn, tables, p)
+    plane = ambient_level(scn, tables, p)
     planted = _raised(tables, main=plane - 0.5 * tol - float(tables.h1t_at(p[0])))
     level = float(planted.h1t_at(p[0]))
     assert plane - tol < level < plane and level > planted.E + tol
@@ -617,7 +622,7 @@ def _tied(scn, tables, p, **h1t):
     """Tables (branch values overridden by ``h1t``) whose tangential levels at
     ``p[0]`` equal the ambient level at ``p``."""
     tables = dataclasses.replace(tables, h1t={**tables.h1t, **h1t})
-    plane = plane_level(scn, tables, p)
+    plane = ambient_level(scn, tables, p)
     return _raised(tables, **{b: plane - float(tables.h1t_at(p[0], b)) for b in tables.h1t})
 
 
@@ -647,7 +652,7 @@ def test_case3_three_way_tie_drops_a_band_below_the_level(mirror, p1, dropped, t
     override = {"plus": tables.p1_grid.copy()} if dropped == "minus" else {}
     tied = _tied(scn, tables, p, **override)
     spec = build_subcorrector(scn, tied, correctors, p, "line")
-    assert spec.level == pytest.approx(plane_level(scn, tied, p), abs=1e-9)
+    assert spec.level == pytest.approx(ambient_level(scn, tied, p), abs=1e-9)
     assert spec.eta == 0.0
     assert any(f"{dropped} table {tag} through the level" in note for note in spec.notes)
     p_tilde = spec.q_values["p_tilde"]
@@ -663,7 +668,7 @@ def test_case3_tie_at_the_table_minimum_lifts_the_level(mirror):
     tied = _tied(scn, tables, p)
     spec = build_subcorrector(scn, tied, correctors, p, "line")
     assert spec.eta == pytest.approx(0.05)
-    assert spec.level == pytest.approx(plane_level(scn, tied, p) + 0.05, abs=1e-9)
+    assert spec.level == pytest.approx(ambient_level(scn, tied, p) + 0.05, abs=1e-9)
     assert any("certifying the lifted level" in note for note in spec.notes)
     p_tilde = spec.q_values["p_tilde"]
     assert p_tilde < 0.0
@@ -788,22 +793,26 @@ def _solved_constants(monkeypatch, constant):
 
 
 def test_vertical_root_polish_notes_a_stall(monkeypatch):
-    # every solved constant misses the level by 0.1, so the secant never
-    # settles: the first iterate is kept and the stall is noted
+    # every solved constant misses the level by 0.1, so the polish never
+    # settles: on a convex table the secant runs out its six solves, and on
+    # one flat around q0 the first solve leaves no slope to step along.
+    # Either way the first iterate is kept and the stall is noted
     p_grid = np.linspace(-1.0, 1.0, 9)
     zeros = np.zeros(3)
-    tables = EffectiveTables(
-        x0=(0.0, 0.0), p1_grid=np.linspace(-1.0, 1.0, 3), h1t={"main": zeros}, pi_lower={"main": zeros},
-        pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
-        p_grid=p_grid, hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5, flags={},
-    )
-    asked = _solved_constants(monkeypatch, lambda q: 0.1)
-    notes = []
-    stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
-    q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
-    assert q == 0.5 and len(asked) == 6
-    assert est.momentum == (0.0, 0.5)  # the kept iterate's own estimate
-    assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]
+    convex = p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5
+    for hbar, solves in ((convex, 6), (np.full_like(convex, -0.5), 1)):
+        tables = EffectiveTables(
+            x0=(0.0, 0.0), p1_grid=np.linspace(-1.0, 1.0, 3), h1t={"main": zeros}, pi_lower={"main": zeros},
+            pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
+            p_grid=p_grid, hbar=hbar, flags={},
+        )
+        asked = _solved_constants(monkeypatch, lambda q: 0.1)
+        notes = []
+        stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
+        q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
+        assert q == 0.5 and len(asked) == solves
+        assert est.momentum == (0.0, 0.5)  # the kept iterate's own estimate
+        assert notes == ["upper bracket slope: solved-root polish stalled at offset +1.00e-01 (momentum 0.5)"]
 
 
 def test_vertical_root_polish_takes_secant_steps_to_the_solved_root(monkeypatch):
@@ -869,7 +878,7 @@ def test_equal_bands_refuse_vertical_roots_that_miss_the_covector(monkeypatch):
     scn = load_preset("case3_mirror")
     grid = np.array([-1.0, 0.0, 1.0])
     tables = _hand_tables(grid, {"plus": np.full(3, 10.0), "minus": np.full(3, 10.0)}, E=0.0)
-    monkeypatch.setattr(correctors, "_vertical_roots", lambda *args: (0.5, 1.0))
+    monkeypatch.setattr(correctors, "ambient_window", lambda *args: (0.5, 1.0))
     with pytest.raises(RegimeError, match=r"vertical roots \(0.5, 1\) fail to bracket p2=0 at the shared"):
         build_subcorrector(scn, tables, SimpleNamespace(scenario=scn), (0.0, 0.0), "line")
 
@@ -893,7 +902,7 @@ def test_origin_regime_refuses_polished_roots_that_miss_the_covector(monkeypatch
 
 
 def test_vertical_section_is_read_in_one_lookup_bit_for_bit():
-    # EffectiveTables.section_roots, which _vertical_roots reads in case2,
+    # EffectiveTables.section_roots, which ambient_window reads in case2,
     # reads the section q -> H̄(0, (p1, q)) on the whole p_grid in one hbar_at
     # call; each value equals its point's own lookup, so both roots equal
     # those of the point-by-point section
@@ -909,7 +918,7 @@ def test_vertical_section_is_read_in_one_lookup_bit_for_bit():
         lower = _grid_root(q_grid, lone, level, "left", "lower", "q")
         upper = _grid_root(q_grid, lone, level, "right", "upper", "q")
         assert tables.section_roots(p1, level) == (lower, upper)
-        assert _vertical_roots(scn, tables, p1, level) == (lower, upper)
+        assert ambient_window(scn, tables, p1, level) == (lower, upper)
 
 
 def test_section_root_failures_name_the_vertical_momentum():

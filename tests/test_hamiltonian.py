@@ -370,6 +370,31 @@ def test_assumption_checks_catch_seam_mismatch():
             assert expected <= failed, f"{raw} seed {seed}: {sorted(failed)}"
 
 
+def _nan_strip():
+    """A strip cost of sqrt(y2), NaN on the band's lower half."""
+    return parse_scenario(_case1("sqrt(y2)"), label="nan strip")
+
+
+def test_bounds_keep_a_nan_field():
+    # folded with Python max/min the NaN samples dropped out (max(0.0, nan)
+    # is 0.0), and the bounds read 0
+    with np.errstate(invalid="ignore"):
+        bounds = estimate_bounds(_nan_strip(), samples=200, seed=0)
+    assert all(math.isnan(bounds[k]) for k in ("M_l", "L_f", "p_window"))
+    assert bounds["M_f"] == 1.0 and bounds["r_f"] == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
+
+
+def test_assumption_checks_fail_on_a_nan_field():
+    scn = _nan_strip()
+    for seed in CHECK_SEEDS:
+        with np.errstate(invalid="ignore"):
+            report = validate_assumptions(scn, seed=seed)
+        assert {e.name for e in report.failures()} == {
+            "cost_bound", "lipschitz_surrogate",
+            "strip_periodicity", "strip_background_seam", "strip_mouth_seam", "strip_edge_seam",
+        }
+
+
 def test_assumption_checks_deterministic():
     scn = load_preset("strip_attract")
     r1 = validate_assumptions(scn, seed=9)

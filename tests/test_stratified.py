@@ -52,6 +52,12 @@ def test_no_defect_solution_is_constant_both_routes():
     u_strat = solve_effective(scn, tables, grid, tol=1e-10)
     assert np.max(np.abs(u_plain.values - 1.0 / scn.alpha)) <= 1e-8
     assert np.max(np.abs(u_strat.values - u_plain.values)) <= 1e-8
+    # without a grid the solve runs on the scheduled box, bit for bit
+    sched = scn.schedules
+    scheduled = GridSpec.box(sched.box_half_width, sched.grid_h)
+    u_default = solve_unstratified(scn, tol=1e-10)
+    assert u_default.grid == scheduled
+    assert u_default.values.tobytes() == solve_unstratified(scn, grid=scheduled, tol=1e-10).values.tobytes()
 
 
 def test_no_defect_report_is_clean():
