@@ -70,6 +70,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import kernels
 from .bellman import (
     ContinuationResult,
     ErgodicRelativeResult,
@@ -79,7 +80,7 @@ from .bellman import (
     solve_ergodic_relative,
 )
 from .grids import GridSpec, ValueField, _check_multiple
-from .hamiltonian import _frozen_background, _vertical_drift, estimate_bounds, eval_fields
+from .hamiltonian import _frozen_background, _nonfinite_bound, _vertical_drift, estimate_bounds, eval_fields
 from .scenario import FieldPair, Scenario, ScenarioError
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
@@ -557,30 +558,20 @@ class EffectiveTables:
         if self.hbar is None or self.p_grid is None:
             raise ValueError("this scenario has no periodic-background table")
         p = np.asarray(p, dtype=float)
-        p1 = np.atleast_1d(p[..., 0]).ravel()
-        p2 = np.atleast_1d(p[..., 1]).ravel()
-        g = self.p_grid
+        q, g = p.reshape(-1, 2).T.copy(), self.p_grid   # (2, n), each component contiguous
         if clip:
-            p1 = np.clip(p1, g[0], g[-1])
-            p2 = np.clip(p2, g[0], g[-1])
+            q = np.clip(q, g[0], g[-1])
         else:
-            _check_window(np.concatenate([p1, p2]), g[0], g[-1])
-        # the cell [g[i], g[i+1]] of each momentum, clamped to the end cells:
-        # clip(searchsorted(g, p) - 1, 0, m - 2) in one search
-        i = np.searchsorted(g[1:-1], p1)
-        j = np.searchsorted(g[1:-1], p2)
-        t = (p1 - g[i]) / (g[i + 1] - g[i])
-        s = (p2 - g[j]) / (g[j + 1] - g[j])
+            _check_window(q, g[0], g[-1])
+        # the cell [g[k], g[k+1]] of each component, clamped to the end cells:
+        # clip(searchsorted(g, q) - 1, 0, m - 2) in one search
+        k = np.searchsorted(g[1:-1], q)
+        t, s = (q - g[k]) / (g[k + 1] - g[k])
         m = self.hbar.shape[1]
-        flat, corner = self.hbar.reshape(-1), i * m + j   # flat index of hbar[i, j]
-        v = (
-            (1 - t) * (1 - s) * np.take(flat, corner)
-            + t * (1 - s) * np.take(flat, corner + m)
-            + (1 - t) * s * np.take(flat, corner + 1)
-            + t * s * np.take(flat, corner + m + 1)
-        )
-        out = v.reshape(p[..., 0].shape) if p.ndim > 1 else float(v[0])
-        return out
+        c = (k[0] * m + k[1]).astype(np.int32)   # flat index of the corner hbar[k1, k2]
+        w = np.column_stack([(1 - t) * (1 - s), t * (1 - s), (1 - t) * s, t * s])
+        v = kernels.stencil_product(np.column_stack([c, c + m, c + 1, c + m + 1]), w, self.hbar.reshape(-1))
+        return v.reshape(p.shape[:-1]) if p.ndim > 1 else float(v[0])
 
     def tangential_root(self, branch: str, level: float, side: str) -> float:
         """Root of ``h1t[branch] = level`` on the ``side`` flank of its argmin
@@ -740,8 +731,7 @@ def tabulate_effective(
         p_grid = _momentum_grid(p_grid, "p_grid", 2)
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if not math.isfinite(bounds["p_window"]):
-        bad = next((k for k in ("M_f", "M_l", "r_f") if not math.isfinite(bounds[k])), None)
-        cause = f"the sampled bound {bad} is {bounds[bad]}" if bad else "control hull is degenerate (r_f <= 0)"
+        cause = _nonfinite_bound(bounds) or "control hull is degenerate (r_f <= 0)"
         raise ValueError(f"cannot size the momentum window: {cause}")
     window = 1.05 * bounds["p_window"]
     p1s = p1_grid if p1_grid is not None else np.linspace(-window, window, sched.p1_points)

@@ -64,7 +64,7 @@ from .cell import (
     strip_ergodic,
     torus_effective,
 )
-from .grids import _BLOCK, GridSpec, ValueField
+from .grids import GridSpec, ValueField
 from .hamiltonian import eval_fields
 from .scenario import Scenario
 
@@ -93,6 +93,10 @@ _TIE_SLACK = 1e-9
 # Largest measured level residual that lets a piece be selected off its
 # analytic home region (see _territory).
 _SAFETY_MARGIN = 5e-3
+# Points per block of a one-step reading (_one_step), nodes and feet together:
+# read at once, one certificate reading on strip_attract's 16,641-node sample
+# grid peaked at 51-54 MB under tracemalloc, in blocks at 17 MB.
+_BLOCK = 1 << 14
 
 
 class RegimeError(ValueError):
@@ -107,16 +111,19 @@ class RegimeError(ValueError):
 def _polish_vertical_root(
     tables: EffectiveTables, correctors: CorrectorSet, p1: float, q0: float, level: float, notes: list, what: str
 ) -> tuple[float, ErgodicEstimate]:
-    """Move a case2 vertical root of ``level`` that sits above it onto it.
+    """Move a case2 vertical root of ``level`` that sits above it to just below it.
 
     The ambient table is interpolated on a coarse momentum grid, so its roots
     can miss the solved level -- and a plane wave pinned at a root above it
-    runs above the level it claims.  A root whose solved constant sits at or
-    below the level is kept: moving it would spend the margin.  Secant
-    iteration on solved cell constants pins any other root to solver
-    accuracy; convexity keeps each flank monotone, and if the secant still
-    fails to settle, the best iterate is kept and noted.  Returns the kept
-    slope and its torus estimate.  Called by :func:`_solved` only.
+    runs above the level it claims.  Each solve reads ``f``, the top of
+    relative VI's bracket on the cell constant minus the level: the plane
+    wave's readings see that top, not the bracket's midpoint.  A first root
+    with ``f <= 0`` is kept: moving it would spend the margin.  Secant steps
+    aimed inside the one-sided band ``-target <= f <= 0`` pin any other root
+    there; convexity keeps each flank monotone.  On a stall the best iterate
+    at or below the level is kept, else the one nearest above it, and noted.
+    Returns the kept slope and its torus estimate.  Called by :func:`_solved`
+    only.
     """
     target = max(2.0 * correctors.tol, 1e-6)
     q_grid = np.asarray(tables.p_grid, dtype=float)
@@ -124,21 +131,21 @@ def _polish_vertical_root(
     qa, qb = np.clip([q0 - e, q0 + e], q_grid[0], q_grid[-1])
     slope = (float(tables.hbar_at((p1, qb))) - float(tables.hbar_at((p1, qa)))) / (qb - qa)
     q_prev, f_prev = None, None
-    q, best_q, best_f, best = float(q0), float(q0), math.inf, None
+    q, tried = float(q0), []
     for _ in range(6):
         solved = torus_effective(correctors.cell_scenario, (p1, q))
         est = _converged(solved, f"torus corrector at momentum {p1, q}")
-        f = float(est.constant) - level
-        if best is None or abs(f) < abs(best_f):
-            best_q, best_f, best = q, f, est
-        if abs(f) <= target or (q_prev is None and f < 0.0):
+        f = -float(est.relative.rate_bounds[0]) - level
+        tried.append((q, f, est))
+        if f <= 0.0 and (q_prev is None or f >= -target):
             return q, est
         if q_prev is not None and abs(f - f_prev) > 1e-14:
             slope = (f - f_prev) / (q - q_prev)
         if abs(slope) < 1e-9:
             break
         q_prev, f_prev = q, f
-        q = q - f / slope
+        q = q - (f + 0.5 * target) / slope
+    best_q, best_f, best = min(tried, key=lambda it: (it[1] > 0.0, abs(it[1])))
     notes.append(f"{what}: solved-root polish stalled at offset {best_f:+.2e} (momentum {best_q:.6g})")
     return best_q, best
 

@@ -9,7 +9,8 @@ exactly).  The anchor is the node closest to the origin and is the
 normalization point for relative value iterations.
 
 Bilinear interpolation wraps on periodic axes and is exact on affine
-functions, which doubles as the correctness test for the weight logic.
+functions, which doubles as the correctness test for the weight logic.  Field
+reads multiply their stencils through :func:`hj_strata.kernels.stencil_product`.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
+
 __all__ = ["GridSpec", "ValueField"]
 
 _ALIGN_TOL = 1e-9
-
-# Points per block of a large field reading (ValueField.__call__ and the
-# one-step readings of hj_strata.correctors).  Read at once, the 300k nodes
-# and feet of one certificate reading on strip_attract's 16,641-node sample
-# grid peaked at 51-54 MB under tracemalloc; in blocks of this size, at 17 MB,
-# most of it the feet themselves.
-_BLOCK = 1 << 14
 
 
 def _check_positive(**values: float) -> None:
@@ -162,6 +158,8 @@ class GridSpec:
                     f"[{o}, {o + span}] (pass clip=True to clamp)"
                 )
         t = np.clip(t, 0.0, float(n - 1))
+        # NaN stays NaN through the clip and casts to the int64 minimum, whose
+        # low 32 bits are cell 0: its corners stay on the grid, its reading NaN
         cell = np.minimum(t.astype(np.int64), n - 2).astype(np.int32)
         return cell, t - cell
 
@@ -198,17 +196,7 @@ class ValueField:
 
         Wraps on periodic axes; on constrained axes points outside the grid raise
         unless ``clip`` clamps them to the boundary.  Exact on affine functions.
-
-        The points are read in blocks of ``_BLOCK``, each with its own stencils,
-        so a large reading never holds all of them; every value is its point's
-        own gather-and-sum, the same bits in a block as alone.
         """
         pts = np.asarray(points, dtype=float)
-        shape = pts.shape[:-1]
-        pts = pts.reshape(-1, 2)
-        flat = self.flat()
-        vals = np.empty(len(pts))
-        for lo in range(0, len(pts), _BLOCK):
-            idx, w = self.grid.interp_weights(pts[lo:lo + _BLOCK], clip=clip)
-            vals[lo:lo + _BLOCK] = (flat[idx] * w).sum(axis=1)
-        return vals.reshape(shape)
+        idx, w = self.grid.interp_weights(pts, clip=clip)
+        return kernels.stencil_product(idx, w, self.flat()).reshape(pts.shape[:-1])

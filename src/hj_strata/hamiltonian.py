@@ -155,7 +155,8 @@ def hull_inradius(points: np.ndarray) -> float:
     """Inradius about the origin of the convex hull of ``points`` (n, 2).
 
     Positive iff the origin lies strictly inside the hull; degenerate point
-    sets (fewer than three distinct points, or all on one line) give 0.
+    sets (fewer than three distinct points, or all on one line) give 0, and
+    a set with a point that is not finite gives NaN.
 
     The hull is Andrew's monotone chain: the points sorted by their first
     coordinate, then their second; the lower chain swept left to right and
@@ -168,6 +169,8 @@ def hull_inradius(points: np.ndarray) -> float:
     a few dozen points at most, so the chain is a loop over Python floats.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.isfinite(pts).all():
+        return math.nan
     if len(pts) < 3:
         return 0.0
     ordered = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
@@ -213,6 +216,12 @@ def estimate_bounds(scenario: Scenario, *, samples: int = 400, seed: int = 0) ->
                 del _BOUNDS_CACHE[next(iter(_BOUNDS_CACHE))]
             _BOUNDS_CACHE[key] = cached
     return dict(cached)
+
+
+def _nonfinite_bound(bounds: Mapping[str, float]) -> str | None:
+    """Names the first of the sampled bounds M_f, M_l, r_f that is not finite, if any."""
+    bad = (f"the sampled bound {k} is {bounds[k]}" for k in ("M_f", "M_l", "r_f") if not math.isfinite(bounds[k]))
+    return next(bad, None)
 
 
 def _solver_reach(scenario: Scenario) -> float:

@@ -17,11 +17,13 @@ the loops ``csr_matrix @ x`` runs, on the same arrays in the same order, so
 the product is ``csr_matrix @`` bit for bit; no matrix object is built or
 dispatched per call.  Both loops sum each row as ``w0*u0 + w1*u1 + w2*u2 +
 w3*u3`` from zero, so every cell of a family gets bit for bit the values it
-gets alone, and no extension module or build step is needed.  The row
-pointers of a product are a prefix of one shared array, built again only
-when a product needs more rows than any before (up to a bound, see
-``_SHARED_ROWS``).  Only the sparse-LU fallback of a policy evaluation
-assembles a matrix (:func:`stencil_matrix`).
+gets alone, and no extension module or build step is needed.  Field reads
+(``grids.ValueField``) and H̄ lookups (``cell.EffectiveTables.hbar_at``) run
+the same product on their own stencils.  The loops check no index: every
+caller passes corners on the grid.  The row pointers of a product are a
+prefix of one shared array, built again only when a product needs more rows
+than any before (up to a bound, see ``_SHARED_ROWS``).  Only the sparse-LU
+fallback of a policy evaluation assembles a matrix (:func:`stencil_matrix`).
 
 An application is one product ``gamma * (P @ U) + base`` on the (N, cells)
 block ``U``, followed by a min over controls and, when a ``policy`` output is

@@ -39,7 +39,7 @@ from . import bellman
 from .bellman import SLOperator
 from .cell import EffectiveTables
 from .grids import _ALIGN_TOL, GridSpec, ValueField
-from .hamiltonian import estimate_bounds
+from .hamiltonian import _nonfinite_bound, estimate_bounds
 from .scenario import Scenario
 
 __all__ = [
@@ -104,6 +104,8 @@ def build_scheme(
         raise ValueError("the origin must be a grid node")
 
     bounds = estimate_bounds(scn, samples=200, seed=0)
+    if cause := _nonfinite_bound(bounds):
+        raise ValueError(f"cannot bound the scheme's gradients: {cause}")
     if bounds["r_f"] <= 0:
         raise ValueError("degenerate control hull: the limit problem loses coercivity")
     grad_bound = bounds["M_l"] / bounds["r_f"]

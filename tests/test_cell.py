@@ -139,7 +139,7 @@ def test_degenerate_control_hull_cannot_size_the_window():
 def test_a_nan_bound_cannot_size_the_window():
     # sqrt(y2) is NaN on the band's lower half, so the bound of the field it
     # enters reads NaN, and the refusal names that bound, not the control
-    # hull (a NaN drift also leaves r_f = 0)
+    # hull (a NaN drift also leaves r_f NaN)
     for drift, cost, bound in ((["{a1}", "{a2}"], "sqrt(y2)", "M_l"), (["{a1}", "{a2}*sqrt(y2)"], "1", "M_f")):
         scn = parse_scenario(
             {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": {"directions": 8, "speed": 1.0},

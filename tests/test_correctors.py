@@ -14,6 +14,7 @@ from hj_strata.cell import (
     torus_effective,
 )
 from hj_strata.correctors import (
+    _BLOCK,
     BracketError,
     Piece,
     RegimeError,
@@ -31,7 +32,7 @@ from hj_strata.correctors import (
     select_regime,
     subsolution_residual,
 )
-from hj_strata.grids import _BLOCK, GridSpec, ValueField
+from hj_strata.grids import GridSpec, ValueField
 from hj_strata.hamiltonian import eval_fields, validate_assumptions
 from hj_strata.scenario import load_preset, parse_scenario
 
@@ -61,6 +62,14 @@ def mirror():
 @pytest.fixture(scope="module")
 def checkerboard():
     scn = load_preset("checkerboard")
+    tables = tabulate_effective(scn, tol=5e-4)
+    correctors = build_corrector_set(scn, h=1 / 32, tol=5e-4)
+    return scn, tables, correctors
+
+
+@pytest.fixture(scope="module")
+def drift():
+    scn = load_preset("drift_defect")
     tables = tabulate_effective(scn, tol=5e-4)
     correctors = build_corrector_set(scn, h=1 / 32, tol=5e-4)
     return scn, tables, correctors
@@ -125,6 +134,24 @@ def test_plane_regime_certifies(attract, attract_specs):
     assert residual <= TOL_CORR
     assert gap <= 1e-9
     assert cert <= TOL_CORR
+
+
+@pytest.mark.parametrize(("setup", "p"), [
+    *[(setup, p) for setup in ("attract", "mirror", "drift") for p in ((0.0, 0.8), (0.3, 0.0), (0.0, 0.0))],
+    *[("checkerboard", p) for p in ((0.45, 0.0), (0.6, 0.2), (0.9, 0.0), (0.0, 0.0))],
+], ids=str)
+def test_subsolutions_hold_their_level_at_the_solver_scale(request, setup, p):
+    # TOL_CORR leaves room far above what the construction reaches: each
+    # subsolution sits at or below its level up to the solvers' own error
+    # (the checkerboard line covectors read an escape plane wave's torus
+    # corrector, whose polish reads the top of the cell constant's bracket)
+    scn, tables, correctors = request.getfixturevalue(setup)
+    built = request.getfixturevalue(f"{setup}_specs") if setup != "drift" else {}
+    spec = next((s for s in built.values() if s.target == p), None)
+    if spec is None:
+        spec = build_subcorrector(scn, tables, correctors, p, select_regime(scn, tables, p))
+    residual, _, cert = _certify(scn, spec, correctors)
+    assert residual <= 1e-6 and cert <= 1e-6, (residual, cert)
 
 
 def test_plane_regime_small_momentum_shallow_wells():
@@ -778,15 +805,18 @@ def test_table_gradient_reads_one_segment_inside_it_and_two_at_a_knot():
 
 
 def _solved_constants(monkeypatch, constant):
-    """Patch the torus solver to return ``constant(q)`` at momentum ``q``;
-    returns the list of momenta it was asked for."""
+    """Patch the torus solver to return ``constant(q)`` at momentum ``q``,
+    with a zero-width relative-VI bracket on it; returns the list of momenta
+    it was asked for."""
     from hj_strata import correctors
 
     asked = []
 
     def torus_effective(scn, q):
         asked.append(q)
-        return (SimpleNamespace(converged=True, constant=constant(q), momentum=q, corrector=None),)
+        c = constant(q)
+        relative = SimpleNamespace(rate_bounds=(-c, -c))
+        return (SimpleNamespace(converged=True, constant=c, momentum=q, corrector=None, relative=relative),)
 
     monkeypatch.setattr(correctors, "torus_effective", torus_effective)
     return asked
@@ -831,6 +861,7 @@ def test_vertical_root_polish_takes_secant_steps_to_the_solved_root(monkeypatch)
     stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
     q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
     assert abs(q - 0.2) <= 2 * stub.tol and notes == []
+    assert -2 * stub.tol <= 3.0 * (q - 0.2) <= 0.0   # the one-sided band, from above the root
     assert len(asked) == 3
     assert est.momentum == asked[-1] == (0.0, q)
 
@@ -838,8 +869,9 @@ def test_vertical_root_polish_takes_secant_steps_to_the_solved_root(monkeypatch)
 @pytest.mark.parametrize("offset", [-0.1, -1e-4, 0.0, 1e-4])
 def test_vertical_root_polish_keeps_a_root_at_or_below_the_level(monkeypatch, offset):
     # the polish is one-sided: a table root whose solved constant already
-    # sits at or below the level (within the polish target) is kept after
-    # one solve, and no note is written
+    # sits at or below the level is kept after one solve, and no note is
+    # written; one above it, by however little, is polished into the band
+    # -target <= f <= 0 below the level
     p_grid = np.linspace(-1.0, 1.0, 9)
     tables = _hand_tables(np.linspace(-1.0, 1.0, 3), {"main": np.zeros(3)}, E=0.0, p_grid=p_grid,
                           hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
@@ -847,8 +879,11 @@ def test_vertical_root_polish_keeps_a_root_at_or_below_the_level(monkeypatch, of
     notes = []
     stub = SimpleNamespace(tol=1e-4, cell_scenario=None)
     q, est = _polish_vertical_root(tables, stub, 0.0, 0.5, 0.0, notes, "upper bracket slope")
-    assert q == 0.5 and est.momentum == (0.0, 0.5)
-    assert asked == [(0.0, 0.5)] and notes == []
+    assert notes == [] and est.momentum == asked[-1] == (0.0, q)
+    if offset <= 0.0:
+        assert q == 0.5 and len(asked) == 1
+    else:
+        assert q < 0.5 and -2 * stub.tol <= offset + 3.0 * (q - 0.5) <= 0.0
 
 
 def _hand_tables(p1_grid, h1t, E, p_grid=None, hbar=None):
@@ -885,8 +920,9 @@ def test_equal_bands_refuse_vertical_roots_that_miss_the_covector(monkeypatch):
 
 def test_origin_regime_refuses_polished_roots_that_miss_the_covector(monkeypatch):
     # the solved constants sit above E + eta at both table roots, and the
-    # solve step's polish moves both onto the solved root at 0.3, so the
-    # polished bracket misses p2 = 0 although the table's roots hold it
+    # solve step's polish moves both into the solved constants' dip below
+    # the level at 0.3, so the polished bracket misses p2 = 0 although the
+    # table's roots hold it
     from hj_strata import correctors
 
     scn = load_preset("checkerboard")
@@ -895,7 +931,7 @@ def test_origin_regime_refuses_polished_roots_that_miss_the_covector(monkeypatch
                           hbar=p_grid[:, None] ** 2 + p_grid[None, :] ** 2 - 0.5)
     unsolved = SimpleNamespace(converged=True, corrector=None)
     monkeypatch.setattr(correctors, "strip_ergodic", lambda *args, **kwargs: (unsolved,))
-    _solved_constants(monkeypatch, lambda q: 0.1 + abs(q[1] - 0.3))
+    _solved_constants(monkeypatch, lambda q: 0.1 - 1e-4 + abs(q[1] - 0.3))
     stub = SimpleNamespace(scenario=scn, tol=1e-4, cell_scenario=scn, coverage=1.0)
     with pytest.raises(RegimeError, match=r"vertical roots \(0.3, 0.3\) fail to bracket p2=0; the ambient"):
         build_subcorrector(scn, tables, stub, (0.0, 0.0), "origin", eta=0.1)

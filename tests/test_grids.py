@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from hj_strata.grids import _BLOCK, GridSpec, ValueField
+from hj_strata import kernels
+from hj_strata.cell import EffectiveTables, TableRangeError
+from hj_strata.correctors import _BLOCK
+from hj_strata.grids import GridSpec, ValueField
 
 
 def test_box_factory_counts_and_coords():
@@ -131,7 +134,7 @@ def test_contains_tolerance():
 
 
 @pytest.mark.parametrize("grid", [GridSpec.box(1.5, 0.125), GridSpec.strip(1.0, 1.5, 0.125)], ids=["box", "strip"])
-def test_blocked_reading_equals_the_one_shot_gather_bit_for_bit(grid):
+def test_large_reading_equals_the_one_shot_gather_bit_for_bit(grid):
     rng = np.random.default_rng(3)
     f = ValueField(grid, rng.normal(size=(grid.n1, grid.n2)))
     pts = rng.uniform(-2.0, 2.0, size=(3 * _BLOCK + 17, 2))
@@ -142,10 +145,42 @@ def test_blocked_reading_equals_the_one_shot_gather_bit_for_bit(grid):
     assert got[0].tobytes() == one_shot.tobytes()
 
 
-def test_blocked_reading_raises_on_a_point_in_a_later_block():
+def test_large_reading_raises_on_a_far_point_at_its_end():
     g = GridSpec.box(1.0, 0.5)
     f = ValueField(g, np.zeros((g.n1, g.n2)))
     pts = np.zeros((2 * _BLOCK, 2))
     pts[-1] = [1.6, 0.0]
     with pytest.raises(ValueError, match="outside the grid"):
         f(pts)
+
+
+def test_stencils_of_non_finite_points_stay_on_the_grid(monkeypatch):
+    # field reads and table lookups multiply through kernels.stencil_product,
+    # as every Bellman application does; its compiled loops check no index,
+    # so every corner must index the grid, whatever the point
+    bad = np.array([[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan], [np.inf, -np.inf],
+                    [-np.inf, np.inf], [1e300, -1e300], [-1e300, 1e300]])
+    with np.errstate(invalid="ignore"):
+        for grid in (GridSpec.box(1.0, 0.5), GridSpec.strip(1.0, 1.0, 0.4), GridSpec.torus(1.0, 0.25)):
+            idx, _ = grid.interp_weights(bad, clip=True)
+            assert 0 <= idx.min() and idx.max() < grid.size, grid
+            f = ValueField(grid, np.ones((grid.n1, grid.n2)))
+            assert np.isnan(f(bad[:3], clip=True)).all()
+        corners, product = [], kernels.stencil_product
+
+        def spy(idx, w, x):
+            corners.append(idx)
+            return product(idx, w, x)
+
+        monkeypatch.setattr(kernels, "stencil_product", spy)
+        knots = np.array([-1.0, -0.3, 0.0, 0.5, 1.0])
+        zeros = np.zeros(3)
+        tables = EffectiveTables(
+            x0=(0.0, 0.0), p1_grid=np.linspace(-1.0, 1.0, 3), h1t={"main": zeros}, pi_lower={"main": zeros},
+            pi_upper={"main": zeros}, E=0.0, E_history=(), method_gaps={"main": zeros},
+            p_grid=knots, hbar=knots[:, None] ** 2 + knots[None, :] ** 2, flags={},
+        )
+        assert np.isnan(tables.hbar_at(bad[:3], clip=True)).all()
+        assert 0 <= corners[0].min() and corners[0].max() < tables.hbar.size
+        with pytest.raises(TableRangeError):
+            tables.hbar_at((np.nan, 0.0))

@@ -384,6 +384,32 @@ def test_bounds_keep_a_nan_field():
     assert bounds["M_f"] == 1.0 and bounds["r_f"] == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
 
 
+def _nan_strip_drift():
+    """A strip drift of {a2}*sqrt(y2), NaN on the band's lower half."""
+    raw = _case1("1")
+    raw["strip_defect"]["drift"] = ["{a1}", "{a2}*sqrt(y2)"]
+    return parse_scenario(raw, label="nan strip drift")
+
+
+def test_a_nan_drift_reads_nan_not_a_degenerate_hull():
+    # a NaN control point reads NaN, not the 0 of a degenerate hull, so the
+    # coercivity check reports the drift, not the hull
+    angles = np.arange(8) * np.pi / 4
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    assert hull_inradius(dirs) == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
+    one = dirs.copy()
+    one[3] = np.nan
+    assert math.isnan(hull_inradius(one))
+    assert math.isnan(hull_inradius(np.full_like(dirs, np.nan)))
+    scn = _nan_strip_drift()
+    with np.errstate(invalid="ignore"):
+        bounds = estimate_bounds(scn, samples=200, seed=0)
+        report = validate_assumptions(scn, seed=0)
+    assert math.isnan(bounds["M_f"]) and math.isnan(bounds["r_f"])
+    coercivity = next(e for e in report.entries if e.name == "coercivity")
+    assert not coercivity.passed and coercivity.detail == "control hull inradius r_f = nan (need > 0)"
+
+
 def test_assumption_checks_fail_on_a_nan_field():
     scn = _nan_strip()
     for seed in CHECK_SEEDS:

@@ -414,6 +414,20 @@ def test_scheme_refuses_a_degenerate_control_hull():
         build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
 
 
+def test_scheme_refuses_a_nan_bound():
+    # {a2}*sqrt(y2) is NaN on the band's lower half: M_f and r_f read NaN,
+    # which passes both the hull check and the table coverage comparisons,
+    # so the refusal names the first bound that is not finite
+    scn = parse_scenario(
+        {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": {"directions": 8, "speed": 1.0},
+         "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
+         "strip_defect": {"period": 1.0, "drift": ["{a1}", "{a2}*sqrt(y2)"], "cost": "1"}},
+        label="t",
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"the sampled bound M_f is nan$"):
+        build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+
+
 def _epsilon_error(scn, eps, limit):
     """sup over |x|_inf <= 1 of |u^eps - limit|, where u^eps solves the
     oscillating problem alpha u + H(x, x/eps, Du) = 0 on the scheduled box,
