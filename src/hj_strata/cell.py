@@ -50,15 +50,16 @@ and the subsolution drafts of :mod:`hj_strata.correctors` read H̄ only
 through them.
 
 Resolution: every cell problem reads its grid spacing ``cell_h``, its time
-step (``sl_step``, through ``SolverSchedules.delta``) and its tolerance
-``tol_ergodic`` from ``scn.schedules``, and nothing else; the iteration
-budget of every solve is :mod:`hj_strata.bellman`'s own.  To solve at
-another resolution, pass the scenario with replaced schedules
+step ``SolverSchedules.delta`` and its tolerance ``tol_ergodic`` from
+``scn.schedules``, and nothing else, as the limit problem reads its box; the
+iteration budget of every solve is :mod:`hj_strata.bellman`'s own.  To solve
+at another resolution, pass the scenario with replaced schedules
 (:meth:`Scenario.with_schedules`), as ``tabulate_effective`` does for its
 ``tol`` and ``correctors.build_corrector_set`` for its ``h`` and ``tol``.
-Replaced schedules are validated where they are built, and the truncations
-against ``cell_h`` by ``tabulate_effective``, so a value no solver can run
-with raises ``ScenarioError`` before any cell is solved.
+Replaced schedules are validated where they are built, the truncations
+against ``cell_h`` by ``tabulate_effective`` and the limit box by the limit
+solves, so a value no solver can run with raises ``ScenarioError`` before
+the solve that reads it.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ def _shifted_operator(scn: Scenario, block: FieldPair, grid: GridSpec, p) -> SLO
     cost = block.eval_cost(*_X0, pts[:, 0], pts[:, 1])
     q = np.atleast_2d(np.asarray(p, dtype=float))
     cost = cost[..., None] + q[:, 0] * drift[..., 0, None] + q[:, 1] * drift[..., 1, None]
-    return SLOperator(grid, drift, cost, scn.schedules.delta(scn.schedules.cell_h))
+    return SLOperator(grid, drift, cost, scn.schedules.delta)
 
 
 def strip_operator(scn: Scenario, p1, *, branch: str = "main", rho: float) -> SLOperator:
@@ -389,7 +390,7 @@ def ball_operator(scn: Scenario, R: float) -> SLOperator:
     dispatch (strips, core, background) frozen at the slow point x = 0."""
     grid = GridSpec.box(R, scn.schedules.cell_h)
     drift, cost = eval_fields(scn, _X0, grid.nodes())
-    return SLOperator(grid, drift, cost, scn.schedules.delta(scn.schedules.cell_h))
+    return SLOperator(grid, drift, cost, scn.schedules.delta)
 
 
 def ball_ergodic(

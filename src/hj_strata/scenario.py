@@ -152,10 +152,14 @@ class SolverSchedules:
     """Numerical schedules shared by the cell-problem and grid solvers.
 
     ``sl_step`` is the semi-Lagrangian time step: a positive number applies
-    as given everywhere; ``"sqrt"`` means ``sqrt(h)`` in the cell problems,
-    where it balances the step and interpolation errors of the constants,
-    and ``h`` in the limit scheme, where the step ``sqrt(h)`` leaves an
-    error off the defect line that does not shrink with ``h``.
+    as given everywhere; ``"sqrt"`` means ``sqrt(cell_h)`` in the cell problems
+    (:attr:`delta`), where it balances the step and interpolation errors of
+    the constants, and ``grid_h`` in the limit scheme (:attr:`limit_delta`),
+    where ``sqrt(grid_h)`` leaves an error off the defect line that does not
+    shrink.  ``grid_h`` and ``box_half_width`` set the limit box, the one grid
+    of :mod:`hj_strata.stratified`; it is also the slow-point box of
+    ``estimate_bounds``, so it sizes the table window.  Like ``rho_list`` and
+    ``R_list``, the box is checked where it is built.
 
     Every construction is validated, :func:`parse_scenario`'s and
     :meth:`Scenario.with_schedules`'s alike: a value no solver can run with
@@ -201,17 +205,15 @@ class SolverSchedules:
         if not (isinstance(points, int) and not isinstance(points, bool) and points >= 2):
             raise ScenarioError("schedules.p1_points: must be an integer of at least 2")
 
-    def delta(self, h: float) -> float:
-        """Semi-Lagrangian time step of a cell problem with grid spacing ``h``."""
-        if self.sl_step == "sqrt":
-            return math.sqrt(h)
-        return float(self.sl_step)
+    @property
+    def delta(self) -> float:
+        """Semi-Lagrangian time step of the cell problems, at spacing ``cell_h``."""
+        return math.sqrt(self.cell_h) if self.sl_step == "sqrt" else float(self.sl_step)
 
-    def limit_delta(self, h: float) -> float:
-        """Semi-Lagrangian time step of the limit scheme with grid spacing ``h``."""
-        if self.sl_step == "sqrt":
-            return h
-        return float(self.sl_step)
+    @property
+    def limit_delta(self) -> float:
+        """Semi-Lagrangian time step of the limit scheme, at spacing ``grid_h``."""
+        return self.grid_h if self.sl_step == "sqrt" else float(self.sl_step)
 
 
 def _schedules_with(base: SolverSchedules, changes: Mapping[str, Any]) -> SolverSchedules:

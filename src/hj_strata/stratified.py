@@ -24,6 +24,11 @@ by sweeping: in control form by one Howard solve
 constant ``-Hbar(0)/alpha``, because the table is frozen at one slow point,
 so the Lax-Friedrichs update does not depend on x and maps that constant to
 itself.
+
+Every solve runs on the limit box of the scenario's schedules,
+``[-box_half_width, box_half_width]^2`` at spacing ``grid_h``: the box whose
+slow points :func:`~hj_strata.hamiltonian.estimate_bounds` samples, so the
+bounds, the tables' window and :func:`scheme_residuals` all hold on it.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ import numpy as np
 from . import bellman
 from .bellman import SLOperator
 from .cell import EffectiveTables
-from .grids import _ALIGN_TOL, GridSpec, ValueField
+from .grids import GridSpec, ValueField
 from .hamiltonian import _nonfinite_bound, estimate_bounds
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 __all__ = [
     "StratifiedScheme",
@@ -55,14 +60,15 @@ __all__ = [
 _MAX_SWEEPS = 200_000   # junction sweeps
 
 
-def _background_operator(scn: Scenario, grid: GridSpec, delta: float) -> SLOperator:
+def _background_operator(scn: Scenario, grid: GridSpec) -> SLOperator:
     """Control-form operator for the limit equation: background fields at the
-    slow variable (the fast variable homogenized away)."""
+    slow variable (the fast variable homogenized away), time step
+    ``SolverSchedules.limit_delta``."""
     pts = grid.nodes()
     block = scn.background
     drift = block.eval_drift(pts[:, 0], pts[:, 1], 0.0, 0.0)
     cost = block.eval_cost(pts[:, 0], pts[:, 1], 0.0, 0.0)
-    return SLOperator(grid, drift, cost, delta)
+    return SLOperator(grid, drift, cost, scn.schedules.limit_delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,29 +85,31 @@ class StratifiedScheme:
     origin: int
 
 
-def build_scheme(
-    scn: Scenario,
-    tables: EffectiveTables,
-    grid: GridSpec | None = None,
-) -> StratifiedScheme:
+def _limit_grid(scn: Scenario) -> GridSpec:
+    """The scheduled limit box.  Raises ``ScenarioError`` naming
+    ``schedules.grid_h`` unless ``grid_h`` cuts the box into an even number
+    of cells, so that the origin is a node."""
+    sched = scn.schedules
+    try:
+        grid = GridSpec.box(sched.box_half_width, sched.grid_h)
+    except ValueError as err:
+        raise ScenarioError(f"schedules.grid_h: {err}") from None
+    if grid.n1 % 2 == 0:
+        raise ScenarioError(f"schedules.grid_h: {grid.n1 - 1} cells per side; the origin must be a grid node")
+    return grid
+
+
+def build_scheme(scn: Scenario, tables: EffectiveTables) -> StratifiedScheme:
     """Assemble the node classes and per-class update parameters.
 
-    The grid (by default the scheduled box) must be a centered box with the
-    origin and the line x2 = 0 on nodes; the tables must cover the gradient
-    range the coercivity bound allows for the solution.  The control-form
-    time step is ``SolverSchedules.limit_delta`` of the grid spacing.
+    The grid is the scheduled limit box (``box_half_width``, ``grid_h``),
+    with the origin and the line x2 = 0 on nodes; the tables must cover the
+    gradient range the coercivity bound allows for the solution.  The
+    control-form time step is ``SolverSchedules.limit_delta``.
     """
-    sched = scn.schedules
-    if grid is None:
-        grid = GridSpec.box(sched.box_half_width, sched.grid_h)
-    if grid.periodic1 or grid.periodic2:
-        raise ValueError("stratified solves need a plain box grid")
-    if abs(grid.h1 - grid.h2) > 1e-12:
-        raise ValueError("stratified solves need square cells (h1 == h2)")
+    grid = _limit_grid(scn)
     origin = grid.index_of((0.0, 0.0))
-    i0, j0 = divmod(origin, grid.n2)
-    if max(abs(grid.coords1()[i0]), abs(grid.coords2()[j0])) > _ALIGN_TOL * grid.h1:
-        raise ValueError("the origin must be a grid node")
+    j0 = origin % grid.n2
 
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if cause := _nonfinite_bound(bounds):
@@ -115,8 +123,7 @@ def build_scheme(
             f"but the scheme's gradient bound is {grad_bound:.4g}"
         )
 
-    delta = sched.limit_delta(grid.h1)
-    if scn.alpha * delta >= 1.0:
+    if scn.alpha * scn.schedules.limit_delta >= 1.0:
         raise ValueError("alpha*delta >= 1: shrink the time step or the grid spacing")
 
     coords1 = grid.coords1()
@@ -135,7 +142,7 @@ def build_scheme(
             raise ValueError("case2 schemes need the tabulated plane Hamiltonian")
         theta_lf = max(bounds["M_f"], 1e-3)
     else:
-        operator = _background_operator(scn, grid, delta)
+        operator = _background_operator(scn, grid)
     return StratifiedScheme(
         scn=scn,
         tables=tables,
@@ -302,27 +309,16 @@ def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueF
     return ValueField(scheme.grid, u.reshape(scheme.grid.n1, scheme.grid.n2)), it, residual
 
 
-def solve_effective(
-    scn: Scenario,
-    tables: EffectiveTables,
-    grid: GridSpec | None = None,
-    *,
-    tol: float = 1e-8,
-) -> ValueField:
-    """Solve the full stratified limit problem on a centered box."""
-    scheme = build_scheme(scn, tables, grid)
-    field, _, _ = solve_scheme(scheme, tol=tol)
+def solve_effective(scn: Scenario, tables: EffectiveTables, *, tol: float = 1e-8) -> ValueField:
+    """Solve the full stratified limit problem on the scheduled limit box."""
+    field, _, _ = solve_scheme(build_scheme(scn, tables), tol=tol)
     return field
 
 
 def solve_unstratified(
-    scn: Scenario,
-    tables: EffectiveTables | None = None,
-    grid: GridSpec | None = None,
-    *,
-    tol: float = 1e-8,
+    scn: Scenario, tables: EffectiveTables | None = None, *, tol: float = 1e-8
 ) -> ValueField:
-    """Baseline without the defect line: ``alpha u + Hbar(x, Du) = 0``.
+    """Baseline without the defect line: ``alpha u + Hbar(x, Du) = 0`` on the limit box.
 
     For y-independent backgrounds, one Howard solve in control form, with
     the limit time step of ``SolverSchedules.limit_delta``, to residual
@@ -331,16 +327,13 @@ def solve_unstratified(
     Lax-Friedrichs update.  Raises ``ValueError`` unless ``tol > 0``.
     """
     bellman._check_tol(tol)
-    sched = scn.schedules
-    if grid is None:
-        grid = GridSpec.box(sched.box_half_width, sched.grid_h)
+    grid = _limit_grid(scn)
     if scn.case in ("case1", "case3"):
-        op = _background_operator(scn, grid, sched.limit_delta(grid.h1))
-        u = _control_plane(op, scn.alpha, tol=tol)
+        u = _control_plane(_background_operator(scn, grid), scn.alpha, tol=tol)
     else:
         if tables is None or tables.hbar is None:
             raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")
-        u = _tabulated_plane(build_scheme(scn, tables, grid), tol=tol)
+        u = _tabulated_plane(build_scheme(scn, tables), tol=tol)
     return ValueField(grid, u.reshape(grid.n1, grid.n2))
 
 

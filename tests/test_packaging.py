@@ -54,16 +54,32 @@ def test_pipeline_modules_do_not_import_scipy_optimize():
     assert out.stdout.strip() == "[]"
 
 
-def test_settable_values_counts_defaults_and_dataclass_fields(tmp_path):
-    """``tools/settable_values.py`` counts defaulted parameters of public
-    functions and public methods of public classes, and every field of a
-    public dataclass; private and nested definitions and ``ClassVar``s are
-    left out."""
+def _settable_values():
+    """The ``tools/settable_values.py`` module."""
     spec = importlib.util.spec_from_file_location(
         "settable_values", Path(__file__).resolve().parents[1] / "tools" / "settable_values.py"
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_settable_values_do_not_grow():
+    """A ratchet on the package's settable values, each term on its own: a
+    change that adds an option raises its bound here and says why in
+    CHANGES.md."""
+    tool = _settable_values()
+    params, fields = tool.count(tool.PACKAGE)
+    assert params <= 35, f"{params} defaulted parameters, bound 35"
+    assert fields <= 122, f"{fields} dataclass fields, bound 122"
+
+
+def test_settable_values_counts_defaults_and_dataclass_fields(tmp_path):
+    """``tools/settable_values.py`` counts defaulted parameters of public
+    functions and public methods of public classes, and every field of a
+    public dataclass; private and nested definitions and ``ClassVar``s are
+    left out."""
+    tool = _settable_values()
     (tmp_path / "a.py").write_text(
         "from dataclasses import dataclass, field\n"
         "from typing import ClassVar\n"

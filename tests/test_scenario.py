@@ -130,12 +130,12 @@ def test_schedules_defaults_scale_with_geometry():
     s = scn.schedules
     assert s.rho_list == tuple(2.0 ** (k + 1) * 0.5 for k in range(3))
     assert s.R_list == tuple(2.0 ** (k + 1) * 0.5 for k in range(3))
-    assert s.delta(1 / 16) == pytest.approx(math.sqrt(1 / 16))
+    assert s.delta == pytest.approx(math.sqrt(1 / 16))
 
 
 def test_schedules_fixed_step():
     scn = parse_scenario(variant(schedules={"sl_step": 0.05}), label="t")
-    assert scn.schedules.delta(1 / 16) == pytest.approx(0.05)
+    assert scn.schedules.delta == pytest.approx(0.05)
 
 
 @pytest.mark.parametrize(

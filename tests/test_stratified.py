@@ -10,7 +10,7 @@ from hj_strata.bellman import SLOperator, solve_discounted
 from hj_strata.cell import TableRangeError, tabulate_effective
 from hj_strata.grids import GridSpec
 from hj_strata.hamiltonian import eval_fields
-from hj_strata.scenario import load_preset, parse_scenario
+from hj_strata.scenario import ScenarioError, load_preset, parse_scenario
 from hj_strata.stratified import (
     _MAX_SWEEPS,
     StratifiedReport,
@@ -32,10 +32,6 @@ def cached_tables(preset: str, tol: float = 1e-8):
     return tabulate_effective(load_preset(preset), tol=tol, threads=2, p1_grid=WIDE_P1)
 
 
-def box_grid(h: float = 1 / 16) -> GridSpec:
-    return GridSpec.box(2.0, h)
-
-
 def line_indices(grid: GridSpec) -> tuple[np.ndarray, int]:
     """(flat indices of the x2 = 0 grid row, axis column j0)."""
     j0 = int(round(-grid.origin[1] / grid.h2))
@@ -47,24 +43,16 @@ def test_no_defect_solution_is_constant_both_routes():
     # perturb that
     scn = load_preset("eikonal")
     tables = cached_tables("eikonal")
-    grid = box_grid()
-    u_plain = solve_unstratified(scn, grid=grid, tol=1e-10)
-    u_strat = solve_effective(scn, tables, grid, tol=1e-10)
+    u_plain = solve_unstratified(scn, tol=1e-10)
+    u_strat = solve_effective(scn, tables, tol=1e-10)
     assert np.max(np.abs(u_plain.values - 1.0 / scn.alpha)) <= 1e-8
     assert np.max(np.abs(u_strat.values - u_plain.values)) <= 1e-8
-    # without a grid the solve runs on the scheduled box, bit for bit
-    sched = scn.schedules
-    scheduled = GridSpec.box(sched.box_half_width, sched.grid_h)
-    u_default = solve_unstratified(scn, tol=1e-10)
-    assert u_default.grid == scheduled
-    assert u_default.values.tobytes() == solve_unstratified(scn, grid=scheduled, tol=1e-10).values.tobytes()
 
 
 def test_no_defect_report_is_clean():
     scn = load_preset("eikonal")
     tables = cached_tables("eikonal")
-    grid = box_grid()
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
     field, _, _ = solve_scheme(scheme, tol=1e-10)
     rep = scheme_residuals(scheme, field)
     assert isinstance(rep, StratifiedReport)
@@ -107,8 +95,8 @@ def test_disc_value_matches_straight_run_exactly():
     scn = disc_scenario()
     h = 1 / 16
     delta = math.sqrt(h)
-    grid = box_grid(h)
-    u = solve_unstratified(scn, grid=grid, tol=1e-12)
+    u = solve_unstratified(scn.with_schedules(grid_h=h), tol=1e-12)
+    grid = u.grid
     c1, c2 = grid.coords1(), grid.coords2()
     j0 = int(np.argmin(np.abs(c2)))
     i0 = int(np.argmin(np.abs(c1)))
@@ -137,8 +125,8 @@ def test_attractive_line_pins_value():
     # compact-defect clamp agrees (E = -0.5)
     scn = load_preset("strip_attract")
     tables = cached_tables("strip_attract")
-    grid = box_grid()
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
+    grid = scheme.grid
     field, _, _ = solve_scheme(scheme, tol=1e-10)
     u = field.flat()
     line, j0 = line_indices(grid)
@@ -149,7 +137,7 @@ def test_attractive_line_pins_value():
     top = field.values[int(np.argmin(np.abs(grid.coords1()))), -1]
     assert top > 0.85
 
-    u_plain = solve_unstratified(scn, grid=grid, tol=1e-10)
+    u_plain = solve_unstratified(scn, tol=1e-10)
     assert np.all(field.values <= u_plain.values + 1e-9)
     assert field.values.min() >= 0.5 - 1e-7  # nothing undercut the defect floor
 
@@ -160,8 +148,7 @@ def test_attractive_line_matches_closed_form_off_the_line():
     line and the origin both hold 0.5."""
     scn = load_preset("strip_attract")
     tables = cached_tables("strip_attract")
-    grid = box_grid()
-    field, _, _ = solve_scheme(build_scheme(scn, tables, grid), tol=1e-10)
+    field, _, _ = solve_scheme(build_scheme(scn, tables), tol=1e-10)
     probes = np.array([[0.25, 0.0], [-0.5, 1.0]])
     exact = 1.0 - 0.5 * np.exp(-np.array([0.25, 1.0]))
     assert np.max(np.abs(field(probes) - exact)) <= 0.02
@@ -170,8 +157,7 @@ def test_attractive_line_matches_closed_form_off_the_line():
 def test_attractive_line_report_signs():
     scn = load_preset("strip_attract")
     tables = cached_tables("strip_attract")
-    grid = box_grid()
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
     field, _, _ = solve_scheme(scheme, tol=1e-10)
     rep = scheme_residuals(scheme, field)
     assert rep.origin_clamp == pytest.approx(0.0, abs=1e-9)
@@ -181,10 +167,10 @@ def test_attractive_line_report_signs():
 
 
 def test_two_sided_starts_share_the_fixed_point():
-    scn = load_preset("strip_attract")
+    scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
     tables = cached_tables("strip_attract")
-    grid = box_grid(1 / 8)
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
+    grid = scheme.grid
     from_plane, _, _ = solve_scheme(scheme, tol=1e-10)
     sweep = functools.partial(_sweep, scheme)
     for start in (np.zeros(grid.size), np.full(grid.size, 1.2)):   # below and above
@@ -199,10 +185,10 @@ def test_sweep_takes_the_junction_minima_worked_by_hand():
     # and the origin also takes -E/alpha.  At the line node the tangential
     # update wins at c = 0.3 and 0.8, the plane at c = 2; at the origin the
     # plane wins at c = 0.3, -E/alpha at c = 0.8 and 2
-    scn = load_preset("strip_attract")
+    scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
     tables = cached_tables("strip_attract")
-    grid = box_grid(1 / 8)
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
+    grid = scheme.grid
     alpha, delta, h = scn.alpha, scheme.operator.delta, grid.h1
     k = 2 * scheme.theta_t["main"] / h
     node = grid.index_of((-1.0, 0.0))
@@ -219,34 +205,61 @@ def test_narrow_tables_rejected_at_build():
     scn = load_preset("strip_attract")
     narrow = tabulate_effective(scn, tol=1e-4, p1_grid=[-0.5, 0.0, 0.5])
     with pytest.raises(ValueError, match="gradient bound"):
-        build_scheme(scn, narrow, box_grid(1 / 8))
+        build_scheme(scn.with_schedules(grid_h=1 / 8), narrow)
 
 
 def test_origin_off_the_grid_rejected_at_build():
     # nodes at +-0.25 and +-0.75: the nearest node to the origin is not it
-    scn = load_preset("strip_attract")
-    with pytest.raises(ValueError, match="origin must be a grid node"):
-        build_scheme(scn, cached_tables("strip_attract"), GridSpec.box(0.75, 0.5))
+    scn = load_preset("strip_attract").with_schedules(box_half_width=0.75, grid_h=0.5)
+    with pytest.raises(ScenarioError, match=r"^schedules\.grid_h: .*the origin must be a grid node$"):
+        build_scheme(scn, cached_tables("strip_attract"))
+
+
+def test_a_spacing_that_does_not_divide_the_box_is_refused():
+    # refused where the box is built, naming the clause as tabulate_effective's
+    # truncation refusals do
+    scn = load_preset("strip_attract").with_schedules(grid_h=0.3)
+    clause = r"^schedules\.grid_h: box width \(4\.0\) must be a positive integer multiple of h \(0\.3\)$"
+    with pytest.raises(ScenarioError, match=clause):
+        build_scheme(scn, cached_tables("strip_attract"))
+    with pytest.raises(ScenarioError, match=clause):
+        solve_unstratified(scn, tol=1e-8)
+
+
+def test_the_scheme_solves_on_the_box_its_bounds_sampled():
+    # a cost that grows with |x1|: over the scheduled box [-4, 4]^2 the
+    # sampled cost bound M_l is 7.74, over the default [-2, 2]^2 only 2.69, so
+    # a solve on a box the bounds never saw would read value_bound_excess 4.0
+    scn = parse_scenario(
+        {"case": "case1", "alpha": 1.0, "R0": 0.5,
+         "controls": {"directions": 16, "speed": 1.0, "include_zero": True},
+         "background": {"drift": ["{a1}", "{a2}"], "cost": "1 + 0.5*x1*x1"},
+         "schedules": {"box_half_width": 4.0, "grid_h": 0.25}},
+        label="bowl",
+    )
+    scheme = build_scheme(scn, tabulate_effective(scn, tol=1e-4))
+    assert scheme.grid == GridSpec.box(4.0, 0.25)
+    field, _, _ = solve_scheme(scheme, tol=1e-8)
+    assert scheme_residuals(scheme, field).value_bound_excess <= 0.0
 
 
 def test_out_of_window_solution_rejected(monkeypatch):
     # sweeps clip transient lookups, but a returned field whose slopes leave
     # the tabulated window must still raise; a steep ramp survives one sweep
     # (the contraction shrinks it by 1 - alpha*delta, far from enough)
-    scn = load_preset("strip_attract")
+    scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
     tables = cached_tables("strip_attract")
-    grid = box_grid(1 / 8)
-    scheme = build_scheme(scn, tables, grid)
-    ramp = 5.0 * grid.nodes()[:, 0]
+    scheme = build_scheme(scn, tables)
+    ramp = 5.0 * scheme.grid.nodes()[:, 0]
     monkeypatch.setattr(stratified, "_control_plane", lambda *args, **kwargs: ramp)
     with pytest.raises(TableRangeError):
         solve_scheme(scheme, tol=1e9)
 
 
 def test_budget_exhaustion_raises(monkeypatch):
-    scn = load_preset("strip_attract")
+    scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
     tables = cached_tables("strip_attract")
-    scheme = build_scheme(scn, tables, box_grid(1 / 8))
+    scheme = build_scheme(scn, tables)
     monkeypatch.setattr(stratified, "_control_plane", lambda *args, **kwargs: np.zeros(scheme.grid.size))
     monkeypatch.setattr(stratified, "_MAX_SWEEPS", 2)
     with pytest.raises(RuntimeError, match="stalled"):
@@ -258,8 +271,8 @@ def test_mirrored_scenario_solution_is_even():
     tables = tabulate_effective(
         scn, tol=1e-6, threads=2, p1_grid=np.linspace(-1.15, 1.15, 5)
     )
-    grid = box_grid()
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
+    grid = scheme.grid
     assert list(scheme.m1_rows) == list(scn.branches) == ["plus", "minus"]
     # each branch's nodes sit on the defect line, on its own side of the origin
     pts = grid.nodes()
@@ -280,7 +293,7 @@ def test_periodic_background_constant_plane_value():
     # x-independent periodic background: the plane equation's solution is the
     # constant -Hbar(0)/alpha; the defect line then pins its nodes at the
     # tangential floor -H1T(0)/alpha
-    scn = load_preset("checkerboard")
+    scn = load_preset("checkerboard").with_schedules(grid_h=1 / 8)
     tables = tabulate_effective(
         scn,
         tol=1e-4,
@@ -288,12 +301,12 @@ def test_periodic_background_constant_plane_value():
         p1_grid=np.linspace(-1.6, 1.6, 5),
         p_grid=np.linspace(-1.6, 1.6, 5),
     )
-    grid = box_grid(1 / 8)
-    u_plain = solve_unstratified(scn, tables, grid, tol=1e-9)
+    u_plain = solve_unstratified(scn, tables, tol=1e-9)
     level = -float(tables.hbar_at((0.0, 0.0))) / scn.alpha
     assert np.max(np.abs(u_plain.values - level)) <= 1e-6
 
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
+    grid = scheme.grid
     field, _, _ = solve_scheme(scheme, tol=1e-9)
     line, _ = line_indices(grid)
     deep = line[grid.coords1() < -0.5]
@@ -308,15 +321,15 @@ def test_periodic_background_constant_plane_value():
 def test_control_plane_start_is_the_swept_plane_solution(preset):
     # one Howard solve and Jacobi sweeps from zero both stop at a step of
     # at most tol, so each lies within tol / (alpha delta) of the fixed point
-    scn = load_preset(preset)
-    grid = box_grid(1 / 8)
-    scheme = build_scheme(scn, cached_tables(preset), grid)
+    scn = load_preset(preset).with_schedules(grid_h=1 / 8)
+    scheme = build_scheme(scn, cached_tables(preset))
+    grid = scheme.grid
     tol = 1e-10
     swept, _, _ = _fixed_point(
         functools.partial(_plane_update, scheme), np.zeros(grid.size),
         tol=tol, max_iter=_MAX_SWEEPS, what="plane sweeps",
     )
-    plane = solve_unstratified(scn, grid=grid, tol=tol).flat()
+    plane = solve_unstratified(scn, tol=tol).flat()
     assert np.max(np.abs(plane - swept)) <= 2 * tol / (scn.alpha * scheme.operator.delta)
     # solve_scheme starts its junction sweeps from that plane solution
     field, sweeps, _ = solve_scheme(scheme, tol=tol)
@@ -334,21 +347,20 @@ def checkerboard_tables():
 
 
 def test_periodic_plane_start_is_the_exact_constant():
-    scn = load_preset("checkerboard")
+    scn = load_preset("checkerboard").with_schedules(grid_h=1 / 8)
     tables = checkerboard_tables()
-    u_plain = solve_unstratified(scn, tables, box_grid(1 / 8), tol=1e-9)
+    u_plain = solve_unstratified(scn, tables, tol=1e-9)
     level = -float(tables.hbar_at((0.0, 0.0))) / scn.alpha
     assert np.max(np.abs(u_plain.values - level)) <= 1e-12
 
 
 def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
-    scn = load_preset("checkerboard")
+    scn = load_preset("checkerboard").with_schedules(grid_h=1 / 8)
     tables = checkerboard_tables()
-    grid = box_grid(1 / 8)
-    scheme = build_scheme(scn, tables, grid)
+    scheme = build_scheme(scn, tables)
     monkeypatch.setattr(stratified, "_plane_update", lambda scheme, u, **kw: _plane_update(scheme, u, **kw) + 1e-6)
     with pytest.raises(RuntimeError, match="plane start"):
-        solve_unstratified(scn, tables, grid, tol=1e-7)
+        solve_unstratified(scn, tables, tol=1e-7)
     with pytest.raises(RuntimeError, match="plane start"):
         solve_scheme(scheme, tol=1e-7)
     # the same offset inside the tolerance certifies
@@ -356,46 +368,43 @@ def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
 
 
 def test_control_plane_start_that_stalls_raises(monkeypatch):
-    scn = load_preset("strip_attract")
-    scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+    scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
+    scheme = build_scheme(scn, cached_tables("strip_attract"))
     monkeypatch.setattr(bellman, "_MAX_APPLICATIONS", 1)
     with pytest.raises(RuntimeError, match="plane start stalled"):
         solve_scheme(scheme, tol=1e-10)
 
 
 @pytest.mark.parametrize(
-    "entry, preset, scn_over, tables_over, grid, match",
+    "entry, preset, scn_over, tables_over, match",
     [
-        (build_scheme, "strip_attract", {}, {}, GridSpec.torus(2.0, 1 / 8), "plain box grid"),
-        (build_scheme, "strip_attract", {}, {}, GridSpec(33, 17, 1 / 8, 1 / 4, (-2.0, -2.0), False, False),
-         "square cells"),
-        (build_scheme, "strip_attract", {"alpha": 8.0}, {}, box_grid(1 / 8), r"alpha\*delta >= 1"),
-        (build_scheme, "strip_attract", {}, {"h1t": {}}, box_grid(1 / 8), r"lack tangential branch\(es\) \['main'\]"),
-        (build_scheme, "checkerboard", {}, {"hbar": None}, box_grid(1 / 8), "case2 schemes need the tabulated plane"),
-        (solve_unstratified, "checkerboard", {}, None, box_grid(1 / 8), "periodic backgrounds need tabulated"),
+        (build_scheme, "strip_attract", {"alpha": 8.0}, {}, r"alpha\*delta >= 1"),
+        (build_scheme, "strip_attract", {}, {"h1t": {}}, r"lack tangential branch\(es\) \['main'\]"),
+        (build_scheme, "checkerboard", {}, {"hbar": None}, "case2 schemes need the tabulated plane"),
+        (solve_unstratified, "checkerboard", {}, None, "periodic backgrounds need tabulated"),
     ],
-    ids=["periodic-grid", "non-square-cells", "alpha-delta", "missing-branch", "case2-without-hbar",
-         "case2-without-tables"],
+    ids=["alpha-delta", "missing-branch", "case2-without-hbar", "case2-without-tables"],
 )
-def test_scheme_refuses_what_it_cannot_solve(entry, preset, scn_over, tables_over, grid, match):
+def test_scheme_refuses_what_it_cannot_solve(entry, preset, scn_over, tables_over, match):
     # at 1/8 the limit step is 1/8, so alpha = 8 puts alpha * delta at 1
-    scn = dataclasses.replace(load_preset(preset), **scn_over)
+    scn = dataclasses.replace(load_preset(preset), **scn_over).with_schedules(grid_h=1 / 8)
     tables = checkerboard_tables() if preset == "checkerboard" else cached_tables(preset)
     with pytest.raises(ValueError, match=match):
-        entry(scn, None if tables_over is None else dataclasses.replace(tables, **tables_over), grid)
+        entry(scn, None if tables_over is None else dataclasses.replace(tables, **tables_over))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_solves_refuse_a_tolerance_no_residual_meets(monkeypatch, tol):
-    # refused before the plane start's Bellman applications and any sweep
+    # refused before the plane start's Bellman applications and any sweep;
+    # the tables and the scheme are built before the stubs go in
+    scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
+    scheme = build_scheme(scn, cached_tables("strip_attract"))
     calls = []
     monkeypatch.setattr(kernels, "jacobi_min", lambda *args, **kw: calls.append("jacobi_min"))
     monkeypatch.setattr(stratified, "_sweep", lambda *args: calls.append("sweep"))
-    scn = load_preset("strip_attract")
-    scheme = build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
     for solve in (
         lambda: solve_scheme(scheme, tol=tol),
-        lambda: solve_unstratified(scn, grid=box_grid(1 / 8), tol=tol),
+        lambda: solve_unstratified(scn, tol=tol),
     ):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve()
@@ -409,9 +418,9 @@ def test_scheme_refuses_a_degenerate_control_hull():
         {"case": "case1", "alpha": 1.0, "R0": 0.5, "controls": [[1.0, 0.0], [0.0, 1.0]],
          "background": {"drift": ["{a1}", "{a2}"], "cost": "1"}},
         label="t",
-    )
+    ).with_schedules(grid_h=1 / 8)
     with pytest.raises(ValueError, match="degenerate control hull: the limit problem loses coercivity"):
-        build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+        build_scheme(scn, cached_tables("strip_attract"))
 
 
 def test_scheme_refuses_a_nan_bound():
@@ -423,9 +432,9 @@ def test_scheme_refuses_a_nan_bound():
          "background": {"drift": ["{a1}", "{a2}"], "cost": "1"},
          "strip_defect": {"period": 1.0, "drift": ["{a1}", "{a2}*sqrt(y2)"], "cost": "1"}},
         label="t",
-    )
+    ).with_schedules(grid_h=1 / 8)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"the sampled bound M_f is nan$"):
-        build_scheme(scn, cached_tables("strip_attract"), box_grid(1 / 8))
+        build_scheme(scn, cached_tables("strip_attract"))
 
 
 def _epsilon_error(scn, eps, limit):
@@ -450,7 +459,7 @@ def _attract_exact(x):
 
 def _solved_limit(scn):
     tables = tabulate_effective(scn, tol=5e-4)
-    return solve_effective(scn, tables, GridSpec.box(scn.schedules.box_half_width, 1 / 32))
+    return solve_effective(scn.with_schedules(grid_h=1 / 32), tables)
 
 
 _CASE2_LIMIT_FAILS = pytest.mark.xfail(
