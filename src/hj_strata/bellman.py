@@ -44,7 +44,9 @@ Three solvers share the operator:
   the path to the certificate, not the certificate).
 * :func:`ergodic_continuation` — small-discount limit ``discount -> 0`` with
   warm starts and Richardson extrapolation of the anchor value; an independent
-  estimate of the same average cost, used as a cross-check.  Each stage
+  estimate of the same average cost, used as a cross-check.  It owns its
+  whole discount schedule (first discount, ratio, floor and stage cap) and
+  forms its own Laurent start from a relative field and a rate.  Each stage
   starts from the last stage's field and optimal policy, and every stage
   stops on its own Bellman residual, so the starts move the Howard
   iterations and never the certificate.
@@ -103,7 +105,9 @@ _KRYLOV_MAX_ITER = 1000
 # iterate flagged unconverged.
 _MAX_APPLICATIONS = 500_000
 
-# Continuation stages, and the smallest discount a stage may take.
+# Continuation schedule: first discount, ratio, most stages, smallest discount.
+_LAMBDA0 = 0.5
+_LAMBDA_RATIO = 0.5
 _MAX_STAGES = 60
 _LAMBDA_FLOOR = 1e-7
 
@@ -689,43 +693,43 @@ class ContinuationResult:
 def ergodic_continuation(
     operator: SLOperator,
     *,
-    lambda0: float,
-    factor: float,
     tol: float,
-    u0: np.ndarray | None = None,
+    start: tuple[np.ndarray, list[float]] | None = None,
     policy0: np.ndarray | None = None,
 ):
     """Vanishing-discount estimate of the average cost.
 
-    Runs discounted solves along ``lambda0 * factor**k``, the first from
-    ``u0`` (one row per cell; zero when omitted) and ``policy0`` (one row of
-    admissible controls per cell; a greedy start when omitted), each later
-    one from the last stage's field (shifted by the estimated rate times the
-    change of ``1/lambda``) and its final greedy policy, records ``(lambda,
-    anchor value)`` pairs, and Richardson-extrapolates ``lambda * anchor``
-    to ``lambda = 0``; stops when three successive extrapolations agree,
-    both of their differences within ``0.5 * tol``, so that one chance
-    agreement on a plateau does not end the walk (unconverged after 60
-    stages or once the discount falls below 1e-7).  Inner solves run to
-    residual ``0.1 * tol * delta`` so their contribution to the rate error
-    stays below ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in
-    ``solves``.
+    Runs discounted solves along ``_LAMBDA0 * _LAMBDA_RATIO**k`` (0.5, 0.25,
+    ...), the first from the Laurent point of ``start`` (zero when omitted)
+    and ``policy0`` (one row of admissible controls per cell; a greedy start
+    when omitted), each later one from the last stage's field (shifted by the
+    estimated rate times the change of ``1/lambda``) and its final greedy
+    policy, records ``(lambda, anchor value)`` pairs, and
+    Richardson-extrapolates ``lambda * anchor`` to ``lambda = 0``; stops when
+    three successive extrapolations agree, both of their differences within
+    ``0.5 * tol``, so that one chance agreement on a plateau does not end the
+    walk (unconverged after ``_MAX_STAGES`` = 60 stages or once the discount
+    falls below ``_LAMBDA_FLOOR`` = 1e-7).  Inner solves run to residual
+    ``0.1 * tol * delta`` so their contribution to the rate error stays below
+    ``0.1 * tol``; each stage's :class:`SolveInfo` is kept in ``solves``.
 
-    A good ``u0`` is the Laurent expansion ``u_lambda = rate / lambda + h +
-    O(lambda)`` (Puterman 1994, section 8.2) at ``lambda0``: a corrector
-    ``h`` plus its rate over ``lambda0``.  A good ``policy0`` is one that was
-    optimal on a nearby problem at ``lambda0``, such as the first-stage
-    policy of a smaller truncation.  Howard is a Newton method on policies,
-    and the small change of discount between stages mostly keeps the last
-    stage's optimal policy optimal, so a stage started from it takes one
-    evaluation and one application when it still is: over the benchmark's
-    pipelines at seed 0 such stages average 1.7-3.2 applications, against
-    3.7-4.8 from a greedy start.  The starts move the Howard iterations, not
-    the certificate: each stage stops on its own residual ``max |T u - u| <=
-    0.1 * tol * delta``, which reads ``T u`` alone, and the extrapolation
-    reads only the anchor values of those certified fields, so the rate
-    error bound holds from every start.  Each result's ``policy`` is the
-    cell's first-stage policy, which starts the next truncation of a walk.
+    ``start = (h, rate)`` is a relative field (one row per cell), such as a
+    corrector, and its average cost (one per cell); the first stage starts at
+    their Laurent point ``u_lambda = rate / lambda + h + O(lambda)`` (Puterman
+    1994, section 8.2) at ``_LAMBDA0``, formed in a new array as the shift
+    between stages forms it.  A good ``policy0`` is one that was optimal on a
+    nearby problem at ``_LAMBDA0``, such as the first-stage policy of a
+    smaller truncation.  Howard is a Newton method on policies, and the small change
+    of discount between stages mostly keeps the last stage's optimal policy
+    optimal, so a stage started from it takes one evaluation and one
+    application when it still is: over the benchmark's pipelines at seed 0
+    such stages average 1.7-3.2 applications, against 3.7-4.8 from a greedy
+    start.  The starts move the Howard iterations, not the certificate: each
+    stage stops on its own residual ``max |T u - u| <= 0.1 * tol * delta``,
+    which reads ``T u`` alone, and the extrapolation reads only the anchor
+    values of those certified fields, so the rate error bound holds from
+    every start.  Each result's ``policy`` is the cell's first-stage policy,
+    which starts the next truncation of a walk.
 
     The cells of a family share the discount schedule: each stage is one
     family solve of the cells whose extrapolations still disagree.  Returns a
@@ -736,8 +740,8 @@ def ergodic_continuation(
     k = family.cells
     anchor = family.grid.anchor_index()
     inner_tol = 0.1 * tol * family.delta
-    lam = lambda0
-    u, policy = u0, policy0
+    lam, policy = _LAMBDA0, policy0
+    u = None if start is None else start[0] + np.asarray(start[1])[:, None] / lam
     history: list[list[tuple[float, float]]] = [[] for _ in range(k)]
     extrapolations: list[list[float]] = [[] for _ in range(k)]
     solves: list[list[SolveInfo]] = [[] for _ in range(k)]
@@ -777,7 +781,7 @@ def ergodic_continuation(
                     converged[c] = infos[j].converged
                     done[j] = True
                     settle(c)
-        next_lam = lam * factor
+        next_lam = lam * _LAMBDA_RATIO
         c_est = np.array([estimate(c) for c in rows])
         u = u + c_est[:, None] * (1.0 / next_lam - 1.0 / lam)
         lam = next_lam

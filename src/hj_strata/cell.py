@@ -15,13 +15,13 @@ value recorded in the tables).  Whichever runs second starts from what the
 first found, which saves most of its work: at ``delta = sqrt(h)`` (the
 tables) relative VI starts from the continuation's last discounted field; at
 ``delta = h`` (the correctors) relative VI runs first and the continuation
-starts at VI's Laurent point ``h + rate / lambda0``.  No start carries one
-rate into the other: the bracket ``(min(T0[u] - u), max(T0[u] - u)) /
-delta`` holds the true rate for every ``u``, and every continuation stage
-stops on its own Howard residual, so both constants are certified to ``tol``
-whatever they start from.  ``method_gap`` records their disagreement; entries
-whose gap exceeds twice the requested tolerance are flagged as failed rather
-than papered over.
+starts from VI's field and rate.  No start carries one rate into the other:
+the bracket ``(min(T0[u] - u), max(T0[u] - u)) / delta`` holds the true
+rate for every ``u``, and every continuation stage stops on its own Howard
+residual, so both constants are certified to ``tol`` whatever they start
+from.  ``method_gap`` records their disagreement; entries whose gap exceeds
+twice the requested tolerance are flagged as failed rather than papered
+over.
 
 Truncation families: strips grow in the half-height ``rho``, the compact-core
 constant ``E`` comes from boxes ``[-R, R]^2`` (an exhausting family with the
@@ -52,10 +52,11 @@ through them.
 Resolution: every cell problem reads its grid spacing ``cell_h``, its time
 step ``SolverSchedules.delta`` and its tolerance ``tol_ergodic`` from
 ``scn.schedules``, and nothing else, as the limit problem reads its box; the
-iteration budget of every solve is :mod:`hj_strata.bellman`'s own.  To solve
-at another resolution, pass the scenario with replaced schedules
-(:meth:`Scenario.with_schedules`), as ``tabulate_effective`` does for its
-``tol`` and ``correctors.build_corrector_set`` for its ``h`` and ``tol``.
+iteration budget of every solve and the continuation's discount schedule are
+:mod:`hj_strata.bellman`'s own.  To solve at another resolution, pass the
+scenario with replaced schedules (:meth:`Scenario.with_schedules`), as
+``tabulate_effective`` does for its ``tol`` and
+``correctors.build_corrector_set`` for its ``h`` and ``tol``.
 Replaced schedules are validated where they are built, the truncations
 against ``cell_h`` by ``tabulate_effective`` and the limit box by the limit
 solves, so a value no solver can run with raises ``ScenarioError`` before
@@ -214,32 +215,21 @@ def _solve_cells(
 
     The order of the two methods follows the time step.  At ``delta <=
     cell_h`` relative VI runs first (cold, or from the previous corrector)
-    and the continuation starts at VI's Laurent point ``h + rate / lambda0``.
+    and the continuation starts from VI's field and rate (``start``, whose
+    Laurent point :func:`~hj_strata.bellman.ergodic_continuation` forms).
     At larger steps the continuation runs first and relative VI starts from
     its last discounted field.  The continuation starts cold at a walk's
     first truncation; at a later one it starts from the previous
-    corrector's Laurent point and from the previous estimate's first-stage
+    corrector and constant and from the previous estimate's first-stage
     policy, read on the new grid by :func:`_read_policy`.  A start moves the
     iteration counts, and the constants only within ``tol``: both
     certificates hold from every start."""
     sched = scn.schedules
     tol = sched.tol_ergodic
-
-    def continuation(family: SLOperator, u0: np.ndarray | None, policy0: np.ndarray | None) -> Family:
-        return ergodic_continuation(
-            family, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, u0=u0, policy0=policy0
-        )
-
-    def laurent(fields: np.ndarray, rates) -> np.ndarray:
-        # u_lambda0 = rate / lambda0 + h + O(lambda0), one row per cell, in place
-        fields += np.asarray(rates)[:, None] / sched.lambda0
-        return fields
-
     out = []
-    for start in range(0, len(momenta), _FAMILY_CELLS):
-        rows = momenta[start:start + _FAMILY_CELLS]
-        family = build(rows)
-        last = None if previous is None else previous[start:start + _FAMILY_CELLS]
+    for lo in range(0, len(momenta), _FAMILY_CELLS):
+        family = build(momenta[lo:lo + _FAMILY_CELLS])
+        last = None if previous is None else previous[lo:lo + _FAMILY_CELLS]
         prior = None
         if last is not None:
             nodes = family.grid.nodes()
@@ -252,15 +242,15 @@ def _solve_cells(
         # 0.88-1.05 s, about 40% more.
         if family.delta <= sched.cell_h:
             vis = solve_ergodic_relative(family, tol=tol, u0=prior)
-            fields = np.stack([vi.field.flat() for vi in vis])
-            conts = continuation(family, laurent(fields, [vi.rate for vi in vis]), None)
+            start = (np.stack([vi.field.flat() for vi in vis]), [vi.rate for vi in vis])
+            conts = ergodic_continuation(family, tol=tol, start=start)
         else:
-            u0 = policy0 = None
+            start = policy0 = None
             if last is not None:
-                u0 = laurent(prior, [-e.constant for e in last])
+                start = (prior, [-e.constant for e in last])
                 policies = np.stack([e.continuation.policy for e in last])
                 policy0 = _read_policy(family, last[0].corrector.grid, policies)
-            conts = continuation(family, u0, policy0)
+            conts = ergodic_continuation(family, tol=tol, start=start, policy0=policy0)
             vis = solve_ergodic_relative(family, tol=tol, u0=np.stack([c.field.flat() for c in conts]))
         for cont, vi in zip(conts, vis):
             est = ErgodicEstimate(truncation, family.delta, vi.converged and cont.converged, vi, cont)

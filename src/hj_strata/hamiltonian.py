@@ -23,6 +23,7 @@ where two regions' blocks meet, and reports findings instead of raising.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from dataclasses import dataclass
@@ -193,7 +194,7 @@ def hull_inradius(points: np.ndarray) -> float:
     return float(np.min(a[:, 0] * (d[:, 1] / length) - a[:, 1] * (d[:, 0] / length)))
 
 
-_BOUNDS_CACHE: dict[tuple[str, int, int], dict[str, float]] = {}
+_BOUNDS_CACHE: dict[tuple[str, float, float, int, int], dict[str, float]] = {}
 _BOUNDS_CACHE_SIZE = 32
 _BOUNDS_LOCK = threading.Lock()
 
@@ -203,10 +204,13 @@ def estimate_bounds(scenario: Scenario, *, samples: int = 400, seed: int = 0) ->
     inradius r_f (worst case over sampled points), Lipschitz surrogate L_f,
     and the induced gradient window half-width p_window.
 
-    The sampling is deterministic in ``(scenario, samples, seed)``, so results
-    are cached on ``scenario.content_hash()``; every call gets its own dict.
+    The sampling is deterministic in what it reads, so results are cached on
+    that: the canonical scenario less its schedules, the solver reach, the
+    slow-point box, ``samples`` and ``seed``; every call gets its own dict.
     """
-    key = (scenario.content_hash(), samples, seed)
+    model = {k: v for k, v in scenario.canonical().items() if k != "schedules"}
+    reaches = (_solver_reach(scenario), scenario.schedules.box_half_width)  # y and x
+    key = (json.dumps(model, sort_keys=True), *reaches, samples, seed)
     with _BOUNDS_LOCK:
         cached = _BOUNDS_CACHE.get(key)
     if cached is None:

@@ -172,8 +172,6 @@ class SolverSchedules:
 
     rho_list: tuple[float, ...]
     R_list: tuple[float, ...]
-    lambda0: float = 0.5
-    lambda_factor: float = 0.5
     tol_ergodic: float = 1e-4
     cell_h: float = 1.0 / 16.0
     grid_h: float = 1.0 / 16.0
@@ -194,11 +192,9 @@ class SolverSchedules:
                 raise ScenarioError(f"schedules.{name}: must be strictly increasing")
             if seq[0] <= 0:
                 raise ScenarioError(f"schedules.{name}: entries must be positive")
-        for name in ("lambda0", "tol_ergodic", "cell_h", "grid_h", "box_half_width"):
+        for name in ("tol_ergodic", "cell_h", "grid_h", "box_half_width"):
             if not (_is_number(getattr(self, name)) and getattr(self, name) > 0):
                 raise ScenarioError(f"schedules.{name}: must be a positive number")
-        if not (_is_number(self.lambda_factor) and 0 < self.lambda_factor < 1):
-            raise ScenarioError("schedules.lambda_factor: must lie in (0, 1)")
         if self.sl_step != "sqrt" and not (_is_number(self.sl_step) and self.sl_step > 0):
             raise ScenarioError("schedules.sl_step: 'sqrt' or a positive time step")
         points = self.p1_points

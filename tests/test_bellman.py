@@ -462,7 +462,7 @@ def test_solvers_refuse_a_tolerance_no_residual_meets(monkeypatch, tol):
     for solve in (
         lambda: solve_discounted(op, 0.5, tol=tol),
         lambda: solve_ergodic_relative(op, tol=tol),
-        lambda: ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=tol),
+        lambda: ergodic_continuation(op, tol=tol),
     ):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve()
@@ -519,7 +519,7 @@ def test_continuation_matches_relative_vi():
     scn = load_preset("strip_attract")
     op = strip_operator(scn, 0.3, rho=2.0)
     (vi,) = solve_ergodic_relative(op, tol=1e-7)
-    (cont,) = ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-7)
+    (cont,) = ergodic_continuation(op, tol=1e-7)
     assert vi.converged and cont.converged
     assert vi.rate == pytest.approx(cont.rate, abs=2e-7)
     # the discount history decreases geometrically
@@ -686,12 +686,10 @@ def test_ergodic_relative_from_any_start_keeps_its_certificate():
 
 
 def test_ergodic_relative_warm_start_from_continuation_saves_applications():
-    scn = load_preset("checkerboard")
-    sched = scn.schedules
-    op = strip_operator(scn, -0.5, rho=1.0)
+    op = strip_operator(load_preset("checkerboard"), -0.5, rho=1.0)
     tol = 5e-4
     (cold,) = solve_ergodic_relative(op, tol=tol)
-    (cont,) = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
+    (cont,) = ergodic_continuation(op, tol=tol)
     (warm,) = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
     assert cold.converged and warm.converged
     assert (cold.iterations, warm.iterations) == (21, 2)
@@ -701,11 +699,11 @@ def test_ergodic_relative_warm_start_from_continuation_saves_applications():
 
 @pytest.mark.parametrize("cell", ["strip", "ball"])
 def test_continuation_from_any_start_keeps_its_certificate(cell):
-    # two starts of the first stage: the Laurent point of a corrector (relative
-    # VI's field plus its rate over lambda0) and the last truncation's
-    # corrector read on the larger grid; each moves that stage's Howard
-    # iterations, while every stage still stops on its own residual, the
-    # stages are as many and the rate is the cold one within tol
+    # two starts of the first stage, each a corrector and its rate: relative
+    # VI's field and rate, and the last truncation's corrector read on the
+    # larger grid with its rate; each moves that stage's Howard iterations,
+    # while every stage still stops on its own residual, the stages are as
+    # many and the rate is the cold one within tol
     tol = 5e-4
     if cell == "strip":   # delta = sqrt(h)
         scn = load_preset("strip_attract").with_schedules(tol_ergodic=tol)
@@ -715,26 +713,43 @@ def test_continuation_from_any_start_keeps_its_certificate(cell):
         scn = load_preset("strip_attract").with_schedules(cell_h=1 / 16, sl_step=1 / 16, tol_ergodic=tol)
         op = ball_operator(scn, 1.5)
         (last,) = ball_ergodic(scn, 0.75)
-    sched = scn.schedules
     (vi,) = solve_ergodic_relative(op, tol=tol)
     starts = [
-        vi.field.flat() + vi.rate / sched.lambda0,
-        last.corrector(op.grid.nodes(), clip=True) - last.constant / sched.lambda0,
+        (vi.field.flat()[None], [vi.rate]),
+        (last.corrector(op.grid.nodes(), clip=True)[None], [-last.constant]),
     ]
-
-    def continuation(u0):
-        return ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol, u0=u0)
-
-    (cold,) = continuation(None)
+    (cold,) = ergodic_continuation(op, tol=tol)
     assert cold.converged
-    for u0 in starts:
-        start = u0.copy()
-        (warm,) = continuation(start[None])
+    for h, rate in starts:
+        given = h.copy()
+        (warm,) = ergodic_continuation(op, tol=tol, start=(h, rate))
         assert warm.converged and warm.stages == cold.stages
         assert warm.rate == pytest.approx(cold.rate, abs=tol)
         assert all(info.converged and info.residual <= 0.1 * tol * op.delta for info in warm.solves)
         assert warm.solves[0].iterations < cold.solves[0].iterations
-        assert np.array_equal(start, u0)  # the caller's start is not modified
+        assert np.array_equal(h, given)  # the caller's field is not modified
+
+
+def test_continuation_starts_at_the_laurent_point_of_its_start(monkeypatch):
+    # start=(h, rate) starts the first stage at h + rate / lambda0 with
+    # lambda0 = 0.5, one row per cell, in a new array
+    from hj_strata import bellman
+
+    op = strip_operator(load_preset("strip_attract"), np.array([0.25, -0.3]), rho=1.0)
+    vis = solve_ergodic_relative(op, tol=5e-4)
+    h = np.stack([vi.field.flat() for vi in vis])
+    rate = [vi.rate for vi in vis]
+    given = h.copy()
+    starts = []
+    solve = bellman.solve_discounted
+    monkeypatch.setattr(
+        bellman, "solve_discounted", lambda op, lam, **kw: starts.append((lam, kw["u0"])) or solve(op, lam, **kw)
+    )
+    ergodic_continuation(op, tol=5e-4, start=(h, rate))
+    lam, u0 = starts[0]
+    assert lam == 0.5
+    assert u0.tobytes() == (h + 2.0 * np.array(rate)[:, None]).tobytes()
+    assert u0 is not h and np.array_equal(h, given)
 
 
 def test_best_iterate_fallback_reports_not_converged(monkeypatch):
@@ -753,10 +768,9 @@ def test_corrector_ball_policy_steps_keep_the_span_certificate():
     # build_corrector_set solves it: relative VI warm-started from the
     # continuation; without policy steps it took 110 full applications
     scn = load_preset("strip_attract").with_schedules(cell_h=1 / 32, sl_step=1 / 32)
-    sched = scn.schedules
     op = ball_operator(scn, 2.5)
     tol = 5e-4
-    (cont,) = ergodic_continuation(op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=tol)
+    (cont,) = ergodic_continuation(op, tol=tol)
     (vi,) = solve_ergodic_relative(op, tol=tol, u0=cont.field.flat())
     assert vi.converged and cont.converged
     lo, hi = vi.rate_bounds
@@ -896,8 +910,8 @@ def test_family_howard_and_continuation_equal_lone_solves_bit_for_bit(monkeypatc
         (field_1,), (info_1,) = solve_discounted(op, 0.25, tol=1e-9, policy0=start)
         assert field.values.tobytes() == field_1.values.tobytes()
         assert info == info_1 and info.policy.tobytes() == info_1.policy.tobytes()
-    batch = ergodic_continuation(family, lambda0=0.5, factor=0.5, tol=1e-6)
-    lone_batches = [ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-6) for op in lone]
+    batch = ergodic_continuation(family, tol=1e-6)
+    lone_batches = [ergodic_continuation(op, tol=1e-6) for op in lone]
     _assert_same_results(batch, lone_batches)
     for a, (b,) in zip(batch, lone_batches):
         assert a.policy.tobytes() == b.policy.tobytes()
@@ -972,7 +986,7 @@ def test_continuation_out_of_stages_reports_unconverged_finite_rates(monkeypatch
 
     monkeypatch.setattr(bellman, "_MAX_STAGES", 2)
     op = strip_operator(load_preset("strip_attract"), np.array([0.0, 0.3]), rho=1.0)
-    results = ergodic_continuation(op, lambda0=0.5, factor=0.5, tol=1e-7)
+    results = ergodic_continuation(op, tol=1e-7)
     assert len(results) == 2
     for res in results:
         assert not res.converged and res.stages == 2 and len(res.solves) == 2

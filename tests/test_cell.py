@@ -638,16 +638,13 @@ def test_strip_family_walk_equals_lone_walks_bit_for_bit():
     assert [r.converged for r in family] == [True, True, False, True]
 
 
-def _continuation(scn, op, u0=None):
-    sched = scn.schedules
-    return ergodic_continuation(
-        op, lambda0=sched.lambda0, factor=sched.lambda_factor, tol=sched.tol_ergodic, u0=u0
-    )
+def _continuation(scn, op, start=None):
+    return ergodic_continuation(op, tol=scn.schedules.tol_ergodic, start=start)
 
 
 def test_delta_h_ball_runs_relative_vi_first():
     # at delta = h cold relative VI gives the corrector, and the continuation
-    # starts at its Laurent point field + rate / lambda0: the first stage takes
+    # starts from its field and rate (their Laurent point): the first stage takes
     # 4 Howard iterations against 15 from zero (4 against 29 on the
     # benchmark's corrector ball at h = 1/32, R = 2.5)
     scn = load_preset("strip_attract").with_schedules(cell_h=1 / 16, sl_step=1 / 16, tol_ergodic=5e-4)
@@ -657,7 +654,7 @@ def test_delta_h_ball_runs_relative_vi_first():
     assert est.corrector.values.tobytes() == vi.field.values.tobytes()
     assert est.constant == -vi.rate
     assert (est.relative.iterations, est.relative.residual) == (vi.iterations, vi.residual)
-    (warm,) = _continuation(scn, op, (vi.field.flat() + vi.rate / scn.schedules.lambda0)[None])
+    (warm,) = _continuation(scn, op, (vi.field.flat()[None], [vi.rate]))
     (cold,) = _continuation(scn, op)
     assert (est.continuation.rate, est.continuation.history) == (warm.rate, warm.history)
     assert (warm.solves[0].iterations, cold.solves[0].iterations) == (4, 15)

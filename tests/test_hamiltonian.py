@@ -304,6 +304,17 @@ def test_estimate_bounds_is_cached_by_content(monkeypatch):
     estimate_bounds(load_preset("eikonal"), samples=17, seed=4)
     assert len(calls) == 3
     assert other != again
+    # the key is what the sampling reads: schedules it does not read share the entry
+    scn = load_preset("eikonal")
+    for change in ({"grid_h": 0.125}, {"cell_h": 0.125}, {"sl_step": 0.1}, {"tol_ergodic": 1e-3}):
+        assert estimate_bounds(scn.with_schedules(**change), samples=17, seed=3) == again, change
+    assert len(calls) == 3
+    # the slow-point box and the solver reach are read, so each misses
+    estimate_bounds(scn.with_schedules(box_half_width=3.0), samples=17, seed=3)
+    assert len(calls) == 4
+    wider = (*scn.schedules.rho_list, 2.0 * max(scn.schedules.rho_list))
+    estimate_bounds(scn.with_schedules(rho_list=wider), samples=17, seed=3)
+    assert len(calls) == 5
 
 
 CHECK_SEEDS = range(5)

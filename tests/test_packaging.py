@@ -71,7 +71,7 @@ def test_settable_values_do_not_grow():
     tool = _settable_values()
     params, fields = tool.count(tool.PACKAGE)
     assert params <= 35, f"{params} defaulted parameters, bound 35"
-    assert fields <= 122, f"{fields} dataclass fields, bound 122"
+    assert fields <= 120, f"{fields} dataclass fields, bound 120"
 
 
 def test_settable_values_counts_defaults_and_dataclass_fields(tmp_path):

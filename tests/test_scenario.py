@@ -149,7 +149,7 @@ def test_schedules_fixed_step():
         ({"strip_defect": {"drift": ["{a1}", "{a2}"], "cost": "1"}}, "period"),
         ({"schedules": {"rho_list": [2.0, 1.0]}}, "strictly increasing"),
         ({"schedules": {"rho_list": []}}, "must not be empty"),
-        ({"schedules": {"lambda_factor": 1.5}}, "lambda_factor"),
+        ({"schedules": {"lambda_factor": 1.5}}, "schedules: unknown key(s) ['lambda_factor']"),
         ({"schedules": {"nope": 1}}, "unknown key"),
         ({"controls": {"directions": 2}}, "directions"),
         ({"controls": {"directions": 8, "speed": -1.0}}, "speed"),
@@ -203,6 +203,7 @@ def test_schedules_fixed_step():
         ({"case": "case3", "R1": 0.75, "strip_defect": {"plus": STRIP, "minus": {**STRIP, "costs": "1"}}},
          "strip_defect.minus: unknown key(s) ['costs']"),
         ({"schedules": {"R_list": [1.0, True]}}, "schedules.R_list: expected a list of numbers"),
+        ({"schedules": {"lambda0": 0.5}}, "schedules: unknown key(s) ['lambda0']"),
     ],
 )
 def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
@@ -217,8 +218,10 @@ def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
     "build, clause",
     [
         (lambda scn: scn.with_schedules(tol_ergodic=0), "tol_ergodic: must be a positive number"),
-        (lambda scn: scn.with_schedules(tol_ergodic=-1.0, lambda_factor=1.5, cell_h=0.0), "tol_ergodic"),
-        (lambda scn: scn.with_schedules(lambda_factor=1.5), r"lambda_factor: must lie in \(0, 1\)"),
+        (lambda scn: scn.with_schedules(tol_ergodic=-1.0, p1_points=0, cell_h=0.0), "tol_ergodic"),
+        # the continuation's discount schedule is bellman's, not a schedule field
+        (lambda scn: scn.with_schedules(lambda_factor=1.5), r"unknown key\(s\) \['lambda_factor'\]$"),
+        (lambda scn: scn.with_schedules(lambda0=0.5), r"unknown key\(s\) \['lambda0'\]$"),
         (lambda scn: scn.with_schedules(rho_list=()), "rho_list: must not be empty"),
         (lambda scn: tabulate_effective(scn, tol=0), "tol_ergodic: must be a positive number"),
         (lambda scn: build_corrector_set(scn, tol=-1), "tol_ergodic: must be a positive number"),
@@ -234,16 +237,17 @@ def test_rejects_invalid_input_naming_the_clause(patch, needle, tmp_path):
         (lambda scn: tabulate_effective(scn.with_schedules(cell_h=0.3)),
          r"rho_list: strip height \(2\.0\) must be a positive integer multiple of h \(0\.3\)$"),
     ],
-    ids=["with_schedules", "with_schedules-first-clause", "lambda_factor", "rho_list", "tabulate_effective",
-         "build_corrector_set-tol", "build_corrector_set-h", "rho_list-boolean", "R_list-strings",
-         "rho_list-mixed", "tabulate_effective-rho_list-grid", "tabulate_effective-R_list-grid",
+    ids=["with_schedules", "with_schedules-first-clause", "lambda_factor", "lambda0", "rho_list",
+         "tabulate_effective", "build_corrector_set-tol", "build_corrector_set-h", "rho_list-boolean",
+         "R_list-strings", "rho_list-mixed", "tabulate_effective-rho_list-grid", "tabulate_effective-R_list-grid",
          "tabulate_effective-cell_h-grid"],
 )
 def test_every_schedule_path_refuses_what_parsing_refuses(build, clause, monkeypatch):
-    # replaced schedules are validated where they are built, before any solve
+    # replaced schedules are validated where they are built, before any solve;
+    # a field's refusal names ``schedules.<field>``, an unknown key's ``schedules:``
     built = []
     monkeypatch.setattr(SLOperator, "__init__", lambda self, *args: built.append(args))
-    with pytest.raises(ScenarioError, match=rf"^schedules\.{clause}"):
+    with pytest.raises(ScenarioError, match=rf"^schedules(\.|: ){clause}"):
         build(load_preset("strip_attract"))
     assert built == []
 
@@ -314,13 +318,13 @@ def test_content_hash_ignores_label_and_is_stable():
 # content_hash() of each bundled preset; a change to the canonical form or to
 # a schedule default moves these.
 PRESET_HASHES = {
-    "case3_mirror": "fa7ae0e8cb61d7e0cde9ec5430cbd9a0176d36605eac893aa613555c39648f4f",
-    "checkerboard": "2b3055e5a69088deaec0f58dd9434f298dbb4e492e9f5d1ac9a759257a3f4fb7",
-    "core_repulse": "07b6d171d61df83ca750a83d72f6466ac966a3534a2ae0aa15a470395104750a",
-    "cost_bump": "aaef14fb42fba1d87161de771cb7ec8932c5d1a8c26a9e3e5f93ebf62c85d138",
-    "drift_defect": "6d567939220811552500dedefaef363114e479ff09209634f3cbb038a54677e4",
-    "eikonal": "cedaa7614cb0500df4ec9944d2c602b678238f6ecea99010a9f23f58f95ceff5",
-    "strip_attract": "682f71c0d891b6a9f497ef5690ae69db613d58f98db82c3b21c5d8a8c0f4ef03",
+    "case3_mirror": "ca3f47c395846570c9adc754a473c1b4ffb1fb35d4302038ff6a36cb5a4860bd",
+    "checkerboard": "74470df19ecfeb04707d5d170a31f11c16c384f7cc86569cc9ce4620aea263fa",
+    "core_repulse": "8635739e1df718f6bb78fc1049f5b8241dc3aedbf597deda8c0dbc8603704f39",
+    "cost_bump": "a654ba55537a7d74256f6e502a6cfce2908695931f4ab829e1efcb353a60f690",
+    "drift_defect": "c31dc9f0d0d459418bfe7f686a2f85edc25acbc56592e24926d7d59b663ed013",
+    "eikonal": "bf18eb13d3ac8f31d4bac63a1c1c65b6a3480459b653eb46d0417bf501e605a2",
+    "strip_attract": "b737ee37589ba3d9c25850697a0528f6edef00323ab4b22408a390c43ef06ca2",
 }
 
 
