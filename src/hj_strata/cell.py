@@ -82,7 +82,7 @@ from .bellman import (
     solve_ergodic_relative,
 )
 from .grids import GridSpec, ValueField, _check_multiple
-from .hamiltonian import _frozen_background, _nonfinite_bound, _vertical_drift, estimate_bounds, eval_fields
+from .hamiltonian import _frozen_background, _unusable_bound, _vertical_drift, estimate_bounds, eval_fields
 from .scenario import FieldPair, Scenario, ScenarioError
 
 _X0 = np.zeros(2)       # the frozen slow point of every cell problem: the origin
@@ -721,8 +721,7 @@ def tabulate_effective(
     if p_grid is not None:
         p_grid = _momentum_grid(p_grid, "p_grid", 2)
     bounds = estimate_bounds(scn, samples=200, seed=0)
-    if not math.isfinite(bounds["p_window"]):
-        cause = _nonfinite_bound(bounds) or "control hull is degenerate (r_f <= 0)"
+    if cause := _unusable_bound(bounds):
         raise ValueError(f"cannot size the momentum window: {cause}")
     window = 1.05 * bounds["p_window"]
     p1s = p1_grid if p1_grid is not None else np.linspace(-window, window, sched.p1_points)

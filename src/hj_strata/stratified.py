@@ -44,14 +44,13 @@ from . import bellman
 from .bellman import SLOperator
 from .cell import EffectiveTables
 from .grids import GridSpec, ValueField
-from .hamiltonian import _nonfinite_bound, estimate_bounds
+from .hamiltonian import _unusable_bound, estimate_bounds
 from .scenario import Scenario, ScenarioError
 
 __all__ = [
     "StratifiedScheme",
     "build_scheme",
     "scheme_residuals",
-    "solve_effective",
     "solve_scheme",
     "solve_unstratified",
     "StratifiedReport",
@@ -112,10 +111,8 @@ def build_scheme(scn: Scenario, tables: EffectiveTables) -> StratifiedScheme:
     j0 = origin % grid.n2
 
     bounds = estimate_bounds(scn, samples=200, seed=0)
-    if cause := _nonfinite_bound(bounds):
+    if cause := _unusable_bound(bounds):
         raise ValueError(f"cannot bound the scheme's gradients: {cause}")
-    if bounds["r_f"] <= 0:
-        raise ValueError("degenerate control hull: the limit problem loses coercivity")
     grad_bound = bounds["M_l"] / bounds["r_f"]
     if tables.p1_grid[-1] < grad_bound - 1e-9 or tables.p1_grid[0] > -grad_bound + 1e-9:
         raise ValueError(
@@ -307,12 +304,6 @@ def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueF
     if scheme.operator is None:
         _plane_update(scheme, u, clip=False)
     return ValueField(scheme.grid, u.reshape(scheme.grid.n1, scheme.grid.n2)), it, residual
-
-
-def solve_effective(scn: Scenario, tables: EffectiveTables, *, tol: float = 1e-8) -> ValueField:
-    """Solve the full stratified limit problem on the scheduled limit box."""
-    field, _, _ = solve_scheme(build_scheme(scn, tables), tol=tol)
-    return field
 
 
 def solve_unstratified(

@@ -262,22 +262,72 @@ def test_hull_inradius_matches_qhull_on_random_sets():
         assert hull_inradius(pts) == pytest.approx(expected, abs=1e-12), pts
 
 
-# p_window as the Qhull hull gave it (samples=200, seed=0, as the tables and
-# the stratified scheme size their windows)
-_P_WINDOW = {
-    "case3_mirror": "0x1.0281f68be5d2ap+1",
-    "checkerboard": "0x1.69de421dbfcecp+1",
-    "core_repulse": "0x1.83c2f1d1d8bbfp+1",
-    "cost_bump": "0x1.0281f68be5d2ap+1",
-    "drift_defect": "0x1.d025bf1c37400p+1",
-    "eikonal": "0x1.0281f68be5d2ap+1",
-    "strip_attract": "0x1.0281f68be5d2ap+1",
+# The bounds (M_f, M_l, r_f, L_f, p_window) at (samples, seed) = (200, 0), as
+# the tables and the stratified scheme size their windows, and at (400, 23);
+# the (200, 0) p_window is the value the Qhull hull gave
+_BOUNDS = {
+    "case3_mirror": {
+        (200, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                   "0x1.7ef0ce7179af8p+1", "0x1.0281f68be5d2ap+1"),
+        (400, 23): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                    "0x1.7fc209a06132cp+1", "0x1.0281f68be5d2ap+1"),
+    },
+    "checkerboard": {
+        (200, 0): ("0x1.0000000000000p+0", "0x1.665b9d9846a04p+0", "0x1.f6297cff75cafp-1",
+                   "0x1.3338a8d1daccdp+2", "0x1.69de421dbfcecp+1"),
+        (400, 23): ("0x1.0000000000000p+0", "0x1.65e88ccd95968p+0", "0x1.f6297cff75cafp-1",
+                    "0x1.3295826f39642p+2", "0x1.696a10c7323b9p+1"),
+    },
+    "core_repulse": {
+        (200, 0): ("0x1.0000000000000p+0", "0x1.8000000000000p+0", "0x1.f6297cff75cafp-1",
+                   "0x1.3ff94fe8f45acp+2", "0x1.83c2f1d1d8bbfp+1"),
+        (400, 23): ("0x1.0000000000000p+0", "0x1.8000000000000p+0", "0x1.f6297cff75cafp-1",
+                    "0x1.3c87629b65014p+2", "0x1.83c2f1d1d8bbfp+1"),
+    },
+    "cost_bump": {
+        (200, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                   "0x1.3ff94fe8f4a8ep+2", "0x1.0281f68be5d2ap+1"),
+        (400, 23): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                    "0x1.3c87629b65014p+2", "0x1.0281f68be5d2ap+1"),
+    },
+    "drift_defect": {
+        (200, 0): ("0x1.97c04f98b3b6dp+0", "0x1.0000000000000p+0", "0x1.85ec9398852fap-2",
+                   "0x1.7ef0b1105a94cp+1", "0x1.d025bf1c37400p+1"),
+        (400, 23): ("0x1.97c04f98b3b6dp+0", "0x1.0000000000000p+0", "0x1.85ec9398852fap-2",
+                    "0x1.7fd5794d452f0p+1", "0x1.d025bf1c37400p+1"),
+    },
+    "eikonal": {
+        (200, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                   "0x0.0p+0", "0x1.0281f68be5d2ap+1"),
+        (400, 23): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                    "0x0.0p+0", "0x1.0281f68be5d2ap+1"),
+    },
+    "strip_attract": {
+        (200, 0): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                   "0x1.7ef0ce7179af8p+1", "0x1.0281f68be5d2ap+1"),
+        (400, 23): ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.f6297cff75cafp-1",
+                    "0x1.7fbf11a975cc4p+1", "0x1.0281f68be5d2ap+1"),
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(_P_WINDOW))
+@pytest.mark.parametrize("name", sorted(_BOUNDS))
 def test_p_window_is_the_qhull_value_bit_for_bit(name):
-    assert estimate_bounds(load_preset(name), samples=200, seed=0)["p_window"].hex() == _P_WINDOW[name]
+    for (samples, seed), expected in _BOUNDS[name].items():
+        bounds = estimate_bounds(load_preset(name), samples=samples, seed=seed)
+        assert tuple(bounds[k].hex() for k in ("M_f", "M_l", "r_f", "L_f", "p_window")) == expected, (samples, seed)
+
+
+def test_sample_bounds_reads_the_fields_in_two_passes(monkeypatch):
+    # one pass over the (slow x fast) sample and one over the stepped sample;
+    # the control hulls are read from the first
+    from hj_strata import hamiltonian
+
+    calls = []
+    fields = hamiltonian.eval_fields
+    monkeypatch.setattr(hamiltonian, "eval_fields", lambda *a: calls.append(a) or fields(*a))
+    hamiltonian._sample_bounds(load_preset("case3_mirror"), 200, 0)
+    assert len(calls) <= 2
 
 
 def test_estimate_bounds_eikonal():
@@ -304,17 +354,16 @@ def test_estimate_bounds_is_cached_by_content(monkeypatch):
     estimate_bounds(load_preset("eikonal"), samples=17, seed=4)
     assert len(calls) == 3
     assert other != again
-    # the key is what the sampling reads: schedules it does not read share the entry
+    # the key is the scenario's content: a schedule the sampling does not
+    # read still misses, and samples the same bounds again
     scn = load_preset("eikonal")
-    for change in ({"grid_h": 0.125}, {"cell_h": 0.125}, {"sl_step": 0.1}, {"tol_ergodic": 1e-3}):
+    changes = ({"grid_h": 0.125}, {"cell_h": 0.125}, {"sl_step": 0.1}, {"tol_ergodic": 1e-3})
+    for misses, change in enumerate(changes, start=4):
         assert estimate_bounds(scn.with_schedules(**change), samples=17, seed=3) == again, change
-    assert len(calls) == 3
-    # the slow-point box and the solver reach are read, so each misses
+        assert len(calls) == misses, change
+    # and so does one it reads
     estimate_bounds(scn.with_schedules(box_half_width=3.0), samples=17, seed=3)
-    assert len(calls) == 4
-    wider = (*scn.schedules.rho_list, 2.0 * max(scn.schedules.rho_list))
-    estimate_bounds(scn.with_schedules(rho_list=wider), samples=17, seed=3)
-    assert len(calls) == 5
+    assert len(calls) == 8
 
 
 CHECK_SEEDS = range(5)
@@ -324,7 +373,7 @@ def test_assumption_checks_pass_on_presets():
     for name in preset_names():
         for seed in CHECK_SEEDS:
             report = validate_assumptions(load_preset(name), seed=seed)
-            assert report.passed, f"{name} seed {seed}: {[e.name for e in report.failures()]}"
+            assert report.passed, f"{name} seed {seed}: {[e.name for e in report.entries if not e.passed]}"
 
 
 def _case1(strip_cost: str) -> dict:
@@ -377,7 +426,8 @@ def test_assumption_checks_catch_seam_mismatch():
     for raw, expected in cases:
         scn = parse_scenario(raw, label="t")
         for seed in CHECK_SEEDS:
-            failed = {e.name for e in validate_assumptions(scn, seed=seed).failures()}
+            report = validate_assumptions(scn, seed=seed)
+            failed = {e.name for e in report.entries if not e.passed}
             assert expected <= failed, f"{raw} seed {seed}: {sorted(failed)}"
 
 
@@ -426,7 +476,7 @@ def test_assumption_checks_fail_on_a_nan_field():
     for seed in CHECK_SEEDS:
         with np.errstate(invalid="ignore"):
             report = validate_assumptions(scn, seed=seed)
-        assert {e.name for e in report.failures()} == {
+        assert {e.name for e in report.entries if not e.passed} == {
             "cost_bound", "lipschitz_surrogate",
             "strip_periodicity", "strip_background_seam", "strip_mouth_seam", "strip_edge_seam",
         }
