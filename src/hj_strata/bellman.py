@@ -64,7 +64,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import kernels
 from .grids import GridSpec, ValueField
@@ -95,9 +94,10 @@ __all__ = [
 # Krylov comes first because SuperLU's work arrays (~14 MB each on a
 # 16k-node ball) are mmapped, and freeing them raises glibc's mmap and trim
 # thresholds for the rest of the process, so the heap stops shrinking.  The
-# fallback imports ``splu`` when it first runs: no benchmark pipeline takes
-# it, and importing ``scipy.sparse.linalg`` (with ``scipy.linalg``) costs a
-# fresh process 7.9 MiB and 0.11-0.14 s on a 2-core machine.
+# fallback imports ``scipy.sparse`` and ``splu`` when it first runs: no
+# benchmark pipeline takes it, and since the kernel loads its CSR loops
+# without the ``scipy.sparse`` package, these imports (with ``scipy.linalg``)
+# cost a fresh pipeline process 25 MiB and 0.15-0.19 s on a 2-core machine.
 _KRYLOV_MAX_ITER = 1000
 
 # Full Bellman applications of one solve: a discounted solve, a continuation
@@ -387,6 +387,7 @@ class SLOperator:
             steps[broke] += restart
         fell_back = info != 0
         for c in np.flatnonzero(fell_back):
+            from scipy import sparse
             from scipy.sparse.linalg import splu  # see _KRYLOV_MAX_ITER
             transition = kernels.stencil_matrix(idx[c], w[c], n)
             assembled = sparse.identity(n, format="csr") - gamma * transition

@@ -270,9 +270,11 @@ def _sample_bounds(scenario: Scenario, samples: int, seed: int) -> dict[str, flo
     drift2, cost2 = eval_fields(scenario, xs[:, None], ys + steps)
     m_f = np.max(np.linalg.norm(drift, axis=-1))
     m_l = np.max(np.abs(cost))
-    # the control set at every (len(ys) // 48)-th fast point as one row; one hull per distinct row
+    # the control set at every (len(ys) // 48)-th fast point as one row; one
+    # hull per distinct row (asking for indices keeps np.unique off numpy.ma)
     sets = np.moveaxis(drift[:, :, :: max(1, len(ys) // 48)], 0, -2).reshape(-1, 2 * len(drift))
-    r_f = np.min([hull_inradius(row) for row in np.unique(sets, axis=0)])
+    distinct, _ = np.unique(sets, axis=0, return_index=True)
+    r_f = np.min([hull_inradius(row) for row in distinct])
     df = np.max(np.linalg.norm(drift2 - drift, axis=-1)) / eps
     dl = np.max(np.abs(cost2 - cost)) / eps
     l_f = np.maximum(df, dl)

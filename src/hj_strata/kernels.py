@@ -25,6 +25,18 @@ prefix of one shared array, built again only when a product needs more rows
 than any before (up to a bound, see ``_SHARED_ROWS``).  Only the sparse-LU
 fallback of a policy evaluation assembles a matrix (:func:`stencil_matrix`).
 
+The loops live in the extension ``scipy/sparse/_sparsetools*.so``, which this
+module loads on its own (:func:`_load_sparsetools`): importing the
+``scipy.sparse`` package would run its ``__init__``, which star-imports numpy
+through ``scipy._lib.array_api_compat`` and so loads ``numpy.f2py``,
+``numpy.ma`` and ``numpy.testing``, about 300 modules and 17 MiB that no
+product needs.  The extension is registered in ``sys.modules`` under its own
+name, so a later ``import scipy.sparse`` reuses the same module object, and
+an extension already loaded there is reused.  Only when no extension file is
+found beside scipy's sources does the module fall back to ``from
+scipy.sparse import _sparsetools``; any other error propagates.  Only
+:func:`stencil_matrix` imports the ``scipy.sparse`` package, when it runs.
+
 An application is one product ``gamma * (P @ U) + base`` on the (N, cells)
 block ``U``, followed by a min over controls and, when a ``policy`` output is
 given, the first minimizing control.  The cell layer solves at most 32 cells
@@ -41,11 +53,41 @@ kernel; only the benchmark's provenance reads it.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 BACKEND = "python"
+
+
+def _load_sparsetools():
+    """The extension ``scipy.sparse._sparsetools``, loaded without running
+    ``scipy/sparse/__init__`` (see the module docstring)."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")   # runs no scipy/__init__
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "sparse"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 # The row pointers 0, 4, 8, ... of a product of up to _SHARED_ROWS rows are a
 # prefix of one array that the process keeps.  A larger product, a full
@@ -89,6 +131,8 @@ def stencil_product(idx: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray
 def stencil_matrix(idx: np.ndarray, w: np.ndarray, n: int) -> sparse.csr_matrix:
     """The CSR matrix of :func:`stencil_product` over ``n`` nodes, for a
     factorization."""
+    from scipy import sparse
+
     rows = idx.size // 4
     return sparse.csr_matrix((w.reshape(-1), idx.reshape(-1), _indptr(rows)), shape=(rows, n))
 

@@ -214,6 +214,45 @@ def test_policy_value_falls_back_to_lu(monkeypatch):
     assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
 
 
+def _run_fresh(code: str, **env: str) -> bytes:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``hj_strata``, with ``env`` added to the environment; returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+_LU_IN_A_FRESH_PROCESS = """
+import sys
+import numpy as np
+from hj_strata import bellman
+from hj_strata.cell import strip_operator
+from hj_strata.scenario import load_preset
+
+op = strip_operator(load_preset("strip_attract"), 0.3, rho=2.0)
+(krylov,), _ = bellman.solve_discounted(op, 0.05, tol=1e-9)
+assert "scipy.sparse" not in sys.modules
+# a Krylov solve that stalls on every cell, as _stalled_krylov does
+bellman.bicgstab = lambda system, rhs, **kw: (
+    np.zeros_like(rhs), np.ones(len(rhs), dtype=int), np.zeros(len(rhs), dtype=int)
+)
+(lu,), (info,) = bellman.solve_discounted(op, 0.05, tol=1e-9)
+assert info.converged and info.policy_evaluations <= 20 and info.lu_fallbacks > 0
+assert np.max(np.abs(lu.flat() - krylov.flat())) <= 1e-9 / (0.05 * op.delta)
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_lu_fallback_imports_scipy_sparse_where_it_runs():
+    # the pipeline never imports the scipy.sparse package (see kernels), so
+    # the LU fallback and stencil_matrix import it themselves; this test
+    # module has imported it, so only a fresh process can tell
+    _run_fresh(_LU_IN_A_FRESH_PROCESS)
+
+
 def test_policy_value_restarts_a_breakdown_once_before_lu(monkeypatch):
     from hj_strata import bellman
 
@@ -597,6 +636,44 @@ def test_stencil_product_is_the_csr_product_bit_for_bit():
             assert row.tobytes() == _csr_product(idx[c], w[c], x[c]).tobytes()
 
 
+_KERNEL_LOAD = {
+    "kernels first": "from hj_strata import kernels\nassert 'scipy.sparse' not in sys.modules\n",
+    "scipy.sparse first": "import scipy.sparse\nfrom hj_strata import kernels\n",
+    # no extension file beside scipy's sources: the package import runs
+    "no lone spec": (
+        "import importlib.machinery\n"
+        "class FileFinder(importlib.machinery.FileFinder):\n"
+        "    def find_spec(self, fullname, target=None): return None\n"
+        "importlib.machinery.FileFinder = FileFinder\n"
+        "from hj_strata import kernels\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+    ),
+}
+
+_KERNEL_PARITY = """
+import numpy as np
+from scipy import sparse
+
+# one extension object, whichever import ran first
+assert kernels._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+rng = np.random.default_rng(7)
+n, rows = 50, 120
+idx = rng.integers(0, n, size=(rows, 4)).astype(np.int32)
+w = rng.random((rows, 4))
+matrix = sparse.csr_matrix((w.ravel(), idx.ravel(), np.arange(0, 4 * rows + 1, 4)), shape=(rows, n))
+for x in (rng.normal(size=n), rng.normal(size=(n, 1)), rng.normal(size=(n, 3))):
+    assert kernels.stencil_product(idx, w, x).tobytes() == (matrix @ x).tobytes()
+"""
+
+
+@pytest.mark.parametrize("load", sorted(_KERNEL_LOAD))
+def test_kernel_loads_one_sparsetools_in_any_import_order(load):
+    # kernels loads scipy's CSR extension without the scipy.sparse package;
+    # a later or earlier package import shares the one module object, and
+    # without a lone spec the package import gives the same products
+    _run_fresh("import sys\n" + _KERNEL_LOAD[load] + _KERNEL_PARITY)
+
+
 def test_stencil_products_on_threads_share_their_row_pointers_safely(monkeypatch):
     # the row pointers are one array shared by the cell pool's threads; each
     # thread's products of growing and shrinking row counts stay exact
@@ -796,16 +873,7 @@ sys.stdout.buffer.write(field.values.tobytes())
 def test_discounted_solve_does_not_depend_on_the_blas_thread_count():
     # one Howard solve on the 25,921-node corrector ball, in fresh processes
     # with one and two BLAS threads, must return the same bytes
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _BALL_SOLVE], env=env, capture_output=True, timeout=600
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        outputs.append(proc.stdout)
+    outputs = [_run_fresh(_BALL_SOLVE, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert len(outputs[0]) == 8 * 161 * 161
     assert outputs[0] == outputs[1]
 

@@ -39,13 +39,19 @@ def test_pipeline_modules_do_not_import_scipy_optimize():
     ``scipy.optimize``, ``scipy.spatial`` (with ``scipy.special``) or
     ``scipy.sparse.linalg`` would cost memory and start-up time for no
     caller.  A whole table solve stays on BiCGSTAB, so the common solve path
-    does not import sparse LU either."""
+    does not import sparse LU either.  The kernel loads SciPy's compiled CSR
+    loops, ``scipy.sparse._sparsetools``, without the ``scipy.sparse``
+    package, whose ``__init__`` would load ``scipy._lib.array_api_compat``
+    and through it ``numpy.f2py``, ``numpy.ma`` and ``numpy.testing``; the
+    bounds' ``np.unique`` stays off ``numpy.ma`` too."""
     code = (
         "import sys\n"
         "import hj_strata.cell, hj_strata.correctors, hj_strata.stratified\n"
         "hj_strata.load_preset('strip_attract')\n"
         "hj_strata.cell.tabulate_effective(hj_strata.load_preset('eikonal'), tol=5e-4)\n"
-        "unused = ('scipy.optimize', 'scipy.spatial', 'scipy.sparse.linalg', 'scipy.special')\n"
+        "assert 'scipy.sparse._sparsetools' in sys.modules\n"
+        "unused = ('scipy.optimize', 'scipy.spatial', 'scipy.sparse.linalg', 'scipy.special',\n"
+        "          'scipy.sparse', 'scipy._lib.array_api_compat', 'numpy.f2py', 'numpy.ma', 'numpy.testing')\n"
         "print([m for m in unused if m in sys.modules])\n"
     )
     src = Path(importlib.import_module("hj_strata").__file__).parents[1]
