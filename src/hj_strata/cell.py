@@ -509,10 +509,11 @@ class EffectiveTables:
 
     The tables are piecewise linear between their knots, and these methods
     are the only readers of that format: the lookups :meth:`h1t_at` and
-    :meth:`hbar_at`, the flank root :meth:`tangential_root`, the section
-    :meth:`_section` and its roots :meth:`section_roots`, the difference
-    quotients :meth:`one_sided_quotients` and :meth:`tangential_slope_bound`,
-    the minimizer :meth:`tangential_argmin` and the upwind value
+    :meth:`hbar_at`, the lower convex hull :meth:`hull_planes`, the flank
+    root :meth:`tangential_root`, the section :meth:`_section` and its roots
+    :meth:`section_roots`, the difference quotients
+    :meth:`one_sided_quotients` and :meth:`tangential_slope_bound`, the
+    minimizer :meth:`tangential_argmin` and the upwind value
     :meth:`tangential_upwind`.
     """
 
@@ -540,20 +541,16 @@ class EffectiveTables:
             _check_window(p1a, self.p1_grid[0], self.p1_grid[-1])
         return np.interp(p1a, self.p1_grid, self.h1t[branch])
 
-    def hbar_at(self, p, *, clip: bool = False) -> float | np.ndarray:
+    def hbar_at(self, p) -> float | np.ndarray:
         """Bilinear lookup of ``hbar`` at the momenta ``p`` (shape (..., 2)):
         a float for one momentum, else an array of shape ``p.shape[:-1]``.
-        ``clip`` clamps each component into the window instead of raising
-        :class:`TableRangeError`; without ``hbar`` (case1/case3) it raises
-        ``ValueError``."""
+        Raises :class:`TableRangeError` outside the window; without ``hbar``
+        (case1/case3) it raises ``ValueError``."""
         if self.hbar is None or self.p_grid is None:
             raise ValueError("this scenario has no periodic-background table")
         p = np.asarray(p, dtype=float)
         q, g = p.reshape(-1, 2).T.copy(), self.p_grid   # (2, n), each component contiguous
-        if clip:
-            q = np.clip(q, g[0], g[-1])
-        else:
-            _check_window(q, g[0], g[-1])
+        _check_window(q, g[0], g[-1])
         # the cell [g[k], g[k+1]] of each component, clamped to the end cells:
         # clip(searchsorted(g, q) - 1, 0, m - 2) in one search
         k = np.searchsorted(g[1:-1], q)
@@ -563,6 +560,46 @@ class EffectiveTables:
         w = np.column_stack([(1 - t) * (1 - s), t * (1 - s), (1 - t) * s, t * s])
         v = kernels.stencil_product(np.column_stack([c, c + m, c + 1, c + m + 1]), w, self.hbar.reshape(-1))
         return v.reshape(p.shape[:-1]) if p.ndim > 1 else float(v[0])
+
+    def hull_planes(self, bound: float) -> tuple[np.ndarray, np.ndarray]:
+        """The lower convex hull of ``hbar`` as planes ``z = g . p + b``, ``(g, b)``
+        of shapes (n, 2) and (n,): each passes through three table nodes and
+        lies on or below every node (to a relative 1e-12), so their maximum is
+        the hull (Lucet, Numer. Algorithms 16 (1997)).  A plane is kept once,
+        when the triangle of its nodes meets ``[-bound, bound]^2``, where the
+        kept planes have the maximum of all.  Every triple of nodes is a
+        candidate, one chunk per first node, tested on a 5 x 5 lattice of
+        probe nodes before all nodes.  Without ``hbar`` it raises ``ValueError``."""
+        if self.hbar is None or self.p_grid is None:
+            raise ValueError("this scenario has no periodic-background table")
+        m, z = len(self.p_grid), self.hbar.reshape(-1)
+        p = np.stack(np.meshgrid(self.p_grid, self.p_grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        lattice = np.linspace(0, m - 1, min(m, 5)).round().astype(int)   # distinct
+        probes = (lattice[:, None] * m + lattice).reshape(-1)
+        slack = 1e-12 * (1.0 + np.max(np.abs(z)))
+        pairs = np.triu_indices(len(z), k=1)   # (j, k) with j < k, ascending in j
+        planes = []
+        for a, start in enumerate(np.searchsorted(pairs[0], np.arange(len(z)), side="right")):
+            j, k = pairs[0][start:], pairs[1][start:]
+            e1, e2 = p[j] - p[a], p[k] - p[a]
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            ok = np.abs(det) > 1e-9 * (p[-1, 0] - p[0, 0]) ** 2   # not collinear
+            j, k, e1, e2, dz1, dz2 = j[ok], k[ok], e1[ok], e2[ok], z[j[ok]] - z[a], z[k[ok]] - z[a]
+            g = np.column_stack([dz1 * e2[:, 1] - dz2 * e1[:, 1], e1[:, 0] * dz2 - e2[:, 0] * dz1])
+            g /= det[ok, None]
+            for nodes in (probes, slice(None)):
+                ok = np.all(z[nodes] - z[a] - g @ (p[nodes] - p[a]).T >= -slack, axis=1)
+                j, k, g = j[ok], k[ok], g[ok]
+            tri = np.stack([np.broadcast_to(p[a], p[j].shape), p[j], p[k]], axis=1)   # (t, 3, 2)
+            ok = np.all((tri.min(axis=1) <= bound) & (tri.max(axis=1) >= -bound), axis=1)
+            for e in range(3):   # nor does an edge normal separate the triangle from the box
+                normal = (tri[:, (e + 1) % 3] - tri[:, e]) @ np.array([[0, 1], [-1, 0]])
+                proj, reach = np.einsum("tvi,ti->tv", tri, normal), bound * np.abs(normal).sum(axis=1)
+                ok &= (proj.min(axis=1) <= reach) & (proj.max(axis=1) >= -reach)
+            planes.append(np.column_stack([g[ok], z[a] - g[ok] @ p[a]]))
+        planes = np.concatenate(planes)
+        planes = planes[np.sort(np.unique(planes.round(9), axis=0, return_index=True)[1])]
+        return planes[:, :2], planes[:, 2]
 
     def tangential_root(self, branch: str, level: float, side: str) -> float:
         """Root of ``h1t[branch] = level`` on the ``side`` flank of its argmin

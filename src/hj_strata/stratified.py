@@ -3,11 +3,11 @@
 The discounted limit equation holds in three flavors depending on where a
 node sits:
 
-* generic plane nodes solve ``alpha u + Hbar(x, Du) = 0`` -- in control form
-  (semi-Lagrangian on the background dynamics, time step = grid spacing)
-  when the background is y-independent, or as a monotone Lax-Friedrichs
-  iteration on the tabulated effective Hamiltonian when it had to be
-  homogenized over a torus;
+* generic plane nodes solve ``alpha u + Hbar(x, Du) = 0`` in control form
+  (semi-Lagrangian, time step ``SolverSchedules.limit_delta``): on the
+  background dynamics when the background is y-independent, and when it
+  was homogenized over a torus on the planes ``z = g . p + b`` of the
+  tabulated H̄'s lower convex hull (velocity ``-g``, running cost ``-b``);
 * nodes on the defect line additionally see a tangential one-dimensional
   equation driven by the tabulated line Hamiltonian, and the node value is
   the minimum of the candidate updates (the line can only lower the value);
@@ -17,13 +17,9 @@ node sits:
 Every candidate update is monotone in the stencil values and a sup-norm
 contraction, so plain Jacobi sweeps converge; the fixed point satisfies the
 one-sided (sub/supersolution) residual checks of :func:`scheme_residuals`.
-
-The sweeps start from the plane solution, which is found exactly rather than
-by sweeping: in control form by one Howard solve
-(:func:`hj_strata.bellman.solve_discounted`); on the tabulated plane it is the
-constant ``-Hbar(0)/alpha``, because the table is frozen at one slow point,
-so the Lax-Friedrichs update does not depend on x and maps that constant to
-itself.
+The sweeps start from the plane solution, which one Howard solve
+(:func:`hj_strata.bellman.solve_discounted`) finds exactly rather than by
+sweeping.
 
 Every solve runs on the limit box of the scenario's schedules,
 ``[-box_half_width, box_half_width]^2`` at spacing ``grid_h``: the box whose
@@ -77,8 +73,7 @@ class StratifiedScheme:
     scn: Scenario
     tables: EffectiveTables
     grid: GridSpec
-    operator: SLOperator | None          # case1/case3 control-form backbone
-    theta_lf: float | None               # case2 plane dissipation (= M_f)
+    operator: SLOperator                 # the plane in control form
     theta_t: Mapping[str, float]         # tangential dissipation per branch
     m1_rows: Mapping[str, np.ndarray]    # branch -> flat indices, ascending x1
     origin: int
@@ -102,9 +97,10 @@ def build_scheme(scn: Scenario, tables: EffectiveTables) -> StratifiedScheme:
     """Assemble the node classes and per-class update parameters.
 
     The grid is the scheduled limit box (``box_half_width``, ``grid_h``),
-    with the origin and the line x2 = 0 on nodes; the tables must cover the
-    gradient range the coercivity bound allows for the solution.  The
-    control-form time step is ``SolverSchedules.limit_delta``.
+    with the origin and the line x2 = 0 on nodes.  The plane operator reads
+    the background fields in case1/case3 and the ``hbar`` table's hull planes
+    over ``[-B, B]^2`` in case2, where ``B = M_l / r_f`` bounds the
+    solution's gradients, which ``p1_grid`` and ``p_grid`` must cover.
     """
     grid = _limit_grid(scn)
     origin = grid.index_of((0.0, 0.0))
@@ -113,12 +109,15 @@ def build_scheme(scn: Scenario, tables: EffectiveTables) -> StratifiedScheme:
     bounds = estimate_bounds(scn, samples=200, seed=0)
     if cause := _unusable_bound(bounds):
         raise ValueError(f"cannot bound the scheme's gradients: {cause}")
+    if scn.case == "case2" and tables.hbar is None:
+        raise ValueError("case2 schemes need the tabulated plane Hamiltonian")
     grad_bound = bounds["M_l"] / bounds["r_f"]
-    if tables.p1_grid[-1] < grad_bound - 1e-9 or tables.p1_grid[0] > -grad_bound + 1e-9:
-        raise ValueError(
-            f"tables cover p1 in [{tables.p1_grid[0]:.4g}, {tables.p1_grid[-1]:.4g}] "
-            f"but the scheme's gradient bound is {grad_bound:.4g}"
-        )
+    for name, window in (("p1", tables.p1_grid), ("p", tables.p_grid)):   # p_grid: case2 only
+        if window is not None and (window[-1] < grad_bound - 1e-9 or window[0] > -grad_bound + 1e-9):
+            raise ValueError(
+                f"tables cover {name} in [{window[0]:.4g}, {window[-1]:.4g}] "
+                f"but the scheme's gradient bound is {grad_bound:.4g}"
+            )
 
     if scn.alpha * scn.schedules.limit_delta >= 1.0:
         raise ValueError("alpha*delta >= 1: shrink the time step or the grid spacing")
@@ -132,12 +131,10 @@ def build_scheme(scn: Scenario, tables: EffectiveTables) -> StratifiedScheme:
         raise ValueError(f"tables lack tangential branch(es) {sorted(missing)}")
 
     theta_t = {b: max(tables.tangential_slope_bound(b), 1e-3) for b in m1}
-    operator = None
-    theta_lf = None
-    if scn.case == "case2":
-        if tables.hbar is None:
-            raise ValueError("case2 schemes need the tabulated plane Hamiltonian")
-        theta_lf = max(bounds["M_f"], 1e-3)
+    if scn.case == "case2":   # one control per hull plane z = g . p + b: velocity -g, running cost -b
+        g, b = tables.hull_planes(grad_bound)
+        drift = np.broadcast_to(-g[:, None, :], (len(b), grid.size, 2))
+        operator = SLOperator(grid, drift, np.broadcast_to(-b[:, None], drift.shape[:2]), scn.schedules.limit_delta)
     else:
         operator = _background_operator(scn, grid)
     return StratifiedScheme(
@@ -145,7 +142,6 @@ def build_scheme(scn: Scenario, tables: EffectiveTables) -> StratifiedScheme:
         tables=tables,
         grid=grid,
         operator=operator,
-        theta_lf=theta_lf,
         theta_t=theta_t,
         m1_rows=m1,
         origin=origin,
@@ -164,39 +160,11 @@ def _line_neighbors(
     return uL, uR
 
 
-def _plane_update(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True) -> np.ndarray:
-    """Plane candidate at every node of the flat field ``u``.
-
-    The control-form Bellman step when the scheme has a background operator;
-    otherwise the monotone Lax-Friedrichs update of the tabulated plane
-    equation.  There, missing neighbors at the box edge are reflected (zero
-    one-sided slope), the standard monotone closure; callers keep comparison
-    windows away from the frame.  Table lookups are clipped into the
-    tabulated window because transient iterates can overshoot the solution's
-    gradient bound; :func:`solve_scheme` reads the converged field's lookups
-    again with ``clip=False``, which raises ``TableRangeError`` outside it.
-    """
-    if scheme.operator is not None:
-        return scheme.operator.apply(u, scheme.scn.alpha)
-    h = scheme.grid.h1
-    th = scheme.theta_lf
-    n1, n2 = scheme.grid.n1, scheme.grid.n2
-    # the field with one reflected layer of nodes around it (corners unused),
-    # filled by hand: np.pad costs more than the update's arithmetic here
-    pad = np.empty((n1 + 2, n2 + 2))
-    pad[1:-1, 1:-1] = u.reshape(n1, n2)
-    pad[0, 1:-1], pad[-1, 1:-1] = pad[1, 1:-1], pad[-2, 1:-1]
-    pad[1:-1, 0], pad[1:-1, -1] = pad[1:-1, 1], pad[1:-1, -2]
-    uW, uE, uS, uN = pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]
-    p = np.stack([(uE - uW) / (2 * h), (uN - uS) / (2 * h)], axis=-1)
-    g = scheme.tables.hbar_at(p, clip=clip)
-    return ((-g + (th / h) * (uE + uW + uN + uS)) / (scheme.scn.alpha + 4 * th / h)).reshape(-1)
-
-
 def _line_candidates(scheme: StratifiedScheme, u: np.ndarray, *, clip: bool = True) -> dict[str, np.ndarray]:
     """Tangential candidate of every branch at its line nodes: the monotone
     1D Lax-Friedrichs update of the tabulated line Hamiltonian.  Lookups are
-    clipped as in :func:`_plane_update`."""
+    clipped because transient iterates can overshoot the solution's gradient
+    bound; :func:`solve_scheme` reads the solution's strictly."""
     h = scheme.grid.h1
     out = {}
     for branch, rows in scheme.m1_rows.items():
@@ -223,7 +191,7 @@ def _junction_minima(
 
 def _sweep(scheme: StratifiedScheme, u: np.ndarray) -> np.ndarray:
     """One Jacobi sweep: every candidate at ``u``, composed to the junction minima."""
-    return _junction_minima(scheme, _plane_update(scheme, u), _line_candidates(scheme, u))
+    return _junction_minima(scheme, scheme.operator.apply(u, scheme.scn.alpha), _line_candidates(scheme, u))
 
 
 def _fixed_point(
@@ -257,33 +225,13 @@ def _control_plane(operator: SLOperator, alpha: float, *, tol: float) -> np.ndar
     return field.flat()
 
 
-def _tabulated_plane(scheme: StratifiedScheme, *, tol: float) -> np.ndarray:
-    """Plane solution of the tabulated equation: the constant ``-Hbar(0)/alpha``.
-
-    The table is frozen at one slow point, so the Lax-Friedrichs update does
-    not depend on x, and a constant field has zero central differences under
-    reflected edges; the update is a contraction, so that constant is its
-    only fixed point.  One update certifies it: raises ``RuntimeError`` if it moves a node by more
-    than ``tol``.
-    """
-    u = np.full(scheme.grid.size, -float(scheme.tables.hbar_at((0.0, 0.0))) / scheme.scn.alpha)
-    residual = float(np.max(np.abs(_plane_update(scheme, u) - u)))
-    if residual > tol:
-        raise RuntimeError(
-            f"plane start -Hbar(0)/alpha is not a fixed point of the plane update: "
-            f"residual {residual:.3e} > tol {tol:.3e}"
-        )
-    return u
-
-
 def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueField, int, float]:
     """Iterate the junction scheme to its fixed point.
 
     The iteration starts from the plane solution, which dominates the
     stratified one (the extra candidates only lower values), so the sweeps
-    descend monotonically.  That start is exact: one Howard solve to residual
-    ``tol`` in control form, the constant ``-Hbar(0)/alpha`` certified by one
-    plane update on the tabulated plane.  Returns ``(field, iterations,
+    descend monotonically.  That start is exact: one Howard solve of the
+    plane operator to residual ``tol``.  Returns ``(field, iterations,
     residual)``, counting junction sweeps only.  The Howard solve gets
     :mod:`hj_strata.bellman`'s budget of applications and the sweeps
     ``_MAX_SWEEPS``; running out of either raises (every candidate is a
@@ -291,18 +239,13 @@ def solve_scheme(scheme: StratifiedScheme, *, tol: float = 1e-8) -> tuple[ValueF
     ``ValueError`` unless ``tol > 0``.
     """
     bellman._check_tol(tol)
-    if scheme.operator is not None:
-        u = _control_plane(scheme.operator, scheme.scn.alpha, tol=tol)
-    else:
-        u = _tabulated_plane(scheme, tol=tol)
+    u = _control_plane(scheme.operator, scheme.scn.alpha, tol=tol)
     u, it, residual = _fixed_point(
         functools.partial(_sweep, scheme), u, tol=tol, max_iter=_MAX_SWEEPS, what="stratified solve"
     )
     # sweeps clip transient lookups; read the solution's own strictly, so an
     # out-of-window solution raises TableRangeError instead of passing
     _line_candidates(scheme, u, clip=False)
-    if scheme.operator is None:
-        _plane_update(scheme, u, clip=False)
     return ValueField(scheme.grid, u.reshape(scheme.grid.n1, scheme.grid.n2)), it, residual
 
 
@@ -311,20 +254,19 @@ def solve_unstratified(
 ) -> ValueField:
     """Baseline without the defect line: ``alpha u + Hbar(x, Du) = 0`` on the limit box.
 
-    For y-independent backgrounds, one Howard solve in control form, with
-    the limit time step of ``SolverSchedules.limit_delta``, to residual
-    ``tol``; for periodic ones (``tables`` required then) the constant
-    ``-Hbar(0)/alpha`` of the tabulated plane, certified by one
-    Lax-Friedrichs update.  Raises ``ValueError`` unless ``tol > 0``.
+    One Howard solve to residual ``tol`` of :func:`build_scheme`'s plane
+    operator, which needs ``tables`` for periodic backgrounds only.  Raises
+    ``ValueError`` unless ``tol > 0``.
     """
     bellman._check_tol(tol)
     grid = _limit_grid(scn)
     if scn.case in ("case1", "case3"):
-        u = _control_plane(_background_operator(scn, grid), scn.alpha, tol=tol)
+        operator = _background_operator(scn, grid)
     else:
         if tables is None or tables.hbar is None:
             raise ValueError("periodic backgrounds need tabulated plane Hamiltonian values")
-        u = _tabulated_plane(build_scheme(scn, tables), tol=tol)
+        operator = build_scheme(scn, tables).operator
+    u = _control_plane(operator, scn.alpha, tol=tol)
     return ValueField(grid, u.reshape(grid.n1, grid.n2))
 
 
@@ -360,7 +302,7 @@ def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedR
     grid = scheme.grid
     h = grid.h1
     alpha = scheme.scn.alpha
-    plane = _plane_update(scheme, u)
+    plane = scheme.operator.apply(u, alpha)
     lines = _line_candidates(scheme, u)
     iteration_residual = float(np.max(np.abs(_junction_minima(scheme, plane, lines) - u)))
 
@@ -375,10 +317,7 @@ def scheme_residuals(scheme: StratifiedScheme, field: ValueField) -> StratifiedR
         m1_sub[branch] = float(np.max(alpha * u[rows] + g)) if len(rows) else -math.inf
 
     # scaled candidate residuals: (u - update) * stiffness ~ alpha u + H_num
-    if scheme.operator is not None:
-        margin = (u - plane) / scheme.operator.delta
-    else:
-        margin = (u - plane) * (alpha + 4 * scheme.theta_lf / h)
+    margin = (u - plane) / scheme.operator.delta
     for branch, rows in scheme.m1_rows.items():
         scale = alpha + 2 * scheme.theta_t[branch] / h
         margin[rows] = np.maximum(margin[rows], (u[rows] - lines[branch]) * scale)

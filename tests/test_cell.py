@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -394,12 +395,19 @@ def test_slope_failure_flags_its_entry(monkeypatch):
     assert np.isfinite(tab.pi_lower["main"][:2]).all()
 
 
+@functools.lru_cache(maxsize=None)
+def _bench_checkerboard_tables():
+    """The tables of the bench's checkerboard_tables workload at seed 0."""
+    scn = load_preset("checkerboard")
+    return tabulate_effective(scn, tol=5e-4, p_grid=_table_momenta(scn))
+
+
 def test_case2_slope_windows_read_the_hbar_sections():
     # each window is the section's roots at the tangential level, lifted to
     # the section's minimum over the p_grid knots (it is linear between them)
     scn = load_preset("checkerboard")
-    ps = _table_momenta(scn)   # the bench's checkerboard_tables p_grid
-    tab = tabulate_effective(scn, tol=5e-4, p_grid=ps)
+    ps = _table_momenta(scn)
+    tab = _bench_checkerboard_tables()
     assert tab.flags == {}
     for i, p1 in enumerate(map(float, tab.p1_grid)):
         section = tab.hbar_at(np.column_stack([np.full_like(ps, p1), ps]))
@@ -438,13 +446,12 @@ def test_hbar_lookup_equals_the_two_index_formula_bit_for_bit():
     )
     inside = rng.uniform(-1.0, 1.2, size=(200, 2))
     nodes = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)   # exact nodes and edges
-    outside = rng.uniform(-3.0, 3.0, size=(200, 2))   # mostly clipped
-    for p, clip in ((inside, False), (nodes, False), (outside, True)):
-        got = tables.hbar_at(p.reshape(4, -1, 2), clip=clip)
+    for p in (inside, nodes):
+        got = tables.hbar_at(p.reshape(4, -1, 2))
         assert got.shape == (4, len(p) // 4)
         assert got.tobytes() == _hbar_two_index(tables, p).tobytes()
     assert tables.hbar_at(nodes[7]) == tables.hbar.reshape(-1)[7]
-    assert tables.hbar_at((5.0, -5.0), clip=True) == tables.hbar[-1, 0]
+    assert tables.hbar_at((g[-1], g[0])) == tables.hbar[-1, 0]
 
 
 def test_tangential_upwind_equals_the_godunov_formula_bit_for_bit():
@@ -477,6 +484,61 @@ def test_hbar_lookup_refuses_tables_without_a_plane_table():
         )
         with pytest.raises(ValueError, match="this scenario has no periodic-background table"):
             tables.hbar_at((0.0, 0.0))
+
+
+def _plane_max(planes, p):
+    """The maximum over the planes ``(g, b)`` at the momenta ``p`` (k, 2)."""
+    g, b = planes
+    return np.max(p @ g.T + b, axis=1)
+
+
+@pytest.mark.parametrize("bound", [math.inf, 0.5])
+def test_hull_planes_of_a_convex_table_reproduce_its_nodes(bound):
+    g = np.array([-1.0, -0.6, -0.1, 0.0, 0.35, 1.2])   # non-uniform momentum grid
+    p1, p2 = np.meshgrid(g, g, indexing="ij")
+    tables = EffectiveTables(
+        x0=(0.0, 0.0), p1_grid=g, h1t={}, pi_lower={}, pi_upper={}, E=0.0, E_history=(), method_gaps={},
+        p_grid=g, hbar=p1**2 + 0.5 * p2**2 + 0.3 * p1 * p2 + np.exp(0.5 * p1), flags={},
+    )
+    planes = tables.hull_planes(bound)
+    nodes, z = np.stack([p1, p2], axis=-1).reshape(-1, 2), tables.hbar.reshape(-1)
+    values = nodes @ planes[0].T + planes[1]   # (node, plane)
+    assert np.max(values - z[:, None]) <= 1e-12   # every plane on or below every node
+    inside = np.all(np.abs(nodes) <= bound, axis=1)
+    assert inside.any()
+    assert np.max(np.abs(_plane_max(planes, nodes[inside]) - z[inside])) <= 1e-12
+
+
+def test_hull_planes_do_not_touch_a_node_above_the_chord():
+    # the centre of |p|^2 on a 5 x 5 grid lifted from 0 to 1, above the chord
+    # 0.25 of its neighbours at (+-0.5, 0): the hull there is the chord, and
+    # every other node stays a vertex of the hull
+    g = np.linspace(-1.0, 1.0, 5)
+    p1, p2 = np.meshgrid(g, g, indexing="ij")
+    hbar = p1**2 + p2**2
+    hbar[2, 2] = 1.0
+    planes = _tables(np.zeros(5), hbar).hull_planes(math.inf)
+    nodes, z = np.stack([p1, p2], axis=-1).reshape(-1, 2), hbar.reshape(-1)
+    hull = _plane_max(planes, nodes)
+    centre = 12
+    assert hull[centre] == pytest.approx(0.25, abs=1e-12)
+    others = np.arange(len(z)) != centre
+    assert np.max(np.abs(hull[others] - z[others])) <= 1e-12
+
+
+def test_hull_planes_kept_over_the_gradient_box_have_the_full_maximum():
+    # the bench's checkerboard table: the planes whose triangles meet
+    # [-B, B]^2 (B = M_l / r_f, build_scheme's gradient bound) are fewer than
+    # all of them, with the same maximum on that box
+    scn = load_preset("checkerboard")
+    bounds = estimate_bounds(scn, samples=200, seed=0)
+    bound = bounds["M_l"] / bounds["r_f"]
+    tables = _bench_checkerboard_tables()
+    kept, every = tables.hull_planes(bound), tables.hull_planes(math.inf)
+    assert 0 < len(kept[1]) < len(every[1])
+    q = np.linspace(-bound, bound, 41)
+    box = np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1).reshape(-1, 2)
+    assert np.max(np.abs(_plane_max(kept, box) - _plane_max(every, box))) <= 1e-12
 
 
 def test_effective_tables_small_batch():

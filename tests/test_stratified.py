@@ -15,7 +15,6 @@ from hj_strata.stratified import (
     _MAX_SWEEPS,
     StratifiedReport,
     _fixed_point,
-    _plane_update,
     _sweep,
     build_scheme,
     scheme_residuals,
@@ -325,7 +324,7 @@ def test_control_plane_start_is_the_swept_plane_solution(preset):
     grid = scheme.grid
     tol = 1e-10
     swept, _, _ = _fixed_point(
-        functools.partial(_plane_update, scheme), np.zeros(grid.size),
+        functools.partial(scheme.operator.apply, discount=scn.alpha), np.zeros(grid.size),
         tol=tol, max_iter=_MAX_SWEEPS, what="plane sweeps",
     )
     plane = solve_unstratified(scn, tol=tol).flat()
@@ -353,19 +352,6 @@ def test_periodic_plane_start_is_the_exact_constant():
     assert np.max(np.abs(u_plain.values - level)) <= 1e-12
 
 
-def test_plane_start_that_is_not_a_fixed_point_raises(monkeypatch):
-    scn = load_preset("checkerboard").with_schedules(grid_h=1 / 8)
-    tables = checkerboard_tables()
-    scheme = build_scheme(scn, tables)
-    monkeypatch.setattr(stratified, "_plane_update", lambda scheme, u, **kw: _plane_update(scheme, u, **kw) + 1e-6)
-    with pytest.raises(RuntimeError, match="plane start"):
-        solve_unstratified(scn, tables, tol=1e-7)
-    with pytest.raises(RuntimeError, match="plane start"):
-        solve_scheme(scheme, tol=1e-7)
-    # the same offset inside the tolerance certifies
-    solve_scheme(scheme, tol=1e-5)
-
-
 def test_control_plane_start_that_stalls_raises(monkeypatch):
     scn = load_preset("strip_attract").with_schedules(grid_h=1 / 8)
     scheme = build_scheme(scn, cached_tables("strip_attract"))
@@ -380,12 +366,16 @@ def test_control_plane_start_that_stalls_raises(monkeypatch):
         (build_scheme, "strip_attract", {"alpha": 8.0}, {}, r"alpha\*delta >= 1"),
         (build_scheme, "strip_attract", {}, {"h1t": {}}, r"lack tangential branch\(es\) \['main'\]"),
         (build_scheme, "checkerboard", {}, {"hbar": None}, "case2 schemes need the tabulated plane"),
+        (build_scheme, "checkerboard", {}, {"p_grid": np.linspace(-1.2, 1.2, 3)},
+         r"^tables cover p in \[-1\.2, 1\.2\] but the scheme's gradient bound is 1\.427$"),
         (solve_unstratified, "checkerboard", {}, None, "periodic backgrounds need tabulated"),
     ],
-    ids=["alpha-delta", "missing-branch", "case2-without-hbar", "case2-without-tables"],
+    ids=["alpha-delta", "missing-branch", "case2-without-hbar", "case2-narrow-p-grid", "case2-without-tables"],
 )
 def test_scheme_refuses_what_it_cannot_solve(entry, preset, scn_over, tables_over, match):
-    # at 1/8 the limit step is 1/8, so alpha = 8 puts alpha * delta at 1
+    # at 1/8 the limit step is 1/8, so alpha = 8 puts alpha * delta at 1; a
+    # case2 p_grid must cover the gradient bound M_l / r_f = 1.427, whose
+    # box the hull planes are kept over
     scn = dataclasses.replace(load_preset(preset), **scn_over).with_schedules(grid_h=1 / 8)
     tables = checkerboard_tables() if preset == "checkerboard" else cached_tables(preset)
     with pytest.raises(ValueError, match=match):
@@ -464,9 +454,9 @@ def _solved_limit(scn):
 
 _CASE2_LIMIT_FAILS = pytest.mark.xfail(
     raises=AssertionError, strict=True,
-    reason="sup errors 0.124, 0.087, 0.066 at eps = 1/2, 1/4, 1/8 fall 1.43x and 1.32x, short of the "
-           "1.6x bar, and end above 0.03; the first-order Lax-Friedrichs plane is one cause, not the only "
-           "one: a limit with the plane in control form still reads 0.1229, 0.0780, 0.0527 (1.58x, 1.48x)",
+    reason="against the limit with the plane in control form on the hull of the hbar table, the sup "
+           "errors 0.1229, 0.0780, 0.0527 at eps = 1/2, 1/4, 1/8 fall 1.58x and 1.48x, short of the 1.6x "
+           "bar, and end above 0.03",
 )
 
 
